@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! sttcache-check [--quick] [--seed N] [--cases N] [--events N]
-//!                [--kind NAME|compiled|lane|multicore|irregular] [--shrink] [--list-kinds]
+//!                [--kind NAME|multicore|irregular] [--shrink] [--list-kinds]
 //! ```
 //!
 //! Every generated trace runs on every catalog L1 D-cache organization with
@@ -18,14 +18,6 @@
 //! replay; `--shrink` additionally minimizes the first failing trace and
 //! prints the surviving events. Exit status 1 on any failure.
 //!
-//! `--kind compiled` switches the check itself: every adversary family
-//! still generates traces, but each one is cross-checked through the
-//! compiled structure-of-arrays replay pass (validate, decompile round
-//! trip, bit-identity with interpreted replay on every organization)
-//! instead of the shadow-oracle differential. `--kind lane` likewise
-//! switches the check: every trace replays through the monomorphic
-//! data-path lanes and through the generic dynamic-dispatch referee
-//! (interpreted and compiled), and the results must be bit-identical.
 //! `--kind multicore` derives a random 2–4 core mix per case (per-core
 //! adversarial traces, organizations and phase offsets) and cross-checks
 //! the co-scheduled run against per-core isolated runs, the per-core
@@ -34,8 +26,7 @@
 //! events. `--kind irregular` swaps the adversarial generators for the
 //! workload catalog's irregular pointer-chasing family: each case
 //! derives a kernel/transform pick from the seed, records the kernel's
-//! deterministic trace and runs it through the oracle differential, the
-//! compiled cross-check and the lane cross-check combined.
+//! deterministic trace and runs it through the oracle differential.
 
 use sttcache_bench::check::{self, Adversary};
 
@@ -44,13 +35,9 @@ use sttcache_bench::check::{self, Adversary};
 enum Mode {
     /// Shadow-oracle differential against the SRAM baseline.
     Oracle,
-    /// Compiled structure-of-arrays replay vs interpreted replay.
-    Compiled,
-    /// Monomorphic replay lanes vs the generic dispatch referee.
-    Lane,
     /// Co-scheduled multi-core mixes vs per-core isolated runs.
     Multicore,
-    /// Irregular-family kernel traces through every cross-check at once.
+    /// Irregular-family kernel traces through the oracle differential.
     Irregular,
 }
 
@@ -58,8 +45,6 @@ impl Mode {
     fn tag(self) -> &'static str {
         match self {
             Mode::Oracle => "",
-            Mode::Compiled => " compiled",
-            Mode::Lane => " lane",
             Mode::Multicore => " multicore",
             Mode::Irregular => " irregular",
         }
@@ -69,7 +54,7 @@ impl Mode {
 fn usage() -> ! {
     eprintln!(
         "usage: sttcache-check [--quick] [--seed N] [--cases N] [--events N] \
-         [--kind NAME|compiled|lane|multicore|irregular] [--shrink] [--list-kinds]"
+         [--kind NAME|multicore|irregular] [--shrink] [--list-kinds]"
     );
     std::process::exit(2);
 }
@@ -121,8 +106,6 @@ fn main() {
                 match args.get(i).map(String::as_str) {
                     // Not generator families: these switch the cross-check
                     // every family's traces run through.
-                    Some("compiled") => mode = Mode::Compiled,
-                    Some("lane") => mode = Mode::Lane,
                     Some("multicore") => mode = Mode::Multicore,
                     Some("irregular") => mode = Mode::Irregular,
                     Some(name) => match Adversary::from_name(name) {
@@ -143,8 +126,6 @@ fn main() {
                 for k in Adversary::ALL {
                     println!("{}", k.name());
                 }
-                println!("compiled");
-                println!("lane");
                 println!("multicore");
                 println!("irregular");
                 return;
@@ -182,8 +163,6 @@ fn main() {
     let total = plan.len();
     let run_one: fn(Adversary, u64, usize) -> Result<(), check::CheckFailure> = match mode {
         Mode::Oracle => check::run_case,
-        Mode::Compiled => check::run_compiled_case,
-        Mode::Lane => check::run_lane_case,
         Mode::Multicore => check::run_multicore_case,
         Mode::Irregular => check::run_irregular_case,
     };
@@ -214,19 +193,13 @@ fn main() {
             Mode::Oracle => println!(
                 "{total} traces x {orgs} organizations: all oracle, drain and invariant checks passed"
             ),
-            Mode::Compiled => println!(
-                "{total} traces x {orgs} organizations: compiled and interpreted replay agree everywhere"
-            ),
-            Mode::Lane => println!(
-                "{total} traces x {orgs} organizations: lane and generic replay agree everywhere"
-            ),
             Mode::Multicore => println!(
                 "{total} multi-core mixes: determinism, isolated differentials, residency \
                  and conservation all passed"
             ),
             Mode::Irregular => println!(
-                "{total} irregular traces x {orgs} organizations: oracle, compiled and lane \
-                 checks all passed"
+                "{total} irregular traces x {orgs} organizations: all oracle, drain and \
+                 invariant checks passed"
             ),
         }
         return;
@@ -236,8 +209,6 @@ fn main() {
     for f in &failures {
         let replay_kind = match mode {
             Mode::Oracle => f.kind.name(),
-            Mode::Compiled => "compiled",
-            Mode::Lane => "lane",
             Mode::Multicore => "multicore",
             Mode::Irregular => "irregular",
         };
@@ -282,8 +253,6 @@ fn main() {
         } else {
             let minimal = match mode {
                 Mode::Oracle => check::shrink_failure(first),
-                Mode::Compiled => check::shrink_compiled_failure(first),
-                Mode::Lane => check::shrink_lane_failure(first),
                 Mode::Irregular => check::shrink_irregular_failure(first),
                 Mode::Multicore => unreachable!("handled above"),
             };

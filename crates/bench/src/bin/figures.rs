@@ -3,8 +3,7 @@
 //! ```text
 //! figures [table1|fig1|fig3|fig4|fig5|fig6|fig7|fig8|fig9|ext|catalog|multicore|irregular|all]
 //!         [--small] [--csv] [--jobs N | --serial]
-//!         [--no-trace-cache] [--no-compiled-replay]
-//!         [--profile] [--profile-json PATH] [--telemetry-json PATH]
+//!         [--no-trace-cache] [--profile] [--profile-json PATH] [--telemetry-json PATH]
 //! ```
 //!
 //! Defaults to `all` at the mini problem size; `--small` runs the larger
@@ -16,16 +15,12 @@
 //! order.
 //!
 //! Grid points execute through the record-once/replay-many trace cache
-//! (`STTCACHE_TRACE_CACHE_BYTES` caps its memory); traces up to the
-//! admission ceiling (`STTCACHE_COMPILED_MAX_EVENTS`, default 16 Ki
-//! events, `0` = unlimited) replay through the compiled
-//! structure-of-arrays fast path and the rest replay interpreted.
-//! `--no-compiled-replay` forces interpreted replay everywhere and
-//! `--no-trace-cache` reverts to direct kernel execution — same output
-//! in every mode, only the speed differs. `--profile`
-//! prints per-phase wall-clock (record/compile/compiled replay/replay/
-//! direct), cache hit/miss counts and per-figure timings to stderr, and
-//! `--profile-json PATH` writes the same data as JSON; stdout stays
+//! (`STTCACHE_TRACE_CACHE_BYTES` caps its memory); `--no-trace-cache`
+//! reverts to direct kernel execution — same output either way, only the
+//! speed differs. `--profile` prints per-phase wall-clock
+//! (record/replay/direct), cache hit/miss counts and per-figure timings
+//! to stderr, and `--profile-json PATH` writes the same data as JSON;
+//! stdout stays
 //! byte-identical in every mode. `--telemetry-json PATH` arms the span
 //! tracer and the component telemetry gate (`STTCACHE_TELEMETRY`) and
 //! writes one Chrome `trace_event` span per trace-cache phase and per
@@ -38,8 +33,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: figures [table1|fig1|fig3|fig4|fig5|fig6|fig7|fig8|fig9|ext|catalog|multicore|irregular|all] \
          [--small] [--csv] [--jobs N | --serial] [--no-trace-cache] \
-         [--no-compiled-replay] [--profile] [--profile-json PATH] \
-         [--telemetry-json PATH]"
+         [--profile] [--profile-json PATH] [--telemetry-json PATH]"
     );
     std::process::exit(2);
 }
@@ -74,7 +68,6 @@ fn main() {
                 parallel::set_jobs(n);
             }
             "--no-trace-cache" => trace_cache::set_enabled(false),
-            "--no-compiled-replay" => trace_cache::set_compiled_enabled(false),
             "--profile" => profile_text = true,
             "--profile-json" => {
                 i += 1;

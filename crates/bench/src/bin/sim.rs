@@ -31,8 +31,8 @@
 //! * `--trace-file <path>`: replay a recorded trace file (written by
 //!   `Trace::write_to`, e.g. the `trace_sweep` example) instead of a
 //!   catalog kernel. The file is content-hashed into a workload identity
-//!   and routed through the full replay stack — trace cache, compiled
-//!   replay, result memo — exactly like a kernel-backed workload.
+//!   and routed through the full replay stack — trace cache and result
+//!   memo — exactly like a kernel-backed workload.
 
 use sttcache::{
     DCacheOrganization, DlOneTechnology, IcacheConfig, Platform, PlatformConfig, RunResult,
@@ -60,7 +60,7 @@ fn usage() -> ! {
         "usage: sim --bench <name> | --trace-file <path> [--org {}] [--size mini|small]\n\
          \x20          [--opts none|all|v+p+o subset] [--vwb-bits N] [--icache sram|nvm]\n\
          \x20          [--baseline] [--explain [org]] [--jobs N | --serial]\n\
-         \x20          [--no-trace-cache] [--no-compiled-replay] [--profile]\n\
+         \x20          [--no-trace-cache] [--profile]\n\
          \x20          [--cores N] [--mix workload[@offset][:org]+...] [--l2-banks N]\n\
          workloads: {} or file:<path>",
         sttcache::catalog::catalog()
@@ -178,7 +178,6 @@ fn parse_args() -> Options {
                 l2_banks = Some(n);
             }
             "--no-trace-cache" => trace_cache::set_enabled(false),
-            "--no-compiled-replay" => trace_cache::set_compiled_enabled(false),
             "--profile" => profile = true,
             "--serial" => parallel::set_jobs(1),
             "--jobs" => {

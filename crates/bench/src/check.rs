@@ -23,19 +23,13 @@
 //! saturation, aliasing write bursts, line-straddling access widths.
 //! [`shrink_events`] minimizes a failing trace by greedy chunk removal
 //! so a report names the shortest reproducer found.
-//!
-//! A fourth, independent layer targets the compiled replay pass:
-//! [`check_compiled`] lowers a trace to its structure-of-arrays form for
-//! every organization's DL1 geometry and demands a validating,
-//! round-tripping compiled trace whose replay is bit-identical to the
-//! interpreted one (`sttcache-check --kind compiled`).
 
 use crate::testkit::{Rng, DEFAULT_SEED};
 use sttcache::{
-    CoreSpec, DCacheOrganization, FrontEnd, LaneMode, MultiPlatform, MultiPlatformConfig, Platform,
+    CoreSpec, DCacheOrganization, FrontEnd, MultiPlatform, MultiPlatformConfig, Platform,
     CORE_ADDRESS_STRIDE,
 };
-use sttcache_cpu::{CompiledTrace, Core, Engine, TeeEngine, Trace, TraceEvent, TraceRecorder};
+use sttcache_cpu::{Core, Engine, TeeEngine, Trace, TraceEvent, TraceRecorder};
 use sttcache_mem::{invariants, Cycle, InvariantViolation, ShadowOracle};
 
 /// An [`Engine`] that mirrors every architectural event into a
@@ -481,141 +475,6 @@ pub fn run_case(kind: Adversary, seed: u64, events: usize) -> Result<(), CheckFa
     }
 }
 
-/// Cross-checks the compiled structure-of-arrays replay against the
-/// interpreted replay on every catalog organization. For each one the
-/// trace is lowered to the organization's DL1 geometry, and the compiled
-/// form must [`validate`](CompiledTrace::validate), decompile back to
-/// the original event stream, and replay to a bit-identical
-/// [`RunResult`](sttcache::RunResult). Returns one message per
-/// divergence; empty when the trace passes everywhere.
-pub fn check_compiled(label: &str, trace: &Trace) -> Vec<String> {
-    let mut failures = Vec::new();
-    for org in all_organizations() {
-        let platform = Platform::new(org).expect("canonical organization validates");
-        let compiled = CompiledTrace::compile(trace, platform.dl1_geometry());
-        if let Err(e) = compiled.validate() {
-            failures.push(format!(
-                "[{}] {label}: invalid compiled trace: {e}",
-                org.name()
-            ));
-            continue;
-        }
-        if compiled.decompile() != *trace {
-            failures.push(format!(
-                "[{}] {label}: compile/decompile round trip altered the event stream",
-                org.name()
-            ));
-            continue;
-        }
-        let compiled_run = platform.run_compiled(&compiled);
-        let interpreted_run = platform.run_trace(trace);
-        if compiled_run != interpreted_run {
-            failures.push(format!(
-                "[{}] {label}: compiled replay diverged from interpreted replay \
-                 ({} vs {} cycles)",
-                org.name(),
-                compiled_run.cycles(),
-                interpreted_run.cycles()
-            ));
-        }
-    }
-    failures
-}
-
-/// Generates one adversarial trace and runs [`check_compiled`] on it —
-/// the `--kind compiled` leg of `sttcache-check`.
-///
-/// # Errors
-///
-/// Returns the structured [`CheckFailure`] when any organization's
-/// compiled replay fails validation, the decompile round trip, or
-/// bit-identity with the interpreted replay.
-pub fn run_compiled_case(kind: Adversary, seed: u64, events: usize) -> Result<(), CheckFailure> {
-    let trace = adversarial_trace(kind, seed, events);
-    let failures = check_compiled(&format!("{}#{seed:#x}", kind.name()), &trace);
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(CheckFailure {
-            kind,
-            seed,
-            events,
-            failures,
-        })
-    }
-}
-
-/// Cross-checks the monomorphic replay lanes against the generic
-/// dynamic-dispatch referee on every catalog organization. For each one
-/// the trace replays four ways — interpreted and compiled, each through
-/// the organization's lane ([`LaneMode::Auto`]) and through the generic
-/// [`FrontEnd`] path ([`LaneMode::Generic`]) — and all four
-/// [`RunResult`](sttcache::RunResult)s must be bit-identical. Returns
-/// one message per divergence; empty when the trace passes everywhere.
-pub fn check_lane(label: &str, trace: &Trace) -> Vec<String> {
-    let mut failures = Vec::new();
-    for org in all_organizations() {
-        let platform = Platform::new(org).expect("canonical organization validates");
-        let lane = platform.run_trace_with(trace, LaneMode::Auto);
-        let generic = platform.run_trace_with(trace, LaneMode::Generic);
-        if lane != generic {
-            failures.push(format!(
-                "[{}] {label}: lane replay diverged from the generic referee \
-                 ({} vs {} cycles)",
-                org.name(),
-                lane.cycles(),
-                generic.cycles()
-            ));
-            continue;
-        }
-        let compiled = CompiledTrace::compile(trace, platform.dl1_geometry());
-        let lane_compiled = platform.run_compiled_with(&compiled, LaneMode::Auto);
-        let generic_compiled = platform.run_compiled_with(&compiled, LaneMode::Generic);
-        if lane_compiled != generic_compiled {
-            failures.push(format!(
-                "[{}] {label}: compiled lane replay diverged from the generic referee \
-                 ({} vs {} cycles)",
-                org.name(),
-                lane_compiled.cycles(),
-                generic_compiled.cycles()
-            ));
-            continue;
-        }
-        if lane_compiled != lane {
-            failures.push(format!(
-                "[{}] {label}: compiled lane replay diverged from interpreted lane replay \
-                 ({} vs {} cycles)",
-                org.name(),
-                lane_compiled.cycles(),
-                lane.cycles()
-            ));
-        }
-    }
-    failures
-}
-
-/// Generates one adversarial trace and runs [`check_lane`] on it — the
-/// `--kind lane` leg of `sttcache-check`.
-///
-/// # Errors
-///
-/// Returns the structured [`CheckFailure`] when any organization's lane
-/// replay (interpreted or compiled) diverges from the generic referee.
-pub fn run_lane_case(kind: Adversary, seed: u64, events: usize) -> Result<(), CheckFailure> {
-    let trace = adversarial_trace(kind, seed, events);
-    let failures = check_lane(&format!("{}#{seed:#x}", kind.name()), &trace);
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(CheckFailure {
-            kind,
-            seed,
-            events,
-            failures,
-        })
-    }
-}
-
 /// The fixed seeds `--quick` runs (plus [`testkit::base_seed`]'s
 /// override when `STTCACHE_TEST_SEED` is set).
 ///
@@ -679,31 +538,19 @@ pub fn trace_from_events(events: &[TraceEvent]) -> Trace {
 /// the full differential check. Expensive (each probe replays every
 /// catalog organization); meant for `sttcache-check --shrink` on a repro.
 pub fn shrink_failure(failure: &CheckFailure) -> Trace {
-    let trace = adversarial_trace(failure.kind, failure.seed, failure.events);
+    shrink_against_oracle(&adversarial_trace(
+        failure.kind,
+        failure.seed,
+        failure.events,
+    ))
+}
+
+/// The shortest sub-trace of `trace` that still fails [`check_trace`].
+fn shrink_against_oracle(trace: &Trace) -> Trace {
     let minimal = shrink_events(trace.events(), |evs| {
         !check_trace("shrink-probe", &trace_from_events(evs))
             .failures
             .is_empty()
-    });
-    trace_from_events(&minimal)
-}
-
-/// [`shrink_failure`]'s counterpart for `--kind compiled` failures: the
-/// probe is [`check_compiled`] instead of the oracle differential.
-pub fn shrink_compiled_failure(failure: &CheckFailure) -> Trace {
-    let trace = adversarial_trace(failure.kind, failure.seed, failure.events);
-    let minimal = shrink_events(trace.events(), |evs| {
-        !check_compiled("shrink-probe", &trace_from_events(evs)).is_empty()
-    });
-    trace_from_events(&minimal)
-}
-
-/// [`shrink_failure`]'s counterpart for `--kind lane` failures: the
-/// probe is [`check_lane`] against the generic referee.
-pub fn shrink_lane_failure(failure: &CheckFailure) -> Trace {
-    let trace = adversarial_trace(failure.kind, failure.seed, failure.events);
-    let minimal = shrink_events(trace.events(), |evs| {
-        !check_lane("shrink-probe", &trace_from_events(evs)).is_empty()
     });
     trace_from_events(&minimal)
 }
@@ -733,30 +580,20 @@ pub fn irregular_trace(kind: Adversary, seed: u64, events: usize) -> (String, Tr
     (format!("{}#{seed:#x}", spec.cli), trace)
 }
 
-/// Cross-checks one irregular-workload trace through every layer at
-/// once: the shadow-oracle differential ([`check_trace`]), the compiled
-/// structure-of-arrays replay ([`check_compiled`]) and the monomorphic
-/// lanes ([`check_lane`]). Pointer-chasing streams have none of the
-/// affine kernels' regularity, so this is the leg that aims the whole
-/// verification stack at data-dependent access patterns.
-pub fn check_irregular(label: &str, trace: &Trace) -> Vec<String> {
-    let mut failures = check_trace(label, trace).failures;
-    failures.extend(check_compiled(label, trace));
-    failures.extend(check_lane(label, trace));
-    failures
-}
-
-/// Derives one irregular-workload trace and runs [`check_irregular`] on
-/// it — the `--kind irregular` leg of `sttcache-check`.
+/// Derives one irregular-workload trace and runs the oracle differential
+/// ([`check_trace`]) on it — the `--kind irregular` leg of
+/// `sttcache-check`. Pointer-chasing streams have none of the affine
+/// kernels' regularity, so this leg aims the checker at data-dependent
+/// access patterns.
 ///
 /// # Errors
 ///
 /// Returns the structured [`CheckFailure`] when any organization fails
-/// the oracle differential, the compiled cross-check or the lane
-/// cross-check on the derived trace.
+/// its oracle/invariant check or diverges from the SRAM baseline on the
+/// derived trace.
 pub fn run_irregular_case(kind: Adversary, seed: u64, events: usize) -> Result<(), CheckFailure> {
     let (label, trace) = irregular_trace(kind, seed, events);
-    let failures = check_irregular(&label, &trace);
+    let failures = check_trace(&label, &trace).failures;
     if failures.is_empty() {
         Ok(())
     } else {
@@ -770,13 +607,10 @@ pub fn run_irregular_case(kind: Adversary, seed: u64, events: usize) -> Result<(
 }
 
 /// [`shrink_failure`]'s counterpart for `--kind irregular` failures:
-/// the probe is the combined [`check_irregular`] battery.
+/// the same oracle differential over the derived irregular trace.
 pub fn shrink_irregular_failure(failure: &CheckFailure) -> Trace {
     let (_, trace) = irregular_trace(failure.kind, failure.seed, failure.events);
-    let minimal = shrink_events(trace.events(), |evs| {
-        !check_irregular("shrink-probe", &trace_from_events(evs)).is_empty()
-    });
-    trace_from_events(&minimal)
+    shrink_against_oracle(&trace)
 }
 
 /// One multi-core fuzz case: 2–4 cores, each with its own adversarial
@@ -1076,34 +910,6 @@ mod tests {
         assert!(report.passed(), "failures: {:#?}", report.failures);
         assert_eq!(report.reports.len(), sttcache::catalog::catalog().len());
         assert_eq!(report.reports[0].organization, "SRAM baseline");
-    }
-
-    #[test]
-    fn compiled_cross_check_passes_on_adversarial_traces() {
-        for kind in [Adversary::LineStraddle, Adversary::RandomMix] {
-            let trace = adversarial_trace(kind, DEFAULT_SEED, 400);
-            let failures = check_compiled("unit", &trace);
-            assert!(failures.is_empty(), "failures: {failures:#?}");
-        }
-    }
-
-    #[test]
-    fn compiled_case_runner_reports_clean_on_a_quick_seed() {
-        assert!(run_compiled_case(Adversary::BankPingPong, DEFAULT_SEED, 300).is_ok());
-    }
-
-    #[test]
-    fn lane_cross_check_passes_on_adversarial_traces() {
-        for kind in [Adversary::AliasWriteBurst, Adversary::RandomMix] {
-            let trace = adversarial_trace(kind, DEFAULT_SEED, 400);
-            let failures = check_lane("unit", &trace);
-            assert!(failures.is_empty(), "failures: {failures:#?}");
-        }
-    }
-
-    #[test]
-    fn lane_case_runner_reports_clean_on_a_quick_seed() {
-        assert!(run_lane_case(Adversary::MshrSaturation, DEFAULT_SEED, 300).is_ok());
     }
 
     #[test]

@@ -1,16 +1,14 @@
 //! Per-phase wall-clock accounting for `--profile`.
 //!
-//! The trace cache attributes every simulation's time to one of five
+//! The trace cache attributes every simulation's time to one of three
 //! phases — *record* (running a kernel into a [`TraceRecorder`]),
-//! *compile* (lowering a recorded trace into structure-of-arrays columns),
-//! *compiled replay* (driving a platform from a compiled trace), *replay*
-//! (driving a platform from an interpreted cached trace) and *direct*
-//! (the uncached path) — into process-global atomic counters, so the
+//! *replay* (driving a platform from a cached trace) and *direct* (the
+//! uncached path) — into process-global atomic counters, so the
 //! record-once/replay-many win is measurable from the binaries without
-//! plumbing timers through every sweep. The binaries add per-figure wall-clock on
-//! top and render the whole thing as a human summary (stderr) or JSON
-//! (`--profile-json`), keeping stdout byte-identical to the committed
-//! reference output.
+//! plumbing timers through every sweep. The binaries add per-figure
+//! wall-clock on top and render the whole thing as a human summary
+//! (stderr) or JSON (`--profile-json`), keeping stdout byte-identical to
+//! the committed reference output.
 //!
 //! [`TraceRecorder`]: sttcache_cpu::TraceRecorder
 
@@ -18,13 +16,12 @@ use crate::trace_cache;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// The five phases the trace cache attributes simulation time to, in the
-/// order the report renders them. Doubles as the index into [`PHASES`].
+/// The three phases the trace cache attributes simulation time to, in
+/// the order the report renders them. Doubles as the index into
+/// [`PHASES`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Record,
-    Compile,
-    CompiledReplay,
     Replay,
     Direct,
 }
@@ -44,7 +41,7 @@ const ZERO_PHASE: PhaseCounter = PhaseCounter {
 };
 
 /// Per-phase counters, indexed by [`Phase`].
-static PHASES: [PhaseCounter; 5] = [ZERO_PHASE; 5];
+static PHASES: [PhaseCounter; 3] = [ZERO_PHASE; 3];
 
 /// A duration as nanoseconds, saturating at `u64::MAX`.
 fn saturating_ns(d: Duration) -> u64 {
@@ -70,19 +67,7 @@ pub fn add_record(d: Duration, events: u64) {
     add(Phase::Record, d, events);
 }
 
-/// Credits one trace-compilation pass (structure-of-arrays lowering)
-/// over `events` lowered events.
-pub fn add_compile(d: Duration, events: u64) {
-    add(Phase::Compile, d, events);
-}
-
-/// Credits one compiled-trace replay over `events` replayed events.
-pub fn add_compiled_replay(d: Duration, events: u64) {
-    add(Phase::CompiledReplay, d, events);
-}
-
-/// Credits one interpreted cached-trace replay over `events` replayed
-/// events.
+/// Credits one cached-trace replay over `events` replayed events.
 pub fn add_replay(d: Duration, events: u64) {
     add(Phase::Replay, d, events);
 }
@@ -102,23 +87,11 @@ pub struct ProfileSnapshot {
     pub record_runs: u64,
     /// Events recorded.
     pub record_events: u64,
-    /// Seconds spent compiling traces into structure-of-arrays columns.
-    pub compile_seconds: f64,
-    /// Number of trace compilations.
-    pub compile_runs: u64,
-    /// Events lowered by the compile passes.
-    pub compile_events: u64,
-    /// Seconds spent replaying compiled traces.
-    pub compiled_replay_seconds: f64,
-    /// Number of compiled replays.
-    pub compiled_replay_runs: u64,
-    /// Events replayed through compiled traces.
-    pub compiled_replay_events: u64,
-    /// Seconds spent replaying cached traces interpretively.
+    /// Seconds spent replaying cached traces.
     pub replay_seconds: f64,
-    /// Number of interpreted replays.
+    /// Number of replays.
     pub replay_runs: u64,
-    /// Events replayed interpretively.
+    /// Events replayed.
     pub replay_events: u64,
     /// Seconds spent in direct (uncached) kernel execution.
     pub direct_seconds: f64,
@@ -148,12 +121,6 @@ pub fn snapshot() -> ProfileSnapshot {
         record_seconds: secs(Phase::Record),
         record_runs: runs(Phase::Record),
         record_events: events(Phase::Record),
-        compile_seconds: secs(Phase::Compile),
-        compile_runs: runs(Phase::Compile),
-        compile_events: events(Phase::Compile),
-        compiled_replay_seconds: secs(Phase::CompiledReplay),
-        compiled_replay_runs: runs(Phase::CompiledReplay),
-        compiled_replay_events: events(Phase::CompiledReplay),
         replay_seconds: secs(Phase::Replay),
         replay_runs: runs(Phase::Replay),
         replay_events: events(Phase::Replay),
@@ -169,31 +136,14 @@ pub fn snapshot() -> ProfileSnapshot {
 }
 
 impl ProfileSnapshot {
-    /// Simulation seconds across all five phases.
+    /// Simulation seconds across all three phases.
     pub fn simulation_seconds(&self) -> f64 {
-        self.record_seconds
-            + self.compile_seconds
-            + self.compiled_replay_seconds
-            + self.replay_seconds
-            + self.direct_seconds
+        self.record_seconds + self.replay_seconds + self.direct_seconds
     }
 
-    /// Seconds spent in either replay flavour (compiled + interpreted) —
-    /// the quantity the bench regression gate bounds.
-    pub fn replay_phase_seconds(&self) -> f64 {
-        self.compiled_replay_seconds + self.replay_seconds
-    }
-
-    /// Events replayed through either flavour.
+    /// Events the replay phase fed the timing model.
     pub fn replay_phase_events(&self) -> u64 {
-        self.compiled_replay_events + self.replay_events
-    }
-
-    /// Nanoseconds per replayed event across both replay flavours — the
-    /// machine-size-independent metric the bench regression gate bounds
-    /// alongside the raw wall-clock.
-    pub fn replay_phase_ns_per_event(&self) -> f64 {
-        ns_per_event(self.replay_phase_seconds(), self.replay_phase_events())
+        self.replay_events
     }
 }
 
@@ -235,15 +185,10 @@ impl ProfileReport {
             if self.cache_enabled { "on" } else { "off" }
         ));
         out.push_str(&format!(
-            "  phases: record {:.3}s/{} runs, compile {:.3}s/{} runs, \
-             compiled replay {:.3}s/{} runs, replay {:.3}s/{} runs, \
+            "  phases: record {:.3}s/{} runs, replay {:.3}s/{} runs, \
              direct {:.3}s/{} runs, aggregate {:.3}s\n",
             p.record_seconds,
             p.record_runs,
-            p.compile_seconds,
-            p.compile_runs,
-            p.compiled_replay_seconds,
-            p.compiled_replay_runs,
             p.replay_seconds,
             p.replay_runs,
             p.direct_seconds,
@@ -251,14 +196,10 @@ impl ProfileReport {
             (self.total_seconds - p.simulation_seconds()).max(0.0),
         ));
         out.push_str(&format!(
-            "  ns/event: record {:.1}, compile {:.1}, compiled replay {:.1}, \
-             replay {:.1}, direct {:.1} (replay phase {:.1})\n",
+            "  ns/event: record {:.1}, replay {:.1}, direct {:.1}\n",
             ns_per_event(p.record_seconds, p.record_events),
-            ns_per_event(p.compile_seconds, p.compile_events),
-            ns_per_event(p.compiled_replay_seconds, p.compiled_replay_events),
             ns_per_event(p.replay_seconds, p.replay_events),
             ns_per_event(p.direct_seconds, p.direct_events),
-            p.replay_phase_ns_per_event(),
         ));
         out.push_str(&format!(
             "  trace cache: {} hits, {} misses, {} evictions \
@@ -304,24 +245,8 @@ impl ProfileReport {
             ));
         };
         phase("record", p.record_seconds, p.record_runs, p.record_events);
-        phase(
-            "compile",
-            p.compile_seconds,
-            p.compile_runs,
-            p.compile_events,
-        );
-        phase(
-            "compiled_replay",
-            p.compiled_replay_seconds,
-            p.compiled_replay_runs,
-            p.compiled_replay_events,
-        );
         phase("replay", p.replay_seconds, p.replay_runs, p.replay_events);
         phase("direct", p.direct_seconds, p.direct_runs, p.direct_events);
-        out.push_str(&format!(
-            "    \"replay_phase_ns_per_event\": {:.3},\n",
-            p.replay_phase_ns_per_event()
-        ));
         out.push_str(&format!(
             "    \"aggregate_seconds\": {:.6}\n  }},\n",
             (self.total_seconds - p.simulation_seconds()).max(0.0)
@@ -367,12 +292,6 @@ mod tests {
                 record_seconds: 0.2,
                 record_runs: 3,
                 record_events: 30_000,
-                compile_seconds: 0.01,
-                compile_runs: 3,
-                compile_events: 30_000,
-                compiled_replay_seconds: 0.3,
-                compiled_replay_runs: 80,
-                compiled_replay_events: 800_000,
                 replay_seconds: 0.9,
                 replay_runs: 100,
                 replay_events: 1_000_000,
@@ -425,21 +344,15 @@ mod tests {
     fn snapshot_accumulates_phase_time() {
         let before = snapshot();
         add_record(Duration::from_millis(5), 10);
-        add_compile(Duration::from_millis(3), 10);
-        add_compiled_replay(Duration::from_millis(2), 10);
         add_replay(Duration::from_millis(7), 10);
         add_direct(Duration::from_millis(11), 10);
         let after = snapshot();
         assert!(after.record_seconds >= before.record_seconds + 0.004);
-        assert!(after.compile_seconds >= before.compile_seconds + 0.002);
-        assert!(after.compiled_replay_seconds >= before.compiled_replay_seconds + 0.001);
         assert!(after.replay_seconds >= before.replay_seconds + 0.006);
         assert!(after.direct_seconds >= before.direct_seconds + 0.010);
         // Other tests in this binary may add phase time concurrently, so
         // only lower bounds are safe to assert.
         assert!(after.record_runs > before.record_runs);
-        assert!(after.compile_runs > before.compile_runs);
-        assert!(after.compiled_replay_runs > before.compiled_replay_runs);
         assert!(after.replay_runs > before.replay_runs);
         assert!(after.direct_runs > before.direct_runs);
         assert!(after.record_events >= before.record_events + 10);
@@ -463,10 +376,10 @@ mod tests {
     }
 
     #[test]
-    fn replay_phase_spans_both_replay_flavours() {
+    fn simulation_seconds_sums_every_phase() {
         let p = sample().phases;
-        assert!((p.replay_phase_seconds() - 1.2).abs() < 1e-12);
-        assert!((p.simulation_seconds() - 1.41).abs() < 1e-12);
+        assert!((p.simulation_seconds() - 1.1).abs() < 1e-12);
+        assert_eq!(p.replay_phase_events(), 1_000_000);
     }
 
     /// Pins the `--profile-json` schema: `scripts/bench_gate.sh` greps
@@ -484,25 +397,16 @@ mod tests {
             "\"phases\"",
             "\"record_seconds\"",
             "\"record_runs\"",
-            "\"compile_seconds\"",
-            "\"compile_runs\"",
-            "\"compiled_replay_seconds\"",
-            "\"compiled_replay_runs\"",
             "\"replay_seconds\"",
             "\"replay_runs\"",
             "\"direct_seconds\"",
             "\"direct_runs\"",
             "\"record_events\"",
             "\"record_ns_per_event\"",
-            "\"compile_events\"",
-            "\"compile_ns_per_event\"",
-            "\"compiled_replay_events\"",
-            "\"compiled_replay_ns_per_event\"",
             "\"replay_events\"",
             "\"replay_ns_per_event\"",
             "\"direct_events\"",
             "\"direct_ns_per_event\"",
-            "\"replay_phase_ns_per_event\"",
             "\"aggregate_seconds\"",
             "\"trace_cache\"",
             "\"hits\"",
@@ -518,20 +422,18 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing schema key {key} in:\n{json}");
         }
-        // `replay_seconds` must stay distinct from `compiled_replay_seconds`
-        // (the gate sums them); exactly one occurrence of each key. Same
-        // for the per-event keys the ns/event gate greps.
-        assert_eq!(json.matches("\"compiled_replay_seconds\"").count(), 1);
+        // The gate greps the first match of each key, so the keys it
+        // reads must occur exactly once.
         assert_eq!(json.matches("\"replay_seconds\"").count(), 1);
-        assert_eq!(json.matches("\"replay_phase_ns_per_event\"").count(), 1);
+        assert_eq!(json.matches("\"replay_ns_per_event\"").count(), 1);
     }
 
     #[test]
     fn ns_per_event_is_zero_when_no_events_ran() {
         assert_eq!(ns_per_event(1.0, 0), 0.0);
         assert!((ns_per_event(0.9, 1_000_000) - 900.0).abs() < 1e-9);
-        let p = sample().phases;
-        // (0.3 + 0.9)s over (0.8 + 1.0)M events = 666.67 ns/event.
-        assert!((p.replay_phase_ns_per_event() - 1.2e9 / 1.8e6).abs() < 1e-6);
+        assert!(sample()
+            .render_json()
+            .contains("\"replay_ns_per_event\": 900.000"));
     }
 }

@@ -4,26 +4,10 @@
 //! a kernel's architectural event stream depends only on the *kernel*
 //! side of the grid — `(kernel, problem size, transformation set)` — and
 //! never on the cache organization under test. The cache records each
-//! such stream exactly once into a compact [`Trace`], lowers it once per
-//! DL1 geometry into a structure-of-arrays [`CompiledTrace`] (pre-decoded
-//! event kinds, line addresses and set/bank indices), and replays the
-//! compiled form for every organization — skipping the kernel's
-//! floating-point arithmetic, per-access virtual dispatch *and* the
-//! per-event address math on every grid point after the first. Compiled
-//! entries live alongside the recorded traces under the same LRU byte
-//! cap; `--no-compiled-replay` (or [`set_compiled_enabled`]`(false)`)
-//! falls back to the interpreted [`Trace::replay_into`] path.
-//!
-//! Compilation is *size-capped*: only traces at or below
-//! [`compiled_max_events`] events (default 16 Ki, override with
-//! `STTCACHE_COMPILED_MAX_EVENTS`, `0` = unlimited) take the compiled
-//! path. The interpreted replay already runs over pre-decoded events and
-//! the cache-model cost per event dwarfs the address decompose, so the
-//! compiled win per replay is small — while materialising columns for
-//! multi-hundred-kiloevent streams costs real memory and page-fault time
-//! that the result-memoized sweep never amortises. The cap keeps the
-//! compiled path on by default where it pays (small, hot streams) and
-//! neutral everywhere else.
+//! such stream exactly once into a compact [`Trace`] and replays it
+//! through [`Platform::run_trace`] for every organization — skipping the
+//! kernel's floating-point arithmetic and per-access virtual dispatch on
+//! every grid point after the first.
 //!
 //! Concurrency: [`SweepRunner`](crate::parallel::SweepRunner) workers that
 //! race on the same key block on a per-key [`OnceLock`] while the first
@@ -37,10 +21,9 @@
 //! direct execution (the kernels are deterministic and the recorder's
 //! compute coalescing is timing-neutral), so figure output is byte-
 //! identical with the cache on or off. Setting `STTCACHE_TRACE_CHECK=1`
-//! re-verifies that invariant at runtime: every non-memoized grid point
-//! is replayed both compiled and interpreted, every SRAM-baseline grid
-//! point is also executed directly, and the full [`RunResult`]s are
-//! compared.
+//! re-verifies that invariant at runtime: every non-memoized
+//! SRAM-baseline grid point is also executed directly, and the full
+//! [`RunResult`]s are compared.
 
 use crate::profile;
 use crate::spans;
@@ -49,7 +32,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use sttcache::{DCacheOrganization, Platform, PlatformConfig, RunResult};
-use sttcache_cpu::{CompiledTrace, Engine, Trace, TraceGeometry, TraceRecorder};
+use sttcache_cpu::{Engine, Trace, TraceRecorder};
 use sttcache_workloads::{ProblemSize, Transformations, Workload};
 
 /// Identifies one recorded event stream: the organization-independent
@@ -119,29 +102,15 @@ impl TraceCacheStats {
 
 /// One cache slot: the shared once-cell workers block on, plus LRU
 /// bookkeeping. `bytes == 0` marks an in-flight recording that is not
-/// yet accounted against the cap (and is never evicted). Generic over the
-/// cached value so recorded traces and compiled traces share the slot
-/// machinery (and, through [`Inner`], one byte cap).
-struct Entry<V> {
-    cell: Arc<OnceLock<V>>,
+/// yet accounted against the cap (and is never evicted).
+struct Entry {
+    cell: Arc<OnceLock<Arc<Trace>>>,
     bytes: usize,
     last_used: u64,
 }
 
-/// Key of one compiled entry: the stream plus the DL1 geometry its
-/// addresses were pre-decoded for.
-type CompiledKey = (TraceKey, TraceGeometry);
-
-/// Which map an eviction victim lives in.
-#[derive(Clone, Copy)]
-enum Victim {
-    Trace(TraceKey),
-    Compiled(CompiledKey),
-}
-
 struct Inner {
-    entries: HashMap<TraceKey, Entry<Arc<Trace>>>,
-    compiled: HashMap<CompiledKey, Entry<Arc<CompiledTrace>>>,
+    entries: HashMap<TraceKey, Entry>,
     resident_bytes: usize,
     tick: u64,
     stats: TraceCacheStats,
@@ -185,7 +154,6 @@ impl TraceCache {
             cap_bytes,
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
-                compiled: HashMap::new(),
                 resident_bytes: 0,
                 tick: 0,
                 stats: TraceCacheStats::default(),
@@ -234,57 +202,11 @@ impl TraceCache {
         trace
     }
 
-    /// Returns the compiled form of `key`'s trace for `geometry`,
-    /// lowering it with `compile` if absent — the same record-once
-    /// discipline as [`TraceCache::get_or_record`], one compilation per
-    /// (trace, geometry) per process, with concurrent callers sharing the
-    /// compiler's once-cell. Compiled entries are charged against the
-    /// same byte cap as recorded traces and compete in the same LRU order.
-    pub fn get_or_compile(
-        &self,
-        key: TraceKey,
-        geometry: TraceGeometry,
-        compile: impl FnOnce() -> CompiledTrace,
-    ) -> Arc<CompiledTrace> {
-        let ckey = (key, geometry);
-        let cell = {
-            let mut inner = self.inner.lock().expect("trace cache lock");
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(entry) = inner.compiled.get_mut(&ckey) {
-                entry.last_used = tick;
-                let cell = entry.cell.clone();
-                inner.stats.hits += 1;
-                cell
-            } else {
-                inner.stats.misses += 1;
-                let cell = Arc::new(OnceLock::new());
-                inner.compiled.insert(
-                    ckey,
-                    Entry {
-                        cell: cell.clone(),
-                        bytes: 0,
-                        last_used: tick,
-                    },
-                );
-                cell
-            }
-        };
-        let compiled = cell.get_or_init(|| Arc::new(compile())).clone();
-        let mut inner = self.inner.lock().expect("trace cache lock");
-        if let Some(entry) = inner.compiled.get_mut(&ckey) {
-            if entry.bytes == 0 {
-                let bytes = compiled.bytes().max(1);
-                entry.bytes = bytes;
-                inner.resident_bytes += bytes;
-            }
-        }
-        self.evict_past_cap(&mut inner, Victim::Compiled(ckey));
-        compiled
-    }
-
     /// Charges a freshly recorded trace against the cap (first caller to
-    /// get here wins) and evicts least-recently-used entries past it.
+    /// get here wins), then evicts least-recently-used accounted entries
+    /// until the cap holds. The just-used `key` goes last so a single
+    /// over-cap entry still gets returned (and then dropped) rather than
+    /// churning other entries first.
     fn account(&self, key: TraceKey, trace: &Arc<Trace>) {
         let mut inner = self.inner.lock().expect("trace cache lock");
         if let Some(entry) = inner.entries.get_mut(&key) {
@@ -294,49 +216,19 @@ impl TraceCache {
                 inner.resident_bytes += bytes;
             }
         }
-        self.evict_past_cap(&mut inner, Victim::Trace(key));
-    }
-
-    /// Evicts least-recently-used accounted entries — recorded *or*
-    /// compiled, whichever is colder — until the shared byte cap holds.
-    /// The just-used `protect` key goes last so a single over-cap entry
-    /// still gets returned (and then dropped) rather than churning other
-    /// entries first.
-    fn evict_past_cap(&self, inner: &mut Inner, protect: Victim) {
         while inner.resident_bytes > self.cap_bytes {
-            let traces = inner
+            let victim = inner
                 .entries
                 .iter()
                 .filter(|(_, e)| e.bytes > 0)
-                .map(|(k, e)| {
-                    let protected = matches!(protect, Victim::Trace(p) if p == *k);
-                    (protected, e.last_used, Victim::Trace(*k))
-                });
-            let compiled = inner
-                .compiled
-                .iter()
-                .filter(|(_, e)| e.bytes > 0)
-                .map(|(k, e)| {
-                    let protected = matches!(protect, Victim::Compiled(p) if p == *k);
-                    (protected, e.last_used, Victim::Compiled(*k))
-                });
-            let victim = traces
-                .chain(compiled)
-                .min_by_key(|(protected, last_used, _)| (*protected, *last_used))
-                .map(|(_, _, v)| v);
-            match victim {
-                Some(Victim::Trace(k)) => {
-                    let e = inner.entries.remove(&k).expect("victim exists");
-                    inner.resident_bytes -= e.bytes;
-                    inner.stats.evictions += 1;
-                }
-                Some(Victim::Compiled(k)) => {
-                    let e = inner.compiled.remove(&k).expect("victim exists");
-                    inner.resident_bytes -= e.bytes;
-                    inner.stats.evictions += 1;
-                }
-                None => break, // only in-flight entries left
-            }
+                .min_by_key(|(k, e)| (**k == key, e.last_used))
+                .map(|(k, _)| *k);
+            let Some(k) = victim else {
+                break; // only in-flight entries left
+            };
+            let e = inner.entries.remove(&k).expect("victim exists");
+            inner.resident_bytes -= e.bytes;
+            inner.stats.evictions += 1;
         }
     }
 
@@ -351,15 +243,9 @@ impl TraceCache {
         self.inner.lock().expect("trace cache lock").resident_bytes
     }
 
-    /// Number of entries, recorded plus compiled (resident + in-flight).
+    /// Number of entries (resident + in-flight).
     pub fn len(&self) -> usize {
-        let inner = self.inner.lock().expect("trace cache lock");
-        inner.entries.len() + inner.compiled.len()
-    }
-
-    /// Number of compiled entries (resident + in-flight).
-    pub fn compiled_len(&self) -> usize {
-        self.inner.lock().expect("trace cache lock").compiled.len()
+        self.inner.lock().expect("trace cache lock").entries.len()
     }
 
     /// Whether the cache holds no entries.
@@ -382,49 +268,6 @@ pub fn set_enabled(on: bool) {
 /// Whether the process-wide trace cache is on.
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::SeqCst)
-}
-
-/// Whether cached traces replay through the compiled structure-of-arrays
-/// fast path (`--no-compiled-replay` turns this off).
-static COMPILED_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Turns compiled replay on or off. Off, cached traces replay through the
-/// interpreted [`Trace::replay_into`] path — identical results, only
-/// slower. Has no effect when the trace cache itself is off.
-pub fn set_compiled_enabled(on: bool) {
-    COMPILED_ENABLED.store(on, Ordering::SeqCst);
-}
-
-/// Whether compiled replay is on.
-pub fn compiled_enabled() -> bool {
-    COMPILED_ENABLED.load(Ordering::SeqCst)
-}
-
-/// Default ceiling (in events) for routing a grid point through the
-/// *cached* compiled fast path. Lowering a trace materialises ~22 bytes
-/// of structure-of-arrays columns per event per geometry; with the result
-/// memo deduplicating repeats, a sweep replays most (trace, geometry)
-/// pairs only a handful of times, so for multi-hundred-kiloevent streams
-/// the one-off page-fault cost of the columns outweighs the per-replay
-/// win. Small, hot streams amortise; huge ones replay interpreted.
-const DEFAULT_COMPILED_MAX_EVENTS: usize = 16 * 1024;
-
-/// The compiled-replay admission ceiling: traces at or below this many
-/// events replay through the cached compiled fast path, larger ones
-/// through the interpreted path. `STTCACHE_COMPILED_MAX_EVENTS` overrides
-/// the default (`0` disables the ceiling and compiles everything).
-pub fn compiled_max_events() -> usize {
-    static LIMIT: OnceLock<usize> = OnceLock::new();
-    *LIMIT.get_or_init(|| {
-        match std::env::var("STTCACHE_COMPILED_MAX_EVENTS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            Some(0) => usize::MAX,
-            Some(n) => n,
-            None => DEFAULT_COMPILED_MAX_EVENTS,
-        }
-    })
 }
 
 /// The process-wide cache every sweep shares.
@@ -512,28 +355,6 @@ pub fn cached_trace(
     })
 }
 
-/// The shared compiled trace for one grid key and DL1 geometry, recording
-/// and lowering on first use. The source trace is fetched (or recorded)
-/// through [`cached_trace`], so one recording feeds every geometry's
-/// compilation.
-pub fn cached_compiled(
-    workload: impl Into<Workload>,
-    size: ProblemSize,
-    transforms: Transformations,
-    geometry: TraceGeometry,
-) -> Arc<CompiledTrace> {
-    let workload = workload.into();
-    global().get_or_compile(TraceKey::new(workload, size, transforms), geometry, || {
-        let trace = cached_trace(workload, size, transforms);
-        let start = Instant::now();
-        let compiled = CompiledTrace::compile(&trace, geometry);
-        let took = start.elapsed();
-        profile::add_compile(took, trace.len() as u64);
-        spans::record("compile", "phase", start, took);
-        compiled
-    })
-}
-
 /// The second cache level: finished simulations. The simulator is fully
 /// deterministic, so one (platform configuration, trace key) pair always
 /// produces the same [`RunResult`] — each organization replays each
@@ -564,16 +385,13 @@ pub fn result_memo_entries() -> usize {
 /// every sweep and binary uses.
 ///
 /// With the cache enabled the grid point's event stream is recorded once
-/// ([`cached_trace`]), compiled once per DL1 geometry
-/// ([`cached_compiled`]), replayed at most once per distinct platform
-/// configuration (through the compiled fast path by default, interpreted
-/// under `--no-compiled-replay`), and the finished [`RunResult`] is
-/// memoized — repeated grid points across figures cost a map lookup and
-/// skip even the platform's hierarchy construction. All paths (direct,
-/// compiled replay, interpreted replay, memo) produce bit-identical
-/// results; `STTCACHE_TRACE_CHECK=1` re-verifies this at runtime by
-/// replaying every non-memoized grid point both ways and, on the SRAM
-/// baseline, also executing the kernel directly.
+/// ([`cached_trace`]), replayed at most once per distinct platform
+/// configuration, and the finished [`RunResult`] is memoized — repeated
+/// grid points across figures cost a map lookup and skip even the
+/// platform's hierarchy construction. All paths (direct, replay, memo)
+/// produce bit-identical results; `STTCACHE_TRACE_CHECK=1` re-verifies
+/// this at runtime by also executing the kernel directly on every
+/// non-memoized SRAM-baseline grid point.
 ///
 /// # Panics
 ///
@@ -615,34 +433,14 @@ pub fn run_config(
     }
     let platform = Platform::with_config(cfg.clone()).expect("sweep configuration is valid");
     let trace = cached_trace(workload, size, transforms);
-    let result = if compiled_enabled() && trace.len() <= compiled_max_events() {
-        let compiled = cached_compiled(workload, size, transforms, platform.dl1_geometry());
-        let start = Instant::now();
-        let result = platform.run_compiled(&compiled);
-        let took = start.elapsed();
-        profile::add_compiled_replay(took, trace.len() as u64);
-        spans::record("compiled_replay", "phase", start, took);
-        if trace_check_requested() {
-            assert_eq!(
-                platform.run_trace(&trace),
-                result,
-                "compiled replay diverged from interpreted replay on {} ({})",
-                TraceKey::new(workload, size, transforms).label(),
-                cfg.organization.name(),
-            );
-        }
-        result
-    } else {
-        let start = Instant::now();
-        let result = platform.run_trace(&trace);
-        let took = start.elapsed();
-        profile::add_replay(took, trace.len() as u64);
-        spans::record("replay", "phase", start, took);
-        result
-    };
+    let start = Instant::now();
+    let result = platform.run_trace(&trace);
+    let took = start.elapsed();
+    profile::add_replay(took, trace.len() as u64);
+    spans::record("replay", "phase", start, took);
     if trace_check_requested() && cfg.organization == DCacheOrganization::SramBaseline {
-        // External workloads have no kernel to cross-execute; the replay
-        // paths above already cover them.
+        // External workloads have no kernel to cross-execute: their
+        // recorded stream is the direct path.
         if let Some(kernel) = workload.kernel(size) {
             let direct = platform.run(|e: &mut dyn Engine| kernel.run(e, transforms));
             assert_eq!(
@@ -855,62 +653,6 @@ mod tests {
         };
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(TraceCacheStats::default().hit_rate(), 1.0);
-    }
-
-    #[test]
-    fn compiles_once_per_geometry_and_hits_after() {
-        let cache = TraceCache::with_cap_bytes(1 << 20);
-        let geom = TraceGeometry::new(64, 512, 4);
-        let compilations = AtomicUsize::new(0);
-        for _ in 0..3 {
-            let c = cache.get_or_compile(key(1), geom, || {
-                compilations.fetch_add(1, Ordering::SeqCst);
-                CompiledTrace::compile(&trace_of(8), geom)
-            });
-            assert_eq!(c.len(), 8);
-        }
-        assert_eq!(compilations.load(Ordering::SeqCst), 1);
-        // A different geometry is a different entry.
-        let other = TraceGeometry::new(32, 1024, 4);
-        cache.get_or_compile(key(1), other, || {
-            compilations.fetch_add(1, Ordering::SeqCst);
-            CompiledTrace::compile(&trace_of(8), other)
-        });
-        assert_eq!(compilations.load(Ordering::SeqCst), 2);
-        assert_eq!(cache.compiled_len(), 2);
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn recorded_and_compiled_entries_share_the_byte_cap() {
-        let geom = TraceGeometry::new(64, 512, 4);
-        // 10 compute events: 160 recorded bytes, 220 compiled bytes
-        // (1+8+1+8+4 per event). Room for either alone, never both:
-        // compiling must evict the colder recorded entry.
-        let compiled_bytes = CompiledTrace::compile(&trace_of(10), geom).bytes();
-        let cache = TraceCache::with_cap_bytes(compiled_bytes + 8);
-        cache.get_or_record(key(1), || trace_of(10));
-        assert_eq!(cache.stats().evictions, 0);
-        cache.get_or_compile(key(1), geom, || CompiledTrace::compile(&trace_of(10), geom));
-        assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.compiled_len(), 1);
-        // A second, colder compiled entry evicts the first.
-        let other = TraceGeometry::new(32, 1024, 4);
-        cache.get_or_compile(key(2), other, || {
-            CompiledTrace::compile(&trace_of(10), other)
-        });
-        assert_eq!(cache.stats().evictions, 2);
-        assert!(cache.resident_bytes() <= cache.cap_bytes());
-    }
-
-    #[test]
-    fn compiled_flag_toggles() {
-        assert!(compiled_enabled());
-        set_compiled_enabled(false);
-        assert!(!compiled_enabled());
-        set_compiled_enabled(true);
-        assert!(compiled_enabled());
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! hardened binary reader, then **content-hashed**: the canonical
 //! serialized event stream is FNV-1a hashed into the 64-bit identity
 //! behind [`Workload::External`]. The same recording ingested twice — or
-//! from two different paths — is one workload, so the trace cache's
-//! result memo and compiled-trace cache apply to it exactly as they do
-//! to kernel-backed workloads, with zero special cases downstream.
+//! from two different paths — is one workload, so the trace cache and
+//! its result memo apply to it exactly as they do to kernel-backed
+//! workloads, with zero special cases downstream.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};

@@ -3,7 +3,7 @@
 use crate::stage::{probe_then_fetch, BufferStage, Buffered, StageStats, StageTelemetry};
 use crate::Hierarchy;
 use sttcache_cpu::{DataPort, MemPort};
-use sttcache_mem::{Addr, CacheStats, Cycle, DecodedAddr, MemoryLevel};
+use sttcache_mem::{Addr, CacheStats, Cycle, MemoryLevel};
 
 /// An evaluated L1 D-cache organization, unified behind a single
 /// [`DataPort`] so the [`crate::Platform`] can hold any of them in one
@@ -203,25 +203,6 @@ impl DataPort for FrontEnd {
         match self {
             FrontEnd::Plain(p) => probe_then_fetch(p.level_mut(), addr, now),
             FrontEnd::Buffered(b) => b.prefetch(addr, now),
-        }
-    }
-
-    fn read_pre(&mut self, d: DecodedAddr, now: Cycle) -> Cycle {
-        // Plain organizations talk straight to the DL1, whose geometry is
-        // exactly what the trace was compiled against — the pre-computed
-        // set/bank indices go directly into the cache. Buffer stages index
-        // by their own keys, so buffered organizations take the plain path
-        // (see the note on `Buffered`'s `DataPort` impl).
-        match self {
-            FrontEnd::Plain(p) => p.level_mut().read_decoded(d, now).complete_at,
-            FrontEnd::Buffered(b) => b.read(d.addr, now),
-        }
-    }
-
-    fn write_pre(&mut self, d: DecodedAddr, now: Cycle) -> Cycle {
-        match self {
-            FrontEnd::Plain(p) => p.level_mut().write_decoded(d, now).complete_at,
-            FrontEnd::Buffered(b) => b.write(d.addr, now),
         }
     }
 }

@@ -61,7 +61,6 @@ pub mod catalog;
 mod dl1;
 mod error;
 mod front_end;
-mod lane;
 mod multi;
 mod penalty;
 mod platform;
@@ -75,7 +74,6 @@ pub use dl1::{
 };
 pub use error::SttError;
 pub use front_end::FrontEnd;
-pub use lane::{LaneMode, LanePort, PlainLane, ReplayLane};
 pub use multi::{
     core_addr, CoreSpec, McFrontEnd, McHierarchy, MultiAudit, MultiPlatform, MultiPlatformConfig,
     MultiRunResult, SharedL2, CORE_ADDRESS_STRIDE, MAX_CORES,

@@ -26,9 +26,7 @@
 //! platform bit-for-bit (proven in `tests/multicore_equivalence.rs`).
 
 use crate::platform::{DCacheOrganization, Platform, PlatformConfig, RunResult};
-use crate::stage::{
-    probe_then_fetch, BufferStage, Buffered, StageSpec, StageStats, StageTelemetry,
-};
+use crate::stage::{probe_then_fetch, BufferStage, Buffered, StageStats, StageTelemetry};
 use crate::SttError;
 use sttcache_cpu::{Core, CoreConfig, CoreReport, DataPort, Engine, MemPort, Trace, TraceEvent};
 use sttcache_mem::{Addr, Cache, CacheConfig, CacheStats, Cycle, MainMemory, MemoryLevel, Shared};
@@ -416,22 +414,10 @@ impl MultiPlatform {
         let mut dl1 = Cache::new(dl1_cfg, l2.clone());
         dl1.set_telemetry_component(CORE_DL1_COMPONENTS[idx]);
         let line_bits = dl1.config().line_bytes() * 8;
-        Ok(match self.config.cores[idx].organization {
-            DCacheOrganization::SramBaseline | DCacheOrganization::NvmDropIn => {
-                McFrontEnd::Plain(MemPort::new(dl1))
-            }
-            DCacheOrganization::NvmVwb(cfg) => {
-                McFrontEnd::buffered(StageSpec::Vwb(cfg).build(line_bits)?, dl1)
-            }
-            DCacheOrganization::NvmL0(cfg) => {
-                McFrontEnd::buffered(StageSpec::L0(cfg).build(line_bits)?, dl1)
-            }
-            DCacheOrganization::NvmEmshr(cfg) => {
-                McFrontEnd::buffered(StageSpec::Emshr(cfg).build(line_bits)?, dl1)
-            }
-            DCacheOrganization::NvmStack(spec) => {
-                McFrontEnd::buffered(Box::new(spec.build(line_bits)?), dl1)
-            }
+        let stage = self.config.cores[idx].organization.build_stage(line_bits)?;
+        Ok(match stage {
+            None => McFrontEnd::Plain(MemPort::new(dl1)),
+            Some(stage) => McFrontEnd::buffered(stage, dl1),
         })
     }
 

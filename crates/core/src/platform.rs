@@ -8,20 +8,14 @@
 //! ratio.
 
 use crate::baselines::{EmshrConfig, L0Config};
-use crate::baselines::{EmshrStage, L0Stage};
 use crate::dl1::{
     l2_config, nvm_dl1_config, nvm_il1_config, sram_dl1_config, sram_il1_config, DlOneTechnology,
 };
 use crate::front_end::FrontEnd;
-use crate::lane::{
-    CompiledDriver, LaneDriver, LaneMode, LanePort, PlainLane, ReplayLane, TraceDriver,
-};
-use crate::stage::{BufferStats, Buffered, StackSpec, StageSpec, StageStats};
-use crate::vwb::{VwbConfig, VwbStage};
-use crate::{Hierarchy, SttError};
-use sttcache_cpu::{
-    CompiledTrace, Core, CoreConfig, CoreReport, Engine, FetchUnit, MemPort, Trace, TraceGeometry,
-};
+use crate::stage::{BufferStage, BufferStats, StackSpec, StageSpec, StageStats};
+use crate::vwb::VwbConfig;
+use crate::SttError;
+use sttcache_cpu::{Core, CoreConfig, CoreReport, Engine, FetchUnit, MemPort, Trace};
 use sttcache_mem::{Cache, CacheConfig, CacheStats, MainMemory};
 use sttcache_tech::{ArrayModel, CellKind, LeakageIntegrator};
 
@@ -84,6 +78,25 @@ impl DCacheOrganization {
             DCacheOrganization::SramBaseline => DlOneTechnology::Sram,
             _ => DlOneTechnology::SttMram,
         }
+    }
+
+    /// Builds the buffer stage this organization puts in front of a DL1
+    /// with `line_bits`-bit lines; `None` for the plain organizations,
+    /// whose core talks straight to the DL1. Every single- and multi-core
+    /// front-end is built through this one mapping.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`SttError`] if the buffer configuration is invalid for
+    /// the line size.
+    pub fn build_stage(&self, line_bits: usize) -> Result<Option<Box<dyn BufferStage>>, SttError> {
+        Ok(match *self {
+            DCacheOrganization::SramBaseline | DCacheOrganization::NvmDropIn => None,
+            DCacheOrganization::NvmVwb(cfg) => Some(StageSpec::Vwb(cfg).build(line_bits)?),
+            DCacheOrganization::NvmL0(cfg) => Some(StageSpec::L0(cfg).build(line_bits)?),
+            DCacheOrganization::NvmEmshr(cfg) => Some(StageSpec::Emshr(cfg).build(line_bits)?),
+            DCacheOrganization::NvmStack(spec) => Some(Box::new(spec.build(line_bits)?)),
+        })
     }
 }
 
@@ -192,9 +205,9 @@ impl Platform {
         }
     }
 
-    /// Builds the cold concrete hierarchy (DL1 → L2 → memory) every
-    /// front-end and replay lane wraps.
-    fn build_hierarchy(&self) -> Result<Hierarchy, SttError> {
+    /// Builds the cold front-end: the organization's buffer stage, if any,
+    /// over DL1 → L2 → memory.
+    fn build_front_end(&self) -> Result<FrontEnd, SttError> {
         let l2cfg = match self.config.l2_override {
             Some(cfg) => cfg,
             None => l2_config()?,
@@ -203,28 +216,10 @@ impl Platform {
         tail.set_telemetry_component("l2");
         let mut dl1 = Cache::new(self.dl1_config()?, tail);
         dl1.set_telemetry_component("dl1");
-        Ok(dl1)
-    }
-
-    fn build_front_end(&self) -> Result<FrontEnd, SttError> {
-        let dl1 = self.build_hierarchy()?;
         let line_bits = dl1.config().line_bytes() * 8;
-        Ok(match self.config.organization {
-            DCacheOrganization::SramBaseline | DCacheOrganization::NvmDropIn => {
-                FrontEnd::Plain(MemPort::new(dl1))
-            }
-            DCacheOrganization::NvmVwb(cfg) => {
-                FrontEnd::buffered(StageSpec::Vwb(cfg).build(line_bits)?, dl1)
-            }
-            DCacheOrganization::NvmL0(cfg) => {
-                FrontEnd::buffered(StageSpec::L0(cfg).build(line_bits)?, dl1)
-            }
-            DCacheOrganization::NvmEmshr(cfg) => {
-                FrontEnd::buffered(StageSpec::Emshr(cfg).build(line_bits)?, dl1)
-            }
-            DCacheOrganization::NvmStack(spec) => {
-                FrontEnd::buffered(Box::new(spec.build(line_bits)?), dl1)
-            }
+        Ok(match self.config.organization.build_stage(line_bits)? {
+            None => FrontEnd::Plain(MemPort::new(dl1)),
+            Some(stage) => FrontEnd::buffered(stage, dl1),
         })
     }
 
@@ -248,8 +243,7 @@ impl Platform {
     ///
     /// The workload drives the core through [`Engine`]; see
     /// `sttcache-workloads` for the PolyBench kernels. To run a
-    /// pre-recorded event stream instead, use [`Platform::run_trace`] —
-    /// it replays through a monomorphic fast path.
+    /// pre-recorded event stream instead, use [`Platform::run_trace`].
     pub fn run(&self, workload: impl FnOnce(&mut dyn Engine)) -> RunResult {
         self.run_core(|core| workload(core))
     }
@@ -258,138 +252,22 @@ impl Platform {
     ///
     /// Statistically and cycle-for-cycle identical to [`Platform::run`]
     /// with a workload that emits the same event stream, but events are
-    /// dispatched through [`Trace::replay_into`] into a monomorphic
-    /// [`ReplayLane`] selected once for this configuration — static calls
-    /// instead of one virtual call per access. This is the
-    /// record-once/replay-many path the sweep engine's trace cache uses.
-    /// Set `STTCACHE_REPLAY_LANE=generic` to force the generic referee
-    /// path (see [`LaneMode::from_env`]).
+    /// dispatched through [`Trace::replay_into`] straight into the
+    /// concrete core instead of through one `dyn Engine` call each. This
+    /// is the record-once/replay-many path the sweep engine's trace cache
+    /// uses.
     pub fn run_trace(&self, trace: &Trace) -> RunResult {
-        self.run_trace_with(trace, LaneMode::from_env())
+        self.run_core(|core| trace.replay_into(core))
     }
 
-    /// [`Platform::run_trace`] with an explicit lane mode — the handle the
-    /// lane-equivalence battery uses to compare the monomorphic lanes
-    /// against the generic referee without touching process-global state.
-    pub fn run_trace_with(&self, trace: &Trace, mode: LaneMode) -> RunResult {
-        let lane = self
-            .build_lane(mode)
-            .expect("configuration was validated eagerly");
-        self.run_lane(lane, TraceDriver(trace))
-    }
-
-    /// Which [`ReplayLane`] this configuration selects under the given
-    /// mode — the [`ReplayLane::kind`] identifier, for diagnostics and
-    /// for the lane-equivalence battery to assert that stock
-    /// organizations really replay monomorphically (and would not pass
-    /// trivially by comparing the generic path against itself).
-    pub fn replay_lane_kind(&self, mode: LaneMode) -> &'static str {
-        self.build_lane(mode)
-            .expect("configuration was validated eagerly")
-            .kind()
-    }
-
-    /// Builds the replay lane for this configuration: monomorphic for the
-    /// stock organizations under [`LaneMode::Auto`], the generic
-    /// [`FrontEnd`] for ad-hoc stage stacks or under [`LaneMode::Generic`].
-    fn build_lane(&self, mode: LaneMode) -> Result<ReplayLane, SttError> {
-        use DCacheOrganization as Org;
-        if matches!(mode, LaneMode::Generic) || matches!(self.config.organization, Org::NvmStack(_))
-        {
-            return Ok(ReplayLane::Generic(self.build_front_end()?));
-        }
-        let dl1 = self.build_hierarchy()?;
-        let line_bits = dl1.config().line_bytes() * 8;
-        Ok(match self.config.organization {
-            Org::SramBaseline | Org::NvmDropIn => ReplayLane::Plain(PlainLane::new(dl1)),
-            Org::NvmVwb(cfg) => {
-                ReplayLane::Vwb(Buffered::compose(VwbStage::new(cfg, line_bits)?, dl1))
-            }
-            Org::NvmL0(cfg) => {
-                ReplayLane::L0(Buffered::compose(L0Stage::new(cfg, line_bits)?, dl1))
-            }
-            Org::NvmEmshr(cfg) => {
-                ReplayLane::Emshr(Buffered::compose(EmshrStage::new(cfg, line_bits)?, dl1))
-            }
-            Org::NvmStack(_) => unreachable!("stacks were routed to the generic lane above"),
-        })
-    }
-
-    /// Runs `driver` on `lane` — one [`Platform::run_core_on`]
-    /// monomorphization per lane variant, so the whole replay loop
-    /// devirtualizes at compile time.
-    fn run_lane(&self, lane: ReplayLane, driver: impl LaneDriver) -> RunResult {
-        match lane {
-            ReplayLane::Plain(p) => self.run_core_on(p, |c| driver.drive(c)),
-            ReplayLane::Vwb(p) => self.run_core_on(p, |c| driver.drive(c)),
-            ReplayLane::L0(p) => self.run_core_on(p, |c| driver.drive(c)),
-            ReplayLane::Emshr(p) => self.run_core_on(p, |c| driver.drive(c)),
-            ReplayLane::Generic(fe) => self.run_core_on(fe, |c| driver.drive(c)),
-        }
-    }
-
-    /// The DL1's `(line_bytes, sets, banks)` triple — the geometry a trace
-    /// must be compiled against ([`CompiledTrace::compile`]) to replay on
-    /// this platform through [`Platform::run_compiled`].
-    pub fn dl1_geometry(&self) -> TraceGeometry {
-        let cfg = self
-            .dl1_config()
-            .expect("configuration was validated eagerly");
-        TraceGeometry::new(cfg.line_bytes(), cfg.sets(), cfg.banks())
-    }
-
-    /// Replays a [`CompiledTrace`] on a cold platform — the
-    /// structure-of-arrays fast path: no varint decode, no per-event
-    /// address math, no bounds checks in the hot loop.
-    ///
-    /// Cycle-for-cycle identical to [`Platform::run_trace`] on the trace
-    /// the compiled form was lowered from, **provided** it was compiled
-    /// for this platform's [`Platform::dl1_geometry`] — asserted here, and
-    /// re-checked per access by `debug_assert`s in the pre-decoded cache
-    /// entry points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `compiled.geometry()` differs from this platform's DL1
-    /// geometry (replaying would silently mis-index sets and banks).
-    pub fn run_compiled(&self, compiled: &CompiledTrace) -> RunResult {
-        self.run_compiled_with(compiled, LaneMode::from_env())
-    }
-
-    /// [`Platform::run_compiled`] with an explicit lane mode; see
-    /// [`Platform::run_trace_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `compiled.geometry()` differs from this platform's DL1
-    /// geometry.
-    pub fn run_compiled_with(&self, compiled: &CompiledTrace, mode: LaneMode) -> RunResult {
-        assert_eq!(
-            compiled.geometry(),
-            self.dl1_geometry(),
-            "compiled trace geometry does not match the platform's DL1"
-        );
-        let lane = self
-            .build_lane(mode)
-            .expect("configuration was validated eagerly");
-        self.run_lane(lane, CompiledDriver(compiled))
-    }
-
-    /// Shared body of [`Platform::run`] and the generic replay path:
+    /// Shared body of [`Platform::run`] and [`Platform::run_trace`]:
     /// builds the cold front-end, lets `drive` push events into the
     /// concrete core, then assembles the full [`RunResult`].
     fn run_core(&self, drive: impl FnOnce(&mut Core<FrontEnd>)) -> RunResult {
         let front_end = self
             .build_front_end()
             .expect("configuration was validated eagerly");
-        self.run_core_on(front_end, drive)
-    }
-
-    /// [`Platform::run_core`] generic over the port type: the replay
-    /// lanes instantiate this once per monomorphic organization, so the
-    /// per-event path below `Core` carries no dynamic dispatch.
-    fn run_core_on<P: LanePort>(&self, port: P, drive: impl FnOnce(&mut Core<P>)) -> RunResult {
-        let mut core = Core::new(self.config.core, port);
+        let mut core = Core::new(self.config.core, front_end);
         if let Some(ic) = self.config.icache {
             let il1_cfg = match ic.technology {
                 DlOneTechnology::Sram => sram_il1_config(),
@@ -466,8 +344,8 @@ impl Platform {
 
     /// First-order energy model: per-access dynamic energy from the
     /// `sttcache-tech` array models plus leakage integrated over the run.
-    /// Takes the extracted statistics rather than a port so every lane
-    /// type (and the generic front-end) feeds the same model.
+    /// Takes the extracted statistics rather than a port so single-core
+    /// and multi-core runs feed the same model.
     pub(crate) fn energy_report(
         &self,
         report: &CoreReport,
@@ -741,88 +619,23 @@ mod tests {
     }
 
     #[test]
-    fn compiled_replay_matches_interpreted_replay_everywhere() {
-        let trace: sttcache_cpu::Trace = {
-            let mut rec = sttcache_cpu::TraceRecorder::new();
-            workload(&mut rec);
-            rec.prefetch(Addr(0x4000));
-            rec.into_trace()
+    fn build_stage_maps_every_organization() {
+        let kinds = |org: DCacheOrganization| {
+            let mut out = Vec::new();
+            if let Some(stage) = org.build_stage(512).unwrap() {
+                stage.collect_stats(&mut out);
+            }
+            out.into_iter().map(|s| s.kind).collect::<Vec<_>>()
         };
-        for entry in crate::catalog::catalog() {
-            let p = Platform::new(entry.organization).unwrap();
-            let compiled = CompiledTrace::compile(&trace, p.dl1_geometry());
-            assert_eq!(
-                p.run_compiled(&compiled),
-                p.run_trace(&trace),
-                "{}",
-                entry.organization.name()
-            );
-        }
-    }
-
-    #[test]
-    fn monomorphic_lanes_match_the_generic_referee() {
-        let trace: sttcache_cpu::Trace = {
-            let mut rec = sttcache_cpu::TraceRecorder::new();
-            workload(&mut rec);
-            rec.prefetch(Addr(0x4000));
-            rec.into_trace()
-        };
-        for entry in crate::catalog::catalog() {
-            let p = Platform::new(entry.organization).unwrap();
-            let lane = p.run_trace_with(&trace, crate::LaneMode::Auto);
-            let referee = p.run_trace_with(&trace, crate::LaneMode::Generic);
-            assert_eq!(lane, referee, "{}", entry.organization.name());
-            let compiled = CompiledTrace::compile(&trace, p.dl1_geometry());
-            let lane_c = p.run_compiled_with(&compiled, crate::LaneMode::Auto);
-            let referee_c = p.run_compiled_with(&compiled, crate::LaneMode::Generic);
-            assert_eq!(
-                lane_c,
-                referee_c,
-                "{} (compiled)",
-                entry.organization.name()
-            );
-            assert_eq!(
-                lane,
-                lane_c,
-                "{} (lane trace vs compiled)",
-                entry.organization.name()
-            );
-        }
-    }
-
-    #[test]
-    fn lane_selection_covers_the_stock_organizations() {
-        let kinds: Vec<&str> = crate::catalog::catalog()
-            .iter()
-            .map(|e| {
-                Platform::new(e.organization)
-                    .unwrap()
-                    .build_lane(crate::LaneMode::Auto)
-                    .unwrap()
-                    .kind()
-            })
-            .collect();
-        for k in ["plain", "vwb", "l0", "emshr", "generic"] {
-            assert!(kinds.contains(&k), "no catalog entry selects lane {k}");
-        }
-        // The generic mode forces the referee everywhere.
-        let p = Platform::new(DCacheOrganization::nvm_vwb_default()).unwrap();
+        assert!(kinds(DCacheOrganization::SramBaseline).is_empty());
+        assert!(kinds(DCacheOrganization::NvmDropIn).is_empty());
+        assert_eq!(kinds(DCacheOrganization::nvm_vwb_default()), ["vwb"]);
+        assert_eq!(kinds(DCacheOrganization::nvm_l0_default()), ["l0"]);
+        assert_eq!(kinds(DCacheOrganization::nvm_emshr_default()), ["emshr"]);
         assert_eq!(
-            p.build_lane(crate::LaneMode::Generic).unwrap().kind(),
-            "generic"
+            kinds(DCacheOrganization::nvm_hybrid_default()),
+            ["vwb", "emshr"]
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "geometry")]
-    fn run_compiled_rejects_a_foreign_geometry() {
-        let sram = Platform::new(DCacheOrganization::SramBaseline).unwrap();
-        let nvm = Platform::new(DCacheOrganization::NvmDropIn).unwrap();
-        let trace = sttcache_cpu::Trace::new();
-        // SRAM lines are 32 B, NVM lines 64 B: the geometries differ.
-        let compiled = CompiledTrace::compile(&trace, sram.dl1_geometry());
-        nvm.run_compiled(&compiled);
     }
 
     #[test]

@@ -97,9 +97,9 @@ pub struct StageTelemetry {
 /// level's tags and fetches the line on a miss, without blocking the core.
 /// Stages that promote resident lines into their own storage (the VWB)
 /// override [`BufferStage::prefetch`] instead.
-/// Generic over the backing level so monomorphic replay lanes keep
-/// static dispatch; `?Sized` keeps the `&mut dyn MemoryLevel` callers
-/// inside boxed stages working unchanged.
+/// Generic over the backing level so the plain front-ends call it on
+/// their concrete DL1; `?Sized` admits the `&mut dyn MemoryLevel`
+/// callers inside boxed stages.
 pub fn probe_then_fetch<M: MemoryLevel + ?Sized>(below: &mut M, addr: Addr, now: Cycle) {
     if !below.contains(addr) {
         let _ = below.read(addr, now);
@@ -337,13 +337,6 @@ impl<S: BufferStage, M: MemoryLevel> DataPort for Buffered<S, M> {
     fn prefetch(&mut self, addr: Addr, now: Cycle) {
         self.stage.prefetch(&mut self.below, addr, now);
     }
-
-    // The `*_pre` pre-decoded entry points deliberately keep their default
-    // (plain-path) implementations: buffer stages index by their own
-    // entry-granular keys and re-derive line addresses internally, so a
-    // DL1-geometry decomposition has nothing to short-circuit here.
-    // Compiled replay through a buffered front-end therefore takes exactly
-    // the interpreted access path — identical timing by construction.
 }
 
 /// Adapter presenting "an inner stage over a backing level" as one

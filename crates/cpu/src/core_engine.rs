@@ -6,7 +6,7 @@ use crate::predictor::BranchPredictor;
 use crate::report::CoreReport;
 use crate::store_buffer::StoreBuffer;
 use crate::Engine;
-use sttcache_mem::{Addr, Cycle, DecodedAddr};
+use sttcache_mem::{Addr, Cycle};
 
 /// Core timing parameters.
 ///
@@ -148,16 +148,15 @@ impl<P: DataPort> Core<P> {
     pub fn into_port(self) -> P {
         self.port
     }
+}
 
-    /// Shared body of [`Engine::load`] and [`Core::load_pre`]: `issue`
-    /// charges the port through `read`, then stall accounting follows.
-    #[inline]
-    fn do_load(&mut self, addr: Addr, read: impl FnOnce(&mut P, Cycle) -> Cycle) {
+impl<P: DataPort> Engine for Core<P> {
+    fn load(&mut self, addr: Addr, _bytes: usize) {
         self.fetch_instr(None);
         self.instructions += 1;
         self.loads += 1;
         let issue = self.now;
-        let data_ready = read(&mut self.port, issue);
+        let data_ready = self.port.read(addr, issue);
         if sttcache_mem::invariants::enabled() && data_ready < issue {
             // A port must never deliver data before the request was
             // issued; saturating arithmetic below would silently mask it.
@@ -188,14 +187,12 @@ impl<P: DataPort> Core<P> {
         self.now = issue + 1 + stall;
     }
 
-    /// Shared body of [`Engine::store`] and [`Core::store_pre`].
-    #[inline]
-    fn do_store(&mut self, addr: Addr, write: impl FnOnce(&mut P, Cycle) -> Cycle) {
+    fn store(&mut self, addr: Addr, _bytes: usize) {
         self.fetch_instr(None);
         self.instructions += 1;
         self.stores += 1;
         let issue_at = self.store_buffer.admit(self.now);
-        let complete = write(&mut self.port, issue_at);
+        let complete = self.port.write(addr, issue_at);
         if sttcache_mem::invariants::enabled() && complete < issue_at {
             sttcache_mem::invariants::report(
                 "core",
@@ -207,41 +204,6 @@ impl<P: DataPort> Core<P> {
         self.store_buffer.record_completion(complete);
         // The core resumes after the (possibly stalled) one-cycle issue.
         self.now = issue_at.max(self.now) + 1;
-    }
-
-    /// [`Engine::load`] with the address decomposition pre-computed by a
-    /// trace-compilation pass (the compiled-replay fast path). `_bytes`
-    /// mirrors [`Engine::load`]'s signature; the timing model is
-    /// width-independent within a line.
-    #[inline]
-    pub fn load_pre(&mut self, d: DecodedAddr, _bytes: usize) {
-        self.do_load(d.addr, |p, t| p.read_pre(d, t));
-    }
-
-    /// [`Engine::store`] for a pre-decoded address.
-    #[inline]
-    pub fn store_pre(&mut self, d: DecodedAddr, _bytes: usize) {
-        self.do_store(d.addr, |p, t| p.write_pre(d, t));
-    }
-
-    /// [`Engine::prefetch`] for a pre-decoded address.
-    #[inline]
-    pub fn prefetch_pre(&mut self, d: DecodedAddr) {
-        self.fetch_instr(None);
-        self.instructions += 1;
-        self.prefetches += 1;
-        self.port.prefetch_pre(d, self.now);
-        self.now += 1;
-    }
-}
-
-impl<P: DataPort> Engine for Core<P> {
-    fn load(&mut self, addr: Addr, _bytes: usize) {
-        self.do_load(addr, |p, t| p.read(addr, t));
-    }
-
-    fn store(&mut self, addr: Addr, _bytes: usize) {
-        self.do_store(addr, |p, t| p.write(addr, t));
     }
 
     fn prefetch(&mut self, addr: Addr) {

@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 
 mod adapters;
-mod compiled;
 mod core_engine;
 mod fetch;
 mod port;
@@ -52,7 +51,6 @@ mod store_buffer;
 mod trace;
 
 pub use adapters::{CountingEngine, TeeEngine};
-pub use compiled::{CompiledTrace, TraceGeometry};
 pub use core_engine::{Core, CoreConfig};
 pub use fetch::FetchUnit;
 pub use port::{DataPort, MemPort};

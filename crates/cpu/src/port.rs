@@ -1,6 +1,6 @@
 //! The core's data port.
 
-use sttcache_mem::{Addr, Cycle, DecodedAddr, MemoryLevel};
+use sttcache_mem::{Addr, Cycle, MemoryLevel};
 
 /// The interface between the core and its L1 data-cache front-end.
 ///
@@ -21,27 +21,6 @@ pub trait DataPort {
     /// model do not prefetch; the VWB front-end overrides this).
     fn prefetch(&mut self, addr: Addr, now: Cycle) {
         let _ = (addr, now);
-    }
-
-    /// [`DataPort::read`] for an address whose line/set/bank decomposition
-    /// was pre-computed by a trace-compilation pass.
-    ///
-    /// Must be timing- and state-identical to `read(d.addr, now)`; ports
-    /// that can exploit the decomposition (a plain port over a cache whose
-    /// geometry matches) override this, everything else falls back to the
-    /// plain path.
-    fn read_pre(&mut self, d: DecodedAddr, now: Cycle) -> Cycle {
-        self.read(d.addr, now)
-    }
-
-    /// [`DataPort::write`] for a pre-decoded address.
-    fn write_pre(&mut self, d: DecodedAddr, now: Cycle) -> Cycle {
-        self.write(d.addr, now)
-    }
-
-    /// [`DataPort::prefetch`] for a pre-decoded address.
-    fn prefetch_pre(&mut self, d: DecodedAddr, now: Cycle) {
-        self.prefetch(d.addr, now);
     }
 }
 
@@ -95,18 +74,6 @@ impl<M: MemoryLevel> DataPort for MemPort<M> {
 
     fn write(&mut self, addr: Addr, now: Cycle) -> Cycle {
         self.level.write(addr, now).complete_at
-    }
-
-    fn read_pre(&mut self, d: DecodedAddr, now: Cycle) -> Cycle {
-        // Levels that can use the pre-computed decomposition take it
-        // through `MemoryLevel::read_decoded` (a cache debug_asserts the
-        // geometry match there); everything else falls back to the plain
-        // path inside the default trait method.
-        self.level.read_decoded(d, now).complete_at
-    }
-
-    fn write_pre(&mut self, d: DecodedAddr, now: Cycle) -> Cycle {
-        self.level.write_decoded(d, now).complete_at
     }
 }
 

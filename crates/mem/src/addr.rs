@@ -107,42 +107,6 @@ impl fmt::Display for LineAddr {
     }
 }
 
-/// A byte address bundled with its line/set/bank decomposition under one
-/// specific cache geometry.
-///
-/// Produced once per event by a trace-compilation pass and consumed by the
-/// pre-decoded access paths ([`Cache::read_decoded`]), which skip the
-/// per-access shift/mask address math. The decomposition is only
-/// meaningful for the geometry it was computed against; the decoded
-/// paths `debug_assert` consistency.
-///
-/// [`Cache::read_decoded`]: crate::Cache::read_decoded
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecodedAddr {
-    /// The byte address.
-    pub addr: Addr,
-    /// `addr`'s line address under the geometry's line size.
-    pub line: LineAddr,
-    /// `line`'s set index under the geometry's set count.
-    pub set_index: usize,
-    /// `line`'s bank under the geometry's bank count.
-    pub bank: usize,
-}
-
-impl DecodedAddr {
-    /// Decomposes `addr` for a `(line_bytes, sets, banks)` geometry (all
-    /// powers of two).
-    pub fn decode(addr: Addr, line_bytes: usize, sets: usize, banks: usize) -> Self {
-        let line = addr.line(line_bytes);
-        DecodedAddr {
-            addr,
-            line,
-            set_index: line.set_index(sets),
-            bank: line.bank(banks),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,17 +152,5 @@ mod tests {
     #[test]
     fn from_u64() {
         assert_eq!(Addr::from(7u64), Addr(7));
-    }
-
-    #[test]
-    fn decode_matches_the_piecewise_math() {
-        for raw in [0u64, 0x1234, 0xdead_beef, u64::MAX] {
-            let a = Addr(raw);
-            let d = DecodedAddr::decode(a, 64, 512, 4);
-            assert_eq!(d.addr, a);
-            assert_eq!(d.line, a.line(64));
-            assert_eq!(d.set_index, a.line(64).set_index(512));
-            assert_eq!(d.bank, a.line(64).bank(4));
-        }
     }
 }

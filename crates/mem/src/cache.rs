@@ -1,6 +1,6 @@
 //! The timed set-associative cache.
 
-use crate::addr::{Addr, Cycle, DecodedAddr, LineAddr};
+use crate::addr::{Addr, Cycle, LineAddr};
 use crate::banks::BankSchedule;
 use crate::config::{CacheConfig, WritePolicy};
 use crate::mshr::{MshrFile, MshrOutcome};
@@ -502,28 +502,6 @@ impl<N: MemoryLevel> Cache<N> {
         (fill_ready, served_by)
     }
 
-    /// Serves a read whose address decomposition was computed ahead of
-    /// time (a compiled-trace replay). Identical in timing, statistics and
-    /// state to [`MemoryLevel::read`]; the shift/mask address math is
-    /// simply not repeated per access.
-    ///
-    /// `d` must be the address's decomposition under *this* cache's
-    /// geometry (checked in debug builds).
-    pub fn read_decoded(&mut self, d: DecodedAddr, now: Cycle) -> AccessOutcome {
-        debug_assert_eq!(d.line, self.line_of(d.addr));
-        debug_assert_eq!(d.set_index, d.line.set_index(self.set_count));
-        debug_assert_eq!(d.bank, d.line.bank(self.config.banks()));
-        self.read_at(d.addr, d.line, d.set_index, d.bank, now)
-    }
-
-    /// [`Cache::read_decoded`] for writes.
-    pub fn write_decoded(&mut self, d: DecodedAddr, now: Cycle) -> AccessOutcome {
-        debug_assert_eq!(d.line, self.line_of(d.addr));
-        debug_assert_eq!(d.set_index, d.line.set_index(self.set_count));
-        debug_assert_eq!(d.bank, d.line.bank(self.config.banks()));
-        self.write_at(d.addr, d.line, d.set_index, d.bank, now)
-    }
-
     /// The resident-hit fast path for reads: answers from the compact tag
     /// mirror without scanning the MSHR file or probing the gated
     /// observers. Byte-identical to the general path because it performs
@@ -604,27 +582,10 @@ impl<N: MemoryLevel> Cache<N> {
         })
     }
 
-    /// Shared body of [`MemoryLevel::read`] and [`Cache::read_decoded`]:
-    /// `line`, `set_index` and `bank` must be `addr`'s decomposition under
-    /// this cache's geometry.
-    #[inline]
-    fn read_at(
-        &mut self,
-        addr: Addr,
-        line: LineAddr,
-        set_index: usize,
-        bank: usize,
-        now: Cycle,
-    ) -> AccessOutcome {
-        if let Some(out) = self.try_read_hit_fast(line, set_index, bank, now) {
-            return out;
-        }
-        self.read_at_general(addr, line, set_index, bank, now)
-    }
-
     /// The full read path (misses, in-flight fills, armed gates). The fast
-    /// path falls through to this; the lane-equivalence tests drive it
-    /// directly as the referee.
+    /// path falls through to this; the fast-path tests drive it directly
+    /// as the referee. `line`, `set_index` and `bank` must be `addr`'s
+    /// decomposition under this cache's geometry.
     fn read_at_general(
         &mut self,
         addr: Addr,
@@ -665,22 +626,6 @@ impl<N: MemoryLevel> Cache<N> {
             self.check_access(addr, now, outcome.complete_at);
         }
         outcome
-    }
-
-    /// Shared body of [`MemoryLevel::write`] and [`Cache::write_decoded`].
-    #[inline]
-    fn write_at(
-        &mut self,
-        addr: Addr,
-        line: LineAddr,
-        set_index: usize,
-        bank: usize,
-        now: Cycle,
-    ) -> AccessOutcome {
-        if let Some(out) = self.try_write_hit_fast(line, set_index, bank, now) {
-            return out;
-        }
-        self.write_at_general(addr, line, set_index, bank, now)
     }
 
     /// The full write path; see [`Cache::read_at_general`].
@@ -812,14 +757,20 @@ impl<N: MemoryLevel> MemoryLevel for Cache<N> {
         let line = self.line_of(addr);
         let set_index = line.set_index(self.set_count);
         let bank = line.bank(self.config.banks());
-        self.read_at(addr, line, set_index, bank, now)
+        if let Some(out) = self.try_read_hit_fast(line, set_index, bank, now) {
+            return out;
+        }
+        self.read_at_general(addr, line, set_index, bank, now)
     }
 
     fn write(&mut self, addr: Addr, now: Cycle) -> AccessOutcome {
         let line = self.line_of(addr);
         let set_index = line.set_index(self.set_count);
         let bank = line.bank(self.config.banks());
-        self.write_at(addr, line, set_index, bank, now)
+        if let Some(out) = self.try_write_hit_fast(line, set_index, bank, now) {
+            return out;
+        }
+        self.write_at_general(addr, line, set_index, bank, now)
     }
 
     fn line_bytes(&self) -> usize {
@@ -836,14 +787,6 @@ impl<N: MemoryLevel> MemoryLevel for Cache<N> {
         self.mshrs.reset_stats();
         self.write_buffer.reset_stats();
         self.next.reset_stats();
-    }
-
-    fn read_decoded(&mut self, d: DecodedAddr, now: Cycle) -> AccessOutcome {
-        Cache::read_decoded(self, d, now)
-    }
-
-    fn write_decoded(&mut self, d: DecodedAddr, now: Cycle) -> AccessOutcome {
-        Cache::write_decoded(self, d, now)
     }
 
     fn contains(&self, addr: Addr) -> bool {
@@ -1150,31 +1093,6 @@ mod tests {
             })
             .build()
             .is_err());
-    }
-
-    #[test]
-    fn decoded_accesses_match_plain_accesses() {
-        let mut plain = dl1();
-        let mut decoded = dl1();
-        let sets = plain.config().sets();
-        let banks = plain.config().banks();
-        let lb = plain.config().line_bytes();
-        let stride = (sets * lb) as u64;
-        let addrs = [0u64, 8, 64, stride, 2 * stride, 0xdead_beef, u64::MAX];
-        let mut t = 0;
-        for (i, &raw) in addrs.iter().enumerate() {
-            let a = Addr(raw);
-            let d = DecodedAddr::decode(a, lb, sets, banks);
-            let (p, q) = if i % 2 == 0 {
-                (plain.read(a, t), decoded.read_decoded(d, t))
-            } else {
-                (plain.write(a, t), decoded.write_decoded(d, t))
-            };
-            assert_eq!(p, q, "decoded access diverged at {a}");
-            t = p.complete_at + 3;
-        }
-        assert_eq!(plain.stats(), decoded.stats());
-        assert_eq!(plain.dirty_lines(), decoded.dirty_lines());
     }
 
     #[test]

@@ -57,7 +57,7 @@ mod stats;
 pub mod telemetry;
 mod write_buffer;
 
-pub use addr::{Addr, Cycle, DecodedAddr, LineAddr};
+pub use addr::{Addr, Cycle, LineAddr};
 pub use banks::BankSchedule;
 pub use cache::{AccessOutcome, Cache, ServedBy};
 pub use config::{AsymmetricWrite, CacheConfig, CacheConfigBuilder, WritePolicy};
@@ -117,21 +117,6 @@ pub trait MemoryLevel {
     /// the traffic for free and return `from` unchanged.
     fn occupy_bank(&mut self, _addr: Addr, from: Cycle, _cycles: u64) -> Cycle {
         from
-    }
-
-    /// [`MemoryLevel::read`] for an address whose line/set/bank
-    /// decomposition was pre-computed by a trace-compilation pass.
-    ///
-    /// Must be timing- and state-identical to `read(d.addr, now)`. Levels
-    /// that can exploit the decomposition ([`Cache`], when `d` was decoded
-    /// under its geometry) override this; the default ignores it.
-    fn read_decoded(&mut self, d: DecodedAddr, now: Cycle) -> AccessOutcome {
-        self.read(d.addr, now)
-    }
-
-    /// [`MemoryLevel::read_decoded`] for writes.
-    fn write_decoded(&mut self, d: DecodedAddr, now: Cycle) -> AccessOutcome {
-        self.write(d.addr, now)
     }
 
     /// The level below this one, if it can be exposed by reference.

@@ -4,10 +4,9 @@
 # the fresh run regresses by more than 25 % on either
 #
 #   * total_seconds — the whole sweep's wall-clock,
-#   * the replay phase — replay_seconds + compiled_replay_seconds, the
-#     part the compiled structure-of-arrays fast path and the
-#     monomorphic replay lanes are responsible for, or
-#   * replay_phase_ns_per_event — the same phase normalized per replayed
+#   * replay_seconds — the wall-clock of replaying cached traces through
+#     the timing model, or
+#   * replay_ns_per_event — the same phase normalized per replayed
 #     event, so a regression shows even if the event mix shrinks, or
 #   * two_core_mix_ms — the wall-clock of the default two-core mix over
 #     the shared L2 (`sim --cores 2`), re-measured here min-of-three,
@@ -68,10 +67,8 @@ num_or_zero() {
 
 fresh_total="$(num_or_zero "$fresh" total_seconds)"
 base_total="$(num_or_zero "$committed" total_seconds)"
-fresh_replay="$(awk -v a="$(num_or_zero "$fresh" replay_seconds)" \
-    -v b="$(num_or_zero "$fresh" compiled_replay_seconds)" 'BEGIN{print a + b}')"
-base_replay="$(awk -v a="$(num_or_zero "$committed" replay_seconds)" \
-    -v b="$(num_or_zero "$committed" compiled_replay_seconds)" 'BEGIN{print a + b}')"
+fresh_replay="$(num_or_zero "$fresh" replay_seconds)"
+base_replay="$(num_or_zero "$committed" replay_seconds)"
 
 status=0
 check_metric() {
@@ -86,13 +83,13 @@ check_metric() {
 }
 
 check_metric "total_seconds" "$fresh_total" "$base_total"
-check_metric "replay phase (replay + compiled replay)" "$fresh_replay" "$base_replay"
+check_metric "replay phase" "$fresh_replay" "$base_replay"
 
 # Per-event replay cost: wall-clock normalized by the number of replayed
 # events, so the gate still bites when a perf regression hides behind a
 # smaller event mix (and vice versa).
-fresh_nspe="$(num_or_zero "$fresh" replay_phase_ns_per_event)"
-base_nspe="$(num_or_zero "$committed" replay_phase_ns_per_event)"
+fresh_nspe="$(num_or_zero "$fresh" replay_ns_per_event)"
+base_nspe="$(num_or_zero "$committed" replay_ns_per_event)"
 check_metric "replay phase ns/event" "$fresh_nspe" "$base_nspe" "ns/event"
 
 # Two-core mix wall-clock (min of three runs, like the snapshot's own

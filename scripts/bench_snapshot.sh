@@ -16,7 +16,8 @@ cd "$(dirname "$0")/.."
 
 out="${1:-BENCH_sweep.json}"
 cargo build --release --offline -p sttcache-bench --bin figures --bin sim
-./target/release/figures all --profile-json "$out" > /dev/null
+# Serial, like the fresh run scripts/bench_gate.sh compares against it.
+./target/release/figures all --serial --profile-json "$out" > /dev/null
 
 # Wall-clock of one sweep variant in ms, taken as the minimum of three
 # runs: on a shared machine a single run can be 10-20 % off from noisy

@@ -15,19 +15,14 @@ STTCACHE_INVARIANTS=1 cargo test -q --offline
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # Differential fuzzer: adversarial traces on every catalog organization,
-# cross-checked against the shadow-memory oracle and the SRAM baseline —
-# then the same trace battery through the compiled-vs-interpreted replay
-# cross-check and the monomorphic-lane-vs-generic-referee cross-check.
+# cross-checked against the shadow-memory oracle and the SRAM baseline.
 ./target/release/sttcache-check --quick
-./target/release/sttcache-check --quick --kind compiled
-./target/release/sttcache-check --quick --kind lane
 # Same battery as randomized 2-4 core mixes over the shared L2:
 # co-scheduled runs cross-checked against per-core isolated runs, the
 # per-core shadow oracles and the residency/conservation audit.
 ./target/release/sttcache-check --quick --kind multicore
-# The irregular pointer-chasing family through the oracle, compiled and
-# lane cross-checks at once — data-dependent streams, no affine safety
-# net.
+# The irregular pointer-chasing family through the oracle differential —
+# data-dependent streams, no affine safety net.
 ./target/release/sttcache-check --quick --kind irregular --events 2000
 
 smoke="$(mktemp)"
@@ -39,20 +34,11 @@ diff -u figures_output.txt "$smoke"
 ./target/release/figures all --serial > "$smoke"
 diff -u figures_output.txt "$smoke"
 
-# The trace cache and the compiled replay pass must both be invisible in
-# the output: byte-identical with the cache off, with compiled replay
-# disabled, with every grid point's compiled replay cross-checked against
-# interpreted replay (and the baseline against direct execution), and
-# with the runtime invariant checkers armed.
+# The trace cache must be invisible in the output: byte-identical with
+# the cache off, with every baseline grid point's replay cross-checked
+# against direct execution, and with the runtime invariant checkers
+# armed.
 ./target/release/figures all --no-trace-cache > "$smoke"
-diff -u figures_output.txt "$smoke"
-
-./target/release/figures all --no-compiled-replay > "$smoke"
-diff -u figures_output.txt "$smoke"
-
-# The monomorphic replay lanes must also be invisible: byte-identical
-# with every replay forced through the generic dispatch referee.
-STTCACHE_REPLAY_LANE=generic ./target/release/figures all > "$smoke"
 diff -u figures_output.txt "$smoke"
 
 STTCACHE_TRACE_CHECK=1 ./target/release/figures all > "$smoke"
@@ -119,4 +105,4 @@ grep -q '"disarmed_overhead_pct"' "$snapshot"
 # too noisy to enforce a 25 % bound.
 STTCACHE_BENCH_GATE="${STTCACHE_BENCH_GATE:-fail}" scripts/bench_gate.sh
 
-echo "ci: fmt, build, tests (plain + invariants armed), clippy, differential + compiled + multicore + irregular fuzzers, figures smoke (telemetry on and off), multi-core + irregular determinism, external-trace replay, trace-cache checks and bench gate all green"
+echo "ci: fmt, build, tests (plain + invariants armed), clippy, differential + multicore + irregular fuzzers, figures smoke (telemetry on and off), multi-core + irregular determinism, external-trace replay, trace-cache checks and bench gate all green"

@@ -4,11 +4,11 @@
 //! Covers the round-trip property (write → read → replay is bit-for-bit
 //! identical to the in-memory replay) across the whole workload catalog,
 //! byte-identity of an ingested `file:` workload through every replay
-//! mode (trace cache on/off, compiled replay on/off, lanes vs the
-//! generic referee, serial vs parallel sweeps), the 2-core mix grammar,
-//! and rejection of truncated/corrupt files through the mix token.
+//! mode (trace cache on/off, serial vs parallel sweeps), the 2-core mix
+//! grammar, and rejection of truncated/corrupt files through the mix
+//! token.
 
-use sttcache::{DCacheOrganization, LaneMode, Platform, PlatformConfig};
+use sttcache::{DCacheOrganization, Platform, PlatformConfig};
 use sttcache_bench::multicore::MixSpec;
 use sttcache_bench::{parallel::SweepRunner, trace_cache, workload};
 use sttcache_cpu::Trace;
@@ -52,11 +52,10 @@ fn round_trip_replay_is_bit_identical_across_the_catalog() {
 
 /// An ingested trace file replays byte-identically through every mode of
 /// the replay stack: direct replay is the reference, and the trace-cache
-/// pipeline must match it with the cache on or off, compiled replay on
-/// or off, through the monomorphic lanes and the generic referee, and
-/// from serial and parallel sweeps. (Global toggles are flipped and
-/// restored inside this one test; the other tests in this binary do not
-/// depend on them.)
+/// pipeline must match it with the cache on or off and from serial and
+/// parallel sweeps. (The global cache toggle is flipped and restored
+/// inside this one test; the other tests in this binary do not depend on
+/// it.)
 #[test]
 fn ingested_trace_replays_byte_identical_in_every_mode() {
     let recorded =
@@ -74,34 +73,22 @@ fn ingested_trace_replays_byte_identical_in_every_mode() {
         let platform = Platform::new(org).expect("canonical organization");
         let reference = platform.run_trace(&recorded);
 
-        // Lane vs generic referee on the registry's copy of the trace.
         let registry = trace_cache::cached_trace(w, size, t);
         assert_eq!(*registry, recorded, "registry holds the ingested bytes");
-        assert_eq!(
-            platform.run_trace_with(&registry, LaneMode::Auto),
-            reference
-        );
-        assert_eq!(
-            platform.run_trace_with(&registry, LaneMode::Generic),
-            reference
-        );
 
-        // The full pipeline across the four cache/compiled toggle states.
+        // The full pipeline with the cache on and off.
         let cfg = PlatformConfig::new(org);
         let cache_was_on = trace_cache::enabled();
-        let compiled_was_on = trace_cache::compiled_enabled();
-        for (cache, compiled) in [(true, true), (true, false), (false, true), (false, false)] {
+        for cache in [true, false] {
             trace_cache::set_enabled(cache);
-            trace_cache::set_compiled_enabled(compiled);
             assert_eq!(
                 trace_cache::run_config(&cfg, w, size, t),
                 reference,
-                "{}: cache={cache} compiled={compiled} diverged",
+                "{}: cache={cache} diverged",
                 org.name()
             );
         }
         trace_cache::set_enabled(cache_was_on);
-        trace_cache::set_compiled_enabled(compiled_was_on);
 
         // Serial and parallel sweeps agree with the reference cycle count.
         let points = [w; 4];

@@ -4,9 +4,8 @@
 //! L2 is `!Send`), so a whole N-core run is one sweep work item; these
 //! tests pin the resulting guarantee — the same mix produces the same
 //! `MultiRunResult`, field for field, regardless of worker count,
-//! trace-cache state, replay-lane knob, or armed invariant/telemetry
-//! observers — mirroring the five-mode byte-identity guarantee the
-//! single-core figures pipeline has.
+//! trace-cache state, or armed invariant/telemetry observers — mirroring
+//! the byte-identity guarantee the single-core figures pipeline has.
 
 use std::sync::Arc;
 use sttcache::{CoreSpec, DCacheOrganization, MultiPlatform, MultiPlatformConfig, MultiRunResult};
@@ -78,20 +77,6 @@ fn identical_with_trace_cache_on_and_off() {
     let off = run_mix(&p, &off_a, &off_b);
     trace_cache::set_enabled(was_on);
     assert_eq!(off, reference);
-}
-
-/// The replay-lane knob selects dispatch for *single-core* trace
-/// replays; a multi-core run drives its cores through the generic
-/// front-end path by construction and must not change under the knob.
-#[test]
-fn identical_with_lane_forced_generic() {
-    let p = mix_platform();
-    let (a, b) = mix_traces();
-    let reference = run_mix(&p, &a, &b);
-    std::env::set_var("STTCACHE_REPLAY_LANE", "generic");
-    let forced = run_mix(&p, &a, &b);
-    std::env::remove_var("STTCACHE_REPLAY_LANE");
-    assert_eq!(forced, reference);
 }
 
 /// Armed invariant checkers are observation-only: byte-identical

@@ -5,10 +5,15 @@
 //! run is mirrored into the functional shadow oracle, drained, and
 //! cross-checked, and every organization's timing-independent signature
 //! must equal the SRAM baseline's. A deliberate MSHR-leak mutation
-//! proves the tooling actually catches the bug class it exists for.
+//! proves the tooling actually catches the bug class it exists for, and
+//! an injected replay defect proves the shrinker reduces a failure to
+//! its culprit event.
 
+use sttcache::{DCacheOrganization, Platform};
 use sttcache_bench::check;
+use sttcache_bench::testkit::DEFAULT_SEED;
 use sttcache_bench::trace_cache;
+use sttcache_cpu::{Trace, TraceEvent};
 use sttcache_mem::{invariants, LineAddr, MshrFile};
 use sttcache_workloads::{PolyBench, ProblemSize, Transformations};
 
@@ -61,6 +66,73 @@ fn injected_mshr_leak_is_caught_with_a_structured_report() {
     assert!(
         v.detail.contains("leaked") && v.detail.contains("never completed"),
         "report must say what went wrong: {v}"
+    );
+}
+
+/// Replays `trace` through `platform` twice — once intact, once with the
+/// events matching `dropped` stripped, the injected replay defect — and
+/// reports whether the two results differ.
+fn diverges_when_dropping(
+    platform: &Platform,
+    events: &[TraceEvent],
+    dropped: fn(&TraceEvent) -> bool,
+) -> bool {
+    let trace = check::trace_from_events(events);
+    let stripped: Trace = trace
+        .events()
+        .iter()
+        .copied()
+        .filter(|e| !dropped(e))
+        .collect();
+    platform.run_trace(&trace) != platform.run_trace(&stripped)
+}
+
+/// Mutation test for the shrinker: a replay defect that silently drops
+/// prefetch events must make [`Platform::run_trace`] diverge on the plain
+/// drop-in organization, and [`check::shrink_events`] (ddmin) must reduce
+/// the failing adversarial trace to a single prefetch event.
+#[test]
+fn ddmin_shrinks_an_injected_replay_defect_to_one_prefetch() {
+    let platform =
+        Platform::new(DCacheOrganization::NvmDropIn).expect("canonical organization validates");
+    let is_prefetch = |e: &TraceEvent| matches!(e, TraceEvent::Prefetch { .. });
+    let diverges = |events: &[TraceEvent]| diverges_when_dropping(&platform, events, is_prefetch);
+
+    let trace = check::adversarial_trace(check::Adversary::PrefetchStorm, DEFAULT_SEED, 200);
+    assert!(
+        diverges(trace.events()),
+        "the injected defect must trip the differential"
+    );
+    let minimal = check::shrink_events(trace.events(), diverges);
+    assert_eq!(minimal.len(), 1, "ddmin should isolate one culprit event");
+    assert!(
+        is_prefetch(&minimal[0]),
+        "the culprit must be a prefetch, got {:?}",
+        minimal[0]
+    );
+}
+
+/// The same shrinker mutation test behind a front-end stage: a replay
+/// defect that drops stores must make the VWB organization diverge, and
+/// ddmin must reduce the failing write-burst trace to a single store.
+#[test]
+fn ddmin_shrinks_a_vwb_replay_divergence_to_one_store() {
+    let platform =
+        Platform::new(DCacheOrganization::nvm_vwb_default()).expect("organization validates");
+    let is_store = |e: &TraceEvent| matches!(e, TraceEvent::Store { .. });
+    let diverges = |events: &[TraceEvent]| diverges_when_dropping(&platform, events, is_store);
+
+    let trace = check::adversarial_trace(check::Adversary::AliasWriteBurst, DEFAULT_SEED, 200);
+    assert!(
+        diverges(trace.events()),
+        "the injected defect must trip the differential"
+    );
+    let minimal = check::shrink_events(trace.events(), diverges);
+    assert_eq!(minimal.len(), 1, "ddmin should isolate one culprit event");
+    assert!(
+        is_store(&minimal[0]),
+        "the culprit must be a store, got {:?}",
+        minimal[0]
     );
 }
 

@@ -1,15 +1,15 @@
 //! End-to-end equivalence of the trace-cache execution path.
 //!
-//! Every PolyBench kernel × transformation set must produce the identical
-//! [`RunResult`] — core report and full hierarchy statistics — whether the
-//! simulation runs the kernel directly or replays the shared cached trace,
-//! on both the SRAM baseline and the VWB organization. This is the
-//! byte-identical-output guarantee the figures depend on.
+//! Every catalog organization × PolyBench kernel × transformation set
+//! must produce the identical [`RunResult`] — core report and full
+//! hierarchy statistics — whether the simulation runs the kernel directly
+//! or replays the shared cached trace. This is the byte-identical-output
+//! guarantee the figures depend on.
 //!
 //! [`RunResult`]: sttcache::RunResult
 
 use sttcache::{DCacheOrganization, Platform, PlatformConfig};
-use sttcache_bench::trace_cache;
+use sttcache_bench::{check, trace_cache};
 use sttcache_cpu::Engine;
 use sttcache_workloads::{PolyBench, ProblemSize, Transformations};
 
@@ -27,10 +27,7 @@ fn transform_sets() -> [Transformations; 5] {
 #[test]
 fn cached_replay_matches_direct_on_every_kernel_and_transform() {
     let size = ProblemSize::Mini;
-    for org in [
-        DCacheOrganization::SramBaseline,
-        DCacheOrganization::nvm_vwb_default(),
-    ] {
+    for org in check::all_organizations() {
         for bench in PolyBench::ALL {
             for t in transform_sets() {
                 let kernel = bench.kernel(size);

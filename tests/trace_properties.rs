@@ -7,7 +7,7 @@
 
 use sttcache::{DCacheOrganization, Platform};
 use sttcache_bench::testkit::{run_cases, Rng};
-use sttcache_cpu::{CompiledTrace, Engine, Trace, TraceEvent, TraceGeometry, TraceRecorder};
+use sttcache_cpu::{Engine, Trace, TraceEvent, TraceRecorder};
 use sttcache_mem::Addr;
 use sttcache_workloads::{PolyBench, ProblemSize, Transformations};
 
@@ -201,119 +201,6 @@ fn kernel_recording_is_deterministic() {
             assert_eq!(record(), record(), "{} with {t}", bench.name());
         }
     }
-}
-
-/// Geometries the compile-pass properties sweep: the repo's canonical
-/// DL1 shapes plus degenerate single-set/single-bank corners.
-fn compile_geometries() -> [TraceGeometry; 4] {
-    [
-        TraceGeometry::new(64, 512, 4),
-        TraceGeometry::new(32, 1024, 4),
-        TraceGeometry::new(64, 1, 1),
-        TraceGeometry::new(64, 1 << 16, 1 << 16),
-    ]
-}
-
-/// Compiling arbitrary event streams round-trips through `decompile`
-/// bit-exactly and validates, under every geometry.
-#[test]
-fn compile_roundtrips_arbitrary_streams() {
-    run_cases("compile_roundtrips_arbitrary_streams", 64, |rng| {
-        let events = rng.vec_of(0, 200, arb_event);
-        let trace: Trace = events.into_iter().collect();
-        for geom in compile_geometries() {
-            let compiled = CompiledTrace::compile(&trace, geom);
-            assert_eq!(compiled.validate(), Ok(()), "{geom:?}");
-            assert_eq!(compiled.decompile(), trace, "{geom:?}");
-            assert_eq!(compiled.len(), trace.len());
-        }
-    });
-}
-
-/// The empty trace compiles to empty columns under every geometry.
-#[test]
-fn empty_trace_compiles_to_empty_columns() {
-    for geom in compile_geometries() {
-        let compiled = CompiledTrace::compile(&Trace::default(), geom);
-        assert!(compiled.is_empty());
-        assert_eq!(compiled.validate(), Ok(()));
-        assert_eq!(compiled.decompile(), Trace::default());
-    }
-}
-
-/// Maximum-width addresses (all 64 bits set) survive the compile pass:
-/// the pre-decoded columns match a fresh decode and the round trip is
-/// bit-exact.
-#[test]
-fn compile_handles_max_width_addresses() {
-    let mut rec = TraceRecorder::new();
-    rec.load(Addr(u64::MAX), 64);
-    rec.store(Addr(u64::MAX), 1);
-    rec.prefetch(Addr(u64::MAX));
-    rec.load(Addr(u64::MAX - 63), 64);
-    let trace = rec.into_trace();
-    for geom in compile_geometries() {
-        let compiled = CompiledTrace::compile(&trace, geom);
-        assert_eq!(compiled.validate(), Ok(()), "{geom:?}");
-        assert_eq!(compiled.decompile(), trace, "{geom:?}");
-    }
-}
-
-/// Addresses planted exactly on set- and bank-boundary lines decode into
-/// in-range indices: `validate` (which re-decodes every address) accepts
-/// the columns, and the extreme indices actually occur.
-#[test]
-fn compile_covers_geometry_boundary_indices() {
-    let geom = TraceGeometry::new(64, 512, 4);
-    let line = geom.line_bytes as u64;
-    let mut rec = TraceRecorder::new();
-    // First and last set, first and last bank, and the wrap-around back
-    // to set 0 one stride later.
-    for set in [0, geom.sets as u64 - 1] {
-        for bank_round in [0, geom.banks as u64 - 1] {
-            let line_index = bank_round * geom.sets as u64 + set;
-            rec.load(Addr(line_index * line), 8);
-            rec.store(Addr(line_index * line + (line - 8)), 8);
-        }
-    }
-    rec.load(Addr(geom.sets as u64 * geom.banks as u64 * line), 8);
-    let trace = rec.into_trace();
-    let compiled = CompiledTrace::compile(&trace, geom);
-    assert_eq!(compiled.validate(), Ok(()));
-    assert_eq!(compiled.decompile(), trace);
-    let seen: Vec<sttcache_mem::DecodedAddr> = trace
-        .events()
-        .iter()
-        .filter_map(|e| match *e {
-            TraceEvent::Load { addr, .. } | TraceEvent::Store { addr, .. } => {
-                Some(geom.decode(addr))
-            }
-            _ => None,
-        })
-        .collect();
-    assert!(seen
-        .iter()
-        .all(|d| d.set_index < geom.sets && d.bank < geom.banks));
-    assert!(seen.iter().any(|d| d.set_index == 0));
-    assert!(seen.iter().any(|d| d.set_index == geom.sets - 1));
-    assert!(seen.iter().any(|d| d.bank == 0));
-    assert!(seen.iter().any(|d| d.bank == geom.banks - 1));
-}
-
-/// Re-compiling the same trace under the same geometry is deterministic
-/// (column-for-column equal), and a different geometry produces different
-/// decompositions for the same stream.
-#[test]
-fn recompilation_is_deterministic() {
-    run_cases("recompilation_is_deterministic", 32, |rng| {
-        let events = rng.vec_of(1, 150, arb_event);
-        let trace: Trace = events.into_iter().collect();
-        let geom = TraceGeometry::new(64, 512, 4);
-        assert_eq!(
-            CompiledTrace::compile(&trace, geom),
-            CompiledTrace::compile(&trace, geom)
-        );
-    });
 }
 
 /// The binary format is compact: well under 16 bytes per event for
