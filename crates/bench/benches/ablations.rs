@@ -1,9 +1,10 @@
-//! Ablation benches for the design choices DESIGN.md calls out — sweeps
+//! Ablation sweeps for the design choices DESIGN.md calls out — sweeps
 //! the paper does not report but that justify its parameter picks:
 //! NVM bank count, promotion occupancy, DL1 associativity, write-buffer
 //! depth, replacement policy, and a stride characterization of the VWB.
-
-mod common;
+//! Run with `cargo bench --offline -p sttcache-bench --bench ablations`;
+//! it prints cycle tables only (host time is the benchmark's job, see
+//! `benchmark/README.md`).
 
 use sttcache::{penalty_pct, DCacheOrganization, Platform, PlatformConfig, VwbConfig};
 use sttcache_cpu::Engine;
@@ -145,16 +146,4 @@ fn main() {
         );
     }
     println!();
-
-    // Criterion timing of the two extreme bank configurations.
-    let mut c = common::harness();
-    for b in [1usize, 8] {
-        let label = format!("ablations/banks-{b}");
-        c.bench_function(&label, || {
-            let mut cfg = PlatformConfig::new(DCacheOrganization::nvm_vwb_default());
-            cfg.dl1_override = Some(nvm_dl1(b, 2, 4));
-            common::black_box(cycles_with(cfg))
-        });
-    }
-    c.final_summary();
 }

@@ -28,28 +28,7 @@
 //! derives a kernel/transform pick from the seed, records the kernel's
 //! deterministic trace and runs it through the oracle differential.
 
-use sttcache_bench::check::{self, Adversary};
-
-/// Which cross-check every generated trace runs through.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Shadow-oracle differential against the SRAM baseline.
-    Oracle,
-    /// Co-scheduled multi-core mixes vs per-core isolated runs.
-    Multicore,
-    /// Irregular-family kernel traces through the oracle differential.
-    Irregular,
-}
-
-impl Mode {
-    fn tag(self) -> &'static str {
-        match self {
-            Mode::Oracle => "",
-            Mode::Multicore => " multicore",
-            Mode::Irregular => " irregular",
-        }
-    }
-}
+use sttcache_bench::check::{self, Adversary, Mode};
 
 fn usage() -> ! {
     eprintln!(
@@ -103,22 +82,16 @@ fn main() {
             }
             "--kind" => {
                 i += 1;
-                match args.get(i).map(String::as_str) {
-                    // Not generator families: these switch the cross-check
-                    // every family's traces run through.
-                    Some("multicore") => mode = Mode::Multicore,
-                    Some("irregular") => mode = Mode::Irregular,
-                    Some(name) => match Adversary::from_name(name) {
-                        Some(kind) => kinds = vec![kind],
-                        None => {
-                            eprintln!("--kind needs one of the names from --list-kinds");
-                            usage()
-                        }
-                    },
-                    None => {
-                        eprintln!("--kind needs one of the names from --list-kinds");
-                        usage()
-                    }
+                let name = args.get(i).map_or("", String::as_str);
+                // A mode name switches the cross-check every family's
+                // traces run through; any other name picks one family.
+                if let Some(m) = Mode::from_name(name) {
+                    mode = m;
+                } else if let Some(kind) = Adversary::from_name(name) {
+                    kinds = vec![kind];
+                } else {
+                    eprintln!("--kind needs one of the names from --list-kinds");
+                    usage()
                 }
             }
             "--shrink" => shrink = true,
@@ -126,8 +99,9 @@ fn main() {
                 for k in Adversary::ALL {
                     println!("{}", k.name());
                 }
-                println!("multicore");
-                println!("irregular");
+                for name in Mode::ALL.into_iter().filter_map(Mode::name) {
+                    println!("{name}");
+                }
                 return;
             }
             "-h" | "--help" => usage(),
@@ -161,15 +135,13 @@ fn main() {
     }
 
     let total = plan.len();
-    let run_one: fn(Adversary, u64, usize) -> Result<(), check::CheckFailure> = match mode {
-        Mode::Oracle => check::run_case,
-        Mode::Multicore => check::run_multicore_case,
-        Mode::Irregular => check::run_irregular_case,
-    };
-    let tag = mode.tag();
+    let tag = mode
+        .name()
+        .map(|name| format!(" {name}"))
+        .unwrap_or_default();
     let mut failures = Vec::new();
     for (n, (kind, s)) in plan.into_iter().enumerate() {
-        match run_one(kind, s, events) {
+        match check::run_case(mode, kind, s, events) {
             Ok(()) => println!(
                 "[{:>3}/{total}] {:<17} seed {s:#018x} {tag} ok",
                 n + 1,
@@ -188,7 +160,7 @@ fn main() {
     }
 
     if failures.is_empty() {
-        let orgs = sttcache_bench::check::all_organizations().len();
+        let orgs = check::all_organizations().len();
         match mode {
             Mode::Oracle => println!(
                 "{total} traces x {orgs} organizations: all oracle, drain and invariant checks passed"
@@ -207,11 +179,7 @@ fn main() {
 
     eprintln!();
     for f in &failures {
-        let replay_kind = match mode {
-            Mode::Oracle => f.kind.name(),
-            Mode::Multicore => "multicore",
-            Mode::Irregular => "irregular",
-        };
+        let replay_kind = mode.name().unwrap_or(f.kind.name());
         eprintln!(
             "FAILURE: kind {}{tag} seed {:#018x} events {} (replay: sttcache-check --kind {} --seed {} --events {} --cases 1)",
             f.kind.name(),
@@ -251,11 +219,7 @@ fn main() {
                 }
             }
         } else {
-            let minimal = match mode {
-                Mode::Oracle => check::shrink_failure(first),
-                Mode::Irregular => check::shrink_irregular_failure(first),
-                Mode::Multicore => unreachable!("handled above"),
-            };
+            let minimal = check::shrink_failure(first);
             eprintln!("minimal reproducer: {} event(s)", minimal.len());
             for e in minimal.events().iter().take(64) {
                 eprintln!("  {e:?}");

@@ -3,7 +3,7 @@
 //! ```text
 //! figures [table1|fig1|fig3|fig4|fig5|fig6|fig7|fig8|fig9|ext|catalog|multicore|irregular|all]
 //!         [--small] [--csv] [--jobs N | --serial]
-//!         [--no-trace-cache] [--profile] [--profile-json PATH] [--telemetry-json PATH]
+//!         [--no-trace-cache] [--profile] [--telemetry-json PATH]
 //! ```
 //!
 //! Defaults to `all` at the mini problem size; `--small` runs the larger
@@ -17,46 +17,41 @@
 //! Grid points execute through the record-once/replay-many trace cache
 //! (`STTCACHE_TRACE_CACHE_BYTES` caps its memory); `--no-trace-cache`
 //! reverts to direct kernel execution — same output either way, only the
-//! speed differs. `--profile` prints per-phase wall-clock
-//! (record/replay/direct), cache hit/miss counts and per-figure timings
-//! to stderr, and `--profile-json PATH` writes the same data as JSON;
-//! stdout stays
-//! byte-identical in every mode. `--telemetry-json PATH` arms the span
-//! tracer and the component telemetry gate (`STTCACHE_TELEMETRY`) and
-//! writes one Chrome `trace_event` span per trace-cache phase and per
-//! printed artifact to PATH, loadable in `chrome://tracing`/Perfetto.
+//! speed differs. Both host-time exports come from the one recording in
+//! `sttcache_bench::profile`, and stdout stays byte-identical in every
+//! mode: `--profile` prints per-phase wall-clock (record/replay/direct),
+//! cache hit/miss counts and per-artifact timings to stderr, and
+//! `--telemetry-json PATH` arms the span recording and the component
+//! telemetry gate (`STTCACHE_TELEMETRY`) and writes one Chrome
+//! `trace_event` span per trace-cache phase and per printed artifact to
+//! PATH, loadable in `chrome://tracing`/Perfetto.
 
-use sttcache_bench::{figures, parallel, profile, spans, trace_cache, SweepRunner};
+use sttcache_bench::figures::{self, Artifact};
+use sttcache_bench::{parallel, profile, trace_cache, ProfileReport};
 use sttcache_workloads::ProblemSize;
 
 fn usage() -> ! {
     eprintln!(
         "usage: figures [table1|fig1|fig3|fig4|fig5|fig6|fig7|fig8|fig9|ext|catalog|multicore|irregular|all] \
          [--small] [--csv] [--jobs N | --serial] [--no-trace-cache] \
-         [--profile] [--profile-json PATH] [--telemetry-json PATH]"
+         [--profile] [--telemetry-json PATH]"
     );
     std::process::exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let size = if args.iter().any(|a| a == "--small") {
-        ProblemSize::Small
-    } else {
-        ProblemSize::Mini
-    };
-
-    // Worker-count flags apply to every sweep this process runs.
+    let mut size = ProblemSize::Mini;
     let mut what: Option<&str> = None;
     let mut csv = false;
     let mut profile_text = false;
-    let mut profile_json: Option<String> = None;
     let mut telemetry_json: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--small" => {}
+            "--small" => size = ProblemSize::Small,
             "--csv" => csv = true,
+            // Worker-count flags apply to every sweep this process runs.
             "--serial" => parallel::set_jobs(1),
             "--jobs" => {
                 i += 1;
@@ -69,10 +64,6 @@ fn main() {
             }
             "--no-trace-cache" => trace_cache::set_enabled(false),
             "--profile" => profile_text = true,
-            "--profile-json" => {
-                i += 1;
-                profile_json = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
             "--telemetry-json" => {
                 i += 1;
                 telemetry_json = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
@@ -82,20 +73,24 @@ fn main() {
                 eprintln!("unknown flag '{other}'");
                 usage();
             }
-            other => what = Some(other),
+            other => {
+                if let Some(first) = what {
+                    eprintln!("extra argument '{other}' after '{first}': one artifact per run");
+                    usage();
+                }
+                what = Some(other);
+            }
         }
         i += 1;
     }
     let what = what.unwrap_or("all");
-    let profiling = profile_text || profile_json.is_some();
-    // Span tracing rides the timed artifact path; arm it (and the
-    // component telemetry gate, for overhead realism) before any sweep
-    // runs. Stdout stays byte-identical — all telemetry goes to PATH.
+    // Arm span recording (and the component telemetry gate, for overhead
+    // realism) before any sweep runs. Stdout stays byte-identical — all
+    // telemetry goes to PATH.
     if telemetry_json.is_some() {
-        spans::arm();
+        profile::arm();
         sttcache_mem::telemetry::set_enabled(true);
     }
-    let tracing = telemetry_json.is_some();
 
     if csv {
         if figures::print_csv(what, size) {
@@ -105,78 +100,34 @@ fn main() {
         std::process::exit(2);
     }
 
-    let start = std::time::Instant::now();
-    let timed: Vec<(&'static str, f64)> = match what {
-        "all" if profiling || tracing => figures::print_all_timed(size),
-        "all" => {
-            figures::print_all(size);
-            Vec::new()
-        }
-        // The catalog sweep is opt-in only: it is not part of `all`, so
-        // the committed figures output stays stable as the catalog grows.
-        "catalog" => {
-            let t0 = std::time::Instant::now();
-            figures::print_catalog(size);
-            vec![("catalog", t0.elapsed().as_secs_f64())]
-        }
-        // Opt-in for the same reason as `catalog`.
-        "multicore" => {
-            let t0 = std::time::Instant::now();
-            figures::print_multicore(size);
-            vec![("multicore", t0.elapsed().as_secs_f64())]
-        }
-        // Opt-in for the same reason as `catalog`: the irregular family
-        // grows independently of the committed `all` output.
-        "irregular" => {
-            let t0 = std::time::Instant::now();
-            figures::print_irregular(size);
-            vec![("irregular", t0.elapsed().as_secs_f64())]
-        }
-        single => {
-            let printer = figures::artifacts()
-                .into_iter()
-                .find(|(name, _)| *name == single)
-                .map(|(_, print)| print)
-                .unwrap_or_else(|| {
-                    eprintln!("unknown figure '{single}'");
-                    usage();
-                });
-            let t0 = std::time::Instant::now();
-            printer(size);
-            vec![(
-                // `artifacts` names are 'static; re-borrow the matching one.
-                figures::artifacts()
-                    .iter()
-                    .find(|(name, _)| *name == single)
-                    .expect("found above")
-                    .0,
-                t0.elapsed().as_secs_f64(),
-            )]
-        }
-    };
-
-    if profiling {
-        let report = profile::ProfileReport {
-            figures: timed,
-            total_seconds: start.elapsed().as_secs_f64(),
-            workers: SweepRunner::current().workers(),
-            cache_enabled: trace_cache::enabled(),
-            phases: profile::snapshot(),
+    // `all` is the committed paper output; any other name picks one
+    // artifact, including the opt-in sweeps `all` leaves out.
+    let selected: Vec<Artifact> = if what == "all" {
+        figures::artifacts().to_vec()
+    } else {
+        let found = figures::artifacts()
+            .into_iter()
+            .chain(figures::opt_in_artifacts())
+            .find(|(name, _)| *name == what);
+        let Some(artifact) = found else {
+            eprintln!("unknown figure '{what}'");
+            usage();
         };
-        if profile_text {
-            eprint!("{}", report.render_text());
-        }
-        if let Some(path) = profile_json {
-            if let Err(e) = std::fs::write(&path, report.render_json()) {
-                eprintln!("cannot write profile JSON to {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        vec![artifact]
+    };
+    let start = std::time::Instant::now();
+    let timed: Vec<(&'static str, f64)> = selected
+        .into_iter()
+        .map(|(name, print)| profile::time_artifact(name, || print(size)))
+        .collect();
+
+    if profile_text {
+        eprint!("{}", ProfileReport::finish(start, timed).render_text());
     }
 
     if let Some(path) = telemetry_json {
-        let (events, dropped) = spans::drain();
-        let json = spans::export_chrome_json(&events, dropped);
+        let (events, dropped) = profile::drain_spans();
+        let json = profile::export_chrome_json(&events, dropped);
         if let Err(e) = std::fs::write(&path, json) {
             eprintln!("cannot write telemetry JSON to {path}: {e}");
             std::process::exit(1);

@@ -28,6 +28,10 @@
 //!   `gemm+file:recorded.trace@64:sram`; entries without `:org` use
 //!   `--org`. Implies `--cores <entry count>`.
 //! * `--l2-banks N`: bank the shared L2 `N` ways (multi-core only).
+//! * A flag the selected run would ignore exits 2 and names the flag:
+//!   `--vwb-bits` without `--org vwb`, `--l2-banks` on a single core, and
+//!   `--bench`, `--trace-file`, `--baseline` or `--icache` on a
+//!   multi-core run (name the mix's workloads with `--mix`).
 //! * `--trace-file <path>`: replay a recorded trace file (written by
 //!   `Trace::write_to`, e.g. the `trace_sweep` example) instead of a
 //!   catalog kernel. The file is content-hashed into a workload identity
@@ -38,7 +42,9 @@ use sttcache::{
     DCacheOrganization, DlOneTechnology, IcacheConfig, Platform, PlatformConfig, RunResult,
     VwbConfig,
 };
-use sttcache_bench::{explain, multicore, parallel, profile, trace_cache, workload, SweepRunner};
+use sttcache_bench::{
+    explain, multicore, parallel, trace_cache, workload, ProfileReport, SweepRunner,
+};
 use sttcache_workloads::{catalog, ProblemSize, Transformations, Workload};
 
 struct Options {
@@ -109,7 +115,7 @@ fn parse_args() -> Options {
     let mut org = "nvm".to_string();
     let mut size = ProblemSize::Mini;
     let mut opts = Transformations::none();
-    let mut vwb_bits = 2048usize;
+    let mut vwb_bits = None;
     let mut icache = None;
     let mut baseline = false;
     let mut profile = false;
@@ -138,7 +144,7 @@ fn parse_args() -> Options {
                 }
             }
             "--opts" => opts = parse_opts(&next(&mut i)).unwrap_or_else(|| usage()),
-            "--vwb-bits" => vwb_bits = next(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--vwb-bits" => vwb_bits = Some(next(&mut i).parse().unwrap_or_else(|_| usage())),
             "--icache" => {
                 let tech = match next(&mut i).as_str() {
                     "sram" => DlOneTechnology::Sram,
@@ -196,11 +202,35 @@ fn parse_args() -> Options {
         i += 1;
     }
 
+    // Reject the flags this run would ignore. Checked after parsing, so
+    // flag order does not matter: `--explain vwb` may select the VWB
+    // after `--vwb-bits` was given.
+    let multi = cores > 1 || mix.is_some();
+    fn reject(why: &str) -> ! {
+        eprintln!("{why}");
+        usage()
+    }
+    if vwb_bits.is_some() && org != "vwb" {
+        reject("--vwb-bits needs --org vwb");
+    }
+    if l2_banks.is_some() && !multi {
+        reject("--l2-banks needs --cores N or --mix");
+    }
+    if multi && mix.is_none() && bench.is_some() {
+        reject("--bench/--trace-file: the default multi-core mix ignores it (use --mix)");
+    }
+    if multi && baseline {
+        reject("--baseline applies to single-core runs only");
+    }
+    if multi && icache.is_some() {
+        reject("--icache applies to single-core runs only");
+    }
+
     // `--vwb-bits` overrides the catalog's default VWB size; every other
     // key resolves straight from the catalog.
     let org = match org.as_str() {
         "vwb" => DCacheOrganization::NvmVwb(VwbConfig {
-            capacity_bits: vwb_bits,
+            capacity_bits: vwb_bits.unwrap_or(VwbConfig::default().capacity_bits),
             ..VwbConfig::default()
         }),
         key => {
@@ -275,18 +305,17 @@ fn main() {
     let start = std::time::Instant::now();
     if o.cores > 1 || o.mix.is_some() {
         run_multicore(&o);
-        if o.profile {
-            let report = profile::ProfileReport {
-                figures: Vec::new(),
-                total_seconds: start.elapsed().as_secs_f64(),
-                workers: SweepRunner::current().workers(),
-                cache_enabled: trace_cache::enabled(),
-                phases: profile::snapshot(),
-            };
-            eprint!("{}", report.render_text());
-        }
-        return;
+    } else {
+        run_single(&o);
     }
+    if o.profile {
+        eprint!("{}", ProfileReport::finish(start, Vec::new()).render_text());
+    }
+}
+
+/// The single-core path: the measured run, the optional SRAM baseline
+/// and the optional penalty attribution.
+fn run_single(o: &Options) {
     let bench = o.bench.unwrap_or_else(|| usage());
     let mut cfg = PlatformConfig::new(o.org);
     cfg.icache = o.icache;
@@ -338,16 +367,5 @@ fn main() {
     if let Some(e) = &explanation {
         println!();
         print!("{}", e.render());
-    }
-
-    if o.profile {
-        let report = profile::ProfileReport {
-            figures: Vec::new(),
-            total_seconds: start.elapsed().as_secs_f64(),
-            workers: SweepRunner::current().workers(),
-            cache_enabled: trace_cache::enabled(),
-            phases: profile::snapshot(),
-        };
-        eprint!("{}", report.render_text());
     }
 }

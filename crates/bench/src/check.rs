@@ -22,7 +22,9 @@
 //! the corners where timing models rot: bank ping-pong, MSHR
 //! saturation, aliasing write bursts, line-straddling access widths.
 //! [`shrink_events`] minimizes a failing trace by greedy chunk removal
-//! so a report names the shortest reproducer found.
+//! so a report names the shortest reproducer found. [`run_case`] is the
+//! one fuzzer entry point: it derives a case from `(kind, seed, events)`
+//! and runs it through its [`Mode`]'s cross-check.
 
 use crate::testkit::{Rng, DEFAULT_SEED};
 use sttcache::{
@@ -441,36 +443,95 @@ pub fn adversarial_trace(kind: Adversary, seed: u64, events: usize) -> Trace {
     rec.into_trace()
 }
 
+/// Which cross-check a fuzz case runs its generated input through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// Adversarial traces through the shadow-oracle differential.
+    Oracle,
+    /// Co-scheduled multi-core mixes vs per-core isolated runs.
+    Multicore,
+    /// Irregular-family kernel traces through the oracle differential.
+    Irregular,
+}
+
+impl Mode {
+    /// Every mode, the default first.
+    pub const ALL: [Mode; 3] = [Mode::Oracle, Mode::Multicore, Mode::Irregular];
+
+    /// The `--kind` name that selects the mode; `None` for the default
+    /// oracle mode, whose `--kind` names an adversary family instead.
+    pub fn name(self) -> Option<&'static str> {
+        match self {
+            Mode::Oracle => None,
+            Mode::Multicore => Some("multicore"),
+            Mode::Irregular => Some("irregular"),
+        }
+    }
+
+    /// Parses a [`name`](Self::name) back into the mode.
+    pub fn from_name(s: &str) -> Option<Mode> {
+        Mode::ALL.into_iter().find(|m| m.name() == Some(s))
+    }
+}
+
 /// One failing fuzz case, with everything needed to replay it.
 #[derive(Debug)]
 pub struct CheckFailure {
-    /// The adversary family that produced the trace.
+    /// The cross-check that failed.
+    pub mode: Mode,
+    /// The adversary family that produced (or salted) the input.
     pub kind: Adversary,
     /// The generator seed.
     pub seed: u64,
     /// The requested event count.
     pub events: usize,
-    /// Every failure message from the differential check.
+    /// Every failure message from the check.
     pub failures: Vec<String>,
 }
 
-/// Generates and differentially checks one adversarial trace.
+/// The labelled single-core trace a case checks: `kind`'s adversarial
+/// trace, or under [`Mode::Irregular`] the irregular-kernel trace
+/// derived from the same triple.
+fn case_trace(mode: Mode, kind: Adversary, seed: u64, events: usize) -> (String, Trace) {
+    match mode {
+        Mode::Irregular => irregular_trace(kind, seed, events),
+        Mode::Oracle | Mode::Multicore => (
+            format!("{}#{seed:#x}", kind.name()),
+            adversarial_trace(kind, seed, events),
+        ),
+    }
+}
+
+/// Generates one fuzz case from `(kind, seed, events)` and runs it
+/// through `mode`'s cross-check: [`check_trace`] over the adversarial or
+/// irregular trace, or [`check_multicore`] over the derived mix.
 ///
 /// # Errors
 ///
 /// Returns the structured [`CheckFailure`] when any organization fails
-/// its oracle/invariant check or diverges from the SRAM baseline.
-pub fn run_case(kind: Adversary, seed: u64, events: usize) -> Result<(), CheckFailure> {
-    let trace = adversarial_trace(kind, seed, events);
-    let report = check_trace(&format!("{}#{seed:#x}", kind.name()), &trace);
-    if report.failures.is_empty() {
+/// its oracle/invariant check or diverges from the SRAM baseline, or
+/// when a co-scheduled mix fails determinism, the per-core isolated
+/// differential, the residency audit, conservation, or an invariant.
+pub fn run_case(mode: Mode, kind: Adversary, seed: u64, events: usize) -> Result<(), CheckFailure> {
+    let failures = match mode {
+        Mode::Multicore => check_multicore(
+            &format!("mc-{}#{seed:#x}", kind.name()),
+            &multicore_case(kind, seed, events),
+        ),
+        Mode::Oracle | Mode::Irregular => {
+            let (label, trace) = case_trace(mode, kind, seed, events);
+            check_trace(&label, &trace).failures
+        }
+    };
+    if failures.is_empty() {
         Ok(())
     } else {
         Err(CheckFailure {
+            mode,
             kind,
             seed,
             events,
-            failures: report.failures,
+            failures,
         })
     }
 }
@@ -534,19 +595,22 @@ pub fn trace_from_events(events: &[TraceEvent]) -> Trace {
     rec.into_trace()
 }
 
-/// Minimizes a failing adversarial trace with [`shrink_events`] against
-/// the full differential check. Expensive (each probe replays every
-/// catalog organization); meant for `sttcache-check --shrink` on a repro.
+/// Minimizes a failing oracle or irregular case's trace with
+/// [`shrink_events`] against the full differential check. Expensive
+/// (each probe replays every catalog organization); meant for
+/// `sttcache-check --shrink` on a repro.
+///
+/// # Panics
+///
+/// Panics on a [`Mode::Multicore`] failure, whose input is a mix, not
+/// one trace: shrink it with [`shrink_multicore_failure`].
 pub fn shrink_failure(failure: &CheckFailure) -> Trace {
-    shrink_against_oracle(&adversarial_trace(
-        failure.kind,
-        failure.seed,
-        failure.events,
-    ))
-}
-
-/// The shortest sub-trace of `trace` that still fails [`check_trace`].
-fn shrink_against_oracle(trace: &Trace) -> Trace {
+    assert_ne!(
+        failure.mode,
+        Mode::Multicore,
+        "multi-core failures shrink with shrink_multicore_failure"
+    );
+    let (_, trace) = case_trace(failure.mode, failure.kind, failure.seed, failure.events);
     let minimal = shrink_events(trace.events(), |evs| {
         !check_trace("shrink-probe", &trace_from_events(evs))
             .failures
@@ -578,39 +642,6 @@ pub fn irregular_trace(kind: Adversary, seed: u64, events: usize) -> (String, Tr
         trace
     };
     (format!("{}#{seed:#x}", spec.cli), trace)
-}
-
-/// Derives one irregular-workload trace and runs the oracle differential
-/// ([`check_trace`]) on it — the `--kind irregular` leg of
-/// `sttcache-check`. Pointer-chasing streams have none of the affine
-/// kernels' regularity, so this leg aims the checker at data-dependent
-/// access patterns.
-///
-/// # Errors
-///
-/// Returns the structured [`CheckFailure`] when any organization fails
-/// its oracle/invariant check or diverges from the SRAM baseline on the
-/// derived trace.
-pub fn run_irregular_case(kind: Adversary, seed: u64, events: usize) -> Result<(), CheckFailure> {
-    let (label, trace) = irregular_trace(kind, seed, events);
-    let failures = check_trace(&label, &trace).failures;
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(CheckFailure {
-            kind,
-            seed,
-            events,
-            failures,
-        })
-    }
-}
-
-/// [`shrink_failure`]'s counterpart for `--kind irregular` failures:
-/// the same oracle differential over the derived irregular trace.
-pub fn shrink_irregular_failure(failure: &CheckFailure) -> Trace {
-    let (_, trace) = irregular_trace(failure.kind, failure.seed, failure.events);
-    shrink_against_oracle(&trace)
 }
 
 /// One multi-core fuzz case: 2–4 cores, each with its own adversarial
@@ -812,29 +843,6 @@ pub fn check_multicore(label: &str, case: &MulticoreCase) -> Vec<String> {
     failures
 }
 
-/// Generates one derived multi-core case and runs [`check_multicore`]
-/// on it — the `--kind multicore` leg of `sttcache-check`.
-///
-/// # Errors
-///
-/// Returns the structured [`CheckFailure`] when the co-scheduled run
-/// fails determinism, the per-core isolated differential, the residency
-/// audit, conservation, or an armed invariant.
-pub fn run_multicore_case(kind: Adversary, seed: u64, events: usize) -> Result<(), CheckFailure> {
-    let case = multicore_case(kind, seed, events);
-    let failures = check_multicore(&format!("mc-{}#{seed:#x}", kind.name()), &case);
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(CheckFailure {
-            kind,
-            seed,
-            events,
-            failures,
-        })
-    }
-}
-
 /// [`shrink_failure`]'s counterpart for `--kind multicore` failures:
 /// first greedily drops whole cores, then ddmin-shrinks each surviving
 /// core's event list, keeping every reduction under which
@@ -927,7 +935,7 @@ mod tests {
 
     #[test]
     fn irregular_case_runner_reports_clean_on_a_quick_seed() {
-        assert!(run_irregular_case(Adversary::LineStraddle, DEFAULT_SEED, 300).is_ok());
+        assert!(run_case(Mode::Irregular, Adversary::LineStraddle, DEFAULT_SEED, 300).is_ok());
     }
 
     #[test]

@@ -287,10 +287,10 @@ pub fn print_csv(which: &str, size: ProblemSize) -> bool {
 /// One printable artifact: its CLI name and printer.
 pub type Artifact = (&'static str, fn(ProblemSize));
 
-/// The artifacts `print_all` emits, in order: `(name, printer)`.
+/// The artifacts `figures all` prints, in order: `(name, printer)`.
 ///
-/// One list so the plain and profiled paths cannot drift apart, and so
-/// `--profile` can time each artifact individually.
+/// One list so `figures all`, `figures <name>` and `--profile`'s
+/// per-artifact timing cannot drift apart.
 pub fn artifacts() -> [Artifact; 10] {
     [
         ("table1", |_| print_table1()),
@@ -306,25 +306,13 @@ pub fn artifacts() -> [Artifact; 10] {
     ]
 }
 
-/// Prints every table and figure in order.
-pub fn print_all(size: ProblemSize) {
-    for (_, print) in artifacts() {
-        print(size);
-    }
-}
-
-/// Prints every table and figure in order, timing each; returns
-/// `(name, seconds)` per artifact. The printed output is identical to
-/// [`print_all`] — the timing is measurement only.
-pub fn print_all_timed(size: ProblemSize) -> Vec<(&'static str, f64)> {
-    artifacts()
-        .iter()
-        .map(|&(name, print)| {
-            let start = std::time::Instant::now();
-            print(size);
-            let took = start.elapsed();
-            crate::spans::record(name, "artifact", start, took);
-            (name, took.as_secs_f64())
-        })
-        .collect()
+/// The artifacts only `figures <name>` prints: they grow with the
+/// catalogs, so keeping them out of [`artifacts`] keeps the committed
+/// `figures all` output stable.
+pub fn opt_in_artifacts() -> [Artifact; 3] {
+    [
+        ("catalog", print_catalog),
+        ("multicore", print_multicore),
+        ("irregular", print_irregular),
+    ]
 }

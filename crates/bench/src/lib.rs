@@ -1,10 +1,10 @@
 //! Experiment harness for the DATE 2015 STT-MRAM L1 D-cache paper.
 //!
 //! One function per table/figure of the paper's evaluation. Each returns
-//! the figure's rows/series as data (so the Criterion benches, the
-//! `figures` binary and the integration tests all share one source of
-//! truth) and has a pretty-printer that emits the same layout the paper
-//! plots.
+//! the figure's rows/series as data (so the `figures` binary, the
+//! benchmark in `benchmark/` and the integration tests all share one
+//! source of truth) and has a pretty-printer that emits the same layout
+//! the paper plots.
 //!
 //! Penalty convention (identical to the paper): every bar is
 //! `100·(cycles(config) − cycles(SRAM baseline)) / cycles(SRAM baseline)`,
@@ -22,7 +22,6 @@ pub mod figures;
 pub mod multicore;
 pub mod parallel;
 pub mod profile;
-pub mod spans;
 pub mod testkit;
 pub mod trace_cache;
 pub mod workload;

@@ -9,22 +9,19 @@
 //!   can be pinned with the `STTCACHE_THREADS` environment variable, and
 //!   can be overridden per process by the binaries' `--jobs N` /
 //!   `--serial` flags (see [`set_jobs`]);
-//! * work is distributed by **work stealing**: each worker starts with a
-//!   contiguous chunk of the grid (cache-friendly, since neighbouring
-//!   points share a kernel trace) and steals half of a victim's remaining
-//!   chunk when its own deque drains, so one slow organization cannot
-//!   serialize the sweep tail;
-//! * results are merged by **stable grid index**, never by completion or
-//!   stealing order, so a parallel sweep is byte-identical to a serial
-//!   one at any worker count;
+//! * workers claim grid points from one shared atomic cursor, in grid
+//!   order, so a worker that finishes a short simulation simply claims
+//!   the next point and one slow organization cannot serialize the tail;
+//! * results are merged by **stable grid index**, never by completion
+//!   order, so a parallel sweep is byte-identical to a serial one at any
+//!   worker count;
 //! * each grid point runs under [`std::panic::catch_unwind`]: one
 //!   diverging configuration surfaces as an error row while the rest of
 //!   the sweep completes.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::mpsc;
 
 use sttcache::{DCacheOrganization, RunResult};
 use sttcache_workloads::{catalog, ProblemSize, Transformations, Workload, WorkloadFamily};
@@ -159,12 +156,10 @@ impl SweepRunner {
     /// Maps `f` over `items` on up to [`SweepRunner::workers`] scoped
     /// threads.
     ///
-    /// Each worker is seeded with a contiguous chunk of item indices and
-    /// pops them front-to-back; when its deque drains it steals the back
-    /// half of another worker's remaining chunk, so long and short
-    /// simulations balance without a shared claim cursor.
-    /// The returned vector is ordered by item index — completion and
-    /// stealing order never leak into the output. A panicking item yields
+    /// Workers claim item indices from one shared atomic cursor, so long
+    /// and short simulations balance without any static partition. The
+    /// returned vector is ordered by item index — completion order never
+    /// leaks into the output. A panicking item yields
     /// `Err(SweepError::Panic(..))` in its slot; the other items still
     /// complete.
     pub fn map<I, O, F>(&self, items: &[I], f: F) -> Vec<Result<O, SweepError>>
@@ -178,20 +173,22 @@ impl SweepRunner {
             return Vec::new();
         }
         let workers = self.workers.min(n);
-        let deques = seed_deques(n, workers);
+        let cursor = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, Result<O, SweepError>)>();
         std::thread::scope(|scope| {
-            for me in 0..workers {
+            for _ in 0..workers {
                 let tx = tx.clone();
-                let deques = &deques;
+                let cursor = &cursor;
                 let f = &f;
-                scope.spawn(move || {
-                    while let Some(idx) = next_index(deques, me) {
-                        let out = catch_unwind(AssertUnwindSafe(|| f(idx, &items[idx])))
-                            .map_err(|payload| SweepError::Panic(panic_message(payload.as_ref())));
-                        if tx.send((idx, out)).is_err() {
-                            break;
-                        }
+                scope.spawn(move || loop {
+                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                    if idx >= n {
+                        break;
+                    }
+                    let out = catch_unwind(AssertUnwindSafe(|| f(idx, &items[idx])))
+                        .map_err(|payload| SweepError::Panic(panic_message(payload.as_ref())));
+                    if tx.send((idx, out)).is_err() {
+                        break;
                     }
                 });
             }
@@ -252,59 +249,6 @@ impl Default for SweepRunner {
     fn default() -> Self {
         SweepRunner::current()
     }
-}
-
-/// Seeds one index deque per worker with contiguous, near-equal chunks
-/// of `0..n` — worker `w` starts on `[w*n/workers, (w+1)*n/workers)`.
-/// Contiguity keeps each worker's initial stride over the grid
-/// cache-friendly (neighbouring points share kernel traces).
-fn seed_deques(n: usize, workers: usize) -> Vec<Mutex<VecDeque<usize>>> {
-    (0..workers)
-        .map(|w| {
-            let lo = w * n / workers;
-            let hi = (w + 1) * n / workers;
-            Mutex::new((lo..hi).collect())
-        })
-        .collect()
-}
-
-/// Claims the next item index for worker `me`: pop the front of its own
-/// deque, else steal from a victim. `None` means the whole sweep has
-/// been claimed — indices are never re-queued, so a full empty scan is a
-/// terminal state and the worker can retire.
-fn next_index(deques: &[Mutex<VecDeque<usize>>], me: usize) -> Option<usize> {
-    if let Some(idx) = deques[me].lock().expect("deque lock poisoned").pop_front() {
-        return Some(idx);
-    }
-    steal_half(deques, me)
-}
-
-/// Steals the back half of the first non-empty victim deque (scanning
-/// from `me + 1`, wrapping) into `me`'s own deque and claims the first
-/// stolen index. Taking from the *back* leaves the victim its
-/// cache-warm front stride; taking *half* amortizes the lock traffic —
-/// a thief services its haul privately before stealing again.
-fn steal_half(deques: &[Mutex<VecDeque<usize>>], me: usize) -> Option<usize> {
-    let workers = deques.len();
-    for off in 1..workers {
-        let victim = (me + off) % workers;
-        let mut stolen = {
-            let mut q = deques[victim].lock().expect("deque lock poisoned");
-            let len = q.len();
-            if len == 0 {
-                continue;
-            }
-            q.split_off(len - len.div_ceil(2))
-        };
-        let first = stolen.pop_front().expect("stole at least one index");
-        if !stolen.is_empty() {
-            let mut own = deques[me].lock().expect("deque lock poisoned");
-            debug_assert!(own.is_empty(), "workers only steal once drained");
-            *own = stolen;
-        }
-        return Some(first);
-    }
-    None
 }
 
 /// Extracts the human-readable message from a panic payload.
@@ -372,9 +316,8 @@ mod tests {
     #[test]
     fn output_is_identical_at_every_worker_count() {
         // Heavily skewed work: the last items are ~100× the first, so at
-        // any worker count above one the fast workers drain their seeded
-        // chunks and must steal the slow tail. The merged output must not
-        // notice.
+        // any worker count above one the workers finish out of grid
+        // order. The merged output must not notice.
         let items: Vec<usize> = (0..64).collect();
         let work = |idx: usize, v: &usize| {
             assert_eq!(idx, *v);
@@ -395,61 +338,6 @@ mod tests {
                 .collect();
             assert_eq!(out, serial, "{workers} workers diverged from serial");
         }
-    }
-
-    #[test]
-    fn seeded_chunks_are_contiguous_and_cover_the_grid() {
-        for (n, workers) in [(10, 3), (7, 7), (64, 8), (5, 4), (1, 1)] {
-            let deques = seed_deques(n, workers);
-            let mut all = Vec::new();
-            for q in &deques {
-                let q = q.lock().unwrap();
-                let chunk: Vec<usize> = q.iter().copied().collect();
-                assert!(
-                    chunk.windows(2).all(|w| w[1] == w[0] + 1),
-                    "chunk not contiguous"
-                );
-                all.extend(chunk);
-            }
-            assert_eq!(all, (0..n).collect::<Vec<_>>(), "n={n} workers={workers}");
-        }
-    }
-
-    #[test]
-    fn thief_takes_the_back_half_and_leaves_the_front() {
-        // Worker 1 is empty and steals from worker 0, which holds 0..=2.
-        let deques = seed_deques(6, 2);
-        {
-            let mut q1 = deques[1].lock().unwrap();
-            q1.clear();
-        }
-        let claimed = next_index(&deques, 1).expect("victim has work");
-        // Back half of [0, 1, 2] is ceil(3/2) = 2 items: [1, 2]; the
-        // thief claims the first and keeps the rest.
-        assert_eq!(claimed, 1);
-        assert_eq!(
-            deques[0]
-                .lock()
-                .unwrap()
-                .iter()
-                .copied()
-                .collect::<Vec<_>>(),
-            vec![0]
-        );
-        assert_eq!(
-            deques[1]
-                .lock()
-                .unwrap()
-                .iter()
-                .copied()
-                .collect::<Vec<_>>(),
-            vec![2]
-        );
-        // A fully drained grid is a terminal state.
-        deques[0].lock().unwrap().clear();
-        deques[1].lock().unwrap().clear();
-        assert_eq!(next_index(&deques, 0), None);
-        assert_eq!(next_index(&deques, 1), None);
     }
 
     #[test]

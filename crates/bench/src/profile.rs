@@ -1,30 +1,62 @@
-//! Per-phase wall-clock accounting for `--profile`.
+//! Host-time recording: where a run's wall-clock goes.
 //!
-//! The trace cache attributes every simulation's time to one of three
-//! phases — *record* (running a kernel into a [`TraceRecorder`]),
-//! *replay* (driving a platform from a cached trace) and *direct* (the
-//! uncached path) — into process-global atomic counters, so the
-//! record-once/replay-many win is measurable from the binaries without
-//! plumbing timers through every sweep. The binaries add per-figure
-//! wall-clock on top and render the whole thing as a human summary
-//! (stderr) or JSON (`--profile-json`), keeping stdout byte-identical to
-//! the committed reference output.
+//! This module is the one recorder of host time. The trace cache credits
+//! every simulation to one of three phases — *record* (running a kernel
+//! into a [`TraceRecorder`]), *replay* (driving a platform from a cached
+//! trace) and *direct* (the uncached path) — with a single `credit`
+//! call, and the binaries time every printed artifact with
+//! [`time_artifact`]. The one recording has two exports:
+//!
+//! * [`ProfileReport::render_text`], which `--profile` prints to stderr:
+//!   aggregate time, runs and ns/event per phase, the trace-cache and
+//!   result-memo counters, and per-artifact seconds;
+//! * [`export_chrome_json`], which `--telemetry-json PATH` writes: one
+//!   Chrome `trace_event` span per phase run and per artifact, stamped
+//!   with its start offset from a process epoch and the worker thread
+//!   that ran it, loadable in `chrome://tracing` / Perfetto.
+//!
+//! The phase counters are always on (three relaxed atomic adds per
+//! simulation). Spans follow the telemetry discipline
+//! ([`sttcache_mem::telemetry`]): until [`arm`] runs, a credit appends
+//! nothing. The span sink is bounded at [`SPAN_CAP`] — a full sink drops
+//! further spans and counts them, so a pathological sweep cannot grow
+//! memory without bound. Stdout stays byte-identical in every mode.
 //!
 //! [`TraceRecorder`]: sttcache_cpu::TraceRecorder
 
-use crate::trace_cache;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use crate::{parallel::SweepRunner, trace_cache};
+use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 /// The three phases the trace cache attributes simulation time to, in
-/// the order the report renders them. Doubles as the index into
-/// [`PHASES`].
+/// the order the text report renders them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
+pub(crate) enum Phase {
+    /// Running a kernel into a trace recorder.
     Record,
+    /// Driving a timing model from a cached trace.
     Replay,
+    /// Running a kernel straight into a timing model (cache off).
     Direct,
 }
+
+impl Phase {
+    /// The phase's span name.
+    fn name(self) -> &'static str {
+        match self {
+            Phase::Record => "record",
+            Phase::Replay => "replay",
+            Phase::Direct => "direct",
+        }
+    }
+}
+
+/// The sink never retains more than this many spans.
+pub const SPAN_CAP: usize = 65_536;
 
 /// One phase's accumulated wall-clock, run count and event count.
 struct PhaseCounter {
@@ -33,49 +65,195 @@ struct PhaseCounter {
     events: AtomicU64,
 }
 
-#[allow(clippy::declare_interior_mutable_const)] // template for the array below
-const ZERO_PHASE: PhaseCounter = PhaseCounter {
-    ns: AtomicU64::new(0),
-    runs: AtomicU64::new(0),
-    events: AtomicU64::new(0),
-};
+impl PhaseCounter {
+    const fn new() -> Self {
+        PhaseCounter {
+            ns: AtomicU64::new(0),
+            runs: AtomicU64::new(0),
+            events: AtomicU64::new(0),
+        }
+    }
 
-/// Per-phase counters, indexed by [`Phase`].
-static PHASES: [PhaseCounter; 3] = [ZERO_PHASE; 3];
+    fn seconds(&self) -> f64 {
+        self.ns.load(Ordering::Relaxed) as f64 / 1e9
+    }
+
+    fn runs(&self) -> u64 {
+        self.runs.load(Ordering::Relaxed)
+    }
+
+    fn events(&self) -> u64 {
+        self.events.load(Ordering::Relaxed)
+    }
+}
+
+/// One completed span, timestamped in microseconds from the epoch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpanEvent {
+    /// Span name (a phase or artifact name).
+    pub name: &'static str,
+    /// Category: `"phase"` for trace-cache phases, `"artifact"` for
+    /// printed figures.
+    pub cat: &'static str,
+    /// Start offset from the epoch, microseconds.
+    pub ts_us: u64,
+    /// Duration, microseconds.
+    pub dur_us: u64,
+    /// Small dense thread number (0 = first thread seen).
+    pub tid: u64,
+}
+
+/// Phase counters plus the bounded span sink. The process-wide instance
+/// behind `credit` is what the binaries use; tests build their own so
+/// exact counts can be asserted without touching global state.
+struct Recorder {
+    phases: [PhaseCounter; 3],
+    armed: AtomicBool,
+    spans: Mutex<Vec<SpanEvent>>,
+    dropped: AtomicU64,
+}
+
+impl Recorder {
+    const fn new() -> Self {
+        Recorder {
+            phases: [const { PhaseCounter::new() }; 3],
+            armed: AtomicBool::new(false),
+            spans: Mutex::new(Vec::new()),
+            dropped: AtomicU64::new(0),
+        }
+    }
+
+    fn phase(&self, phase: Phase) -> &PhaseCounter {
+        &self.phases[phase as usize]
+    }
+
+    /// Adds one run of `phase` to its counters and, while armed, appends
+    /// its span.
+    fn credit(&self, phase: Phase, start: Instant, took: Duration, events: u64) {
+        let c = self.phase(phase);
+        // Saturate at the cast *and* at the accumulation: a counter that
+        // reaches the ceiling pins there instead of silently wrapping.
+        let ns = saturating_ns(took);
+        let _ =
+            c.ns.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                Some(cur.saturating_add(ns))
+            });
+        c.runs.fetch_add(1, Ordering::Relaxed);
+        c.events.fetch_add(events, Ordering::Relaxed);
+        self.span(phase.name(), "phase", start, took);
+    }
+
+    /// Appends one completed span; a no-op while disarmed.
+    fn span(&self, name: &'static str, cat: &'static str, start: Instant, took: Duration) {
+        if !self.armed.load(Ordering::Relaxed) {
+            return;
+        }
+        // A start captured before the first `arm` clamps to the epoch.
+        let ts = start
+            .checked_duration_since(epoch())
+            .unwrap_or(Duration::ZERO);
+        let event = SpanEvent {
+            name,
+            cat,
+            ts_us: saturating_us(ts),
+            dur_us: saturating_us(took),
+            tid: thread_number(),
+        };
+        let mut spans = self.spans.lock().expect("span sink lock");
+        if spans.len() < SPAN_CAP {
+            spans.push(event);
+        } else {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn drain(&self) -> (Vec<SpanEvent>, u64) {
+        let spans = std::mem::take(&mut *self.spans.lock().expect("span sink lock"));
+        (spans, self.dropped.swap(0, Ordering::Relaxed))
+    }
+}
+
+static RECORDER: Recorder = Recorder::new();
 
 /// A duration as nanoseconds, saturating at `u64::MAX`.
 fn saturating_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-fn add(phase: Phase, d: Duration, events: u64) {
-    let c = &PHASES[phase as usize];
-    // Saturate at the cast *and* at the accumulation: a counter that
-    // reaches the ceiling pins there instead of silently wrapping (a
-    // `min(u64::MAX) as u64` cast alone would still overflow the sum).
-    let ns = saturating_ns(d);
-    let _ =
-        c.ns.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-            Some(cur.saturating_add(ns))
-        });
-    c.runs.fetch_add(1, Ordering::Relaxed);
-    c.events.fetch_add(events, Ordering::Relaxed);
+/// A duration as microseconds, saturating at `u64::MAX`.
+fn saturating_us(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Credits one trace-recording run over `events` recorded events.
-pub fn add_record(d: Duration, events: u64) {
-    add(Phase::Record, d, events);
+/// The instant all span timestamps are measured from.
+fn epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
 }
 
-/// Credits one cached-trace replay over `events` replayed events.
-pub fn add_replay(d: Duration, events: u64) {
-    add(Phase::Replay, d, events);
+/// Maps opaque [`ThreadId`]s to small dense numbers so the export's
+/// `tid` field is stable and readable.
+fn thread_number() -> u64 {
+    static IDS: OnceLock<Mutex<HashMap<ThreadId, u64>>> = OnceLock::new();
+    let map = IDS.get_or_init(|| Mutex::new(HashMap::new()));
+    let mut map = map.lock().expect("thread id map lock");
+    let next = map.len() as u64;
+    *map.entry(std::thread::current().id()).or_insert(next)
 }
 
-/// Credits one direct (uncached) kernel execution over `events` memory
-/// operations (loads + stores + prefetches the core issued).
-pub fn add_direct(d: Duration, events: u64) {
-    add(Phase::Direct, d, events);
+/// Arms span recording and pins the trace epoch to now (first arm only).
+pub fn arm() {
+    epoch();
+    RECORDER.armed.store(true, Ordering::Relaxed);
+}
+
+/// Credits one run of `phase` that started at `start` and has just
+/// finished, over `events` events: adds the run to the phase counters
+/// and, while spans are armed, appends its span.
+pub(crate) fn credit(phase: Phase, start: Instant, events: u64) {
+    RECORDER.credit(phase, start, start.elapsed(), events);
+}
+
+/// Runs `print` as the artifact `name`, appends its span while armed,
+/// and returns `(name, seconds)` for [`ProfileReport::figures`].
+pub fn time_artifact(name: &'static str, print: impl FnOnce()) -> (&'static str, f64) {
+    let start = Instant::now();
+    print();
+    let took = start.elapsed();
+    RECORDER.span(name, "artifact", start, took);
+    (name, took.as_secs_f64())
+}
+
+/// Drains every recorded span (and resets the dropped counter),
+/// returning them in recording order together with the drop count.
+pub fn drain_spans() -> (Vec<SpanEvent>, u64) {
+    RECORDER.drain()
+}
+
+/// Renders spans as Chrome `trace_event` JSON (the "JSON Array Format"
+/// wrapped in an object, as `chrome://tracing` and Perfetto load it).
+/// Hand-rolled — the workspace is dependency-free. `dropped` non-zero
+/// is surfaced in `otherData` so truncation is never silent.
+pub fn export_chrome_json(events: &[SpanEvent], dropped: u64) -> String {
+    let mut out = String::from("{\n  \"traceEvents\": [\n");
+    for (i, e) in events.iter().enumerate() {
+        let comma = if i + 1 < events.len() { "," } else { "" };
+        let _ = writeln!(
+            out,
+            "    {{ \"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \
+             \"ts\": {}, \"dur\": {}, \"pid\": 1, \"tid\": {} }}{}",
+            e.name, e.cat, e.ts_us, e.dur_us, e.tid, comma
+        );
+    }
+    out.push_str("  ],\n");
+    let _ = writeln!(
+        out,
+        "  \"otherData\": {{ \"spans\": {}, \"dropped\": {} }}",
+        events.len(),
+        dropped
+    );
+    out.push_str("}\n");
+    out
 }
 
 /// Point-in-time view of the phase counters and the trace cache.
@@ -113,20 +291,18 @@ pub struct ProfileSnapshot {
 
 /// Snapshots the global phase counters and cache state.
 pub fn snapshot() -> ProfileSnapshot {
-    let secs = |p: Phase| PHASES[p as usize].ns.load(Ordering::Relaxed) as f64 / 1e9;
-    let runs = |p: Phase| PHASES[p as usize].runs.load(Ordering::Relaxed);
-    let events = |p: Phase| PHASES[p as usize].events.load(Ordering::Relaxed);
+    let [record, replay, direct] = &RECORDER.phases;
     let (cache_resident_bytes, cache_entries) = trace_cache::global_footprint();
     ProfileSnapshot {
-        record_seconds: secs(Phase::Record),
-        record_runs: runs(Phase::Record),
-        record_events: events(Phase::Record),
-        replay_seconds: secs(Phase::Replay),
-        replay_runs: runs(Phase::Replay),
-        replay_events: events(Phase::Replay),
-        direct_seconds: secs(Phase::Direct),
-        direct_runs: runs(Phase::Direct),
-        direct_events: events(Phase::Direct),
+        record_seconds: record.seconds(),
+        record_runs: record.runs(),
+        record_events: record.events(),
+        replay_seconds: replay.seconds(),
+        replay_runs: replay.runs(),
+        replay_events: replay.events(),
+        direct_seconds: direct.seconds(),
+        direct_runs: direct.runs(),
+        direct_events: direct.events(),
         cache: trace_cache::global_stats(),
         cache_resident_bytes,
         cache_entries,
@@ -157,7 +333,7 @@ fn ns_per_event(seconds: f64, events: u64) -> f64 {
     }
 }
 
-/// A finished profiled run: the per-figure wall-clock a binary measured
+/// A finished profiled run: the per-artifact wall-clock a binary measured
 /// plus the phase counters, ready to render.
 #[derive(Debug, Clone)]
 pub struct ProfileReport {
@@ -174,6 +350,19 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
+    /// The report of a run that began at `start` and printed `figures`:
+    /// wall-clock so far, the current worker count and trace-cache
+    /// switch, and a [`snapshot`] of the phase counters.
+    pub fn finish(start: Instant, figures: Vec<(&'static str, f64)>) -> Self {
+        ProfileReport {
+            figures,
+            total_seconds: start.elapsed().as_secs_f64(),
+            workers: SweepRunner::current().workers(),
+            cache_enabled: trace_cache::enabled(),
+            phases: snapshot(),
+        }
+    }
+
     /// The human-readable summary `--profile` prints to stderr.
     pub fn render_text(&self) -> String {
         let p = &self.phases;
@@ -220,62 +409,6 @@ impl ProfileReport {
         }
         out
     }
-
-    /// The machine-readable form `--profile-json` writes (hand-rolled —
-    /// the workspace is dependency-free).
-    pub fn render_json(&self) -> String {
-        let p = &self.phases;
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"total_seconds\": {:.6},\n",
-            self.total_seconds
-        ));
-        out.push_str(&format!("  \"workers\": {},\n", self.workers));
-        out.push_str(&format!(
-            "  \"trace_cache_enabled\": {},\n",
-            self.cache_enabled
-        ));
-        out.push_str("  \"phases\": {\n");
-        let mut phase = |name: &str, seconds: f64, runs: u64, events: u64| {
-            out.push_str(&format!(
-                "    \"{name}_seconds\": {seconds:.6},\n    \"{name}_runs\": {runs},\n\
-                 \x20   \"{name}_events\": {events},\n\
-                 \x20   \"{name}_ns_per_event\": {:.3},\n",
-                ns_per_event(seconds, events)
-            ));
-        };
-        phase("record", p.record_seconds, p.record_runs, p.record_events);
-        phase("replay", p.replay_seconds, p.replay_runs, p.replay_events);
-        phase("direct", p.direct_seconds, p.direct_runs, p.direct_events);
-        out.push_str(&format!(
-            "    \"aggregate_seconds\": {:.6}\n  }},\n",
-            (self.total_seconds - p.simulation_seconds()).max(0.0)
-        ));
-        out.push_str("  \"trace_cache\": {\n");
-        out.push_str(&format!(
-            "    \"hits\": {},\n    \"misses\": {},\n    \"evictions\": {},\n",
-            p.cache.hits, p.cache.misses, p.cache.evictions
-        ));
-        out.push_str(&format!(
-            "    \"hit_rate\": {:.6},\n    \"resident_bytes\": {},\n    \"entries\": {}\n  }},\n",
-            p.cache.hit_rate(),
-            p.cache_resident_bytes,
-            p.cache_entries
-        ));
-        out.push_str(&format!(
-            "  \"result_memo\": {{ \"hits\": {}, \"entries\": {} }},\n",
-            p.memo_hits, p.memo_entries
-        ));
-        out.push_str("  \"figures\": [\n");
-        for (i, (name, secs)) in self.figures.iter().enumerate() {
-            let comma = if i + 1 < self.figures.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{ \"name\": \"{name}\", \"seconds\": {secs:.6} }}{comma}\n"
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -311,6 +444,31 @@ mod tests {
         }
     }
 
+    fn sample_events() -> Vec<SpanEvent> {
+        vec![
+            SpanEvent {
+                name: "record",
+                cat: "phase",
+                ts_us: 0,
+                dur_us: 1500,
+                tid: 0,
+            },
+            SpanEvent {
+                name: "fig1",
+                cat: "artifact",
+                ts_us: 1500,
+                dur_us: 250,
+                tid: 1,
+            },
+        ]
+    }
+
+    /// `(nanoseconds, runs, events)` of one phase of a recorder.
+    fn totals(rec: &Recorder, phase: Phase) -> (u64, u64, u64) {
+        let c = rec.phase(phase);
+        (c.ns.load(Ordering::Relaxed), c.runs(), c.events())
+    }
+
     #[test]
     fn text_report_names_every_phase_and_figure() {
         let text = sample().render_text();
@@ -326,38 +484,48 @@ mod tests {
     }
 
     #[test]
-    fn json_report_is_structurally_sound() {
-        let json = sample().render_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        for needle in [
-            "\"total_seconds\": 1.500000",
-            "\"workers\": 4",
-            "\"hit_rate\": 0.970000",
-            "\"name\": \"fig1\"",
-        ] {
-            assert!(json.contains(needle), "missing '{needle}' in:\n{json}");
-        }
+    fn snapshot_accumulates_phase_time() {
+        // One credit on a disarmed recorder adds exactly one run, its
+        // events and its time to that phase alone, and appends no span.
+        let rec = Recorder::new();
+        rec.credit(Phase::Replay, Instant::now(), Duration::from_millis(7), 10);
+        assert_eq!(totals(&rec, Phase::Replay), (7_000_000, 1, 10));
+        assert_eq!(totals(&rec, Phase::Record), (0, 0, 0));
+        assert_eq!(totals(&rec, Phase::Direct), (0, 0, 0));
+        assert_eq!(rec.drain(), (Vec::new(), 0));
     }
 
     #[test]
-    fn snapshot_accumulates_phase_time() {
-        let before = snapshot();
-        add_record(Duration::from_millis(5), 10);
-        add_replay(Duration::from_millis(7), 10);
-        add_direct(Duration::from_millis(11), 10);
-        let after = snapshot();
-        assert!(after.record_seconds >= before.record_seconds + 0.004);
-        assert!(after.replay_seconds >= before.replay_seconds + 0.006);
-        assert!(after.direct_seconds >= before.direct_seconds + 0.010);
-        // Other tests in this binary may add phase time concurrently, so
-        // only lower bounds are safe to assert.
-        assert!(after.record_runs > before.record_runs);
-        assert!(after.replay_runs > before.replay_runs);
-        assert!(after.direct_runs > before.direct_runs);
-        assert!(after.record_events >= before.record_events + 10);
-        assert!(after.replay_events >= before.replay_events + 10);
-        assert!(after.direct_events >= before.direct_events + 10);
+    fn disarmed_recording_is_a_no_op_and_armed_spans_drain() {
+        let rec = Recorder::new();
+        rec.span("fig1", "artifact", Instant::now(), Duration::ZERO);
+        assert_eq!(rec.drain(), (Vec::new(), 0));
+
+        // Armed, one credit still counts once and appends exactly one
+        // span of the same duration, stamped with this thread.
+        rec.armed.store(true, Ordering::Relaxed);
+        rec.credit(Phase::Record, Instant::now(), Duration::from_micros(7), 3);
+        assert_eq!(totals(&rec, Phase::Record), (7_000, 1, 3));
+        let (spans, dropped) = rec.drain();
+        assert_eq!(dropped, 0);
+        assert_eq!(spans.len(), 1);
+        assert_eq!(
+            (spans[0].name, spans[0].cat, spans[0].dur_us),
+            ("record", "phase", 7)
+        );
+        assert_eq!(spans[0].tid, thread_number());
+        assert_eq!(rec.drain(), (Vec::new(), 0));
+    }
+
+    #[test]
+    fn full_sink_drops_and_counts_instead_of_growing() {
+        let rec = Recorder::new();
+        rec.armed.store(true, Ordering::Relaxed);
+        for _ in 0..SPAN_CAP + 2 {
+            rec.span("fig1", "artifact", Instant::now(), Duration::ZERO);
+        }
+        let (spans, dropped) = rec.drain();
+        assert_eq!((spans.len(), dropped), (SPAN_CAP, 2));
     }
 
     #[test]
@@ -369,10 +537,15 @@ mod tests {
         assert_eq!(saturating_ns(Duration::ZERO), 0);
         // And the accumulation saturates too, so a pinned counter stays
         // pinned rather than wrapping on the next credit.
-        assert_eq!(
-            u64::MAX.saturating_add(saturating_ns(Duration::from_millis(1))),
-            u64::MAX
+        let rec = Recorder::new();
+        rec.credit(
+            Phase::Direct,
+            Instant::now(),
+            Duration::from_secs(u64::MAX),
+            0,
         );
+        rec.credit(Phase::Direct, Instant::now(), Duration::from_millis(1), 0);
+        assert_eq!(totals(&rec, Phase::Direct), (u64::MAX, 2, 0));
     }
 
     #[test]
@@ -382,58 +555,49 @@ mod tests {
         assert_eq!(p.replay_phase_events(), 1_000_000);
     }
 
-    /// Pins the `--profile-json` schema: `scripts/bench_gate.sh` greps
-    /// these keys out of committed and fresh snapshots, so renaming or
-    /// dropping one silently breaks the regression gate. Adding keys is
-    /// fine; this test must be updated in lockstep with the gate script
-    /// when a key it reads changes.
-    #[test]
-    fn json_schema_keys_are_pinned() {
-        let json = sample().render_json();
-        for key in [
-            "\"total_seconds\"",
-            "\"workers\"",
-            "\"trace_cache_enabled\"",
-            "\"phases\"",
-            "\"record_seconds\"",
-            "\"record_runs\"",
-            "\"replay_seconds\"",
-            "\"replay_runs\"",
-            "\"direct_seconds\"",
-            "\"direct_runs\"",
-            "\"record_events\"",
-            "\"record_ns_per_event\"",
-            "\"replay_events\"",
-            "\"replay_ns_per_event\"",
-            "\"direct_events\"",
-            "\"direct_ns_per_event\"",
-            "\"aggregate_seconds\"",
-            "\"trace_cache\"",
-            "\"hits\"",
-            "\"misses\"",
-            "\"evictions\"",
-            "\"hit_rate\"",
-            "\"resident_bytes\"",
-            "\"entries\"",
-            "\"result_memo\"",
-            "\"figures\"",
-            "\"name\"",
-            "\"seconds\"",
-        ] {
-            assert!(json.contains(key), "missing schema key {key} in:\n{json}");
-        }
-        // The gate greps the first match of each key, so the keys it
-        // reads must occur exactly once.
-        assert_eq!(json.matches("\"replay_seconds\"").count(), 1);
-        assert_eq!(json.matches("\"replay_ns_per_event\"").count(), 1);
-    }
-
     #[test]
     fn ns_per_event_is_zero_when_no_events_ran() {
         assert_eq!(ns_per_event(1.0, 0), 0.0);
         assert!((ns_per_event(0.9, 1_000_000) - 900.0).abs() < 1e-9);
         assert!(sample()
-            .render_json()
-            .contains("\"replay_ns_per_event\": 900.000"));
+            .render_text()
+            .contains("ns/event: record 6666.7, replay 900.0, direct 0.0"));
+    }
+
+    /// Pins the Chrome `trace_event` schema: every event is a complete
+    /// (`"ph": "X"`) event carrying exactly the keys `chrome://tracing`
+    /// and Perfetto require. Renaming or dropping one breaks every
+    /// consumer of `figures --telemetry-json`, so this test must change
+    /// in lockstep with the exporter.
+    #[test]
+    fn chrome_trace_schema_keys_are_pinned() {
+        let json = export_chrome_json(&sample_events(), 3);
+        assert!(json.starts_with("{\n  \"traceEvents\": ["));
+        for key in [
+            "\"traceEvents\"",
+            "\"name\"",
+            "\"cat\"",
+            "\"ph\": \"X\"",
+            "\"ts\"",
+            "\"dur\"",
+            "\"pid\": 1",
+            "\"tid\"",
+            "\"otherData\"",
+            "\"spans\": 2",
+            "\"dropped\": 3",
+        ] {
+            assert!(json.contains(key), "missing schema key {key} in:\n{json}");
+        }
+        // Two events, both complete-phase, comma-separated (valid JSON).
+        assert_eq!(json.matches("\"ph\": \"X\"").count(), 2);
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    #[test]
+    fn empty_export_is_still_well_formed() {
+        let json = export_chrome_json(&[], 0);
+        assert!(json.contains("\"traceEvents\": [\n  ]"));
+        assert!(json.contains("\"spans\": 0"));
     }
 }

@@ -25,8 +25,7 @@
 //! SRAM-baseline grid point is also executed directly, and the full
 //! [`RunResult`]s are compared.
 
-use crate::profile;
-use crate::spans;
+use crate::profile::{self, Phase};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -330,9 +329,7 @@ pub fn record_trace(
         .lock()
         .expect("capacity hint lock")
         .insert((workload, size), trace.len());
-    let took = start.elapsed();
-    profile::add_record(took, trace.len() as u64);
-    spans::record("record", "phase", start, took);
+    profile::credit(Phase::Record, start, trace.len() as u64);
     trace
 }
 
@@ -413,10 +410,8 @@ pub fn run_config(
             // recorded stream *is* the direct path.
             None => platform.run_trace(&record_trace(workload, size, transforms)),
         };
-        let took = start.elapsed();
         let ops = result.core.loads + result.core.stores + result.core.prefetches;
-        profile::add_direct(took, ops);
-        spans::record("direct", "phase", start, took);
+        profile::credit(Phase::Direct, start, ops);
         return result;
     }
     let memo_key = (
@@ -435,9 +430,7 @@ pub fn run_config(
     let trace = cached_trace(workload, size, transforms);
     let start = Instant::now();
     let result = platform.run_trace(&trace);
-    let took = start.elapsed();
-    profile::add_replay(took, trace.len() as u64);
-    spans::record("replay", "phase", start, took);
+    profile::credit(Phase::Replay, start, trace.len() as u64);
     if trace_check_requested() && cfg.organization == DCacheOrganization::SramBaseline {
         // External workloads have no kernel to cross-execute: their
         // recorded stream is the direct path.
@@ -483,26 +476,20 @@ pub fn drive<E: Engine>(
         let trace = cached_trace(workload, size, transforms);
         let start = Instant::now();
         trace.replay_into(e);
-        let took = start.elapsed();
-        profile::add_replay(took, trace.len() as u64);
-        spans::record("replay", "phase", start, took);
+        profile::credit(Phase::Replay, start, trace.len() as u64);
     } else if let Some(kernel) = workload.kernel(size) {
         let start = Instant::now();
         kernel.run(e, transforms);
-        let took = start.elapsed();
         // The borrowed engine exposes no event counter; credit the time
         // with zero events (the rate renders as 0 rather than a guess).
-        profile::add_direct(took, 0);
-        spans::record("direct", "phase", start, took);
+        profile::credit(Phase::Direct, start, 0);
     } else {
         // External workloads replay their recorded stream even with the
         // cache off — there is no kernel to run directly.
         let trace = record_trace(workload, size, transforms);
         let start = Instant::now();
         trace.replay_into(e);
-        let took = start.elapsed();
-        profile::add_direct(took, 0);
-        spans::record("direct", "phase", start, took);
+        profile::credit(Phase::Direct, start, 0);
     }
 }
 

@@ -6,8 +6,8 @@
 //! the hot paths when `STTCACHE_INVARIANTS=1` is set (or when a test calls
 //! [`set_enabled`]). When the gate is off the only cost is a single
 //! relaxed atomic load per check site, so production sweeps pay nothing
-//! measurable (see `scripts/bench_snapshot.sh`, which records the
-//! overhead instead of asserting it).
+//! measurable (the repo benchmark, `benchmark/`, runs every workload
+//! disarmed, so a cost that grows shows in its end-to-end metrics).
 //!
 //! Violations are *reported*, not panicked: each one becomes a structured
 //! [`InvariantViolation`] naming the component, the cycle it was detected

@@ -9,8 +9,8 @@
 //! ([`crate::invariants`]): hot paths consult [`enabled`] — one relaxed
 //! atomic load, armed by `STTCACHE_TELEMETRY=1` or [`set_enabled`] — and
 //! only then touch the registry, so disarmed sweeps pay nothing
-//! measurable (`scripts/bench_snapshot.sh` records the overhead instead
-//! of asserting it).
+//! measurable (the repo benchmark, `benchmark/`, runs every workload
+//! disarmed, so a cost that grows shows in its end-to-end metrics).
 //!
 //! Memory is bounded by construction: histograms index small occupancy
 //! values directly and spill the tail into an overflow bucket, time

@@ -92,17 +92,25 @@ grep -q '^# sim: trace:' "$smoke"
 ./target/release/sim --cores 2 --mix "file:$exttrace@64:vwb+gemm:sram" > "$mc"
 grep -q 'file:' "$mc"
 
-# The profiled snapshot path stays runnable and records the
-# telemetry-gate overhead.
-snapshot="$(mktemp)"
-trap 'rm -f "$smoke" "$ttrace" "$mc" "$snapshot"' EXIT
-scripts/bench_snapshot.sh "$snapshot" > /dev/null
-grep -q '"trace_cache_enabled": true' "$snapshot"
-grep -q '"disarmed_overhead_pct"' "$snapshot"
+# The profile export is observation-only too: stdout byte-identical, and
+# the stderr report names the replay phase and every artifact of
+# `figures all`.
+prof="$(mktemp)"
+trap 'rm -f "$smoke" "$ttrace" "$mc" "$exttrace" "$prof"' EXIT
+./target/release/figures all --profile > "$smoke" 2> "$prof"
+diff -u figures_output.txt "$smoke"
+grep -q 'replay [0-9.]*s/[0-9]* runs' "$prof"
+for artifact in table1 fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 ext; do
+    grep -q "^  $artifact " "$prof"
+done
 
-# Bench regression gate against the committed snapshot. Failing is the
-# default; set STTCACHE_BENCH_GATE=warn on runners whose wall-clock is
-# too noisy to enforce a 25 % bound.
-STTCACHE_BENCH_GATE="${STTCACHE_BENCH_GATE:-fail}" scripts/bench_gate.sh
+# The benchmark package builds against these crates: lint it, run its
+# tests, and run its quick pass, which exits 1 on any golden mismatch.
+cargo fmt --manifest-path benchmark/Cargo.toml -- --check
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+benchout="$(mktemp -d)"
+trap 'rm -rf "$smoke" "$ttrace" "$mc" "$exttrace" "$prof" "$benchout"' EXIT
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --quick --out "$benchout"
 
-echo "ci: fmt, build, tests (plain + invariants armed), clippy, differential + multicore + irregular fuzzers, figures smoke (telemetry on and off), multi-core + irregular determinism, external-trace replay, trace-cache checks and bench gate all green"
+echo "ci: fmt, build, tests (plain + invariants armed), clippy, differential + multicore + irregular fuzzers, figures smoke (telemetry and profile on and off), multi-core + irregular determinism, external-trace replay, trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"

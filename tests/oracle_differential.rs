@@ -143,7 +143,7 @@ fn ddmin_shrinks_a_vwb_replay_divergence_to_one_store() {
 fn quick_adversarial_battery_is_clean() {
     for kind in check::Adversary::ALL {
         for seed in check::quick_seeds() {
-            if let Err(f) = check::run_case(kind, seed, 1200) {
+            if let Err(f) = check::run_case(check::Mode::Oracle, kind, seed, 1200) {
                 panic!("{} seed {seed:#x} failed: {:#?}", f.kind.name(), f.failures);
             }
         }
