@@ -22,7 +22,7 @@
 //! mode: `--profile` prints per-phase wall-clock (record/replay/direct),
 //! cache hit/miss counts and per-artifact timings to stderr, and
 //! `--telemetry-json PATH` arms the span recording and the component
-//! telemetry gate (`STTCACHE_TELEMETRY`) and writes one Chrome
+//! telemetry gate and writes one Chrome
 //! `trace_event` span per trace-cache phase and per printed artifact to
 //! PATH, loadable in `chrome://tracing`/Perfetto.
 

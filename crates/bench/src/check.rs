@@ -5,7 +5,8 @@
 //! 1. **Functional shadow oracle** — every run is mirrored into a
 //!    [`ShadowOracle`] through a [`TeeEngine`], giving a timing-free
 //!    golden model of what the program touched and wrote. After the run
-//!    the whole organization is drained ([`FrontEnd::flush_dirty`]) and
+//!    the whole organization is drained — the front-end
+//!    ([`FrontEnd::flush_dirty`]), then the L2 it owns — and
 //!    cross-examined: no dirty state may survive, and every line still
 //!    resident anywhere in the hierarchy must cover bytes the program
 //!    actually accessed (no *phantom* lines).
@@ -156,15 +157,22 @@ pub fn check_trace_on(organization: DCacheOrganization, trace: &Trace) -> OrgChe
     let report = core.report();
     let now = core.now();
     let mut fe = core.into_port();
-    let (flushed_lines, done) = fe.flush_dirty(now);
+    // The front-end drains its stage and DL1; the L2 is drained by its
+    // owner, which here is the front-end's caller.
+    let (front_lines, t) = fe.flush_dirty(now);
+    let (l2_lines, done) = fe.l2_mut().flush_dirty(t);
+    let flushed_lines = front_lines + l2_lines;
     fe.check_drained(done);
+    fe.l2().check_drained(done);
 
     let mut mismatches = Vec::new();
-    let dirty = fe.dirty_line_count();
+    let dirty = fe.dirty_line_count() + fe.l2().dirty_lines();
     if dirty != 0 {
         mismatches.push(format!("{dirty} dirty lines survived flush_dirty"));
     }
-    for (base, len) in fe.resident_lines() {
+    let l2_bytes = fe.l2().config().line_bytes();
+    let l2_resident = fe.l2().resident_lines().into_iter().map(|a| (a, l2_bytes));
+    for (base, len) in fe.resident_lines().into_iter().chain(l2_resident) {
         if !mirror.oracle().intersects_accessed(base.0, len) {
             mismatches.push(format!(
                 "phantom resident line {base} ({len} B): the program never touched it"
@@ -349,10 +357,10 @@ pub fn adversarial_trace(kind: Adversary, seed: u64, events: usize) -> Trace {
             // A pool of lines that all land on one bank (bank index is the
             // low line bits), hammered back to back so every access queues
             // behind the previous one's bank occupancy.
-            let bank = rng.u64_in(0, banks - 1);
+            let bank = rng.u64_in(0, banks);
             let pool: Vec<u64> = (0..8).map(|k| (k * banks + bank) * line).collect();
             for i in 0..events {
-                let base = pool[rng.usize_in(0, pool.len() - 1)];
+                let base = *rng.pick(&pool);
                 let addr = sttcache_mem::Addr(base + rng.u64_in(0, line - 8));
                 match i % 8 {
                     6 => rec.store(addr, 4),
@@ -370,7 +378,7 @@ pub fn adversarial_trace(kind: Adversary, seed: u64, events: usize) -> Trace {
             let mut tag = 0u64;
             let mut i = 0usize;
             while i < events {
-                let set = rng.u64_in(0, sets - 1) * line;
+                let set = rng.u64_in(0, sets) * line;
                 for _ in 0..burst {
                     tag += 1;
                     rec.prefetch(sttcache_mem::Addr(set + tag * set_stride));
@@ -384,7 +392,7 @@ pub fn adversarial_trace(kind: Adversary, seed: u64, events: usize) -> Trace {
         Adversary::AliasWriteBurst => {
             // Stores across many tags of one set: constant replacement
             // with dirty victims, exercising write-back and eviction paths.
-            let set = rng.u64_in(0, sets - 1) * line;
+            let set = rng.u64_in(0, sets) * line;
             let set_stride = sets * line;
             for i in 0..events {
                 let tag = rng.u64_in(0, 15);
@@ -401,7 +409,7 @@ pub fn adversarial_trace(kind: Adversary, seed: u64, events: usize) -> Trace {
             // widths 1..=16 straddle the line of at least one level.
             for i in 0..events {
                 let boundary = rng.u64_in(1, 4096) * 32;
-                let width = rng.usize_in(1, 16);
+                let width = rng.usize_in(1, 17);
                 let addr = sttcache_mem::Addr(boundary.saturating_sub(rng.u64_in(1, 15)));
                 if i % 3 == 0 {
                     rec.store(addr, width);
@@ -416,7 +424,7 @@ pub fn adversarial_trace(kind: Adversary, seed: u64, events: usize) -> Trace {
             let lines = (1u64 << 20) / line;
             let mut recent = 0u64;
             for i in 0..events {
-                let l = rng.u64_in(0, lines - 1) * line;
+                let l = rng.u64_in(0, lines) * line;
                 if i % 4 == 3 {
                     rec.load(sttcache_mem::Addr(recent), 8);
                 } else {
@@ -428,7 +436,7 @@ pub fn adversarial_trace(kind: Adversary, seed: u64, events: usize) -> Trace {
         Adversary::RandomMix => {
             let span = 1u64 << 22;
             for _ in 0..events {
-                match rng.u64_in(0, 9) {
+                match rng.u64_in(0, 10) {
                     0..=3 => rec.load(sttcache_mem::Addr(rng.u64_in(0, span)), rng.usize_in(1, 16)),
                     4..=6 => {
                         rec.store(sttcache_mem::Addr(rng.u64_in(0, span)), rng.usize_in(1, 16))
@@ -626,11 +634,7 @@ pub fn shrink_failure(failure: &CheckFailure) -> Trace {
 /// deterministic recording is truncated to about `events` architectural
 /// events. Same inputs — same trace, byte for byte.
 pub fn irregular_trace(kind: Adversary, seed: u64, events: usize) -> (String, Trace) {
-    let mut rng = Rng::new(seed ^ (kind as u64).wrapping_mul(0x517C_C1B7_2722_0A95));
-    let specs = sttcache_workloads::catalog::family(sttcache_workloads::WorkloadFamily::Irregular);
-    let spec = specs[rng.usize_in(0, specs.len() - 1)];
-    let combos = sttcache_workloads::conformance::all_transform_combos();
-    let transforms = combos[rng.usize_in(0, combos.len() - 1)];
+    let (spec, transforms) = irregular_choice(kind, seed);
     let trace = crate::trace_cache::record_trace(
         spec.workload,
         sttcache_workloads::ProblemSize::Mini,
@@ -642,6 +646,22 @@ pub fn irregular_trace(kind: Adversary, seed: u64, events: usize) -> (String, Tr
         trace
     };
     (format!("{}#{seed:#x}", spec.cli), trace)
+}
+
+/// The irregular catalog entry and transformation set a salted
+/// `(kind, seed)` draws for [`irregular_trace`].
+fn irregular_choice(
+    kind: Adversary,
+    seed: u64,
+) -> (
+    sttcache_workloads::WorkloadSpec,
+    sttcache_workloads::Transformations,
+) {
+    let mut rng = Rng::new(seed ^ (kind as u64).wrapping_mul(0x517C_C1B7_2722_0A95));
+    let specs = sttcache_workloads::catalog::family(sttcache_workloads::WorkloadFamily::Irregular);
+    let spec = *rng.pick(&specs);
+    let combos = sttcache_workloads::conformance::all_transform_combos();
+    (spec, *rng.pick(&combos))
 }
 
 /// One multi-core fuzz case: 2–4 cores, each with its own adversarial
@@ -663,7 +683,7 @@ pub struct MulticoreCase {
 /// draw their family from the seed). Same inputs — same case.
 pub fn multicore_case(kind: Adversary, seed: u64, events: usize) -> MulticoreCase {
     let mut rng = Rng::new(seed ^ 0x6D63_6F72_6531_u64.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let n = rng.usize_in(2, 4);
+    let n = rng.usize_in(2, 5);
     let pool = all_organizations();
     let mut orgs = Vec::with_capacity(n);
     let mut offsets = Vec::with_capacity(n);
@@ -672,11 +692,11 @@ pub fn multicore_case(kind: Adversary, seed: u64, events: usize) -> MulticoreCas
         let family = if i == 0 {
             kind
         } else {
-            Adversary::ALL[rng.usize_in(0, Adversary::ALL.len() - 1)]
+            *rng.pick(&Adversary::ALL)
         };
         let trace_seed = seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         traces.push(adversarial_trace(family, trace_seed, (events / n).max(16)));
-        orgs.push(pool[rng.usize_in(0, pool.len() - 1)]);
+        orgs.push(*rng.pick(&pool));
         offsets.push(rng.u64_in(0, 777));
     }
     MulticoreCase {
@@ -918,6 +938,47 @@ mod tests {
         assert!(report.passed(), "failures: {:#?}", report.failures);
         assert_eq!(report.reports.len(), sttcache::catalog::catalog().len());
         assert_eq!(report.reports[0].organization, "SRAM baseline");
+    }
+
+    #[test]
+    fn generators_draw_every_documented_choice() {
+        use std::collections::BTreeSet;
+        let mut cores = BTreeSet::new();
+        let mut orgs = BTreeSet::new();
+        for seed in 0..64 {
+            let case = multicore_case(Adversary::RandomMix, seed, 32);
+            cores.insert(case.orgs.len());
+            orgs.extend(case.orgs.iter().map(|o| o.name()));
+        }
+        assert_eq!(cores.into_iter().collect::<Vec<_>>(), [2, 3, 4]);
+        assert_eq!(orgs.len(), all_organizations().len(), "drawn: {orgs:?}");
+
+        let mut kernels = BTreeSet::new();
+        let mut transforms = BTreeSet::new();
+        for kind in Adversary::ALL {
+            for seed in 0..16 {
+                let (spec, t) = irregular_choice(kind, seed);
+                kernels.insert(spec.cli);
+                transforms.insert((t.vectorize, t.prefetch, t.others));
+            }
+        }
+        let irregular =
+            sttcache_workloads::catalog::family(sttcache_workloads::WorkloadFamily::Irregular);
+        assert_eq!(kernels.len(), irregular.len(), "drawn: {kernels:?}");
+        assert_eq!(transforms.len(), 8, "drawn: {transforms:?}");
+
+        let mut kinds = BTreeSet::new();
+        for seed in 0..4 {
+            let trace = adversarial_trace(Adversary::RandomMix, seed, 500);
+            kinds.extend(trace.events().iter().map(|e| match e {
+                TraceEvent::Load { .. } => "load",
+                TraceEvent::Store { .. } => "store",
+                TraceEvent::Prefetch { .. } => "prefetch",
+                TraceEvent::Compute { .. } => "compute",
+                TraceEvent::Branch { .. } => "branch",
+            }));
+        }
+        assert_eq!(kinds.len(), 5, "random-mix emitted only {kinds:?}");
     }
 
     #[test]

@@ -249,6 +249,9 @@ mod tests {
 
     #[test]
     fn explanation_attributes_the_vwb_penalty() {
+        let _gate = crate::TELEMETRY_GATE
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         // A 3-entry VWB no other test sweeps, so the result memo is
         // guaranteed cold and the registry captures the measured run.
         let cfg = PlatformConfig::new(DCacheOrganization::NvmVwb(sttcache::VwbConfig {
@@ -257,8 +260,9 @@ mod tests {
         }));
         let workload = crate::workload::resolve("2mm").expect("catalog kernel");
         let e = explain(&cfg, workload, ProblemSize::Mini, Transformations::none());
-        // The gate is restored to its pre-explain state.
-        assert!(!telemetry::enabled() || std::env::var("STTCACHE_TELEMETRY").is_ok());
+        // The gate is restored to its pre-explain state: disarmed, since
+        // only the tests holding `TELEMETRY_GATE` arm it.
+        assert!(!telemetry::enabled());
         // The measured run was cold, so the registry captured it.
         assert!(!e.snapshot.is_empty());
         assert!(e.snapshot.indexed_for("dl1", "set_writes").is_some());

@@ -12,7 +12,8 @@ use crate::parallel::SweepRunner;
 use crate::trace_cache;
 use sttcache::{
     l2_config, nvm_dl1_config, nvm_il1_config, penalty_pct, sram_dl1_config, sram_il1_config,
-    DCacheOrganization, DlOneTechnology, PlatformConfig, VwbConfig, VwbFrontEnd,
+    DCacheOrganization, DlOneTechnology, FrontEnd, PlatformConfig, StageSpec, VwbConfig,
+    VwbFrontEnd,
 };
 use sttcache_cpu::{Core, CoreConfig, FetchUnit, MemPort};
 use sttcache_mem::{AsymmetricWrite, Cache, CacheConfig, MainMemory, NextLinePrefetcher, Shared};
@@ -60,22 +61,17 @@ fn run_unified(
     .expect("canonical il1");
     let il1 = Cache::new(il1_cfg, l2.clone());
     let dl1 = Cache::new(dl1_cfg, l2.clone());
+    let line_bits = dl1.config().line_bytes() * 8;
+    let stage = vwb.map(|cfg| {
+        StageSpec::Vwb(cfg)
+            .build(line_bits)
+            .expect("canonical vwb over shared l2")
+    });
 
-    match vwb {
-        Some(cfg) => {
-            let fe = VwbFrontEnd::new(cfg, dl1).expect("canonical vwb over shared l2");
-            let mut core = Core::new(CoreConfig::default(), fe);
-            core.attach_fetch_unit(FetchUnit::new(Box::new(il1), 16 * 1024));
-            trace_cache::drive(&mut core, workload, size, Transformations::none());
-            core.report().cycles
-        }
-        None => {
-            let mut core = Core::new(CoreConfig::default(), MemPort::new(dl1));
-            core.attach_fetch_unit(FetchUnit::new(Box::new(il1), 16 * 1024));
-            trace_cache::drive(&mut core, workload, size, Transformations::none());
-            core.report().cycles
-        }
-    }
+    let mut core = Core::new(CoreConfig::default(), FrontEnd::new(stage, dl1));
+    core.attach_fetch_unit(FetchUnit::new(Box::new(il1), 16 * 1024));
+    trace_cache::drive(&mut core, workload, size, Transformations::none());
+    core.report().cycles
 }
 
 /// Extension 1 — NVM instruction cache (paper reference \[7\]), on the

@@ -34,3 +34,8 @@ pub use parallel::{GridPoint, SweepError, SweepRunner};
 pub use profile::{ProfileReport, ProfileSnapshot};
 pub use trace_cache::{TraceCache, TraceCacheStats, TraceKey};
 pub use workload::WorkloadError;
+
+/// Held by every unit test that arms the process-wide telemetry gate, so
+/// no test sees another one's arming.
+#[cfg(test)]
+pub(crate) static TELEMETRY_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -562,6 +562,9 @@ mod tests {
 
     #[test]
     fn explain_mix_attributes_shared_conflicts() {
+        let _gate = crate::TELEMETRY_GATE
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         // A bank-starved shared L2 no other test sweeps keeps the memo
         // cold and guarantees conflicts to attribute.
         let mix = MixSpec::parse("gemm+gemm@1").unwrap();

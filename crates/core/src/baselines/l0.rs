@@ -11,7 +11,7 @@
 //! read on store misses.
 
 use crate::buffer::FaBuffer;
-use crate::stage::{BufferStage, BufferStats, Buffered, StageTelemetry};
+use crate::stage::{BufferStage, BufferStats, Buffered};
 use crate::SttError;
 use sttcache_mem::{AccessOutcome, Addr, Cache, Cycle, MemoryLevel, ServedBy};
 
@@ -219,15 +219,6 @@ impl BufferStage for L0Stage {
 
     fn stats(&self) -> BufferStats {
         self.stats
-    }
-
-    fn collect_telemetry(&self, _line_bytes: usize, out: &mut Vec<StageTelemetry>) {
-        out.push(StageTelemetry {
-            kind: self.kind(),
-            resident: self.buffer.len(),
-            dirty: self.dirty_entries(),
-            capacity: self.buffer.capacity(),
-        });
     }
 
     fn boxed_clone(&self) -> Box<dyn BufferStage> {

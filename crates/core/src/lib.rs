@@ -75,8 +75,8 @@ pub use dl1::{
 pub use error::SttError;
 pub use front_end::FrontEnd;
 pub use multi::{
-    core_addr, CoreSpec, McFrontEnd, McHierarchy, MultiAudit, MultiPlatform, MultiPlatformConfig,
-    MultiRunResult, SharedL2, CORE_ADDRESS_STRIDE, MAX_CORES,
+    core_addr, CoreSpec, MultiAudit, MultiPlatform, MultiPlatformConfig, MultiRunResult, SharedL2,
+    CORE_ADDRESS_STRIDE, MAX_CORES,
 };
 pub use penalty::{average_penalty, penalty_pct, PenaltyRow};
 pub use platform::{
@@ -84,10 +84,6 @@ pub use platform::{
 };
 pub use stage::{
     probe_then_fetch, BufferStage, BufferStats, Buffered, StackSpec, StackedStage, StageSpec,
-    StageStats, StageTelemetry,
+    StageStats,
 };
 pub use vwb::{VwbConfig, VwbFrontEnd, VwbStage};
-
-/// The concrete two-level hierarchy under every front-end:
-/// DL1 → unified L2 → main memory.
-pub type Hierarchy = sttcache_mem::Cache<sttcache_mem::Cache<sttcache_mem::MainMemory>>;

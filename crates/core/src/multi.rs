@@ -9,6 +9,11 @@
 //! main memory are shared, exactly the multi-programmed (rate-mode)
 //! setup those studies use.
 //!
+//! Each core's front-end is a [`FrontEnd<SharedL2>`] — the single-core
+//! front-end type over a handle to the shared L2. A front-end drains and
+//! audits only its stage and DL1; the platform owns the shared L2 and
+//! drains it once, after every core.
+//!
 //! # Determinism
 //!
 //! Cores are interleaved by one global rule: **always step the
@@ -25,19 +30,15 @@
 //! a 1-core `MultiPlatform` therefore reproduces the single-core
 //! platform bit-for-bit (proven in `tests/multicore_equivalence.rs`).
 
+use crate::front_end::FrontEnd;
 use crate::platform::{DCacheOrganization, Platform, PlatformConfig, RunResult};
-use crate::stage::{probe_then_fetch, BufferStage, Buffered, StageStats, StageTelemetry};
 use crate::SttError;
-use sttcache_cpu::{Core, CoreConfig, CoreReport, DataPort, Engine, MemPort, Trace, TraceEvent};
+use sttcache_cpu::{Core, CoreConfig, CoreReport, Engine, Trace, TraceEvent};
 use sttcache_mem::{Addr, Cache, CacheConfig, CacheStats, Cycle, MainMemory, MemoryLevel, Shared};
 
 /// The shared tail of a multi-core hierarchy: one banked unified L2
 /// over main memory. Every core's private DL1 holds a handle.
 pub type SharedL2 = Shared<Cache<MainMemory>>;
-
-/// A core-private DL1 over the shared L2 — the multi-core counterpart
-/// of [`crate::Hierarchy`].
-pub type McHierarchy = Cache<SharedL2>;
 
 /// Maximum core count a [`MultiPlatform`] accepts.
 pub const MAX_CORES: usize = 8;
@@ -72,182 +73,6 @@ const CORE_DL1_COMPONENTS: [&str; MAX_CORES] = [
     "core6.dl1",
     "core7.dl1",
 ];
-
-/// A core-private front-end over the shared L2 — the multi-core
-/// counterpart of [`crate::FrontEnd`], with the same two shapes:
-/// direct DL1 access or any [`BufferStage`] composition in front of it.
-///
-/// Statistics come straight off the private DL1 (the shared L2 sits
-/// behind a `RefCell` and cannot be walked with the `levels()`
-/// iterator); shared-level statistics belong to the platform, which
-/// keeps its own [`SharedL2`] handle.
-#[derive(Debug)]
-pub enum McFrontEnd {
-    /// Direct DL1 access.
-    Plain(MemPort<McHierarchy>),
-    /// A buffer-stage composition in front of the DL1.
-    Buffered(Buffered<Box<dyn BufferStage>, McHierarchy>),
-}
-
-impl McFrontEnd {
-    /// Wraps a ready-built stage composition around `dl1`.
-    pub fn buffered(stage: Box<dyn BufferStage>, dl1: McHierarchy) -> Self {
-        McFrontEnd::Buffered(Buffered::compose(stage, dl1))
-    }
-
-    /// The private DL1 behind whatever buffer structure this front-end
-    /// has.
-    fn dl1(&self) -> &McHierarchy {
-        match self {
-            McFrontEnd::Plain(p) => p.level(),
-            McFrontEnd::Buffered(b) => b.below(),
-        }
-    }
-
-    /// Mutable access to the private DL1.
-    fn dl1_mut(&mut self) -> &mut McHierarchy {
-        match self {
-            McFrontEnd::Plain(p) => p.level_mut(),
-            McFrontEnd::Buffered(b) => b.below_mut(),
-        }
-    }
-
-    /// The private DL1 statistics.
-    pub fn dl1_stats(&self) -> &CacheStats {
-        self.dl1().stats()
-    }
-
-    /// Labelled statistics of every buffer stage, outermost first
-    /// (empty for `Plain`).
-    pub fn stage_stats(&self) -> Vec<StageStats> {
-        match self {
-            McFrontEnd::Plain(_) => Vec::new(),
-            McFrontEnd::Buffered(b) => {
-                let mut out = Vec::new();
-                b.stage().collect_stats(&mut out);
-                out
-            }
-        }
-    }
-
-    /// Occupancy snapshots of every buffer stage, outermost first
-    /// (empty for `Plain`).
-    pub fn stage_telemetry(&self) -> Vec<StageTelemetry> {
-        match self {
-            McFrontEnd::Plain(_) => Vec::new(),
-            McFrontEnd::Buffered(b) => {
-                let mut out = Vec::new();
-                b.stage()
-                    .collect_telemetry(b.below().config().line_bytes(), &mut out);
-                out
-            }
-        }
-    }
-
-    /// Resets all statistics in the stage, the private DL1 **and the
-    /// shared L2 behind it** (`Cache::reset_stats` recurses into its
-    /// next level, and the shared level has only one counter set) —
-    /// resetting through any one core clears the L2 for every core.
-    /// [`MultiPlatform`] never resets mid-run; this exists for the
-    /// stage-conformance audit.
-    pub fn reset_stats(&mut self) {
-        match self {
-            McFrontEnd::Plain(p) => p.level_mut().reset_stats(),
-            McFrontEnd::Buffered(b) => b.reset_stats(),
-        }
-    }
-
-    /// Drains the *core-private* dirty state — front buffer stages into
-    /// the DL1, then the DL1 into the shared L2. The shared L2 itself is
-    /// drained once by the platform (it holds lines from every core), not
-    /// per front-end. Returns lines written back and the completion cycle.
-    pub fn flush_dirty(&mut self, now: Cycle) -> (usize, Cycle) {
-        let (front, done) = match self {
-            McFrontEnd::Plain(_) => (0, now),
-            McFrontEnd::Buffered(b) => b.flush_dirty(now),
-        };
-        let (n1, t1) = self.dl1_mut().flush_dirty(done);
-        (front + n1, t1)
-    }
-
-    /// Dirty state still held in the core-private part (front buffer
-    /// entries plus DL1 dirty lines). Zero after a completed
-    /// [`flush_dirty`](Self::flush_dirty).
-    pub fn dirty_line_count(&self) -> usize {
-        let front = match self {
-            McFrontEnd::Plain(_) => 0,
-            McFrontEnd::Buffered(b) => b.dirty_entries(),
-        };
-        front + self.dl1().dirty_lines()
-    }
-
-    /// Base address and line size of every line resident in the
-    /// core-private part (stage entries plus DL1 lines), for phantom-line
-    /// verification: a core's private levels must never hold a line the
-    /// core itself did not touch.
-    pub fn resident_lines(&self) -> Vec<(Addr, usize)> {
-        let mut lines: Vec<(Addr, usize)> = Vec::new();
-        let dl1_bytes = self.dl1().config().line_bytes();
-        if let McFrontEnd::Buffered(b) = self {
-            lines.extend(b.resident_lines().into_iter().map(|a| (a, dl1_bytes)));
-        }
-        lines.extend(
-            self.dl1()
-                .resident_lines()
-                .into_iter()
-                .map(|a| (a, dl1_bytes)),
-        );
-        lines
-    }
-
-    /// End-of-run verification of the core-private part, reported
-    /// through [`sttcache_mem::invariants`]; the platform audits the
-    /// shared L2 separately.
-    pub fn check_drained(&self, now: Cycle) {
-        let front_dirty = match self {
-            McFrontEnd::Plain(_) => 0,
-            McFrontEnd::Buffered(b) => {
-                b.check_invariants(now);
-                b.dirty_entries()
-            }
-        };
-        if front_dirty > 0 {
-            sttcache_mem::invariants::report(
-                "mc-front-end",
-                now,
-                None,
-                format!("{front_dirty} dirty buffer entries remain after drain"),
-            );
-        }
-        self.dl1().check_drained(now);
-    }
-}
-
-impl DataPort for McFrontEnd {
-    fn read(&mut self, addr: Addr, now: Cycle) -> Cycle {
-        match self {
-            McFrontEnd::Plain(p) => p.read(addr, now),
-            McFrontEnd::Buffered(b) => b.read(addr, now),
-        }
-    }
-
-    fn write(&mut self, addr: Addr, now: Cycle) -> Cycle {
-        match self {
-            McFrontEnd::Plain(p) => p.write(addr, now),
-            McFrontEnd::Buffered(b) => b.write(addr, now),
-        }
-    }
-
-    fn prefetch(&mut self, addr: Addr, now: Cycle) {
-        // Same PLD semantics as the single-core front-end: probe the L1
-        // tags, fetch on a miss; promoting stages override
-        // `BufferStage::prefetch`.
-        match self {
-            McFrontEnd::Plain(p) => probe_then_fetch(p.level_mut(), addr, now),
-            McFrontEnd::Buffered(b) => b.prefetch(addr, now),
-        }
-    }
-}
 
 /// One core of a [`MultiPlatform`]: which private organization it runs
 /// and when it starts.
@@ -403,7 +228,11 @@ impl MultiPlatform {
 
     /// Builds core `idx`'s cold private front-end over a handle to the
     /// shared L2.
-    fn build_front_end_for(&self, idx: usize, l2: &SharedL2) -> Result<McFrontEnd, SttError> {
+    fn build_front_end_for(
+        &self,
+        idx: usize,
+        l2: &SharedL2,
+    ) -> Result<FrontEnd<SharedL2>, SttError> {
         let dl1_cfg = match self.config.dl1_override {
             Some(cfg) => cfg,
             None => match self.config.cores[idx].organization.dl1_technology() {
@@ -415,10 +244,7 @@ impl MultiPlatform {
         dl1.set_telemetry_component(CORE_DL1_COMPONENTS[idx]);
         let line_bits = dl1.config().line_bytes() * 8;
         let stage = self.config.cores[idx].organization.build_stage(line_bits)?;
-        Ok(match stage {
-            None => McFrontEnd::Plain(MemPort::new(dl1)),
-            Some(stage) => McFrontEnd::buffered(stage, dl1),
-        })
+        Ok(FrontEnd::new(stage, dl1))
     }
 
     /// Replays one recorded trace per core on a cold platform, cores
@@ -465,12 +291,9 @@ impl MultiPlatform {
             fe.check_drained(t);
         }
         l2.borrow().check_drained(t);
-        let dirty_after_drain = ports
-            .iter()
-            .map(McFrontEnd::dirty_line_count)
-            .sum::<usize>()
-            + l2.borrow().dirty_lines();
-        let core_resident = ports.iter().map(McFrontEnd::resident_lines).collect();
+        let dirty_after_drain =
+            ports.iter().map(FrontEnd::dirty_line_count).sum::<usize>() + l2.borrow().dirty_lines();
+        let core_resident = ports.iter().map(FrontEnd::resident_lines).collect();
         let shared_resident = {
             let guard = l2.borrow();
             let line_bytes = guard.config().line_bytes();
@@ -495,13 +318,13 @@ impl MultiPlatform {
     /// Builds the cold assembly and interleaves the traces to
     /// completion; reports are taken in index order (draining each
     /// core's store buffer deterministically).
-    fn execute(&self, traces: &[&Trace]) -> (Vec<CoreReport>, Vec<McFrontEnd>, SharedL2) {
+    fn execute(&self, traces: &[&Trace]) -> (Vec<CoreReport>, Vec<FrontEnd<SharedL2>>, SharedL2) {
         let n = self.config.cores.len();
         assert_eq!(traces.len(), n, "one trace per core");
         let l2 = self
             .build_shared_l2()
             .expect("configuration was validated eagerly");
-        let mut cores: Vec<Core<McFrontEnd>> = (0..n)
+        let mut cores: Vec<Core<FrontEnd<SharedL2>>> = (0..n)
             .map(|idx| {
                 let fe = self
                     .build_front_end_for(idx, &l2)
@@ -543,7 +366,7 @@ impl MultiPlatform {
         }
 
         let reports: Vec<CoreReport> = cores.iter_mut().map(Core::report).collect();
-        let ports: Vec<McFrontEnd> = cores.into_iter().map(Core::into_port).collect();
+        let ports: Vec<FrontEnd<SharedL2>> = cores.into_iter().map(Core::into_port).collect();
         (reports, ports, l2)
     }
 
@@ -555,7 +378,7 @@ impl MultiPlatform {
     fn assemble(
         &self,
         reports: Vec<CoreReport>,
-        ports: &[McFrontEnd],
+        ports: &[FrontEnd<SharedL2>],
         l2: &SharedL2,
     ) -> MultiRunResult {
         let shared_l2 = l2.stats_snapshot();

@@ -15,7 +15,7 @@ use crate::front_end::FrontEnd;
 use crate::stage::{BufferStage, BufferStats, StackSpec, StageSpec, StageStats};
 use crate::vwb::VwbConfig;
 use crate::SttError;
-use sttcache_cpu::{Core, CoreConfig, CoreReport, Engine, FetchUnit, MemPort, Trace};
+use sttcache_cpu::{Core, CoreConfig, CoreReport, Engine, FetchUnit, Trace};
 use sttcache_mem::{Cache, CacheConfig, CacheStats, MainMemory};
 use sttcache_tech::{ArrayModel, CellKind, LeakageIntegrator};
 
@@ -217,10 +217,8 @@ impl Platform {
         let mut dl1 = Cache::new(self.dl1_config()?, tail);
         dl1.set_telemetry_component("dl1");
         let line_bits = dl1.config().line_bytes() * 8;
-        Ok(match self.config.organization.build_stage(line_bits)? {
-            None => FrontEnd::Plain(MemPort::new(dl1)),
-            Some(stage) => FrontEnd::buffered(stage, dl1),
-        })
+        let stage = self.config.organization.build_stage(line_bits)?;
+        Ok(FrontEnd::new(stage, dl1))
     }
 
     /// Builds a cold front-end for this configuration — the same

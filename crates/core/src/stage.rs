@@ -10,6 +10,12 @@
 //! hierarchy behind [`DataPort`], and [`StackedStage`] nests one stage
 //! over another, so new organizations are a composition plus a catalog
 //! entry instead of a new front-end variant.
+//!
+//! Stages report cumulative counters through [`BufferStage::stats`] and
+//! [`BufferStage::collect_stats`]. Their occupancy goes to the telemetry
+//! registry as the `depth` histograms `sim --explain` renders, recorded
+//! on the access path behind the telemetry gate, so the trait carries no
+//! snapshot hook.
 
 use crate::SttError;
 use sttcache_cpu::DataPort;
@@ -74,23 +80,6 @@ pub struct StageStats {
     pub kind: &'static str,
     /// The stage's counters.
     pub stats: BufferStats,
-}
-
-/// A point-in-time occupancy snapshot of one stage, as collected by
-/// [`BufferStage::collect_telemetry`]. Unlike [`StageStats`] (cumulative
-/// counters, always on), this is the end-of-run residency picture the
-/// explain report pairs with the cycle-resolved samples in
-/// [`sttcache_mem::telemetry`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageTelemetry {
-    /// The stage kind that produced the snapshot.
-    pub kind: &'static str,
-    /// Lines currently resident in the stage.
-    pub resident: usize,
-    /// Dirty entries currently held.
-    pub dirty: usize,
-    /// Entry capacity (0 when the stage does not expose one).
-    pub capacity: usize,
 }
 
 /// The shared prefetch-hint policy: an ARM `PLD` probes the backing
@@ -167,19 +156,6 @@ pub trait BufferStage: std::fmt::Debug {
         });
     }
 
-    /// Appends this stage's occupancy snapshot to `out`; composite stages
-    /// recurse, mirroring [`BufferStage::collect_stats`]. The default
-    /// derives residency from the drain surface; stages with a known
-    /// entry capacity override to report it.
-    fn collect_telemetry(&self, line_bytes: usize, out: &mut Vec<StageTelemetry>) {
-        out.push(StageTelemetry {
-            kind: self.kind(),
-            resident: self.resident_lines(line_bytes).len(),
-            dirty: self.dirty_entries(),
-            capacity: 0,
-        });
-    }
-
     /// Clones the stage behind the object-safe interface.
     fn boxed_clone(&self) -> Box<dyn BufferStage>;
 }
@@ -237,10 +213,6 @@ impl BufferStage for Box<dyn BufferStage> {
 
     fn collect_stats(&self, out: &mut Vec<StageStats>) {
         (**self).collect_stats(out);
-    }
-
-    fn collect_telemetry(&self, line_bytes: usize, out: &mut Vec<StageTelemetry>) {
-        (**self).collect_telemetry(line_bytes, out);
     }
 
     fn boxed_clone(&self) -> Box<dyn BufferStage> {
@@ -489,11 +461,6 @@ impl BufferStage for StackedStage {
     fn collect_stats(&self, out: &mut Vec<StageStats>) {
         self.outer.collect_stats(out);
         self.inner.collect_stats(out);
-    }
-
-    fn collect_telemetry(&self, line_bytes: usize, out: &mut Vec<StageTelemetry>) {
-        self.outer.collect_telemetry(line_bytes, out);
-        self.inner.collect_telemetry(line_bytes, out);
     }
 
     fn boxed_clone(&self) -> Box<dyn BufferStage> {

@@ -32,7 +32,7 @@
 //! bank for extra cycles past the critical word (ablation knob).
 
 use crate::buffer::FaBuffer;
-use crate::stage::{BufferStage, BufferStats, Buffered, StageTelemetry};
+use crate::stage::{BufferStage, BufferStats, Buffered};
 use crate::SttError;
 use sttcache_mem::{telemetry, AccessOutcome, Addr, Cache, Cycle, MemoryLevel, ServedBy};
 
@@ -196,14 +196,9 @@ impl VwbStage {
         if telemetry::enabled() {
             use std::sync::OnceLock;
             static DEPTH_HIST: OnceLock<telemetry::Slot> = OnceLock::new();
-            static DEPTH_SERIES: OnceLock<telemetry::Slot> = OnceLock::new();
-            let depth = self.buffer.len() as u64;
             DEPTH_HIST
                 .get_or_init(|| telemetry::Slot::histogram("vwb", "depth"))
-                .observe(depth);
-            DEPTH_SERIES
-                .get_or_init(|| telemetry::Slot::series("vwb", "depth"))
-                .sample(out.complete_at, depth);
+                .observe(self.buffer.len() as u64);
         }
         out
     }
@@ -342,15 +337,6 @@ impl BufferStage for VwbStage {
 
     fn stats(&self) -> BufferStats {
         self.stats
-    }
-
-    fn collect_telemetry(&self, _line_bytes: usize, out: &mut Vec<StageTelemetry>) {
-        out.push(StageTelemetry {
-            kind: self.kind(),
-            resident: self.buffer.len(),
-            dirty: self.dirty_entries(),
-            capacity: self.buffer.capacity(),
-        });
     }
 
     fn boxed_clone(&self) -> Box<dyn BufferStage> {

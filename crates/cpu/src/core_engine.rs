@@ -172,18 +172,6 @@ impl<P: DataPort> Engine for Core<P> {
         let raw_stall = data_ready.saturating_sub(issue + 1);
         let stall = raw_stall.saturating_sub(self.config.load_overlap_cycles);
         self.read_stall_cycles += stall;
-        if sttcache_mem::telemetry::enabled() {
-            use std::sync::OnceLock;
-            use sttcache_mem::telemetry::Slot;
-            static STALL_HIST: OnceLock<Slot> = OnceLock::new();
-            static STALL_SERIES: OnceLock<Slot> = OnceLock::new();
-            STALL_HIST
-                .get_or_init(|| Slot::histogram("core", "load_stall"))
-                .observe(stall);
-            STALL_SERIES
-                .get_or_init(|| Slot::series("core", "read_stall_cycles"))
-                .sample(issue, self.read_stall_cycles);
-        }
         self.now = issue + 1 + stall;
     }
 

@@ -64,16 +64,11 @@ impl StoreBuffer {
             use std::sync::OnceLock;
             use sttcache_mem::telemetry::Slot;
             static DEPTH_HIST: OnceLock<Slot> = OnceLock::new();
-            static DEPTH_SERIES: OnceLock<Slot> = OnceLock::new();
             // Depth after the drain, before this store's completion is
             // recorded (read-only observation).
-            let depth = self.completions.len() as u64;
             DEPTH_HIST
                 .get_or_init(|| Slot::histogram("store-buffer", "depth"))
-                .observe(depth);
-            DEPTH_SERIES
-                .get_or_init(|| Slot::series("store-buffer", "depth"))
-                .sample(now, depth);
+                .observe(self.completions.len() as u64);
         }
         if self.completions.len() >= self.capacity {
             let oldest = *self.completions.front().expect("full buffer is non-empty");

@@ -28,13 +28,9 @@ use crate::telemetry::Slot;
 pub struct BankSchedule {
     free_at: Vec<Cycle>,
     conflict_cycles: u64,
-    /// Telemetry component label (the owning cache's name; see
+    /// Pre-resolved per-bank conflict-cycle telemetry slot, re-resolved
+    /// whenever the component label changes (see
     /// [`BankSchedule::set_telemetry_component`]).
-    component: &'static str,
-    /// Pre-resolved telemetry slots for the armed fast path, re-resolved
-    /// whenever the component label changes.
-    slot_reservations: Slot,
-    slot_busy_cycles: Slot,
     slot_conflicts: Slot,
 }
 
@@ -49,9 +45,6 @@ impl BankSchedule {
         BankSchedule {
             free_at: vec![0; banks],
             conflict_cycles: 0,
-            component: "cache",
-            slot_reservations: Slot::indexed("cache", "bank_reservations"),
-            slot_busy_cycles: Slot::indexed("cache", "bank_busy_cycles"),
             slot_conflicts: Slot::indexed("cache", "bank_conflict_cycles"),
         }
     }
@@ -59,9 +52,6 @@ impl BankSchedule {
     /// Names the component telemetry is recorded under (the owning
     /// cache's label, e.g. `"dl1"`).
     pub fn set_telemetry_component(&mut self, component: &'static str) {
-        self.component = component;
-        self.slot_reservations = Slot::indexed(component, "bank_reservations");
-        self.slot_busy_cycles = Slot::indexed(component, "bank_busy_cycles");
         self.slot_conflicts = Slot::indexed(component, "bank_conflict_cycles");
     }
 
@@ -81,12 +71,8 @@ impl BankSchedule {
         let start = self.free_at[bank].max(now);
         self.conflict_cycles += start - now;
         self.free_at[bank] = start + occupancy;
-        if crate::telemetry::enabled() {
-            self.slot_reservations.add_at(bank, 1);
-            self.slot_busy_cycles.add_at(bank, occupancy);
-            if start > now {
-                self.slot_conflicts.add_at(bank, start - now);
-            }
+        if start > now && crate::telemetry::enabled() {
+            self.slot_conflicts.add_at(bank, start - now);
         }
         if crate::invariants::enabled() && self.free_at[bank] < now + occupancy {
             // The schedule lost time: the reservation we just made ends

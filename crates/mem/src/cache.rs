@@ -81,13 +81,10 @@ pub struct Cache<N> {
     mirror_tags: Vec<u64>,
     /// Valid-way bitmask per set, same lifetime rules as `mirror_tags`.
     mirror_valid: Vec<u64>,
-    /// Telemetry component label (`"dl1"`, `"l2"`, …).
-    component: &'static str,
     /// Pre-resolved wear/share telemetry slots, re-resolved whenever the
-    /// component label changes.
+    /// component label (`"dl1"`, `"l2"`, …) changes.
     slot_set_writes: crate::telemetry::Slot,
     slot_bank_writes: crate::telemetry::Slot,
-    slot_bank_reads: crate::telemetry::Slot,
 }
 
 /// Widest associativity the compact tag mirror can represent (one valid
@@ -125,10 +122,8 @@ impl<N: MemoryLevel> Cache<N> {
             next,
             stats: CacheStats::new(),
             array_writes: 0,
-            component: "cache",
             slot_set_writes: crate::telemetry::Slot::indexed("cache", "set_writes"),
             slot_bank_writes: crate::telemetry::Slot::indexed("cache", "bank_writes"),
-            slot_bank_reads: crate::telemetry::Slot::indexed("cache", "bank_reads"),
         }
     }
 
@@ -185,10 +180,8 @@ impl<N: MemoryLevel> Cache<N> {
     /// labels its levels `"dl1"` and `"l2"`; standalone caches default to
     /// `"cache"`.
     pub fn set_telemetry_component(&mut self, component: &'static str) {
-        self.component = component;
         self.slot_set_writes = crate::telemetry::Slot::indexed(component, "set_writes");
         self.slot_bank_writes = crate::telemetry::Slot::indexed(component, "bank_writes");
-        self.slot_bank_reads = crate::telemetry::Slot::indexed(component, "bank_reads");
         self.banks.set_telemetry_component(component);
         self.mshrs.set_telemetry_component(component);
         self.write_buffer.set_telemetry_component(component);
@@ -200,14 +193,6 @@ impl<N: MemoryLevel> Cache<N> {
         if crate::telemetry::enabled() {
             self.slot_set_writes.add_at(set_index, 1);
             self.slot_bank_writes.add_at(bank, 1);
-        }
-    }
-
-    /// Records one data/tag-array read for the per-bank shares.
-    #[inline]
-    fn telemetry_array_read(&self, bank: usize) {
-        if crate::telemetry::enabled() {
-            self.slot_bank_reads.add_at(bank, 1);
         }
     }
 
@@ -464,7 +449,6 @@ impl<N: MemoryLevel> Cache<N> {
         let bank = line.bank(self.config.banks());
         let lookup_start = self.banks.reserve(bank, at, self.config.read_cycles());
         let lookup_done = lookup_start + self.config.read_cycles();
-        self.telemetry_array_read(bank);
 
         let base = line.base(self.config.line_bytes());
         let below = self.next.read(base, lookup_done);
@@ -604,7 +588,6 @@ impl<N: MemoryLevel> Cache<N> {
                 // Data of an in-flight fill may not have arrived yet.
                 let avail = self.mshrs.ready_time(line, now).map_or(now, |r| r.max(now));
                 let start = self.banks.reserve(bank, avail, self.config.read_cycles());
-                self.telemetry_array_read(bank);
                 self.sets[set_index].touch(way, start, false);
                 AccessOutcome {
                     complete_at: start + self.config.read_cycles(),
@@ -1215,8 +1198,6 @@ mod tests {
             snap.indexed_for("dl1", "bank_writes").unwrap().total(),
             wear.total()
         );
-        // The tag read of each miss is a bank read.
-        assert_eq!(snap.indexed_for("dl1", "bank_reads").unwrap().total(), 8);
         // MSHR occupancy was observed once per miss.
         let occ = snap.histogram("dl1", "mshr_occupancy").unwrap();
         assert_eq!(occ.total, 8);

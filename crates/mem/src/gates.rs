@@ -3,9 +3,10 @@
 //! The fast paths in [`Cache`] must bail whenever *either* the telemetry
 //! gate or the invariant gate is armed. Checking both per access costs
 //! two atomic loads and two branches; since each source gate changes
-//! only through its `set_enabled` function or its one-time environment
-//! read, their disjunction is cached here as a third tri-state atomic
-//! and the steady-state check is a single relaxed load.
+//! only through its `set_enabled` function (or, for the invariant gate,
+//! its one-time environment read), their disjunction is cached here as a
+//! third tri-state atomic and the steady-state check is a single relaxed
+//! load.
 //!
 //! [`Cache`]: crate::Cache
 
@@ -25,7 +26,7 @@ pub(crate) fn any_observer_armed() -> bool {
 }
 
 /// Recomputes the cached disjunction from the two source gates, forcing
-/// their environment reads if they have not happened yet. Both
+/// the invariant gate's environment read if it has not happened yet. Both
 /// `set_enabled` functions call this after every store, so the cache
 /// cannot go stale: once initialised, the source gates only move through
 /// `set_enabled`.

@@ -66,11 +66,8 @@ pub struct MshrFile {
     /// `entries.is_empty()` is useless as an idleness test; this watermark
     /// gives an O(1) sound one (see [`MshrFile::fills_pending`]).
     max_ready_at: Cycle,
-    /// Telemetry component label (the owning cache's name).
-    component: &'static str,
-    /// Pre-resolved occupancy telemetry slots (histogram + series).
+    /// Pre-resolved occupancy telemetry histogram.
     slot_occ_hist: crate::telemetry::Slot,
-    slot_occ_series: crate::telemetry::Slot,
 }
 
 impl MshrFile {
@@ -87,18 +84,14 @@ impl MshrFile {
             merges: 0,
             full_events: 0,
             max_ready_at: 0,
-            component: "cache",
             slot_occ_hist: crate::telemetry::Slot::histogram("cache", "mshr_occupancy"),
-            slot_occ_series: crate::telemetry::Slot::series("cache", "mshr_occupancy"),
         }
     }
 
     /// Names the component telemetry is recorded under (the owning
     /// cache's label, e.g. `"dl1"`).
     pub fn set_telemetry_component(&mut self, component: &'static str) {
-        self.component = component;
         self.slot_occ_hist = crate::telemetry::Slot::histogram(component, "mshr_occupancy");
-        self.slot_occ_series = crate::telemetry::Slot::series(component, "mshr_occupancy");
     }
 
     /// Capacity in entries.
@@ -124,9 +117,7 @@ impl MshrFile {
         if crate::telemetry::enabled() {
             // Outstanding-miss depth right after lazy reclamation: every
             // remaining entry is live (in flight or awaiting completion).
-            let depth = self.entries.len() as u64;
-            self.slot_occ_hist.observe(depth);
-            self.slot_occ_series.sample(now, depth);
+            self.slot_occ_hist.observe(self.entries.len() as u64);
         }
         if let Some(e) = self.entries.iter_mut().find(|e| e.line == line) {
             e.targets += 1;

@@ -1,70 +1,48 @@
-//! Cycle-resolved telemetry registry behind a zero-cost env gate.
+//! Telemetry registry behind a zero-cost gate.
 //!
 //! The aggregate statistics ([`crate::CacheStats`], the stage stats in
 //! `sttcache-core`) say *which* organization wins; this module records
-//! *why*: per-bank busy and conflict occupancy, outstanding-miss depth,
-//! buffer depth and coalescing-run histograms, and per-set write traffic
-//! (the wear map `sttcache_tech::endurance` consumes). All of it is
-//! gathered the same way the invariant checkers are
+//! *why*, for the `sim --explain` attribution reports: per-bank write
+//! shares and conflict cycles, outstanding-miss, write-buffer and
+//! front-end buffer depth histograms, coalescing runs, and per-set write
+//! traffic (the wear map `sttcache_tech::endurance` consumes). All of it
+//! is gathered the same way the invariant checkers are
 //! ([`crate::invariants`]): hot paths consult [`enabled`] — one relaxed
-//! atomic load, armed by `STTCACHE_TELEMETRY=1` or [`set_enabled`] — and
-//! only then touch the registry, so disarmed sweeps pay nothing
-//! measurable (the repo benchmark, `benchmark/`, runs every workload
-//! disarmed, so a cost that grows shows in its end-to-end metrics).
+//! atomic load, off until [`set_enabled`] arms it — and only then touch
+//! the registry, so disarmed sweeps pay nothing measurable (the repo
+//! benchmark, `benchmark/`, runs every workload disarmed, so a cost that
+//! grows shows in its end-to-end metrics).
 //!
-//! Memory is bounded by construction: histograms index small occupancy
-//! values directly and spill the tail into an overflow bucket, time
-//! series use a stride-doubling sampler that never retains more than
-//! [`SERIES_CAP`] points, and indexed counters (wear maps, per-bank
-//! shares) stop growing at [`INDEXED_CAP`] slots. The registry is
-//! thread-local so parallel sweep workers never contaminate each other;
-//! harnesses drain it with [`take`].
+//! There are two instrument shapes, both bounded by construction:
+//! [`Histogram`]s index small occupancy values directly and spill the
+//! tail into an overflow bucket, and [`IndexedCounter`]s (wear maps,
+//! per-bank shares) stop growing at [`INDEXED_CAP`] slots. The registry
+//! is thread-local so parallel sweep workers never contaminate each
+//! other; harnesses drain it with [`take`].
 //!
-//! Armed recording is direct-indexed: a [`Slot`] interns its
+//! Recording is direct-indexed: a [`Slot`] interns its
 //! `(component, metric)` key once (at component construction) and every
 //! subsequent record is a vector index into thread-local storage — no
-//! per-event map walk. The by-name functions ([`count`], [`observe`],
-//! [`sample`], [`record_indexed`]) stay as the convenient cold-path API
-//! and resolve their slot on each call.
+//! per-event map walk.
 
-use crate::addr::Cycle;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-/// Gate state: 0 = uninitialised, 1 = off, 2 = on.
-static GATE: AtomicU8 = AtomicU8::new(0);
+/// Whether the registry records; off until [`set_enabled`] arms it.
+static GATE: AtomicBool = AtomicBool::new(false);
 
-/// Whether telemetry collection is enabled in this process.
-///
-/// Reads `STTCACHE_TELEMETRY` once (any value other than `0`/`false`/""
-/// enables the gate); afterwards it is a single relaxed atomic load.
-/// [`set_enabled`] overrides the environment at any time.
+/// Whether telemetry collection is enabled in this process: a single
+/// relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
-    match GATE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => init_from_env(),
-    }
+    GATE.load(Ordering::Relaxed)
 }
 
-#[cold]
-fn init_from_env() -> bool {
-    let on = std::env::var("STTCACHE_TELEMETRY")
-        .map(|v| !v.is_empty() && v != "0" && v != "false")
-        .unwrap_or(false);
-    // Racing first calls agree on the same env-derived value, so a plain
-    // store is fine; a concurrent set_enabled wins either way on its own
-    // subsequent store.
-    GATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
-}
-
-/// Forces the gate on or off, overriding `STTCACHE_TELEMETRY`.
+/// Arms or disarms the gate for the whole process.
 pub fn set_enabled(on: bool) {
-    GATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    GATE.store(on, Ordering::Relaxed);
     crate::gates::refresh();
 }
 
@@ -72,9 +50,6 @@ pub fn set_enabled(on: bool) {
 /// Occupancies (MSHR depth, buffer depth, coalescing runs) are tiny, so
 /// direct value indexing keeps percentiles exact where it matters.
 const HISTOGRAM_CAP: usize = 1024;
-
-/// A time series never retains more than this many points.
-pub const SERIES_CAP: usize = 512;
 
 /// Indexed counters (wear maps, per-bank tallies) stop growing at this
 /// many slots; out-of-range indices are counted in
@@ -142,53 +117,6 @@ impl Histogram {
     }
 }
 
-/// Bounded cycle-resolved time series: a fixed-stride sampler that keeps
-/// every `stride`-th observation and, whenever the buffer fills, drops
-/// every other retained point and doubles the stride. Deterministic,
-/// memory-bounded, and uniform over the run regardless of its length.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Series {
-    /// Retained `(cycle, value)` samples in observation order.
-    pub points: Vec<(Cycle, u64)>,
-    /// Current sampling stride (1 = every observation retained).
-    pub stride: u64,
-    /// Total observations offered, including ones the stride skipped.
-    pub seen: u64,
-}
-
-impl Default for Series {
-    fn default() -> Self {
-        Series {
-            points: Vec::new(),
-            stride: 1,
-            seen: 0,
-        }
-    }
-}
-
-impl Series {
-    fn sample(&mut self, cycle: Cycle, value: u64) {
-        if self.seen.is_multiple_of(self.stride) {
-            if self.points.len() == SERIES_CAP {
-                // Keep even indices, double the stride: the retained set
-                // stays uniformly spaced over everything seen so far.
-                let kept: Vec<_> = self.points.iter().copied().step_by(2).collect();
-                self.points = kept;
-                self.stride *= 2;
-            }
-            if self.seen.is_multiple_of(self.stride) {
-                self.points.push((cycle, value));
-            }
-        }
-        self.seen += 1;
-    }
-
-    /// Largest retained value (0 when empty).
-    pub fn peak(&self) -> u64 {
-        self.points.iter().map(|&(_, v)| v).max().unwrap_or(0)
-    }
-}
-
 /// Densely indexed counters — per-set wear maps, per-bank access tallies.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IndexedCounter {
@@ -233,12 +161,8 @@ pub type MetricKey = (&'static str, &'static str);
 /// Everything one thread recorded since the last [`take`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
-    /// Plain monotonic counters.
-    pub counters: BTreeMap<MetricKey, u64>,
     /// Value-indexed histograms.
     pub histograms: BTreeMap<MetricKey, Histogram>,
-    /// Cycle-resolved time series.
-    pub series: BTreeMap<MetricKey, Series>,
     /// Densely indexed counters (wear maps, per-bank tallies).
     pub indexed: BTreeMap<MetricKey, IndexedCounter>,
 }
@@ -246,19 +170,7 @@ pub struct TelemetrySnapshot {
 impl TelemetrySnapshot {
     /// Whether nothing at all was recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.histograms.is_empty()
-            && self.series.is_empty()
-            && self.indexed.is_empty()
-    }
-
-    /// Counter value, 0 when the metric was never recorded.
-    pub fn counter(&self, component: &str, metric: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|((c, m), _)| *c == component && *m == metric)
-            .map(|(_, &v)| v)
-            .unwrap_or(0)
+        self.histograms.is_empty() && self.indexed.is_empty()
     }
 
     /// Histogram for the metric, if recorded.
@@ -267,14 +179,6 @@ impl TelemetrySnapshot {
             .iter()
             .find(|((c, m), _)| *c == component && *m == metric)
             .map(|(_, h)| h)
-    }
-
-    /// Series for the metric, if recorded.
-    pub fn series_for(&self, component: &str, metric: &str) -> Option<&Series> {
-        self.series
-            .iter()
-            .find(|((c, m), _)| *c == component && *m == metric)
-            .map(|(_, s)| s)
     }
 
     /// Indexed counter for the metric, if recorded.
@@ -286,26 +190,24 @@ impl TelemetrySnapshot {
     }
 }
 
-/// What a slot records into — one storage variant per recording surface.
+/// What a slot records into — one storage variant per instrument shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotKind {
-    Counter,
     Histogram,
-    Series,
     Indexed,
 }
 
 /// Process-wide metric intern table: slot id → `(key, kind)`. Appended
-/// under a mutex when a [`Slot`] is first resolved (component
-/// construction, or the legacy by-name entry points); the id is stable
-/// for the life of the process, so recording never consults the table.
+/// under a mutex when a [`Slot`] is first resolved (at component
+/// construction); the id is stable for the life of the process, so
+/// recording never consults the table.
 static INTERN: Mutex<Vec<(MetricKey, SlotKind)>> = Mutex::new(Vec::new());
 
 /// A pre-resolved metric handle.
 ///
-/// Recording by name walks a key map on every event; armed sweeps spend
-/// more time in that lookup than in the simulation being measured. A
-/// `Slot` does the lookup once — components resolve their slots at
+/// Looking a metric up by name on every event would cost armed runs
+/// more than the simulation being measured. A `Slot` does the lookup
+/// once — components resolve their slots at
 /// construction (and again in `set_telemetry_component`) and armed
 /// recording becomes a direct index into a thread-local vector.
 ///
@@ -325,33 +227,14 @@ fn intern(key: MetricKey, kind: SlotKind) -> Slot {
 }
 
 impl Slot {
-    /// Resolves the plain-counter slot for `(component, metric)`.
-    pub fn counter(component: &'static str, metric: &'static str) -> Slot {
-        intern((component, metric), SlotKind::Counter)
-    }
-
     /// Resolves the histogram slot for `(component, metric)`.
     pub fn histogram(component: &'static str, metric: &'static str) -> Slot {
         intern((component, metric), SlotKind::Histogram)
     }
 
-    /// Resolves the time-series slot for `(component, metric)`.
-    pub fn series(component: &'static str, metric: &'static str) -> Slot {
-        intern((component, metric), SlotKind::Series)
-    }
-
     /// Resolves the indexed-counter slot for `(component, metric)`.
     pub fn indexed(component: &'static str, metric: &'static str) -> Slot {
         intern((component, metric), SlotKind::Indexed)
-    }
-
-    /// Adds `n` to this counter slot on this thread.
-    #[inline]
-    pub fn add(self, n: u64) {
-        self.with(|d| match d {
-            SlotData::Counter(c) => *c += n,
-            _ => debug_assert!(false, "add on a non-counter slot"),
-        });
     }
 
     /// Observes `value` in this histogram slot.
@@ -360,15 +243,6 @@ impl Slot {
         self.with(|d| match d {
             SlotData::Histogram(h) => h.observe(value),
             _ => debug_assert!(false, "observe on a non-histogram slot"),
-        });
-    }
-
-    /// Offers a `(cycle, value)` point to this series slot.
-    #[inline]
-    pub fn sample(self, cycle: Cycle, value: u64) {
-        self.with(|d| match d {
-            SlotData::Series(s) => s.sample(cycle, value),
-            _ => debug_assert!(false, "sample on a non-series slot"),
         });
     }
 
@@ -402,9 +276,7 @@ impl Slot {
 /// One slot's thread-local storage.
 #[derive(Debug, Clone)]
 enum SlotData {
-    Counter(u64),
     Histogram(Histogram),
-    Series(Series),
     Indexed(IndexedCounter),
 }
 
@@ -413,9 +285,7 @@ impl SlotData {
     fn fresh(slot: Slot) -> SlotData {
         let kind = INTERN.lock().expect("telemetry intern table poisoned")[slot.0 as usize].1;
         match kind {
-            SlotKind::Counter => SlotData::Counter(0),
             SlotKind::Histogram => SlotData::Histogram(Histogram::default()),
-            SlotKind::Series => SlotData::Series(Series::default()),
             SlotKind::Indexed => SlotData::Indexed(IndexedCounter::default()),
         }
     }
@@ -429,31 +299,6 @@ thread_local! {
     static SLOTS: RefCell<Vec<Option<SlotData>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Adds `n` to the counter `(component, metric)` on this thread.
-///
-/// Callers are expected to have consulted [`enabled`] first; recording
-/// itself is unconditional so harnesses can feed the registry directly.
-/// By-name entry points resolve the [`Slot`] on every call — hot paths
-/// hold a pre-resolved `Slot` instead.
-pub fn count(component: &'static str, metric: &'static str, n: u64) {
-    Slot::counter(component, metric).add(n);
-}
-
-/// Observes `value` in the histogram `(component, metric)`.
-pub fn observe(component: &'static str, metric: &'static str, value: u64) {
-    Slot::histogram(component, metric).observe(value);
-}
-
-/// Offers a `(cycle, value)` point to the series `(component, metric)`.
-pub fn sample(component: &'static str, metric: &'static str, cycle: Cycle, value: u64) {
-    Slot::series(component, metric).sample(cycle, value);
-}
-
-/// Adds `n` at `index` in the indexed counter `(component, metric)`.
-pub fn record_indexed(component: &'static str, metric: &'static str, index: usize, n: u64) {
-    Slot::indexed(component, metric).add_at(index, n);
-}
-
 /// Drains and returns everything recorded on this thread.
 pub fn take() -> TelemetrySnapshot {
     SLOTS.with(|s| {
@@ -464,14 +309,8 @@ pub fn take() -> TelemetrySnapshot {
             let Some(data) = data.take() else { continue };
             let (key, _) = table[id];
             match data {
-                SlotData::Counter(c) => {
-                    snap.counters.insert(key, c);
-                }
                 SlotData::Histogram(h) => {
                     snap.histograms.insert(key, h);
-                }
-                SlotData::Series(series) => {
-                    snap.series.insert(key, series);
                 }
                 SlotData::Indexed(x) => {
                     snap.indexed.insert(key, x);
@@ -495,23 +334,11 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate_and_drain() {
-        take();
-        count("dl1", "set_writes", 3);
-        count("dl1", "set_writes", 4);
-        count("l2", "set_writes", 1);
-        let snap = take();
-        assert_eq!(snap.counter("dl1", "set_writes"), 7);
-        assert_eq!(snap.counter("l2", "set_writes"), 1);
-        assert_eq!(snap.counter("dl1", "missing"), 0);
-        assert!(take().is_empty());
-    }
-
-    #[test]
     fn histogram_percentiles_are_exact_for_small_values() {
         take();
+        let slot = Slot::histogram("mshr", "occupancy");
         for v in [0u64, 1, 1, 2, 2, 2, 3, 3, 3, 3] {
-            observe("mshr", "occupancy", v);
+            slot.observe(v);
         }
         let snap = take();
         let h = snap.histogram("mshr", "occupancy").unwrap();
@@ -526,8 +353,9 @@ mod tests {
     #[test]
     fn histogram_overflow_reports_as_max() {
         take();
-        observe("wb", "depth", 5);
-        observe("wb", "depth", 2_000_000);
+        let slot = Slot::histogram("wb", "depth");
+        slot.observe(5);
+        slot.observe(2_000_000);
         let snap = take();
         let h = snap.histogram("wb", "depth").unwrap();
         assert_eq!(h.overflow, 1);
@@ -544,42 +372,13 @@ mod tests {
     }
 
     #[test]
-    fn series_is_bounded_and_stride_doubles() {
-        take();
-        let n = (SERIES_CAP as u64) * 5;
-        for i in 0..n {
-            sample("banks", "busy", i, i);
-        }
-        let snap = take();
-        let s = snap.series_for("banks", "busy").unwrap();
-        assert!(s.points.len() <= SERIES_CAP);
-        assert!(s.stride > 1);
-        assert_eq!(s.seen, n);
-        assert_eq!(s.peak(), s.points.iter().map(|&(_, v)| v).max().unwrap());
-        // Retained points are stride-spaced observations of the original
-        // stream, so values are strictly increasing here.
-        assert!(s.points.windows(2).all(|w| w[0].1 < w[1].1));
-    }
-
-    #[test]
-    fn short_series_retains_everything() {
-        take();
-        for i in 0..10u64 {
-            sample("wb", "depth", i * 3, i);
-        }
-        let snap = take();
-        let s = snap.series_for("wb", "depth").unwrap();
-        assert_eq!(s.points.len(), 10);
-        assert_eq!(s.stride, 1);
-    }
-
-    #[test]
     fn indexed_counters_grow_clip_and_rank() {
         take();
-        record_indexed("dl1", "wear", 3, 10);
-        record_indexed("dl1", "wear", 0, 4);
-        record_indexed("dl1", "wear", 3, 1);
-        record_indexed("dl1", "wear", INDEXED_CAP + 7, 2);
+        let slot = Slot::indexed("dl1", "wear");
+        slot.add_at(3, 10);
+        slot.add_at(0, 4);
+        slot.add_at(3, 1);
+        slot.add_at(INDEXED_CAP + 7, 2);
         let snap = take();
         let x = snap.indexed_for("dl1", "wear").unwrap();
         assert_eq!(x.counts[3], 11);
@@ -601,14 +400,14 @@ mod tests {
     #[test]
     fn slots_are_stable_and_merge_with_by_name_recording() {
         take();
-        let slot = Slot::counter("slot-test", "events");
-        assert_eq!(slot, Slot::counter("slot-test", "events"));
-        slot.add(5);
-        // The by-name path resolves to the same slot, so both recordings
-        // land in one counter.
-        count("slot-test", "events", 2);
+        let slot = Slot::indexed("slot-test", "events");
+        slot.add_at(0, 5);
+        // Resolving the same name again yields the same slot, so both
+        // recordings land in one counter.
+        assert_eq!(slot, Slot::indexed("slot-test", "events"));
+        Slot::indexed("slot-test", "events").add_at(0, 2);
         let snap = take();
-        assert_eq!(snap.counter("slot-test", "events"), 7);
+        assert_eq!(snap.indexed_for("slot-test", "events").unwrap().total(), 7);
         assert!(take().is_empty());
     }
 
@@ -616,20 +415,22 @@ mod tests {
     fn same_key_different_kind_gets_its_own_slot() {
         take();
         let h = Slot::histogram("slot-test", "depth");
-        let s = Slot::series("slot-test", "depth");
+        let x = Slot::indexed("slot-test", "depth");
+        assert_ne!(h, x);
         h.observe(3);
-        s.sample(10, 3);
+        x.add_at(1, 3);
         let snap = take();
         assert_eq!(snap.histogram("slot-test", "depth").unwrap().total, 1);
-        assert_eq!(snap.series_for("slot-test", "depth").unwrap().seen, 1);
+        assert_eq!(snap.indexed_for("slot-test", "depth").unwrap().total(), 3);
     }
 
     #[test]
     fn registry_is_thread_local() {
         take();
-        count("dl1", "set_writes", 9);
+        Slot::indexed("dl1", "set_writes").add_at(0, 9);
         let other = std::thread::spawn(|| take().is_empty()).join().unwrap();
         assert!(other);
-        assert_eq!(take().counter("dl1", "set_writes"), 9);
+        let snap = take();
+        assert_eq!(snap.indexed_for("dl1", "set_writes").unwrap().total(), 9);
     }
 }

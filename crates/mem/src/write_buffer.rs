@@ -30,11 +30,8 @@ pub struct WriteBuffer {
     capacity: usize,
     pushes: u64,
     full_stall_cycles: u64,
-    /// Telemetry component label (the owning cache's name).
-    component: &'static str,
-    /// Pre-resolved depth telemetry slots (histogram + series).
+    /// Pre-resolved depth telemetry histogram.
     slot_depth_hist: crate::telemetry::Slot,
-    slot_depth_series: crate::telemetry::Slot,
 }
 
 impl WriteBuffer {
@@ -50,18 +47,14 @@ impl WriteBuffer {
             capacity,
             pushes: 0,
             full_stall_cycles: 0,
-            component: "cache",
             slot_depth_hist: crate::telemetry::Slot::histogram("cache", "write_buffer_depth"),
-            slot_depth_series: crate::telemetry::Slot::series("cache", "write_buffer_depth"),
         }
     }
 
     /// Names the component telemetry is recorded under (the owning
     /// cache's label, e.g. `"dl1"`).
     pub fn set_telemetry_component(&mut self, component: &'static str) {
-        self.component = component;
         self.slot_depth_hist = crate::telemetry::Slot::histogram(component, "write_buffer_depth");
-        self.slot_depth_series = crate::telemetry::Slot::series(component, "write_buffer_depth");
     }
 
     /// Capacity in entries.
@@ -95,9 +88,7 @@ impl WriteBuffer {
             // Depth after the push; `entries.len()` directly — calling
             // `occupancy(now)` here would drain early and change
             // `contains()` behaviour under telemetry.
-            let depth = self.entries.len() as u64;
-            self.slot_depth_hist.observe(depth);
-            self.slot_depth_series.sample(now, depth);
+            self.slot_depth_hist.observe(self.entries.len() as u64);
         }
         proceed_at
     }

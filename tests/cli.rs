@@ -60,6 +60,21 @@ fn sim_honours_vwb_bits_in_any_flag_order() {
 }
 
 #[test]
+fn sim_explain_reports_match_the_golden() {
+    // The single-core and the two-core attribution reports, in that
+    // order, byte for byte: the only reader of the telemetry registry.
+    let explain = |args: &[&str]| {
+        let out = sim(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?} failed:\n{stderr}");
+        String::from_utf8(out.stdout).expect("utf-8 report")
+    };
+    let got = explain(&["--bench", "2mm", "--org", "vwb", "--explain"])
+        + &explain(&["--cores", "2", "--explain"]);
+    assert_eq!(got, include_str!("golden/explain.txt"));
+}
+
+#[test]
 fn figures_rejects_a_second_artifact() {
     assert_rejected(&figures(&["fig1", "fig3"]), "fig3");
 }

@@ -494,13 +494,10 @@ fn bank_pinned_trace(bank: u64, banks: u64, line_bytes: u64, lines: u64) -> sttc
 fn shared_l2_traffic_is_conserved() {
     run_cases("shared_l2_traffic_is_conserved", 24, |rng| {
         let orgs = sttcache::catalog::catalog();
-        let n = rng.usize_in(2, 4);
+        let n = rng.usize_in(2, 5);
         let specs: Vec<sttcache::CoreSpec> = (0..n)
             .map(|_| {
-                sttcache::CoreSpec::staggered(
-                    orgs[rng.usize_in(0, orgs.len() - 1)].organization,
-                    rng.u64_in(0, 999),
-                )
+                sttcache::CoreSpec::staggered(rng.pick(&orgs).organization, rng.u64_in(0, 999))
             })
             .collect();
         let platform =

@@ -20,6 +20,23 @@ fn front_end_of(org: sttcache::DCacheOrganization) -> FrontEnd {
         .expect("validated configuration builds")
 }
 
+/// Drains the whole organization: the front-end's stage and DL1, then
+/// the L2, which the single-core front-end owns. Returns the lines
+/// written back and the completion cycle.
+fn drain(fe: &mut FrontEnd, now: Cycle) -> (usize, Cycle) {
+    let (front, t) = fe.flush_dirty(now);
+    let (l2, done) = fe.l2_mut().flush_dirty(t);
+    (front + l2, done)
+}
+
+/// Every line resident in the stage, the DL1 and the L2, with its size.
+fn resident_lines(fe: &FrontEnd) -> Vec<(Addr, usize)> {
+    let l2_bytes = fe.l2().config().line_bytes();
+    let mut lines = fe.resident_lines();
+    lines.extend(fe.l2().resident_lines().into_iter().map(|a| (a, l2_bytes)));
+    lines
+}
+
 /// Drives a deterministic mixed access pattern (strided reads, writes and
 /// prefetch hints with re-use) through the front-end, mirroring every
 /// event into a functional shadow oracle.
@@ -52,19 +69,19 @@ fn every_catalog_organization_honors_the_stage_contract() {
         let now = drive(&mut fe, &mut oracle);
 
         // 1. The drain writes back everything and leaves zero dirty state.
-        let (flushed, done) = fe.flush_dirty(now);
+        let (flushed, done) = drain(&mut fe, now);
         assert!(
             flushed > 0,
             "{name}: the pattern stores, a drain must write back"
         );
         assert_eq!(
-            fe.dirty_line_count(),
+            fe.dirty_line_count() + fe.l2().dirty_lines(),
             0,
             "{name}: dirty state survived the drain"
         );
 
         // 2. A second drain is a no-op (the first one was complete).
-        let (again, done2) = fe.flush_dirty(done);
+        let (again, done2) = drain(&mut fe, done);
         assert_eq!(
             again, 0,
             "{name}: the second drain found lines the first missed"
@@ -75,12 +92,13 @@ fn every_catalog_organization_honors_the_stage_contract() {
         invariants::set_enabled(true);
         let _ = invariants::take_violations();
         fe.check_drained(done2);
+        fe.l2().check_drained(done2);
         let (violations, total) = invariants::take_violations();
         invariants::set_enabled(gate_was_on);
         assert_eq!(total, 0, "{name}: {violations:#?}");
 
         // 4. Every resident line is one the program actually touched.
-        for (base, len) in fe.resident_lines() {
+        for (base, len) in resident_lines(&fe) {
             assert!(
                 oracle.intersects_accessed(base.0, len),
                 "{name}: phantom resident line {base} ({len} B)"
@@ -194,13 +212,13 @@ fn telemetry_armed_runs_leave_every_organization_unchanged() {
             "{name}: telemetry changed DL1 statistics"
         );
         assert_eq!(
-            plain.resident_lines(),
-            armed.resident_lines(),
+            resident_lines(&plain),
+            resident_lines(&armed),
             "{name}: telemetry changed resident state"
         );
         assert_eq!(
-            plain.dirty_line_count(),
-            armed.dirty_line_count(),
+            plain.dirty_line_count() + plain.l2().dirty_lines(),
+            armed.dirty_line_count() + armed.l2().dirty_lines(),
             "{name}: telemetry changed dirty state"
         );
     }
