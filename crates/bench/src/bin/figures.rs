@@ -3,7 +3,7 @@
 //! ```text
 //! figures [table1|fig1|fig3|fig4|fig5|fig6|fig7|fig8|fig9|ext|catalog|multicore|irregular|all]
 //!         [--small] [--csv] [--jobs N | --serial]
-//!         [--no-trace-cache] [--profile] [--telemetry-json PATH]
+//!         [--profile] [--telemetry-json PATH]
 //! ```
 //!
 //! Defaults to `all` at the mini problem size; `--small` runs the larger
@@ -14,32 +14,35 @@
 //! at every worker count — results merge by grid index, not completion
 //! order.
 //!
-//! Grid points execute through the record-once/replay-many trace cache
-//! (`STTCACHE_TRACE_CACHE_BYTES` caps its memory); `--no-trace-cache`
-//! reverts to direct kernel execution — same output either way, only the
-//! speed differs. Both host-time exports come from the one recording in
-//! `sttcache_bench::profile`, and stdout stays byte-identical in every
-//! mode: `--profile` prints per-phase wall-clock (record/replay/direct),
-//! cache hit/miss counts and per-artifact timings to stderr, and
-//! `--telemetry-json PATH` arms the span recording and the component
-//! telemetry gate and writes one Chrome
-//! `trace_event` span per trace-cache phase and per printed artifact to
-//! PATH, loadable in `chrome://tracing`/Perfetto.
+//! Grid points replay through the record-once/replay-many trace cache
+//! (`STTCACHE_TRACE_CACHE_BYTES` caps its memory). A malformed
+//! `STTCACHE_THREADS` or `STTCACHE_TRACE_CACHE_BYTES` exits 2 naming the
+//! variable before any work. Both host-time exports come from the one
+//! recording in `sttcache_bench::profile`, and stdout stays
+//! byte-identical in every mode: `--profile` prints per-phase wall-clock
+//! (record/replay), cache hit/miss counts and per-artifact timings to
+//! stderr, and `--telemetry-json PATH` arms the span recording and the
+//! component telemetry gate and writes one Chrome `trace_event` span per
+//! trace-cache phase and per printed artifact to PATH, loadable in
+//! `chrome://tracing`/Perfetto.
 
 use sttcache_bench::figures::{self, Artifact};
-use sttcache_bench::{parallel, profile, trace_cache, ProfileReport};
+use sttcache_bench::{parallel, profile, ProfileReport};
 use sttcache_workloads::ProblemSize;
 
 fn usage() -> ! {
     eprintln!(
         "usage: figures [table1|fig1|fig3|fig4|fig5|fig6|fig7|fig8|fig9|ext|catalog|multicore|irregular|all] \
-         [--small] [--csv] [--jobs N | --serial] [--no-trace-cache] \
-         [--profile] [--telemetry-json PATH]"
+         [--small] [--csv] [--jobs N | --serial] [--profile] [--telemetry-json PATH]"
     );
     std::process::exit(2);
 }
 
 fn main() {
+    if let Err(e) = sttcache_bench::check_env_knobs() {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut size = ProblemSize::Mini;
     let mut what: Option<&str> = None;
@@ -62,7 +65,6 @@ fn main() {
                     .unwrap_or_else(|| usage());
                 parallel::set_jobs(n);
             }
-            "--no-trace-cache" => trace_cache::set_enabled(false),
             "--profile" => profile_text = true,
             "--telemetry-json" => {
                 i += 1;

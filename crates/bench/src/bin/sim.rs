@@ -37,6 +37,8 @@
 //!   catalog kernel. The file is content-hashed into a workload identity
 //!   and routed through the full replay stack — trace cache and result
 //!   memo — exactly like a kernel-backed workload.
+//! * A malformed `STTCACHE_THREADS` or `STTCACHE_TRACE_CACHE_BYTES`
+//!   exits 2 naming the variable before any work.
 
 use sttcache::{
     DCacheOrganization, DlOneTechnology, IcacheConfig, Platform, PlatformConfig, RunResult,
@@ -65,8 +67,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: sim --bench <name> | --trace-file <path> [--org {}] [--size mini|small]\n\
          \x20          [--opts none|all|v+p+o subset] [--vwb-bits N] [--icache sram|nvm]\n\
-         \x20          [--baseline] [--explain [org]] [--jobs N | --serial]\n\
-         \x20          [--no-trace-cache] [--profile]\n\
+         \x20          [--baseline] [--explain [org]] [--jobs N | --serial] [--profile]\n\
          \x20          [--cores N] [--mix workload[@offset][:org]+...] [--l2-banks N]\n\
          workloads: {} or file:<path>",
         sttcache::catalog::catalog()
@@ -183,7 +184,6 @@ fn parse_args() -> Options {
                 }
                 l2_banks = Some(n);
             }
-            "--no-trace-cache" => trace_cache::set_enabled(false),
             "--profile" => profile = true,
             "--serial" => parallel::set_jobs(1),
             "--jobs" => {
@@ -301,6 +301,10 @@ fn run_multicore(o: &Options) {
 }
 
 fn main() {
+    if let Err(e) = sttcache_bench::check_env_knobs() {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
     let o = parse_args();
     let start = std::time::Instant::now();
     if o.cores > 1 || o.mix.is_some() {

@@ -6,7 +6,7 @@
 //! grid index, so the output is identical no matter how many workers run
 //! the sweep (see `crates/bench/src/parallel.rs`).
 
-use crate::parallel::{self, GridPoint, SweepRunner};
+use crate::parallel::{GridPoint, SweepRunner};
 use crate::trace_cache;
 use sttcache::{
     average_penalty, penalty_pct, DCacheOrganization, PenaltyRow, PlatformConfig, RunResult,
@@ -22,15 +22,6 @@ use sttcache_workloads::{
 /// catalog's canonical order (which fixes figure row order).
 fn affine() -> Vec<WorkloadSpec> {
     catalog::family(WorkloadFamily::Affine)
-}
-
-/// One benchmark's run on one configuration.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Full simulation result.
-    pub result: RunResult,
 }
 
 /// Runs one benchmark on one platform organization with the given
@@ -542,13 +533,6 @@ pub fn fig9(size: ProblemSize) -> Vec<Fig9Row> {
     });
     rows
 }
-
-/// Re-exported contribution row alias used by the figures printer.
-pub type ContributionRow = Fig6Row;
-
-/// Keeps the org-major grid builder visible to callers that sweep one
-/// transformation set over several organizations (examples, extensions).
-pub use parallel::grid as org_grid;
 
 #[cfg(test)]
 mod tests {

@@ -27,13 +27,43 @@ pub mod trace_cache;
 pub mod workload;
 
 pub use experiments::{
-    fig1, fig3, fig4, fig5, fig6, fig7, fig8, fig9, run_benchmark, table1, BenchResult,
-    ContributionRow, Fig4Row, Fig6Row, Fig9Row, SeriesTable,
+    fig1, fig3, fig4, fig5, fig6, fig7, fig8, fig9, run_benchmark, table1, Fig4Row, Fig6Row,
+    Fig9Row, SeriesTable,
 };
 pub use parallel::{GridPoint, SweepError, SweepRunner};
 pub use profile::{ProfileReport, ProfileSnapshot};
 pub use trace_cache::{TraceCache, TraceCacheStats, TraceKey};
 pub use workload::WorkloadError;
+
+/// Reads the integer environment knob `name`: `None` when it is unset,
+/// its value when that parses to an integer of at least `min`, and an
+/// error naming the variable and its value otherwise. A malformed knob
+/// never falls back to a default.
+pub(crate) fn env_knob(name: &str, min: usize) -> Result<Option<usize>, String> {
+    let Some(raw) = std::env::var_os(name) else {
+        return Ok(None);
+    };
+    let raw = raw.to_string_lossy();
+    match raw.trim().parse::<usize>() {
+        Ok(n) if n >= min => Ok(Some(n)),
+        _ => Err(format!("{name}={raw:?}: expected an integer >= {min}")),
+    }
+}
+
+/// Checks the sweep knobs `STTCACHE_THREADS` and
+/// `STTCACHE_TRACE_CACHE_BYTES`. The binaries call this before any work
+/// and exit 2 on error; a library caller that skips it gets the same
+/// message as a panic from [`SweepRunner::current`] or the first
+/// trace-cache lookup.
+///
+/// # Errors
+///
+/// Names the first malformed variable and its value.
+pub fn check_env_knobs() -> Result<(), String> {
+    SweepRunner::from_env()?;
+    TraceCache::from_env()?;
+    Ok(())
+}
 
 /// Held by every unit test that arms the process-wide telemetry gate, so
 /// no test sees another one's arming.

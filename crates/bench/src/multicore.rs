@@ -1,6 +1,6 @@
-//! Multi-core mix harness: mix-spec parsing, memoized mix runs, the
-//! contention sweep behind `figures multicore` and the per-core
-//! `--explain` attribution for `sim --cores N`.
+//! Multi-core mix harness: mix-spec parsing, mix runs replayed from the
+//! shared trace cache, the contention sweep behind `figures multicore`
+//! and the per-core `--explain` attribution for `sim --cores N`.
 //!
 //! # Mix spec grammar
 //!
@@ -22,8 +22,6 @@
 //! final `@part` is an offset only if it is a decimal number.
 
 use crate::trace_cache;
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
 use sttcache::{
     CoreSpec, DCacheOrganization, MultiPlatform, MultiPlatformConfig, MultiRunResult, RunResult,
 };
@@ -190,15 +188,9 @@ pub fn mix_platform(
     MultiPlatform::new(cfg).map_err(|e| e.to_string())
 }
 
-fn mix_memo() -> &'static Mutex<HashMap<String, MultiRunResult>> {
-    static MEMO: OnceLock<Mutex<HashMap<String, MultiRunResult>>> = OnceLock::new();
-    MEMO.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
 /// Runs a mix, replaying each core's kernel from the shared trace
-/// cache. Deterministic, so results are memoized per
-/// `(platform config, workload keys)` exactly like
-/// [`trace_cache::run_config`] memoizes single-core runs.
+/// cache. Unlike [`trace_cache::run_config`], the result is not
+/// memoized: every multi-core point the binaries run is distinct.
 pub fn run_mix(
     mix: &MixSpec,
     default_org: DCacheOrganization,
@@ -208,25 +200,13 @@ pub fn run_mix(
 ) -> MultiRunResult {
     let platform =
         mix_platform(mix, default_org, l2_banks).expect("caller validated the mix platform");
-    let key = format!(
-        "{:?}|{:?}|{:?}|{}",
-        platform.config(),
-        size,
-        transforms,
-        mix.label()
-    );
-    if let Some(hit) = mix_memo().lock().unwrap().get(&key) {
-        return hit.clone();
-    }
     let traces: Vec<_> = mix
         .entries
         .iter()
         .map(|e| trace_cache::cached_trace(e.workload, size, transforms))
         .collect();
     let refs: Vec<&sttcache_cpu::Trace> = traces.iter().map(|t| &**t).collect();
-    let result = platform.run_traces(&refs);
-    mix_memo().lock().unwrap().insert(key, result.clone());
-    result
+    platform.run_traces(&refs)
 }
 
 /// The isolated (1-core, private L2 of the same geometry) reference run
@@ -344,7 +324,7 @@ pub struct MixExplanation {
 }
 
 /// Runs a mix on the *calling* thread with the telemetry registry armed
-/// (bypassing the mix memo so the registry captures this exact run) and
+/// (the registry is thread-local, so it captures exactly this run) and
 /// gathers the per-core isolated references.
 pub fn explain_mix(
     mix: &MixSpec,
@@ -353,18 +333,10 @@ pub fn explain_mix(
     transforms: Transformations,
     l2_banks: Option<usize>,
 ) -> MixExplanation {
-    let platform =
-        mix_platform(mix, default_org, l2_banks).expect("caller validated the mix platform");
-    let traces: Vec<_> = mix
-        .entries
-        .iter()
-        .map(|e| trace_cache::cached_trace(e.workload, size, transforms))
-        .collect();
-    let refs: Vec<&sttcache_cpu::Trace> = traces.iter().map(|t| &**t).collect();
     let was_enabled = telemetry::enabled();
     telemetry::set_enabled(true);
     let _ = telemetry::take();
-    let result = platform.run_traces(&refs);
+    let result = run_mix(mix, default_org, size, transforms, l2_banks);
     telemetry::set_enabled(was_enabled);
     let snapshot = telemetry::take();
     let isolated = (0..mix.cores())
@@ -539,7 +511,7 @@ mod tests {
     }
 
     #[test]
-    fn run_mix_is_memoized_and_deterministic() {
+    fn run_mix_is_deterministic() {
         let mix = MixSpec::parse("gemm+mvt@64").unwrap();
         let org = DCacheOrganization::nvm_vwb_default();
         let a = run_mix(
@@ -565,8 +537,7 @@ mod tests {
         let _gate = crate::TELEMETRY_GATE
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // A bank-starved shared L2 no other test sweeps keeps the memo
-        // cold and guarantees conflicts to attribute.
+        // A bank-starved shared L2 guarantees conflicts to attribute.
         let mix = MixSpec::parse("gemm+gemm@1").unwrap();
         let e = explain_mix(
             &mix,

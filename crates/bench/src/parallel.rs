@@ -6,9 +6,10 @@
 //! threads. [`SweepRunner`] owns that sharding:
 //!
 //! * worker count defaults to [`std::thread::available_parallelism`],
-//!   can be pinned with the `STTCACHE_THREADS` environment variable, and
-//!   can be overridden per process by the binaries' `--jobs N` /
-//!   `--serial` flags (see [`set_jobs`]);
+//!   can be pinned with the `STTCACHE_THREADS` environment variable (a
+//!   value that is not a positive integer is an error, never a silent
+//!   default), and can be overridden per process by the binaries'
+//!   `--jobs N` / `--serial` flags (see [`set_jobs`]);
 //! * workers claim grid points from one shared atomic cursor, in grid
 //!   order, so a worker that finishes a short simulation simply claims
 //!   the next point and one slow organization cannot serialize the tail;
@@ -124,26 +125,33 @@ impl SweepRunner {
         SweepRunner { workers: n.max(1) }
     }
 
-    /// Worker count from the environment: `STTCACHE_THREADS` if set to a
-    /// positive integer, otherwise [`std::thread::available_parallelism`].
-    pub fn from_env() -> Self {
-        let workers = std::env::var("STTCACHE_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        SweepRunner::with_workers(workers)
+    /// Worker count from the environment: `STTCACHE_THREADS` if set,
+    /// otherwise [`std::thread::available_parallelism`].
+    ///
+    /// # Errors
+    ///
+    /// Names the variable and its value if it is set to anything but a
+    /// positive integer.
+    pub fn from_env() -> Result<Self, String> {
+        let workers = crate::env_knob("STTCACHE_THREADS", 1)?.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        });
+        Ok(SweepRunner::with_workers(workers))
     }
 
     /// The runner every figure/experiment sweep uses: the [`set_jobs`]
     /// override if one is active, otherwise [`SweepRunner::from_env`].
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the variable, if no override is active and
+    /// `STTCACHE_THREADS` is malformed (the binaries reject it with exit
+    /// 2 before any work).
     pub fn current() -> Self {
         match GLOBAL_JOBS.load(Ordering::SeqCst) {
-            0 => SweepRunner::from_env(),
+            0 => SweepRunner::from_env().unwrap_or_else(|e| panic!("{e}")),
             n => SweepRunner::with_workers(n),
         }
     }

@@ -1,11 +1,11 @@
 //! Host-time recording: where a run's wall-clock goes.
 //!
 //! This module is the one recorder of host time. The trace cache credits
-//! every simulation to one of three phases — *record* (running a kernel
-//! into a [`TraceRecorder`]), *replay* (driving a platform from a cached
-//! trace) and *direct* (the uncached path) — with a single `credit`
-//! call, and the binaries time every printed artifact with
-//! [`time_artifact`]. The one recording has two exports:
+//! every simulation to one of two phases — *record* (running a kernel
+//! into a [`TraceRecorder`]) and *replay* (driving a timing model from a
+//! cached trace) — with a single `credit` call, and the binaries time
+//! every printed artifact with [`time_artifact`]. The one recording has
+//! two exports:
 //!
 //! * [`ProfileReport::render_text`], which `--profile` prints to stderr:
 //!   aggregate time, runs and ns/event per phase, the trace-cache and
@@ -32,7 +32,7 @@ use std::sync::{Mutex, OnceLock};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
-/// The three phases the trace cache attributes simulation time to, in
+/// The two phases the trace cache attributes simulation time to, in
 /// the order the text report renders them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Phase {
@@ -40,8 +40,6 @@ pub(crate) enum Phase {
     Record,
     /// Driving a timing model from a cached trace.
     Replay,
-    /// Running a kernel straight into a timing model (cache off).
-    Direct,
 }
 
 impl Phase {
@@ -50,7 +48,6 @@ impl Phase {
         match self {
             Phase::Record => "record",
             Phase::Replay => "replay",
-            Phase::Direct => "direct",
         }
     }
 }
@@ -107,7 +104,7 @@ pub struct SpanEvent {
 /// behind `credit` is what the binaries use; tests build their own so
 /// exact counts can be asserted without touching global state.
 struct Recorder {
-    phases: [PhaseCounter; 3],
+    phases: [PhaseCounter; 2],
     armed: AtomicBool,
     spans: Mutex<Vec<SpanEvent>>,
     dropped: AtomicU64,
@@ -116,7 +113,7 @@ struct Recorder {
 impl Recorder {
     const fn new() -> Self {
         Recorder {
-            phases: [const { PhaseCounter::new() }; 3],
+            phases: [const { PhaseCounter::new() }; 2],
             armed: AtomicBool::new(false),
             spans: Mutex::new(Vec::new()),
             dropped: AtomicU64::new(0),
@@ -271,12 +268,6 @@ pub struct ProfileSnapshot {
     pub replay_runs: u64,
     /// Events replayed.
     pub replay_events: u64,
-    /// Seconds spent in direct (uncached) kernel execution.
-    pub direct_seconds: f64,
-    /// Number of direct executions.
-    pub direct_runs: u64,
-    /// Memory operations the core issued across direct executions.
-    pub direct_events: u64,
     /// Trace-cache counters.
     pub cache: trace_cache::TraceCacheStats,
     /// Bytes of trace data resident in the process-wide cache.
@@ -291,7 +282,7 @@ pub struct ProfileSnapshot {
 
 /// Snapshots the global phase counters and cache state.
 pub fn snapshot() -> ProfileSnapshot {
-    let [record, replay, direct] = &RECORDER.phases;
+    let [record, replay] = &RECORDER.phases;
     let (cache_resident_bytes, cache_entries) = trace_cache::global_footprint();
     ProfileSnapshot {
         record_seconds: record.seconds(),
@@ -300,9 +291,6 @@ pub fn snapshot() -> ProfileSnapshot {
         replay_seconds: replay.seconds(),
         replay_runs: replay.runs(),
         replay_events: replay.events(),
-        direct_seconds: direct.seconds(),
-        direct_runs: direct.runs(),
-        direct_events: direct.events(),
         cache: trace_cache::global_stats(),
         cache_resident_bytes,
         cache_entries,
@@ -312,9 +300,9 @@ pub fn snapshot() -> ProfileSnapshot {
 }
 
 impl ProfileSnapshot {
-    /// Simulation seconds across all three phases.
+    /// Simulation seconds across both phases.
     pub fn simulation_seconds(&self) -> f64 {
-        self.record_seconds + self.replay_seconds + self.direct_seconds
+        self.record_seconds + self.replay_seconds
     }
 
     /// Events the replay phase fed the timing model.
@@ -343,22 +331,19 @@ pub struct ProfileReport {
     pub total_seconds: f64,
     /// Worker threads the sweeps used.
     pub workers: usize,
-    /// Whether the trace cache was enabled.
-    pub cache_enabled: bool,
     /// Phase counters at the end of the run.
     pub phases: ProfileSnapshot,
 }
 
 impl ProfileReport {
     /// The report of a run that began at `start` and printed `figures`:
-    /// wall-clock so far, the current worker count and trace-cache
-    /// switch, and a [`snapshot`] of the phase counters.
+    /// wall-clock so far, the current worker count and a [`snapshot`] of
+    /// the phase counters.
     pub fn finish(start: Instant, figures: Vec<(&'static str, f64)>) -> Self {
         ProfileReport {
             figures,
             total_seconds: start.elapsed().as_secs_f64(),
             workers: SweepRunner::current().workers(),
-            cache_enabled: trace_cache::enabled(),
             phases: snapshot(),
         }
     }
@@ -368,27 +353,21 @@ impl ProfileReport {
         let p = &self.phases;
         let mut out = String::new();
         out.push_str(&format!(
-            "profile: {:.3}s total, {} workers, trace cache {}\n",
-            self.total_seconds,
-            self.workers,
-            if self.cache_enabled { "on" } else { "off" }
+            "profile: {:.3}s total, {} workers\n",
+            self.total_seconds, self.workers,
         ));
         out.push_str(&format!(
-            "  phases: record {:.3}s/{} runs, replay {:.3}s/{} runs, \
-             direct {:.3}s/{} runs, aggregate {:.3}s\n",
+            "  phases: record {:.3}s/{} runs, replay {:.3}s/{} runs, aggregate {:.3}s\n",
             p.record_seconds,
             p.record_runs,
             p.replay_seconds,
             p.replay_runs,
-            p.direct_seconds,
-            p.direct_runs,
             (self.total_seconds - p.simulation_seconds()).max(0.0),
         ));
         out.push_str(&format!(
-            "  ns/event: record {:.1}, replay {:.1}, direct {:.1}\n",
+            "  ns/event: record {:.1}, replay {:.1}\n",
             ns_per_event(p.record_seconds, p.record_events),
             ns_per_event(p.replay_seconds, p.replay_events),
-            ns_per_event(p.direct_seconds, p.direct_events),
         ));
         out.push_str(&format!(
             "  trace cache: {} hits, {} misses, {} evictions \
@@ -420,7 +399,6 @@ mod tests {
             figures: vec![("table1", 0.001), ("fig1", 0.25)],
             total_seconds: 1.5,
             workers: 4,
-            cache_enabled: true,
             phases: ProfileSnapshot {
                 record_seconds: 0.2,
                 record_runs: 3,
@@ -428,9 +406,6 @@ mod tests {
                 replay_seconds: 0.9,
                 replay_runs: 100,
                 replay_events: 1_000_000,
-                direct_seconds: 0.0,
-                direct_runs: 0,
-                direct_events: 0,
                 cache: trace_cache::TraceCacheStats {
                     hits: 97,
                     misses: 3,
@@ -472,13 +447,7 @@ mod tests {
     #[test]
     fn text_report_names_every_phase_and_figure() {
         let text = sample().render_text();
-        for needle in [
-            "record 0.200s",
-            "replay 0.900s",
-            "direct 0.000s",
-            "table1",
-            "fig1",
-        ] {
+        for needle in ["record 0.200s", "replay 0.900s", "table1", "fig1"] {
             assert!(text.contains(needle), "missing '{needle}' in:\n{text}");
         }
     }
@@ -491,7 +460,6 @@ mod tests {
         rec.credit(Phase::Replay, Instant::now(), Duration::from_millis(7), 10);
         assert_eq!(totals(&rec, Phase::Replay), (7_000_000, 1, 10));
         assert_eq!(totals(&rec, Phase::Record), (0, 0, 0));
-        assert_eq!(totals(&rec, Phase::Direct), (0, 0, 0));
         assert_eq!(rec.drain(), (Vec::new(), 0));
     }
 
@@ -539,13 +507,13 @@ mod tests {
         // pinned rather than wrapping on the next credit.
         let rec = Recorder::new();
         rec.credit(
-            Phase::Direct,
+            Phase::Replay,
             Instant::now(),
             Duration::from_secs(u64::MAX),
             0,
         );
-        rec.credit(Phase::Direct, Instant::now(), Duration::from_millis(1), 0);
-        assert_eq!(totals(&rec, Phase::Direct), (u64::MAX, 2, 0));
+        rec.credit(Phase::Replay, Instant::now(), Duration::from_millis(1), 0);
+        assert_eq!(totals(&rec, Phase::Replay), (u64::MAX, 2, 0));
     }
 
     #[test]
@@ -561,7 +529,7 @@ mod tests {
         assert!((ns_per_event(0.9, 1_000_000) - 900.0).abs() < 1e-9);
         assert!(sample()
             .render_text()
-            .contains("ns/event: record 6666.7, replay 900.0, direct 0.0"));
+            .contains("ns/event: record 6666.7, replay 900.0\n"));
     }
 
     /// Pins the Chrome `trace_event` schema: every event is a complete

@@ -7,30 +7,30 @@
 //! such stream exactly once into a compact [`Trace`] and replays it
 //! through [`Platform::run_trace`] for every organization — skipping the
 //! kernel's floating-point arithmetic and per-access virtual dispatch on
-//! every grid point after the first.
+//! every grid point after the first. Replay is the only route a sweep
+//! takes; direct execution ([`Platform::run`]) survives only as the
+//! reference replay is checked against.
 //!
 //! Concurrency: [`SweepRunner`](crate::parallel::SweepRunner) workers that
 //! race on the same key block on a per-key [`OnceLock`] while the first
 //! arrival records, then share the resulting `Arc<Trace>` — each stream
 //! is recorded at most once per process. Memory is bounded by
 //! `STTCACHE_TRACE_CACHE_BYTES` (least-recently-used traces are evicted
-//! past the cap); `--no-trace-cache` or [`set_enabled`]`(false)` bypasses
-//! the cache entirely.
+//! past the cap).
 //!
 //! Replay is cycle-for-cycle and statistic-for-statistic identical to
 //! direct execution (the kernels are deterministic and the recorder's
-//! compute coalescing is timing-neutral), so figure output is byte-
-//! identical with the cache on or off. Setting `STTCACHE_TRACE_CHECK=1`
-//! re-verifies that invariant at runtime: every non-memoized
-//! SRAM-baseline grid point is also executed directly, and the full
+//! compute coalescing is timing-neutral). Setting `STTCACHE_TRACE_CHECK=1`
+//! re-verifies that invariant at runtime: every non-memoized,
+//! kernel-backed grid point is also executed directly, and the full
 //! [`RunResult`]s are compared.
 
 use crate::profile::{self, Phase};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-use sttcache::{DCacheOrganization, Platform, PlatformConfig, RunResult};
+use sttcache::{Platform, PlatformConfig, RunResult};
 use sttcache_cpu::{Engine, Trace, TraceRecorder};
 use sttcache_workloads::{ProblemSize, Transformations, Workload};
 
@@ -137,12 +137,13 @@ fn trace_bytes(trace: &Trace) -> usize {
 
 impl TraceCache {
     /// A cache capped at `STTCACHE_TRACE_CACHE_BYTES` (default 512 MiB).
-    pub fn from_env() -> Self {
-        let cap = std::env::var("STTCACHE_TRACE_CACHE_BYTES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(512 * 1024 * 1024);
-        TraceCache::with_cap_bytes(cap)
+    ///
+    /// # Errors
+    ///
+    /// Names the variable and its value if it is not a byte count.
+    pub fn from_env() -> Result<Self, String> {
+        let cap = crate::env_knob("STTCACHE_TRACE_CACHE_BYTES", 0)?;
+        Ok(TraceCache::with_cap_bytes(cap.unwrap_or(512 * 1024 * 1024)))
     }
 
     /// A cache capped at `cap_bytes` of resident trace data. A cap of 0
@@ -253,26 +254,15 @@ impl TraceCache {
     }
 }
 
-/// Whether sweeps route through the process-wide cache (`--no-trace-cache`
-/// turns this off).
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Turns the process-wide trace cache on or off. Off, every grid point
-/// executes its kernel directly — the results are identical either way,
-/// only slower.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
-}
-
-/// Whether the process-wide trace cache is on.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::SeqCst)
-}
-
 /// The process-wide cache every sweep shares.
+///
+/// # Panics
+///
+/// Panics, naming the variable, if `STTCACHE_TRACE_CACHE_BYTES` is
+/// malformed (the binaries reject it with exit 2 before any work).
 fn global() -> &'static TraceCache {
     static GLOBAL: OnceLock<TraceCache> = OnceLock::new();
-    GLOBAL.get_or_init(TraceCache::from_env)
+    GLOBAL.get_or_init(|| TraceCache::from_env().unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// Counter snapshot of the process-wide cache (for `--profile`).
@@ -296,21 +286,20 @@ fn capacity_hint() -> &'static Mutex<HashMap<(Workload, ProblemSize), usize>> {
     HINTS.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Records one workload's event stream by running its kernel against a
-/// [`TraceRecorder`] (the only place the sweeps pay for the kernel's real
-/// arithmetic when the cache is on). External workloads are already
-/// recorded — their registered stream is returned as-is.
+/// Records one kernel-backed workload's event stream by running its
+/// kernel against a [`TraceRecorder`] (the only place the sweeps pay for
+/// the kernel's real arithmetic). External workloads never get here:
+/// [`cached_trace`] serves them from their registry.
+///
+/// # Panics
+///
+/// Panics if `workload` has no kernel (an external trace).
 pub fn record_trace(
     workload: impl Into<Workload>,
     size: ProblemSize,
     transforms: Transformations,
 ) -> Trace {
     let workload = workload.into();
-    if let Workload::External(id) = workload {
-        return (*crate::workload::external_trace(id)
-            .expect("external workload used before registration"))
-        .clone();
-    }
     let start = Instant::now();
     let hint = capacity_hint()
         .lock()
@@ -377,18 +366,16 @@ pub fn result_memo_entries() -> usize {
     result_memo().lock().expect("result memo lock").len()
 }
 
-/// Runs one grid point described by its configuration through the cache
-/// (or directly when the cache is disabled). This is the execution path
-/// every sweep and binary uses.
+/// Runs one grid point described by its configuration. This is the
+/// execution path every sweep and binary uses.
 ///
-/// With the cache enabled the grid point's event stream is recorded once
-/// ([`cached_trace`]), replayed at most once per distinct platform
-/// configuration, and the finished [`RunResult`] is memoized — repeated
-/// grid points across figures cost a map lookup and skip even the
-/// platform's hierarchy construction. All paths (direct, replay, memo)
-/// produce bit-identical results; `STTCACHE_TRACE_CHECK=1` re-verifies
-/// this at runtime by also executing the kernel directly on every
-/// non-memoized SRAM-baseline grid point.
+/// The grid point's event stream is recorded once ([`cached_trace`]),
+/// replayed at most once per distinct platform configuration, and the
+/// finished [`RunResult`] is memoized — repeated grid points across
+/// figures cost a map lookup and skip even the platform's hierarchy
+/// construction. `STTCACHE_TRACE_CHECK=1` also executes the kernel
+/// directly on every non-memoized, kernel-backed grid point and asserts
+/// that replay matched it.
 ///
 /// # Panics
 ///
@@ -401,19 +388,6 @@ pub fn run_config(
     transforms: Transformations,
 ) -> RunResult {
     let workload = workload.into();
-    if !enabled() {
-        let platform = Platform::with_config(cfg.clone()).expect("sweep configuration is valid");
-        let start = Instant::now();
-        let result = match workload.kernel(size) {
-            Some(kernel) => platform.run(|e: &mut dyn Engine| kernel.run(e, transforms)),
-            // External workloads have no kernel to execute; their
-            // recorded stream *is* the direct path.
-            None => platform.run_trace(&record_trace(workload, size, transforms)),
-        };
-        let ops = result.core.loads + result.core.stores + result.core.prefetches;
-        profile::credit(Phase::Direct, start, ops);
-        return result;
-    }
     let memo_key = (
         format!("{cfg:?}"),
         TraceKey::new(workload, size, transforms),
@@ -431,7 +405,7 @@ pub fn run_config(
     let start = Instant::now();
     let result = platform.run_trace(&trace);
     profile::credit(Phase::Replay, start, trace.len() as u64);
-    if trace_check_requested() && cfg.organization == DCacheOrganization::SramBaseline {
+    if trace_check_requested() {
         // External workloads have no kernel to cross-execute: their
         // recorded stream is the direct path.
         if let Some(kernel) = workload.kernel(size) {
@@ -439,8 +413,9 @@ pub fn run_config(
             assert_eq!(
                 direct,
                 result,
-                "trace replay diverged from direct execution on {}",
-                TraceKey::new(workload, size, transforms).label()
+                "trace replay diverged from direct execution on {} ({})",
+                TraceKey::new(workload, size, transforms).label(),
+                cfg.organization.name()
             );
         }
     }
@@ -451,50 +426,23 @@ pub fn run_config(
     result
 }
 
-/// [`run_config`] for an already-built [`Platform`].
-pub fn run_on_platform(
-    platform: &Platform,
-    workload: impl Into<Workload>,
-    size: ProblemSize,
-    transforms: Transformations,
-) -> RunResult {
-    run_config(platform.config(), workload, size, transforms)
-}
-
-/// Feeds one grid key's event stream into an arbitrary engine — the
+/// Feeds one grid key's shared trace into an arbitrary engine — the
 /// entry point for hand-built hierarchies that do not go through
-/// [`Platform`]. Replays the shared trace when the cache is on, otherwise
-/// runs the kernel directly; both paths drive `e` identically.
+/// [`Platform`].
 pub fn drive<E: Engine>(
     e: &mut E,
     workload: impl Into<Workload>,
     size: ProblemSize,
     transforms: Transformations,
 ) {
-    let workload = workload.into();
-    if enabled() {
-        let trace = cached_trace(workload, size, transforms);
-        let start = Instant::now();
-        trace.replay_into(e);
-        profile::credit(Phase::Replay, start, trace.len() as u64);
-    } else if let Some(kernel) = workload.kernel(size) {
-        let start = Instant::now();
-        kernel.run(e, transforms);
-        // The borrowed engine exposes no event counter; credit the time
-        // with zero events (the rate renders as 0 rather than a guess).
-        profile::credit(Phase::Direct, start, 0);
-    } else {
-        // External workloads replay their recorded stream even with the
-        // cache off — there is no kernel to run directly.
-        let trace = record_trace(workload, size, transforms);
-        let start = Instant::now();
-        trace.replay_into(e);
-        profile::credit(Phase::Direct, start, 0);
-    }
+    let trace = cached_trace(workload, size, transforms);
+    let start = Instant::now();
+    trace.replay_into(e);
+    profile::credit(Phase::Replay, start, trace.len() as u64);
 }
 
 /// Whether `STTCACHE_TRACE_CHECK=1` asked for the replay-vs-direct
-/// cross-check on SRAM-baseline grid points.
+/// cross-check on every replayed grid point.
 fn trace_check_requested() -> bool {
     static CHECK: OnceLock<bool> = OnceLock::new();
     *CHECK.get_or_init(|| {

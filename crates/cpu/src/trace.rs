@@ -126,16 +126,8 @@ impl Trace {
         c
     }
 
-    /// Replays the trace into an engine, in order.
-    ///
-    /// Dynamic-dispatch convenience wrapper over [`Trace::replay_into`];
-    /// use `replay_into` with a concrete engine type on hot paths.
-    pub fn replay(&self, e: &mut dyn Engine) {
-        self.replay_into(e);
-    }
-
     /// Replays the trace into an engine, in order, monomorphized over the
-    /// engine type.
+    /// engine type (`E = dyn Engine` dispatches virtually instead).
     ///
     /// With a concrete `E` every event dispatch is a static (inlinable)
     /// call instead of one virtual call per access — the batched fast
@@ -466,7 +458,7 @@ mod tests {
     fn replay_reproduces_the_stream() {
         let t = sample();
         let mut rec = TraceRecorder::new();
-        t.replay(&mut rec);
+        t.replay_into(&mut rec);
         assert_eq!(rec.into_trace(), t);
     }
 
@@ -566,7 +558,7 @@ mod tests {
     fn replay_into_matches_dyn_replay() {
         let t = sample();
         let mut via_dyn = TraceRecorder::new();
-        t.replay(&mut via_dyn);
+        t.replay_into(&mut via_dyn as &mut dyn Engine);
         let mut via_mono = TraceRecorder::new();
         t.replay_into(&mut via_mono);
         assert_eq!(via_dyn.into_trace(), via_mono.into_trace());

@@ -779,10 +779,6 @@ impl<N: MemoryLevel> MemoryLevel for Cache<N> {
     fn occupy_bank(&mut self, addr: Addr, from: Cycle, cycles: u64) -> Cycle {
         Cache::occupy_bank(self, addr, from, cycles)
     }
-
-    fn next_lower(&self) -> Option<&dyn MemoryLevel> {
-        Some(&self.next)
-    }
 }
 
 #[cfg(test)]

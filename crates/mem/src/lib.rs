@@ -118,57 +118,6 @@ pub trait MemoryLevel {
     fn occupy_bank(&mut self, _addr: Addr, from: Cycle, _cycles: u64) -> Cycle {
         from
     }
-
-    /// The level below this one, if it can be exposed by reference.
-    ///
-    /// Terminal levels ([`MainMemory`]) and levels with interior
-    /// mutability ([`Shared`], whose contents live behind a `RefCell` and
-    /// cannot be lent out) return `None`, ending hierarchy walks.
-    fn next_lower(&self) -> Option<&dyn MemoryLevel> {
-        None
-    }
-
-    /// Iterates this level and everything below it, top-down.
-    ///
-    /// ```
-    /// use sttcache_mem::{Cache, CacheConfig, MainMemory, MemoryLevel};
-    ///
-    /// # fn main() -> Result<(), sttcache_mem::MemError> {
-    /// let l2 = Cache::new(CacheConfig::builder().build()?, MainMemory::new(100));
-    /// let dl1 = Cache::new(CacheConfig::builder().build()?, l2);
-    /// assert_eq!(dl1.levels().count(), 3); // dl1, l2, memory
-    /// # Ok(())
-    /// # }
-    /// ```
-    fn levels(&self) -> Levels<'_>
-    where
-        Self: Sized,
-    {
-        Levels { cur: Some(self) }
-    }
-}
-
-/// Top-down iterator over a hierarchy's levels (see [`MemoryLevel::levels`]).
-pub struct Levels<'a> {
-    cur: Option<&'a dyn MemoryLevel>,
-}
-
-impl std::fmt::Debug for Levels<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Levels")
-            .field("exhausted", &self.cur.is_none())
-            .finish()
-    }
-}
-
-impl<'a> Iterator for Levels<'a> {
-    type Item = &'a dyn MemoryLevel;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let cur = self.cur.take()?;
-        self.cur = cur.next_lower();
-        Some(cur)
-    }
 }
 
 impl<M: MemoryLevel + ?Sized> MemoryLevel for Box<M> {
@@ -198,9 +147,5 @@ impl<M: MemoryLevel + ?Sized> MemoryLevel for Box<M> {
 
     fn occupy_bank(&mut self, addr: Addr, from: Cycle, cycles: u64) -> Cycle {
         (**self).occupy_bank(addr, from, cycles)
-    }
-
-    fn next_lower(&self) -> Option<&dyn MemoryLevel> {
-        (**self).next_lower()
     }
 }

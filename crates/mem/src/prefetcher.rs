@@ -125,10 +125,6 @@ impl<N: MemoryLevel> MemoryLevel for NextLinePrefetcher<N> {
     fn occupy_bank(&mut self, addr: Addr, from: Cycle, cycles: u64) -> Cycle {
         self.inner.occupy_bank(addr, from, cycles)
     }
-
-    fn next_lower(&self) -> Option<&dyn MemoryLevel> {
-        MemoryLevel::next_lower(&self.inner)
-    }
 }
 
 #[cfg(test)]

@@ -151,9 +151,6 @@ impl<M: MemoryLevel> MemoryLevel for Shared<M> {
     fn occupy_bank(&mut self, addr: Addr, from: Cycle, cycles: u64) -> Cycle {
         self.inner.borrow_mut().occupy_bank(addr, from, cycles)
     }
-
-    // `next_lower` stays `None`: the shared level lives behind a
-    // `RefCell` and cannot be lent out as a plain reference.
 }
 
 #[cfg(test)]

@@ -55,7 +55,7 @@ mod transform;
 
 pub use catalog::{Workload, WorkloadFamily, WorkloadSpec};
 pub use irregular::{CsrBfs, GcMark, HashProbe, Irregular, ListChase};
-pub use micro::{PointerChase, RandomWalk, StreamWalk, StrideWalk};
+pub use micro::StrideWalk;
 pub use space::{Array1, Array2, Array3, DataSpace};
 pub use suite::{Kernel, PolyBench, ProblemSize};
 pub use transform::Transformations;

@@ -1,57 +1,15 @@
-//! Diagnostic micro-workloads.
+//! Diagnostic micro-workload.
 //!
-//! Four synthetic access patterns that isolate the mechanisms the
-//! PolyBench kernels mix together: a pure stream (the VWB's best case), a
-//! parameterized strided walk (its worst case beyond one line), a hashed
-//! random walk (no pattern for anything to exploit) and a dependent
-//! pointer chase (every load on the critical path, latency fully exposed).
-//! The ablation bench sweeps these to characterize the VWB's hit rate and
-//! the drop-in penalty as functions of locality.
+//! A parameterized strided walk isolates one mechanism the PolyBench
+//! kernels mix together: how locality decays as the stride grows past
+//! one line (the VWB's worst case). The ablation bench sweeps its stride
+//! to characterize the VWB's hit rate and the drop-in penalty as
+//! functions of locality.
 
-use crate::kernels::{checksum, for_n, pf1, Kernel};
+use crate::kernels::{checksum, for_n, Kernel};
 use crate::space::DataSpace;
 use crate::transform::Transformations;
 use sttcache_cpu::Engine;
-
-/// Sequential read-modify-write sweep over an array (`passes` times).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamWalk {
-    n: usize,
-    passes: usize,
-}
-
-impl StreamWalk {
-    /// Creates the workload (`n` elements, `passes` sweeps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` or `passes` is zero.
-    pub fn new(n: usize, passes: usize) -> Self {
-        assert!(n > 0 && passes > 0, "stream walk needs elements and passes");
-        StreamWalk { n, passes }
-    }
-}
-
-impl Kernel for StreamWalk {
-    fn name(&self) -> &'static str {
-        "micro-stream"
-    }
-
-    fn execute(&self, e: &mut dyn Engine, t: Transformations) -> f64 {
-        let mut space = DataSpace::new(t.others);
-        let mut a = space.array1(self.n);
-        a.fill(|i| i as f32 * 0.5);
-        for_n(e, 1, self.passes, |e, _| {
-            for_n(e, t.unroll_factor(), self.n, |e, i| {
-                pf1(e, t, &a, i);
-                let v = a.at(e, i) + 1.0;
-                e.compute(2);
-                a.set(e, i, v);
-            });
-        });
-        checksum(a.raw())
-    }
-}
 
 /// Strided read walk: every access `stride` elements apart (modulo the
 /// array), `steps` accesses.
@@ -108,110 +66,10 @@ impl Kernel for StrideWalk {
     }
 }
 
-/// Hashed random read walk: `steps` loads at xorshift-derived indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RandomWalk {
-    n: usize,
-    steps: usize,
-}
-
-impl RandomWalk {
-    /// Creates the workload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` or `steps` is zero.
-    pub fn new(n: usize, steps: usize) -> Self {
-        assert!(
-            n > 0 && steps > 0,
-            "random walk parameters must be non-zero"
-        );
-        RandomWalk { n, steps }
-    }
-}
-
-impl Kernel for RandomWalk {
-    fn name(&self) -> &'static str {
-        "micro-random"
-    }
-
-    fn execute(&self, e: &mut dyn Engine, t: Transformations) -> f64 {
-        let mut space = DataSpace::new(t.others);
-        let mut a = space.array1(self.n);
-        a.fill(|i| (i % 17) as f32);
-        let mut sink = space.array1(1);
-        let mut acc = 0.0f32;
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        for_n(e, t.unroll_factor(), self.steps, |e, _| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let idx = (state % self.n as u64) as usize;
-            acc += a.at(e, idx);
-            e.compute(4); // index hash + accumulate
-        });
-        sink.set(e, 0, acc);
-        checksum(sink.raw())
-    }
-}
-
-/// Dependent pointer chase: each index is read from the previous element,
-/// so every load is on the critical path and no overlap or buffering can
-/// hide it — the upper bound of the read penalty.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PointerChase {
-    n: usize,
-    steps: usize,
-}
-
-impl PointerChase {
-    /// Creates the workload over an `n`-element cyclic permutation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2` or `steps` is zero.
-    pub fn new(n: usize, steps: usize) -> Self {
-        assert!(n >= 2 && steps > 0, "pointer chase needs a cycle and steps");
-        PointerChase { n, steps }
-    }
-}
-
-impl Kernel for PointerChase {
-    fn name(&self) -> &'static str {
-        "micro-chase"
-    }
-
-    fn execute(&self, e: &mut dyn Engine, t: Transformations) -> f64 {
-        let mut space = DataSpace::new(t.others);
-        let mut next = space.array1(self.n);
-        // A full cycle with a line-defeating stride (Sattolo-flavoured:
-        // i -> (i + large odd step) mod n).
-        let step = (self.n / 2) | 1;
-        next.fill(|i| ((i + step) % self.n) as f32);
-        let mut sink = space.array1(1);
-        let mut idx = 0usize;
-        for_n(e, t.unroll_factor(), self.steps, |e, _| {
-            let v = next.at(e, idx);
-            e.compute(1);
-            idx = v as usize;
-        });
-        sink.set(e, 0, idx as f32);
-        checksum(sink.raw())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::space::test_support::Recorder;
-
-    #[test]
-    fn stream_touches_every_element_each_pass() {
-        let mut rec = Recorder::default();
-        StreamWalk::new(32, 3).run(&mut rec, Transformations::none());
-        assert_eq!(rec.loads.len(), 96);
-        assert_eq!(rec.stores.len(), 96);
-    }
 
     #[test]
     fn stride_walk_visits_with_the_configured_stride() {
@@ -224,54 +82,9 @@ mod tests {
     }
 
     #[test]
-    fn random_walk_is_deterministic() {
-        let run = || {
-            let mut rec = Recorder::default();
-            RandomWalk::new(256, 64).run(&mut rec, Transformations::none());
-            rec.loads
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn pointer_chase_follows_a_cycle() {
-        let mut rec = Recorder::default();
-        let n = 16;
-        PointerChase::new(n, 2 * n).run(&mut rec, Transformations::none());
-        // A full cyclic permutation: the first n loads visit n distinct
-        // elements, then repeat.
-        let first: std::collections::HashSet<u64> =
-            rec.loads.iter().take(n).map(|(a, _)| a.0).collect();
-        assert_eq!(first.len(), n);
-        assert_eq!(rec.loads[0].0, rec.loads[n].0);
-    }
-
-    #[test]
     fn checksums_are_finite() {
         let mut rec = Recorder::default();
-        for k in [
-            Box::new(StreamWalk::new(64, 2)) as Box<dyn Kernel>,
-            Box::new(StrideWalk::new(128, 8, 64)),
-            Box::new(RandomWalk::new(128, 64)),
-            Box::new(PointerChase::new(64, 128)),
-        ] {
-            assert!(
-                k.execute(&mut rec, Transformations::none()).is_finite(),
-                "{}",
-                k.name()
-            );
-        }
-    }
-
-    #[test]
-    fn names_are_distinct() {
-        let names = [
-            StreamWalk::new(8, 1).name(),
-            StrideWalk::new(8, 2, 4).name(),
-            RandomWalk::new(8, 4).name(),
-            PointerChase::new(8, 4).name(),
-        ];
-        let set: std::collections::HashSet<_> = names.iter().collect();
-        assert_eq!(set.len(), 4);
+        let w = StrideWalk::new(128, 8, 64);
+        assert!(w.execute(&mut rec, Transformations::none()).is_finite());
     }
 }

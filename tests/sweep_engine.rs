@@ -99,13 +99,20 @@ fn grid_results_align_with_submission_order() {
     }
 }
 
-/// `STTCACHE_THREADS` pins the environment-derived worker count.
+/// `STTCACHE_THREADS` pins the environment-derived worker count, and a
+/// malformed value is an error naming the variable, never a default.
+/// (No other test in this binary reads the variable: each pins its
+/// runner or the `--jobs` override.)
 #[test]
 fn environment_variable_pins_worker_count() {
     std::env::set_var("STTCACHE_THREADS", "3");
-    assert_eq!(SweepRunner::from_env().workers(), 3);
+    assert_eq!(SweepRunner::from_env().map(|r| r.workers()), Ok(3));
     std::env::set_var("STTCACHE_THREADS", "not-a-number");
-    assert!(SweepRunner::from_env().workers() >= 1);
+    let err = SweepRunner::from_env().expect_err("a malformed value is rejected");
+    assert!(
+        err.contains("STTCACHE_THREADS") && err.contains("not-a-number"),
+        "{err}"
+    );
     std::env::remove_var("STTCACHE_THREADS");
 }
 

@@ -3,15 +3,21 @@
 //! Every catalog organization × PolyBench kernel × transformation set
 //! must produce the identical [`RunResult`] — core report and full
 //! hierarchy statistics — whether the simulation runs the kernel directly
-//! or replays the shared cached trace. This is the byte-identical-output
-//! guarantee the figures depend on.
+//! or replays the shared cached trace, and so must the hand-built
+//! hierarchies the extension studies drive. This is the
+//! byte-identical-output guarantee the figures depend on.
 //!
 //! [`RunResult`]: sttcache::RunResult
 
-use sttcache::{DCacheOrganization, Platform, PlatformConfig};
-use sttcache_bench::{check, trace_cache};
-use sttcache_cpu::Engine;
-use sttcache_workloads::{PolyBench, ProblemSize, Transformations};
+use std::fmt::Debug;
+use sttcache::{
+    l2_config, nvm_dl1_config, nvm_il1_config, sram_dl1_config, DCacheOrganization, FrontEnd,
+    Platform, PlatformConfig, StageSpec, VwbConfig, VwbFrontEnd,
+};
+use sttcache_bench::{check, extensions, trace_cache};
+use sttcache_cpu::{Core, CoreConfig, CoreReport, DataPort, Engine, FetchUnit, MemPort};
+use sttcache_mem::{Cache, Cycle, MainMemory, MemoryLevel, NextLinePrefetcher, Shared};
+use sttcache_workloads::{PolyBench, ProblemSize, Transformations, Workload};
 
 /// none, all, and each transformation alone.
 fn transform_sets() -> [Transformations; 5] {
@@ -93,4 +99,113 @@ fn organizations_share_one_recording_per_kernel() {
         std::sync::Arc::ptr_eq(&first, &again),
         "the recording was not shared"
     );
+}
+
+/// Runs `w` on two fresh cores from `build`, one replaying the shared
+/// trace through [`trace_cache::drive`] and one executing the kernel
+/// directly, and asserts that `finish` reads the same from both.
+fn assert_replay_matches_direct<P: DataPort, R: PartialEq + Debug>(
+    w: Workload,
+    topology: &str,
+    build: impl Fn() -> Core<P>,
+    finish: impl Fn(Core<P>) -> R,
+) {
+    let (size, t) = (ProblemSize::Mini, Transformations::none());
+    let mut replayed = build();
+    trace_cache::drive(&mut replayed, w, size, t);
+    let mut direct = build();
+    w.kernel(size)
+        .expect("the extension mix is kernel-backed")
+        .run(&mut direct, t);
+    assert_eq!(
+        finish(replayed),
+        finish(direct),
+        "{topology}: replay diverged on {}",
+        w.label()
+    );
+}
+
+/// The core's report, then `drain` applied to its port at the end of the
+/// run.
+fn report_and_drain<P: DataPort>(
+    mut core: Core<P>,
+    drain: impl FnOnce(P, Cycle) -> (usize, Cycle),
+) -> (CoreReport, (usize, Cycle)) {
+    let end = core.now();
+    let report = core.report();
+    (report, drain(core.into_port(), end))
+}
+
+fn l2_over_memory() -> Cache<MainMemory> {
+    Cache::new(l2_config().expect("canonical l2"), MainMemory::new(100))
+}
+
+/// The extension studies drive hand-built hierarchies that never pass
+/// through `run_config`, so `STTCACHE_TRACE_CHECK` cannot see them:
+/// replay must match direct execution on each one, core report and
+/// drain alike.
+#[test]
+fn hand_built_hierarchies_replay_like_direct_execution() {
+    for w in extensions::ext_mix() {
+        // Ext. 1: an IL1 and a VWB-fronted NVM DL1 over one shared L2.
+        assert_replay_matches_direct(
+            w,
+            "unified l2",
+            || {
+                let l2 = Shared::new(l2_over_memory());
+                let il1 = Cache::new(nvm_il1_config().expect("canonical il1"), l2.clone());
+                let dl1 = Cache::new(nvm_dl1_config().expect("canonical dl1"), l2);
+                let stage = StageSpec::Vwb(VwbConfig::default())
+                    .build(dl1.config().line_bytes() * 8)
+                    .expect("canonical vwb");
+                let mut core = Core::new(CoreConfig::default(), FrontEnd::new(Some(stage), dl1));
+                core.attach_fetch_unit(FetchUnit::new(Box::new(il1), 16 * 1024));
+                core
+            },
+            |core| report_and_drain(core, |mut fe, end| fe.flush_dirty(end)),
+        );
+        // Ext. 2: a hardware next-line prefetcher inside the NVM DL1.
+        assert_replay_matches_direct(
+            w,
+            "next-line prefetcher",
+            || {
+                let dl1 = Cache::new(nvm_dl1_config().expect("canonical dl1"), l2_over_memory());
+                Core::new(
+                    CoreConfig::default(),
+                    MemPort::new(NextLinePrefetcher::new(dl1)),
+                )
+            },
+            |mut core| {
+                let report = core.report();
+                let pf = core.into_port().into_inner();
+                let dl1 = pf.inner();
+                (
+                    report,
+                    *pf.prefetcher_stats(),
+                    *dl1.stats(),
+                    dl1.dirty_lines(),
+                )
+            },
+        );
+        // Ext. 6: the sleep-entry drains of the SRAM DL1 and of the VWB.
+        assert_replay_matches_direct(
+            w,
+            "sram sleep entry",
+            || {
+                let dl1 = Cache::new(sram_dl1_config().expect("canonical dl1"), l2_over_memory());
+                Core::new(CoreConfig::default(), MemPort::new(dl1))
+            },
+            |core| report_and_drain(core, |port, end| port.into_inner().flush_dirty(end)),
+        );
+        assert_replay_matches_direct(
+            w,
+            "vwb sleep entry",
+            || {
+                let dl1 = Cache::new(nvm_dl1_config().expect("canonical dl1"), l2_over_memory());
+                let vwb = VwbFrontEnd::new(VwbConfig::default(), dl1).expect("canonical vwb");
+                Core::new(CoreConfig::default(), vwb)
+            },
+            |core| report_and_drain(core, |mut vwb, end| vwb.flush_dirty(end)),
+        );
+    }
 }

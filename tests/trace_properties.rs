@@ -52,7 +52,7 @@ fn replay_identity() {
         let events = rng.vec_of(0, 200, arb_event);
         let trace: Trace = events.into_iter().collect();
         let mut rec = TraceRecorder::new();
-        trace.replay(&mut rec);
+        trace.replay_into(&mut rec);
         let rerecorded = rec.into_trace();
         // Compute events may coalesce, so compare the summaries and the
         // total compute volume instead of exact event lists.
@@ -107,7 +107,7 @@ fn trace_replay_reproduces_direct_timing() {
         let trace = rec.into_trace();
         let replayed = Platform::new(org)
             .expect("canonical configuration")
-            .run(|e: &mut dyn Engine| trace.replay(e))
+            .run(|e: &mut dyn Engine| trace.replay_into(e))
             .cycles();
 
         assert_eq!(direct, replayed, "{}", org.name());
@@ -126,7 +126,7 @@ fn empty_trace_roundtrips_and_replays_as_noop() {
     assert!(back.is_empty());
 
     let mut rec = TraceRecorder::new();
-    trace.replay(&mut rec);
+    trace.replay_into(&mut rec);
     assert!(rec.into_trace().is_empty());
 
     // An empty trace replayed through a platform costs nothing but the
@@ -178,7 +178,7 @@ fn monomorphic_replay_matches_dyn_replay_on_platforms() {
         let org = DCacheOrganization::NvmDropIn;
         let via_dyn = Platform::new(org)
             .expect("canonical configuration")
-            .run(|e: &mut dyn Engine| trace.replay(e));
+            .run(|e: &mut dyn Engine| trace.replay_into(e));
         let via_mono = Platform::new(org)
             .expect("canonical configuration")
             .run_trace(&trace);
