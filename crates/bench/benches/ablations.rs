@@ -4,7 +4,14 @@
 //! depth, replacement policy, and a stride characterization of the VWB.
 //! Run with `cargo bench --offline -p sttcache-bench --bench ablations`;
 //! it prints cycle tables only (host time is the benchmark's job, see
-//! `benchmark/README.md`).
+//! `benchmark/README.md`), which CI diffs against
+//! `tests/golden/ablations.txt`.
+//!
+//! At Mini the associativity, write-buffer and replacement sweeps are
+//! flat: gemm's arrays total 5.8 KB, so gemm never evicts from the 64 KB
+//! DL1. These tables therefore cannot tell replacement policies apart;
+//! `tests/properties.rs::replacement_outcomes_are_pinned` pins each
+//! policy's victims instead.
 
 use sttcache::{penalty_pct, DCacheOrganization, Platform, PlatformConfig, VwbConfig};
 use sttcache_cpu::Engine;

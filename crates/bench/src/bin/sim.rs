@@ -27,7 +27,9 @@
 //!   joined by `+`, e.g. `gemm:vwb+mvt@500:sram` or
 //!   `gemm+file:recorded.trace@64:sram`; entries without `:org` use
 //!   `--org`. Implies `--cores <entry count>`.
-//! * `--l2-banks N`: bank the shared L2 `N` ways (multi-core only).
+//! * `--l2-banks N`: bank the shared L2 `N` ways (multi-core only). `N`
+//!   must be a power of two (else exit 2); an L2 with more banks than
+//!   lines is an invalid configuration (exit 1).
 //! * A flag the selected run would ignore exits 2 and names the flag:
 //!   `--vwb-bits` without `--org vwb`, `--l2-banks` on a single core, and
 //!   `--bench`, `--trace-file`, `--baseline` or `--icache` on a
@@ -177,13 +179,7 @@ fn parse_args() -> Options {
                 }
             }
             "--mix" => mix = Some(next(&mut i)),
-            "--l2-banks" => {
-                let n: usize = next(&mut i).parse().unwrap_or_else(|_| usage());
-                if n == 0 {
-                    usage();
-                }
-                l2_banks = Some(n);
-            }
+            "--l2-banks" => l2_banks = Some(next(&mut i).parse().unwrap_or_else(|_| usage())),
             "--profile" => profile = true,
             "--serial" => parallel::set_jobs(1),
             "--jobs" => {
@@ -215,6 +211,9 @@ fn parse_args() -> Options {
     }
     if l2_banks.is_some() && !multi {
         reject("--l2-banks needs --cores N or --mix");
+    }
+    if l2_banks.is_some_and(|n: usize| !n.is_power_of_two()) {
+        reject("--l2-banks must be a power of two");
     }
     if multi && mix.is_none() && bench.is_some() {
         reject("--bench/--trace-file: the default multi-core mix ignores it (use --mix)");

@@ -147,9 +147,7 @@ pub fn check_trace_on(organization: DCacheOrganization, trace: &Trace) -> OrgChe
     let _ = invariants::take_violations(); // start from a clean slate
 
     let platform = Platform::new(organization).expect("canonical organization validates");
-    let fe: FrontEnd = platform
-        .front_end()
-        .expect("validated configuration builds");
+    let fe: FrontEnd = platform.front_end();
     let core = Core::new(platform.config().core, fe);
     let mut tee = TeeEngine::new(core, OracleMirror::new());
     trace.replay_into(&mut tee);

@@ -11,9 +11,8 @@ use crate::experiments::{run_benchmark, SeriesTable};
 use crate::parallel::SweepRunner;
 use crate::trace_cache;
 use sttcache::{
-    l2_config, nvm_dl1_config, nvm_il1_config, penalty_pct, sram_dl1_config, sram_il1_config,
-    DCacheOrganization, DlOneTechnology, FrontEnd, PlatformConfig, StageSpec, VwbConfig,
-    VwbFrontEnd,
+    l2_config, nvm_dl1_config, penalty_pct, sram_dl1_config, DCacheOrganization, DlOneTechnology,
+    FrontEnd, PlatformConfig, StageSpec, VwbConfig, VwbFrontEnd,
 };
 use sttcache_cpu::{Core, CoreConfig, FetchUnit, MemPort};
 use sttcache_mem::{AsymmetricWrite, Cache, CacheConfig, MainMemory, NextLinePrefetcher, Shared};
@@ -49,18 +48,8 @@ fn run_unified(
         l2_config().expect("canonical l2"),
         MainMemory::new(100),
     ));
-    let dl1_cfg = match dl1_tech {
-        DlOneTechnology::Sram => sram_dl1_config(),
-        DlOneTechnology::SttMram => nvm_dl1_config(),
-    }
-    .expect("canonical dl1");
-    let il1_cfg = match il1_tech {
-        DlOneTechnology::Sram => sram_il1_config(),
-        DlOneTechnology::SttMram => nvm_il1_config(),
-    }
-    .expect("canonical il1");
-    let il1 = Cache::new(il1_cfg, l2.clone());
-    let dl1 = Cache::new(dl1_cfg, l2.clone());
+    let il1 = Cache::new(il1_tech.il1_config().expect("canonical il1"), l2.clone());
+    let dl1 = Cache::new(dl1_tech.dl1_config().expect("canonical dl1"), l2.clone());
     let line_bits = dl1.config().line_bytes() * 8;
     let stage = vwb.map(|cfg| {
         StageSpec::Vwb(cfg)

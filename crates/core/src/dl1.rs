@@ -23,6 +23,24 @@ impl DlOneTechnology {
             DlOneTechnology::SttMram => CellKind::SttMram,
         }
     }
+
+    /// The canonical L1 D-cache of this technology: [`sram_dl1_config`]
+    /// or [`nvm_dl1_config`].
+    pub fn dl1_config(self) -> Result<CacheConfig, SttError> {
+        match self {
+            DlOneTechnology::Sram => sram_dl1_config(),
+            DlOneTechnology::SttMram => nvm_dl1_config(),
+        }
+    }
+
+    /// The canonical L1 I-cache of this technology: [`sram_il1_config`]
+    /// or [`nvm_il1_config`].
+    pub fn il1_config(self) -> Result<CacheConfig, SttError> {
+        match self {
+            DlOneTechnology::Sram => sram_il1_config(),
+            DlOneTechnology::SttMram => nvm_il1_config(),
+        }
+    }
 }
 
 /// The paper's 64 KB 2-way SRAM DL1: 32 B (256-bit) lines, 1-cycle read and

@@ -150,17 +150,22 @@ impl MultiPlatformConfig {
 #[derive(Debug, Clone)]
 pub struct MultiPlatform {
     config: MultiPlatformConfig,
+    /// Each core's isolated single-core platform: the source of that
+    /// core's DL1, buffer stage and energy model, and (identically in
+    /// every core) of the shared L2.
+    isolated: Vec<Platform>,
 }
 
 impl MultiPlatform {
-    /// Creates a multi-core platform.
+    /// Creates a multi-core platform. Nothing is built: every core's
+    /// isolated platform checks its configuration, and every run builds
+    /// its own cold assembly.
     ///
     /// # Errors
     ///
     /// Returns an [`SttError`] if there is no core or more than
     /// [`MAX_CORES`], or if any per-core organization or the shared-L2
-    /// configuration is invalid (validated eagerly by building the full
-    /// assembly once).
+    /// configuration is invalid (see [`Platform::with_config`]).
     pub fn new(config: MultiPlatformConfig) -> Result<Self, SttError> {
         if config.cores.is_empty() {
             return Err(SttError::InvalidPlatform {
@@ -175,13 +180,22 @@ impl MultiPlatform {
                 ),
             });
         }
-        let p = MultiPlatform { config };
-        let l2 = p.build_shared_l2()?;
-        for idx in 0..p.config.cores.len() {
-            p.build_front_end_for(idx, &l2)?;
-            p.core_platform(idx)?; // validates the per-core energy-model config
-        }
-        Ok(p)
+        let isolated = config
+            .cores
+            .iter()
+            .map(|spec| {
+                Platform::with_config(PlatformConfig {
+                    organization: spec.organization,
+                    core: config.core,
+                    memory_latency: config.memory_latency,
+                    clock_ghz: config.clock_ghz,
+                    dl1_override: config.dl1_override,
+                    l2_override: config.l2_override,
+                    icache: None,
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(MultiPlatform { config, isolated })
     }
 
     /// The configuration.
@@ -200,51 +214,7 @@ impl MultiPlatform {
     /// is the "isolated run" every contention measurement compares
     /// against.
     pub fn isolated_config(&self, idx: usize) -> PlatformConfig {
-        PlatformConfig {
-            organization: self.config.cores[idx].organization,
-            core: self.config.core,
-            memory_latency: self.config.memory_latency,
-            clock_ghz: self.config.clock_ghz,
-            dl1_override: self.config.dl1_override,
-            l2_override: self.config.l2_override,
-            icache: None,
-        }
-    }
-
-    fn core_platform(&self, idx: usize) -> Result<Platform, SttError> {
-        Platform::with_config(self.isolated_config(idx))
-    }
-
-    /// Builds the cold shared tail: one banked L2 over main memory.
-    fn build_shared_l2(&self) -> Result<SharedL2, SttError> {
-        let l2cfg = match self.config.l2_override {
-            Some(cfg) => cfg,
-            None => crate::l2_config()?,
-        };
-        let mut tail = Cache::new(l2cfg, MainMemory::new(self.config.memory_latency));
-        tail.set_telemetry_component("l2");
-        Ok(Shared::new(tail))
-    }
-
-    /// Builds core `idx`'s cold private front-end over a handle to the
-    /// shared L2.
-    fn build_front_end_for(
-        &self,
-        idx: usize,
-        l2: &SharedL2,
-    ) -> Result<FrontEnd<SharedL2>, SttError> {
-        let dl1_cfg = match self.config.dl1_override {
-            Some(cfg) => cfg,
-            None => match self.config.cores[idx].organization.dl1_technology() {
-                crate::DlOneTechnology::Sram => crate::sram_dl1_config()?,
-                crate::DlOneTechnology::SttMram => crate::nvm_dl1_config()?,
-            },
-        };
-        let mut dl1 = Cache::new(dl1_cfg, l2.clone());
-        dl1.set_telemetry_component(CORE_DL1_COMPONENTS[idx]);
-        let line_bits = dl1.config().line_bytes() * 8;
-        let stage = self.config.cores[idx].organization.build_stage(line_bits)?;
-        Ok(FrontEnd::new(stage, dl1))
+        self.isolated[idx].config().clone()
     }
 
     /// Replays one recorded trace per core on a cold platform, cores
@@ -321,14 +291,11 @@ impl MultiPlatform {
     fn execute(&self, traces: &[&Trace]) -> (Vec<CoreReport>, Vec<FrontEnd<SharedL2>>, SharedL2) {
         let n = self.config.cores.len();
         assert_eq!(traces.len(), n, "one trace per core");
-        let l2 = self
-            .build_shared_l2()
-            .expect("configuration was validated eagerly");
+        let l2 = Shared::new(self.isolated[0].build_l2());
         let mut cores: Vec<Core<FrontEnd<SharedL2>>> = (0..n)
             .map(|idx| {
-                let fe = self
-                    .build_front_end_for(idx, &l2)
-                    .expect("configuration was validated eagerly");
+                let fe =
+                    self.isolated[idx].build_dl1_front_end(l2.clone(), CORE_DL1_COMPONENTS[idx]);
                 Core::starting_at(self.config.core, fe, self.config.cores[idx].phase_offset)
             })
             .collect();
@@ -390,10 +357,7 @@ impl MultiPlatform {
             .map(|(idx, (report, fe))| {
                 let dl1 = *fe.dl1_stats();
                 let buffers = fe.stage_stats();
-                let energy = self
-                    .core_platform(idx)
-                    .expect("configuration was validated eagerly")
-                    .energy_report(&report, &dl1, &shared_l2, &buffers);
+                let energy = self.isolated[idx].energy_report(&report, &dl1, &shared_l2, &buffers);
                 RunResult {
                     organization: self.config.cores[idx].organization,
                     core: report,

@@ -8,15 +8,13 @@
 //! ratio.
 
 use crate::baselines::{EmshrConfig, L0Config};
-use crate::dl1::{
-    l2_config, nvm_dl1_config, nvm_il1_config, sram_dl1_config, sram_il1_config, DlOneTechnology,
-};
+use crate::dl1::{l2_config, DlOneTechnology};
 use crate::front_end::FrontEnd;
 use crate::stage::{BufferStage, BufferStats, StackSpec, StageSpec, StageStats};
 use crate::vwb::VwbConfig;
 use crate::SttError;
 use sttcache_cpu::{Core, CoreConfig, CoreReport, Engine, FetchUnit, Trace};
-use sttcache_mem::{Cache, CacheConfig, CacheStats, MainMemory};
+use sttcache_mem::{Cache, CacheConfig, CacheStats, MainMemory, MemoryLevel};
 use sttcache_tech::{ArrayModel, CellKind, LeakageIntegrator};
 
 /// Which L1 D-cache organization the platform runs.
@@ -106,7 +104,7 @@ impl DCacheOrganization {
 /// paper's reference \[7\]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IcacheConfig {
-    /// IL1 technology (selects [`sram_il1_config`] or [`nvm_il1_config`]).
+    /// IL1 technology (selects [`DlOneTechnology::il1_config`]).
     pub technology: DlOneTechnology,
     /// Active code footprint in bytes the fetch PC cycles through.
     pub code_footprint_bytes: u64,
@@ -165,6 +163,11 @@ impl PlatformConfig {
 #[derive(Debug, Clone)]
 pub struct Platform {
     config: PlatformConfig,
+    /// The DL1 and L2 configurations in force: the overrides when set,
+    /// else the canonical ones. Resolved and checked once, at
+    /// construction.
+    dl1: CacheConfig,
+    l2: CacheConfig,
 }
 
 impl Platform {
@@ -178,16 +181,32 @@ impl Platform {
         Platform::with_config(PlatformConfig::new(organization))
     }
 
-    /// Creates a platform from a full configuration.
+    /// Creates a platform from a full configuration. Nothing is built:
+    /// the configurations are checked, and every run builds its own cold
+    /// hierarchy from them.
     ///
     /// # Errors
     ///
-    /// Returns an [`SttError`] if any component configuration is invalid
-    /// (validated eagerly by building the hierarchy once).
+    /// Returns an [`SttError`] if any configuration a run builds or
+    /// models is invalid: the DL1, L2 and IL1 caches, the DL1 and L2
+    /// energy-model arrays, or the organization's buffer stage.
     pub fn with_config(config: PlatformConfig) -> Result<Self, SttError> {
-        let p = Platform { config };
-        p.build_front_end()?; // eager validation
-        Ok(p)
+        let tech = config.organization.dl1_technology();
+        let dl1 = match config.dl1_override {
+            Some(cfg) => cfg,
+            None => tech.dl1_config()?,
+        };
+        let l2 = match config.l2_override {
+            Some(cfg) => cfg,
+            None => l2_config()?,
+        };
+        dl1.array_config(tech.cell_kind())?;
+        l2.array_config(CellKind::Sram6T)?;
+        config.organization.build_stage(dl1.line_bytes() * 8)?;
+        if let Some(ic) = config.icache {
+            ic.technology.il1_config()?;
+        }
+        Ok(Platform { config, dl1, l2 })
     }
 
     /// The configuration.
@@ -195,46 +214,38 @@ impl Platform {
         &self.config
     }
 
-    pub(crate) fn dl1_config(&self) -> Result<CacheConfig, SttError> {
-        if let Some(cfg) = self.config.dl1_override {
-            return Ok(cfg);
-        }
-        match self.config.organization.dl1_technology() {
-            DlOneTechnology::Sram => sram_dl1_config(),
-            DlOneTechnology::SttMram => nvm_dl1_config(),
-        }
+    /// Builds the cold L2 over main memory.
+    pub(crate) fn build_l2(&self) -> Cache<MainMemory> {
+        let mut l2 = Cache::new(self.l2, MainMemory::new(self.config.memory_latency));
+        l2.set_telemetry_component("l2");
+        l2
     }
 
-    /// Builds the cold front-end: the organization's buffer stage, if any,
-    /// over DL1 → L2 → memory.
-    fn build_front_end(&self) -> Result<FrontEnd, SttError> {
-        let l2cfg = match self.config.l2_override {
-            Some(cfg) => cfg,
-            None => l2_config()?,
-        };
-        let mut tail = Cache::new(l2cfg, MainMemory::new(self.config.memory_latency));
-        tail.set_telemetry_component("l2");
-        let mut dl1 = Cache::new(self.dl1_config()?, tail);
-        dl1.set_telemetry_component("dl1");
-        let line_bits = dl1.config().line_bytes() * 8;
-        let stage = self.config.organization.build_stage(line_bits)?;
-        Ok(FrontEnd::new(stage, dl1))
+    /// Builds the cold DL1 over `next`, labelled `component` in telemetry,
+    /// behind the organization's buffer stage, if any.
+    pub(crate) fn build_dl1_front_end<N: MemoryLevel>(
+        &self,
+        next: N,
+        component: &'static str,
+    ) -> FrontEnd<N> {
+        let mut dl1 = Cache::new(self.dl1, next);
+        dl1.set_telemetry_component(component);
+        let stage = self
+            .config
+            .organization
+            .build_stage(self.dl1.line_bytes() * 8)
+            .expect("the stage was checked at construction");
+        FrontEnd::new(stage, dl1)
     }
 
-    /// Builds a cold front-end for this configuration — the same
-    /// hierarchy [`Platform::run`] constructs internally, handed out for
-    /// harnesses that need to drive the core themselves and inspect or
-    /// drain the hierarchy afterwards (the differential checker in
-    /// `sttcache-bench` does exactly this).
-    ///
-    /// # Errors
-    ///
-    /// Never fails for a platform built through [`Platform::new`] or
-    /// [`Platform::with_config`] (the configuration is validated
-    /// eagerly); the `Result` keeps the signature honest for future
-    /// configuration surfaces.
-    pub fn front_end(&self) -> Result<FrontEnd, SttError> {
-        self.build_front_end()
+    /// Builds a cold front-end for this configuration: the organization's
+    /// buffer stage, if any, over DL1 → L2 → memory. This is the
+    /// hierarchy [`Platform::run`] builds, handed out for harnesses that
+    /// drive the core themselves and inspect or drain the hierarchy
+    /// afterwards (the differential checker in `sttcache-bench` does
+    /// exactly this).
+    pub fn front_end(&self) -> FrontEnd {
+        self.build_dl1_front_end(self.build_l2(), "dl1")
     }
 
     /// Runs a workload on a cold platform and collects every statistic.
@@ -262,16 +273,12 @@ impl Platform {
     /// builds the cold front-end, lets `drive` push events into the
     /// concrete core, then assembles the full [`RunResult`].
     fn run_core(&self, drive: impl FnOnce(&mut Core<FrontEnd>)) -> RunResult {
-        let front_end = self
-            .build_front_end()
-            .expect("configuration was validated eagerly");
-        let mut core = Core::new(self.config.core, front_end);
+        let mut core = Core::new(self.config.core, self.front_end());
         if let Some(ic) = self.config.icache {
-            let il1_cfg = match ic.technology {
-                DlOneTechnology::Sram => sram_il1_config(),
-                DlOneTechnology::SttMram => nvm_il1_config(),
-            }
-            .expect("canonical il1 configurations are valid");
+            let il1_cfg = ic
+                .technology
+                .il1_config()
+                .expect("the il1 was checked at construction");
             // The IL1 misses straight to memory: instruction misses are
             // rare after warm-up at these footprints, so the L2 detour is
             // ignored (first-order, documented in DESIGN.md).
@@ -308,11 +315,8 @@ impl Platform {
     /// Explicit instruction-cache modelling ([`PlatformConfig::icache`])
     /// is not applied to warm runs; [`RunResult::il1`] is `None`.
     pub fn run_warm(&self, workload: impl Fn(&mut dyn Engine)) -> RunResult {
-        let front_end = self
-            .build_front_end()
-            .expect("configuration was validated eagerly");
         // Warm-up pass.
-        let mut core = Core::new(self.config.core, front_end);
+        let mut core = Core::new(self.config.core, self.front_end());
         workload(&mut core);
         let _ = core.report();
         let resume_at = core.now();
@@ -351,23 +355,20 @@ impl Platform {
         l2: &CacheStats,
         buffers: &[StageStats],
     ) -> EnergyReport {
-        let dl1_cfg = self.dl1_config().expect("validated");
         let cell = self.config.organization.dl1_technology().cell_kind();
-        let dl1_model = dl1_cfg
+        let dl1_model = self
+            .dl1
             .array_config(cell)
             .map(ArrayModel::new)
-            .expect("dl1 geometry has an array realization");
-        let l2_cfg = self
-            .config
-            .l2_override
-            .unwrap_or_else(|| l2_config().expect("canonical l2 config is valid"));
-        let l2_model = l2_cfg
+            .expect("the dl1 array was checked at construction");
+        let l2_model = self
+            .l2
             .array_config(CellKind::Sram6T)
             .map(ArrayModel::new)
-            .expect("l2 geometry has an array realization");
+            .expect("the l2 array was checked at construction");
 
-        let line_bits = dl1_cfg.line_bytes() * 8;
-        let l2_line_bits = l2_cfg.line_bytes() * 8;
+        let line_bits = self.dl1.line_bytes() * 8;
+        let l2_line_bits = self.l2.line_bytes() * 8;
         let dl1_dynamic_pj = dl1.reads as f64 * dl1_model.read_energy_pj(line_bits)
             + dl1.writes as f64 * dl1_model.write_energy_pj(line_bits);
         let l2_dynamic_pj = l2.reads as f64 * l2_model.read_energy_pj(l2_line_bits)
@@ -600,6 +601,20 @@ mod tests {
             ..crate::VwbConfig::default()
         });
         assert!(Platform::new(bad).is_err());
+    }
+
+    #[test]
+    fn an_l2_with_more_banks_than_lines_is_refused_at_construction() {
+        // The cache model accepts any power-of-two bank count; the L2's
+        // energy-model array needs at least one line per bank.
+        let l2 = CacheConfig::builder()
+            .capacity_bytes(2 << 20)
+            .banks(65_536)
+            .build();
+        let mut cfg = PlatformConfig::new(DCacheOrganization::NvmDropIn);
+        cfg.l2_override = Some(l2.unwrap());
+        let err = Platform::with_config(cfg).unwrap_err();
+        assert!(err.to_string().contains("bank count 65536"), "{err}");
     }
 
     #[test]

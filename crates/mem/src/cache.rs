@@ -1,10 +1,11 @@
-//! The timed set-associative cache.
+//! The timed set-associative cache, over one flat tag store (`set.rs`)
+//! that the resident-hit fast path probes directly.
 
 use crate::addr::{Addr, Cycle, LineAddr};
 use crate::banks::BankSchedule;
 use crate::config::{CacheConfig, WritePolicy};
 use crate::mshr::{MshrFile, MshrOutcome};
-use crate::set::{CacheSet, LookupResult};
+use crate::set::{LookupResult, TagStore};
 use crate::stats::CacheStats;
 use crate::write_buffer::WriteBuffer;
 use crate::MemoryLevel;
@@ -63,7 +64,9 @@ pub struct Cache<N> {
     /// Cached [`CacheConfig::sets`]: the set count is derived by integer
     /// division, and the decode math needs it on every access.
     set_count: usize,
-    sets: Vec<CacheSet>,
+    /// The one authoritative tag state, probed directly by the hit fast
+    /// path.
+    tags: TagStore,
     banks: BankSchedule,
     mshrs: MshrFile,
     write_buffer: WriteBuffer,
@@ -72,51 +75,20 @@ pub struct Cache<N> {
     /// Array writes performed (drives the deterministic AWARE slow-write
     /// cadence).
     array_writes: u64,
-    /// Compact tag mirror of `sets` for the hit fast path: one `u64` tag
-    /// per way, ways of a set contiguous (`set * ways + way`). Kept in
-    /// lock-step with [`CacheSet::fill`]/invalidate by the only two code
-    /// paths that change residency; audited against `sets` whenever the
-    /// invariant gate is armed. Empty when the mirror is disabled
-    /// (associativity above [`MIRROR_MAX_WAYS`]).
-    mirror_tags: Vec<u64>,
-    /// Valid-way bitmask per set, same lifetime rules as `mirror_tags`.
-    mirror_valid: Vec<u64>,
     /// Pre-resolved wear/share telemetry slots, re-resolved whenever the
     /// component label (`"dl1"`, `"l2"`, …) changes.
     slot_set_writes: crate::telemetry::Slot,
     slot_bank_writes: crate::telemetry::Slot,
 }
 
-/// Widest associativity the compact tag mirror can represent (one valid
-/// bit per way in a `u64`). Wider caches simply take the general path.
-const MIRROR_MAX_WAYS: usize = 64;
-
 impl<N: MemoryLevel> Cache<N> {
     /// Creates a cache with the given configuration in front of `next`.
     pub fn new(config: CacheConfig, next: N) -> Self {
-        let mirrored = config.associativity() <= MIRROR_MAX_WAYS;
         Cache {
-            sets: (0..config.sets())
-                .map(|i| {
-                    CacheSet::with_policy(
-                        config.associativity(),
-                        config.replacement(),
-                        i as u64 + 1,
-                    )
-                })
-                .collect(),
+            tags: TagStore::new(config.sets(), config.associativity(), config.replacement()),
             banks: BankSchedule::new(config.banks()),
             mshrs: MshrFile::new(config.mshr_entries()),
             write_buffer: WriteBuffer::new(config.write_buffer_entries()),
-            mirror_tags: vec![
-                0;
-                if mirrored {
-                    config.sets() * config.associativity()
-                } else {
-                    0
-                }
-            ],
-            mirror_valid: vec![0; if mirrored { config.sets() } else { 0 }],
             set_count: config.sets(),
             config,
             next,
@@ -125,54 +97,6 @@ impl<N: MemoryLevel> Cache<N> {
             slot_set_writes: crate::telemetry::Slot::indexed("cache", "set_writes"),
             slot_bank_writes: crate::telemetry::Slot::indexed("cache", "bank_writes"),
         }
-    }
-
-    /// Whether the compact tag mirror is maintained for this geometry.
-    #[inline]
-    fn mirrored(&self) -> bool {
-        !self.mirror_valid.is_empty()
-    }
-
-    /// Records `tag` landing in `(set_index, way)` in the tag mirror.
-    #[inline]
-    fn mirror_fill(&mut self, set_index: usize, way: usize, tag: u64) {
-        if self.mirrored() {
-            self.mirror_tags[set_index * self.config.associativity() + way] = tag;
-            self.mirror_valid[set_index] |= 1 << way;
-        }
-    }
-
-    /// Rebuilds one set's slice of the tag mirror from the authoritative
-    /// way state (used after invalidations, which do not know the way).
-    fn mirror_rebuild_set(&mut self, set_index: usize) {
-        if !self.mirrored() {
-            return;
-        }
-        let ways = self.config.associativity();
-        let base = set_index * ways;
-        let mut mask = 0u64;
-        for (way, tag) in self.sets[set_index].way_tags().enumerate() {
-            if let Some(tag) = tag {
-                self.mirror_tags[base + way] = tag;
-                mask |= 1 << way;
-            }
-        }
-        self.mirror_valid[set_index] = mask;
-    }
-
-    /// Probes the compact tag mirror for `tag` in `set_index`.
-    #[inline]
-    fn mirror_probe(&self, set_index: usize, tag: u64) -> Option<usize> {
-        let base = set_index * self.config.associativity();
-        let mut mask = self.mirror_valid[set_index];
-        while mask != 0 {
-            let way = mask.trailing_zeros() as usize;
-            if self.mirror_tags[base + way] == tag {
-                return Some(way);
-            }
-            mask &= mask - 1;
-        }
-        None
     }
 
     /// Names the component this cache's telemetry is recorded under
@@ -225,8 +149,9 @@ impl<N: MemoryLevel> Cache<N> {
     /// state change, no timing).
     pub fn contains(&self, addr: Addr) -> bool {
         let line = self.line_of(addr);
-        let set = &self.sets[line.set_index(self.set_count)];
-        set.probe(line.tag(self.set_count)).is_some()
+        self.tags
+            .probe(line.set_index(self.set_count), line.tag(self.set_count))
+            .is_some()
     }
 
     /// Occupies the bank serving `addr` for `cycles` starting no earlier
@@ -263,66 +188,12 @@ impl<N: MemoryLevel> Cache<N> {
         let sets_count = self.set_count;
         let line_bytes = self.config.line_bytes();
         let mut lines = Vec::new();
-        for (set_index, set) in self.sets.iter().enumerate() {
-            for (tag, _) in set.iter_valid() {
+        for set_index in 0..sets_count {
+            for (tag, _) in self.tags.iter_valid(set_index) {
                 lines.push(LineAddr::from_parts(tag, set_index, sets_count).base(line_bytes));
             }
         }
         lines
-    }
-
-    /// Runs the per-set structural checks and the MSHR occupancy check,
-    /// reporting through [`invariants`](crate::invariants). Called on the
-    /// hot paths when the gate is on; harnesses may also call it directly.
-    pub fn check_invariants(&self, now: Cycle) {
-        for (i, set) in self.sets.iter().enumerate() {
-            set.check_invariants(i, now);
-        }
-        self.check_mirror(now);
-        self.mshrs.check_invariants(now);
-        self.write_buffer.check_invariants(now);
-    }
-
-    /// Audits the compact tag mirror against the authoritative way state.
-    /// The fast path never runs while the invariant gate is armed, so this
-    /// catches maintenance bugs (a residency change that bypassed
-    /// [`Cache::mirror_fill`]/[`Cache::mirror_rebuild_set`]) rather than
-    /// fast-path bugs.
-    fn check_mirror(&self, now: Cycle) {
-        if !self.mirrored() {
-            return;
-        }
-        let ways = self.config.associativity();
-        for (i, set) in self.sets.iter().enumerate() {
-            let mut mask = 0u64;
-            for (way, tag) in set.way_tags().enumerate() {
-                if let Some(tag) = tag {
-                    mask |= 1 << way;
-                    if self.mirror_tags[i * ways + way] != tag {
-                        crate::invariants::report(
-                            "cache",
-                            now,
-                            None,
-                            format!(
-                                "tag mirror stale in set {i} way {way}: mirror {:#x}, set {tag:#x}",
-                                self.mirror_tags[i * ways + way]
-                            ),
-                        );
-                    }
-                }
-            }
-            if mask != self.mirror_valid[i] {
-                crate::invariants::report(
-                    "cache",
-                    now,
-                    None,
-                    format!(
-                        "valid mirror stale in set {i}: mirror {:#b}, set {mask:#b}",
-                        self.mirror_valid[i]
-                    ),
-                );
-            }
-        }
     }
 
     /// End-of-run verification of this level: reports leaked MSHR
@@ -344,10 +215,7 @@ impl<N: MemoryLevel> Cache<N> {
 
     /// Number of dirty lines currently held.
     pub fn dirty_lines(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.iter_valid().filter(|&(_, d)| d).count())
-            .sum()
+        self.tags.dirty_count()
     }
 
     /// Writes every dirty line back to the next level (power-gating /
@@ -363,8 +231,9 @@ impl<N: MemoryLevel> Cache<N> {
         let mut flushed = 0;
         let mut done = now;
         for set_index in 0..sets_count {
-            let dirty: Vec<u64> = self.sets[set_index]
-                .iter_valid()
+            let dirty: Vec<u64> = self
+                .tags
+                .iter_valid(set_index)
                 .filter(|&(_, d)| d)
                 .map(|(tag, _)| tag)
                 .collect();
@@ -377,7 +246,7 @@ impl<N: MemoryLevel> Cache<N> {
                     .next
                     .write(line.base(line_bytes), start + self.config.read_cycles());
                 done = out.complete_at;
-                self.sets[set_index].clean(tag);
+                self.tags.clean(set_index, tag);
                 self.stats.writebacks += 1;
                 flushed += 1;
             }
@@ -390,10 +259,8 @@ impl<N: MemoryLevel> Cache<N> {
     pub fn invalidate(&mut self, addr: Addr, now: Cycle) -> bool {
         let line = self.line_of(addr);
         let sets = self.set_count;
-        let tag = line.tag(sets);
-        match self.sets[line.set_index(sets)].invalidate(tag) {
+        match self.tags.invalidate(line.set_index(sets), line.tag(sets)) {
             Some(dirty) => {
-                self.mirror_rebuild_set(line.set_index(sets));
                 if dirty {
                     self.push_writeback(line, now);
                 }
@@ -457,19 +324,19 @@ impl<N: MemoryLevel> Cache<N> {
         // Victim handling: a dirty victim goes to the write buffer. A full
         // buffer back-pressures the fill.
         let sets = self.set_count;
-        let tag = line.tag(sets);
-        let (victim, dirty_tag) = match self.sets[line.set_index(sets)].lookup(tag) {
+        let (set_index, tag) = (line.set_index(sets), line.tag(sets));
+        let (victim, dirty_tag) = match self.tags.lookup(set_index, tag) {
             LookupResult::Miss { victim, dirty_tag } => (victim, dirty_tag),
             // A merged fill for this line may have installed it already.
             LookupResult::Hit(way) => {
-                self.sets[line.set_index(sets)].touch(way, below.complete_at, false);
+                self.tags.touch(set_index, way, below.complete_at, false);
                 self.mshrs.complete(line, below.complete_at);
                 return (below.complete_at, served_by);
             }
         };
         let mut fill_ready = below.complete_at;
         if let Some(dtag) = dirty_tag {
-            let victim_line = LineAddr::from_parts(dtag, line.set_index(sets), sets);
+            let victim_line = LineAddr::from_parts(dtag, set_index, sets);
             let wb_ready = self.push_writeback(victim_line, fill_ready);
             fill_ready = fill_ready.max(wb_ready);
         }
@@ -477,29 +344,27 @@ impl<N: MemoryLevel> Cache<N> {
         // Install the line; writing the fill occupies the bank.
         let fill_write = self.next_write_cycles();
         self.banks.reserve(bank, fill_ready, fill_write);
-        let sets_len = self.set_count;
-        self.sets[line.set_index(sets_len)].fill(victim, tag, false, fill_ready);
-        self.mirror_fill(line.set_index(sets_len), victim, tag);
+        self.tags.fill(set_index, victim, tag, false, fill_ready);
         self.stats.fills += 1;
-        self.telemetry_array_write(line.set_index(sets_len), bank);
+        self.telemetry_array_write(set_index, bank);
         self.mshrs.complete(line, fill_ready);
         (fill_ready, served_by)
     }
 
-    /// The resident-hit fast path for reads: answers from the compact tag
-    /// mirror without scanning the MSHR file or probing the gated
-    /// observers. Byte-identical to the general path because it performs
-    /// the same mutations in the same order (stats, bank schedule,
-    /// replacement touch) and bails — returning `None` — in every
-    /// situation where the general path would do anything more:
+    /// The resident-hit fast path for reads: probes the tag store without
+    /// scanning the MSHR file or probing the gated observers.
+    /// Byte-identical to the general path because it performs the same
+    /// mutations in the same order (stats, bank schedule, replacement
+    /// touch) and bails — returning `None` — in every situation where the
+    /// general path would do anything more:
     ///
     /// * a fill is still in flight anywhere in this cache (the general
     ///   hit path consults [`MshrFile::ready_time`]);
     /// * the telemetry or invariant gate is armed (the general path
     ///   records observations / runs checks) — checked as one combined
     ///   atomic load through the `gates` cache;
-    /// * the mirror misses (the access is a miss, or the mirror is
-    ///   disabled for this geometry).
+    /// * the probe misses (the general path runs the miss, whose first
+    ///   `lookup` may advance the random policy's stream).
     #[inline]
     fn try_read_hit_fast(
         &mut self,
@@ -508,18 +373,16 @@ impl<N: MemoryLevel> Cache<N> {
         bank: usize,
         now: Cycle,
     ) -> Option<AccessOutcome> {
-        if !self.mirrored() || self.mshrs.fills_pending(now) || crate::gates::any_observer_armed() {
+        if self.mshrs.fills_pending(now) || crate::gates::any_observer_armed() {
             return None;
         }
-        let tag = line.tag(self.set_count);
-        let way = self.mirror_probe(set_index, tag)?;
-        debug_assert_eq!(self.sets[set_index].probe(tag), Some(way));
+        let way = self.tags.probe(set_index, line.tag(self.set_count))?;
         self.stats.reads += 1;
         self.stats.read_hits += 1;
         let start = self
             .banks
             .reserve_quiet(bank, now, self.config.read_cycles());
-        self.sets[set_index].touch(way, start, false);
+        self.tags.touch(set_index, way, start, false);
         // The full sync (not an incremental `start - now` bump) is
         // load-bearing: stage wrappers advance the bank tally between
         // accesses through `occupy_bank`, and the sync is what folds
@@ -544,21 +407,18 @@ impl<N: MemoryLevel> Cache<N> {
         bank: usize,
         now: Cycle,
     ) -> Option<AccessOutcome> {
-        if !self.mirrored()
-            || !matches!(self.config.write_policy(), WritePolicy::WriteBack)
+        if !matches!(self.config.write_policy(), WritePolicy::WriteBack)
             || self.mshrs.fills_pending(now)
             || crate::gates::any_observer_armed()
         {
             return None;
         }
-        let tag = line.tag(self.set_count);
-        let way = self.mirror_probe(set_index, tag)?;
-        debug_assert_eq!(self.sets[set_index].probe(tag), Some(way));
+        let way = self.tags.probe(set_index, line.tag(self.set_count))?;
         self.stats.writes += 1;
         self.stats.write_hits += 1;
         let wc = self.next_write_cycles();
         let start = self.banks.reserve_quiet(bank, now, wc);
-        self.sets[set_index].touch(way, start, true);
+        self.tags.touch(set_index, way, start, true);
         self.sync_component_stats();
         Some(AccessOutcome {
             complete_at: start + wc,
@@ -581,14 +441,14 @@ impl<N: MemoryLevel> Cache<N> {
         self.stats.reads += 1;
         let tag = line.tag(self.set_count);
 
-        let lookup = self.sets[set_index].lookup(tag);
+        let lookup = self.tags.lookup(set_index, tag);
         let outcome = match lookup {
             LookupResult::Hit(way) => {
                 self.stats.read_hits += 1;
                 // Data of an in-flight fill may not have arrived yet.
                 let avail = self.mshrs.ready_time(line, now).map_or(now, |r| r.max(now));
                 let start = self.banks.reserve(bank, avail, self.config.read_cycles());
-                self.sets[set_index].touch(way, start, false);
+                self.tags.touch(set_index, way, start, false);
                 AccessOutcome {
                     complete_at: start + self.config.read_cycles(),
                     served_by: ServedBy::ThisLevel,
@@ -624,7 +484,7 @@ impl<N: MemoryLevel> Cache<N> {
         let sets = self.set_count;
         let tag = line.tag(sets);
 
-        let lookup = self.sets[set_index].lookup(tag);
+        let lookup = self.tags.lookup(set_index, tag);
         let outcome = match (lookup, self.config.write_policy()) {
             (LookupResult::Hit(way), WritePolicy::WriteBack) => {
                 self.stats.write_hits += 1;
@@ -632,7 +492,7 @@ impl<N: MemoryLevel> Cache<N> {
                 let wc = self.next_write_cycles();
                 let start = self.banks.reserve(bank, avail, wc);
                 self.telemetry_array_write(set_index, bank);
-                self.sets[set_index].touch(way, start, true);
+                self.tags.touch(set_index, way, start, true);
                 AccessOutcome {
                     complete_at: start + wc,
                     served_by: ServedBy::ThisLevel,
@@ -642,7 +502,7 @@ impl<N: MemoryLevel> Cache<N> {
                 self.stats.write_hits += 1;
                 let start = self.banks.reserve(bank, now, self.config.write_cycles());
                 self.telemetry_array_write(set_index, bank);
-                self.sets[set_index].touch(way, start, false);
+                self.tags.touch(set_index, way, start, false);
                 let below = self.next.write(line.base(self.config.line_bytes()), start);
                 AccessOutcome {
                     complete_at: below.complete_at,
@@ -666,7 +526,7 @@ impl<N: MemoryLevel> Cache<N> {
                 // reaches it the stale entry is reclaimed and the fill
                 // installs the line.
                 let way = loop {
-                    match self.sets[set_index].lookup(tag) {
+                    match self.tags.lookup(set_index, tag) {
                         LookupResult::Hit(way) => break way,
                         LookupResult::Miss { .. } => {
                             let (r, _) = self.fill_miss(line, ready);
@@ -677,7 +537,7 @@ impl<N: MemoryLevel> Cache<N> {
                 let wc = self.next_write_cycles();
                 let start = self.banks.reserve(bank, ready, wc);
                 self.telemetry_array_write(set_index, bank);
-                self.sets[set_index].touch(way, start, true);
+                self.tags.touch(set_index, way, start, true);
                 AccessOutcome {
                     complete_at: start + wc,
                     served_by,
@@ -719,7 +579,7 @@ impl<N: MemoryLevel> Cache<N> {
         }
         let line = self.line_of(addr);
         let set_index = line.set_index(self.set_count);
-        self.sets[set_index].check_invariants(set_index, complete_at);
+        self.tags.check_invariants(set_index, complete_at);
         if self.mshrs.unfinished_allocations() > 0 {
             crate::invariants::report(
                 "mshr",
@@ -1163,8 +1023,8 @@ mod tests {
         c.write(Addr(0), 0);
         let t = c.read(Addr(64), 300).complete_at + 20;
         assert!(c.invalidate(Addr(0), t));
-        // The invalidated line must miss — a stale mirror entry would let
-        // the fast path "hit" it.
+        // The invalidated line must miss — the fast path must not "hit"
+        // a way whose valid bit is clear.
         let out = c.read(Addr(0), t + 10);
         assert_eq!(out.served_by, ServedBy::Lower);
         // The surviving line still fast-hits.

@@ -1,6 +1,7 @@
 //! Cache configuration.
 
 use crate::replacement::ReplacementPolicy;
+use crate::set::MAX_WAYS;
 use crate::MemError;
 use sttcache_tech::{ArrayConfig, ArrayModel, CellKind};
 
@@ -127,7 +128,7 @@ impl CacheConfigBuilder {
         self
     }
 
-    /// Set associativity (ways).
+    /// Set associativity (1 to 64 ways).
     pub fn associativity(&mut self, v: usize) -> &mut Self {
         self.associativity = v;
         self
@@ -209,7 +210,9 @@ impl CacheConfigBuilder {
             return Err(MemError::InvalidLineBytes(b.line_bytes));
         }
         let lines = b.capacity_bytes / b.line_bytes;
-        if b.associativity == 0 || b.associativity > lines || !lines.is_multiple_of(b.associativity)
+        if b.associativity == 0
+            || b.associativity > lines.min(MAX_WAYS)
+            || !lines.is_multiple_of(b.associativity)
         {
             return Err(MemError::InvalidAssociativity(b.associativity));
         }
@@ -412,6 +415,13 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(c.sets(), 1);
+    }
+
+    #[test]
+    fn associativity_above_64_is_rejected() {
+        let ways = |n| CacheConfig::builder().associativity(n).build();
+        assert_eq!(ways(64).unwrap().sets(), 16);
+        assert_eq!(ways(128), Err(MemError::InvalidAssociativity(128)));
     }
 
     #[test]

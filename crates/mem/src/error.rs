@@ -11,7 +11,8 @@ pub enum MemError {
     InvalidCapacity(usize),
     /// Line size is zero, not a power of two, or exceeds the capacity.
     InvalidLineBytes(usize),
-    /// Associativity is zero or exceeds the line count.
+    /// Associativity is zero, above 64, above the line count, or does not
+    /// split the lines into a power-of-two number of sets.
     InvalidAssociativity(usize),
     /// Bank count is zero or not a power of two.
     InvalidBanks(usize),

@@ -68,7 +68,6 @@ pub use mshr::{MshrFile, MshrOutcome};
 pub use oracle::ShadowOracle;
 pub use prefetcher::{NextLinePrefetcher, PrefetcherStats};
 pub use replacement::ReplacementPolicy;
-pub use set::{CacheSet, LookupResult, Way};
 pub use shared::Shared;
 pub use stats::CacheStats;
 pub use telemetry::TelemetrySnapshot;

@@ -2,8 +2,11 @@
 //!
 //! The paper's platform uses true LRU; the alternatives here (FIFO,
 //! tree-PLRU, pseudo-random) are the policies a hardware team would weigh
-//! against it — true LRU is expensive above a few ways — and are swept by
-//! the ablation bench to show the paper's results are not an LRU artifact.
+//! against it — true LRU is expensive above a few ways. The per-set
+//! state each policy keeps (stamps, tree bits, random stream) lives in
+//! the cache's tag store, which also picks the victims. The ablation
+//! bench sweeps the policies; `replacement_outcomes_are_pinned` in
+//! `tests/properties.rs` pins the victims each one picks.
 
 /// Victim-selection policy of a cache set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -49,141 +52,84 @@ impl std::fmt::Display for ReplacementPolicy {
     }
 }
 
-/// Per-set replacement state (PLRU tree bits and the random stream).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ReplacementState {
-    policy: ReplacementPolicy,
-    /// Tree-PLRU node bits (node 1 is the root, children of `n` are `2n`
-    /// and `2n+1`; a set bit means "the hot path went right").
-    plru_bits: u64,
-    /// Xorshift state for the random policy.
-    rng: u64,
-}
-
-impl ReplacementState {
-    pub fn new(policy: ReplacementPolicy, seed: u64) -> Self {
-        // Golden-ratio mix so adjacent set indices get distinct streams.
-        let rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        ReplacementState {
-            policy,
-            plru_bits: 0,
-            rng,
-        }
-    }
-
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
-    }
-
-    /// Records a touch of `way` (hit or fill) for policies with access
-    /// state.
-    pub fn touch(&mut self, way: usize, ways: usize) {
-        if self.policy == ReplacementPolicy::TreePlru && ways.is_power_of_two() && ways > 1 {
-            // Flip the path bits so they point *away* from `way`.
-            let levels = ways.trailing_zeros();
-            let mut node = 1usize;
-            for level in (0..levels).rev() {
-                let went_right = (way >> level) & 1 == 1;
-                if went_right {
-                    self.plru_bits &= !(1 << node); // remember: hot is right => point left
-                } else {
-                    self.plru_bits |= 1 << node;
-                }
-                node = node * 2 + usize::from(went_right);
-            }
-        }
-    }
-
-    /// Picks a victim among `ways` ways using the per-way `(last_use,
-    /// inserted_at)` metadata provided by the set.
-    pub fn victim(&mut self, meta: &[(u64, u64)]) -> usize {
-        let ways = meta.len();
-        match self.policy {
-            ReplacementPolicy::Lru => index_of_min(meta.iter().map(|&(last_use, _)| last_use)),
-            ReplacementPolicy::Fifo => index_of_min(meta.iter().map(|&(_, inserted)| inserted)),
-            ReplacementPolicy::TreePlru if ways.is_power_of_two() && ways > 1 => {
-                let levels = ways.trailing_zeros();
-                let mut node = 1usize;
-                let mut way = 0usize;
-                for _ in 0..levels {
-                    let bit = (self.plru_bits >> node) & 1;
-                    way = (way << 1) | bit as usize;
-                    node = node * 2 + bit as usize;
-                }
-                way
-            }
-            ReplacementPolicy::TreePlru => index_of_min(meta.iter().map(|&(last_use, _)| last_use)),
-            ReplacementPolicy::Random => {
-                // xorshift64*
-                self.rng ^= self.rng >> 12;
-                self.rng ^= self.rng << 25;
-                self.rng ^= self.rng >> 27;
-                (self.rng.wrapping_mul(0x2545F4914F6CDD1D) >> 33) as usize % ways
-            }
-        }
-    }
-}
-
-fn index_of_min(values: impl Iterator<Item = u64>) -> usize {
-    let mut best = (u64::MAX, 0usize);
-    for (i, v) in values.enumerate() {
-        if v < best.0 {
-            best = (v, i);
-        }
-    }
-    best.1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::set::tests::victim_of;
+    use crate::set::TagStore;
+
+    /// A store of `sets` sets of `ways` ways, every way of every set
+    /// filled (tag = way) at cycle 0: victims come from the policy.
+    fn full(sets: usize, ways: usize, policy: ReplacementPolicy) -> TagStore {
+        let mut store = TagStore::new(sets, ways, policy);
+        for set in 0..sets {
+            for way in 0..ways {
+                store.fill(set, way, way as u64, false, 0);
+            }
+        }
+        store
+    }
+
+    /// A full one-set store whose ways were inserted and last used at
+    /// the given `(last_use, inserted_at)` cycles.
+    fn stamped(policy: ReplacementPolicy, stamps: &[(u64, u64)]) -> TagStore {
+        let mut store = TagStore::new(1, stamps.len(), policy);
+        for (way, &(used, inserted)) in stamps.iter().enumerate() {
+            store.fill(0, way, way as u64, false, inserted);
+            store.touch(0, way, used, false);
+        }
+        store
+    }
+
+    fn victim(store: &mut TagStore, set: usize) -> usize {
+        victim_of(store, set, u64::MAX)
+    }
 
     #[test]
     fn lru_picks_the_oldest_use() {
-        let mut st = ReplacementState::new(ReplacementPolicy::Lru, 1);
-        assert_eq!(st.victim(&[(5, 0), (2, 1), (9, 2)]), 1);
+        let mut store = stamped(ReplacementPolicy::Lru, &[(5, 0), (2, 1), (9, 2)]);
+        assert_eq!(victim(&mut store, 0), 1);
     }
 
     #[test]
     fn fifo_picks_the_oldest_insert_regardless_of_use() {
-        let mut st = ReplacementState::new(ReplacementPolicy::Fifo, 1);
-        assert_eq!(st.victim(&[(100, 3), (200, 1), (1, 2)]), 1);
+        let mut store = stamped(ReplacementPolicy::Fifo, &[(100, 3), (200, 1), (1, 2)]);
+        assert_eq!(victim(&mut store, 0), 1);
     }
 
     #[test]
     fn plru_avoids_the_most_recent_way() {
-        let mut st = ReplacementState::new(ReplacementPolicy::TreePlru, 1);
-        let meta = [(0u64, 0u64); 4];
+        let mut store = full(1, 4, ReplacementPolicy::TreePlru);
         for _ in 0..16 {
-            let v = st.victim(&meta);
-            st.touch(v, 4);
+            let v = victim(&mut store, 0);
+            store.touch(0, v, 0, false);
             // Immediately after touching v it is never the next victim.
-            assert_ne!(st.victim(&meta), v);
+            assert_ne!(victim(&mut store, 0), v);
         }
     }
 
     #[test]
     fn plru_cycles_through_all_ways() {
-        let mut st = ReplacementState::new(ReplacementPolicy::TreePlru, 1);
-        let meta = [(0u64, 0u64); 4];
+        let mut store = full(1, 4, ReplacementPolicy::TreePlru);
         let mut seen = [false; 4];
         for _ in 0..8 {
-            let v = st.victim(&meta);
+            let v = victim(&mut store, 0);
             seen[v] = true;
-            st.touch(v, 4);
+            store.touch(0, v, 0, false);
         }
         assert!(seen.iter().all(|&s| s), "{seen:?}");
     }
 
     #[test]
     fn random_is_deterministic_per_seed_and_in_range() {
-        let sequence = |seed: u64| -> Vec<usize> {
-            let mut st = ReplacementState::new(ReplacementPolicy::Random, seed);
-            (0..32).map(|_| st.victim(&[(0, 0); 8])).collect()
+        // Set `s` draws the stream seeded `s + 1`.
+        let sequence = |set: usize| -> Vec<usize> {
+            let mut store = full(43, 8, ReplacementPolicy::Random);
+            (0..32).map(|_| victim(&mut store, set)).collect()
         };
-        let a = sequence(42);
-        assert_eq!(a, sequence(42));
-        assert_ne!(a, sequence(43));
+        let a = sequence(41);
+        assert_eq!(a, sequence(41));
+        assert_ne!(a, sequence(42));
         assert!(a.iter().all(|&v| v < 8));
         // Not stuck on one way.
         assert!(a.iter().collect::<std::collections::HashSet<_>>().len() > 2);
@@ -191,8 +137,8 @@ mod tests {
 
     #[test]
     fn plru_non_power_of_two_falls_back_to_lru() {
-        let mut st = ReplacementState::new(ReplacementPolicy::TreePlru, 1);
-        assert_eq!(st.victim(&[(5, 0), (2, 0), (9, 0)]), 1);
+        let mut store = stamped(ReplacementPolicy::TreePlru, &[(5, 0), (2, 0), (9, 0)]);
+        assert_eq!(victim(&mut store, 0), 1);
     }
 
     #[test]

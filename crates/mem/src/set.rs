@@ -1,228 +1,276 @@
-//! One set of a set-associative cache.
+//! The cache's tag store: the one authoritative record of which line
+//! each way of each set holds.
+//!
+//! Every set's tags, replacement stamps, valid and dirty bits and
+//! replacement word live in flat arrays, so a cache of any size is six
+//! allocations. Per-way arrays are indexed `set * ways + way`; per-set
+//! state is one `u64` each. The store holds no data payload: the
+//! simulator is timing-only (the functional values live in the workload
+//! itself), exactly like gem5's atomic tag arrays.
 
 use crate::addr::Cycle;
-use crate::replacement::{ReplacementPolicy, ReplacementState};
+use crate::replacement::ReplacementPolicy;
 
-/// Index of a way within a set.
-pub type Way = usize;
+/// Widest set the store represents: valid and dirty bits are one `u64`
+/// mask per set, so wider configurations are rejected when built.
+pub(crate) const MAX_WAYS: usize = 64;
 
-/// State of one way (tag + valid + dirty + replacement metadata).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct WayState {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Monotonic last-use stamp (LRU).
-    last_use: Cycle,
-    /// Monotonic insertion stamp (FIFO).
-    inserted_at: Cycle,
-}
-
-/// Result of probing a set for a tag.
+/// Result of looking a tag up in one set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LookupResult {
+pub(crate) enum LookupResult {
     /// The tag is present in the given way.
-    Hit(Way),
-    /// The tag is absent; the given way is the policy's victim.
-    /// `dirty_tag` carries the victim's tag if it holds valid dirty data
-    /// that must be written back.
+    Hit(usize),
+    /// The tag is absent; `victim` is the way to fill. `dirty_tag`
+    /// carries the victim's tag if it holds dirty data that must be
+    /// written back.
     Miss {
-        /// Victim way chosen by the replacement policy.
-        victim: Way,
-        /// Tag of the dirty victim line, if a write-back is needed.
+        victim: usize,
         dirty_tag: Option<u64>,
     },
 }
 
-/// A single cache set: `ways` ways of tag/valid/dirty state plus the
-/// replacement policy's bookkeeping.
-///
-/// The set stores no data payload — the simulator is timing-only (the
-/// functional values live in the workload itself), exactly like gem5's
-/// atomic tag arrays.
-///
-/// # Example
-///
-/// ```
-/// use sttcache_mem::{CacheSet, LookupResult};
-///
-/// let mut set = CacheSet::new(2);
-/// assert!(matches!(set.lookup(7), LookupResult::Miss { .. }));
-/// set.fill(0, 7, false, 10);
-/// assert_eq!(set.lookup(7), LookupResult::Hit(0));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheSet {
-    ways: Vec<WayState>,
-    repl: ReplacementState,
+/// Tag, replacement and status state of every set of one cache.
+#[derive(Debug, Clone)]
+pub(crate) struct TagStore {
+    ways: usize,
+    /// The policy in force; tree-PLRU over a way count that forms no
+    /// binary tree is stored as the true LRU it falls back to.
+    policy: ReplacementPolicy,
+    tags: Vec<u64>,
+    /// Monotonic last-use stamp per way (LRU).
+    last_use: Vec<Cycle>,
+    /// Monotonic insertion stamp per way (FIFO).
+    inserted_at: Vec<Cycle>,
+    /// One bit per way, per set.
+    valid: Vec<u64>,
+    /// One bit per way, per set; only ever set on valid ways.
+    dirty: Vec<u64>,
+    /// Per set: the tree-PLRU node bits (node 1 is the root, the
+    /// children of `n` are `2n` and `2n+1`, and a set bit sends the
+    /// victim search right), or the random policy's xorshift state.
+    repl: Vec<u64>,
 }
 
-impl CacheSet {
-    /// Creates an empty true-LRU set with `ways` ways.
+impl TagStore {
+    /// An empty store of `sets` sets of `ways` ways.
     ///
     /// # Panics
     ///
-    /// Panics if `ways` is zero.
-    pub fn new(ways: usize) -> Self {
-        CacheSet::with_policy(ways, ReplacementPolicy::Lru, 1)
-    }
-
-    /// Creates an empty set with an explicit replacement policy. `seed`
-    /// feeds the random policy's per-set stream (use the set index).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ways` is zero.
-    pub fn with_policy(ways: usize, policy: ReplacementPolicy, seed: u64) -> Self {
-        assert!(ways > 0, "a set needs at least one way");
-        CacheSet {
-            ways: vec![WayState::default(); ways],
-            repl: ReplacementState::new(policy, seed),
-        }
-    }
-
-    /// Number of ways.
-    pub fn ways(&self) -> usize {
-        self.ways.len()
-    }
-
-    /// The replacement policy in force.
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.repl.policy()
-    }
-
-    /// Checks for `tag` without updating any replacement state.
-    pub fn probe(&self, tag: u64) -> Option<Way> {
-        self.ways.iter().position(|w| w.valid && w.tag == tag)
-    }
-
-    /// Probes for `tag`; on a miss, asks the replacement policy for a
-    /// victim (which may advance the random policy's stream).
-    pub fn lookup(&mut self, tag: u64) -> LookupResult {
-        if let Some(way) = self.probe(tag) {
-            return LookupResult::Hit(way);
-        }
-        // Prefer an invalid way.
-        if let Some(i) = self.ways.iter().position(|w| !w.valid) {
-            return LookupResult::Miss {
-                victim: i,
-                dirty_tag: None,
-            };
-        }
-        let meta: Vec<(u64, u64)> = self
-            .ways
-            .iter()
-            .map(|w| (w.last_use, w.inserted_at))
-            .collect();
-        let victim = self.repl.victim(&meta);
-        let v = &self.ways[victim];
-        let dirty_tag = (v.valid && v.dirty).then_some(v.tag);
-        LookupResult::Miss { victim, dirty_tag }
-    }
-
-    /// Marks `way` as used at cycle `now` (replacement update) and
-    /// optionally dirty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `way` is out of range or invalid.
-    pub fn touch(&mut self, way: Way, now: Cycle, make_dirty: bool) {
-        let ways = self.ways.len();
-        let w = &mut self.ways[way];
-        assert!(w.valid, "touching an invalid way");
-        w.last_use = now;
-        w.dirty |= make_dirty;
-        self.repl.touch(way, ways);
-    }
-
-    /// Installs `tag` into `way` at cycle `now`, replacing whatever was
-    /// there. `dirty` sets the initial dirty bit (write-allocate installs
-    /// dirty lines).
-    pub fn fill(&mut self, way: Way, tag: u64, dirty: bool, now: Cycle) {
-        let ways = self.ways.len();
-        self.ways[way] = WayState {
-            tag,
-            valid: true,
-            dirty,
-            last_use: now,
-            inserted_at: now,
-        };
-        self.repl.touch(way, ways);
-    }
-
-    /// Invalidates the way holding `tag`, returning whether it was dirty.
-    /// Returns `None` if the tag is not present.
-    pub fn invalidate(&mut self, tag: u64) -> Option<bool> {
-        for w in &mut self.ways {
-            if w.valid && w.tag == tag {
-                w.valid = false;
-                let was_dirty = w.dirty;
-                w.dirty = false;
-                return Some(was_dirty);
+    /// Panics unless `ways` is between 1 and [`MAX_WAYS`].
+    pub fn new(sets: usize, ways: usize, policy: ReplacementPolicy) -> Self {
+        assert!(
+            (1..=MAX_WAYS).contains(&ways),
+            "a set needs 1 to {MAX_WAYS} ways, not {ways}"
+        );
+        let policy = match policy {
+            ReplacementPolicy::TreePlru if ways == 1 || !ways.is_power_of_two() => {
+                ReplacementPolicy::Lru
             }
+            p => p,
+        };
+        let repl = match policy {
+            // Golden-ratio mix so adjacent sets get distinct streams.
+            ReplacementPolicy::Random => (1..=sets as u64)
+                .map(|seed| seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
+                .collect(),
+            _ => vec![0; sets],
+        };
+        TagStore {
+            ways,
+            policy,
+            tags: vec![0; sets * ways],
+            last_use: vec![0; sets * ways],
+            inserted_at: vec![0; sets * ways],
+            valid: vec![0; sets],
+            dirty: vec![0; sets],
+            repl,
+        }
+    }
+
+    /// The way of `set` holding `tag`, without touching replacement
+    /// state.
+    #[inline]
+    pub fn probe(&self, set: usize, tag: u64) -> Option<usize> {
+        let base = set * self.ways;
+        let mut mask = self.valid[set];
+        while mask != 0 {
+            let way = mask.trailing_zeros() as usize;
+            if self.tags[base + way] == tag {
+                return Some(way);
+            }
+            mask &= mask - 1;
         }
         None
     }
 
-    /// Clears the dirty bit of the way holding `tag` (after a write-back).
-    pub fn clean(&mut self, tag: u64) {
-        for w in &mut self.ways {
-            if w.valid && w.tag == tag {
-                w.dirty = false;
-            }
+    /// Probes `set` for `tag`; on a miss, names the victim: the lowest
+    /// invalid way, else the policy's choice (which advances the random
+    /// policy's stream).
+    pub fn lookup(&mut self, set: usize, tag: u64) -> LookupResult {
+        if let Some(way) = self.probe(set, tag) {
+            return LookupResult::Hit(way);
+        }
+        let free = !self.valid[set] & (u64::MAX >> (64 - self.ways));
+        if free != 0 {
+            return LookupResult::Miss {
+                victim: free.trailing_zeros() as usize,
+                dirty_tag: None,
+            };
+        }
+        let victim = self.victim(set);
+        let dirty = (self.dirty[set] >> victim) & 1 == 1;
+        LookupResult::Miss {
+            victim,
+            dirty_tag: dirty.then_some(self.tags[set * self.ways + victim]),
         }
     }
 
-    /// Number of valid ways.
-    pub fn occupancy(&self) -> usize {
-        self.ways.iter().filter(|w| w.valid).count()
-    }
-
-    /// The tag held by each way in way order (`None` for invalid ways).
-    /// Feeds the owning cache's compact tag mirror, which must see way
-    /// indices — [`CacheSet::iter_valid`] deliberately hides them.
-    pub fn way_tags(&self) -> impl Iterator<Item = Option<u64>> + '_ {
-        self.ways.iter().map(|w| w.valid.then_some(w.tag))
-    }
-
-    /// Iterates over the valid `(tag, dirty)` pairs in this set.
-    pub fn iter_valid(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
-        self.ways
-            .iter()
-            .filter(|w| w.valid)
-            .map(|w| (w.tag, w.dirty))
-    }
-
-    /// Structural validity of the set's tag/replacement state, reported
-    /// through [`invariants`](crate::invariants): no tag may occupy two
-    /// valid ways (a double-fill would make `probe` nondeterministic),
-    /// and no way may have been used before it was inserted. Both checks
-    /// are independent of global access ordering, so they stay sound even
-    /// with overlapping operations (non-blocking prefetch fills stamp
-    /// sets "in the future" relative to the next demand access).
-    pub fn check_invariants(&self, set_index: usize, now: Cycle) {
-        for (i, a) in self.ways.iter().enumerate() {
-            if !a.valid {
-                continue;
+    /// The policy's victim in the full `set`.
+    fn victim(&mut self, set: usize) -> usize {
+        let ways = set * self.ways..(set + 1) * self.ways;
+        let oldest = |stamps: &[Cycle]| {
+            // The first way with the smallest stamp.
+            stamps
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, stamp)| stamp)
+                .map_or(0, |(way, _)| way)
+        };
+        match self.policy {
+            ReplacementPolicy::Fifo => oldest(&self.inserted_at[ways]),
+            ReplacementPolicy::TreePlru => {
+                let bits = self.repl[set];
+                let mut node = 1;
+                let mut way = 0;
+                for _ in 0..self.ways.trailing_zeros() {
+                    let bit = (bits >> node) as usize & 1;
+                    way = (way << 1) | bit;
+                    node = node * 2 + bit;
+                }
+                way
             }
-            if a.last_use < a.inserted_at {
+            ReplacementPolicy::Random => {
+                // xorshift64*
+                let mut x = self.repl[set];
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                self.repl[set] = x;
+                (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % self.ways
+            }
+            ReplacementPolicy::Lru => oldest(&self.last_use[ways]),
+        }
+    }
+
+    /// Records a use of `way` (hit or fill) in the tree-PLRU bits,
+    /// pointing every node on its path away from it.
+    #[inline]
+    fn plru_touch(&mut self, set: usize, way: usize) {
+        if self.policy != ReplacementPolicy::TreePlru {
+            return;
+        }
+        let bits = &mut self.repl[set];
+        let mut node = 1;
+        for level in (0..self.ways.trailing_zeros()).rev() {
+            let went_right = (way >> level) & 1 == 1;
+            if went_right {
+                *bits &= !(1 << node);
+            } else {
+                *bits |= 1 << node;
+            }
+            node = node * 2 + usize::from(went_right);
+        }
+    }
+
+    /// Marks `way` of `set` used at cycle `now` (replacement update) and,
+    /// with `make_dirty`, dirty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the way is invalid.
+    #[inline]
+    pub fn touch(&mut self, set: usize, way: usize, now: Cycle, make_dirty: bool) {
+        assert!((self.valid[set] >> way) & 1 == 1, "touching an invalid way");
+        self.last_use[set * self.ways + way] = now;
+        self.dirty[set] |= u64::from(make_dirty) << way;
+        self.plru_touch(set, way);
+    }
+
+    /// Installs `tag` into `way` of `set` at cycle `now`, replacing
+    /// whatever was there. `dirty` sets the initial dirty bit.
+    pub fn fill(&mut self, set: usize, way: usize, tag: u64, dirty: bool, now: Cycle) {
+        let i = set * self.ways + way;
+        self.tags[i] = tag;
+        self.last_use[i] = now;
+        self.inserted_at[i] = now;
+        self.valid[set] |= 1 << way;
+        self.dirty[set] = (self.dirty[set] & !(1 << way)) | (u64::from(dirty) << way);
+        self.plru_touch(set, way);
+    }
+
+    /// Invalidates the way of `set` holding `tag`, returning whether it
+    /// was dirty, or `None` if the tag is not present.
+    pub fn invalidate(&mut self, set: usize, tag: u64) -> Option<bool> {
+        let bit = 1 << self.probe(set, tag)?;
+        let was_dirty = self.dirty[set] & bit != 0;
+        self.valid[set] &= !bit;
+        self.dirty[set] &= !bit;
+        Some(was_dirty)
+    }
+
+    /// Clears the dirty bit of the way of `set` holding `tag` (after a
+    /// write-back).
+    pub fn clean(&mut self, set: usize, tag: u64) {
+        if let Some(way) = self.probe(set, tag) {
+            self.dirty[set] &= !(1 << way);
+        }
+    }
+
+    /// The valid `(tag, dirty)` pairs of `set`, in way order.
+    pub fn iter_valid(&self, set: usize) -> impl Iterator<Item = (u64, bool)> + '_ {
+        let base = set * self.ways;
+        let (valid, dirty) = (self.valid[set], self.dirty[set]);
+        (0..self.ways)
+            .filter(move |way| (valid >> way) & 1 == 1)
+            .map(move |way| (self.tags[base + way], (dirty >> way) & 1 == 1))
+    }
+
+    /// Number of dirty lines in the whole store.
+    pub fn dirty_count(&self) -> usize {
+        self.dirty
+            .iter()
+            .map(|mask| mask.count_ones() as usize)
+            .sum()
+    }
+
+    /// Structural validity of `set`, reported through
+    /// [`invariants`](crate::invariants): no tag may occupy two valid
+    /// ways (a double-fill would make `probe` nondeterministic), and no
+    /// way may have been used before it was inserted. Neither check
+    /// depends on global access ordering, so both stay sound with
+    /// overlapping operations (non-blocking prefetch fills stamp sets
+    /// "in the future" relative to the next demand access).
+    pub fn check_invariants(&self, set: usize, now: Cycle) {
+        let base = set * self.ways;
+        let is_valid = |way: &usize| (self.valid[set] >> way) & 1 == 1;
+        for i in (0..self.ways).filter(is_valid) {
+            let tag = self.tags[base + i];
+            let (used, inserted) = (self.last_use[base + i], self.inserted_at[base + i]);
+            if used < inserted {
                 crate::invariants::report(
                     "set",
                     now,
-                    Some(a.tag),
-                    format!(
-                        "set {set_index} way {i}: used at {} before insertion at {}",
-                        a.last_use, a.inserted_at
-                    ),
+                    Some(tag),
+                    format!("set {set} way {i}: used at {used} before insertion at {inserted}"),
                 );
             }
-            for (j, b) in self.ways.iter().enumerate().skip(i + 1) {
-                if b.valid && b.tag == a.tag {
+            for j in (i + 1..self.ways).filter(is_valid) {
+                if self.tags[base + j] == tag {
                     crate::invariants::report(
                         "set",
                         now,
-                        Some(a.tag),
-                        format!("set {set_index}: tag duplicated in ways {i} and {j}"),
+                        Some(tag),
+                        format!("set {set}: tag duplicated in ways {i} and {j}"),
                     );
                 }
             }
@@ -231,163 +279,159 @@ impl CacheSet {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A one-set store.
+    fn set(ways: usize, policy: ReplacementPolicy) -> TagStore {
+        TagStore::new(1, ways, policy)
+    }
+
+    fn lru(ways: usize) -> TagStore {
+        set(ways, ReplacementPolicy::Lru)
+    }
+
+    /// The victim a miss on `tag` in `set` names.
+    pub(crate) fn victim_of(store: &mut TagStore, set: usize, tag: u64) -> usize {
+        match store.lookup(set, tag) {
+            LookupResult::Miss { victim, .. } => victim,
+            hit => panic!("unexpected {hit:?}"),
+        }
+    }
 
     #[test]
     fn empty_set_misses_with_clean_victim() {
-        let mut set = CacheSet::new(2);
-        match set.lookup(42) {
+        assert_eq!(
+            lru(2).lookup(0, 42),
             LookupResult::Miss {
                 victim: 0,
-                dirty_tag: None,
-            } => {}
-            other => panic!("unexpected {other:?}"),
-        }
+                dirty_tag: None
+            }
+        );
     }
 
     #[test]
     fn fill_then_hit() {
-        let mut set = CacheSet::new(2);
-        set.fill(0, 42, false, 1);
-        assert_eq!(set.lookup(42), LookupResult::Hit(0));
-        assert_eq!(set.probe(42), Some(0));
-        assert_eq!(set.occupancy(), 1);
+        let mut s = lru(2);
+        s.fill(0, 0, 42, false, 1);
+        assert_eq!(s.lookup(0, 42), LookupResult::Hit(0));
+        assert_eq!(s.probe(0, 42), Some(0));
+        assert_eq!(s.iter_valid(0).count(), 1);
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut set = CacheSet::new(2);
-        set.fill(0, 1, false, 1);
-        set.fill(1, 2, false, 2);
-        set.touch(0, 3, false); // tag 1 is now MRU
-        match set.lookup(99) {
-            LookupResult::Miss { victim, .. } => assert_eq!(victim, 1),
-            other => panic!("unexpected {other:?}"),
-        }
+        let mut s = lru(2);
+        s.fill(0, 0, 1, false, 1);
+        s.fill(0, 1, 2, false, 2);
+        s.touch(0, 0, 3, false); // tag 1 is now MRU
+        assert_eq!(victim_of(&mut s, 0, 99), 1);
     }
 
     #[test]
     fn fifo_ignores_touches() {
-        let mut set = CacheSet::with_policy(2, ReplacementPolicy::Fifo, 1);
-        set.fill(0, 1, false, 1);
-        set.fill(1, 2, false, 2);
-        set.touch(0, 50, false); // does not save tag 1 under FIFO
-        match set.lookup(99) {
-            LookupResult::Miss { victim, .. } => assert_eq!(victim, 0),
-            other => panic!("unexpected {other:?}"),
-        }
+        let mut s = set(2, ReplacementPolicy::Fifo);
+        s.fill(0, 0, 1, false, 1);
+        s.fill(0, 1, 2, false, 2);
+        s.touch(0, 0, 50, false); // does not save tag 1 under FIFO
+        assert_eq!(victim_of(&mut s, 0, 99), 0);
     }
 
     #[test]
     fn plru_never_victimizes_the_most_recent() {
-        let mut set = CacheSet::with_policy(4, ReplacementPolicy::TreePlru, 1);
-        for (i, tag) in [10, 20, 30, 40].iter().enumerate() {
-            set.fill(i, *tag, false, i as u64);
+        let mut s = set(4, ReplacementPolicy::TreePlru);
+        for (way, tag) in [10, 20, 30, 40].into_iter().enumerate() {
+            s.fill(0, way, tag, false, way as u64);
         }
-        set.touch(2, 100, false);
-        match set.lookup(99) {
-            LookupResult::Miss { victim, .. } => assert_ne!(victim, 2),
-            other => panic!("unexpected {other:?}"),
-        }
+        s.touch(0, 2, 100, false);
+        assert_ne!(victim_of(&mut s, 0, 99), 2);
     }
 
     #[test]
     fn random_victims_are_reproducible() {
         let run = || {
-            let mut set = CacheSet::with_policy(4, ReplacementPolicy::Random, 7);
-            for (i, tag) in [10, 20, 30, 40].iter().enumerate() {
-                set.fill(i, *tag, false, i as u64);
+            let mut s = set(4, ReplacementPolicy::Random);
+            for (way, tag) in [10, 20, 30, 40].into_iter().enumerate() {
+                s.fill(0, way, tag, false, way as u64);
             }
-            let mut victims = Vec::new();
-            for _ in 0..8 {
-                if let LookupResult::Miss { victim, .. } = set.lookup(99) {
-                    victims.push(victim);
-                }
-            }
-            victims
+            (0..8).map(|_| victim_of(&mut s, 0, 99)).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
     }
 
     #[test]
     fn dirty_victim_reports_writeback_tag() {
-        let mut set = CacheSet::new(1);
-        set.fill(0, 5, false, 1);
-        set.touch(0, 2, true);
-        match set.lookup(6) {
+        let mut s = lru(1);
+        s.fill(0, 0, 5, false, 1);
+        s.touch(0, 0, 2, true);
+        assert_eq!(
+            s.lookup(0, 6),
             LookupResult::Miss {
                 victim: 0,
-                dirty_tag: Some(5),
-            } => {}
-            other => panic!("unexpected {other:?}"),
-        }
+                dirty_tag: Some(5)
+            }
+        );
     }
 
     #[test]
     fn invalidate_reports_dirtiness() {
-        let mut set = CacheSet::new(2);
-        set.fill(0, 1, true, 1);
-        assert_eq!(set.invalidate(1), Some(true));
-        assert_eq!(set.invalidate(1), None);
-        assert_eq!(set.occupancy(), 0);
+        let mut s = lru(2);
+        s.fill(0, 0, 1, true, 1);
+        assert_eq!(s.invalidate(0, 1), Some(true));
+        assert_eq!(s.invalidate(0, 1), None);
+        assert_eq!(s.iter_valid(0).count(), 0);
+        assert_eq!(s.dirty_count(), 0);
     }
 
     #[test]
     fn clean_clears_dirty_bit() {
-        let mut set = CacheSet::new(1);
-        set.fill(0, 9, true, 1);
-        set.clean(9);
-        match set.lookup(10) {
+        let mut s = lru(1);
+        s.fill(0, 0, 9, true, 1);
+        s.clean(0, 9);
+        assert!(matches!(
+            s.lookup(0, 10),
             LookupResult::Miss {
-                dirty_tag: None, ..
-            } => {}
-            other => panic!("unexpected {other:?}"),
-        }
+                dirty_tag: None,
+                ..
+            }
+        ));
     }
 
     #[test]
     fn invalid_way_preferred_as_victim() {
-        let mut set = CacheSet::new(4);
-        set.fill(0, 1, false, 1);
-        set.fill(1, 2, false, 2);
-        match set.lookup(3) {
-            LookupResult::Miss { victim: 2, .. } => {}
-            other => panic!("unexpected {other:?}"),
-        }
+        let mut s = lru(4);
+        s.fill(0, 0, 1, false, 1);
+        s.fill(0, 1, 2, false, 2);
+        assert_eq!(victim_of(&mut s, 0, 3), 2);
     }
 
     #[test]
     fn lru_tie_breaks_by_way_index() {
-        let mut set = CacheSet::new(2);
-        set.fill(0, 1, false, 5);
-        set.fill(1, 2, false, 5);
-        match set.lookup(3) {
-            LookupResult::Miss { victim: 0, .. } => {}
-            other => panic!("unexpected {other:?}"),
-        }
+        let mut s = lru(2);
+        s.fill(0, 0, 1, false, 5);
+        s.fill(0, 1, 2, false, 5);
+        assert_eq!(victim_of(&mut s, 0, 3), 0);
     }
 
     #[test]
     #[should_panic(expected = "invalid way")]
     fn touch_invalid_way_panics() {
-        let mut set = CacheSet::new(1);
-        set.touch(0, 1, false);
+        lru(1).touch(0, 0, 1, false);
     }
 
     #[test]
-    #[should_panic(expected = "at least one way")]
+    #[should_panic(expected = "1 to 64 ways")]
     fn zero_ways_panics() {
-        let _ = CacheSet::new(0);
+        let _ = lru(0);
     }
 
     #[test]
     fn check_invariants_flags_duplicate_tags() {
         crate::invariants::take_violations();
-        let mut set = CacheSet::new(2);
-        set.fill(0, 7, false, 5);
-        set.fill(1, 7, false, 6); // double-fill: same tag in two ways
-        set.check_invariants(3, 10);
+        let mut s = TagStore::new(4, 2, ReplacementPolicy::Lru);
+        s.fill(3, 0, 7, false, 5);
+        s.fill(3, 1, 7, false, 6); // double-fill: same tag in two ways
+        s.check_invariants(3, 10);
         let (list, _) = crate::invariants::take_violations();
         assert_eq!(list.len(), 1);
         assert_eq!(list[0].component, "set");
@@ -396,21 +440,40 @@ mod tests {
         assert!(list[0].detail.contains("duplicated"), "{}", list[0].detail);
 
         // A clean set reports nothing.
-        let mut ok = CacheSet::new(2);
-        ok.fill(0, 1, false, 1);
-        ok.fill(1, 2, true, 2);
-        ok.touch(0, 9, false);
+        let mut ok = lru(2);
+        ok.fill(0, 0, 1, false, 1);
+        ok.fill(0, 1, 2, true, 2);
+        ok.touch(0, 0, 9, false);
         ok.check_invariants(0, 20);
         assert_eq!(crate::invariants::take_violations().1, 0);
     }
 
     #[test]
     fn iter_valid_lists_contents() {
-        let mut set = CacheSet::new(3);
-        set.fill(0, 10, false, 1);
-        set.fill(2, 20, true, 2);
-        let mut v: Vec<_> = set.iter_valid().collect();
-        v.sort();
-        assert_eq!(v, vec![(10, false), (20, true)]);
+        let mut s = lru(3);
+        s.fill(0, 0, 10, false, 1);
+        s.fill(0, 2, 20, true, 2);
+        assert_eq!(
+            s.iter_valid(0).collect::<Vec<_>>(),
+            vec![(10, false), (20, true)]
+        );
+        assert_eq!(s.dirty_count(), 1);
+    }
+
+    #[test]
+    fn a_64_way_set_uses_way_63() {
+        let mut s = lru(64);
+        for tag in 0..64 {
+            let way = victim_of(&mut s, 0, tag);
+            assert_eq!(way, tag as usize, "invalid ways fill lowest first");
+            s.fill(0, way, tag, tag == 63, tag);
+        }
+        assert_eq!(s.probe(0, 63), Some(63));
+        assert_eq!(s.iter_valid(0).count(), 64);
+        assert_eq!(s.dirty_count(), 1);
+        s.touch(0, 0, 100, false);
+        assert_eq!(victim_of(&mut s, 0, 64), 1, "the full set evicts LRU");
+        assert_eq!(s.invalidate(0, 63), Some(true));
+        assert_eq!(victim_of(&mut s, 0, 64), 63);
     }
 }

@@ -28,6 +28,12 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 smoke="$(mktemp)"
 trap 'rm -f "$smoke"' EXIT
 
+# The ablation cycle tables must not move. At Mini their associativity,
+# write-buffer and replacement sweeps are flat; replacement victims are
+# pinned by tests/properties.rs::replacement_outcomes_are_pinned.
+cargo bench --offline -q -p sttcache-bench --bench ablations > "$smoke"
+diff -u tests/golden/ablations.txt "$smoke"
+
 ./target/release/figures all > "$smoke"
 diff -u figures_output.txt "$smoke"
 
@@ -106,4 +112,4 @@ benchout="$(mktemp -d)"
 trap 'rm -rf "$smoke" "$ttrace" "$mc" "$exttrace" "$prof" "$benchout"' EXIT
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --quick --out "$benchout"
 
-echo "ci: fmt, build, tests (plain + invariants armed), clippy, differential + multicore + irregular fuzzers, figures smoke (serial, replay cross-checked against direct execution, invariants armed, telemetry export, profile), multi-core + irregular determinism, external-trace replay, trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"
+echo "ci: fmt, build, tests (plain + invariants armed), clippy, differential + multicore + irregular fuzzers, ablation tables, figures smoke (serial, replay cross-checked against direct execution, invariants armed, telemetry export, profile), multi-core + irregular determinism, external-trace replay, trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"

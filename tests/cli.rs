@@ -48,6 +48,20 @@ fn sim_rejects_flags_the_run_would_ignore() {
 }
 
 #[test]
+fn sim_refuses_l2_bank_counts_without_panicking() {
+    // A non-power-of-two count is a usage error (exit 2); a power of two
+    // above the L2's line count is a refused configuration (exit 1).
+    for (banks, code, needle) in [("3", 2, "--l2-banks"), ("65536", 1, "bank count 65536")] {
+        let out = sim(&["--cores", "2", "--l2-banks", banks]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{banks}:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{banks}:\n{stderr}");
+        assert!(stderr.contains(needle), "{banks}:\n{stderr}");
+        assert!(out.stdout.is_empty(), "a refused run printed output");
+    }
+}
+
+#[test]
 fn sim_honours_vwb_bits_in_any_flag_order() {
     let stats = |args: &[&str]| {
         let out = sim(args);

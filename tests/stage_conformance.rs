@@ -17,7 +17,6 @@ fn front_end_of(org: sttcache::DCacheOrganization) -> FrontEnd {
     Platform::new(org)
         .expect("catalog organizations validate")
         .front_end()
-        .expect("validated configuration builds")
 }
 
 /// Drains the whole organization: the front-end's stage and DL1, then
