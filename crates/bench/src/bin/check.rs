@@ -211,7 +211,7 @@ fn main() {
                     minimal.offsets[idx],
                     trace.len()
                 );
-                for e in trace.events().iter().take(16) {
+                for e in trace.iter().take(16) {
                     eprintln!("    {e:?}");
                 }
                 if trace.len() > 16 {
@@ -221,7 +221,7 @@ fn main() {
         } else {
             let minimal = check::shrink_failure(first);
             eprintln!("minimal reproducer: {} event(s)", minimal.len());
-            for e in minimal.events().iter().take(64) {
+            for e in minimal.iter().take(64) {
                 eprintln!("  {e:?}");
             }
             if minimal.len() > 64 {

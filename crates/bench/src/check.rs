@@ -557,13 +557,13 @@ pub fn quick_seeds() -> Vec<u64> {
 /// Greedy chunk-removal minimization (ddmin-style): repeatedly removes
 /// event chunks, keeping any removal under which `still_fails` holds,
 /// halving the chunk size until single events survive. Returns the
-/// shortest failing event list found. `still_fails(&events)` must be
-/// true for the input.
+/// shortest failing event list found. `still_fails` must hold for the
+/// trace's own events.
 pub fn shrink_events(
-    events: &[TraceEvent],
+    trace: &Trace,
     still_fails: impl Fn(&[TraceEvent]) -> bool,
 ) -> Vec<TraceEvent> {
-    let mut kept: Vec<TraceEvent> = events.to_vec();
+    let mut kept: Vec<TraceEvent> = trace.iter().collect();
     let mut chunk = (kept.len() / 2).max(1);
     loop {
         let mut i = 0;
@@ -586,17 +586,13 @@ pub fn shrink_events(
     kept
 }
 
-/// Rebuilds a [`Trace`] from a raw event list (shrink support).
+/// Rebuilds a [`Trace`] from a raw event list (shrink support) by
+/// replaying it into a recorder, which re-coalesces computes that a
+/// removal made adjacent.
 pub fn trace_from_events(events: &[TraceEvent]) -> Trace {
     let mut rec = TraceRecorder::with_capacity(events.len());
-    for e in events {
-        match *e {
-            TraceEvent::Load { addr, bytes } => rec.load(addr, bytes as usize),
-            TraceEvent::Store { addr, bytes } => rec.store(addr, bytes as usize),
-            TraceEvent::Prefetch { addr } => rec.prefetch(addr),
-            TraceEvent::Compute { ops } => rec.compute(ops as u64),
-            TraceEvent::Branch { taken } => rec.branch(taken),
-        }
+    for &e in events {
+        e.replay_into(&mut rec);
     }
     rec.into_trace()
 }
@@ -617,7 +613,7 @@ pub fn shrink_failure(failure: &CheckFailure) -> Trace {
         "multi-core failures shrink with shrink_multicore_failure"
     );
     let (_, trace) = case_trace(failure.mode, failure.kind, failure.seed, failure.events);
-    let minimal = shrink_events(trace.events(), |evs| {
+    let minimal = shrink_events(&trace, |evs| {
         !check_trace("shrink-probe", &trace_from_events(evs))
             .failures
             .is_empty()
@@ -639,7 +635,7 @@ pub fn irregular_trace(kind: Adversary, seed: u64, events: usize) -> (String, Tr
         transforms,
     );
     let trace = if trace.len() > events {
-        trace_from_events(&trace.events()[..events])
+        trace.iter().take(events).collect()
     } else {
         trace
     };
@@ -881,7 +877,7 @@ pub fn shrink_multicore_failure(failure: &CheckFailure) -> MulticoreCase {
         }
     }
     for i in 0..case.traces.len() {
-        let minimal = shrink_events(case.traces[i].events(), |evs| {
+        let minimal = shrink_events(&case.traces[i], |evs| {
             let mut candidate = case.clone();
             candidate.traces[i] = trace_from_events(evs);
             fails(&candidate)
@@ -968,7 +964,7 @@ mod tests {
         let mut kinds = BTreeSet::new();
         for seed in 0..4 {
             let trace = adversarial_trace(Adversary::RandomMix, seed, 500);
-            kinds.extend(trace.events().iter().map(|e| match e {
+            kinds.extend(trace.iter().map(|e| match e {
                 TraceEvent::Load { .. } => "load",
                 TraceEvent::Store { .. } => "store",
                 TraceEvent::Prefetch { .. } => "prefetch",
@@ -1001,8 +997,8 @@ mod tests {
     fn shrink_finds_a_single_culprit_event() {
         let trace = adversarial_trace(Adversary::RandomMix, 42, 200);
         let is_store = |e: &TraceEvent| matches!(e, TraceEvent::Store { .. });
-        assert!(trace.events().iter().any(is_store));
-        let minimal = shrink_events(trace.events(), |evs| evs.iter().any(is_store));
+        assert!(trace.iter().any(|e| is_store(&e)));
+        let minimal = shrink_events(&trace, |evs| evs.iter().any(is_store));
         assert_eq!(minimal.len(), 1);
         assert!(is_store(&minimal[0]));
     }

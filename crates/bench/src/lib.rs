@@ -51,10 +51,10 @@ pub(crate) fn env_knob(name: &str, min: usize) -> Result<Option<usize>, String> 
 }
 
 /// Checks the sweep knobs `STTCACHE_THREADS` and
-/// `STTCACHE_TRACE_CACHE_BYTES`. The binaries call this before any work
+/// `STTCACHE_TRACE_CACHE_BYTES` and the boolean gates
+/// ([`sttcache_mem::env_gate`]). The binaries call this before any work
 /// and exit 2 on error; a library caller that skips it gets the same
-/// message as a panic from [`SweepRunner::current`] or the first
-/// trace-cache lookup.
+/// message as a panic from the first read of the knob.
 ///
 /// # Errors
 ///
@@ -62,6 +62,8 @@ pub(crate) fn env_knob(name: &str, min: usize) -> Result<Option<usize>, String> 
 pub fn check_env_knobs() -> Result<(), String> {
     SweepRunner::from_env()?;
     TraceCache::from_env()?;
+    sttcache_mem::env_gate("STTCACHE_TRACE_CHECK")?;
+    sttcache_mem::env_gate("STTCACHE_INVARIANTS")?;
     Ok(())
 }
 

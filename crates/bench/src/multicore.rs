@@ -20,11 +20,15 @@
 //! contain `:` and `@`, the suffixes bind from the *right*: the final
 //! `:part` is an organization only if it names a catalog entry, and the
 //! final `@part` is an offset only if it is a decimal number.
+//! In a mix of two or more entries a `file:` trace must stay below 4 GiB
+//! ([`CORE_ADDRESS_STRIDE`]), or it would alias the next core's stripe.
 
 use crate::trace_cache;
 use sttcache::{
     CoreSpec, DCacheOrganization, MultiPlatform, MultiPlatformConfig, MultiRunResult, RunResult,
+    CORE_ADDRESS_STRIDE,
 };
+use sttcache_cpu::TraceEvent;
 use sttcache_mem::telemetry::{self, TelemetrySnapshot};
 use sttcache_mem::{CacheConfig, Cycle};
 use sttcache_workloads::{ProblemSize, Transformations, Workload};
@@ -46,13 +50,6 @@ pub struct MixEntry {
 pub struct MixSpec {
     /// Per-core entries, index order = core order.
     pub entries: Vec<MixEntry>,
-}
-
-/// The default mix workloads, cycled when more cores than kernels are
-/// requested — the same four-kernel set the extension sweeps use
-/// ([`crate::extensions::ext_mix`]).
-pub fn default_mix_workloads() -> [Workload; 4] {
-    crate::extensions::ext_mix()
 }
 
 /// Stagger between consecutive cores in the default mix, in cycles.
@@ -92,6 +89,9 @@ impl MixSpec {
             };
             let workload = crate::workload::resolve(token)
                 .map_err(|e| format!("in mix entry '{part}': {e}"))?;
+            if spec.contains('+') {
+                check_stripe(part, workload)?;
+            }
             entries.push(MixEntry {
                 workload,
                 offset,
@@ -101,11 +101,12 @@ impl MixSpec {
         Ok(MixSpec { entries })
     }
 
-    /// The default staggered mix for `cores` cores: the
-    /// [`default_mix_workloads`] cycled, core `i` starting at
-    /// `i * DEFAULT_STAGGER` cycles, default organization everywhere.
+    /// The default staggered mix for `cores` cores: the four-kernel set
+    /// the extension sweeps use ([`crate::extensions::ext_mix`]) cycled,
+    /// core `i` starting at `i * DEFAULT_STAGGER` cycles, default
+    /// organization everywhere.
     pub fn default_mix(cores: usize) -> MixSpec {
-        let kernels = default_mix_workloads();
+        let kernels = crate::extensions::ext_mix();
         MixSpec {
             entries: (0..cores)
                 .map(|i| MixEntry {
@@ -153,6 +154,29 @@ impl MixSpec {
             .map(|e| CoreSpec::staggered(e.org.unwrap_or(default_org), e.offset))
             .collect()
     }
+}
+
+/// Refuses a `file:` entry of a multi-core mix whose trace touches a
+/// byte at or above [`CORE_ADDRESS_STRIDE`] (a prefetch touches one).
+fn check_stripe(part: &str, workload: Workload) -> Result<(), String> {
+    let Workload::External(id) = workload else {
+        return Ok(());
+    };
+    let trace = crate::workload::external_trace(id).expect("resolved traces are registered");
+    let beyond = trace.iter().find_map(|ev| {
+        let (addr, bytes) = match ev {
+            TraceEvent::Load { addr, bytes } | TraceEvent::Store { addr, bytes } => (addr, bytes),
+            TraceEvent::Prefetch { addr } => (addr, 1),
+            TraceEvent::Compute { .. } | TraceEvent::Branch { .. } => return None,
+        };
+        (addr.0 + u64::from(bytes.max(1)) > CORE_ADDRESS_STRIDE).then_some(addr)
+    });
+    beyond.map_or(Ok(()), |addr| {
+        Err(format!(
+            "in mix entry '{part}': the trace touches address {addr:#x}, at or above the \
+             4 GiB address stripe each core of a multi-core mix gets"
+        ))
+    })
 }
 
 /// The canonical shared-L2 configuration with an explicit bank count —

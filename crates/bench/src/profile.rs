@@ -8,8 +8,9 @@
 //! two exports:
 //!
 //! * [`ProfileReport::render_text`], which `--profile` prints to stderr:
-//!   aggregate time, runs and ns/event per phase, the trace-cache and
-//!   result-memo counters, and per-artifact seconds;
+//!   the run's wall-clock; per phase, its time summed across workers, its
+//!   runs and its ns/event; the trace-cache and result-memo counters; and
+//!   per-artifact seconds;
 //! * [`export_chrome_json`], which `--telemetry-json PATH` writes: one
 //!   Chrome `trace_event` span per phase run and per artifact, stamped
 //!   with its start offset from a process epoch and the worker thread
@@ -357,12 +358,8 @@ impl ProfileReport {
             self.total_seconds, self.workers,
         ));
         out.push_str(&format!(
-            "  phases: record {:.3}s/{} runs, replay {:.3}s/{} runs, aggregate {:.3}s\n",
-            p.record_seconds,
-            p.record_runs,
-            p.replay_seconds,
-            p.replay_runs,
-            (self.total_seconds - p.simulation_seconds()).max(0.0),
+            "  phases: record {:.3}s/{} runs, replay {:.3}s/{} runs\n",
+            p.record_seconds, p.record_runs, p.replay_seconds, p.replay_runs,
         ));
         out.push_str(&format!(
             "  ns/event: record {:.1}, replay {:.1}\n",

@@ -125,16 +125,6 @@ pub struct TraceCache {
     inner: Mutex<Inner>,
 }
 
-/// In-memory size of a trace: the heap footprint of its event buffer
-/// (16 bytes per *capacity* slot, not per event). Charging length while
-/// recorders over-allocate let sweeps sit far above the configured cap
-/// without a single eviction; [`record_trace`] shrinks fresh recordings
-/// so the two numbers coincide on the sweep path, and any slack that
-/// does survive is charged honestly.
-fn trace_bytes(trace: &Trace) -> usize {
-    trace.heap_bytes()
-}
-
 impl TraceCache {
     /// A cache capped at `STTCACHE_TRACE_CACHE_BYTES` (default 512 MiB).
     ///
@@ -211,7 +201,9 @@ impl TraceCache {
         let mut inner = self.inner.lock().expect("trace cache lock");
         if let Some(entry) = inner.entries.get_mut(&key) {
             if entry.bytes == 0 {
-                let bytes = trace_bytes(trace).max(1);
+                // Capacity, not length (`Trace::heap_bytes`): slack is
+                // charged; `record_trace` shrinks its recordings.
+                let bytes = trace.heap_bytes().max(1);
                 entry.bytes = bytes;
                 inner.resident_bytes += bytes;
             }
@@ -442,13 +434,12 @@ pub fn drive<E: Engine>(
 }
 
 /// Whether `STTCACHE_TRACE_CHECK=1` asked for the replay-vs-direct
-/// cross-check on every replayed grid point.
+/// cross-check on every replayed grid point; a malformed value panics
+/// with [`sttcache_mem::env_gate`]'s error.
 fn trace_check_requested() -> bool {
     static CHECK: OnceLock<bool> = OnceLock::new();
     *CHECK.get_or_init(|| {
-        std::env::var("STTCACHE_TRACE_CHECK")
-            .map(|v| v == "1")
-            .unwrap_or(false)
+        sttcache_mem::env_gate("STTCACHE_TRACE_CHECK").unwrap_or_else(|e| panic!("{e}"))
     })
 }
 
@@ -489,10 +480,7 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.evictions), (2, 1, 0));
         assert_eq!(cache.len(), 1);
-        assert_eq!(
-            cache.resident_bytes(),
-            8 * std::mem::size_of::<TraceEvent>()
-        );
+        assert_eq!(cache.resident_bytes(), trace_of(8).heap_bytes());
     }
 
     #[test]
@@ -525,7 +513,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_respects_the_cap() {
-        let per_trace = 10 * std::mem::size_of::<TraceEvent>();
+        let per_trace = trace_of(10).heap_bytes();
         let cache = TraceCache::with_cap_bytes(2 * per_trace);
         cache.get_or_record(key(1), || trace_of(10));
         cache.get_or_record(key(2), || trace_of(10));
@@ -557,9 +545,10 @@ mod tests {
         let mut rec = TraceRecorder::with_capacity(64);
         rec.compute(1);
         let mut fat = rec.into_trace();
-        assert!(trace_bytes(&fat) >= 64 * std::mem::size_of::<TraceEvent>());
+        let one_event = trace_of(1).heap_bytes();
+        assert!(fat.heap_bytes() >= 64 * one_event);
         fat.shrink_to_fit();
-        assert_eq!(trace_bytes(&fat), std::mem::size_of::<TraceEvent>());
+        assert_eq!(fat.heap_bytes(), one_event);
     }
 
     #[test]
@@ -568,7 +557,7 @@ mod tests {
         // accounting this entry would sit comfortably inside a cap sized
         // for twenty events; its real footprint is double the cap, so it
         // must be charged — and evicted — at capacity.
-        let cache = TraceCache::with_cap_bytes(20 * std::mem::size_of::<TraceEvent>());
+        let cache = TraceCache::with_cap_bytes(trace_of(20).heap_bytes());
         let t = cache.get_or_record(key(1), || {
             let mut rec = TraceRecorder::with_capacity(40);
             rec.compute(1);

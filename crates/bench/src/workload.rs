@@ -7,12 +7,12 @@
 //! error type, no private name tables.
 //!
 //! External traces (`file:<path>` tokens) are ingested through the
-//! hardened binary reader, then **content-hashed**: the canonical
-//! serialized event stream is FNV-1a hashed into the 64-bit identity
-//! behind [`Workload::External`]. The same recording ingested twice — or
-//! from two different paths — is one workload, so the trace cache and
-//! its result memo apply to it exactly as they do to kernel-backed
-//! workloads, with zero special cases downstream.
+//! hardened binary reader, then **content-hashed**: the trace's event
+//! words are FNV-1a hashed in place ([`Trace::content_hash`]) into the
+//! 64-bit identity behind [`Workload::External`]. The same recording
+//! ingested twice — or from two different paths — is one workload, so
+//! the trace cache and its result memo apply to it exactly as they do to
+//! kernel-backed workloads, with zero special cases downstream.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -64,18 +64,8 @@ fn registry() -> &'static Mutex<HashMap<u64, External>> {
     REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// FNV-1a over the canonical serialized form.
-fn content_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Ingests a recorded trace file: reads it through the hardened binary
-/// reader, content-hashes the canonical serialization and registers the
+/// reader, content-hashes its event words and registers the
 /// recording under [`Workload::External`]. Idempotent — re-ingesting the
 /// same content returns the same workload identity.
 pub fn load_trace_file(path: &str) -> Result<Workload, WorkloadError> {
@@ -92,23 +82,19 @@ pub fn load_trace_file(path: &str) -> Result<Workload, WorkloadError> {
             cursor.len()
         )));
     }
-    register_trace(trace, path.to_string()).map_err(file_err)
+    Ok(register_trace(trace, path.to_string()))
 }
 
 /// Registers an in-memory recording as an external workload. `source`
 /// is the label the workload reports (a path for file ingestion).
-pub fn register_trace(trace: Trace, source: String) -> Result<Workload, String> {
-    let mut canonical = Vec::new();
-    trace
-        .write_to(&mut canonical)
-        .map_err(|e| format!("cannot canonicalize trace: {e}"))?;
-    let id = content_hash(&canonical);
+pub fn register_trace(trace: Trace, source: String) -> Workload {
+    let id = trace.content_hash();
     let mut reg = registry().lock().expect("workload registry poisoned");
     reg.entry(id).or_insert(External {
         trace: Arc::new(trace),
         source,
     });
-    Ok(Workload::External(id))
+    Workload::External(id)
 }
 
 /// The registered recording behind an external workload identity.

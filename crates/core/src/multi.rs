@@ -33,7 +33,7 @@
 use crate::front_end::FrontEnd;
 use crate::platform::{DCacheOrganization, Platform, PlatformConfig, RunResult};
 use crate::SttError;
-use sttcache_cpu::{Core, CoreConfig, CoreReport, Engine, Trace, TraceEvent};
+use sttcache_cpu::{Core, CoreConfig, CoreReport, Trace};
 use sttcache_mem::{Addr, Cache, CacheConfig, CacheStats, Cycle, MainMemory, MemoryLevel, Shared};
 
 /// The shared tail of a multi-core hierarchy: one banked unified L2
@@ -203,11 +203,6 @@ impl MultiPlatform {
         &self.config
     }
 
-    /// Number of cores.
-    pub fn core_count(&self) -> usize {
-        self.config.cores.len()
-    }
-
     /// The equivalent *single-core* platform configuration for core
     /// `idx` — same organization, overrides and timing parameters over a
     /// private (unshared) L2. Running core `idx`'s trace on this platform
@@ -220,6 +215,12 @@ impl MultiPlatform {
     /// Replays one recorded trace per core on a cold platform, cores
     /// interleaved by the lowest-`(now, index)` rule (see the module
     /// docs), and collects per-core plus shared statistics.
+    ///
+    /// Every address a trace touches must lie below
+    /// [`CORE_ADDRESS_STRIDE`]: core `i`'s stripe is relocated by
+    /// `i · CORE_ADDRESS_STRIDE`, so a byte at or above it would alias
+    /// the next core's stripe. Recorded kernels stay far below; the mix
+    /// grammar refuses `file:` traces that reach it.
     ///
     /// # Panics
     ///
@@ -300,36 +301,18 @@ impl MultiPlatform {
             })
             .collect();
 
-        let mut pos = vec![0usize; n];
-        loop {
-            // The unfinished core with the lowest (now, index); ties go
-            // to the lower index, so the interleave is a total order.
-            let mut pick: Option<usize> = None;
-            for (idx, core) in cores.iter().enumerate() {
-                if pos[idx] < traces[idx].events().len() {
-                    pick = match pick {
-                        Some(best) if cores[best].now() <= core.now() => Some(best),
-                        _ => Some(idx),
-                    };
-                }
+        let mut streams: Vec<_> = traces.iter().map(|t| t.iter()).collect();
+        // Step the unfinished core with the lowest (now, index), so the
+        // interleave is a total order.
+        while let Some(idx) = (0..n)
+            .filter(|&i| streams[i].len() > 0)
+            .min_by_key(|&i| (cores[i].now(), i))
+        {
+            let mut ev = streams[idx].next().expect("the picked core is unfinished");
+            if let Some(addr) = ev.addr_mut() {
+                *addr = core_addr(idx, *addr);
             }
-            let Some(idx) = pick else { break };
-            let ev = traces[idx].events()[pos[idx]];
-            pos[idx] += 1;
-            // Exactly `Trace::replay_into`'s dispatch, one event at a
-            // time, with memory addresses relocated into the core's
-            // private address-space stripe.
-            match ev {
-                TraceEvent::Load { addr, bytes } => {
-                    cores[idx].load(core_addr(idx, addr), bytes as usize)
-                }
-                TraceEvent::Store { addr, bytes } => {
-                    cores[idx].store(core_addr(idx, addr), bytes as usize)
-                }
-                TraceEvent::Prefetch { addr } => cores[idx].prefetch(core_addr(idx, addr)),
-                TraceEvent::Compute { ops } => cores[idx].compute(ops as u64),
-                TraceEvent::Branch { taken } => cores[idx].branch(taken),
-            }
+            ev.replay_into(&mut cores[idx]);
         }
 
         let reports: Vec<CoreReport> = cores.iter_mut().map(Core::report).collect();
@@ -416,7 +399,7 @@ pub struct MultiAudit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sttcache_cpu::TraceRecorder;
+    use sttcache_cpu::{Engine, TraceRecorder};
 
     fn stream_trace(base: u64, lines: u64) -> Trace {
         let mut rec = TraceRecorder::new();

@@ -6,12 +6,22 @@
 //! later into any [`Engine`]. This decouples workload generation from
 //! timing simulation — record once, sweep many cache configurations —
 //! exactly how trace-driven studies around gem5 are run.
+//!
+//! This module is the only one that knows how an event is stored: one
+//! packed `u64` word, the same in memory, on disk and in the content
+//! hash. Bits 63–56 hold the opcode (load 0, store 1, prefetch 2,
+//! compute 3, branch 4), bits 55–48 the access width, and bits 47–0 the
+//! byte address, the compute count (at most `u32::MAX`) or the branch
+//! outcome (0 or 1). Addresses therefore lie below 2^48. Every word
+//! unpacks to some [`TraceEvent`]; it is valid exactly when packing that
+//! event gives the word back.
 
 use crate::Engine;
+use std::fmt;
 use std::io::{self, Read, Write};
 use sttcache_mem::Addr;
 
-/// One recorded architectural event.
+/// One recorded architectural event: the decoded view of an event word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A load of `bytes` at `addr`.
@@ -45,10 +55,76 @@ pub enum TraceEvent {
     },
 }
 
-/// File magic for the binary trace format.
-const MAGIC: &[u8; 8] = b"STTRACE1";
+/// Bit positions of the opcode and the access width in an event word.
+const OP_SHIFT: u32 = 56;
+const WIDTH_SHIFT: u32 = 48;
+/// Every payload, and so every address, lies below this.
+const PAYLOAD_LIMIT: u64 = 1 << WIDTH_SHIFT;
 
-/// A recorded event stream.
+/// File magic for the binary trace format, and the retired
+/// variable-length format's, which is refused by name.
+const MAGIC: &[u8; 8] = b"STTRACE2";
+const OLD_MAGIC: &[u8; 8] = b"STTRACE1";
+
+impl TraceEvent {
+    /// Feeds this event to an engine: the one dispatch from events to
+    /// [`Engine`] calls, shared by [`Trace::replay_into`], the multi-core
+    /// interleaver and the fuzzer's shrinker.
+    #[inline(always)]
+    pub fn replay_into<E: Engine + ?Sized>(self, e: &mut E) {
+        match self {
+            TraceEvent::Load { addr, bytes } => e.load(addr, bytes as usize),
+            TraceEvent::Store { addr, bytes } => e.store(addr, bytes as usize),
+            TraceEvent::Prefetch { addr } => e.prefetch(addr),
+            TraceEvent::Compute { ops } => e.compute(ops as u64),
+            TraceEvent::Branch { taken } => e.branch(taken),
+        }
+    }
+
+    /// The byte address of a load, store or prefetch.
+    pub fn addr_mut(&mut self) -> Option<&mut Addr> {
+        match self {
+            TraceEvent::Load { addr, .. }
+            | TraceEvent::Store { addr, .. }
+            | TraceEvent::Prefetch { addr } => Some(addr),
+            TraceEvent::Compute { .. } | TraceEvent::Branch { .. } => None,
+        }
+    }
+
+    /// Packs the event into its word. Panics, naming the address, if it
+    /// is at or above 2^48: kernels and fuzz generators stay far below,
+    /// so only a program bug gets here.
+    fn encode(self) -> u64 {
+        let (op, width, payload) = match self {
+            TraceEvent::Load { addr, bytes } => (0, bytes, addr.0),
+            TraceEvent::Store { addr, bytes } => (1, bytes, addr.0),
+            TraceEvent::Prefetch { addr } => (2, 0, addr.0),
+            TraceEvent::Compute { ops } => (3, 0, ops as u64),
+            TraceEvent::Branch { taken } => (4, 0, taken as u64),
+        };
+        assert!(
+            payload < PAYLOAD_LIMIT,
+            "trace address {payload:#x} is outside the 48-bit trace address space"
+        );
+        (op << OP_SHIFT) | (u64::from(width) << WIDTH_SHIFT) | payload
+    }
+}
+
+/// Unpacks an event word: the one decoder.
+#[inline(always)]
+fn decode(word: u64) -> TraceEvent {
+    let addr = Addr(word & (PAYLOAD_LIMIT - 1));
+    let bytes = (word >> WIDTH_SHIFT) as u8;
+    match word >> OP_SHIFT {
+        0 => TraceEvent::Load { addr, bytes },
+        1 => TraceEvent::Store { addr, bytes },
+        2 => TraceEvent::Prefetch { addr },
+        3 => TraceEvent::Compute { ops: addr.0 as u32 },
+        _ => TraceEvent::Branch { taken: addr.0 != 0 },
+    }
+}
+
+/// A recorded event stream: one packed word per event.
 ///
 /// # Example
 ///
@@ -71,9 +147,15 @@ const MAGIC: &[u8; 8] = b"STTRACE1";
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct Trace {
-    events: Vec<TraceEvent>,
+    words: Vec<u64>,
+}
+
+impl fmt::Debug for Trace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 impl Trace {
@@ -84,77 +166,64 @@ impl Trace {
 
     /// Number of events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.words.len()
     }
 
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.words.is_empty()
     }
 
-    /// The recorded events.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+    /// The recorded events, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = TraceEvent> + '_ {
+        self.words.iter().map(|&word| decode(word))
     }
 
-    /// Heap footprint of the event buffer in bytes — the unit the trace
-    /// cache's LRU byte cap accounts recorded entries in. Capacity-based,
-    /// so a recorder's growth slack (or an oversized capacity hint)
-    /// counts until [`Trace::shrink_to_fit`] drops it.
+    /// Heap footprint of the event buffer in bytes, 8 per *capacity*
+    /// slot: the unit the trace cache's LRU byte cap accounts recorded
+    /// entries in. A recorder's growth slack (or an oversized capacity
+    /// hint) counts until [`Trace::shrink_to_fit`] drops it.
     pub fn heap_bytes(&self) -> usize {
-        self.events.capacity() * std::mem::size_of::<TraceEvent>()
+        self.words.capacity() * std::mem::size_of::<u64>()
     }
 
     /// Releases the event buffer's growth slack so [`Trace::heap_bytes`]
     /// matches the event count.
     pub fn shrink_to_fit(&mut self) {
-        self.events.shrink_to_fit();
+        self.words.shrink_to_fit();
     }
 
     /// Counts of (loads, stores, prefetches, branches) in the trace.
     pub fn summary(&self) -> (u64, u64, u64, u64) {
-        let mut c = (0, 0, 0, 0);
-        for ev in &self.events {
-            match ev {
-                TraceEvent::Load { .. } => c.0 += 1,
-                TraceEvent::Store { .. } => c.1 += 1,
-                TraceEvent::Prefetch { .. } => c.2 += 1,
-                TraceEvent::Branch { .. } => c.3 += 1,
-                TraceEvent::Compute { .. } => {}
-            }
-        }
-        c
+        let count = |op: u64| self.words.iter().filter(|&&w| w >> OP_SHIFT == op).count() as u64;
+        (count(0), count(1), count(2), count(4))
     }
 
     /// Replays the trace into an engine, in order, monomorphized over the
-    /// engine type (`E = dyn Engine` dispatches virtually instead).
-    ///
-    /// With a concrete `E` every event dispatch is a static (inlinable)
-    /// call instead of one virtual call per access — the batched fast
-    /// path the sweep engine's trace cache replays through. Events are
-    /// fed in fixed-size chunks so the hot loop's working set stays
-    /// bounded regardless of trace length.
+    /// engine type (`E = dyn Engine` dispatches virtually instead). With
+    /// a concrete `E` every event dispatch is a static (inlinable) call.
     pub fn replay_into<E: Engine + ?Sized>(&self, e: &mut E) {
-        /// Events dispatched per batch of the replay loop.
-        const REPLAY_CHUNK: usize = 1024;
-        for chunk in self.events.chunks(REPLAY_CHUNK) {
-            for &ev in chunk {
-                match ev {
-                    TraceEvent::Load { addr, bytes } => e.load(addr, bytes as usize),
-                    TraceEvent::Store { addr, bytes } => e.store(addr, bytes as usize),
-                    TraceEvent::Prefetch { addr } => e.prefetch(addr),
-                    TraceEvent::Compute { ops } => e.compute(ops as u64),
-                    TraceEvent::Branch { taken } => e.branch(taken),
-                }
+        // Fixed-size chunks: the counted inner loop measured faster on
+        // `replay-affine` than one flat loop.
+        for chunk in self.words.chunks(1024) {
+            for &word in chunk {
+                decode(word).replay_into(e);
             }
         }
     }
 
-    /// Serializes the trace.
-    ///
-    /// Format: 8-byte magic, little-endian `u64` event count, then one
-    /// opcode byte per event followed by its payload (LEB128 varint
-    /// addresses and counts).
+    /// FNV-1a over the event words' little-endian bytes, read in place:
+    /// the content identity of an external trace.
+    pub fn content_hash(&self) -> u64 {
+        let bytes = self.words.iter().flat_map(|w| w.to_le_bytes());
+        bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// Serializes the trace: the 8-byte magic `STTRACE2`, the
+    /// little-endian `u64` event count, then the event words,
+    /// little-endian.
     ///
     /// # Errors
     ///
@@ -162,29 +231,9 @@ impl Trace {
     /// written.
     pub fn write_to<W: Write>(&self, mut w: W) -> io::Result<()> {
         w.write_all(MAGIC)?;
-        w.write_all(&(self.events.len() as u64).to_le_bytes())?;
-        for ev in &self.events {
-            match *ev {
-                TraceEvent::Load { addr, bytes } => {
-                    w.write_all(&[0, bytes])?;
-                    write_varint(&mut w, addr.0)?;
-                }
-                TraceEvent::Store { addr, bytes } => {
-                    w.write_all(&[1, bytes])?;
-                    write_varint(&mut w, addr.0)?;
-                }
-                TraceEvent::Prefetch { addr } => {
-                    w.write_all(&[2])?;
-                    write_varint(&mut w, addr.0)?;
-                }
-                TraceEvent::Compute { ops } => {
-                    w.write_all(&[3])?;
-                    write_varint(&mut w, ops as u64)?;
-                }
-                TraceEvent::Branch { taken } => {
-                    w.write_all(&[4, taken as u8])?;
-                }
-            }
+        w.write_all(&(self.words.len() as u64).to_le_bytes())?;
+        for word in &self.words {
+            w.write_all(&word.to_le_bytes())?;
         }
         Ok(())
     }
@@ -193,160 +242,67 @@ impl Trace {
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` if the magic, an opcode or a varint is
-    /// malformed, `UnexpectedEof` (with the event index and field that
-    /// was being decoded) if the stream is truncated, and propagates any
-    /// other I/O error from `r`. Decoding never panics on corrupt input.
+    /// Returns `InvalidData` for a bad magic (naming the retired
+    /// `STTRACE1` format) or an invalid event word (naming its index),
+    /// `UnexpectedEof` naming the header field or event index if the
+    /// stream is truncated, and propagates any other I/O error from `r`.
+    /// Decoding never panics on corrupt input.
     pub fn read_from<R: Read>(mut r: R) -> io::Result<Self> {
-        let mut magic = [0u8; 8];
-        read_field(&mut r, &mut magic, "header", "magic")?;
-        if &magic != MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "bad trace magic",
-            ));
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+        let magic = read_word(&mut r, || "header: magic".into())?.to_le_bytes();
+        if &magic == OLD_MAGIC {
+            let hint = "STTRACE1 is the retired variable-length trace format; re-record the trace";
+            return Err(invalid(hint.into()));
+        } else if &magic != MAGIC {
+            return Err(invalid("bad trace magic".into()));
         }
-        let mut count = [0u8; 8];
-        read_field(&mut r, &mut count, "header", "event count")?;
-        let count = u64::from_le_bytes(count) as usize;
-        let mut events = Vec::with_capacity(count.min(1 << 20));
+        let count = read_word(&mut r, || "header: event count".into())? as usize;
+        let mut words = Vec::with_capacity(count.min(1 << 20));
         for idx in 0..count {
-            let mut op = [0u8; 1];
-            read_event_field(&mut r, &mut op, idx, "opcode")?;
-            let ev = match op[0] {
-                0 | 1 => {
-                    let mut bytes = [0u8; 1];
-                    read_event_field(&mut r, &mut bytes, idx, "access width")?;
-                    let addr = Addr(read_varint_field(&mut r, idx, "address")?);
-                    if op[0] == 0 {
-                        TraceEvent::Load {
-                            addr,
-                            bytes: bytes[0],
-                        }
-                    } else {
-                        TraceEvent::Store {
-                            addr,
-                            bytes: bytes[0],
-                        }
-                    }
-                }
-                2 => TraceEvent::Prefetch {
-                    addr: Addr(read_varint_field(&mut r, idx, "address")?),
-                },
-                3 => {
-                    let ops = read_varint_field(&mut r, idx, "compute count")?;
-                    let ops = u32::try_from(ops).map_err(|_| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("event {idx}: compute count {ops} overflows u32"),
-                        )
-                    })?;
-                    TraceEvent::Compute { ops }
-                }
-                4 => {
-                    let mut taken = [0u8; 1];
-                    read_event_field(&mut r, &mut taken, idx, "branch outcome")?;
-                    TraceEvent::Branch {
-                        taken: taken[0] != 0,
-                    }
-                }
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("event {idx}: unknown trace opcode {other}"),
-                    ))
-                }
-            };
-            events.push(ev);
+            let word = read_word(&mut r, || format!("event {idx}"))?;
+            if decode(word).encode() != word {
+                return Err(invalid(format!(
+                    "event {idx}: invalid event word {word:#018x}"
+                )));
+            }
+            words.push(word);
         }
-        Ok(Trace { events })
+        Ok(Trace { words })
     }
 }
 
-/// `read_exact` with a descriptive context: truncation reports which
-/// structural field of the trace format was cut short.
-fn read_field<R: Read>(r: &mut R, buf: &mut [u8], scope: &str, field: &str) -> io::Result<()> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!("truncated trace: {scope}: {field}"),
-            )
-        } else {
-            e
-        }
-    })
+/// Reads one little-endian `u64`; truncation names `field`, the part of
+/// the format that was cut short.
+fn read_word<R: Read>(r: &mut R, field: impl FnOnce() -> String) -> io::Result<u64> {
+    let mut buf = [0u8; 8];
+    match r.read_exact(&mut buf) {
+        Ok(()) => Ok(u64::from_le_bytes(buf)),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("truncated trace: {}", field()),
+        )),
+        Err(e) => Err(e),
+    }
 }
 
-/// [`read_field`] for per-event payloads, tagging the event index.
-fn read_event_field<R: Read>(r: &mut R, buf: &mut [u8], idx: usize, field: &str) -> io::Result<()> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!("truncated trace: event {idx}: {field}"),
-            )
-        } else {
-            e
-        }
-    })
-}
-
-/// [`read_varint`] with the event index and field name attached to any
-/// truncation or overlong-encoding error.
-fn read_varint_field<R: Read>(r: &mut R, idx: usize, field: &str) -> io::Result<u64> {
-    read_varint(r).map_err(|e| {
-        let kind = e.kind();
-        if kind == io::ErrorKind::UnexpectedEof || kind == io::ErrorKind::InvalidData {
-            io::Error::new(kind, format!("event {idx}: {field}: {e}"))
-        } else {
-            e
-        }
-    })
-}
-
+/// Packs the events as given, without the recorder's coalescing; panics,
+/// naming the address, on an address at or above 2^48.
 impl FromIterator<TraceEvent> for Trace {
     fn from_iter<I: IntoIterator<Item = TraceEvent>>(iter: I) -> Self {
         Trace {
-            events: iter.into_iter().collect(),
+            words: iter.into_iter().map(TraceEvent::encode).collect(),
         }
     }
-}
-
-fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            return w.write_all(&[byte]);
-        }
-        w.write_all(&[byte | 0x80])?;
-    }
-}
-
-fn read_varint<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
-        let mut byte = [0u8; 1];
-        r.read_exact(&mut byte)?;
-        v |= ((byte[0] & 0x7f) as u64) << shift;
-        if byte[0] & 0x80 == 0 {
-            return Ok(v);
-        }
-    }
-    Err(io::Error::new(
-        io::ErrorKind::InvalidData,
-        "varint too long",
-    ))
 }
 
 /// An [`Engine`] that records into a [`Trace`].
 ///
-/// Adjacent `compute` calls are coalesced into one event to keep traces
-/// compact.
+/// Adjacent `compute` calls are coalesced into one event (saturating at
+/// `u32::MAX` operations) and access widths clamp at 255 bytes.
+/// Recording an address at or above 2^48 panics, naming the address.
 #[derive(Debug, Clone, Default)]
 pub struct TraceRecorder {
-    events: Vec<TraceEvent>,
+    words: Vec<u64>,
 }
 
 impl TraceRecorder {
@@ -360,60 +316,49 @@ impl TraceRecorder {
     /// (e.g. from a previous recording of the same kernel).
     pub fn with_capacity(events: usize) -> Self {
         TraceRecorder {
-            events: Vec::with_capacity(events),
+            words: Vec::with_capacity(events),
         }
-    }
-
-    /// Events recorded so far.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Finishes recording.
     pub fn into_trace(self) -> Trace {
-        Trace {
-            events: self.events,
-        }
+        Trace { words: self.words }
+    }
+
+    fn push(&mut self, ev: TraceEvent) {
+        self.words.push(ev.encode());
     }
 }
 
 impl Engine for TraceRecorder {
     fn load(&mut self, addr: Addr, bytes: usize) {
-        self.events.push(TraceEvent::Load {
-            addr,
-            bytes: bytes.min(255) as u8,
-        });
+        let bytes = bytes.min(255) as u8;
+        self.push(TraceEvent::Load { addr, bytes });
     }
 
     fn store(&mut self, addr: Addr, bytes: usize) {
-        self.events.push(TraceEvent::Store {
-            addr,
-            bytes: bytes.min(255) as u8,
-        });
+        let bytes = bytes.min(255) as u8;
+        self.push(TraceEvent::Store { addr, bytes });
     }
 
     fn prefetch(&mut self, addr: Addr) {
-        self.events.push(TraceEvent::Prefetch { addr });
+        self.push(TraceEvent::Prefetch { addr });
     }
 
     fn compute(&mut self, ops: u64) {
-        if let Some(TraceEvent::Compute { ops: prev }) = self.events.last_mut() {
-            let merged = (*prev as u64).saturating_add(ops).min(u32::MAX as u64);
-            *prev = merged as u32;
-            return;
-        }
-        self.events.push(TraceEvent::Compute {
-            ops: ops.min(u32::MAX as u64) as u32,
-        });
+        let ops = match self.words.last().map(|&word| decode(word)) {
+            Some(TraceEvent::Compute { ops: prev }) => {
+                self.words.pop();
+                ops.saturating_add(prev as u64)
+            }
+            _ => ops,
+        };
+        let ops = ops.min(u32::MAX as u64) as u32;
+        self.push(TraceEvent::Compute { ops });
     }
 
     fn branch(&mut self, taken: bool) {
-        self.events.push(TraceEvent::Branch { taken });
+        self.push(TraceEvent::Branch { taken });
     }
 }
 
@@ -433,11 +378,25 @@ mod tests {
         rec.into_trace()
     }
 
+    fn bytes_of(t: &Trace) -> Vec<u8> {
+        let mut buf = Vec::new();
+        t.write_to(&mut buf).unwrap();
+        buf
+    }
+
+    /// Decodes `buf` and returns the error message; panics if the input
+    /// was (incorrectly) accepted.
+    fn read_error(buf: &[u8]) -> String {
+        Trace::read_from(buf)
+            .expect_err("corrupt input must not decode")
+            .to_string()
+    }
+
     #[test]
     fn recording_coalesces_compute() {
         let t = sample();
         assert_eq!(t.len(), 6);
-        assert!(matches!(t.events()[1], TraceEvent::Compute { ops: 5 }));
+        assert_eq!(t.iter().nth(1), Some(TraceEvent::Compute { ops: 5 }));
     }
 
     #[test]
@@ -448,9 +407,7 @@ mod tests {
     #[test]
     fn binary_roundtrip() {
         let t = sample();
-        let mut buf = Vec::new();
-        t.write_to(&mut buf).unwrap();
-        let back = Trace::read_from(&mut buf.as_slice()).unwrap();
+        let back = Trace::read_from(bytes_of(&t).as_slice()).unwrap();
         assert_eq!(t, back);
     }
 
@@ -464,94 +421,63 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
-        let mut buf = Vec::new();
-        sample().write_to(&mut buf).unwrap();
+        let mut buf = bytes_of(&sample());
         buf[0] = b'X';
-        assert!(Trace::read_from(&mut buf.as_slice()).is_err());
+        assert!(Trace::read_from(buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn old_magic_is_refused_by_name() {
+        let mut buf = OLD_MAGIC.to_vec();
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        let msg = read_error(&buf);
+        assert!(
+            msg.contains("STTRACE1") && msg.contains("re-record"),
+            "{msg}"
+        );
     }
 
     #[test]
     fn truncated_stream_is_rejected() {
-        let mut buf = Vec::new();
-        sample().write_to(&mut buf).unwrap();
+        let mut buf = bytes_of(&sample());
         buf.truncate(buf.len() - 1);
-        assert!(Trace::read_from(&mut buf.as_slice()).is_err());
-    }
-
-    /// Decodes a truncated prefix and returns the error message; panics
-    /// if the truncation was (incorrectly) accepted.
-    fn truncation_error(buf: &[u8], keep: usize) -> String {
-        Trace::read_from(&mut &buf[..keep])
-            .expect_err("truncated input must not decode")
-            .to_string()
+        assert!(Trace::read_from(buf.as_slice()).is_err());
     }
 
     #[test]
     fn truncation_in_the_header_names_the_field() {
-        let mut buf = Vec::new();
-        sample().write_to(&mut buf).unwrap();
+        let buf = bytes_of(&sample());
         // Inside the magic.
-        let msg = truncation_error(&buf, 3);
+        let msg = read_error(&buf[..3]);
         assert!(msg.contains("magic"), "{msg}");
         // Inside the event count.
-        let msg = truncation_error(&buf, 12);
+        let msg = read_error(&buf[..12]);
         assert!(msg.contains("event count"), "{msg}");
     }
 
     #[test]
     fn truncation_at_every_field_boundary_names_event_and_field() {
-        // One event of every kind, with a multi-byte varint address so
-        // the cut can land strictly inside a varint.
-        let trace = Trace::from_iter([
-            TraceEvent::Load {
-                addr: Addr(0x1_0000),
-                bytes: 8,
-            },
-            TraceEvent::Store {
-                addr: Addr(0x2_0000),
-                bytes: 4,
-            },
-            TraceEvent::Prefetch {
-                addr: Addr(0x3_0000),
-            },
-            TraceEvent::Compute { ops: 1_000_000 },
-            TraceEvent::Branch { taken: true },
-        ]);
-        let mut buf = Vec::new();
-        trace.write_to(&mut buf).unwrap();
+        // One event of every kind; every cut inside or at the start of
+        // event i's word must name event i.
+        let mut rec = TraceRecorder::new();
+        rec.load(Addr(0x1_0000), 8);
+        rec.store(Addr(0x2_0000), 4);
+        rec.prefetch(Addr(0x3_0000));
+        rec.compute(1_000_000);
+        rec.branch(true);
+        let trace = rec.into_trace();
+        let buf = bytes_of(&trace);
         let header = 16; // magic + count
-        let expect = |keep: usize, event: &str, field: &str| {
-            let msg = truncation_error(&buf, keep);
+        assert_eq!(buf.len(), header + 8 * trace.len());
+        for keep in header..buf.len() {
+            let event = format!("event {}", (keep - header) / 8);
+            let msg = read_error(&buf[..keep]);
             assert!(
-                msg.contains(event) && msg.contains(field),
-                "cut at {keep}: expected '{event}'/'{field}' in '{msg}'"
+                msg.contains("truncated") && msg.contains(&event),
+                "cut at {keep}: expected '{event}' in '{msg}'"
             );
-        };
-        // Load: opcode | width | 3-byte varint address.
-        expect(header, "event 0", "opcode");
-        expect(header + 1, "event 0", "access width");
-        expect(header + 2, "event 0", "address");
-        expect(header + 4, "event 0", "address"); // mid-varint
-        let load_end = header + 5;
-        // Store mirrors load.
-        expect(load_end, "event 1", "opcode");
-        expect(load_end + 1, "event 1", "access width");
-        expect(load_end + 3, "event 1", "address");
-        let store_end = load_end + 5;
-        // Prefetch: opcode | 3-byte varint address.
-        expect(store_end, "event 2", "opcode");
-        expect(store_end + 2, "event 2", "address");
-        let prefetch_end = store_end + 4;
-        // Compute: opcode | 3-byte varint count.
-        expect(prefetch_end, "event 3", "opcode");
-        expect(prefetch_end + 2, "event 3", "compute count");
-        let compute_end = prefetch_end + 4;
-        // Branch: opcode | outcome byte.
-        expect(compute_end, "event 4", "opcode");
-        expect(compute_end + 1, "event 4", "branch outcome");
-        // Sanity: keeping everything decodes.
-        assert_eq!(compute_end + 2, buf.len());
-        assert_eq!(Trace::read_from(&mut buf.as_slice()).unwrap(), trace);
+        }
+        assert_eq!(Trace::read_from(buf.as_slice()).unwrap(), trace);
     }
 
     #[test]
@@ -565,22 +491,24 @@ mod tests {
     }
 
     #[test]
-    fn unknown_opcode_is_rejected() {
-        let mut buf = Vec::new();
-        Trace::from_iter([TraceEvent::Branch { taken: true }])
-            .write_to(&mut buf)
-            .unwrap();
-        let op_pos = 16; // after magic + count
-        buf[op_pos] = 99;
-        assert!(Trace::read_from(&mut buf.as_slice()).is_err());
-    }
-
-    #[test]
-    fn varint_roundtrip_extremes() {
-        for v in [0u64, 1, 127, 128, 0xffff, u64::MAX] {
-            let mut buf = Vec::new();
-            write_varint(&mut buf, v).unwrap();
-            assert_eq!(read_varint(&mut buf.as_slice()).unwrap(), v);
+    fn invalid_event_words_are_rejected_naming_the_event() {
+        let valid = bytes_of(&Trace::from_iter([
+            TraceEvent::Compute { ops: 1 },
+            TraceEvent::Branch { taken: true },
+        ]));
+        let width = 1u64 << WIDTH_SHIFT;
+        for (rule, word) in [
+            ("unknown opcode", 5 << OP_SHIFT),
+            ("width on a prefetch", (2 << OP_SHIFT) | width),
+            ("width on a compute", (3 << OP_SHIFT) | width | 1),
+            ("width on a branch", (4 << OP_SHIFT) | width),
+            ("compute count above u32::MAX", (3 << OP_SHIFT) | (1 << 32)),
+            ("branch payload above 1", (4 << OP_SHIFT) | 2),
+        ] {
+            let mut buf = valid.clone();
+            buf[24..].copy_from_slice(&word.to_le_bytes());
+            let msg = read_error(&buf);
+            assert!(msg.contains("event 1: invalid event word"), "{rule}: {msg}");
         }
     }
 
@@ -588,8 +516,6 @@ mod tests {
     fn empty_trace_roundtrips() {
         let t = Trace::new();
         assert!(t.is_empty());
-        let mut buf = Vec::new();
-        t.write_to(&mut buf).unwrap();
-        assert_eq!(Trace::read_from(&mut buf.as_slice()).unwrap(), t);
+        assert_eq!(Trace::read_from(bytes_of(&t).as_slice()).unwrap(), t);
     }
 }

@@ -1,4 +1,5 @@
-//! Combined observer-armed gate for the resident-hit fast paths.
+//! Combined observer-armed gate for the resident-hit fast paths, and the
+//! parser of the boolean environment gates ([`env_gate`]).
 //!
 //! The fast paths in [`Cache`] must bail whenever *either* the telemetry
 //! gate or the invariant gate is armed. Checking both per access costs
@@ -11,6 +12,19 @@
 //! [`Cache`]: crate::Cache
 
 use std::sync::atomic::{AtomicU8, Ordering};
+
+/// Reads the boolean environment gate `name` (`STTCACHE_INVARIANTS`,
+/// `STTCACHE_TRACE_CHECK`): unset or `0` is off and `1` is on. Any other
+/// value, the empty string included, is an error naming the variable and
+/// its value, never a default.
+pub fn env_gate(name: &str) -> Result<bool, String> {
+    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    match raw.as_deref() {
+        None | Some("0") => Ok(false),
+        Some("1") => Ok(true),
+        Some(raw) => Err(format!("{name}={raw:?}: expected 0 or 1")),
+    }
+}
 
 /// Combined state: 0 = uninitialised, 1 = neither armed, 2 = some armed.
 static ARMED: AtomicU8 = AtomicU8::new(0);

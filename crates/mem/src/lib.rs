@@ -62,6 +62,7 @@ pub use banks::BankSchedule;
 pub use cache::{AccessOutcome, Cache, ServedBy};
 pub use config::{AsymmetricWrite, CacheConfig, CacheConfigBuilder, WritePolicy};
 pub use error::MemError;
+pub use gates::env_gate;
 pub use invariants::InvariantViolation;
 pub use memory::MainMemory;
 pub use mshr::{MshrFile, MshrOutcome};

@@ -79,8 +79,8 @@ diff -u "$smoke" "$mc"
 diff -u "$smoke" "$mc"
 
 # External trace ingestion: a recorded trace must replay byte-identically
-# through --trace-file (same cycles the recording example reports) and
-# parse as a file: mix entry.
+# through --trace-file, match the recorded kernel's own replay, and parse
+# as a file: mix entry.
 exttrace="$(mktemp -u).trace"
 trap 'rm -f "$smoke" "$ttrace" "$mc" "$exttrace"' EXIT
 ./target/release/examples/trace_sweep "$exttrace" > /dev/null
@@ -88,6 +88,10 @@ trap 'rm -f "$smoke" "$ttrace" "$mc" "$exttrace"' EXIT
 ./target/release/sim --trace-file "$exttrace" --org vwb > "$mc"
 diff -u "$smoke" "$mc"
 grep -q '^# sim: trace:' "$smoke"
+# The example records bicg at Mini with every transformation: below the
+# `# sim:` header line, the file replays exactly as the kernel does.
+./target/release/sim --bench bicg --opts all --org vwb | tail -n +2 > "$mc"
+tail -n +2 "$smoke" | diff -u "$mc" -
 ./target/release/sim --cores 2 --mix "file:$exttrace@64:vwb+gemm:sram" > "$mc"
 grep -q 'file:' "$mc"
 
@@ -112,4 +116,4 @@ benchout="$(mktemp -d)"
 trap 'rm -rf "$smoke" "$ttrace" "$mc" "$exttrace" "$prof" "$benchout"' EXIT
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --quick --out "$benchout"
 
-echo "ci: fmt, build, tests (plain + invariants armed), clippy, differential + multicore + irregular fuzzers, ablation tables, figures smoke (serial, replay cross-checked against direct execution, invariants armed, telemetry export, profile), multi-core + irregular determinism, external-trace replay, trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"
+echo "ci: fmt, build, tests (plain + invariants armed), clippy, differential + multicore + irregular fuzzers, ablation tables, figures smoke (serial, replay cross-checked against direct execution, invariants armed, telemetry export, profile), multi-core + irregular determinism, external-trace replay (pinned to the kernel's own replay), trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"

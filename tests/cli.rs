@@ -106,6 +106,8 @@ fn malformed_knobs_exit_2_naming_the_variable() {
         ("STTCACHE_THREADS", "abc"),
         ("STTCACHE_TRACE_CACHE_BYTES", "abc"),
         ("STTCACHE_TRACE_CACHE_BYTES", "-1"),
+        ("STTCACHE_TRACE_CHECK", "true"),
+        ("STTCACHE_INVARIANTS", "no"),
     ] {
         let env = [(knob, value)];
         assert_rejected(&run(FIGURES, &["fig9"], &env), knob);

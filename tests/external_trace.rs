@@ -5,13 +5,14 @@
 //! identical to the in-memory replay) across the whole workload catalog,
 //! byte-identity of an ingested `file:` workload through every replay
 //! mode (the trace-cache pipeline, serial vs parallel sweeps), the 2-core
-//! mix grammar, and rejection of truncated/corrupt files through the mix
-//! token.
+//! mix grammar, and rejection of truncated/corrupt files, and of files
+//! that would alias another core's address stripe, through the mix token.
 
-use sttcache::{DCacheOrganization, Platform, PlatformConfig};
+use sttcache::{DCacheOrganization, Platform, PlatformConfig, CORE_ADDRESS_STRIDE};
 use sttcache_bench::multicore::MixSpec;
 use sttcache_bench::{parallel::SweepRunner, trace_cache, workload};
-use sttcache_cpu::Trace;
+use sttcache_cpu::{Engine, Trace, TraceRecorder};
+use sttcache_mem::Addr;
 use sttcache_workloads::{catalog, PolyBench, ProblemSize, Transformations, Workload};
 
 /// Writes a trace to a unique temp file and returns its `file:` token.
@@ -171,4 +172,30 @@ fn mix_grammar_rejects_broken_trace_files() {
 
     std::fs::remove_file(&truncated).ok();
     std::fs::remove_file(&corrupt).ok();
+}
+
+/// Core `i` of a mix runs in the address stripe from
+/// `i · CORE_ADDRESS_STRIDE`, so a mix of two or more entries refuses a
+/// `file:` trace that reaches 4 GiB, naming the entry and the address.
+/// Alone, nothing is relocated and the same file still runs.
+#[test]
+fn mix_refuses_file_traces_that_reach_the_next_core_stripe() {
+    let file = |base: u64, tag: &str| {
+        let mut rec = TraceRecorder::new();
+        (0..64).for_each(|i| rec.load(Addr(base + 64 * i), 8));
+        write_trace(&rec.into_trace(), tag)
+    };
+    let (high_path, high) = file(CORE_ADDRESS_STRIDE, "stripe_high");
+    let (low_path, low) = file(0, "stripe_low");
+    let err = MixSpec::parse(&format!("{high}+{low}@100000"))
+        .expect_err("a trace reaching 4 GiB must not share a mix");
+    assert!(err.contains(&high) && err.contains("0x100000000"), "{err}");
+    for (path, token) in [(high_path, high), (low_path, low)] {
+        let mix = MixSpec::parse(&token).expect("a one-entry mix relocates nothing");
+        let sram = DCacheOrganization::SramBaseline;
+        let none = Transformations::none();
+        let run = sttcache_bench::multicore::run_mix(&mix, sram, ProblemSize::Mini, none, None);
+        assert_eq!(run.cores[0].core.loads, 64);
+        std::fs::remove_file(&path).ok();
+    }
 }

@@ -78,12 +78,7 @@ fn diverges_when_dropping(
     dropped: fn(&TraceEvent) -> bool,
 ) -> bool {
     let trace = check::trace_from_events(events);
-    let stripped: Trace = trace
-        .events()
-        .iter()
-        .copied()
-        .filter(|e| !dropped(e))
-        .collect();
+    let stripped: Trace = trace.iter().filter(|e| !dropped(e)).collect();
     platform.run_trace(&trace) != platform.run_trace(&stripped)
 }
 
@@ -100,10 +95,10 @@ fn ddmin_shrinks_an_injected_replay_defect_to_one_prefetch() {
 
     let trace = check::adversarial_trace(check::Adversary::PrefetchStorm, DEFAULT_SEED, 200);
     assert!(
-        diverges(trace.events()),
+        diverges(&trace.iter().collect::<Vec<_>>()),
         "the injected defect must trip the differential"
     );
-    let minimal = check::shrink_events(trace.events(), diverges);
+    let minimal = check::shrink_events(&trace, diverges);
     assert_eq!(minimal.len(), 1, "ddmin should isolate one culprit event");
     assert!(
         is_prefetch(&minimal[0]),
@@ -124,10 +119,10 @@ fn ddmin_shrinks_a_vwb_replay_divergence_to_one_store() {
 
     let trace = check::adversarial_trace(check::Adversary::AliasWriteBurst, DEFAULT_SEED, 200);
     assert!(
-        diverges(trace.events()),
+        diverges(&trace.iter().collect::<Vec<_>>()),
         "the injected defect must trip the differential"
     );
-    let minimal = check::shrink_events(trace.events(), diverges);
+    let minimal = check::shrink_events(&trace, diverges);
     assert_eq!(minimal.len(), 1, "ddmin should isolate one culprit event");
     assert!(
         is_store(&minimal[0]),

@@ -1,6 +1,7 @@
 //! Property-based tests on the trace infrastructure: binary round-trips
-//! over arbitrary event streams, and replay equivalence — a recorded
-//! kernel replayed through a platform must produce the identical timing.
+//! over arbitrary event streams, a reader that never panics on corrupt
+//! bytes, and replay equivalence — a recorded kernel replayed through a
+//! platform must produce the identical timing.
 //!
 //! Randomness comes from the in-repo seeded harness
 //! (`sttcache_bench::testkit`); failures print their reproducing seed.
@@ -11,19 +12,21 @@ use sttcache_cpu::{Engine, Trace, TraceEvent, TraceRecorder};
 use sttcache_mem::Addr;
 use sttcache_workloads::{PolyBench, ProblemSize, Transformations};
 
+/// The trace format's address domain: 48 bits.
+const ADDRESS_LIMIT: u64 = 1 << 48;
+
 fn arb_event(rng: &mut Rng) -> TraceEvent {
+    let addr = Addr(rng.next_u64() % ADDRESS_LIMIT);
     match rng.usize_in(0, 5) {
         0 => TraceEvent::Load {
-            addr: Addr(rng.next_u64()),
+            addr,
             bytes: rng.u8_in(1, 65),
         },
         1 => TraceEvent::Store {
-            addr: Addr(rng.next_u64()),
+            addr,
             bytes: rng.u8_in(1, 65),
         },
-        2 => TraceEvent::Prefetch {
-            addr: Addr(rng.next_u64()),
-        },
+        2 => TraceEvent::Prefetch { addr },
         3 => TraceEvent::Compute {
             ops: rng.u32_in(1, 10_000),
         },
@@ -58,10 +61,9 @@ fn replay_identity() {
         // total compute volume instead of exact event lists.
         assert_eq!(trace.summary(), rerecorded.summary());
         let volume = |t: &Trace| -> u64 {
-            t.events()
-                .iter()
+            t.iter()
                 .map(|e| match e {
-                    TraceEvent::Compute { ops } => *ops as u64,
+                    TraceEvent::Compute { ops } => ops as u64,
                     _ => 0,
                 })
                 .sum()
@@ -85,6 +87,28 @@ fn truncation_is_an_error_not_a_panic() {
         // Either a clean error, or (if the cut removed whole trailing
         // events but the header count disagrees) still an error.
         assert!(Trace::read_from(&mut &truncated[..]).is_err());
+    });
+}
+
+/// Flipping any one bit of a valid file either still decodes or fails
+/// with an error naming what it hit — never a panic.
+#[test]
+fn single_bit_flips_decode_or_name_their_event() {
+    run_cases("single_bit_flips_decode_or_name_their_event", 256, |rng| {
+        let trace: Trace = rng.vec_of(1, 50, arb_event).into_iter().collect();
+        let mut buf = Vec::new();
+        trace.write_to(&mut buf).expect("vec write");
+        let bit = rng.usize_in(0, buf.len() * 8);
+        buf[bit / 8] ^= 1 << (bit % 8);
+        if let Err(e) = Trace::read_from(buf.as_slice()) {
+            // A larger count runs the reader off the end at some event.
+            let named = match bit / 64 {
+                0 => "magic".to_string(),
+                1 => "event ".to_string(),
+                word => format!("event {}:", word - 2),
+            };
+            assert!(e.to_string().contains(&named), "flip of bit {bit}: {e}");
+        }
     });
 }
 
@@ -142,23 +166,16 @@ fn empty_trace_roundtrips_and_replays_as_noop() {
     assert_eq!(empty_cycles, idle_cycles);
 }
 
-/// Maximum-width addresses (all 64 bits set) survive the varint encoding
-/// bit-exactly alongside ordinary events.
+/// The widest addresses the format holds (2^48 − 1) survive the event
+/// word bit-exactly alongside ordinary events.
 #[test]
 fn max_width_addresses_roundtrip() {
+    let addr = Addr(ADDRESS_LIMIT - 1);
     run_cases("max_width_addresses_roundtrip", 64, |rng| {
         let mut events = rng.vec_of(0, 50, arb_event);
-        events.push(TraceEvent::Load {
-            addr: Addr(u64::MAX),
-            bytes: 64,
-        });
-        events.push(TraceEvent::Store {
-            addr: Addr(u64::MAX),
-            bytes: 1,
-        });
-        events.push(TraceEvent::Prefetch {
-            addr: Addr(u64::MAX),
-        });
+        events.push(TraceEvent::Load { addr, bytes: 255 });
+        events.push(TraceEvent::Store { addr, bytes: 1 });
+        events.push(TraceEvent::Prefetch { addr });
         events.push(TraceEvent::Compute { ops: u32::MAX });
         let trace: Trace = events.into_iter().collect();
         let mut buf = Vec::new();
@@ -203,17 +220,34 @@ fn kernel_recording_is_deterministic() {
     }
 }
 
-/// The binary format is compact: well under 16 bytes per event for
-/// realistic kernels.
+/// An address at or above 2^48 does not fit the event word: recording
+/// one is a program bug, and the recorder panics naming the address.
+#[test]
+#[should_panic(expected = "0x1000000000000")]
+fn the_recorder_refuses_an_address_at_2_pow_48() {
+    TraceRecorder::new().store(Addr(ADDRESS_LIMIT), 8);
+}
+
+/// `Trace::from_iter` refuses the same address, naming it.
+#[test]
+#[should_panic(expected = "0x1000000000000")]
+fn from_iter_refuses_an_address_at_2_pow_48() {
+    let addr = Addr(ADDRESS_LIMIT);
+    Trace::from_iter([TraceEvent::Prefetch { addr }]);
+}
+
+/// One 8-byte word per event, on disk after the 16-byte header and in
+/// memory once the recorder's growth slack is released.
 #[test]
 fn trace_format_is_compact() {
     let mut rec = TraceRecorder::new();
     PolyBench::Gemm
         .kernel(ProblemSize::Mini)
         .run(&mut rec, Transformations::none());
-    let trace = rec.into_trace();
+    let mut trace = rec.into_trace();
     let mut buf = Vec::new();
     trace.write_to(&mut buf).expect("vec write");
-    let per_event = buf.len() as f64 / trace.len() as f64;
-    assert!(per_event < 16.0, "{per_event:.2} bytes/event");
+    assert_eq!(buf.len(), 16 + 8 * trace.len());
+    trace.shrink_to_fit();
+    assert_eq!(trace.heap_bytes(), 8 * trace.len());
 }
