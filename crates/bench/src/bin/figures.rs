@@ -12,7 +12,8 @@
 //! (`STTCACHE_THREADS` or the machine's parallelism); `--jobs N` pins the
 //! worker count and `--serial` forces one worker. Output is byte-identical
 //! at every worker count — results merge by grid index, not completion
-//! order.
+//! order. A malformed or missing flag value exits 2 naming the flag and
+//! the value.
 //!
 //! Grid points replay through the record-once/replay-many trace cache
 //! (`STTCACHE_TRACE_CACHE_BYTES` caps its memory). A malformed
@@ -38,6 +39,16 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Refuses `flag`'s value (`None` when the value is missing), naming
+/// both before the usage line.
+fn refuse(flag: &str, value: Option<&str>, expected: &str) -> ! {
+    match value {
+        Some(value) => eprintln!("{flag}: '{value}' is not {expected}"),
+        None => eprintln!("{flag}: missing value"),
+    }
+    usage()
+}
+
 fn main() {
     if let Err(e) = sttcache_bench::check_env_knobs() {
         eprintln!("{e}");
@@ -51,25 +62,27 @@ fn main() {
     let mut telemetry_json: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
+        let flag = args[i].as_str();
+        // The value after `flag`, moving `i` onto it.
+        let mut value = || {
+            i += 1;
+            args.get(i)
+                .map_or_else(|| refuse(flag, None, ""), String::as_str)
+        };
+        match flag {
             "--small" => size = ProblemSize::Small,
             "--csv" => csv = true,
             // Worker-count flags apply to every sweep this process runs.
             "--serial" => parallel::set_jobs(1),
             "--jobs" => {
-                i += 1;
-                let n: usize = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage());
-                parallel::set_jobs(n);
+                let n = value();
+                let jobs = n.parse().ok().filter(|&n| n > 0);
+                parallel::set_jobs(
+                    jobs.unwrap_or_else(|| refuse(flag, Some(n), "a positive integer")),
+                );
             }
             "--profile" => profile_text = true,
-            "--telemetry-json" => {
-                i += 1;
-                telemetry_json = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
+            "--telemetry-json" => telemetry_json = Some(value().to_string()),
             "--help" | "-h" => usage(),
             other if other.starts_with("--") => {
                 eprintln!("unknown flag '{other}'");

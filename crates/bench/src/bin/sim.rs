@@ -33,12 +33,19 @@
 //! * A flag the selected run would ignore exits 2 and names the flag:
 //!   `--vwb-bits` without `--org vwb`, `--l2-banks` on a single core, and
 //!   `--bench`, `--trace-file`, `--baseline` or `--icache` on a
-//!   multi-core run (name the mix's workloads with `--mix`).
+//!   multi-core run (name the mix's workloads with `--mix`). A flag value
+//!   that does not parse, or a missing one, exits 2 naming the flag and
+//!   the value (`--size: 'huge' is not mini|small`, `--mix: missing
+//!   value`).
+//! * A configuration the model refuses exits 1 naming it, e.g. a VWB of
+//!   more than 1024 lines.
 //! * `--trace-file <path>`: replay a recorded trace file (written by
 //!   `Trace::write_to`, e.g. the `trace_sweep` example) instead of a
 //!   catalog kernel. The file is content-hashed into a workload identity
 //!   and routed through the full replay stack — trace cache and result
-//!   memo — exactly like a kernel-backed workload.
+//!   memo — exactly like a kernel-backed workload. A trace that runs for
+//!   0 cycles has no penalty: `--baseline` and `--explain` exit 2 naming
+//!   the file before printing anything.
 //! * A malformed `STTCACHE_THREADS` or `STTCACHE_TRACE_CACHE_BYTES`
 //!   exits 2 naming the variable before any work.
 
@@ -65,6 +72,15 @@ struct Options {
     l2_banks: Option<usize>,
 }
 
+/// The organization keys `--org` and `--explain` accept.
+fn org_keys() -> String {
+    sttcache::catalog::catalog()
+        .iter()
+        .map(|e| e.cli)
+        .collect::<Vec<_>>()
+        .join("|")
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage: sim --bench <name> | --trace-file <path> [--org {}] [--size mini|small]\n\
@@ -72,11 +88,7 @@ fn usage() -> ! {
          \x20          [--baseline] [--explain [org]] [--jobs N | --serial] [--profile]\n\
          \x20          [--cores N] [--mix workload[@offset][:org]+...] [--l2-banks N]\n\
          workloads: {} or file:<path>",
-        sttcache::catalog::catalog()
-            .iter()
-            .map(|e| e.cli)
-            .collect::<Vec<_>>()
-            .join("|"),
+        org_keys(),
         catalog::catalog()
             .iter()
             .map(|w| w.cli)
@@ -84,6 +96,25 @@ fn usage() -> ! {
             .join(", ")
     );
     std::process::exit(2);
+}
+
+/// Refuses `flag`'s value (`None` when the value is missing), naming
+/// both before the usage line.
+fn refuse(flag: &str, value: Option<&str>, expected: &str) -> ! {
+    match value {
+        Some(value) => eprintln!("{flag}: '{value}' is not {expected}"),
+        None => eprintln!("{flag}: missing value"),
+    }
+    usage()
+}
+
+/// `value` of `flag` as a count of at least one.
+fn positive(flag: &str, value: &str) -> usize {
+    value
+        .parse()
+        .ok()
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| refuse(flag, Some(value), "a positive integer"))
 }
 
 fn resolve_workload(token: &str) -> Workload {
@@ -116,6 +147,8 @@ fn parse_args() -> Options {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut bench = None;
     let mut org = "nvm".to_string();
+    // The flag that chose `org`, named if the key is unknown.
+    let mut org_flag = "--org";
     let mut size = ProblemSize::Mini;
     let mut opts = Transformations::none();
     let mut vwb_bits = None;
@@ -128,31 +161,49 @@ fn parse_args() -> Options {
     let mut l2_banks = None;
 
     let mut i = 0;
+    // The value after the flag at `i`, moving `i` onto it.
     let next = |i: &mut usize| -> String {
         *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
+        args.get(*i)
+            .cloned()
+            .unwrap_or_else(|| refuse(&args[*i - 1], None, ""))
     };
     while i < args.len() {
-        match args[i].as_str() {
+        let flag = args[i].as_str();
+        match flag {
             "--bench" => bench = Some(resolve_workload(&next(&mut i))),
             "--trace-file" => {
                 bench = Some(resolve_workload(&format!("file:{}", next(&mut i))));
             }
-            "--org" => org = next(&mut i),
+            "--org" => {
+                org = next(&mut i);
+                org_flag = flag;
+            }
             "--size" => {
-                size = match next(&mut i).as_str() {
+                let value = next(&mut i);
+                size = match value.as_str() {
                     "mini" => ProblemSize::Mini,
                     "small" => ProblemSize::Small,
-                    _ => usage(),
+                    _ => refuse(flag, Some(&value), "mini|small"),
                 }
             }
-            "--opts" => opts = parse_opts(&next(&mut i)).unwrap_or_else(|| usage()),
-            "--vwb-bits" => vwb_bits = Some(next(&mut i).parse().unwrap_or_else(|_| usage())),
+            "--opts" => {
+                let value = next(&mut i);
+                opts = parse_opts(&value).unwrap_or_else(|| {
+                    refuse(flag, Some(&value), "none|all|a +-joined subset of v, p, o")
+                });
+            }
+            "--vwb-bits" => {
+                let value = next(&mut i);
+                let bits = value.parse();
+                vwb_bits = Some(bits.unwrap_or_else(|_| refuse(flag, Some(&value), "a bit count")));
+            }
             "--icache" => {
-                let tech = match next(&mut i).as_str() {
+                let value = next(&mut i);
+                let tech = match value.as_str() {
                     "sram" => DlOneTechnology::Sram,
                     "nvm" => DlOneTechnology::SttMram,
-                    _ => usage(),
+                    _ => refuse(flag, Some(&value), "sram|nvm"),
                 };
                 icache = Some(IcacheConfig {
                     technology: tech,
@@ -169,26 +220,16 @@ fn parse_args() -> Options {
                     if !arg.starts_with("--") {
                         i += 1;
                         org = arg.clone();
+                        org_flag = flag;
                     }
                 }
             }
-            "--cores" => {
-                cores = next(&mut i).parse().unwrap_or_else(|_| usage());
-                if cores == 0 {
-                    usage();
-                }
-            }
+            "--cores" => cores = positive(flag, &next(&mut i)),
             "--mix" => mix = Some(next(&mut i)),
-            "--l2-banks" => l2_banks = Some(next(&mut i).parse().unwrap_or_else(|_| usage())),
+            "--l2-banks" => l2_banks = Some(positive(flag, &next(&mut i))),
             "--profile" => profile = true,
             "--serial" => parallel::set_jobs(1),
-            "--jobs" => {
-                let n: usize = next(&mut i).parse().unwrap_or_else(|_| usage());
-                if n == 0 {
-                    usage();
-                }
-                parallel::set_jobs(n);
-            }
+            "--jobs" => parallel::set_jobs(positive(flag, &next(&mut i))),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument '{other}'");
@@ -234,7 +275,7 @@ fn parse_args() -> Options {
         }),
         key => {
             sttcache::by_cli(key)
-                .unwrap_or_else(|| usage())
+                .unwrap_or_else(|| refuse(org_flag, Some(key), &org_keys()))
                 .organization
         }
     };
@@ -348,6 +389,15 @@ fn run_single(o: &Options) {
         });
         (results, None)
     };
+    // Only an external trace can run for no cycles at all; a penalty
+    // against it is undefined.
+    if results.get(1).is_some_and(|base| base.cycles() == 0) {
+        eprintln!(
+            "{} runs for 0 cycles, so it has no penalty vs the SRAM baseline",
+            workload::label_of(bench)
+        );
+        std::process::exit(2);
+    }
 
     let result = &results[0];
     println!(

@@ -64,23 +64,9 @@ impl EmshrStage {
     /// # Errors
     ///
     /// Returns [`SttError::InvalidBuffer`] when the capacity holds no DL1
-    /// line or the hit latency is zero.
+    /// line or more than 1024, or the hit latency is zero.
     pub fn new(config: EmshrConfig, line_bits: usize) -> Result<Self, SttError> {
-        if config.entries(line_bits) == 0 {
-            return Err(SttError::InvalidBuffer {
-                structure: "emshr",
-                reason: format!(
-                    "capacity {} bits holds no {}-bit line",
-                    config.capacity_bits, line_bits
-                ),
-            });
-        }
-        if config.hit_cycles == 0 {
-            return Err(SttError::InvalidBuffer {
-                structure: "emshr",
-                reason: "hit latency must be at least one cycle".into(),
-            });
-        }
+        crate::buffer::check("emshr", config.capacity_bits, config.hit_cycles, line_bits)?;
         Ok(EmshrStage {
             buffer: FaBuffer::new(config.entries(line_bits)),
             config,
@@ -252,7 +238,7 @@ impl<N: MemoryLevel> EmshrFrontEnd<N> {
     /// # Errors
     ///
     /// Returns [`SttError::InvalidBuffer`] when the capacity holds no DL1
-    /// line or the hit latency is zero.
+    /// line or more than 1024, or the hit latency is zero.
     pub fn new(config: EmshrConfig, dl1: Cache<N>) -> Result<Self, SttError> {
         let line_bits = dl1.config().line_bytes() * 8;
         Ok(Buffered::compose(EmshrStage::new(config, line_bits)?, dl1))
@@ -376,5 +362,17 @@ mod tests {
             dl1
         )
         .is_err());
+        let sized = |capacity_bits| EmshrConfig {
+            capacity_bits,
+            ..EmshrConfig::default()
+        };
+        assert!(EmshrStage::new(sized(1024 * 512), 512).is_ok());
+        let err = EmshrStage::new(sized(1025 * 512), 512)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.starts_with("emshr configuration") && err.contains("1025 entries"),
+            "{err}"
+        );
     }
 }

@@ -61,23 +61,9 @@ impl L0Stage {
     /// # Errors
     ///
     /// Returns [`SttError::InvalidBuffer`] when the capacity holds no DL1
-    /// line or the hit latency is zero.
+    /// line or more than 1024, or the hit latency is zero.
     pub fn new(config: L0Config, line_bits: usize) -> Result<Self, SttError> {
-        if config.entries(line_bits) == 0 {
-            return Err(SttError::InvalidBuffer {
-                structure: "l0",
-                reason: format!(
-                    "capacity {} bits holds no {}-bit line",
-                    config.capacity_bits, line_bits
-                ),
-            });
-        }
-        if config.hit_cycles == 0 {
-            return Err(SttError::InvalidBuffer {
-                structure: "l0",
-                reason: "hit latency must be at least one cycle".into(),
-            });
-        }
+        crate::buffer::check("l0", config.capacity_bits, config.hit_cycles, line_bits)?;
         Ok(L0Stage {
             buffer: FaBuffer::new(config.entries(line_bits)),
             config,
@@ -256,7 +242,7 @@ impl<N: MemoryLevel> L0FrontEnd<N> {
     /// # Errors
     ///
     /// Returns [`SttError::InvalidBuffer`] when the capacity holds no DL1
-    /// line or the hit latency is zero.
+    /// line or more than 1024, or the hit latency is zero.
     pub fn new(config: L0Config, dl1: Cache<N>) -> Result<Self, SttError> {
         let line_bits = dl1.config().line_bytes() * 8;
         Ok(Buffered::compose(L0Stage::new(config, line_bits)?, dl1))
@@ -366,5 +352,17 @@ mod tests {
             dl1
         )
         .is_err());
+        let sized = |capacity_bits| L0Config {
+            capacity_bits,
+            ..L0Config::default()
+        };
+        assert!(L0Stage::new(sized(1024 * 512), 512).is_ok());
+        let err = L0Stage::new(sized(1025 * 512), 512)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.starts_with("l0 configuration") && err.contains("1025 entries"),
+            "{err}"
+        );
     }
 }

@@ -6,7 +6,42 @@
 //! factors that state out; the front-ends differ only in their fill/serve
 //! policies.
 
+use crate::SttError;
 use sttcache_mem::{Cycle, LineAddr};
+
+/// Most lines a buffer may hold: every entry is allocated up front, and
+/// 1024 lines make a buffer as large as the 64 KiB DL1 it fronts.
+const MAX_ENTRIES: usize = 1024;
+
+/// Checks the configuration of `structure`, a buffer of `capacity_bits`
+/// that hits in `hit_cycles`, in front of a DL1 of `line_bits` lines.
+///
+/// # Errors
+///
+/// Returns [`SttError::InvalidBuffer`] naming `structure` when the
+/// capacity holds no line or more than [`MAX_ENTRIES`], or the hit
+/// latency is zero.
+pub(crate) fn check(
+    structure: &'static str,
+    capacity_bits: usize,
+    hit_cycles: u64,
+    line_bits: usize,
+) -> Result<(), SttError> {
+    let entries = capacity_bits / line_bits;
+    let reason = if entries == 0 {
+        format!("capacity {capacity_bits} bits holds no {line_bits}-bit line")
+    } else if entries > MAX_ENTRIES {
+        format!(
+            "capacity {capacity_bits} bits makes {entries} entries of {line_bits} bits, \
+             above the limit of {MAX_ENTRIES}"
+        )
+    } else if hit_cycles == 0 {
+        "hit latency must be at least one cycle".into()
+    } else {
+        return Ok(());
+    };
+    Err(SttError::InvalidBuffer { structure, reason })
+}
 
 /// One entry of a fully associative line buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -102,24 +102,10 @@ impl VwbConfig {
     /// # Errors
     ///
     /// Returns [`SttError::InvalidBuffer`] when the VWB cannot hold even
-    /// one DL1 line or the hit latency is zero.
+    /// one DL1 line, would hold more than 1024, or the hit latency is
+    /// zero.
     pub fn validate(&self, line_bits: usize) -> Result<(), SttError> {
-        if self.entries(line_bits) == 0 {
-            return Err(SttError::InvalidBuffer {
-                structure: "vwb",
-                reason: format!(
-                    "capacity {} bits holds no {}-bit line",
-                    self.capacity_bits, line_bits
-                ),
-            });
-        }
-        if self.hit_cycles == 0 {
-            return Err(SttError::InvalidBuffer {
-                structure: "vwb",
-                reason: "hit latency must be at least one cycle".into(),
-            });
-        }
-        Ok(())
+        crate::buffer::check("vwb", self.capacity_bits, self.hit_cycles, line_bits)
     }
 }
 
@@ -572,6 +558,19 @@ mod tests {
             dl1,
         )
         .is_err());
+        // Entries are allocated up front: past 1024 lines is refused
+        // before anything is allocated, naming the entry count.
+        let sized = |capacity_bits| VwbConfig {
+            capacity_bits,
+            ..VwbConfig::default()
+        };
+        assert!(sized(1024 * 512).validate(512).is_ok());
+        let err = sized(usize::MAX).validate(512).unwrap_err().to_string();
+        assert_eq!(
+            err,
+            "vwb configuration: capacity 18446744073709551615 bits makes \
+             36028797018963967 entries of 512 bits, above the limit of 1024"
+        );
     }
 
     #[test]

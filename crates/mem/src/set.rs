@@ -7,13 +7,44 @@
 //! state is one `u64` each. The store holds no data payload: the
 //! simulator is timing-only (the functional values live in the workload
 //! itself), exactly like gem5's atomic tag arrays.
+//!
+//! ## Recycled storage
+//!
+//! Every run builds a cold hierarchy, and the canonical 2 MiB L2's
+//! per-way arrays alone are 768 KiB, which the allocator would hand back
+//! as fresh pages to fault in on every run. Instead a dropped store
+//! returns its arrays to a small process-wide pool of at most
+//! [`POOL_CAP`] spares, and the next store of the same shape takes them
+//! over, clearing only the per-set words: valid, dirty and replacement.
+//! The per-way words (tag, last-use and insertion stamp) need no
+//! clearing, because they are read only for valid ways, and a way
+//! becomes valid only through [`TagStore::fill`], which writes all three:
+//!
+//! - `probe`, `iter_valid` and `check_invariants` read a way only when
+//!   its valid bit is set;
+//! - `victim` reads stamps only when every way of the set is valid;
+//! - `touch` asserts that the way is valid.
+//!
+//! `invalidate` has always left stale per-way words behind in just this
+//! way, so a recycled store holds no state a used one does not, and
+//! every run still starts from cold caches.
 
 use crate::addr::Cycle;
 use crate::replacement::ReplacementPolicy;
+use std::sync::{Mutex, PoisonError};
 
 /// Widest set the store represents: valid and dirty bits are one `u64`
 /// mask per set, so wider configurations are rejected when built.
 pub(crate) const MAX_WAYS: usize = 64;
+
+/// Most spare storages the process keeps: two sweep workers' IL1, DL1
+/// and L2, or a 4-core mix's four DL1s and its shared L2.
+const POOL_CAP: usize = 8;
+
+/// Storage of dropped stores, shared by every thread: the sweep runner
+/// spawns fresh workers on every call, so per-thread spares would die
+/// with them.
+static POOL: Mutex<Pool> = Mutex::new(Pool::new(POOL_CAP));
 
 /// Result of looking a tag up in one set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,13 +60,10 @@ pub(crate) enum LookupResult {
     },
 }
 
-/// Tag, replacement and status state of every set of one cache.
-#[derive(Debug, Clone)]
-pub(crate) struct TagStore {
+/// A store's arrays, moved whole into and out of the pool.
+#[derive(Debug, Clone, Default)]
+struct Storage {
     ways: usize,
-    /// The policy in force; tree-PLRU over a way count that forms no
-    /// binary tree is stored as the true LRU it falls back to.
-    policy: ReplacementPolicy,
     tags: Vec<u64>,
     /// Monotonic last-use stamp per way (LRU).
     last_use: Vec<Cycle>,
@@ -51,8 +79,90 @@ pub(crate) struct TagStore {
     repl: Vec<u64>,
 }
 
+impl Storage {
+    /// Zeroed arrays for `sets` sets of `ways` ways.
+    fn zeroed(sets: usize, ways: usize) -> Self {
+        Storage {
+            ways,
+            tags: vec![0; sets * ways],
+            last_use: vec![0; sets * ways],
+            inserted_at: vec![0; sets * ways],
+            valid: vec![0; sets],
+            dirty: vec![0; sets],
+            repl: vec![0; sets],
+        }
+    }
+
+    /// `(sets, ways)`.
+    fn shape(&self) -> (usize, usize) {
+        (self.valid.len(), self.ways)
+    }
+
+    /// Makes the arrays read as a fresh store under `policy`, whatever
+    /// they held: every way invalid and clean, and every replacement
+    /// word at its initial value. The per-way words are left as they are
+    /// (see the module doc).
+    fn reset(&mut self, policy: ReplacementPolicy) {
+        self.valid.fill(0);
+        self.dirty.fill(0);
+        match policy {
+            // Golden-ratio mix so adjacent sets get distinct streams.
+            ReplacementPolicy::Random => {
+                for (seed, word) in (1u64..).zip(&mut self.repl) {
+                    *word = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                }
+            }
+            _ => self.repl.fill(0),
+        }
+    }
+}
+
+/// At most `cap` spare storages, oldest first.
+#[derive(Debug)]
+struct Pool {
+    cap: usize,
+    spares: Vec<Storage>,
+}
+
+impl Pool {
+    const fn new(cap: usize) -> Self {
+        Pool {
+            cap,
+            spares: Vec::new(),
+        }
+    }
+
+    /// The newest spare of exactly `sets` sets of `ways` ways, if any.
+    fn take(&mut self, sets: usize, ways: usize) -> Option<Storage> {
+        let i = self
+            .spares
+            .iter()
+            .rposition(|s| s.shape() == (sets, ways))?;
+        Some(self.spares.remove(i))
+    }
+
+    /// Keeps `storage` as the newest spare, dropping the oldest if the
+    /// pool is full.
+    fn put(&mut self, storage: Storage) {
+        if self.spares.len() == self.cap {
+            self.spares.remove(0);
+        }
+        self.spares.push(storage);
+    }
+}
+
+/// Tag, replacement and status state of every set of one cache.
+#[derive(Debug, Clone)]
+pub(crate) struct TagStore {
+    /// The policy in force; tree-PLRU over a way count that forms no
+    /// binary tree is stored as the true LRU it falls back to.
+    policy: ReplacementPolicy,
+    storage: Storage,
+}
+
 impl TagStore {
-    /// An empty store of `sets` sets of `ways` ways.
+    /// An empty store of `sets` sets of `ways` ways, over a dropped
+    /// store's storage of that shape when the pool holds one.
     ///
     /// # Panics
     ///
@@ -62,40 +172,38 @@ impl TagStore {
             (1..=MAX_WAYS).contains(&ways),
             "a set needs 1 to {MAX_WAYS} ways, not {ways}"
         );
+        // A poisoned pool is still whole: each update of it is a single
+        // push or remove.
+        let spare = POOL
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take(sets, ways);
+        TagStore::over(spare.unwrap_or_else(|| Storage::zeroed(sets, ways)), policy)
+    }
+
+    /// An empty store over `storage`, whatever it held.
+    fn over(mut storage: Storage, policy: ReplacementPolicy) -> Self {
+        let ways = storage.ways;
         let policy = match policy {
             ReplacementPolicy::TreePlru if ways == 1 || !ways.is_power_of_two() => {
                 ReplacementPolicy::Lru
             }
             p => p,
         };
-        let repl = match policy {
-            // Golden-ratio mix so adjacent sets get distinct streams.
-            ReplacementPolicy::Random => (1..=sets as u64)
-                .map(|seed| seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-                .collect(),
-            _ => vec![0; sets],
-        };
-        TagStore {
-            ways,
-            policy,
-            tags: vec![0; sets * ways],
-            last_use: vec![0; sets * ways],
-            inserted_at: vec![0; sets * ways],
-            valid: vec![0; sets],
-            dirty: vec![0; sets],
-            repl,
-        }
+        storage.reset(policy);
+        TagStore { policy, storage }
     }
 
     /// The way of `set` holding `tag`, without touching replacement
     /// state.
     #[inline]
     pub fn probe(&self, set: usize, tag: u64) -> Option<usize> {
-        let base = set * self.ways;
-        let mut mask = self.valid[set];
+        let s = &self.storage;
+        let base = set * s.ways;
+        let mut mask = s.valid[set];
         while mask != 0 {
             let way = mask.trailing_zeros() as usize;
-            if self.tags[base + way] == tag {
+            if s.tags[base + way] == tag {
                 return Some(way);
             }
             mask &= mask - 1;
@@ -110,7 +218,8 @@ impl TagStore {
         if let Some(way) = self.probe(set, tag) {
             return LookupResult::Hit(way);
         }
-        let free = !self.valid[set] & (u64::MAX >> (64 - self.ways));
+        let ways = self.storage.ways;
+        let free = !self.storage.valid[set] & (u64::MAX >> (64 - ways));
         if free != 0 {
             return LookupResult::Miss {
                 victim: free.trailing_zeros() as usize,
@@ -118,16 +227,18 @@ impl TagStore {
             };
         }
         let victim = self.victim(set);
-        let dirty = (self.dirty[set] >> victim) & 1 == 1;
+        let s = &self.storage;
+        let dirty = (s.dirty[set] >> victim) & 1 == 1;
         LookupResult::Miss {
             victim,
-            dirty_tag: dirty.then_some(self.tags[set * self.ways + victim]),
+            dirty_tag: dirty.then_some(s.tags[set * ways + victim]),
         }
     }
 
     /// The policy's victim in the full `set`.
     fn victim(&mut self, set: usize) -> usize {
-        let ways = set * self.ways..(set + 1) * self.ways;
+        let s = &mut self.storage;
+        let ways = set * s.ways..(set + 1) * s.ways;
         let oldest = |stamps: &[Cycle]| {
             // The first way with the smallest stamp.
             stamps
@@ -137,12 +248,12 @@ impl TagStore {
                 .map_or(0, |(way, _)| way)
         };
         match self.policy {
-            ReplacementPolicy::Fifo => oldest(&self.inserted_at[ways]),
+            ReplacementPolicy::Fifo => oldest(&s.inserted_at[ways]),
             ReplacementPolicy::TreePlru => {
-                let bits = self.repl[set];
+                let bits = s.repl[set];
                 let mut node = 1;
                 let mut way = 0;
-                for _ in 0..self.ways.trailing_zeros() {
+                for _ in 0..s.ways.trailing_zeros() {
                     let bit = (bits >> node) as usize & 1;
                     way = (way << 1) | bit;
                     node = node * 2 + bit;
@@ -151,14 +262,14 @@ impl TagStore {
             }
             ReplacementPolicy::Random => {
                 // xorshift64*
-                let mut x = self.repl[set];
+                let mut x = s.repl[set];
                 x ^= x >> 12;
                 x ^= x << 25;
                 x ^= x >> 27;
-                self.repl[set] = x;
-                (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % self.ways
+                s.repl[set] = x;
+                (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % s.ways
             }
-            ReplacementPolicy::Lru => oldest(&self.last_use[ways]),
+            ReplacementPolicy::Lru => oldest(&s.last_use[ways]),
         }
     }
 
@@ -169,9 +280,10 @@ impl TagStore {
         if self.policy != ReplacementPolicy::TreePlru {
             return;
         }
-        let bits = &mut self.repl[set];
+        let levels = self.storage.ways.trailing_zeros();
+        let bits = &mut self.storage.repl[set];
         let mut node = 1;
-        for level in (0..self.ways.trailing_zeros()).rev() {
+        for level in (0..levels).rev() {
             let went_right = (way >> level) & 1 == 1;
             if went_right {
                 *bits &= !(1 << node);
@@ -190,21 +302,23 @@ impl TagStore {
     /// Panics if the way is invalid.
     #[inline]
     pub fn touch(&mut self, set: usize, way: usize, now: Cycle, make_dirty: bool) {
-        assert!((self.valid[set] >> way) & 1 == 1, "touching an invalid way");
-        self.last_use[set * self.ways + way] = now;
-        self.dirty[set] |= u64::from(make_dirty) << way;
+        let s = &mut self.storage;
+        assert!((s.valid[set] >> way) & 1 == 1, "touching an invalid way");
+        s.last_use[set * s.ways + way] = now;
+        s.dirty[set] |= u64::from(make_dirty) << way;
         self.plru_touch(set, way);
     }
 
     /// Installs `tag` into `way` of `set` at cycle `now`, replacing
     /// whatever was there. `dirty` sets the initial dirty bit.
     pub fn fill(&mut self, set: usize, way: usize, tag: u64, dirty: bool, now: Cycle) {
-        let i = set * self.ways + way;
-        self.tags[i] = tag;
-        self.last_use[i] = now;
-        self.inserted_at[i] = now;
-        self.valid[set] |= 1 << way;
-        self.dirty[set] = (self.dirty[set] & !(1 << way)) | (u64::from(dirty) << way);
+        let s = &mut self.storage;
+        let i = set * s.ways + way;
+        s.tags[i] = tag;
+        s.last_use[i] = now;
+        s.inserted_at[i] = now;
+        s.valid[set] |= 1 << way;
+        s.dirty[set] = (s.dirty[set] & !(1 << way)) | (u64::from(dirty) << way);
         self.plru_touch(set, way);
     }
 
@@ -212,9 +326,10 @@ impl TagStore {
     /// was dirty, or `None` if the tag is not present.
     pub fn invalidate(&mut self, set: usize, tag: u64) -> Option<bool> {
         let bit = 1 << self.probe(set, tag)?;
-        let was_dirty = self.dirty[set] & bit != 0;
-        self.valid[set] &= !bit;
-        self.dirty[set] &= !bit;
+        let s = &mut self.storage;
+        let was_dirty = s.dirty[set] & bit != 0;
+        s.valid[set] &= !bit;
+        s.dirty[set] &= !bit;
         Some(was_dirty)
     }
 
@@ -222,22 +337,24 @@ impl TagStore {
     /// write-back).
     pub fn clean(&mut self, set: usize, tag: u64) {
         if let Some(way) = self.probe(set, tag) {
-            self.dirty[set] &= !(1 << way);
+            self.storage.dirty[set] &= !(1 << way);
         }
     }
 
     /// The valid `(tag, dirty)` pairs of `set`, in way order.
     pub fn iter_valid(&self, set: usize) -> impl Iterator<Item = (u64, bool)> + '_ {
-        let base = set * self.ways;
-        let (valid, dirty) = (self.valid[set], self.dirty[set]);
-        (0..self.ways)
+        let s = &self.storage;
+        let base = set * s.ways;
+        let (valid, dirty) = (s.valid[set], s.dirty[set]);
+        (0..s.ways)
             .filter(move |way| (valid >> way) & 1 == 1)
-            .map(move |way| (self.tags[base + way], (dirty >> way) & 1 == 1))
+            .map(move |way| (s.tags[base + way], (dirty >> way) & 1 == 1))
     }
 
     /// Number of dirty lines in the whole store.
     pub fn dirty_count(&self) -> usize {
-        self.dirty
+        self.storage
+            .dirty
             .iter()
             .map(|mask| mask.count_ones() as usize)
             .sum()
@@ -251,11 +368,12 @@ impl TagStore {
     /// overlapping operations (non-blocking prefetch fills stamp sets
     /// "in the future" relative to the next demand access).
     pub fn check_invariants(&self, set: usize, now: Cycle) {
-        let base = set * self.ways;
-        let is_valid = |way: &usize| (self.valid[set] >> way) & 1 == 1;
-        for i in (0..self.ways).filter(is_valid) {
-            let tag = self.tags[base + i];
-            let (used, inserted) = (self.last_use[base + i], self.inserted_at[base + i]);
+        let s = &self.storage;
+        let base = set * s.ways;
+        let is_valid = |way: &usize| (s.valid[set] >> way) & 1 == 1;
+        for i in (0..s.ways).filter(is_valid) {
+            let tag = s.tags[base + i];
+            let (used, inserted) = (s.last_use[base + i], s.inserted_at[base + i]);
             if used < inserted {
                 crate::invariants::report(
                     "set",
@@ -264,8 +382,8 @@ impl TagStore {
                     format!("set {set} way {i}: used at {used} before insertion at {inserted}"),
                 );
             }
-            for j in (i + 1..self.ways).filter(is_valid) {
-                if self.tags[base + j] == tag {
+            for j in (i + 1..s.ways).filter(is_valid) {
+                if s.tags[base + j] == tag {
                     crate::invariants::report(
                         "set",
                         now,
@@ -274,6 +392,16 @@ impl TagStore {
                     );
                 }
             }
+        }
+    }
+}
+
+impl Drop for TagStore {
+    /// Returns the storage to the pool. A poisoned pool frees it
+    /// instead, so a drop never panics.
+    fn drop(&mut self) {
+        if let Ok(mut pool) = POOL.lock() {
+            pool.put(std::mem::take(&mut self.storage));
         }
     }
 }
@@ -475,5 +603,127 @@ pub(crate) mod tests {
         assert_eq!(victim_of(&mut s, 0, 64), 1, "the full set evicts LRU");
         assert_eq!(s.invalidate(0, 63), Some(true));
         assert_eq!(victim_of(&mut s, 0, 64), 63);
+    }
+
+    /// xorshift64, so the tests draw reproducible streams without the
+    /// bench crate's test kit.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Storage left in any state at all: every way valid and dirty,
+    /// random tags (drawn from the domain `tags` the driver uses, so a
+    /// stale way would hit) and stamps, and random replacement words,
+    /// as another policy would leave them.
+    fn garbage(sets: usize, ways: usize, tags: u64, rng: &mut XorShift) -> Storage {
+        let mut s = Storage::zeroed(sets, ways);
+        s.valid.fill(u64::MAX);
+        s.dirty.fill(u64::MAX);
+        s.tags.iter_mut().for_each(|t| *t = rng.next() % tags);
+        let stamps = s.last_use.iter_mut().chain(&mut s.inserted_at);
+        stamps.chain(&mut s.repl).for_each(|w| *w = rng.next());
+        s
+    }
+
+    /// Every observable of `store`: the valid lines of each set, the
+    /// dirty count, and the invariant reports of every set at `now`.
+    type Observed = (
+        Vec<Vec<(u64, bool)>>,
+        usize,
+        Vec<crate::invariants::InvariantViolation>,
+    );
+
+    fn observe(store: &TagStore, now: Cycle) -> Observed {
+        let sets = store.storage.shape().0;
+        crate::invariants::take_violations();
+        (0..sets).for_each(|set| store.check_invariants(set, now));
+        (
+            (0..sets)
+                .map(|set| store.iter_valid(set).collect())
+                .collect(),
+            store.dirty_count(),
+            crate::invariants::take_violations().0,
+        )
+    }
+
+    #[test]
+    fn recycled_storage_behaves_as_fresh_storage() {
+        use ReplacementPolicy::{Fifo, Lru, Random, TreePlru};
+        for policy in [Lru, Fifo, TreePlru, Random] {
+            for (sets, ways) in [(1, 1), (8, 2), (4, 16), (1, 64)] {
+                let case = format!("{policy} {sets}x{ways}");
+                let tags = 2 * ways as u64 + 2;
+                let mut rng = XorShift(0x9E37_79B9 ^ (sets * 1000 + ways) as u64);
+                let mut recycled = TagStore::over(garbage(sets, ways, tags, &mut rng), policy);
+                let mut fresh = TagStore::over(Storage::zeroed(sets, ways), policy);
+                assert_eq!(observe(&recycled, 0), observe(&fresh, 0), "{case}");
+                for now in 1..=1500 {
+                    let (set, tag) = (rng.below(sets), rng.next() % tags);
+                    let dirty = rng.below(2) == 0;
+                    match rng.below(4) {
+                        0 => {
+                            let looked_up = fresh.lookup(set, tag);
+                            assert_eq!(recycled.lookup(set, tag), looked_up, "{case} @{now}");
+                            if let LookupResult::Miss { victim, .. } = looked_up {
+                                recycled.fill(set, victim, tag, dirty, now);
+                                fresh.fill(set, victim, tag, dirty, now);
+                            }
+                        }
+                        1 => {
+                            let way = fresh.probe(set, tag);
+                            assert_eq!(recycled.probe(set, tag), way, "{case} @{now}");
+                            if let Some(way) = way {
+                                recycled.touch(set, way, now, dirty);
+                                fresh.touch(set, way, now, dirty);
+                            }
+                        }
+                        2 => assert_eq!(
+                            recycled.invalidate(set, tag),
+                            fresh.invalidate(set, tag),
+                            "{case} @{now}"
+                        ),
+                        _ => {
+                            recycled.clean(set, tag);
+                            fresh.clean(set, tag);
+                        }
+                    }
+                    assert_eq!(
+                        observe(&recycled, now),
+                        observe(&fresh, now),
+                        "{case} @{now}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_pool_hands_out_exact_shapes_and_drops_its_oldest_spare() {
+        let mut pool = Pool::new(3);
+        for (sets, ways) in [(4, 4), (1, 1), (2, 8), (8, 2)] {
+            pool.put(Storage::zeroed(sets, ways));
+            assert!(pool.spares.len() <= 3, "the pool outgrew its cap");
+        }
+        // The fourth spare pushed out the first: no 4x4 is left, and a
+        // spare with as many ways in all but another shape is no match.
+        assert!(pool.take(4, 4).is_none());
+        assert!(pool.take(16, 1).is_none());
+        for shape in [(8, 2), (2, 8), (1, 1)] {
+            let spare = pool.take(shape.0, shape.1).expect("a spare of the shape");
+            assert_eq!(spare.shape(), shape);
+        }
+        assert!(pool.spares.is_empty());
+        assert!(pool.take(8, 2).is_none());
     }
 }

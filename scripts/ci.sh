@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Hermetic CI: build, test and lint fully offline, then smoke-check that
 # the figures binary still reproduces the committed reference run
-# byte-for-byte (serially and in parallel).
+# byte-for-byte (serially, and at two and four workers).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,6 +38,11 @@ diff -u tests/golden/ablations.txt "$smoke"
 diff -u figures_output.txt "$smoke"
 
 ./target/release/figures all --serial > "$smoke"
+diff -u figures_output.txt "$smoke"
+
+# More workers than cores: four workers take and return recycled
+# tag-store storage concurrently.
+./target/release/figures all --jobs 4 > "$smoke"
 diff -u figures_output.txt "$smoke"
 
 # The trace cache must be invisible in the output: byte-identical with
@@ -116,4 +121,4 @@ benchout="$(mktemp -d)"
 trap 'rm -rf "$smoke" "$ttrace" "$mc" "$exttrace" "$prof" "$benchout"' EXIT
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --quick --out "$benchout"
 
-echo "ci: fmt, build, tests (plain + invariants armed), clippy, differential + multicore + irregular fuzzers, ablation tables, figures smoke (serial, replay cross-checked against direct execution, invariants armed, telemetry export, profile), multi-core + irregular determinism, external-trace replay (pinned to the kernel's own replay), trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"
+echo "ci: fmt, build, tests (plain + invariants armed), clippy, differential + multicore + irregular fuzzers, ablation tables, figures smoke (serial, four workers, replay cross-checked against direct execution, invariants armed, telemetry export, profile), multi-core + irregular determinism, external-trace replay (pinned to the kernel's own replay), trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"

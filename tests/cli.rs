@@ -1,6 +1,7 @@
 //! The binaries' argument contract: an input is either honoured or
 //! rejected with exit status 2 and a message naming it — never silently
-//! ignored.
+//! ignored. A configuration the flags describe but the model refuses
+//! exits 1, naming what is wrong.
 
 use std::process::{Command, Output};
 
@@ -48,16 +49,68 @@ fn sim_rejects_flags_the_run_would_ignore() {
 }
 
 #[test]
-fn sim_refuses_l2_bank_counts_without_panicking() {
-    // A non-power-of-two count is a usage error (exit 2); a power of two
-    // above the L2's line count is a refused configuration (exit 1).
-    for (banks, code, needle) in [("3", 2, "--l2-banks"), ("65536", 1, "bank count 65536")] {
-        let out = sim(&["--cores", "2", "--l2-banks", banks]);
+fn sim_refuses_configurations_without_panicking() {
+    // A non-power-of-two bank count is a usage error (exit 2). A power of
+    // two above the L2's line count, or a VWB of more than 1024 lines,
+    // is a refused configuration (exit 1), not an allocation abort.
+    let vwb = |bits| ["--bench", "gemm", "--org", "vwb", "--vwb-bits", bits];
+    for (args, code, needle) in [
+        (&["--cores", "2", "--l2-banks", "3"][..], 2, "--l2-banks"),
+        (
+            &["--cores", "2", "--l2-banks", "65536"],
+            1,
+            "bank count 65536",
+        ),
+        (&vwb("18446744073709551615"), 1, "36028797018963967 entries"),
+        (&vwb("1099511627776"), 1, "2147483648 entries"),
+    ] {
+        let out = sim(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(code), "{banks}:\n{stderr}");
-        assert!(!stderr.contains("panicked"), "{banks}:\n{stderr}");
-        assert!(stderr.contains(needle), "{banks}:\n{stderr}");
+        assert_eq!(out.status.code(), Some(code), "{args:?}:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}:\n{stderr}");
+        assert!(stderr.contains(needle), "{args:?}:\n{stderr}");
         assert!(out.stdout.is_empty(), "a refused run printed output");
+    }
+}
+
+#[test]
+fn rejected_flag_values_name_the_flag_and_the_value() {
+    let atax = |rest: &[&'static str]| [&["--bench", "atax"], rest].concat();
+    for (exe, args, flag, value) in [
+        (SIM, atax(&["--size", "huge"]), "--size", "'huge'"),
+        (SIM, atax(&["--org", "foo"]), "--org", "'foo'"),
+        (SIM, atax(&["--explain", "foo"]), "--explain", "'foo'"),
+        (SIM, atax(&["--opts", "x"]), "--opts", "'x'"),
+        (SIM, atax(&["--icache", "dram"]), "--icache", "'dram'"),
+        (SIM, vec!["--cores", "0"], "--cores", "'0'"),
+        (SIM, vec!["--cores", "x"], "--cores", "'x'"),
+        (SIM, atax(&["--jobs", "0"]), "--jobs", "'0'"),
+        (
+            SIM,
+            atax(&["--org", "vwb", "--vwb-bits", "abc"]),
+            "--vwb-bits",
+            "'abc'",
+        ),
+        (
+            SIM,
+            vec!["--cores", "2", "--l2-banks", "abc"],
+            "--l2-banks",
+            "'abc'",
+        ),
+        (SIM, atax(&["--mix"]), "--mix", "missing value"),
+        (FIGURES, vec!["--jobs", "0"], "--jobs", "'0'"),
+        (FIGURES, vec!["--jobs", "x"], "--jobs", "'x'"),
+        (
+            FIGURES,
+            vec!["all", "--telemetry-json"],
+            "--telemetry-json",
+            "missing value",
+        ),
+    ] {
+        let out = run(exe, &args, &[]);
+        // The usage line names every flag, but never as `flag: `.
+        assert_rejected(&out, &format!("{flag}: "));
+        assert_rejected(&out, value);
     }
 }
 

@@ -6,7 +6,8 @@
 //! byte-identity of an ingested `file:` workload through every replay
 //! mode (the trace-cache pipeline, serial vs parallel sweeps), the 2-core
 //! mix grammar, and rejection of truncated/corrupt files, and of files
-//! that would alias another core's address stripe, through the mix token.
+//! that would alias another core's address stripe, through the mix token,
+//! and of a penalty for a trace that runs for no cycles.
 
 use sttcache::{DCacheOrganization, Platform, PlatformConfig, CORE_ADDRESS_STRIDE};
 use sttcache_bench::multicore::MixSpec;
@@ -198,4 +199,37 @@ fn mix_refuses_file_traces_that_reach_the_next_core_stripe() {
         assert_eq!(run.cores[0].core.loads, 64);
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// A trace that runs for no cycles (no events, or one zero-length
+/// compute burst) has no penalty against the SRAM baseline: `--baseline`
+/// and `--explain` exit 2 naming the file before printing anything.
+#[test]
+fn zero_cycle_traces_have_no_penalty_to_report() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let empty = dir.join(format!("sttcache_ext_empty_{pid}.trace"));
+    let header = |count: u64| [*b"STTRACE2", count.to_le_bytes()].concat();
+    std::fs::write(&empty, header(0)).expect("temp file writable");
+    let idle = dir.join(format!("sttcache_ext_idle_{pid}.trace"));
+    let compute_zero = 0x0300_0000_0000_0000u64.to_le_bytes();
+    std::fs::write(&idle, [header(1), compute_zero.to_vec()].concat()).expect("temp file writable");
+
+    for path in [&empty, &idle] {
+        let path = path.to_str().expect("utf-8 temp path");
+        for flag in ["--baseline", "--explain"] {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_sim"))
+                .args(["--trace-file", path, flag])
+                .output()
+                .expect("sim runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{path} {flag}:\n{stderr}");
+            assert!(out.stdout.is_empty(), "{path} {flag} printed output");
+            assert!(stderr.contains(path), "{path} {flag}:\n{stderr}");
+            assert!(stderr.contains("0 cycles"), "{path} {flag}:\n{stderr}");
+            assert!(!stderr.contains("panicked"), "{path} {flag}:\n{stderr}");
+        }
+    }
+    std::fs::remove_file(&empty).ok();
+    std::fs::remove_file(&idle).ok();
 }
