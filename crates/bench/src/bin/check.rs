@@ -14,6 +14,8 @@
 //! `--quick` (the default with no `--seed`) runs a fixed-seed battery —
 //! deterministic, a few seconds, suitable for CI. `--seed N` runs
 //! `--cases` randomized cases per adversary family derived from `N`.
+//! Flags the run would ignore (`--seed` beside `--quick`, `--cases`
+//! without `--seed`) and malformed values exit 2, naming the flag.
 //! On failure the offending `(kind, seed, events)` triple is printed for
 //! replay; `--shrink` additionally minimizes the first failing trace and
 //! prints the surviving events. Exit status 1 on any failure.
@@ -38,60 +40,62 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Refuses `flag`'s value (`None` when the value is missing), naming
+/// both before the usage line.
+fn refuse(flag: &str, value: Option<&str>, expected: &str) -> ! {
+    match value {
+        Some(value) => eprintln!("{flag}: '{value}' is not {expected}"),
+        None => eprintln!("{flag}: missing value"),
+    }
+    usage()
+}
+
+/// `value` of `flag` as a count of at least one.
+fn positive(flag: &str, value: Option<&str>) -> usize {
+    value
+        .and_then(|v| v.parse().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| refuse(flag, value, "a positive integer"))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut quick = false;
     let mut seed: Option<u64> = None;
-    let mut cases = 4usize;
+    let mut cases = None;
     let mut events = 4000usize;
     let mut kinds: Vec<Adversary> = Adversary::ALL.to_vec();
     let mut shrink = false;
     let mut mode = Mode::Oracle;
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => seed = None,
+        let flag = args[i].as_str();
+        // The value after `flag`, moving `i` onto it.
+        let mut value = || {
+            i += 1;
+            args.get(i).map(String::as_str)
+        };
+        match flag {
+            "--quick" => quick = true,
             "--seed" => {
-                i += 1;
-                let n: u64 = args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed needs an unsigned integer");
-                    usage()
-                });
-                seed = Some(n);
+                let v = value();
+                seed = Some(
+                    v.and_then(|v| v.parse().ok())
+                        .unwrap_or_else(|| refuse(flag, v, "an unsigned integer")),
+                );
             }
-            "--cases" => {
-                i += 1;
-                cases = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--cases needs a positive integer");
-                        usage()
-                    });
-            }
-            "--events" => {
-                i += 1;
-                events = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--events needs a positive integer");
-                        usage()
-                    });
-            }
+            "--cases" => cases = Some(positive(flag, value())),
+            "--events" => events = positive(flag, value()),
             "--kind" => {
-                i += 1;
-                let name = args.get(i).map_or("", String::as_str);
+                let name = value();
                 // A mode name switches the cross-check every family's
                 // traces run through; any other name picks one family.
-                if let Some(m) = Mode::from_name(name) {
+                if let Some(m) = name.and_then(Mode::from_name) {
                     mode = m;
-                } else if let Some(kind) = Adversary::from_name(name) {
+                } else if let Some(kind) = name.and_then(Adversary::from_name) {
                     kinds = vec![kind];
                 } else {
-                    eprintln!("--kind needs one of the names from --list-kinds");
-                    usage()
+                    refuse(flag, name, "one of the names from --list-kinds")
                 }
             }
             "--shrink" => shrink = true,
@@ -112,6 +116,16 @@ fn main() {
         }
         i += 1;
     }
+    // Reject the flags this run would ignore, whatever their order.
+    if quick && seed.is_some() {
+        eprintln!("--quick runs the fixed-seed battery and would ignore --seed");
+        usage()
+    }
+    if cases.is_some() && seed.is_none() {
+        eprintln!("--cases sizes a --seed run; the quick battery would ignore it");
+        usage()
+    }
+    let cases = cases.unwrap_or(4);
 
     // One (kind, seed) plan per case: the quick battery uses the fixed
     // seeds; a randomized run derives per-case seeds from the base seed.

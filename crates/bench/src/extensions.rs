@@ -12,7 +12,7 @@ use crate::parallel::SweepRunner;
 use crate::trace_cache;
 use sttcache::{
     l2_config, nvm_dl1_config, penalty_pct, sram_dl1_config, DCacheOrganization, DlOneTechnology,
-    FrontEnd, PlatformConfig, StageSpec, VwbConfig, VwbFrontEnd,
+    FrontEnd, PlatformConfig, StageSpec, VwbConfig,
 };
 use sttcache_cpu::{Core, CoreConfig, FetchUnit, MemPort};
 use sttcache_mem::{AsymmetricWrite, Cache, CacheConfig, MainMemory, NextLinePrefetcher, Shared};
@@ -50,14 +50,10 @@ fn run_unified(
     ));
     let il1 = Cache::new(il1_tech.il1_config().expect("canonical il1"), l2.clone());
     let dl1 = Cache::new(dl1_tech.dl1_config().expect("canonical dl1"), l2.clone());
-    let line_bits = dl1.config().line_bytes() * 8;
-    let stage = vwb.map(|cfg| {
-        StageSpec::Vwb(cfg)
-            .build(line_bits)
-            .expect("canonical vwb over shared l2")
-    });
+    let stages = vwb.map(StageSpec::Vwb);
+    let fe = FrontEnd::new(stages.as_slice(), dl1).expect("canonical vwb over shared l2");
 
-    let mut core = Core::new(CoreConfig::default(), FrontEnd::new(stage, dl1));
+    let mut core = Core::new(CoreConfig::default(), fe);
     core.attach_fetch_unit(FetchUnit::new(Box::new(il1), 16 * 1024));
     trace_cache::drive(&mut core, workload, size, Transformations::none());
     core.report().cycles
@@ -302,13 +298,12 @@ pub fn ext_normally_off(size: ProblemSize) -> Vec<SleepRow> {
         let (nvm_dirty, nvm_cycles) = {
             let tail = Cache::new(l2_config().expect("canonical l2"), MainMemory::new(100));
             let dl1 = Cache::new(nvm_dl1_config().expect("canonical nvm dl1"), tail);
-            let vwb =
-                VwbFrontEnd::new(VwbConfig::default(), dl1).expect("canonical vwb configuration");
+            let stages = [StageSpec::Vwb(VwbConfig::default())];
+            let vwb = FrontEnd::new(&stages, dl1).expect("canonical vwb configuration");
             let mut core = Core::new(CoreConfig::default(), vwb);
             trace_cache::drive(&mut core, b, size, Transformations::none());
             let end = core.now();
-            let mut vwb = core.into_port();
-            let (flushed, done) = vwb.flush_dirty(end);
+            let (flushed, done) = core.into_port().flush_buffers(end);
             (flushed, done - end)
         };
         SleepRow {

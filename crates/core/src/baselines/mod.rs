@@ -9,5 +9,5 @@
 mod emshr;
 mod l0;
 
-pub use emshr::{EmshrConfig, EmshrFrontEnd, EmshrStage};
-pub use l0::{L0Config, L0FrontEnd, L0Stage};
+pub use emshr::EmshrConfig;
+pub use l0::L0Config;

@@ -5,8 +5,9 @@
 //! paper-figure provenance — so the platform tests, figure binaries,
 //! extension sweeps and the differential fuzzer all walk the same list
 //! instead of keeping private hard-coded copies. Adding an organization
-//! here (a [`StageSpec`] composition, possibly a [`StackSpec`]) makes it
-//! show up everywhere at once, with no front-end or figure-path changes.
+//! here (a list of line buffers: one [`StageSpec`], or two as a
+//! [`StackSpec`]) makes it show up everywhere at once, with no front-end
+//! or figure-path changes.
 
 use crate::baselines::{EmshrConfig, L0Config};
 use crate::platform::DCacheOrganization;

@@ -13,11 +13,12 @@
 //!
 //! This crate provides:
 //!
-//! * [`VwbFrontEnd`] — the paper's §IV organization, with its exact load
-//!   and store policies, banked-promotion stalls and write-back handling;
-//! * [`baselines`] — the comparison structures of Fig. 8: a small fully
-//!   associative [`baselines::L0FrontEnd`] and the DATE'14 enhanced-MSHR
-//!   [`baselines::EmshrFrontEnd`];
+//! * [`FrontEnd`] — the L1 D-cache front-end: a list of line buffers in
+//!   front of the DL1, each a [`StageSpec`]. The VWB ([`VwbConfig`]) is
+//!   the paper's §IV organization, with its exact load and store
+//!   policies, banked-promotion stalls and write-back handling;
+//!   [`baselines`] configures the comparison structures of Fig. 8, a
+//!   small fully associative L0 cache and the DATE'14 enhanced MSHR;
 //! * [`Platform`] — the full evaluated system (64 KB DL1, 2 MB L2, main
 //!   memory, in-order core) with one-call runs and penalty computation;
 //! * energy/area/lifetime reporting via `sttcache-tech`.
@@ -76,14 +77,11 @@ pub use error::SttError;
 pub use front_end::FrontEnd;
 pub use multi::{
     core_addr, CoreSpec, MultiAudit, MultiPlatform, MultiPlatformConfig, MultiRunResult, SharedL2,
-    CORE_ADDRESS_STRIDE, MAX_CORES,
+    CORE_ADDRESS_STRIDE, MAX_CORES, MAX_PHASE_OFFSET,
 };
 pub use penalty::{average_penalty, penalty_pct, PenaltyRow};
 pub use platform::{
     DCacheOrganization, EnergyReport, IcacheConfig, Platform, PlatformConfig, RunResult,
 };
-pub use stage::{
-    probe_then_fetch, BufferStage, BufferStats, Buffered, StackSpec, StackedStage, StageSpec,
-    StageStats,
-};
-pub use vwb::{VwbConfig, VwbFrontEnd, VwbStage};
+pub use stage::{BufferStats, StackSpec, StageSpec, StageStats};
+pub use vwb::VwbConfig;

@@ -43,6 +43,11 @@ pub type SharedL2 = Shared<Cache<MainMemory>>;
 /// Maximum core count a [`MultiPlatform`] accepts.
 pub const MAX_CORES: usize = 8;
 
+/// Latest cycle at which a core of a [`MultiPlatform`] may start: 2^48
+/// cycles, about 3.3 days at 1 GHz. Far beyond any run, and far enough
+/// below `u64::MAX` that a run's cycle arithmetic cannot overflow.
+pub const MAX_PHASE_OFFSET: Cycle = 1 << 48;
+
 /// Address-space stride separating the cores of a mix.
 ///
 /// Multi-programmed kernels are separate processes: they must never
@@ -164,8 +169,9 @@ impl MultiPlatform {
     /// # Errors
     ///
     /// Returns an [`SttError`] if there is no core or more than
-    /// [`MAX_CORES`], or if any per-core organization or the shared-L2
-    /// configuration is invalid (see [`Platform::with_config`]).
+    /// [`MAX_CORES`], if a core starts after [`MAX_PHASE_OFFSET`], or if
+    /// any per-core organization or the shared-L2 configuration is
+    /// invalid (see [`Platform::with_config`]).
     pub fn new(config: MultiPlatformConfig) -> Result<Self, SttError> {
         if config.cores.is_empty() {
             return Err(SttError::InvalidPlatform {
@@ -177,6 +183,15 @@ impl MultiPlatform {
                 reason: format!(
                     "{} cores requested, but at most {MAX_CORES} are supported",
                     config.cores.len()
+                ),
+            });
+        }
+        let late = |(_, spec): &(usize, &CoreSpec)| spec.phase_offset > MAX_PHASE_OFFSET;
+        if let Some((idx, spec)) = config.cores.iter().enumerate().find(late) {
+            return Err(SttError::InvalidPlatform {
+                reason: format!(
+                    "core {idx} starts at cycle {}, after the limit of {MAX_PHASE_OFFSET}",
+                    spec.phase_offset
                 ),
             });
         }
@@ -432,6 +447,33 @@ mod tests {
         assert!(MultiPlatform::new(too_many).is_err());
         let ok = MultiPlatformConfig::homogeneous(DCacheOrganization::SramBaseline, MAX_CORES);
         assert!(MultiPlatform::new(ok).is_ok());
+    }
+
+    #[test]
+    fn refuses_a_phase_offset_past_the_limit() {
+        let spec = |offset| {
+            MultiPlatformConfig::new(vec![
+                CoreSpec::new(DCacheOrganization::SramBaseline),
+                CoreSpec::staggered(DCacheOrganization::nvm_vwb_default(), offset),
+            ])
+        };
+        let err = MultiPlatform::new(spec(MAX_PHASE_OFFSET + 1))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("core 1") && err.contains(&(MAX_PHASE_OFFSET + 1).to_string()),
+            "{err}"
+        );
+        // At exactly the limit the run completes, and the late core's
+        // cycle count does not depend on how late it starts.
+        let (a, b) = (stream_trace(0, 64), stream_trace(1 << 20, 64));
+        let late = MultiPlatform::new(spec(MAX_PHASE_OFFSET))
+            .unwrap()
+            .run_traces(&[&a, &b]);
+        let apart = MultiPlatform::new(spec(1 << 40))
+            .unwrap()
+            .run_traces(&[&a, &b]);
+        assert_eq!(late.cores[1].cycles(), apart.cores[1].cycles());
     }
 
     #[test]

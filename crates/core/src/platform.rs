@@ -10,7 +10,7 @@
 use crate::baselines::{EmshrConfig, L0Config};
 use crate::dl1::{l2_config, DlOneTechnology};
 use crate::front_end::FrontEnd;
-use crate::stage::{BufferStage, BufferStats, StackSpec, StageSpec, StageStats};
+use crate::stage::{BufferStats, StackSpec, StageSpec, StageStats};
 use crate::vwb::VwbConfig;
 use crate::SttError;
 use sttcache_cpu::{Core, CoreConfig, CoreReport, Engine, FetchUnit, Trace};
@@ -78,23 +78,18 @@ impl DCacheOrganization {
         }
     }
 
-    /// Builds the buffer stage this organization puts in front of a DL1
-    /// with `line_bits`-bit lines; `None` for the plain organizations,
-    /// whose core talks straight to the DL1. Every single- and multi-core
-    /// front-end is built through this one mapping.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`SttError`] if the buffer configuration is invalid for
-    /// the line size.
-    pub fn build_stage(&self, line_bits: usize) -> Result<Option<Box<dyn BufferStage>>, SttError> {
-        Ok(match *self {
-            DCacheOrganization::SramBaseline | DCacheOrganization::NvmDropIn => None,
-            DCacheOrganization::NvmVwb(cfg) => Some(StageSpec::Vwb(cfg).build(line_bits)?),
-            DCacheOrganization::NvmL0(cfg) => Some(StageSpec::L0(cfg).build(line_bits)?),
-            DCacheOrganization::NvmEmshr(cfg) => Some(StageSpec::Emshr(cfg).build(line_bits)?),
-            DCacheOrganization::NvmStack(spec) => Some(Box::new(spec.build(line_bits)?)),
-        })
+    /// The line buffers this organization puts in front of the DL1,
+    /// outermost first; empty for the plain organizations, whose core
+    /// talks straight to the DL1. Every single- and multi-core front-end
+    /// is built from this one list.
+    pub fn stages(&self) -> Vec<StageSpec> {
+        match *self {
+            DCacheOrganization::SramBaseline | DCacheOrganization::NvmDropIn => Vec::new(),
+            DCacheOrganization::NvmVwb(cfg) => vec![StageSpec::Vwb(cfg)],
+            DCacheOrganization::NvmL0(cfg) => vec![StageSpec::L0(cfg)],
+            DCacheOrganization::NvmEmshr(cfg) => vec![StageSpec::Emshr(cfg)],
+            DCacheOrganization::NvmStack(spec) => vec![spec.outer, spec.inner],
+        }
     }
 }
 
@@ -189,7 +184,7 @@ impl Platform {
     ///
     /// Returns an [`SttError`] if any configuration a run builds or
     /// models is invalid: the DL1, L2 and IL1 caches, the DL1 and L2
-    /// energy-model arrays, or the organization's buffer stage.
+    /// energy-model arrays, or the organization's buffers.
     pub fn with_config(config: PlatformConfig) -> Result<Self, SttError> {
         let tech = config.organization.dl1_technology();
         let dl1 = match config.dl1_override {
@@ -202,7 +197,9 @@ impl Platform {
         };
         dl1.array_config(tech.cell_kind())?;
         l2.array_config(CellKind::Sram6T)?;
-        config.organization.build_stage(dl1.line_bytes() * 8)?;
+        for stage in config.organization.stages() {
+            stage.validate(dl1.line_bytes() * 8)?;
+        }
         if let Some(ic) = config.icache {
             ic.technology.il1_config()?;
         }
@@ -222,7 +219,7 @@ impl Platform {
     }
 
     /// Builds the cold DL1 over `next`, labelled `component` in telemetry,
-    /// behind the organization's buffer stage, if any.
+    /// behind the organization's buffers.
     pub(crate) fn build_dl1_front_end<N: MemoryLevel>(
         &self,
         next: N,
@@ -230,16 +227,12 @@ impl Platform {
     ) -> FrontEnd<N> {
         let mut dl1 = Cache::new(self.dl1, next);
         dl1.set_telemetry_component(component);
-        let stage = self
-            .config
-            .organization
-            .build_stage(self.dl1.line_bytes() * 8)
-            .expect("the stage was checked at construction");
-        FrontEnd::new(stage, dl1)
+        FrontEnd::new(&self.config.organization.stages(), dl1)
+            .expect("the stages were checked at construction")
     }
 
     /// Builds a cold front-end for this configuration: the organization's
-    /// buffer stage, if any, over DL1 → L2 → memory. This is the
+    /// buffers, if any, over DL1 → L2 → memory. This is the
     /// hierarchy [`Platform::run`] builds, handed out for harnesses that
     /// drive the core themselves and inspect or drain the hierarchy
     /// afterwards (the differential checker in `sttcache-bench` does
@@ -632,13 +625,10 @@ mod tests {
     }
 
     #[test]
-    fn build_stage_maps_every_organization() {
+    fn stages_map_every_organization() {
         let kinds = |org: DCacheOrganization| {
-            let mut out = Vec::new();
-            if let Some(stage) = org.build_stage(512).unwrap() {
-                stage.collect_stats(&mut out);
-            }
-            out.into_iter().map(|s| s.kind).collect::<Vec<_>>()
+            let stages = org.stages();
+            stages.into_iter().map(StageSpec::kind).collect::<Vec<_>>()
         };
         assert!(kinds(DCacheOrganization::SramBaseline).is_empty());
         assert!(kinds(DCacheOrganization::NvmDropIn).is_empty());

@@ -83,6 +83,15 @@ diff -u "$smoke" "$mc"
 ./target/release/figures irregular --jobs 4 > "$mc"
 diff -u "$smoke" "$mc"
 
+# The opt-in sweeps are where the L0, the EMSHR and the hybrid run on
+# pointer-chasing kernels and over the shared L2, and `catalog` is the
+# only figure with the hybrid column: each must match its golden. A new
+# catalog entry adds a column, so it regenerates these goldens.
+for sweep in catalog irregular multicore; do
+    ./target/release/figures "$sweep" > "$smoke"
+    diff -u "tests/golden/$sweep.txt" "$smoke"
+done
+
 # External trace ingestion: a recorded trace must replay byte-identically
 # through --trace-file, match the recorded kernel's own replay, and parse
 # as a file: mix entry.
@@ -121,4 +130,4 @@ benchout="$(mktemp -d)"
 trap 'rm -rf "$smoke" "$ttrace" "$mc" "$exttrace" "$prof" "$benchout"' EXIT
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --quick --out "$benchout"
 
-echo "ci: fmt, build, tests (plain + invariants armed), clippy, differential + multicore + irregular fuzzers, ablation tables, figures smoke (serial, four workers, replay cross-checked against direct execution, invariants armed, telemetry export, profile), multi-core + irregular determinism, external-trace replay (pinned to the kernel's own replay), trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"
+echo "ci: fmt, build, tests (plain + invariants armed), clippy, differential + multicore + irregular fuzzers, ablation tables, figures smoke (serial, four workers, replay cross-checked against direct execution, invariants armed, telemetry export, profile), multi-core + irregular determinism, catalog + irregular + multicore goldens, external-trace replay (pinned to the kernel's own replay), trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"

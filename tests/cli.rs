@@ -7,6 +7,7 @@ use std::process::{Command, Output};
 
 const SIM: &str = env!("CARGO_BIN_EXE_sim");
 const FIGURES: &str = env!("CARGO_BIN_EXE_figures");
+const CHECK: &str = env!("CARGO_BIN_EXE_sttcache-check");
 
 /// Runs `exe` with `args` and the environment variables in `env`.
 fn run(exe: &str, args: &[&str], env: &[(&str, &str)]) -> Output {
@@ -63,6 +64,12 @@ fn sim_refuses_configurations_without_panicking() {
         ),
         (&vwb("18446744073709551615"), 1, "36028797018963967 entries"),
         (&vwb("1099511627776"), 1, "2147483648 entries"),
+        // A phase offset near `u64::MAX` would overflow the cycle count.
+        (
+            &["--mix", "gemm@18446744073709551615+mvt"],
+            1,
+            "core 0 starts at cycle 18446744073709551615",
+        ),
     ] {
         let out = sim(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -106,11 +113,30 @@ fn rejected_flag_values_name_the_flag_and_the_value() {
             "--telemetry-json",
             "missing value",
         ),
+        (CHECK, vec!["--seed", "x"], "--seed", "'x'"),
+        (CHECK, vec!["--seed"], "--seed", "missing value"),
+        (CHECK, vec!["--seed", "5", "--cases", "0"], "--cases", "'0'"),
+        (CHECK, vec!["--events", "0"], "--events", "'0'"),
+        (CHECK, vec!["--kind", "foo"], "--kind", "'foo'"),
     ] {
         let out = run(exe, &args, &[]);
         // The usage line names every flag, but never as `flag: `.
         assert_rejected(&out, &format!("{flag}: "));
         assert_rejected(&out, value);
+    }
+}
+
+#[test]
+fn check_rejects_flags_the_run_would_ignore() {
+    // `--quick` runs the fixed-seed battery, so a `--seed` beside it
+    // would be dropped, and `--cases` only sizes a `--seed` run.
+    for (args, flag) in [
+        (&["--seed", "5", "--quick"][..], "--quick"),
+        (&["--quick", "--seed", "5"], "--quick"),
+        (&["--cases", "9"], "--cases"),
+        (&["--quick", "--cases", "9"], "--cases"),
+    ] {
+        assert_rejected(&run(CHECK, args, &[]), flag);
     }
 }
 
@@ -133,7 +159,8 @@ fn sim_honours_vwb_bits_in_any_flag_order() {
 
 #[test]
 fn sim_explain_reports_match_the_golden() {
-    // The single-core and the two-core attribution reports, in that
+    // The single-core VWB and the two-core attribution reports, then the
+    // single-core report of every other buffered organization, in that
     // order, byte for byte: the only reader of the telemetry registry.
     let explain = |args: &[&str]| {
         let out = sim(args);
@@ -141,8 +168,11 @@ fn sim_explain_reports_match_the_golden() {
         assert!(out.status.success(), "{args:?} failed:\n{stderr}");
         String::from_utf8(out.stdout).expect("utf-8 report")
     };
-    let got = explain(&["--bench", "2mm", "--org", "vwb", "--explain"])
+    let mut got = explain(&["--bench", "2mm", "--org", "vwb", "--explain"])
         + &explain(&["--cores", "2", "--explain"]);
+    for org in ["l0", "emshr", "hybrid"] {
+        got += &explain(&["--bench", "2mm", "--explain", org]);
+    }
     assert_eq!(got, include_str!("golden/explain.txt"));
 }
 

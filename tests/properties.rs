@@ -7,7 +7,7 @@
 //! seed, and `STTCACHE_TEST_SEED=<seed>` re-runs exactly that case.
 
 use std::collections::HashMap;
-use sttcache::{nvm_dl1_config, VwbConfig, VwbFrontEnd};
+use sttcache::{nvm_dl1_config, FrontEnd, StageSpec, VwbConfig};
 use sttcache_bench::testkit::{run_cases, Rng};
 use sttcache_cpu::{DataPort, Engine as _};
 use sttcache_mem::{Addr, Cache, CacheConfig, MainMemory, MemoryLevel};
@@ -152,7 +152,8 @@ fn vwb_rereads_hit_in_one_cycle() {
     run_cases("vwb_rereads_hit_in_one_cycle", 64, |rng| {
         let addrs = rng.vec_of(1, 64, |r| r.u64_in(0, 1 << 14));
         let dl1 = Cache::new(nvm_dl1_config().expect("canonical"), MainMemory::new(100));
-        let mut vwb = VwbFrontEnd::new(VwbConfig::default(), dl1).expect("canonical");
+        let mut vwb =
+            FrontEnd::new(&[StageSpec::Vwb(VwbConfig::default())], dl1).expect("canonical");
         let mut now = 0;
         for addr in addrs {
             let t1 = vwb.read(Addr(addr), now);
@@ -173,7 +174,8 @@ fn vwb_stats_reconcile() {
     run_cases("vwb_stats_reconcile", 64, |rng| {
         let seq = access_seq(rng);
         let dl1 = Cache::new(nvm_dl1_config().expect("canonical"), MainMemory::new(100));
-        let mut vwb = VwbFrontEnd::new(VwbConfig::default(), dl1).expect("canonical");
+        let mut vwb =
+            FrontEnd::new(&[StageSpec::Vwb(VwbConfig::default())], dl1).expect("canonical");
         let mut now = 0;
         for (addr, is_write) in seq {
             now = if is_write {
@@ -182,7 +184,7 @@ fn vwb_stats_reconcile() {
                 vwb.read(Addr(addr), now)
             };
         }
-        let s = vwb.stats();
+        let s = vwb.stage_stats()[0].stats;
         assert!(s.read_hits <= s.reads);
         assert!(s.write_hits <= s.writes);
         assert_eq!(s.fills, s.reads - s.read_hits);
@@ -445,7 +447,7 @@ fn hit_under_fill_waits_for_data() {
     assert!(hashes["complete"] >= 100);
 }
 
-/// After `flush_dirty` the VWB holds zero dirty entries, the returned
+/// After `flush_buffers` the VWB holds zero dirty entries, the returned
 /// cycle never precedes the request, and a second flush is a no-op —
 /// over random read/write sequences, with the invariant gate on so the
 /// flush's own post-conditions are exercised too.
@@ -456,7 +458,8 @@ fn vwb_flush_dirty_property() {
     run_cases("vwb_flush_dirty_property", 64, |rng| {
         let seq = access_seq(rng);
         let dl1 = Cache::new(nvm_dl1_config().expect("canonical"), MainMemory::new(100));
-        let mut vwb = VwbFrontEnd::new(VwbConfig::default(), dl1).expect("canonical");
+        let mut vwb =
+            FrontEnd::new(&[StageSpec::Vwb(VwbConfig::default())], dl1).expect("canonical");
         let mut now = 0;
         for (addr, is_write) in seq {
             now = if is_write {
@@ -465,13 +468,17 @@ fn vwb_flush_dirty_property() {
                 vwb.read(Addr(addr), now)
             };
         }
-        let (flushed, done) = vwb.flush_dirty(now);
+        let (flushed, done) = vwb.flush_buffers(now);
         assert!(done >= now, "flush completed at {done}, before {now}");
-        assert_eq!(vwb.dirty_entries(), 0, "dirty entries survived the flush");
+        assert_eq!(
+            vwb.dirty_buffer_entries(),
+            0,
+            "dirty entries survived the flush"
+        );
         if flushed == 0 {
             assert_eq!(done, now, "a flush with nothing to do must be free");
         }
-        let (again, t2) = vwb.flush_dirty(done);
+        let (again, t2) = vwb.flush_buffers(done);
         assert_eq!(again, 0, "second flush found dirty entries");
         assert_eq!(t2, done);
     });
@@ -493,9 +500,9 @@ fn vwb_config_boundaries() {
         ..VwbConfig::default()
     };
     assert_eq!(one.entries(line_bits), 1);
-    assert!(one.validate(line_bits).is_ok());
+    assert!(StageSpec::Vwb(one).validate(line_bits).is_ok());
     let dl1 = Cache::new(nvm_dl1_config().expect("canonical"), MainMemory::new(100));
-    let mut vwb = VwbFrontEnd::new(one, dl1).expect("one-entry VWB is valid");
+    let mut vwb = FrontEnd::new(&[StageSpec::Vwb(one)], dl1).expect("one-entry VWB is valid");
     let t = vwb.read(Addr(0), 0);
     assert_eq!(
         vwb.read(Addr(8), t + 10),
@@ -509,20 +516,21 @@ fn vwb_config_boundaries() {
         ..VwbConfig::default()
     };
     assert_eq!(short.entries(line_bits), 0);
-    assert!(short.validate(line_bits).is_err());
+    assert!(StageSpec::Vwb(short).validate(line_bits).is_err());
 
     // A zero hit latency is rejected regardless of capacity.
     let instant = VwbConfig {
         hit_cycles: 0,
         ..VwbConfig::default()
     };
-    assert!(instant.validate(line_bits).is_err());
+    assert!(StageSpec::Vwb(instant).validate(line_bits).is_err());
 
     // The maximum line size a config can hold is its own capacity.
     let max_line = VwbConfig::default().capacity_bits;
     assert_eq!(VwbConfig::default().entries(max_line), 1);
-    assert!(VwbConfig::default().validate(max_line).is_ok());
-    assert!(VwbConfig::default().validate(max_line + 8).is_err());
+    let paper = StageSpec::Vwb(VwbConfig::default());
+    assert!(paper.validate(max_line).is_ok());
+    assert!(paper.validate(max_line + 8).is_err());
 }
 
 /// `effective_hit_cycles` only grows once the search cost is modelled,

@@ -1,8 +1,8 @@
 //! Trait-level conformance suite for the organization catalog.
 //!
 //! One parameterized battery over `sttcache::catalog`: every entry's
-//! front-end — whatever stage composition it carries — must honor the
-//! `BufferStage` drain/verification contract. Adding a catalog entry
+//! front-end — whatever list of line buffers it carries — must honor the
+//! `FrontEnd` drain/verification contract. Adding a catalog entry
 //! automatically puts it under this suite; no per-organization test code.
 
 use sttcache::catalog::catalog;
@@ -19,7 +19,7 @@ fn front_end_of(org: sttcache::DCacheOrganization) -> FrontEnd {
         .front_end()
 }
 
-/// Drains the whole organization: the front-end's stage and DL1, then
+/// Drains the whole organization: the front-end's buffers and DL1, then
 /// the L2, which the single-core front-end owns. Returns the lines
 /// written back and the completion cycle.
 fn drain(fe: &mut FrontEnd, now: Cycle) -> (usize, Cycle) {
@@ -28,7 +28,7 @@ fn drain(fe: &mut FrontEnd, now: Cycle) -> (usize, Cycle) {
     (front + l2, done)
 }
 
-/// Every line resident in the stage, the DL1 and the L2, with its size.
+/// Every line resident in the buffers, the DL1 and the L2, with its size.
 fn resident_lines(fe: &FrontEnd) -> Vec<(Addr, usize)> {
     let l2_bytes = fe.l2().config().line_bytes();
     let mut lines = fe.resident_lines();
@@ -126,54 +126,6 @@ fn every_catalog_organization_honors_the_stage_contract() {
                 CacheStats::default(),
                 "{name}: {level} kept counters across reset_stats"
             );
-        }
-    }
-}
-
-/// Merging stage statistics is well-behaved across the whole catalog:
-/// the default value is the identity, merging commutes, and the merge of
-/// a stage with itself doubles every counter.
-#[test]
-fn stage_stats_merge_is_identity_and_commutative_over_the_catalog() {
-    for entry in catalog() {
-        let name = entry.name;
-        let mut fe = front_end_of(entry.organization);
-        let mut oracle = ShadowOracle::default();
-        drive(&mut fe, &mut oracle);
-        for stage in fe.stage_stats() {
-            let s = &stage.stats;
-            assert_eq!(
-                s.merged(&BufferStats::default()),
-                *s,
-                "{name}: merging with the default changed stage '{}'",
-                stage.kind
-            );
-            assert_eq!(
-                BufferStats::default().merged(s),
-                *s,
-                "{name}: identity merge is not commutative on stage '{}'",
-                stage.kind
-            );
-            let doubled = s.merged(s);
-            assert_eq!(doubled.reads, s.reads * 2, "{name}: reads");
-            assert_eq!(doubled.read_hits, s.read_hits * 2, "{name}: read_hits");
-            assert_eq!(doubled.writes, s.writes * 2, "{name}: writes");
-        }
-        // Pairwise commutativity across the composition's stages.
-        let stats = fe.stage_stats();
-        for a in &stats {
-            for b in &stats {
-                assert_eq!(
-                    a.stats.merged(&b.stats),
-                    b.stats.merged(&a.stats),
-                    "{name}: merge order changed the result"
-                );
-            }
-        }
-        // And after a reset every stage merges as the identity.
-        fe.reset_stats();
-        for stage in fe.stage_stats() {
-            assert_eq!(stage.stats, BufferStats::default(), "{name}: reset");
         }
     }
 }

@@ -12,7 +12,7 @@
 use std::fmt::Debug;
 use sttcache::{
     l2_config, nvm_dl1_config, nvm_il1_config, sram_dl1_config, DCacheOrganization, FrontEnd,
-    Platform, PlatformConfig, StageSpec, VwbConfig, VwbFrontEnd,
+    Platform, PlatformConfig, StageSpec, VwbConfig,
 };
 use sttcache_bench::{check, extensions, trace_cache};
 use sttcache_cpu::{Core, CoreConfig, CoreReport, DataPort, Engine, FetchUnit, MemPort};
@@ -155,10 +155,9 @@ fn hand_built_hierarchies_replay_like_direct_execution() {
                 let l2 = Shared::new(l2_over_memory());
                 let il1 = Cache::new(nvm_il1_config().expect("canonical il1"), l2.clone());
                 let dl1 = Cache::new(nvm_dl1_config().expect("canonical dl1"), l2);
-                let stage = StageSpec::Vwb(VwbConfig::default())
-                    .build(dl1.config().line_bytes() * 8)
+                let fe = FrontEnd::new(&[StageSpec::Vwb(VwbConfig::default())], dl1)
                     .expect("canonical vwb");
-                let mut core = Core::new(CoreConfig::default(), FrontEnd::new(Some(stage), dl1));
+                let mut core = Core::new(CoreConfig::default(), fe);
                 core.attach_fetch_unit(FetchUnit::new(Box::new(il1), 16 * 1024));
                 core
             },
@@ -202,10 +201,11 @@ fn hand_built_hierarchies_replay_like_direct_execution() {
             "vwb sleep entry",
             || {
                 let dl1 = Cache::new(nvm_dl1_config().expect("canonical dl1"), l2_over_memory());
-                let vwb = VwbFrontEnd::new(VwbConfig::default(), dl1).expect("canonical vwb");
+                let vwb = FrontEnd::new(&[StageSpec::Vwb(VwbConfig::default())], dl1)
+                    .expect("canonical vwb");
                 Core::new(CoreConfig::default(), vwb)
             },
-            |core| report_and_drain(core, |mut vwb, end| vwb.flush_dirty(end)),
+            |core| report_and_drain(core, |mut vwb, end| vwb.flush_buffers(end)),
         );
     }
 }
