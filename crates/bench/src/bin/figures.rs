@@ -8,7 +8,9 @@
 //!
 //! Defaults to `all` at the mini problem size; `--small` runs the larger
 //! figure-generation size; `--csv` emits machine-readable output for the
-//! per-benchmark figures. Sweeps shard across worker threads
+//! per-benchmark figures, and refuses `--profile` and `--telemetry-json`
+//! (exit 2 naming the flag), which time only the text artifacts. Sweeps
+//! shard across worker threads
 //! (`STTCACHE_THREADS` or the machine's parallelism); `--jobs N` pins the
 //! worker count and `--serial` forces one worker. Output is byte-identical
 //! at every worker count — results merge by grid index, not completion
@@ -99,6 +101,14 @@ fn main() {
         i += 1;
     }
     let what = what.unwrap_or("all");
+    if csv && profile_text {
+        eprintln!("--profile times the text artifacts; --csv would ignore it");
+        usage();
+    }
+    if csv && telemetry_json.is_some() {
+        eprintln!("--telemetry-json traces the text artifacts; --csv would ignore it");
+        usage();
+    }
     // Arm span recording (and the component telemetry gate, for overhead
     // realism) before any sweep runs. Stdout stays byte-identical — all
     // telemetry goes to PATH.

@@ -2,14 +2,14 @@
 //!
 //! Three layers, combined by [`check_trace`]:
 //!
-//! 1. **Functional shadow oracle** — every run is mirrored into a
-//!    [`ShadowOracle`] through a [`TeeEngine`], giving a timing-free
-//!    golden model of what the program touched and wrote. After the run
-//!    the whole organization is drained — the front-end
-//!    ([`FrontEnd::flush_dirty`]), then the L2 it owns — and
-//!    cross-examined: no dirty state may survive, and every line still
-//!    resident anywhere in the hierarchy must cover bytes the program
-//!    actually accessed (no *phantom* lines).
+//! 1. **Functional shadow oracle** — the trace is replayed separately
+//!    into a [`ShadowOracle`], giving a timing-free golden model of what
+//!    the program touched and wrote. The timed run is a one-core
+//!    [`MultiPlatform::run_traces_audited`], which drains the whole
+//!    organization — the front-end, then the L2 — and the audit it
+//!    returns is cross-examined: no dirty state may survive, and every
+//!    line still resident anywhere in the hierarchy must cover bytes the
+//!    program actually accessed (no *phantom* lines).
 //! 2. **Runtime invariants** — the checker turns on the
 //!    [`sttcache_mem::invariants`] gate for the duration of the run and
 //!    harvests every structured violation the components reported.
@@ -29,15 +29,14 @@
 
 use crate::testkit::{Rng, DEFAULT_SEED};
 use sttcache::{
-    CoreSpec, DCacheOrganization, FrontEnd, MultiPlatform, MultiPlatformConfig, Platform,
-    CORE_ADDRESS_STRIDE,
+    CoreSpec, DCacheOrganization, MultiPlatform, MultiPlatformConfig, Platform, CORE_ADDRESS_STRIDE,
 };
-use sttcache_cpu::{Core, Engine, TeeEngine, Trace, TraceEvent, TraceRecorder};
+use sttcache_cpu::{CoreReport, Engine, Trace, TraceEvent, TraceRecorder};
 use sttcache_mem::{invariants, Cycle, InvariantViolation, ShadowOracle};
 
 /// An [`Engine`] that mirrors every architectural event into a
-/// [`ShadowOracle`]. Hang it on the second leg of a [`TeeEngine`] so a
-/// timing core and the functional model see one identical event stream.
+/// [`ShadowOracle`]. Replaying a trace into it gives the functional view
+/// the checkers audit that trace's timed run against.
 #[derive(Debug, Default)]
 pub struct OracleMirror {
     oracle: ShadowOracle,
@@ -139,64 +138,43 @@ pub fn all_organizations() -> Vec<DCacheOrganization> {
         .collect()
 }
 
-/// Runs `trace` on one organization with the invariant gate on, drains
-/// the hierarchy, and verifies it against the shadow oracle.
+/// Runs `trace` alone on a one-core [`MultiPlatform`] of `organization`
+/// with the invariant gate on, drains the hierarchy through
+/// [`MultiPlatform::run_traces_audited`], and verifies what the drain
+/// leaves against a shadow oracle fed by a separate replay of the trace.
 pub fn check_trace_on(organization: DCacheOrganization, trace: &Trace) -> OrgCheck {
+    let platform = MultiPlatform::new(MultiPlatformConfig::homogeneous(organization, 1))
+        .expect("canonical organization validates");
     let gate_was_on = invariants::enabled();
     invariants::set_enabled(true);
     let _ = invariants::take_violations(); // start from a clean slate
-
-    let platform = Platform::new(organization).expect("canonical organization validates");
-    let fe: FrontEnd = platform.front_end();
-    let core = Core::new(platform.config().core, fe);
-    let mut tee = TeeEngine::new(core, OracleMirror::new());
-    trace.replay_into(&mut tee);
-    let (mut core, mirror) = tee.into_inner();
-    let report = core.report();
-    let now = core.now();
-    let mut fe = core.into_port();
-    // The front-end drains its stage and DL1; the L2 is drained by its
-    // owner, which here is the front-end's caller.
-    let (front_lines, t) = fe.flush_dirty(now);
-    let (l2_lines, done) = fe.l2_mut().flush_dirty(t);
-    let flushed_lines = front_lines + l2_lines;
-    fe.check_drained(done);
-    fe.l2().check_drained(done);
+    let (result, audit) = platform.run_traces_audited(&[trace]);
+    let (violations, total) = invariants::take_violations();
+    invariants::set_enabled(gate_was_on);
+    let mut mirror = OracleMirror::new();
+    trace.replay_into(&mut mirror);
+    let report = &result.cores[0].core;
 
     let mut mismatches = Vec::new();
-    let dirty = fe.dirty_line_count() + fe.l2().dirty_lines();
-    if dirty != 0 {
-        mismatches.push(format!("{dirty} dirty lines survived flush_dirty"));
+    if audit.dirty_after_drain != 0 {
+        mismatches.push(format!(
+            "{} dirty lines survived flush_dirty",
+            audit.dirty_after_drain
+        ));
     }
-    let l2_bytes = fe.l2().config().line_bytes();
-    let l2_resident = fe.l2().resident_lines().into_iter().map(|a| (a, l2_bytes));
-    for (base, len) in fe.resident_lines().into_iter().chain(l2_resident) {
+    for &(base, len) in audit.core_resident[0].iter().chain(&audit.shared_resident) {
         if !mirror.oracle().intersects_accessed(base.0, len) {
             mismatches.push(format!(
                 "phantom resident line {base} ({len} B): the program never touched it"
             ));
         }
     }
-    let (t_loads, t_stores, t_prefetches, t_branches) = trace.summary();
-    if (
-        report.loads,
-        report.stores,
-        report.prefetches,
-        report.branches,
-    ) != (t_loads, t_stores, t_prefetches, t_branches)
-    {
+    if let Some((core, held)) = event_count_divergence(report, trace) {
         mismatches.push(format!(
-            "core event counts {}L/{}S/{}P/{}B diverged from the trace's {}L/{}S/{}P/{}B",
-            report.loads,
-            report.stores,
-            report.prefetches,
-            report.branches,
-            t_loads,
-            t_stores,
-            t_prefetches,
-            t_branches
+            "core event counts {core} diverged from the trace's {held}"
         ));
     }
+    let (t_loads, t_stores, _, _) = trace.summary();
     if mirror.oracle().loads() != t_loads || mirror.oracle().stores() != t_stores {
         mismatches.push(format!(
             "oracle saw {} loads / {} stores, trace holds {t_loads} / {t_stores}",
@@ -205,14 +183,10 @@ pub fn check_trace_on(organization: DCacheOrganization, trace: &Trace) -> OrgChe
         ));
     }
 
-    let (violations, total) = invariants::take_violations();
-    let dropped_violations = total - violations.len();
-    invariants::set_enabled(gate_was_on);
-
     OrgCheck {
         organization: organization.name(),
         cycles: report.cycles,
-        flushed_lines,
+        flushed_lines: audit.flushed_lines,
         signature: FunctionalSignature {
             loads: report.loads,
             stores: report.stores,
@@ -223,9 +197,23 @@ pub fn check_trace_on(organization: DCacheOrganization, trace: &Trace) -> OrgChe
             load_hash: mirror.load_hash(),
         },
         mismatches,
+        dropped_violations: total - violations.len(),
         violations,
-        dropped_violations,
     }
+}
+
+/// The core's load/store/prefetch/branch counts and the trace's, each as
+/// `NL/NS/NP/NB`, when they differ.
+fn event_count_divergence(report: &CoreReport, trace: &Trace) -> Option<(String, String)> {
+    let ran = (
+        report.loads,
+        report.stores,
+        report.prefetches,
+        report.branches,
+    );
+    let held = trace.summary();
+    let label = |(l, s, p, b): (u64, u64, u64, u64)| format!("{l}L/{s}S/{p}P/{b}B");
+    (ran != held).then(|| (label(ran), label(held)))
 }
 
 /// One trace checked differentially across every organization.
@@ -776,18 +764,9 @@ pub fn check_multicore(label: &str, case: &MulticoreCase) -> Vec<String> {
     let mut mirrors = Vec::with_capacity(case.traces.len());
     for (idx, trace) in case.traces.iter().enumerate() {
         let r = &first.cores[idx];
-        let (t_loads, t_stores, t_prefetches, t_branches) = trace.summary();
-        if (
-            r.core.loads,
-            r.core.stores,
-            r.core.prefetches,
-            r.core.branches,
-        ) != (t_loads, t_stores, t_prefetches, t_branches)
-        {
+        if let Some((ran, held)) = event_count_divergence(&r.core, trace) {
             failures.push(format!(
-                "{label}: core {idx} executed {}L/{}S/{}P/{}B, its trace holds \
-                 {t_loads}L/{t_stores}S/{t_prefetches}P/{t_branches}B",
-                r.core.loads, r.core.stores, r.core.prefetches, r.core.branches
+                "{label}: core {idx} executed {ran}, its trace holds {held}"
             ));
         }
         let iso = Platform::with_config(platform.isolated_config(idx))

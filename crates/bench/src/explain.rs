@@ -9,8 +9,10 @@
 //! measured run executes on the calling thread with the telemetry gate
 //! armed, so the thread-local registry holds exactly that run's records.
 
+use crate::profile::{self, Phase};
 use crate::trace_cache;
-use sttcache::{DCacheOrganization, PlatformConfig, RunResult};
+use std::time::Instant;
+use sttcache::{DCacheOrganization, Platform, PlatformConfig, RunResult};
 use sttcache_mem::telemetry::{self, Histogram, TelemetrySnapshot};
 use sttcache_tech::{wear_uniformity, CellKind, CellModel, EnduranceModel};
 use sttcache_workloads::{ProblemSize, Transformations, Workload};
@@ -36,11 +38,13 @@ pub struct Explanation {
 /// Runs `cfg` with the telemetry gate armed and the SRAM baseline for
 /// reference, and returns both plus the drained registry.
 ///
-/// The measured run executes on the *calling* thread so the thread-local
-/// registry captures it; call this before any other simulation of the
-/// same configuration in this process, otherwise the run is answered
-/// from the result memo and the registry stays empty (the renderer says
-/// so rather than crashing).
+/// The measured run replays the cached trace on a freshly built
+/// [`Platform`] on the *calling* thread, so the thread-local registry
+/// captures it even when the result memo already holds the point.
+///
+/// # Panics
+///
+/// Panics if `cfg` is invalid (callers validate it first).
 pub fn explain(
     cfg: &PlatformConfig,
     workload: impl Into<Workload>,
@@ -48,10 +52,14 @@ pub fn explain(
     transforms: Transformations,
 ) -> Explanation {
     let workload = workload.into();
+    let platform = Platform::with_config(cfg.clone()).expect("explained configuration is valid");
+    let trace = trace_cache::cached_trace(workload, size, transforms);
     let was_enabled = telemetry::enabled();
     telemetry::set_enabled(true);
     let _ = telemetry::take(); // start from a clean registry
-    let result = trace_cache::run_config(cfg, workload, size, transforms);
+    let start = Instant::now();
+    let result = platform.run_trace(&trace);
+    profile::credit(Phase::Replay, start, trace.len() as u64);
     telemetry::set_enabled(was_enabled);
     let snapshot = telemetry::take();
 
@@ -196,12 +204,6 @@ impl Explanation {
         out.push('\n');
 
         out.push_str(&self.render_wear_map());
-        if self.snapshot.is_empty() {
-            out.push_str(
-                "\nnote: the telemetry registry was empty — the measured run was \
-                 probably served from the result memo; explain it first in this process.\n",
-            );
-        }
         out
     }
 
@@ -252,18 +254,16 @@ mod tests {
         let _gate = crate::TELEMETRY_GATE
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // A 3-entry VWB no other test sweeps, so the result memo is
-        // guaranteed cold and the registry captures the measured run.
-        let cfg = PlatformConfig::new(DCacheOrganization::NvmVwb(sttcache::VwbConfig {
-            capacity_bits: 1536,
-            ..sttcache::VwbConfig::default()
-        }));
+        let cfg = PlatformConfig::new(DCacheOrganization::nvm_vwb_default());
         let workload = crate::workload::resolve("2mm").expect("catalog kernel");
+        // A result memo that already holds the point does not answer the
+        // measured run: the registry still captures it.
+        let memoized =
+            trace_cache::run_config(&cfg, workload, ProblemSize::Mini, Transformations::none());
         let e = explain(&cfg, workload, ProblemSize::Mini, Transformations::none());
         // The gate is restored to its pre-explain state: disarmed, since
         // only the tests holding `TELEMETRY_GATE` arm it.
         assert!(!telemetry::enabled());
-        // The measured run was cold, so the registry captured it.
         assert!(!e.snapshot.is_empty());
         assert!(e.snapshot.indexed_for("dl1", "set_writes").is_some());
         assert!(e.snapshot.histogram("dl1", "mshr_occupancy").is_some());
@@ -283,12 +283,8 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing '{needle}' in:\n{text}");
         }
-        assert!(!text.contains("registry was empty"));
-        // Explaining does not perturb the simulation: a fresh disarmed
-        // run of the same grid point is bit-identical.
-        telemetry::set_enabled(false);
-        let again =
-            trace_cache::run_config(&cfg, workload, ProblemSize::Mini, Transformations::none());
-        assert_eq!(again, e.result);
+        // Explaining does not perturb the simulation: the armed run is
+        // bit-identical to the disarmed, memoized one.
+        assert_eq!(memoized, e.result);
     }
 }

@@ -122,11 +122,6 @@ impl LineBuffer {
         self.stats
     }
 
-    /// Resets the counters (contents are kept).
-    pub(crate) fn reset_stats(&mut self) {
-        self.stats = BufferStats::default();
-    }
-
     fn find(&self, line: LineAddr) -> Option<usize> {
         self.entries.iter().position(|e| e.line == line)
     }

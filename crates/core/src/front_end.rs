@@ -8,9 +8,8 @@
 //!
 //! **Owner drains.** A front-end drains and audits what it owns
 //! privately — its line buffers and the DL1. The level below is drained
-//! by its owner: the multi-core platform drains the shared L2 once, after
-//! every core, and single-core harnesses that audit the whole
-//! organization drain [`FrontEnd::l2_mut`] after the front-end.
+//! by its owner: [`crate::MultiPlatform::run_traces_audited`], the one
+//! audited run, drains the shared L2 once, after every core's front-end.
 
 use crate::buffer::LineBuffer;
 use crate::stage::{probe_then_fetch, StageSpec, StageStats};
@@ -102,11 +101,6 @@ impl<N: MemoryLevel> MemoryLevel for Below<'_, N> {
         self.dl1.stats()
     }
 
-    fn reset_stats(&mut self) {
-        self.rest.iter_mut().for_each(LineBuffer::reset_stats);
-        self.dl1.reset_stats();
-    }
-
     fn contains(&self, addr: Addr) -> bool {
         self.rest.iter().any(|b| b.contains(addr)) || self.dl1.contains(addr)
     }
@@ -156,14 +150,6 @@ impl<N: MemoryLevel> FrontEnd<N> {
                 stats: b.stats(),
             })
             .collect()
-    }
-
-    /// Resets all statistics in the front-end and the hierarchy below it
-    /// (`Cache::reset_stats` recurses, so through a shared L2 this clears
-    /// the L2 for every core); cache and buffer *contents* are kept
-    /// (warm-up support).
-    pub fn reset_stats(&mut self) {
-        self.below().reset_stats();
     }
 
     /// Drains only the buffers, outermost first, each one through the
@@ -243,27 +229,17 @@ impl<N: MemoryLevel> FrontEnd<N> {
     }
 }
 
-/// The single-core front-end owns its L2, so the L2 and memory are
-/// reachable from it. Through a shared L2 they belong to the platform.
+/// The single-core front-end owns its L2, so the L2 and memory statistics
+/// are reachable from it. Through a shared L2 they belong to the platform.
 impl FrontEnd {
-    /// The L2 behind the DL1.
-    pub fn l2(&self) -> &Cache<MainMemory> {
-        self.dl1.next_level()
-    }
-
-    /// Mutable access to the L2 — how its owner drains it.
-    pub fn l2_mut(&mut self) -> &mut Cache<MainMemory> {
-        self.dl1.next_level_mut()
-    }
-
     /// The L2 statistics.
     pub fn l2_stats(&self) -> &CacheStats {
-        self.l2().stats()
+        self.dl1.next_level().stats()
     }
 
     /// The main-memory statistics.
     pub fn memory_stats(&self) -> &CacheStats {
-        self.l2().next_level().stats()
+        self.dl1.next_level().next_level().stats()
     }
 }
 
@@ -426,9 +402,9 @@ mod tests {
         for stages in [VWB, &[]] {
             assert_owner_drains(
                 front_end(stages, tail()),
-                |fe| fe.l2().dirty_lines(),
+                |fe| fe.dl1.next_level().dirty_lines(),
                 |fe, now| {
-                    fe.l2_mut().flush_dirty(now);
+                    fe.dl1.next_level_mut().flush_dirty(now);
                 },
             );
             let l2: SharedL2 = Shared::new(tail());

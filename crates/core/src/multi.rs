@@ -67,18 +67,6 @@ pub fn core_addr(idx: usize, addr: Addr) -> Addr {
     Addr(addr.0 + idx as u64 * CORE_ADDRESS_STRIDE)
 }
 
-/// Per-core DL1 telemetry component names (must be `&'static str`).
-const CORE_DL1_COMPONENTS: [&str; MAX_CORES] = [
-    "core0.dl1",
-    "core1.dl1",
-    "core2.dl1",
-    "core3.dl1",
-    "core4.dl1",
-    "core5.dl1",
-    "core6.dl1",
-    "core7.dl1",
-];
-
 /// One core of a [`MultiPlatform`]: which private organization it runs
 /// and when it starts.
 #[derive(Debug, Clone, PartialEq)]
@@ -310,8 +298,7 @@ impl MultiPlatform {
         let l2 = Shared::new(self.isolated[0].build_l2());
         let mut cores: Vec<Core<FrontEnd<SharedL2>>> = (0..n)
             .map(|idx| {
-                let fe =
-                    self.isolated[idx].build_dl1_front_end(l2.clone(), CORE_DL1_COMPONENTS[idx]);
+                let fe = self.isolated[idx].build_dl1_front_end(l2.clone());
                 Core::starting_at(self.config.core, fe, self.config.cores[idx].phase_offset)
             })
             .collect();

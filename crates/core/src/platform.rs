@@ -218,27 +218,13 @@ impl Platform {
         l2
     }
 
-    /// Builds the cold DL1 over `next`, labelled `component` in telemetry,
+    /// Builds the cold DL1 over `next`, labelled `"dl1"` in telemetry,
     /// behind the organization's buffers.
-    pub(crate) fn build_dl1_front_end<N: MemoryLevel>(
-        &self,
-        next: N,
-        component: &'static str,
-    ) -> FrontEnd<N> {
+    pub(crate) fn build_dl1_front_end<N: MemoryLevel>(&self, next: N) -> FrontEnd<N> {
         let mut dl1 = Cache::new(self.dl1, next);
-        dl1.set_telemetry_component(component);
+        dl1.set_telemetry_component("dl1");
         FrontEnd::new(&self.config.organization.stages(), dl1)
             .expect("the stages were checked at construction")
-    }
-
-    /// Builds a cold front-end for this configuration: the organization's
-    /// buffers, if any, over DL1 → L2 → memory. This is the
-    /// hierarchy [`Platform::run`] builds, handed out for harnesses that
-    /// drive the core themselves and inspect or drain the hierarchy
-    /// afterwards (the differential checker in `sttcache-bench` does
-    /// exactly this).
-    pub fn front_end(&self) -> FrontEnd {
-        self.build_dl1_front_end(self.build_l2(), "dl1")
     }
 
     /// Runs a workload on a cold platform and collects every statistic.
@@ -266,7 +252,8 @@ impl Platform {
     /// builds the cold front-end, lets `drive` push events into the
     /// concrete core, then assembles the full [`RunResult`].
     fn run_core(&self, drive: impl FnOnce(&mut Core<FrontEnd>)) -> RunResult {
-        let mut core = Core::new(self.config.core, self.front_end());
+        let fe = self.build_dl1_front_end(self.build_l2());
+        let mut core = Core::new(self.config.core, fe);
         if let Some(ic) = self.config.icache {
             let il1_cfg = ic
                 .technology
@@ -294,44 +281,6 @@ impl Platform {
             l2,
             memory: *fe.memory_stats(),
             il1,
-            buffers,
-            energy,
-        }
-    }
-
-    /// Runs `workload` twice on the *same* hierarchy and reports the
-    /// second (warm) run: cold compulsory misses are excluded, isolating
-    /// the steady-state behaviour the paper's latency argument is about.
-    ///
-    /// Both invocations of `workload` must emit the same stream (kernels
-    /// are deterministic, so running the same kernel twice qualifies).
-    /// Explicit instruction-cache modelling ([`PlatformConfig::icache`])
-    /// is not applied to warm runs; [`RunResult::il1`] is `None`.
-    pub fn run_warm(&self, workload: impl Fn(&mut dyn Engine)) -> RunResult {
-        // Warm-up pass.
-        let mut core = Core::new(self.config.core, self.front_end());
-        workload(&mut core);
-        let _ = core.report();
-        let resume_at = core.now();
-        let mut fe = core.into_port();
-        fe.reset_stats();
-        // Measured pass on the warmed hierarchy; the clock continues so
-        // the hierarchy's internal timing stays consistent.
-        let mut core = Core::starting_at(self.config.core, fe, resume_at);
-        workload(&mut core);
-        let report = core.report();
-        let fe = core.into_port();
-        let dl1 = *fe.dl1_stats();
-        let l2 = *fe.l2_stats();
-        let buffers = fe.stage_stats();
-        let energy = self.energy_report(&report, &dl1, &l2, &buffers);
-        RunResult {
-            organization: self.config.organization,
-            core: report,
-            dl1,
-            l2,
-            memory: *fe.memory_stats(),
-            il1: None,
             buffers,
             energy,
         }
@@ -548,28 +497,6 @@ mod tests {
         assert!(r.energy.dl1_leakage_mw > n.energy.dl1_leakage_mw);
         // Table I: STT-MRAM cell area is ~3.5x smaller.
         assert!(r.energy.dl1_area_mm2 > 3.0 * n.energy.dl1_area_mm2);
-    }
-
-    #[test]
-    fn warm_runs_exclude_cold_misses() {
-        let p = Platform::new(DCacheOrganization::SramBaseline).unwrap();
-        let cold = p.run(workload);
-        let warm = p.run_warm(workload);
-        assert!(warm.cycles() < cold.cycles());
-        // The warm DL1 sees (almost) no misses for this footprint.
-        assert!(warm.dl1.miss_rate() < cold.dl1.miss_rate());
-        assert!(warm.memory.accesses() <= cold.memory.accesses());
-    }
-
-    #[test]
-    fn warm_runs_work_for_every_front_end() {
-        for entry in crate::catalog::catalog() {
-            let org = entry.organization;
-            let p = Platform::new(org).unwrap();
-            let warm = p.run_warm(workload);
-            assert!(warm.cycles() > 0, "{}", org.name());
-            assert!(warm.cycles() <= p.run(workload).cycles(), "{}", org.name());
-        }
     }
 
     #[test]

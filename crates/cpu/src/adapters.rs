@@ -1,10 +1,8 @@
 //! Engine adapters.
 //!
-//! Utility [`Engine`] implementations for composing workloads with the
-//! timing machinery: a [`CountingEngine`] that only tallies events (for
-//! instruction-mix characterization without simulating) and a
-//! [`TeeEngine`] that fans every event out to two engines — e.g. recording
-//! a trace *while* simulating, in one pass.
+//! A utility [`Engine`] implementation: a [`CountingEngine`] that only
+//! tallies events, for instruction-mix characterization without
+//! simulating.
 
 use crate::Engine;
 use sttcache_mem::Addr;
@@ -92,81 +90,9 @@ impl Engine for CountingEngine {
     }
 }
 
-/// Fans every event out to two engines in order.
-///
-/// # Example
-///
-/// ```
-/// use sttcache_cpu::{CountingEngine, Engine, TeeEngine, TraceRecorder};
-/// use sttcache_mem::Addr;
-///
-/// // Count the mix AND record a trace in one pass over the workload.
-/// let mut tee = TeeEngine::new(CountingEngine::new(), TraceRecorder::new());
-/// tee.load(Addr(0), 4);
-/// tee.store(Addr(64), 4);
-/// let (count, recorder) = tee.into_inner();
-/// assert_eq!(count.loads, 1);
-/// assert_eq!(recorder.into_trace().summary(), (1, 1, 0, 0));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct TeeEngine<A, B> {
-    first: A,
-    second: B,
-}
-
-impl<A: Engine, B: Engine> TeeEngine<A, B> {
-    /// Creates the tee.
-    pub fn new(first: A, second: B) -> Self {
-        TeeEngine { first, second }
-    }
-
-    /// The first engine.
-    pub fn first(&self) -> &A {
-        &self.first
-    }
-
-    /// The second engine.
-    pub fn second(&self) -> &B {
-        &self.second
-    }
-
-    /// Unwraps both engines.
-    pub fn into_inner(self) -> (A, B) {
-        (self.first, self.second)
-    }
-}
-
-impl<A: Engine, B: Engine> Engine for TeeEngine<A, B> {
-    fn load(&mut self, addr: Addr, bytes: usize) {
-        self.first.load(addr, bytes);
-        self.second.load(addr, bytes);
-    }
-
-    fn store(&mut self, addr: Addr, bytes: usize) {
-        self.first.store(addr, bytes);
-        self.second.store(addr, bytes);
-    }
-
-    fn prefetch(&mut self, addr: Addr) {
-        self.first.prefetch(addr);
-        self.second.prefetch(addr);
-    }
-
-    fn compute(&mut self, ops: u64) {
-        self.first.compute(ops);
-        self.second.compute(ops);
-    }
-
-    fn branch(&mut self, taken: bool) {
-        self.first.branch(taken);
-        self.second.branch(taken);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceRecorder;
 
     #[test]
     fn counting_engine_tallies_everything() {
@@ -192,27 +118,5 @@ mod tests {
     #[test]
     fn empty_counter_has_zero_memory_fraction() {
         assert_eq!(CountingEngine::new().memory_fraction(), 0.0);
-    }
-
-    #[test]
-    fn tee_delivers_to_both_in_full() {
-        let mut tee = TeeEngine::new(CountingEngine::new(), TraceRecorder::new());
-        tee.load(Addr(0), 4);
-        tee.compute(3);
-        tee.branch(true);
-        assert_eq!(tee.first().loads, 1);
-        let (count, rec) = tee.into_inner();
-        assert_eq!(count.instructions(), 5);
-        assert_eq!(rec.into_trace().len(), 3);
-    }
-
-    #[test]
-    fn tee_nests() {
-        let inner = TeeEngine::new(CountingEngine::new(), CountingEngine::new());
-        let mut outer = TeeEngine::new(CountingEngine::new(), inner);
-        outer.store(Addr(0), 8);
-        assert_eq!(outer.first().stores, 1);
-        assert_eq!(outer.second().first().stores, 1);
-        assert_eq!(outer.second().second().stores, 1);
     }
 }

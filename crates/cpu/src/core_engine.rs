@@ -66,10 +66,9 @@ impl<P: DataPort> Core<P> {
         Core::starting_at(config, port, 0)
     }
 
-    /// Creates a core whose clock starts at `start` — used to continue on
-    /// a hierarchy whose internal timing (banks, buffers) already reflects
-    /// earlier activity, e.g. after a warm-up pass. [`Core::report`]
-    /// counts cycles relative to `start`.
+    /// Creates a core whose clock starts at `start`, e.g. a core of a
+    /// multi-programmed mix that begins at a phase offset.
+    /// [`Core::report`] counts cycles relative to `start`.
     pub fn starting_at(config: CoreConfig, port: P, start: Cycle) -> Self {
         Core {
             store_buffer: StoreBuffer::new(config.store_buffer_entries),

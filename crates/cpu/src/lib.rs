@@ -50,7 +50,7 @@ mod report;
 mod store_buffer;
 mod trace;
 
-pub use adapters::{CountingEngine, TeeEngine};
+pub use adapters::CountingEngine;
 pub use core_engine::{Core, CoreConfig};
 pub use fetch::FetchUnit;
 pub use port::{DataPort, MemPort};

@@ -28,7 +28,6 @@ use sttcache_mem::Cycle;
 pub struct StoreBuffer {
     completions: VecDeque<Cycle>,
     capacity: usize,
-    stores: u64,
     full_stall_cycles: u64,
 }
 
@@ -43,7 +42,6 @@ impl StoreBuffer {
         StoreBuffer {
             completions: VecDeque::with_capacity(capacity),
             capacity,
-            stores: 0,
             full_stall_cycles: 0,
         }
     }
@@ -59,7 +57,6 @@ impl StoreBuffer {
     /// afterwards.
     pub fn admit(&mut self, now: Cycle) -> Cycle {
         self.drain(now);
-        self.stores += 1;
         if sttcache_mem::telemetry::enabled() {
             use std::sync::OnceLock;
             use sttcache_mem::telemetry::Slot;
@@ -121,20 +118,9 @@ impl StoreBuffer {
         self.completions.len()
     }
 
-    /// Stores admitted.
-    pub fn stores(&self) -> u64 {
-        self.stores
-    }
-
     /// Cycles the core stalled on a full buffer.
     pub fn full_stall_cycles(&self) -> u64 {
         self.full_stall_cycles
-    }
-
-    /// Clears counters (contents kept).
-    pub fn reset_stats(&mut self) {
-        self.stores = 0;
-        self.full_stall_cycles = 0;
     }
 
     fn drain(&mut self, now: Cycle) {
@@ -194,16 +180,5 @@ mod tests {
     #[should_panic(expected = "at least one entry")]
     fn zero_capacity_panics() {
         let _ = StoreBuffer::new(0);
-    }
-
-    #[test]
-    fn stats_reset() {
-        let mut sb = StoreBuffer::new(1);
-        sb.admit(0);
-        sb.record_completion(100);
-        sb.admit(1);
-        sb.reset_stats();
-        assert_eq!(sb.stores(), 0);
-        assert_eq!(sb.full_stall_cycles(), 0);
     }
 }

@@ -108,20 +108,9 @@ impl BankSchedule {
         self.free_at[bank]
     }
 
-    /// Whether `bank` is busy at cycle `now`.
-    pub fn is_busy(&self, bank: usize, now: Cycle) -> bool {
-        self.free_at[bank] > now
-    }
-
-    /// Total cycles requests have waited on busy banks since construction
-    /// or the last [`BankSchedule::reset_stats`].
+    /// Total cycles requests have waited on busy banks since construction.
     pub fn conflict_cycles(&self) -> u64 {
         self.conflict_cycles
-    }
-
-    /// Clears the conflict counter (bank state is kept).
-    pub fn reset_stats(&mut self) {
-        self.conflict_cycles = 0;
     }
 }
 
@@ -133,7 +122,7 @@ mod tests {
     fn fresh_banks_are_free() {
         let banks = BankSchedule::new(4);
         for b in 0..4 {
-            assert!(!banks.is_busy(b, 0));
+            assert_eq!(banks.free_at(b), 0);
         }
     }
 
@@ -159,10 +148,6 @@ mod tests {
         banks.reserve(0, 1, 1); // waits 3
         banks.reserve(0, 2, 1); // waits 3 (bank free at 5)
         assert_eq!(banks.conflict_cycles(), 6);
-        banks.reset_stats();
-        assert_eq!(banks.conflict_cycles(), 0);
-        // State survives the stat reset.
-        assert!(banks.is_busy(0, 5));
     }
 
     #[test]

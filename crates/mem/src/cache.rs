@@ -624,14 +624,6 @@ impl<N: MemoryLevel> MemoryLevel for Cache<N> {
         &self.stats
     }
 
-    fn reset_stats(&mut self) {
-        self.stats = CacheStats::new();
-        self.banks.reset_stats();
-        self.mshrs.reset_stats();
-        self.write_buffer.reset_stats();
-        self.next.reset_stats();
-    }
-
     fn contains(&self, addr: Addr) -> bool {
         Cache::contains(self, addr)
     }
@@ -839,15 +831,6 @@ mod tests {
         assert_eq!(c.stats().writebacks, wb_before + 1);
         assert!(!c.contains(Addr(0)));
         assert!(!c.invalidate(Addr(0), 201));
-    }
-
-    #[test]
-    fn stats_reset_cascades() {
-        let mut c = dl1();
-        c.read(Addr(0), 0);
-        c.reset_stats();
-        assert_eq!(c.stats().accesses(), 0);
-        assert_eq!(c.next_level().stats().accesses(), 0);
     }
 
     #[test]

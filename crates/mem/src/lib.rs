@@ -81,6 +81,8 @@ pub use write_buffer::WriteBuffer;
 /// available (reads) or accepted (writes). Implementations maintain their
 /// own internal resource timing (banks, buffers) and may therefore return
 /// completion times later than `now + latency` under contention.
+/// Statistics count from construction and are never reset: every run
+/// builds its own cold hierarchy.
 ///
 /// See the [crate-level example](crate) for composing levels into a
 /// hierarchy.
@@ -96,9 +98,6 @@ pub trait MemoryLevel {
 
     /// Statistics for this level.
     fn stats(&self) -> &CacheStats;
-
-    /// Resets statistics (not contents) of this level and everything below.
-    fn reset_stats(&mut self);
 
     /// Whether the line containing `addr` is present at this level.
     ///
@@ -135,10 +134,6 @@ impl<M: MemoryLevel + ?Sized> MemoryLevel for Box<M> {
 
     fn stats(&self) -> &CacheStats {
         (**self).stats()
-    }
-
-    fn reset_stats(&mut self) {
-        (**self).reset_stats();
     }
 
     fn contains(&self, addr: Addr) -> bool {

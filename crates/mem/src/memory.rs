@@ -105,10 +105,6 @@ impl MemoryLevel for MainMemory {
         &self.stats
     }
 
-    fn reset_stats(&mut self) {
-        self.stats = CacheStats::new();
-    }
-
     fn contains(&self, _addr: Addr) -> bool {
         // The backstop holds everything by definition.
         true
@@ -143,14 +139,6 @@ mod tests {
         mem.read(Addr(0), 0);
         mem.write(Addr(0), 0);
         assert_eq!(mem.stats().misses(), 0);
-    }
-
-    #[test]
-    fn reset_stats_clears_counters() {
-        let mut mem = MainMemory::new(10);
-        mem.read(Addr(0), 0);
-        mem.reset_stats();
-        assert_eq!(mem.stats().accesses(), 0);
     }
 
     #[test]

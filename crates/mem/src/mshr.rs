@@ -60,7 +60,6 @@ pub struct MshrFile {
     entries: Vec<MshrEntry>,
     capacity: usize,
     merges: u64,
-    full_events: u64,
     /// High-water mark over every `ready_at` ever recorded by
     /// [`MshrFile::complete`]. Entries are reclaimed lazily, so
     /// `entries.is_empty()` is useless as an idleness test; this watermark
@@ -82,7 +81,6 @@ impl MshrFile {
             entries: Vec::with_capacity(capacity),
             capacity,
             merges: 0,
-            full_events: 0,
             max_ready_at: 0,
             slot_occ_hist: crate::telemetry::Slot::histogram("cache", "mshr_occupancy"),
         }
@@ -127,7 +125,6 @@ impl MshrFile {
             };
         }
         if self.entries.len() >= self.capacity {
-            self.full_events += 1;
             let retry_at = self
                 .entries
                 .iter()
@@ -194,17 +191,6 @@ impl MshrFile {
     /// Total merged (secondary) accesses.
     pub fn merges(&self) -> u64 {
         self.merges
-    }
-
-    /// Number of times an access found the file full.
-    pub fn full_events(&self) -> u64 {
-        self.full_events
-    }
-
-    /// Clears counters (entries are kept).
-    pub fn reset_stats(&mut self) {
-        self.merges = 0;
-        self.full_events = 0;
     }
 
     /// Allocations whose fill time was never recorded (`ready_at == 0`).
@@ -309,7 +295,6 @@ mod tests {
             m.probe_or_allocate(LineAddr(2), 5),
             MshrOutcome::Full { retry_at: 10 }
         );
-        assert_eq!(m.full_events(), 1);
     }
 
     #[test]
@@ -392,7 +377,6 @@ mod tests {
             );
         }
         assert_eq!(m.merges(), 5);
-        assert_eq!(m.full_events(), 0);
     }
 
     #[test]
@@ -434,16 +418,5 @@ mod tests {
         assert_eq!(list[0].cycle, 123);
         assert_eq!(list[0].addr, Some(0x40));
         assert!(list[0].detail.contains("leaked"), "{}", list[0].detail);
-    }
-
-    #[test]
-    fn reset_stats_clears_counters() {
-        let mut m = MshrFile::new(2);
-        m.probe_or_allocate(LineAddr(1), 0);
-        m.complete(LineAddr(1), 10);
-        m.probe_or_allocate(LineAddr(1), 1);
-        m.reset_stats();
-        assert_eq!(m.merges(), 0);
-        assert_eq!(m.full_events(), 0);
     }
 }

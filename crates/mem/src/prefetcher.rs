@@ -113,11 +113,6 @@ impl<N: MemoryLevel> MemoryLevel for NextLinePrefetcher<N> {
         self.inner.stats()
     }
 
-    fn reset_stats(&mut self) {
-        self.stats = PrefetcherStats::default();
-        self.inner.reset_stats();
-    }
-
     fn contains(&self, addr: Addr) -> bool {
         self.inner.contains(addr)
     }
@@ -188,17 +183,5 @@ mod tests {
             now = p.write(Addr(i * 64), now).complete_at + 10;
         }
         assert_eq!(p.prefetcher_stats().streams, 0);
-    }
-
-    #[test]
-    fn stats_reset_clears_everything() {
-        let mut p = pf();
-        let mut now = 0;
-        for i in 0..3u64 {
-            now = p.read(Addr(i * 64), now).complete_at + 10;
-        }
-        p.reset_stats();
-        assert_eq!(*p.prefetcher_stats(), PrefetcherStats::default());
-        assert_eq!(p.stats().accesses(), 0);
     }
 }

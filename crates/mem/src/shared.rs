@@ -111,11 +111,6 @@ impl<M: MemoryLevel> Shared<M> {
     pub fn stats_snapshot(&self) -> CacheStats {
         *self.inner.borrow().stats()
     }
-
-    /// Number of handles to the underlying level.
-    pub fn handle_count(&self) -> usize {
-        Rc::strong_count(&self.inner)
-    }
 }
 
 impl<M: MemoryLevel> MemoryLevel for Shared<M> {
@@ -137,11 +132,6 @@ impl<M: MemoryLevel> MemoryLevel for Shared<M> {
 
     fn stats(&self) -> &CacheStats {
         &self.stats_mirror
-    }
-
-    fn reset_stats(&mut self) {
-        self.inner.borrow_mut().reset_stats();
-        self.stats_mirror = CacheStats::new();
     }
 
     fn contains(&self, addr: Addr) -> bool {
@@ -210,28 +200,6 @@ mod tests {
         assert_eq!(a.stats().reads, 1);
         // ...while the live snapshot sees both.
         assert_eq!(l2.stats_snapshot().reads, 2);
-    }
-
-    #[test]
-    fn reset_clears_for_everyone() {
-        let l2 = shared_l2();
-        let mut a = l2.clone();
-        a.read(Addr(0), 0);
-        let mut handle = l2.clone();
-        handle.reset_stats();
-        assert_eq!(l2.stats_snapshot().accesses(), 0);
-    }
-
-    #[test]
-    fn handle_count_tracks_clones() {
-        let l2 = shared_l2();
-        assert_eq!(l2.handle_count(), 1);
-        let a = l2.clone();
-        let b = l2.clone();
-        assert_eq!(l2.handle_count(), 3);
-        drop(a);
-        drop(b);
-        assert_eq!(l2.handle_count(), 1);
     }
 
     #[test]

@@ -28,7 +28,6 @@ pub struct WriteBuffer {
     /// Pending entries and their drain-completion cycles.
     entries: VecDeque<(LineAddr, Cycle)>,
     capacity: usize,
-    pushes: u64,
     full_stall_cycles: u64,
     /// Pre-resolved depth telemetry histogram.
     slot_depth_hist: crate::telemetry::Slot,
@@ -45,7 +44,6 @@ impl WriteBuffer {
         WriteBuffer {
             entries: VecDeque::with_capacity(capacity),
             capacity,
-            pushes: 0,
             full_stall_cycles: 0,
             slot_depth_hist: crate::telemetry::Slot::histogram("cache", "write_buffer_depth"),
         }
@@ -71,7 +69,6 @@ impl WriteBuffer {
         if crate::invariants::enabled() {
             self.check_reclaimed(now);
         }
-        self.pushes += 1;
         let proceed_at = if self.entries.len() >= self.capacity {
             let oldest = self.entries.front().expect("full buffer is non-empty").1;
             self.full_stall_cycles += oldest.saturating_sub(now);
@@ -146,20 +143,9 @@ impl WriteBuffer {
         self.entries.len()
     }
 
-    /// Total lines pushed.
-    pub fn pushes(&self) -> u64 {
-        self.pushes
-    }
-
     /// Total cycles requesters stalled on a full buffer.
     pub fn full_stall_cycles(&self) -> u64 {
         self.full_stall_cycles
-    }
-
-    /// Clears counters (contents are kept).
-    pub fn reset_stats(&mut self) {
-        self.pushes = 0;
-        self.full_stall_cycles = 0;
     }
 
     fn drain(&mut self, now: Cycle) {
@@ -219,15 +205,5 @@ mod tests {
     #[should_panic(expected = "at least one entry")]
     fn zero_capacity_panics() {
         let _ = WriteBuffer::new(0);
-    }
-
-    #[test]
-    fn stats_reset() {
-        let mut wb = WriteBuffer::new(1);
-        wb.push(LineAddr(1), 0, 10);
-        wb.push(LineAddr(2), 0, 10);
-        wb.reset_stats();
-        assert_eq!(wb.pushes(), 0);
-        assert_eq!(wb.full_stall_cycles(), 0);
     }
 }

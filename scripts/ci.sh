@@ -14,19 +14,22 @@ cargo test -q --offline
 STTCACHE_INVARIANTS=1 cargo test -q --offline
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+smoke="$(mktemp)"
+trap 'rm -f "$smoke"' EXIT
+
 # Differential fuzzer: adversarial traces on every catalog organization,
 # cross-checked against the shadow-memory oracle and the SRAM baseline.
-./target/release/sttcache-check --quick
+./target/release/sttcache-check --quick > "$smoke"
 # Same battery as randomized 2-4 core mixes over the shared L2:
 # co-scheduled runs cross-checked against per-core isolated runs, the
 # per-core shadow oracles and the residency/conservation audit.
-./target/release/sttcache-check --quick --kind multicore
+./target/release/sttcache-check --quick --kind multicore >> "$smoke"
 # The irregular pointer-chasing family through the oracle differential —
 # data-dependent streams, no affine safety net.
-./target/release/sttcache-check --quick --kind irregular --events 2000
-
-smoke="$(mktemp)"
-trap 'rm -f "$smoke"' EXIT
+./target/release/sttcache-check --quick --kind irregular --events 2000 >> "$smoke"
+# The transcripts name every case the three batteries ran, so a battery
+# that loses or reorders a case fails here.
+diff -u tests/golden/check_quick.txt "$smoke"
 
 # The ablation cycle tables must not move. At Mini their associativity,
 # write-buffer and replacement sweeps are flat; replacement victims are
@@ -36,6 +39,12 @@ diff -u tests/golden/ablations.txt "$smoke"
 
 ./target/release/figures all > "$smoke"
 diff -u figures_output.txt "$smoke"
+
+# The CSV route of every per-benchmark figure must not move either.
+for fig in fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9; do
+    ./target/release/figures --csv "$fig"
+done > "$smoke"
+diff -u tests/golden/figures_csv.txt "$smoke"
 
 ./target/release/figures all --serial > "$smoke"
 diff -u figures_output.txt "$smoke"
@@ -130,4 +139,4 @@ benchout="$(mktemp -d)"
 trap 'rm -rf "$smoke" "$ttrace" "$mc" "$exttrace" "$prof" "$benchout"' EXIT
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --quick --out "$benchout"
 
-echo "ci: fmt, build, tests (plain + invariants armed), clippy, differential + multicore + irregular fuzzers, ablation tables, figures smoke (serial, four workers, replay cross-checked against direct execution, invariants armed, telemetry export, profile), multi-core + irregular determinism, catalog + irregular + multicore goldens, external-trace replay (pinned to the kernel's own replay), trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"
+echo "ci: fmt, build, tests (plain + invariants armed), clippy, differential + multicore + irregular fuzzers (transcripts pinned to their golden), ablation tables, figures CSV golden, figures smoke (serial, four workers, replay cross-checked against direct execution, invariants armed, telemetry export, profile), multi-core + irregular determinism, catalog + irregular + multicore goldens, external-trace replay (pinned to the kernel's own replay), trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"

@@ -177,6 +177,24 @@ fn sim_explain_reports_match_the_golden() {
 }
 
 #[test]
+fn figures_rejects_flags_the_csv_route_would_ignore() {
+    // `--profile` and `--telemetry-json` time the text artifacts; the
+    // CSV route would run without them.
+    let path = std::env::temp_dir().join(format!("sttcache-csv-{}.json", std::process::id()));
+    let path = path.to_str().expect("utf-8 temp path");
+    for (args, flag) in [
+        (&["--csv", "fig1", "--profile"][..], "--profile"),
+        (
+            &["--csv", "fig1", "--telemetry-json", path],
+            "--telemetry-json",
+        ),
+    ] {
+        assert_rejected(&figures(args), flag);
+    }
+    assert!(!std::path::Path::new(path).exists(), "{path} was written");
+}
+
+#[test]
 fn figures_rejects_a_second_artifact() {
     assert_rejected(&figures(&["fig1", "fig3"]), "fig3");
 }

@@ -253,22 +253,6 @@ fn checksums_agree_across_organizations() {
 }
 
 #[test]
-fn warm_runs_strip_compulsory_misses_across_organizations() {
-    for org in [
-        DCacheOrganization::SramBaseline,
-        DCacheOrganization::nvm_vwb_default(),
-    ] {
-        let platform = Platform::new(org).expect("canonical configuration");
-        let kernel = PolyBench::Gesummv.kernel(ProblemSize::Mini);
-        let cold = platform.run(|e: &mut dyn Engine| kernel.run(e, Transformations::none()));
-        let kernel = PolyBench::Gesummv.kernel(ProblemSize::Mini);
-        let warm = platform.run_warm(|e: &mut dyn Engine| kernel.run(e, Transformations::none()));
-        assert!(warm.cycles() <= cold.cycles(), "{}", org.name());
-        assert!(warm.memory.reads <= cold.memory.reads, "{}", org.name());
-    }
-}
-
-#[test]
 fn stats_text_round_trips_key_metrics() {
     let platform =
         Platform::new(DCacheOrganization::nvm_vwb_default()).expect("canonical configuration");

@@ -4,8 +4,8 @@
 //!
 //! The composition argument: `MultiPlatform`'s hierarchy is
 //! `Cache<Shared<Cache<MainMemory>>>`, and `Shared` forwards every
-//! `MemoryLevel` call the DL1 makes (`read`, `write`, `reset_stats`)
-//! verbatim — for a single accessor the shared tail is transparent. The
+//! `MemoryLevel` call the DL1 makes (`read`, `write`) verbatim — for a
+//! single accessor the shared tail is transparent. The
 //! scheduler's lowest-`(now, index)` rule degenerates to in-order replay
 //! with one core. These tests pin both claims empirically across the
 //! full catalog × kernel × transform grid.
