@@ -226,7 +226,14 @@ fn parse_args() -> Options {
             }
             "--cores" => cores = positive(flag, &next(&mut i)),
             "--mix" => mix = Some(next(&mut i)),
-            "--l2-banks" => l2_banks = Some(positive(flag, &next(&mut i))),
+            "--l2-banks" => {
+                let value = next(&mut i);
+                let banks = positive(flag, &value);
+                if !banks.is_power_of_two() {
+                    refuse(flag, Some(&value), "a power of two");
+                }
+                l2_banks = Some(banks);
+            }
             "--profile" => profile = true,
             "--serial" => parallel::set_jobs(1),
             "--jobs" => parallel::set_jobs(positive(flag, &next(&mut i))),
@@ -252,9 +259,6 @@ fn parse_args() -> Options {
     }
     if l2_banks.is_some() && !multi {
         reject("--l2-banks needs --cores N or --mix");
-    }
-    if l2_banks.is_some_and(|n: usize| !n.is_power_of_two()) {
-        reject("--l2-banks must be a power of two");
     }
     if multi && mix.is_none() && bench.is_some() {
         reject("--bench/--trace-file: the default multi-core mix ignores it (use --mix)");

@@ -381,40 +381,32 @@ mod tests {
 
     /// Writes a line through `fe`, drains it, and checks the owner-drains
     /// rule: the stage and the DL1 end clean, while the written-back line
-    /// stays dirty in the L2 until `drain_l2` — its owner — runs.
+    /// stays dirty in the L2. Returns the cycle the drain finished at.
     fn assert_owner_drains<N: MemoryLevel>(
         mut fe: FrontEnd<N>,
         l2_dirty: impl Fn(&FrontEnd<N>) -> usize,
-        drain_l2: impl FnOnce(&mut FrontEnd<N>, Cycle),
-    ) {
+    ) -> Cycle {
         let t = fe.write(Addr(0), 0);
         assert!(fe.dirty_line_count() > 0);
         let (flushed, done) = fe.flush_dirty(t + 100);
         assert!(flushed > 0);
         assert_eq!(fe.dirty_line_count(), 0);
         assert_eq!(l2_dirty(&fe), 1, "the write-back must stay dirty in the L2");
-        drain_l2(&mut fe, done);
-        assert_eq!(l2_dirty(&fe), 0);
+        done
     }
 
     #[test]
     fn front_end_drains_only_what_it_owns() {
         for stages in [VWB, &[]] {
-            assert_owner_drains(
-                front_end(stages, tail()),
-                |fe| fe.dl1.next_level().dirty_lines(),
-                |fe, now| {
-                    fe.dl1.next_level_mut().flush_dirty(now);
-                },
-            );
+            assert_owner_drains(front_end(stages, tail()), |fe| {
+                fe.dl1.next_level().dirty_lines()
+            });
+            // The shared L2's owner drains it through its own handle.
             let l2: SharedL2 = Shared::new(tail());
-            assert_owner_drains(
-                front_end(stages, l2.clone()),
-                |_| l2.borrow().dirty_lines(),
-                |_, now| {
-                    l2.borrow_mut().flush_dirty(now);
-                },
-            );
+            let done =
+                assert_owner_drains(front_end(stages, l2.clone()), |_| l2.borrow().dirty_lines());
+            l2.borrow_mut().flush_dirty(done);
+            assert_eq!(l2.borrow().dirty_lines(), 0);
         }
     }
 }

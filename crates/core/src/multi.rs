@@ -16,19 +16,25 @@
 //!
 //! # Determinism
 //!
-//! Cores are interleaved by one global rule: **always step the
-//! unfinished core with the lowest `(now, index)`**. One event (load,
-//! store, prefetch, compute batch or branch) is applied per step, so
-//! cores reach the shared L2 in a single, totally ordered cycle
-//! sequence and bank reservations resolve identically on every run.
-//! The whole multi-core run executes on one thread ([`SharedL2`] is
-//! deliberately `!Send`), so a run is one sweep work item and output is
-//! byte-identical at any `--jobs` count by construction.
+//! Cores are interleaved by one global rule: **every event (load,
+//! store, prefetch, compute batch or branch) goes to the unfinished
+//! core with the lowest `(now, index)`**, so cores reach the shared L2
+//! in a single, totally ordered cycle sequence and bank reservations
+//! resolve identically on every run. An event moves only its own
+//! core's clock, so the scheduler scans the cores once per batch, not
+//! once per event: it replays the picked core until that core's
+//! `(now, index)` passes the lowest of the other unfinished cores', and
+//! the order is exactly that of one event per scan (pinned by this
+//! module's tests). The whole multi-core run executes on one thread
+//! ([`SharedL2`] is deliberately `!Send`), so a run is one sweep work
+//! item and output is byte-identical at any `--jobs` count by
+//! construction.
 //!
 //! With a single core the rule degenerates to "replay the trace in
-//! order", which is exactly what [`crate::Platform::run_trace`] does —
-//! a 1-core `MultiPlatform` therefore reproduces the single-core
-//! platform bit-for-bit (proven in `tests/multicore_equivalence.rs`).
+//! order" — one batch — which is exactly what
+//! [`crate::Platform::run_trace`] does: a 1-core `MultiPlatform`
+//! therefore reproduces the single-core platform bit-for-bit (proven in
+//! `tests/multicore_equivalence.rs`).
 
 use crate::front_end::FrontEnd;
 use crate::platform::{DCacheOrganization, Platform, PlatformConfig, RunResult};
@@ -305,16 +311,31 @@ impl MultiPlatform {
 
         let mut streams: Vec<_> = traces.iter().map(|t| t.iter()).collect();
         // Step the unfinished core with the lowest (now, index), so the
-        // interleave is a total order.
+        // interleave is a total order. Only the stepped core's clock
+        // moves, so it keeps the turn until its (now, index) passes the
+        // lowest among the other unfinished cores: replay it up to there
+        // in one batch.
         while let Some(idx) = (0..n)
             .filter(|&i| streams[i].len() > 0)
             .min_by_key(|&i| (cores[i].now(), i))
         {
-            let mut ev = streams[idx].next().expect("the picked core is unfinished");
-            if let Some(addr) = ev.addr_mut() {
-                *addr = core_addr(idx, *addr);
+            let horizon = (0..n)
+                .filter(|&i| i != idx && streams[i].len() > 0)
+                .map(|i| (cores[i].now(), i))
+                .min();
+            // The last cycle at which the core still holds the turn: a
+            // tie at the horizon's cycle goes to the lower index.
+            let last = horizon.map_or(Cycle::MAX, |(now, i)| now - Cycle::from(idx > i));
+            let core = &mut cores[idx];
+            for mut ev in streams[idx].by_ref() {
+                if let Some(addr) = ev.addr_mut() {
+                    *addr = core_addr(idx, *addr);
+                }
+                ev.replay_into(core);
+                if core.now() > last {
+                    break;
+                }
             }
-            ev.replay_into(&mut cores[idx]);
         }
 
         let reports: Vec<CoreReport> = cores.iter_mut().map(Core::report).collect();
@@ -518,6 +539,104 @@ mod tests {
         assert_eq!(audit.core_resident.len(), 2);
         // The drain's write-backs are included in the shared stats.
         assert!(r.shared_l2.writes > 0);
+    }
+
+    /// The interleave as its rule reads, one event per scheduler scan:
+    /// the reference the batched `MultiPlatform::execute` must reproduce
+    /// exactly.
+    fn run_one_event_per_scan(p: &MultiPlatform, traces: &[&Trace]) -> MultiRunResult {
+        let l2 = Shared::new(p.isolated[0].build_l2());
+        let mut cores: Vec<_> = p
+            .isolated
+            .iter()
+            .zip(&p.config.cores)
+            .map(|(iso, spec)| {
+                let fe = iso.build_dl1_front_end(l2.clone());
+                Core::starting_at(p.config.core, fe, spec.phase_offset)
+            })
+            .collect();
+        let mut streams: Vec<_> = traces.iter().map(|t| t.iter()).collect();
+        while let Some(idx) = (0..cores.len())
+            .filter(|&i| streams[i].len() > 0)
+            .min_by_key(|&i| (cores[i].now(), i))
+        {
+            let mut ev = streams[idx].next().expect("the picked core is unfinished");
+            if let Some(addr) = ev.addr_mut() {
+                *addr = core_addr(idx, *addr);
+            }
+            ev.replay_into(&mut cores[idx]);
+        }
+        let reports = cores.iter_mut().map(Core::report).collect();
+        let ports: Vec<_> = cores.into_iter().map(Core::into_port).collect();
+        p.assemble(reports, &ports, &l2)
+    }
+
+    /// A seeded random trace over the first `lines` lines: loads,
+    /// stores, prefetches, compute groups of 0 to 3 ops and branches.
+    fn random_trace(seed: u64, events: usize, lines: u64) -> Trace {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut rec = TraceRecorder::new();
+        for _ in 0..events {
+            // xorshift64
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let addr = Addr((x >> 16) % (lines * 64));
+            match x % 8 {
+                0..=2 => rec.load(addr, 4),
+                3 | 4 => rec.store(addr, 4),
+                5 => rec.prefetch(addr),
+                6 => rec.compute(x >> 62),
+                _ => rec.branch(x & 8 != 0),
+            }
+        }
+        rec.into_trace()
+    }
+
+    #[test]
+    fn batched_interleave_matches_one_event_per_scan() {
+        // Identical cores replaying one trace from one cycle tie over and
+        // over: prefetches and stores move a clock by one cycle whatever
+        // the shared L2 does, and an empty compute group not at all. A
+        // batch boundary that ignores the index reorders those ties.
+        let shared = random_trace(7, 1500, 2048);
+        let check = |mix: String, specs: Vec<CoreSpec>, traces: &[&Trace]| {
+            let p = MultiPlatform::new(MultiPlatformConfig::new(specs)).unwrap();
+            let reference = run_one_event_per_scan(&p, traces);
+            assert_eq!(p.run_traces(traces), reference, "{mix}");
+        };
+        let catalog = crate::catalog::catalog();
+        for (k, entry) in catalog.iter().enumerate() {
+            let org = entry.organization;
+            for n in 2..=4 {
+                let same = vec![&shared; n];
+                check(
+                    format!("{n} tied {} cores", entry.cli),
+                    vec![CoreSpec::new(org); n],
+                    &same,
+                );
+                let staggered = (0..n)
+                    .map(|i| CoreSpec::staggered(org, 37 * i as Cycle))
+                    .collect();
+                check(
+                    format!("{n} staggered {} cores", entry.cli),
+                    staggered,
+                    &same,
+                );
+                // Core i runs the i-th catalog organization after this one.
+                let mixed = (0..n)
+                    .map(|i| CoreSpec::new(catalog[(k + i) % catalog.len()].organization))
+                    .collect();
+                let random: Vec<Trace> = (0..n)
+                    .map(|i| random_trace((16 * k + 4 * n + i) as u64, 1500, 2048))
+                    .collect();
+                check(
+                    format!("{n} random cores from {}", entry.cli),
+                    mixed,
+                    &random.iter().collect::<Vec<_>>(),
+                );
+            }
+        }
     }
 
     #[test]

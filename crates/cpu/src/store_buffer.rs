@@ -46,11 +46,6 @@ impl StoreBuffer {
         }
     }
 
-    /// Capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Admits a store at cycle `now`; returns the cycle at which the core
     /// may issue it to the port (`now` unless the buffer is full). Call
     /// [`StoreBuffer::record_completion`] with the port completion time
@@ -112,12 +107,6 @@ impl StoreBuffer {
         end
     }
 
-    /// Occupancy at cycle `now`.
-    pub fn occupancy(&mut self, now: Cycle) -> usize {
-        self.drain(now);
-        self.completions.len()
-    }
-
     /// Cycles the core stalled on a full buffer.
     pub fn full_stall_cycles(&self) -> u64 {
         self.full_stall_cycles
@@ -167,7 +156,6 @@ mod tests {
         sb.admit(1);
         sb.record_completion(17);
         assert_eq!(sb.drain_all(5), 42);
-        assert_eq!(sb.occupancy(5), 0);
     }
 
     #[test]

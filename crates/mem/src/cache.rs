@@ -140,11 +140,6 @@ impl<N: MemoryLevel> Cache<N> {
         &self.next
     }
 
-    /// Mutable access to the next level.
-    pub fn next_level_mut(&mut self) -> &mut N {
-        &mut self.next
-    }
-
     /// Whether the line containing `addr` is present (tag probe only; no
     /// state change, no timing).
     pub fn contains(&self, addr: Addr) -> bool {
@@ -169,16 +164,6 @@ impl<N: MemoryLevel> Cache<N> {
     pub fn bank_free_at(&self, addr: Addr) -> Cycle {
         self.banks
             .free_at(self.line_of(addr).bank(self.config.banks()))
-    }
-
-    /// The MSHR file (for drain verification and occupancy checks).
-    pub fn mshrs(&self) -> &MshrFile {
-        &self.mshrs
-    }
-
-    /// The eviction write buffer (for drain verification).
-    pub fn write_buffer(&self) -> &WriteBuffer {
-        &self.write_buffer
     }
 
     /// Base addresses of every resident line, for post-run verification

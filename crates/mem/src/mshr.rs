@@ -92,17 +92,6 @@ impl MshrFile {
         self.slot_occ_hist = crate::telemetry::Slot::histogram(component, "mshr_occupancy");
     }
 
-    /// Capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of live entries at cycle `now` (entries whose fill has not
-    /// yet retired).
-    pub fn occupancy(&self, now: Cycle) -> usize {
-        self.entries.iter().filter(|e| e.ready_at > now).count()
-    }
-
     /// Consults the file for a miss on `line` at cycle `now`.
     ///
     /// Retired entries (fills that completed at or before `now`) are
@@ -171,14 +160,6 @@ impl MshrFile {
         self.max_ready_at > now
     }
 
-    /// Whether `line` is currently tracked (in flight or awaiting
-    /// completion).
-    pub fn contains(&self, line: LineAddr, now: Cycle) -> bool {
-        self.entries
-            .iter()
-            .any(|e| e.line == line && (e.ready_at == 0 || e.ready_at > now))
-    }
-
     /// The fill-completion time of `line` if it is in flight at `now`
     /// (used to delay tag-array hits on lines whose data has not arrived).
     pub fn ready_time(&self, line: LineAddr, now: Cycle) -> Option<Cycle> {
@@ -199,8 +180,8 @@ impl MshrFile {
     /// [`complete`](Self::complete) this is legitimately non-zero, but at
     /// any quiescent point — after a cache access returns, or at end of
     /// run — a non-zero value is a leaked entry: it survives lazy
-    /// reclamation forever while being invisible to
-    /// [`occupancy`](Self::occupancy).
+    /// reclamation forever while [`ready_time`](Self::ready_time) never
+    /// reports it.
     pub fn unfinished_allocations(&self) -> usize {
         self.entries.iter().filter(|e| e.ready_at == 0).count()
     }
@@ -298,28 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn contains_tracks_lifetime() {
-        let mut m = MshrFile::new(2);
-        m.probe_or_allocate(LineAddr(3), 0);
-        assert!(m.contains(LineAddr(3), 0)); // allocated, not completed
-        m.complete(LineAddr(3), 8);
-        assert!(m.contains(LineAddr(3), 7));
-        assert!(!m.contains(LineAddr(3), 8));
-    }
-
-    #[test]
-    fn occupancy_counts_live_entries() {
-        let mut m = MshrFile::new(4);
-        m.probe_or_allocate(LineAddr(1), 0);
-        m.complete(LineAddr(1), 10);
-        m.probe_or_allocate(LineAddr(2), 0);
-        m.complete(LineAddr(2), 20);
-        assert_eq!(m.occupancy(5), 2);
-        assert_eq!(m.occupancy(15), 1);
-        assert_eq!(m.occupancy(25), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "matching allocation")]
     fn complete_without_allocation_panics() {
         let mut m = MshrFile::new(1);
@@ -346,7 +305,6 @@ mod tests {
             );
             m.complete(LineAddr(i), 100 + i);
         }
-        assert_eq!(m.occupancy(0), 4);
         assert_eq!(
             m.probe_or_allocate(LineAddr(99), 0),
             MshrOutcome::Full { retry_at: 100 }
@@ -395,11 +353,9 @@ mod tests {
     fn leak_is_visible_to_unfinished_allocations_not_occupancy() {
         let mut m = MshrFile::new(2);
         m.probe_or_allocate(LineAddr(1), 0);
-        // Never completed: invisible to occupancy at any cycle, immortal
-        // under lazy reclamation, but counted as unfinished.
-        assert_eq!(m.occupancy(1_000_000), 0);
+        // Never completed: immortal under lazy reclamation, and counted
+        // as unfinished.
         m.probe_or_allocate(LineAddr(2), 1_000_000);
-        assert!(m.contains(LineAddr(1), 1_000_000));
         assert_eq!(m.unfinished_allocations(), 2);
         m.complete(LineAddr(1), 1_000_010);
         m.complete(LineAddr(2), 1_000_010);

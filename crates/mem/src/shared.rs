@@ -115,14 +115,16 @@ impl<M: MemoryLevel> Shared<M> {
 
 impl<M: MemoryLevel> MemoryLevel for Shared<M> {
     fn read(&mut self, addr: Addr, now: Cycle) -> AccessOutcome {
-        let out = self.inner.borrow_mut().read(addr, now);
-        self.stats_mirror = *self.inner.borrow().stats();
+        let mut level = self.inner.borrow_mut();
+        let out = level.read(addr, now);
+        self.stats_mirror = *level.stats();
         out
     }
 
     fn write(&mut self, addr: Addr, now: Cycle) -> AccessOutcome {
-        let out = self.inner.borrow_mut().write(addr, now);
-        self.stats_mirror = *self.inner.borrow().stats();
+        let mut level = self.inner.borrow_mut();
+        let out = level.write(addr, now);
+        self.stats_mirror = *level.stats();
         out
     }
 

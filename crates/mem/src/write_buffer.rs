@@ -28,7 +28,6 @@ pub struct WriteBuffer {
     /// Pending entries and their drain-completion cycles.
     entries: VecDeque<(LineAddr, Cycle)>,
     capacity: usize,
-    full_stall_cycles: u64,
     /// Pre-resolved depth telemetry histogram.
     slot_depth_hist: crate::telemetry::Slot,
 }
@@ -44,7 +43,6 @@ impl WriteBuffer {
         WriteBuffer {
             entries: VecDeque::with_capacity(capacity),
             capacity,
-            full_stall_cycles: 0,
             slot_depth_hist: crate::telemetry::Slot::histogram("cache", "write_buffer_depth"),
         }
     }
@@ -53,11 +51,6 @@ impl WriteBuffer {
     /// cache's label, e.g. `"dl1"`).
     pub fn set_telemetry_component(&mut self, component: &'static str) {
         self.slot_depth_hist = crate::telemetry::Slot::histogram(component, "write_buffer_depth");
-    }
-
-    /// Capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Enqueues a dirty line at cycle `now`; the entry drains
@@ -71,7 +64,6 @@ impl WriteBuffer {
         }
         let proceed_at = if self.entries.len() >= self.capacity {
             let oldest = self.entries.front().expect("full buffer is non-empty").1;
-            self.full_stall_cycles += oldest.saturating_sub(now);
             self.drain(oldest);
             oldest
         } else {
@@ -82,9 +74,8 @@ impl WriteBuffer {
             self.check_invariants(now);
         }
         if crate::telemetry::enabled() {
-            // Depth after the push; `entries.len()` directly — calling
-            // `occupancy(now)` here would drain early and change
-            // `contains()` behaviour under telemetry.
+            // Depth after the push, read without draining, so telemetry
+            // cannot change which entries are resident.
             self.slot_depth_hist.observe(self.entries.len() as u64);
         }
         proceed_at
@@ -97,8 +88,8 @@ impl WriteBuffer {
     /// monotone, because each models a next-level write charged at push
     /// time (a later victim can finish its L2 write earlier when it
     /// lands on an idle bank) — and under lazy reclamation a drained
-    /// entry legitimately lingers until the next push or occupancy
-    /// probe, so neither is checkable here.
+    /// entry legitimately lingers until the next push, so neither is
+    /// checkable here.
     pub fn check_invariants(&self, now: Cycle) {
         if self.entries.len() > self.capacity {
             crate::invariants::report(
@@ -131,23 +122,6 @@ impl WriteBuffer {
         }
     }
 
-    /// Whether the buffer currently holds `line` (a read may be serviced
-    /// from the buffer before the line reaches the next level).
-    pub fn contains(&self, line: LineAddr) -> bool {
-        self.entries.iter().any(|(l, _)| *l == line)
-    }
-
-    /// Current occupancy at cycle `now`.
-    pub fn occupancy(&mut self, now: Cycle) -> usize {
-        self.drain(now);
-        self.entries.len()
-    }
-
-    /// Total cycles requesters stalled on a full buffer.
-    pub fn full_stall_cycles(&self) -> u64 {
-        self.full_stall_cycles
-    }
-
     fn drain(&mut self, now: Cycle) {
         while let Some(&(_, done)) = self.entries.front() {
             if done <= now {
@@ -170,7 +144,6 @@ mod tests {
             assert_eq!(wb.push(LineAddr(i), 0, 50), 0);
         }
         assert_eq!(wb.push(LineAddr(9), 0, 50), 50);
-        assert_eq!(wb.full_stall_cycles(), 50);
     }
 
     #[test]
@@ -179,26 +152,6 @@ mod tests {
         assert_eq!(wb.push(LineAddr(1), 0, 10), 0);
         // At cycle 20 the entry has drained; no stall.
         assert_eq!(wb.push(LineAddr(2), 20, 10), 20);
-        assert_eq!(wb.full_stall_cycles(), 0);
-    }
-
-    #[test]
-    fn contains_pending_lines() {
-        let mut wb = WriteBuffer::new(2);
-        wb.push(LineAddr(7), 0, 100);
-        assert!(wb.contains(LineAddr(7)));
-        assert!(!wb.contains(LineAddr(8)));
-        assert_eq!(wb.occupancy(200), 0);
-        assert!(!wb.contains(LineAddr(7)));
-    }
-
-    #[test]
-    fn occupancy_reflects_drains() {
-        let mut wb = WriteBuffer::new(4);
-        wb.push(LineAddr(1), 0, 10);
-        wb.push(LineAddr(2), 0, 10);
-        assert_eq!(wb.occupancy(5), 2);
-        assert_eq!(wb.occupancy(11), 0);
     }
 
     #[test]

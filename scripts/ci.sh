@@ -86,6 +86,14 @@ diff -u "$smoke" "$mc"
 ./target/release/sim --cores 2 > "$smoke"
 ./target/release/sim --cores 2 > "$mc"
 diff -u "$smoke" "$mc"
+# Runs of three and four cores must match their golden, in the order
+# tests/cli.rs::sim_multicore_runs_match_the_golden runs them.
+{
+    ./target/release/sim --cores 4
+    ./target/release/sim --cores 3 --org emshr --explain
+    ./target/release/sim --mix "gemm@0:vwb+gemm@0:vwb+gemm@0:vwb"
+} > "$smoke"
+diff -u tests/golden/sim_multicore.txt "$smoke"
 
 # The opt-in irregular sweep is deterministic at any worker count.
 ./target/release/figures irregular --serial > "$smoke"
@@ -139,4 +147,4 @@ benchout="$(mktemp -d)"
 trap 'rm -rf "$smoke" "$ttrace" "$mc" "$exttrace" "$prof" "$benchout"' EXIT
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --quick --out "$benchout"
 
-echo "ci: fmt, build, tests (plain + invariants armed), clippy, differential + multicore + irregular fuzzers (transcripts pinned to their golden), ablation tables, figures CSV golden, figures smoke (serial, four workers, replay cross-checked against direct execution, invariants armed, telemetry export, profile), multi-core + irregular determinism, catalog + irregular + multicore goldens, external-trace replay (pinned to the kernel's own replay), trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"
+echo "ci: fmt, build, tests (plain + invariants armed), clippy, differential + multicore + irregular fuzzers (transcripts pinned to their golden), ablation tables, figures CSV golden, figures smoke (serial, four workers, replay cross-checked against direct execution, invariants armed, telemetry export, profile), multi-core + irregular determinism, catalog + irregular + multicore + sim_multicore goldens, external-trace replay (pinned to the kernel's own replay), trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"

@@ -22,6 +22,15 @@ fn sim(args: &[&str]) -> Output {
     run(SIM, args, &[])
 }
 
+/// Runs `sim` with `args`, asserts that it succeeded, and returns its
+/// stdout.
+fn sim_stdout(args: &[&str]) -> String {
+    let out = sim(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{args:?} failed:\n{stderr}");
+    String::from_utf8(out.stdout).expect("utf-8 output")
+}
+
 fn figures(args: &[&str]) -> Output {
     run(FIGURES, args, &[])
 }
@@ -104,6 +113,12 @@ fn rejected_flag_values_name_the_flag_and_the_value() {
             "--l2-banks",
             "'abc'",
         ),
+        (
+            SIM,
+            vec!["--cores", "2", "--l2-banks", "3"],
+            "--l2-banks",
+            "'3' is not a power of two",
+        ),
         (SIM, atax(&["--mix"]), "--mix", "missing value"),
         (FIGURES, vec!["--jobs", "0"], "--jobs", "'0'"),
         (FIGURES, vec!["--jobs", "x"], "--jobs", "'x'"),
@@ -142,18 +157,12 @@ fn check_rejects_flags_the_run_would_ignore() {
 
 #[test]
 fn sim_honours_vwb_bits_in_any_flag_order() {
-    let stats = |args: &[&str]| {
-        let out = sim(args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(out.status.success(), "{args:?} failed:\n{stderr}");
-        String::from_utf8(out.stdout).expect("utf-8 stats")
-    };
-    let default = stats(&["--bench", "atax", "--org", "vwb"]);
-    let sized = stats(&["--bench", "atax", "--org", "vwb", "--vwb-bits", "4096"]);
+    let default = sim_stdout(&["--bench", "atax", "--org", "vwb"]);
+    let sized = sim_stdout(&["--bench", "atax", "--org", "vwb", "--vwb-bits", "4096"]);
     assert_ne!(sized, default, "--vwb-bits 4096 changed nothing");
     // `--explain vwb` selects the VWB after `--vwb-bits` was given; the
     // explained run must still be the 4 Kbit one.
-    let explained = stats(&["--bench", "atax", "--vwb-bits", "4096", "--explain", "vwb"]);
+    let explained = sim_stdout(&["--bench", "atax", "--vwb-bits", "4096", "--explain", "vwb"]);
     assert!(explained.starts_with(&sized), "{explained}");
 }
 
@@ -162,18 +171,27 @@ fn sim_explain_reports_match_the_golden() {
     // The single-core VWB and the two-core attribution reports, then the
     // single-core report of every other buffered organization, in that
     // order, byte for byte: the only reader of the telemetry registry.
-    let explain = |args: &[&str]| {
-        let out = sim(args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(out.status.success(), "{args:?} failed:\n{stderr}");
-        String::from_utf8(out.stdout).expect("utf-8 report")
-    };
-    let mut got = explain(&["--bench", "2mm", "--org", "vwb", "--explain"])
-        + &explain(&["--cores", "2", "--explain"]);
+    let mut got = sim_stdout(&["--bench", "2mm", "--org", "vwb", "--explain"])
+        + &sim_stdout(&["--cores", "2", "--explain"]);
     for org in ["l0", "emshr", "hybrid"] {
-        got += &explain(&["--bench", "2mm", "--explain", org]);
+        got += &sim_stdout(&["--bench", "2mm", "--explain", org]);
     }
     assert_eq!(got, include_str!("golden/explain.txt"));
+}
+
+#[test]
+fn sim_multicore_runs_match_the_golden() {
+    // The default four-core mix, a three-core EMSHR attribution report
+    // and three identical cores that start together, in that order,
+    // byte for byte: no other golden pins a run of more than two cores.
+    let got = [
+        &["--cores", "4"][..],
+        &["--cores", "3", "--org", "emshr", "--explain"],
+        &["--mix", "gemm@0:vwb+gemm@0:vwb+gemm@0:vwb"],
+    ]
+    .map(sim_stdout)
+    .concat();
+    assert_eq!(got, include_str!("golden/sim_multicore.txt"));
 }
 
 #[test]

@@ -7,8 +7,10 @@
 //! `MemoryLevel` call the DL1 makes (`read`, `write`) verbatim — for a
 //! single accessor the shared tail is transparent. The
 //! scheduler's lowest-`(now, index)` rule degenerates to in-order replay
-//! with one core. These tests pin both claims empirically across the
-//! full catalog × kernel × transform grid.
+//! with one core: the scheduler replays a core in batches up to the next
+//! core's clock, and with no other core the whole trace is one batch.
+//! These tests pin both claims empirically across the full catalog ×
+//! kernel × transform grid.
 
 use sttcache::catalog::catalog;
 use sttcache::{CoreSpec, MultiPlatform, MultiPlatformConfig, Platform, PlatformConfig};
