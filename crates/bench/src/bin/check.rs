@@ -15,7 +15,9 @@
 //! deterministic, a few seconds, suitable for CI. `--seed N` runs
 //! `--cases` randomized cases per adversary family derived from `N`.
 //! Flags the run would ignore (`--seed` beside `--quick`, `--cases`
-//! without `--seed`) and malformed values exit 2, naming the flag.
+//! without `--seed`) and malformed values exit 2, naming the flag; a
+//! malformed `STTCACHE_*` knob exits 2 naming the variable before any
+//! work, as in `figures` and `sim`.
 //! On failure the offending `(kind, seed, events)` triple is printed for
 //! replay; `--shrink` additionally minimizes the first failing trace and
 //! prints the surviving events. Exit status 1 on any failure.
@@ -59,6 +61,11 @@ fn positive(flag: &str, value: Option<&str>) -> usize {
 }
 
 fn main() {
+    sttcache_bench::exit_on_stdout_error("sttcache-check");
+    if let Err(e) = sttcache_bench::check_env_knobs() {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
     let mut seed: Option<u64> = None;

@@ -23,7 +23,8 @@
 //! variable before any work. Both host-time exports come from the one
 //! recording in `sttcache_bench::profile`, and stdout stays
 //! byte-identical in every mode: `--profile` prints per-phase wall-clock
-//! (record/replay), cache hit/miss counts and per-artifact timings to
+//! (record/replay), the trace cache's hit, miss, eviction and release
+//! counts with its resident and peak bytes, and per-artifact timings to
 //! stderr, and `--telemetry-json PATH` arms the span recording and the
 //! component telemetry gate and writes one Chrome `trace_event` span per
 //! trace-cache phase and per printed artifact to PATH, loadable in
@@ -52,6 +53,7 @@ fn refuse(flag: &str, value: Option<&str>, expected: &str) -> ! {
 }
 
 fn main() {
+    sttcache_bench::exit_on_stdout_error("figures");
     if let Err(e) = sttcache_bench::check_env_knobs() {
         eprintln!("{e}");
         std::process::exit(2);

@@ -345,6 +345,7 @@ fn run_multicore(o: &Options) {
 }
 
 fn main() {
+    sttcache_bench::exit_on_stdout_error("sim");
     if let Err(e) = sttcache_bench::check_env_knobs() {
         eprintln!("{e}");
         std::process::exit(2);

@@ -364,28 +364,34 @@ pub fn fig6(size: ProblemSize) -> Vec<Fig6Row> {
             let r = run_benchmark(org, b, size, t);
             penalty_pct(matched.cycles(), r.cycles())
         };
-        let p_full = penalty_of(Transformations::all());
-        let without = |f: fn(&mut Transformations)| -> f64 {
-            let mut t = Transformations::all();
-            f(&mut t);
-            (penalty_of(t) - p_full).max(0.0)
-        };
-        let mut v = without(|t| t.vectorize = false);
-        let mut p = without(|t| t.prefetch = false);
-        let mut o = without(|t| t.others = false);
+        let all = Transformations::all();
+        let leave_one_out = [
+            Transformations {
+                vectorize: false,
+                ..all
+            },
+            Transformations {
+                prefetch: false,
+                ..all
+            },
+            Transformations {
+                others: false,
+                ..all
+            },
+        ];
+        let p_full = penalty_of(all);
+        let [mut v, mut p, mut o] = leave_one_out.map(|t| (penalty_of(t) - p_full).max(0.0));
         if v + p + o < 0.1 {
             // Penalty already negligible; split by the gross cycles each
-            // family saves on the NVM platform itself.
+            // family saves on the NVM platform itself (memoized above).
             let cycles_of = |t: Transformations| run_benchmark(org, b, size, t).cycles() as f64;
-            let all = cycles_of(Transformations::all());
-            let saved = |f: fn(&mut Transformations)| -> f64 {
-                let mut t = Transformations::all();
-                f(&mut t);
-                (cycles_of(t) - all).max(0.0)
-            };
-            v = saved(|t| t.vectorize = false);
-            p = saved(|t| t.prefetch = false);
-            o = saved(|t| t.others = false);
+            let all_cycles = cycles_of(all);
+            [v, p, o] = leave_one_out.map(|t| (cycles_of(t) - all_cycles).max(0.0));
+        }
+        // No other artifact replays a leave-one-out stream, so this item
+        // was its last consumer.
+        for t in leave_one_out {
+            trace_cache::release_trace(b, size, t);
         }
         let total = (v + p + o).max(1e-9);
         (v / total * 100.0, p / total * 100.0, o / total * 100.0)

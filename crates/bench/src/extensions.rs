@@ -126,6 +126,8 @@ pub fn ext_hw_prefetch(size: ProblemSize) -> SeriesTable {
             Transformations::only_prefetch(),
         )
         .cycles();
+        // This was the prefetch-only stream's one replay.
+        trace_cache::release_trace(b, size, Transformations::only_prefetch());
         (
             b.label(),
             vec![

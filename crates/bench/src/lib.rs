@@ -67,7 +67,51 @@ pub fn check_env_knobs() -> Result<(), String> {
     Ok(())
 }
 
+/// Makes a failed write to stdout end the process instead of panicking.
+///
+/// Std's `print!` family panics with `failed printing to stdout: {error}`
+/// when a write fails. The binaries call this first in `main`, and the
+/// hook it installs takes those panics over: a reader that closed the
+/// pipe early (`figures all | head -1`) ends the run quietly with status
+/// 0, so `set -o pipefail` pipelines keep passing, and any other error (a
+/// full disk) exits 1 with one stderr line, prefixed with `bin`, naming
+/// it. Every other panic goes to the hook that was installed before.
+pub fn exit_on_stdout_error(bin: &'static str) {
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let failed_write = info
+            .payload_as_str()
+            .and_then(|m| m.strip_prefix("failed printing to stdout: "));
+        let Some(error) = failed_write else {
+            return previous(info);
+        };
+        if os_error_kind(error) == Some(std::io::ErrorKind::BrokenPipe) {
+            std::process::exit(0);
+        }
+        eprintln!("{bin}: cannot write to stdout: {error}");
+        std::process::exit(1);
+    }));
+}
+
+/// The kind of an OS error from its `Display` form, `… (os error N)`.
+fn os_error_kind(error: &str) -> Option<std::io::ErrorKind> {
+    let (_, code) = error.strip_suffix(')')?.rsplit_once("(os error ")?;
+    Some(std::io::Error::from_raw_os_error(code.parse().ok()?).kind())
+}
+
 /// Held by every unit test that arms the process-wide telemetry gate, so
 /// no test sees another one's arming.
 #[cfg(test)]
 pub(crate) static TELEMETRY_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn os_error_kinds_read_back_from_their_display_form() {
+        for code in 1..150 {
+            let e = std::io::Error::from_raw_os_error(code);
+            assert_eq!(super::os_error_kind(&e.to_string()), Some(e.kind()), "{e}");
+        }
+        assert_eq!(super::os_error_kind("broken pipe"), None);
+    }
+}

@@ -367,14 +367,16 @@ impl ProfileReport {
             ns_per_event(p.replay_seconds, p.replay_events),
         ));
         out.push_str(&format!(
-            "  trace cache: {} hits, {} misses, {} evictions \
-             ({:.1}% hit rate), {} traces / {} KiB resident\n",
+            "  trace cache: {} hits, {} misses, {} evictions, {} releases \
+             ({:.1}% hit rate), {} traces / {} KiB resident, peak {} KiB\n",
             p.cache.hits,
             p.cache.misses,
             p.cache.evictions,
+            p.cache.releases,
             p.cache.hit_rate() * 100.0,
             p.cache_entries,
             p.cache_resident_bytes / 1024,
+            p.cache.peak_resident_bytes / 1024,
         ));
         out.push_str(&format!(
             "  result memo: {} hits, {} distinct simulations\n",
@@ -407,6 +409,8 @@ mod tests {
                     hits: 97,
                     misses: 3,
                     evictions: 0,
+                    releases: 2,
+                    peak_resident_bytes: 5 * 1024 * 1024,
                 },
                 cache_resident_bytes: 3 * 1024 * 1024,
                 cache_entries: 3,
@@ -444,7 +448,14 @@ mod tests {
     #[test]
     fn text_report_names_every_phase_and_figure() {
         let text = sample().render_text();
-        for needle in ["record 0.200s", "replay 0.900s", "table1", "fig1"] {
+        for needle in [
+            "record 0.200s",
+            "replay 0.900s",
+            "trace cache: 97 hits, 3 misses, 0 evictions, 2 releases (97.0% hit rate), \
+             3 traces / 3072 KiB resident, peak 5120 KiB\n",
+            "table1",
+            "fig1",
+        ] {
             assert!(text.contains(needle), "missing '{needle}' in:\n{text}");
         }
     }

@@ -13,8 +13,10 @@
 //!
 //! Concurrency: [`SweepRunner`](crate::parallel::SweepRunner) workers that
 //! race on the same key block on a per-key [`OnceLock`] while the first
-//! arrival records, then share the resulting `Arc<Trace>` — each stream
-//! is recorded at most once per process. Memory is bounded by
+//! arrival records, then share the resulting `Arc<Trace>` — a stream is
+//! recorded once for as long as it stays cached. Memory: a stream with
+//! one consumer is dropped by it after its last replay
+//! ([`release_trace`]); shared streams stay until exit, bounded by
 //! `STTCACHE_TRACE_CACHE_BYTES` (least-recently-used traces are evicted
 //! past the cap).
 //!
@@ -76,7 +78,8 @@ impl TraceKey {
     }
 }
 
-/// Hit/miss/eviction counters of a [`TraceCache`].
+/// Hit/miss/eviction/release counters of a [`TraceCache`], and the
+/// high-water mark of its resident bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceCacheStats {
     /// Lookups that found a resident or in-flight trace.
@@ -85,6 +88,10 @@ pub struct TraceCacheStats {
     pub misses: u64,
     /// Traces evicted to stay under the memory cap.
     pub evictions: u64,
+    /// Entries dropped by [`TraceCache::release`].
+    pub releases: u64,
+    /// The most trace bytes that were ever resident at once.
+    pub peak_resident_bytes: usize,
 }
 
 impl TraceCacheStats {
@@ -188,7 +195,7 @@ impl TraceCache {
         // Record outside the lock: losers of the race block here (inside
         // `get_or_init`) instead of serializing the whole cache.
         let trace = cell.get_or_init(|| Arc::new(record())).clone();
-        self.account(key, &trace);
+        self.account(key, &cell, &trace);
         trace
     }
 
@@ -196,11 +203,13 @@ impl TraceCache {
     /// get here wins), then evicts least-recently-used accounted entries
     /// until the cap holds. The just-used `key` goes last so a single
     /// over-cap entry still gets returned (and then dropped) rather than
-    /// churning other entries first.
-    fn account(&self, key: TraceKey, trace: &Arc<Trace>) {
+    /// churning other entries first. Only the entry that owns `cell` is
+    /// charged: if `key` was released while recording, the entry a later
+    /// request put in its place is still in flight with its own cell.
+    fn account(&self, key: TraceKey, cell: &Arc<OnceLock<Arc<Trace>>>, trace: &Arc<Trace>) {
         let mut inner = self.inner.lock().expect("trace cache lock");
         if let Some(entry) = inner.entries.get_mut(&key) {
-            if entry.bytes == 0 {
+            if entry.bytes == 0 && Arc::ptr_eq(&entry.cell, cell) {
                 // Capacity, not length (`Trace::heap_bytes`): slack is
                 // charged; `record_trace` shrinks its recordings.
                 let bytes = trace.heap_bytes().max(1);
@@ -222,6 +231,19 @@ impl TraceCache {
             inner.resident_bytes -= e.bytes;
             inner.stats.evictions += 1;
         }
+        inner.stats.peak_resident_bytes = inner.stats.peak_resident_bytes.max(inner.resident_bytes);
+    }
+
+    /// Drops `key`'s entry, whether resident or still recording, and
+    /// un-charges its bytes; releasing an absent key does nothing. Every
+    /// `Arc` already handed out stays valid, and the next request for
+    /// `key` records it again (a miss).
+    pub fn release(&self, key: TraceKey) {
+        let mut inner = self.inner.lock().expect("trace cache lock");
+        if let Some(e) = inner.entries.remove(&key) {
+            inner.resident_bytes -= e.bytes;
+            inner.stats.releases += 1;
+        }
     }
 
     /// Counter snapshot.
@@ -233,6 +255,13 @@ impl TraceCache {
     /// recordings).
     pub fn resident_bytes(&self) -> usize {
         self.inner.lock().expect("trace cache lock").resident_bytes
+    }
+
+    /// Whether `key`'s finished recording is resident: recorded, and
+    /// neither evicted nor released since.
+    pub fn is_resident(&self, key: TraceKey) -> bool {
+        let inner = self.inner.lock().expect("trace cache lock");
+        inner.entries.get(&key).is_some_and(|e| e.bytes > 0)
     }
 
     /// Number of entries (resident + in-flight).
@@ -266,6 +295,11 @@ pub fn global_stats() -> TraceCacheStats {
 pub fn global_footprint() -> (usize, usize) {
     let g = global();
     (g.resident_bytes(), g.len())
+}
+
+/// Whether the process-wide cache holds `key`'s finished recording.
+pub fn global_is_resident(key: TraceKey) -> bool {
+    global().is_resident(key)
 }
 
 /// Stream lengths seen per (workload, size): different transformation
@@ -331,6 +365,18 @@ pub fn cached_trace(
     global().get_or_record(TraceKey::new(workload, size, transforms), || {
         record_trace(workload, size, transforms)
     })
+}
+
+/// Drops the process-wide cache's recording of one grid key once its only
+/// consumer has replayed it for the last time ([`TraceCache::release`]).
+/// Results already memoized keep answering; a later request records the
+/// stream again.
+pub fn release_trace(
+    workload: impl Into<Workload>,
+    size: ProblemSize,
+    transforms: Transformations,
+) {
+    global().release(TraceKey::new(workload, size, transforms));
 }
 
 /// The second cache level: finished simulations. The simulator is fully
@@ -569,11 +615,81 @@ mod tests {
     }
 
     #[test]
+    fn release_uncharges_and_the_next_lookup_records_again() {
+        let cache = TraceCache::with_cap_bytes(1 << 20);
+        let held = cache.get_or_record(key(1), || trace_of(10));
+        cache.get_or_record(key(2), || trace_of(5));
+        let both = cache.resident_bytes();
+        cache.release(key(1));
+        assert_eq!(cache.resident_bytes(), trace_of(5).heap_bytes());
+        assert!(!cache.is_resident(key(1)) && cache.is_resident(key(2)));
+        // The Arc handed out before the release still reads its trace.
+        assert_eq!(held.len(), 10);
+        let again = cache.get_or_record(key(1), || trace_of(10));
+        assert!(
+            !Arc::ptr_eq(&held, &again),
+            "a released key was not re-recorded"
+        );
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.releases), (0, 3, 1));
+        assert_eq!(s.peak_resident_bytes, both);
+    }
+
+    #[test]
+    fn releasing_an_absent_key_is_a_no_op() {
+        let cache = TraceCache::with_cap_bytes(1 << 20);
+        cache.get_or_record(key(1), || trace_of(3));
+        let before = (cache.stats(), cache.resident_bytes(), cache.len());
+        cache.release(key(2));
+        assert_eq!((cache.stats(), cache.resident_bytes(), cache.len()), before);
+    }
+
+    #[test]
+    fn a_release_while_recording_leaves_nothing_resident() {
+        let cache = TraceCache::with_cap_bytes(1 << 20);
+        let t = cache.get_or_record(key(1), || {
+            cache.release(key(1));
+            trace_of(4)
+        });
+        assert_eq!(t.len(), 4);
+        assert_eq!((cache.resident_bytes(), cache.len()), (0, 0));
+        assert!(!cache.is_resident(key(1)));
+        assert_eq!(cache.stats().releases, 1);
+
+        // A request that arrives between the release and the first
+        // recorder's return records the key afresh. The first recorder
+        // must not charge that still-recording entry; its own recorder
+        // charges it once it returns.
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let cache = &cache;
+            cache.get_or_record(key(2), || {
+                cache.release(key(2));
+                s.spawn(move || {
+                    cache.get_or_record(key(2), || {
+                        started_tx.send(()).expect("test is waiting");
+                        go_rx.recv().expect("test releases the recorder");
+                        trace_of(4)
+                    })
+                });
+                started_rx.recv().expect("second recorder started");
+                trace_of(4)
+            });
+            assert_eq!(cache.resident_bytes(), 0);
+            assert!(!cache.is_resident(key(2)));
+            go_tx.send(()).expect("second recorder is waiting");
+        });
+        assert_eq!(cache.resident_bytes(), trace_of(4).heap_bytes());
+        assert!(cache.is_resident(key(2)));
+    }
+
+    #[test]
     fn hit_rate_spans_the_lookup_history() {
         let s = TraceCacheStats {
             hits: 3,
             misses: 1,
-            evictions: 0,
+            ..TraceCacheStats::default()
         };
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(TraceCacheStats::default().hit_rate(), 1.0);

@@ -137,6 +137,18 @@ grep -q 'replay [0-9.]*s/[0-9]* runs' "$prof"
 for artifact in table1 fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 ext; do
     grep -q "^  $artifact " "$prof"
 done
+# Each of the 144 streams is recorded once: the 88 that one work item
+# replays (Fig. 6's leave-one-out sets, Ext. 2's prefetch-only set) are
+# released after it, and only the 56 shared ones stay resident.
+for count in '144 misses, 0 evictions' '88 releases' '56 traces'; do
+    grep -q "^  trace cache: .*$count" "$prof"
+done
+
+# A reader that closes the pipe early ends the run quietly: under
+# pipefail, each pipeline fails if the binary exits nonzero.
+./target/release/figures all | head -1 > /dev/null
+./target/release/sim --cores 2 | head -1 > /dev/null
+./target/release/sttcache-check --quick | head -1 > /dev/null
 
 # The benchmark package builds against these crates: lint it, run its
 # tests, and run its quick pass, which exits 1 on any golden mismatch.
@@ -147,4 +159,4 @@ benchout="$(mktemp -d)"
 trap 'rm -rf "$smoke" "$ttrace" "$mc" "$exttrace" "$prof" "$benchout"' EXIT
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --quick --out "$benchout"
 
-echo "ci: fmt, build, tests (plain + invariants armed), clippy, differential + multicore + irregular fuzzers (transcripts pinned to their golden), ablation tables, figures CSV golden, figures smoke (serial, four workers, replay cross-checked against direct execution, invariants armed, telemetry export, profile), multi-core + irregular determinism, catalog + irregular + multicore + sim_multicore goldens, external-trace replay (pinned to the kernel's own replay), trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"
+echo "ci: fmt, build, tests (plain + invariants armed), clippy, differential + multicore + irregular fuzzers (transcripts pinned to their golden), ablation tables, figures CSV golden, figures smoke (serial, four workers, replay cross-checked against direct execution, invariants armed, telemetry export, profile with trace-cache counts), early-closed stdout pipelines, multi-core + irregular determinism, catalog + irregular + multicore + sim_multicore goldens, external-trace replay (pinned to the kernel's own replay), trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"

@@ -1,9 +1,11 @@
 //! The binaries' argument contract: an input is either honoured or
 //! rejected with exit status 2 and a message naming it — never silently
 //! ignored. A configuration the flags describe but the model refuses
-//! exits 1, naming what is wrong.
+//! exits 1, naming what is wrong. A stdout that closes early ends the run
+//! quietly with status 0; one that fails otherwise exits 1, naming the
+//! error.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const SIM: &str = env!("CARGO_BIN_EXE_sim");
 const FIGURES: &str = env!("CARGO_BIN_EXE_figures");
@@ -237,6 +239,59 @@ fn malformed_knobs_exit_2_naming_the_variable() {
                 &env,
             ),
             knob,
+        );
+        assert_rejected(&run(CHECK, &["--quick"], &env), knob);
+    }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    // A reader that stops early (`figures all | head -1`) must not turn
+    // a `set -o pipefail` pipeline red: exit 0, nothing on stderr. Each
+    // run simulates before it prints again, so it writes after the read
+    // end below is gone.
+    for (exe, args) in [
+        (FIGURES, &["all"][..]),
+        (SIM, &["--cores", "2"]),
+        (CHECK, &["--quick"]),
+    ] {
+        let mut child = Command::new(exe)
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap_or_else(|e| panic!("cannot run {exe}: {e}"));
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("child runs to its end");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{exe} {args:?}:\n{stderr}");
+        assert!(stderr.is_empty(), "{exe} {args:?}:\n{stderr}");
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_full_stdout_exits_1_with_one_line_naming_it() {
+    for (exe, args) in [
+        (FIGURES, &["table1"][..]),
+        (SIM, &["--bench", "atax"]),
+        (CHECK, &["--list-kinds"]),
+    ] {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .expect("/dev/full opens for writing");
+        let out = Command::new(exe)
+            .args(args)
+            .stdout(full)
+            .output()
+            .unwrap_or_else(|e| panic!("cannot run {exe}: {e}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{exe} {args:?}:\n{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{exe} {args:?}:\n{stderr}");
+        assert!(
+            stderr.contains("cannot write to stdout: No space left on device"),
+            "{exe} {args:?}:\n{stderr}"
         );
     }
 }
