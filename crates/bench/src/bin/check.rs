@@ -1,36 +1,39 @@
-//! Differential oracle checker and adversarial trace fuzzer.
+//! Differential checker and adversarial trace fuzzer.
 //!
 //! ```text
 //! sttcache-check [--quick] [--seed N] [--cases N] [--events N]
 //!                [--kind NAME|multicore|irregular] [--shrink] [--list-kinds]
 //! ```
 //!
-//! Every generated trace runs on every catalog L1 D-cache organization with
-//! the runtime invariant gate on; each run is mirrored into the
-//! functional shadow oracle, drained, and cross-checked, and the
-//! timing-independent signatures of all organizations must match the
-//! SRAM baseline's exactly.
+//! Every generated trace runs alone on every catalog L1 D-cache
+//! organization with the runtime invariant gate on; each run is drained
+//! and audited against the trace's footprint: zero surviving dirty
+//! state, the trace's exact event counts on the core, no resident line
+//! the program never touched, and conserved shared-L2 traffic
+//! (`check::audited_run`).
 //!
 //! `--quick` (the default with no `--seed`) runs a fixed-seed battery —
 //! deterministic, a few seconds, suitable for CI. `--seed N` runs
-//! `--cases` randomized cases per adversary family derived from `N`.
+//! `--cases` randomized cases per adversary family derived from `N`,
+//! each derived when its turn comes. `--events` is at most 2^24.
 //! Flags the run would ignore (`--seed` beside `--quick`, `--cases`
 //! without `--seed`) and malformed values exit 2, naming the flag; a
 //! malformed `STTCACHE_*` knob exits 2 naming the variable before any
 //! work, as in `figures` and `sim`.
 //! On failure the offending `(kind, seed, events)` triple is printed for
-//! replay; `--shrink` additionally minimizes the first failing trace and
-//! prints the surviving events. Exit status 1 on any failure.
+//! replay; `--shrink` additionally minimizes the first failing case —
+//! the failing organization's one-core case, or the mix — by dropping
+//! whole cores, then events, and prints what survives. Exit status 1 on
+//! any failure.
 //!
 //! `--kind multicore` derives a random 2–4 core mix per case (per-core
-//! adversarial traces, organizations and phase offsets) and cross-checks
-//! the co-scheduled run against per-core isolated runs, the per-core
-//! shadow oracles and the shared-level residency/conservation audit;
-//! `--shrink` drops whole cores before ddmin-shrinking the survivors'
-//! events. `--kind irregular` swaps the adversarial generators for the
-//! workload catalog's irregular pointer-chasing family: each case
-//! derives a kernel/transform pick from the seed, records the kernel's
-//! deterministic trace and runs it through the oracle differential.
+//! adversarial traces, organizations and phase offsets), audits the
+//! co-scheduled run the same way against each core's footprint, and
+//! adds determinism and per-core isolated-run differentials. `--kind
+//! irregular` swaps the adversarial generators for the workload
+//! catalog's irregular pointer-chasing family: each case derives a
+//! kernel/transform pick from the seed, records the kernel's
+//! deterministic trace and checks it like an adversarial one.
 
 use sttcache_bench::check::{self, Adversary, Mode};
 
@@ -92,7 +95,16 @@ fn main() {
                 );
             }
             "--cases" => cases = Some(positive(flag, value())),
-            "--events" => events = positive(flag, value()),
+            "--events" => {
+                let v = value();
+                events = v
+                    .and_then(|v| v.parse().ok())
+                    .filter(|n| (1..=check::MAX_EVENTS).contains(n))
+                    .unwrap_or_else(|| {
+                        let expected = format!("an event count from 1 to {}", check::MAX_EVENTS);
+                        refuse(flag, v, &expected)
+                    });
+            }
             "--kind" => {
                 let name = value();
                 // A mode name switches the cross-check every family's
@@ -134,34 +146,26 @@ fn main() {
     }
     let cases = cases.unwrap_or(4);
 
-    // One (kind, seed) plan per case: the quick battery uses the fixed
-    // seeds; a randomized run derives per-case seeds from the base seed.
-    let mut plan: Vec<(Adversary, u64)> = Vec::new();
-    match seed {
-        None => {
-            for s in check::quick_seeds() {
-                for &k in &kinds {
-                    plan.push((k, s));
-                }
-            }
-        }
-        Some(base) => {
-            for c in 0..cases as u64 {
-                let s = base.wrapping_add(c.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                for &k in &kinds {
-                    plan.push((k, s));
-                }
-            }
-        }
-    }
+    // Each case is a (kind, seed) pair, derived when the loop reaches it:
+    // the quick battery uses the fixed seeds, a randomized run derives
+    // per-case seeds from the base seed.
+    let quick_seeds = check::quick_seeds();
+    let seeds = seed.map_or(quick_seeds.len(), |_| cases);
+    let seed_of = |c: usize| match seed {
+        None => quick_seeds[c],
+        Some(base) => base.wrapping_add((c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+    };
+    let total = seeds as u128 * kinds.len() as u128;
+    let plan = (0..seeds)
+        .map(seed_of)
+        .flat_map(|s| kinds.iter().map(move |&k| (k, s)));
 
-    let total = plan.len();
     let tag = mode
         .name()
         .map(|name| format!(" {name}"))
         .unwrap_or_default();
     let mut failures = Vec::new();
-    for (n, (kind, s)) in plan.into_iter().enumerate() {
+    for (n, (kind, s)) in plan.enumerate() {
         match check::run_case(mode, kind, s, events) {
             Ok(()) => println!(
                 "[{:>3}/{total}] {:<17} seed {s:#018x} {tag} ok",
@@ -175,7 +179,7 @@ fn main() {
                     kind.name(),
                     f.failures.len()
                 );
-                failures.push(f);
+                failures.push((kind, s, f));
             }
         }
     }
@@ -199,54 +203,34 @@ fn main() {
     }
 
     eprintln!();
-    for f in &failures {
-        let replay_kind = mode.name().unwrap_or(f.kind.name());
+    for (kind, s, f) in &failures {
+        let replay_kind = mode.name().unwrap_or(kind.name());
         eprintln!(
-            "FAILURE: kind {}{tag} seed {:#018x} events {} (replay: sttcache-check --kind {} --seed {} --events {} --cases 1)",
-            f.kind.name(),
-            f.seed,
-            f.events,
-            replay_kind,
-            f.seed,
-            f.events
+            "FAILURE: kind {}{tag} seed {s:#018x} events {events} (replay: sttcache-check --kind {replay_kind} --seed {s} --events {events} --cases 1)",
+            kind.name(),
         );
         for msg in &f.failures {
             eprintln!("  {msg}");
         }
     }
     if shrink {
-        let first = &failures[0];
+        let (kind, s, first) = &failures[0];
         eprintln!();
-        eprintln!(
-            "shrinking kind {}{tag} seed {:#018x} …",
-            first.kind.name(),
-            first.seed
-        );
-        if mode == Mode::Multicore {
-            let minimal = check::shrink_multicore_failure(first);
-            eprintln!("minimal reproducer: {} core(s)", minimal.traces.len());
-            for (idx, trace) in minimal.traces.iter().enumerate() {
-                eprintln!(
-                    "  core {idx}: {} @{} — {} event(s)",
-                    minimal.orgs[idx].name(),
-                    minimal.offsets[idx],
-                    trace.len()
-                );
-                for e in trace.iter().take(16) {
-                    eprintln!("    {e:?}");
-                }
-                if trace.len() > 16 {
-                    eprintln!("    … and {} more", trace.len() - 16);
-                }
+        eprintln!("shrinking kind {}{tag} seed {s:#018x} …", kind.name());
+        let minimal = check::shrink_failure(first);
+        eprintln!("minimal reproducer: {} core(s)", minimal.traces.len());
+        for (idx, trace) in minimal.traces.iter().enumerate() {
+            eprintln!(
+                "  core {idx}: {} @{} — {} event(s)",
+                minimal.orgs[idx].name(),
+                minimal.offsets[idx],
+                trace.len()
+            );
+            for e in trace.iter().take(64) {
+                eprintln!("    {e:?}");
             }
-        } else {
-            let minimal = check::shrink_failure(first);
-            eprintln!("minimal reproducer: {} event(s)", minimal.len());
-            for e in minimal.iter().take(64) {
-                eprintln!("  {e:?}");
-            }
-            if minimal.len() > 64 {
-                eprintln!("  … and {} more", minimal.len() - 64);
+            if trace.len() > 64 {
+                eprintln!("    … and {} more", trace.len() - 64);
             }
         }
     }

@@ -21,8 +21,9 @@
 //!   dump. Implies the SRAM baseline run.
 //! * `--cores N`: run an N-core multi-programmed mix over one shared
 //!   banked L2 (the default staggered kernel mix unless `--mix` names
-//!   one). `--explain` then attributes per-core contention penalties and
-//!   shared-bank conflict shares instead of the single-core report.
+//!   one); N runs from 1 to `MAX_CORES` (8), else exit 2. `--explain`
+//!   then attributes per-core contention penalties and shared-bank
+//!   conflict shares instead of the single-core report.
 //! * `--mix <spec>`: the mix grammar is `workload[@offset][:org]` entries
 //!   joined by `+`, e.g. `gemm:vwb+mvt@500:sram` or
 //!   `gemm+file:recorded.trace@64:sram`; entries without `:org` use
@@ -51,7 +52,7 @@
 
 use sttcache::{
     DCacheOrganization, DlOneTechnology, IcacheConfig, Platform, PlatformConfig, RunResult,
-    VwbConfig,
+    VwbConfig, MAX_CORES,
 };
 use sttcache_bench::{
     explain, multicore, parallel, trace_cache, workload, ProfileReport, SweepRunner,
@@ -224,7 +225,18 @@ fn parse_args() -> Options {
                     }
                 }
             }
-            "--cores" => cores = positive(flag, &next(&mut i)),
+            "--cores" => {
+                // Checked here, before the default mix is sized by it.
+                let value = next(&mut i);
+                cores = value
+                    .parse()
+                    .ok()
+                    .filter(|n| (1..=MAX_CORES).contains(n))
+                    .unwrap_or_else(|| {
+                        let expected = format!("a core count from 1 to {MAX_CORES}");
+                        refuse(flag, Some(&value), &expected)
+                    });
+            }
             "--mix" => mix = Some(next(&mut i)),
             "--l2-banks" => {
                 let value = next(&mut i);

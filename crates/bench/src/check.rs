@@ -1,136 +1,261 @@
 //! The differential correctness checker.
 //!
-//! Three layers, combined by [`check_trace`]:
+//! One audit, [`audited_run`], judges every drained run. It runs one
+//! trace per core through [`MultiPlatform::run_traces_audited`] with the
+//! [`sttcache_mem::invariants`] gate armed, and holds what the drain
+//! leaves against each trace's [`Footprint`]: the event counts and the
+//! 32-B chunks one untimed replay of the trace touches.
 //!
-//! 1. **Functional shadow oracle** — the trace is replayed separately
-//!    into a [`ShadowOracle`], giving a timing-free golden model of what
-//!    the program touched and wrote. The timed run is a one-core
-//!    [`MultiPlatform::run_traces_audited`], which drains the whole
-//!    organization — the front-end, then the L2 — and the audit it
-//!    returns is cross-examined: no dirty state may survive, and every
-//!    line still resident anywhere in the hierarchy must cover bytes the
-//!    program actually accessed (no *phantom* lines).
-//! 2. **Runtime invariants** — the checker turns on the
-//!    [`sttcache_mem::invariants`] gate for the duration of the run and
-//!    harvests every structured violation the components reported.
-//! 3. **Differential comparison** — the same trace runs on every
-//!    catalog L1 organization; their timing-independent
-//!    [`FunctionalSignature`]s must be identical, with the SRAM baseline
-//!    as the reference. A cache organization may change *when* things
-//!    happen, never *what* happens.
+//! - The armed gate stays silent, and no dirty line survives the drain.
+//! - Each core executed exactly its trace's loads, stores, prefetches,
+//!   branches and instructions.
+//! - Every line still resident in a core's private levels or in the
+//!   shared L2 lies in the address stripe of a core whose footprint
+//!   touched it: no *phantom* lines, and none leaked across cores.
+//! - The shared L2 read exactly the lines the DL1s filled and wrote
+//!   exactly the lines they wrote back.
+//!
+//! Two checkers drive it. [`check_trace`] runs one trace alone on a
+//! one-core platform of every catalog organization, against one
+//! footprint: an organization may change *when* things happen, never
+//! *what* happens. [`check_multicore`] co-schedules a 2–4 core
+//! [`MulticoreCase`] and adds determinism and per-core isolated-run
+//! differentials. A [`CheckFailure`] carries the case that failed (the
+//! failing organization's one-core case, or the mix), so one shrinker,
+//! [`shrink_failure`], minimizes both: it drops whole cores, then
+//! ddmin-shrinks the survivors' events.
 //!
 //! The adversarial generators ([`Adversary`]) produce traces aimed at
 //! the corners where timing models rot: bank ping-pong, MSHR
 //! saturation, aliasing write bursts, line-straddling access widths.
-//! [`shrink_events`] minimizes a failing trace by greedy chunk removal
-//! so a report names the shortest reproducer found. [`run_case`] is the
-//! one fuzzer entry point: it derives a case from `(kind, seed, events)`
-//! and runs it through its [`Mode`]'s cross-check.
+//! [`run_case`] is the one fuzzer entry point: it derives a case from
+//! `(kind, seed, events)` and runs it through its [`Mode`]'s check.
 
 use crate::testkit::{Rng, DEFAULT_SEED};
 use sttcache::{
-    CoreSpec, DCacheOrganization, MultiPlatform, MultiPlatformConfig, Platform, CORE_ADDRESS_STRIDE,
+    CoreSpec, DCacheOrganization, MultiPlatform, MultiPlatformConfig, MultiRunResult, Platform,
+    CORE_ADDRESS_STRIDE,
 };
-use sttcache_cpu::{CoreReport, Engine, Trace, TraceEvent, TraceRecorder};
-use sttcache_mem::{invariants, Cycle, InvariantViolation, ShadowOracle};
+use sttcache_cpu::{CoreReport, CountingEngine, Engine, Trace, TraceEvent, TraceRecorder};
+use sttcache_mem::{invariants, Addr, Cycle};
 
-/// An [`Engine`] that mirrors every architectural event into a
-/// [`ShadowOracle`]. Replaying a trace into it gives the functional view
-/// the checkers audit that trace's timed run against.
+/// Footprint granularity: the smallest line any configuration uses (the
+/// SRAM DL1's 32 B), so a chunk never spans two lines of any level.
+const CHUNK_BYTES: u64 = 32;
+
+/// What a trace's timed runs are audited against, from one untimed
+/// replay of the trace: its event counts, and the 32-B chunks its loads,
+/// stores and prefetches touch.
 #[derive(Debug, Default)]
-pub struct OracleMirror {
-    oracle: ShadowOracle,
-    load_hash: u64,
+pub struct Footprint {
+    counts: CountingEngine,
+    /// Indices of the touched chunks; sorted and deduplicated by
+    /// [`Footprint::of`].
+    chunks: Vec<u64>,
 }
 
-impl OracleMirror {
-    /// A mirror over a fresh, empty oracle.
-    pub fn new() -> Self {
-        OracleMirror::default()
+impl Footprint {
+    /// Replays `trace` into its footprint.
+    pub fn of(trace: &Trace) -> Footprint {
+        let mut footprint = Footprint::default();
+        trace.replay_into(&mut footprint);
+        footprint.chunks.sort_unstable();
+        footprint.chunks.dedup();
+        footprint
     }
 
-    /// The oracle accumulated so far.
-    pub fn oracle(&self) -> &ShadowOracle {
-        &self.oracle
+    /// Whether `[base, base + len)` overlaps a chunk the trace touched.
+    /// Every line resident in a drained hierarchy must; one that does not
+    /// is a phantom allocation.
+    fn touches(&self, base: u64, len: usize) -> bool {
+        let (first, last) = chunk_span(base, len);
+        let i = self.chunks.partition_point(|&c| c < first);
+        self.chunks.get(i).is_some_and(|&c| c <= last)
     }
 
-    /// Running hash over every load's value checksum, in program order.
-    /// Two runs of the same trace must agree on it exactly.
-    pub fn load_hash(&self) -> u64 {
-        self.load_hash
+    fn mark(&mut self, addr: Addr, bytes: usize) {
+        let (first, last) = chunk_span(addr.0, bytes);
+        for chunk in first..=last {
+            // Consecutive accesses mostly share a chunk: skip the repeat
+            // here rather than sort it away later.
+            if self.chunks.last() != Some(&chunk) {
+                self.chunks.push(chunk);
+            }
+        }
     }
 }
 
-impl Engine for OracleMirror {
-    fn load(&mut self, addr: sttcache_mem::Addr, bytes: usize) {
-        let h = self.oracle.load(addr.0, bytes);
-        self.load_hash = (self.load_hash.rotate_left(5) ^ h).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-
-    fn store(&mut self, addr: sttcache_mem::Addr, bytes: usize) {
-        self.oracle.store(addr.0, bytes);
-    }
-
-    fn prefetch(&mut self, addr: sttcache_mem::Addr) {
-        self.oracle.touch(addr.0);
-    }
-
-    fn compute(&mut self, _ops: u64) {}
-
-    fn branch(&mut self, _taken: bool) {}
+/// The first and last chunk index `[base, base + len)` covers; an empty
+/// range covers `base`'s chunk.
+fn chunk_span(base: u64, len: usize) -> (u64, u64) {
+    let end = base.wrapping_add(len.max(1) as u64 - 1);
+    (base / CHUNK_BYTES, end / CHUNK_BYTES)
 }
 
-/// The timing-independent fingerprint of one run: event counts plus the
-/// oracle's memory-image and load-value hashes. Identical traces must
-/// produce identical signatures on every cache organization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FunctionalSignature {
-    /// Loads executed.
-    pub loads: u64,
-    /// Stores executed.
-    pub stores: u64,
-    /// Prefetch hints issued.
-    pub prefetches: u64,
-    /// Branches executed.
-    pub branches: u64,
-    /// Instructions executed.
-    pub instructions: u64,
-    /// [`ShadowOracle::image_hash`] of the final memory image.
-    pub image_hash: u64,
-    /// [`OracleMirror::load_hash`] over every load in order.
-    pub load_hash: u64,
+impl Engine for Footprint {
+    fn load(&mut self, addr: Addr, bytes: usize) {
+        self.counts.load(addr, bytes);
+        self.mark(addr, bytes);
+    }
+
+    fn store(&mut self, addr: Addr, bytes: usize) {
+        self.counts.store(addr, bytes);
+        self.mark(addr, bytes);
+    }
+
+    fn prefetch(&mut self, addr: Addr) {
+        self.counts.prefetch(addr);
+        self.mark(addr, 1);
+    }
+
+    fn compute(&mut self, ops: u64) {
+        self.counts.compute(ops);
+    }
+
+    fn branch(&mut self, taken: bool) {
+        self.counts.branch(taken);
+    }
 }
 
-/// The outcome of checking one trace on one organization.
+/// A core's executed loads, stores, prefetches, branches and
+/// instructions and its footprint's, each as `NL/NS/NP/NB/NI`, when they
+/// differ.
+fn count_divergence(report: &CoreReport, footprint: &Footprint) -> Option<(String, String)> {
+    let c = &footprint.counts;
+    let ran = [
+        report.loads,
+        report.stores,
+        report.prefetches,
+        report.branches,
+        report.instructions,
+    ];
+    let held = [
+        c.loads,
+        c.stores,
+        c.prefetches,
+        c.branches,
+        c.instructions(),
+    ];
+    let label = |[l, s, p, b, i]: [u64; 5]| format!("{l}L/{s}S/{p}P/{b}B/{i}I");
+    (ran != held).then(|| (label(ran), label(held)))
+}
+
+/// One [`audited_run`]: the run, with the drain's write-backs in its
+/// statistics, and what the audit found.
 #[derive(Debug)]
-pub struct OrgCheck {
-    /// The organization's display name.
-    pub organization: &'static str,
-    /// Cycles the core reported for the run.
-    pub cycles: u64,
-    /// Lines written back by the end-of-run drain.
+pub struct AuditedRun {
+    /// The run's result, drain included.
+    pub result: MultiRunResult,
+    /// Lines the end-of-run drain wrote back.
     pub flushed_lines: usize,
-    /// The run's functional signature.
-    pub signature: FunctionalSignature,
-    /// Oracle/drain mismatches (phantom lines, surviving dirty state,
-    /// event-count divergence). Empty on a clean run.
-    pub mismatches: Vec<String>,
-    /// Structured invariant violations harvested from the run.
-    pub violations: Vec<InvariantViolation>,
-    /// Violations beyond the retention cap (0 unless a run misbehaved
-    /// catastrophically).
-    pub dropped_violations: usize,
+    /// One message per finding; empty when the run passed.
+    pub findings: Vec<String>,
 }
 
-impl OrgCheck {
-    /// Whether the organization passed every layer of the check.
-    pub fn passed(&self) -> bool {
-        self.mismatches.is_empty() && self.violations.is_empty() && self.dropped_violations == 0
+/// Runs `traces`, one per core, through
+/// [`MultiPlatform::run_traces_audited`] with the invariant gate armed,
+/// and audits the drained hierarchy against `footprints[i]`, the
+/// [`Footprint`] of `traces[i]`. The audit requires that the gate stays
+/// silent, that no dirty line survives the drain, that each core's event
+/// counts equal its footprint's, that every line resident in a core's
+/// private levels lies in that core's stripe and every line resident in
+/// the shared L2 in some core's stripe, each touched by that core's
+/// footprint, and that the shared L2's reads and writes equal the DL1s'
+/// fills and write-backs.
+///
+/// # Panics
+///
+/// Panics unless there is one trace and one footprint per core.
+pub fn audited_run(
+    platform: &MultiPlatform,
+    traces: &[&Trace],
+    footprints: &[&Footprint],
+) -> AuditedRun {
+    assert_eq!(traces.len(), footprints.len(), "one footprint per trace");
+    let gate_was_on = invariants::enabled();
+    invariants::set_enabled(true);
+    let _ = invariants::take_violations(); // start from a clean slate
+    let (result, audit) = platform.run_traces_audited(traces);
+    let (violations, total) = invariants::take_violations();
+    invariants::set_enabled(gate_was_on);
+
+    let mut findings: Vec<String> = violations
+        .iter()
+        .map(|v| format!("invariant: {v}"))
+        .collect();
+    if total > violations.len() {
+        findings.push(format!(
+            "… and {} more violations past the retention cap",
+            total - violations.len()
+        ));
+    }
+    if audit.dirty_after_drain != 0 {
+        findings.push(format!(
+            "{} dirty lines survived the audited drain",
+            audit.dirty_after_drain
+        ));
+    }
+    for (idx, (run, footprint)) in result.cores.iter().zip(footprints).enumerate() {
+        if let Some((ran, held)) = count_divergence(&run.core, footprint) {
+            findings.push(format!("core {idx} executed {ran}, its trace holds {held}"));
+        }
+    }
+
+    // Residency: `None` holds the shared L2's lines, `Some(idx)` core
+    // `idx`'s private ones.
+    let private = audit
+        .core_resident
+        .iter()
+        .enumerate()
+        .flat_map(|(idx, lines)| lines.iter().map(move |line| (Some(idx), line)));
+    let shared = audit.shared_resident.iter().map(|line| (None, line));
+    for (holder, &(base, len)) in private.chain(shared) {
+        let owner = (base.0 / CORE_ADDRESS_STRIDE) as usize;
+        let stripe = owner as u64 * CORE_ADDRESS_STRIDE;
+        match holder {
+            Some(idx) if idx != owner => findings.push(format!(
+                "core {idx} holds line {base} from outside its address stripe"
+            )),
+            None if owner >= footprints.len() => findings.push(format!(
+                "shared L2 holds line {base} outside every core's address stripe"
+            )),
+            _ if !footprints[owner].touches(base.0 - stripe, len) => {
+                let place = holder.map_or("the shared L2".to_string(), |idx| {
+                    format!("core {idx}'s private levels")
+                });
+                findings.push(format!(
+                    "phantom line {base} ({len} B) resident in {place}: core {owner}'s program \
+                     never touched it"
+                ));
+            }
+            _ => {}
+        }
+    }
+
+    // Conservation: the shared level's demand is exactly the sum of the
+    // private DL1s' fills and write-backs.
+    let fills: u64 = result.cores.iter().map(|c| c.dl1.fills).sum();
+    let writebacks: u64 = result.cores.iter().map(|c| c.dl1.writebacks).sum();
+    if result.shared_l2.reads != fills {
+        findings.push(format!(
+            "shared L2 saw {} reads but the private DL1s filled {fills} lines",
+            result.shared_l2.reads
+        ));
+    }
+    if result.shared_l2.writes != writebacks {
+        findings.push(format!(
+            "shared L2 saw {} writes but the private DL1s wrote back {writebacks} lines",
+            result.shared_l2.writes
+        ));
+    }
+    AuditedRun {
+        result,
+        flushed_lines: audit.flushed_lines,
+        findings,
     }
 }
 
-/// Every catalog L1 organization, SRAM baseline first (it is the
-/// differential reference).
+/// Every catalog L1 organization, SRAM baseline first.
 pub fn all_organizations() -> Vec<DCacheOrganization> {
     sttcache::catalog::catalog()
         .into_iter()
@@ -138,140 +263,38 @@ pub fn all_organizations() -> Vec<DCacheOrganization> {
         .collect()
 }
 
-/// Runs `trace` alone on a one-core [`MultiPlatform`] of `organization`
-/// with the invariant gate on, drains the hierarchy through
-/// [`MultiPlatform::run_traces_audited`], and verifies what the drain
-/// leaves against a shadow oracle fed by a separate replay of the trace.
-pub fn check_trace_on(organization: DCacheOrganization, trace: &Trace) -> OrgCheck {
-    let platform = MultiPlatform::new(MultiPlatformConfig::homogeneous(organization, 1))
-        .expect("canonical organization validates");
-    let gate_was_on = invariants::enabled();
-    invariants::set_enabled(true);
-    let _ = invariants::take_violations(); // start from a clean slate
-    let (result, audit) = platform.run_traces_audited(&[trace]);
-    let (violations, total) = invariants::take_violations();
-    invariants::set_enabled(gate_was_on);
-    let mut mirror = OracleMirror::new();
-    trace.replay_into(&mut mirror);
-    let report = &result.cores[0].core;
-
-    let mut mismatches = Vec::new();
-    if audit.dirty_after_drain != 0 {
-        mismatches.push(format!(
-            "{} dirty lines survived flush_dirty",
-            audit.dirty_after_drain
-        ));
-    }
-    for &(base, len) in audit.core_resident[0].iter().chain(&audit.shared_resident) {
-        if !mirror.oracle().intersects_accessed(base.0, len) {
-            mismatches.push(format!(
-                "phantom resident line {base} ({len} B): the program never touched it"
-            ));
+/// Runs `trace` alone on a one-core platform of every catalog
+/// organization and audits each run with [`audited_run`] against the
+/// trace's footprint, replayed once.
+///
+/// # Errors
+///
+/// Returns every finding, each prefixed by its organization, with the
+/// first failing organization's one-core case.
+pub fn check_trace(trace: &Trace) -> Result<(), CheckFailure> {
+    let footprint = Footprint::of(trace);
+    let mut failed: Option<CheckFailure> = None;
+    for org in all_organizations() {
+        let platform = MultiPlatform::new(MultiPlatformConfig::homogeneous(org, 1))
+            .expect("catalog organizations validate");
+        let findings = audited_run(&platform, &[trace], &[&footprint]).findings;
+        if findings.is_empty() {
+            continue;
         }
+        let failure = failed.get_or_insert_with(|| CheckFailure {
+            case: MulticoreCase {
+                orgs: vec![org],
+                offsets: vec![0],
+                traces: vec![trace.clone()],
+            },
+            failures: Vec::new(),
+        });
+        let tagged = findings
+            .into_iter()
+            .map(|m| format!("[{}] {m}", org.name()));
+        failure.failures.extend(tagged);
     }
-    if let Some((core, held)) = event_count_divergence(report, trace) {
-        mismatches.push(format!(
-            "core event counts {core} diverged from the trace's {held}"
-        ));
-    }
-    let (t_loads, t_stores, _, _) = trace.summary();
-    if mirror.oracle().loads() != t_loads || mirror.oracle().stores() != t_stores {
-        mismatches.push(format!(
-            "oracle saw {} loads / {} stores, trace holds {t_loads} / {t_stores}",
-            mirror.oracle().loads(),
-            mirror.oracle().stores()
-        ));
-    }
-
-    OrgCheck {
-        organization: organization.name(),
-        cycles: report.cycles,
-        flushed_lines: audit.flushed_lines,
-        signature: FunctionalSignature {
-            loads: report.loads,
-            stores: report.stores,
-            prefetches: report.prefetches,
-            branches: report.branches,
-            instructions: report.instructions,
-            image_hash: mirror.oracle().image_hash(),
-            load_hash: mirror.load_hash(),
-        },
-        mismatches,
-        dropped_violations: total - violations.len(),
-        violations,
-    }
-}
-
-/// The core's load/store/prefetch/branch counts and the trace's, each as
-/// `NL/NS/NP/NB`, when they differ.
-fn event_count_divergence(report: &CoreReport, trace: &Trace) -> Option<(String, String)> {
-    let ran = (
-        report.loads,
-        report.stores,
-        report.prefetches,
-        report.branches,
-    );
-    let held = trace.summary();
-    let label = |(l, s, p, b): (u64, u64, u64, u64)| format!("{l}L/{s}S/{p}P/{b}B");
-    (ran != held).then(|| (label(ran), label(held)))
-}
-
-/// One trace checked differentially across every organization.
-#[derive(Debug)]
-pub struct DifferentialReport {
-    /// Human-readable label of the trace under test.
-    pub label: String,
-    /// Per-organization outcomes, SRAM baseline first.
-    pub reports: Vec<OrgCheck>,
-    /// Every failure, each prefixed by the organization it came from.
-    /// Empty when the trace passed everywhere.
-    pub failures: Vec<String>,
-}
-
-impl DifferentialReport {
-    /// Whether every organization passed and all signatures agree.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// Runs `trace` on every catalog organization and cross-checks them: each
-/// must pass its own oracle/invariant check, and every functional
-/// signature must equal the SRAM baseline's.
-pub fn check_trace(label: &str, trace: &Trace) -> DifferentialReport {
-    let reports: Vec<OrgCheck> = all_organizations()
-        .into_iter()
-        .map(|org| check_trace_on(org, trace))
-        .collect();
-    let mut failures = Vec::new();
-    for r in &reports {
-        for m in &r.mismatches {
-            failures.push(format!("[{}] {m}", r.organization));
-        }
-        for v in &r.violations {
-            failures.push(format!("[{}] invariant: {v}", r.organization));
-        }
-        if r.dropped_violations > 0 {
-            failures.push(format!(
-                "[{}] … and {} more violations past the retention cap",
-                r.organization, r.dropped_violations
-            ));
-        }
-    }
-    let base = &reports[0];
-    for r in &reports[1..] {
-        if r.signature != base.signature {
-            failures.push(format!(
-                "[{}] functional signature diverged from {}: {:?} vs {:?}",
-                r.organization, base.organization, r.signature, base.signature
-            ));
-        }
-    }
-    DifferentialReport {
-        label: label.to_string(),
-        reports,
-        failures,
-    }
+    failed.map_or(Ok(()), Err)
 }
 
 /// An adversarial trace family, each aimed at one corner of the model.
@@ -437,14 +460,14 @@ pub fn adversarial_trace(kind: Adversary, seed: u64, events: usize) -> Trace {
     rec.into_trace()
 }
 
-/// Which cross-check a fuzz case runs its generated input through.
+/// Which check a fuzz case runs its generated input through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Adversarial traces through the shadow-oracle differential.
+    /// Adversarial traces through [`check_trace`].
     Oracle,
-    /// Co-scheduled multi-core mixes vs per-core isolated runs.
+    /// Co-scheduled multi-core mixes through [`check_multicore`].
     Multicore,
-    /// Irregular-family kernel traces through the oracle differential.
+    /// Irregular-family kernel traces through [`check_trace`].
     Irregular,
 }
 
@@ -468,65 +491,35 @@ impl Mode {
     }
 }
 
-/// One failing fuzz case, with everything needed to replay it.
+/// Largest `events` a fuzz case may ask for: 2^24 events, 128 MiB of
+/// trace words, which the generators reserve up front.
+pub const MAX_EVENTS: usize = 1 << 24;
+
+/// A failed check: every finding, and the case that shows them.
 #[derive(Debug)]
 pub struct CheckFailure {
-    /// The cross-check that failed.
-    pub mode: Mode,
-    /// The adversary family that produced (or salted) the input.
-    pub kind: Adversary,
-    /// The generator seed.
-    pub seed: u64,
-    /// The requested event count.
-    pub events: usize,
-    /// Every failure message from the check.
+    /// The case that failed: the failing organization's one-core case
+    /// under [`check_trace`], the mix under [`check_multicore`].
+    pub case: MulticoreCase,
+    /// Every finding of the check.
     pub failures: Vec<String>,
 }
 
-/// The labelled single-core trace a case checks: `kind`'s adversarial
-/// trace, or under [`Mode::Irregular`] the irregular-kernel trace
-/// derived from the same triple.
-fn case_trace(mode: Mode, kind: Adversary, seed: u64, events: usize) -> (String, Trace) {
-    match mode {
-        Mode::Irregular => irregular_trace(kind, seed, events),
-        Mode::Oracle | Mode::Multicore => (
-            format!("{}#{seed:#x}", kind.name()),
-            adversarial_trace(kind, seed, events),
-        ),
-    }
-}
-
 /// Generates one fuzz case from `(kind, seed, events)` and runs it
-/// through `mode`'s cross-check: [`check_trace`] over the adversarial or
+/// through `mode`'s check: [`check_trace`] over the adversarial or
 /// irregular trace, or [`check_multicore`] over the derived mix.
 ///
 /// # Errors
 ///
-/// Returns the structured [`CheckFailure`] when any organization fails
-/// its oracle/invariant check or diverges from the SRAM baseline, or
-/// when a co-scheduled mix fails determinism, the per-core isolated
-/// differential, the residency audit, conservation, or an invariant.
+/// Returns the [`CheckFailure`] of the check.
 pub fn run_case(mode: Mode, kind: Adversary, seed: u64, events: usize) -> Result<(), CheckFailure> {
-    let failures = match mode {
+    match mode {
+        Mode::Oracle => check_trace(&adversarial_trace(kind, seed, events)),
+        Mode::Irregular => check_trace(&irregular_trace(kind, seed, events)),
         Mode::Multicore => check_multicore(
             &format!("mc-{}#{seed:#x}", kind.name()),
             &multicore_case(kind, seed, events),
         ),
-        Mode::Oracle | Mode::Irregular => {
-            let (label, trace) = case_trace(mode, kind, seed, events);
-            check_trace(&label, &trace).failures
-        }
-    };
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(CheckFailure {
-            mode,
-            kind,
-            seed,
-            events,
-            failures,
-        })
     }
 }
 
@@ -585,49 +578,24 @@ pub fn trace_from_events(events: &[TraceEvent]) -> Trace {
     rec.into_trace()
 }
 
-/// Minimizes a failing oracle or irregular case's trace with
-/// [`shrink_events`] against the full differential check. Expensive
-/// (each probe replays every catalog organization); meant for
-/// `sttcache-check --shrink` on a repro.
-///
-/// # Panics
-///
-/// Panics on a [`Mode::Multicore`] failure, whose input is a mix, not
-/// one trace: shrink it with [`shrink_multicore_failure`].
-pub fn shrink_failure(failure: &CheckFailure) -> Trace {
-    assert_ne!(
-        failure.mode,
-        Mode::Multicore,
-        "multi-core failures shrink with shrink_multicore_failure"
-    );
-    let (_, trace) = case_trace(failure.mode, failure.kind, failure.seed, failure.events);
-    let minimal = shrink_events(&trace, |evs| {
-        !check_trace("shrink-probe", &trace_from_events(evs))
-            .failures
-            .is_empty()
-    });
-    trace_from_events(&minimal)
-}
-
 /// Derives one irregular-workload trace from `(kind, seed, events)`:
 /// the adversary family salts the seed (so every slot of a fuzz plan
 /// lands on a different corner), the salted seed picks an irregular
 /// catalog entry and a transformation combination, and the kernel's
 /// deterministic recording is truncated to about `events` architectural
 /// events. Same inputs — same trace, byte for byte.
-pub fn irregular_trace(kind: Adversary, seed: u64, events: usize) -> (String, Trace) {
+pub fn irregular_trace(kind: Adversary, seed: u64, events: usize) -> Trace {
     let (spec, transforms) = irregular_choice(kind, seed);
     let trace = crate::trace_cache::record_trace(
         spec.workload,
         sttcache_workloads::ProblemSize::Mini,
         transforms,
     );
-    let trace = if trace.len() > events {
+    if trace.len() > events {
         trace.iter().take(events).collect()
     } else {
         trace
-    };
-    (format!("{}#{seed:#x}", spec.cli), trace)
+    }
 }
 
 /// The irregular catalog entry and transformation set a salted
@@ -646,9 +614,10 @@ fn irregular_choice(
     (spec, *rng.pick(&combos))
 }
 
-/// One multi-core fuzz case: 2–4 cores, each with its own adversarial
-/// trace, catalog organization and phase offset, co-scheduled over one
-/// shared L2.
+/// One case of the checker: a trace, organization and phase offset per
+/// core, co-scheduled over one shared L2. A multi-core fuzz case has 2–4
+/// cores; [`check_trace`] reports a failing organization as a one-core
+/// case.
 #[derive(Debug, Clone)]
 pub struct MulticoreCase {
     /// Per-core private front-end organizations.
@@ -688,28 +657,32 @@ pub fn multicore_case(kind: Adversary, seed: u64, events: usize) -> MulticoreCas
     }
 }
 
-/// Cross-checks one co-scheduled multi-core run, five ways:
+/// Checks one co-scheduled case: [`audited_run`] against each core's
+/// footprint, plus two checks of its own:
 ///
-/// 1. **Determinism** — two runs of the same case are bit-identical,
+/// 1. **Determinism** — two plain runs of the case are bit-identical,
 ///    and the audited run schedules the cores identically.
-/// 2. **Per-core isolated differential** — each core's functional event
-///    counts match both its trace summary and the same trace run alone
-///    on [`MultiPlatform::isolated_config`]: co-scheduling may change
+/// 2. **Per-core isolated differential** — each core's loads, stores
+///    and instructions match the same trace run alone on
+///    [`MultiPlatform::isolated_config`]: co-scheduling may change
 ///    *when* things happen, never *what* happens.
-/// 3. **Per-core shadow oracle** — after the audited drain, every line
-///    still resident in a core's private front-end must sit inside that
-///    core's address stripe *and* cover bytes its own program touched:
-///    no phantom lines, and none leaked from another core.
-/// 4. **Shared-level residency** — every line left in the shared L2
-///    must belong to the stripe of some core that actually touched it.
-/// 5. **Conservation + invariants** — shared-L2 reads equal the summed
-///    private-DL1 fills, shared-L2 writes the summed write-backs, the
-///    drain leaves nothing dirty, and the armed invariant gate stays
-///    silent.
 ///
-/// Returns one message per finding; empty when the case passes.
-pub fn check_multicore(label: &str, case: &MulticoreCase) -> Vec<String> {
-    let mut failures = Vec::new();
+/// # Errors
+///
+/// Returns every finding, each prefixed by `label`, with the case.
+pub fn check_multicore(label: &str, case: &MulticoreCase) -> Result<(), CheckFailure> {
+    let failures = multicore_findings(case);
+    if failures.is_empty() {
+        return Ok(());
+    }
+    Err(CheckFailure {
+        case: case.clone(),
+        failures: failures.iter().map(|m| format!("{label}: {m}")).collect(),
+    })
+}
+
+/// [`check_multicore`]'s findings, untagged.
+fn multicore_findings(case: &MulticoreCase) -> Vec<String> {
     let specs: Vec<CoreSpec> = case
         .orgs
         .iter()
@@ -718,131 +691,42 @@ pub fn check_multicore(label: &str, case: &MulticoreCase) -> Vec<String> {
         .collect();
     let platform = match MultiPlatform::new(MultiPlatformConfig::new(specs)) {
         Ok(p) => p,
-        Err(e) => return vec![format!("{label}: platform rejected the case: {e}")],
+        Err(e) => return vec![format!("platform rejected the case: {e}")],
     };
-    let refs: Vec<&Trace> = case.traces.iter().collect();
+    let traces: Vec<&Trace> = case.traces.iter().collect();
+    let footprints: Vec<Footprint> = case.traces.iter().map(Footprint::of).collect();
+    let first = platform.run_traces(&traces);
+    let second = platform.run_traces(&traces);
+    let audited = audited_run(&platform, &traces, &footprints.iter().collect::<Vec<_>>());
 
-    let gate_was_on = invariants::enabled();
-    invariants::set_enabled(true);
-    let _ = invariants::take_violations();
-    let first = platform.run_traces(&refs);
-    let second = platform.run_traces(&refs);
-    let (audited, audit) = platform.run_traces_audited(&refs);
-    let (violations, total) = invariants::take_violations();
-    invariants::set_enabled(gate_was_on);
-
+    let mut failures = Vec::new();
     if first != second {
-        failures.push(format!("{label}: co-scheduled run is not deterministic"));
+        failures.push("co-scheduled run is not deterministic".to_string());
     }
-    if audited
-        .cores
-        .iter()
-        .zip(&first.cores)
-        .any(|(a, b)| a.core != b.core)
-    {
-        failures.push(format!(
-            "{label}: the audited run scheduled the cores differently"
-        ));
+    let cores = audited.result.cores.iter().zip(&first.cores);
+    if cores.clone().any(|(a, b)| a.core != b.core) {
+        failures.push("the audited run scheduled the cores differently".to_string());
     }
-    for v in &violations {
-        failures.push(format!("{label}: invariant: {v}"));
-    }
-    if total > violations.len() {
-        failures.push(format!(
-            "{label}: … and {} more violations past the retention cap",
-            total - violations.len()
-        ));
-    }
-    if audit.dirty_after_drain != 0 {
-        failures.push(format!(
-            "{label}: {} dirty lines survived the audited drain",
-            audit.dirty_after_drain
-        ));
-    }
-
-    // Per-core: trace summary, isolated differential, private residency.
-    let mut mirrors = Vec::with_capacity(case.traces.len());
-    for (idx, trace) in case.traces.iter().enumerate() {
-        let r = &first.cores[idx];
-        if let Some((ran, held)) = event_count_divergence(&r.core, trace) {
-            failures.push(format!(
-                "{label}: core {idx} executed {ran}, its trace holds {held}"
-            ));
-        }
+    for (idx, (trace, (_, run))) in case.traces.iter().zip(cores).enumerate() {
         let iso = Platform::with_config(platform.isolated_config(idx))
             .expect("validated configuration builds")
             .run_trace(trace);
         if (iso.core.loads, iso.core.stores, iso.core.instructions)
-            != (r.core.loads, r.core.stores, r.core.instructions)
+            != (run.core.loads, run.core.stores, run.core.instructions)
         {
             failures.push(format!(
-                "{label}: core {idx}'s functional counts diverged from its isolated run"
+                "core {idx}'s functional counts diverged from its isolated run"
             ));
         }
-        let mut mirror = OracleMirror::new();
-        trace.replay_into(&mut mirror);
-        let stripe = idx as u64 * CORE_ADDRESS_STRIDE;
-        for &(base, len) in &audit.core_resident[idx] {
-            if base.0 < stripe || base.0 - stripe >= CORE_ADDRESS_STRIDE {
-                failures.push(format!(
-                    "{label}: core {idx} holds line {base} from outside its address stripe"
-                ));
-            } else if !mirror.oracle().intersects_accessed(base.0 - stripe, len) {
-                failures.push(format!(
-                    "{label}: phantom line {base} ({len} B) resident in core {idx}'s \
-                     front-end: its program never touched it"
-                ));
-            }
-        }
-        mirrors.push(mirror);
     }
-
-    // Shared level: every surviving line belongs to the stripe of a core
-    // whose program touched it.
-    for &(base, len) in &audit.shared_resident {
-        let idx = (base.0 / CORE_ADDRESS_STRIDE) as usize;
-        match mirrors.get(idx) {
-            None => failures.push(format!(
-                "{label}: shared L2 holds line {base} outside every core's address stripe"
-            )),
-            Some(mirror) => {
-                let stripe = idx as u64 * CORE_ADDRESS_STRIDE;
-                if !mirror.oracle().intersects_accessed(base.0 - stripe, len) {
-                    failures.push(format!(
-                        "{label}: phantom line {base} ({len} B) resident in the shared L2: \
-                         core {idx}'s program never touched it"
-                    ));
-                }
-            }
-        }
-    }
-
-    // Conservation: the shared level's demand is exactly the sum of the
-    // private DL1s' fills and write-backs.
-    let fills: u64 = first.cores.iter().map(|c| c.dl1.fills).sum();
-    let writebacks: u64 = first.cores.iter().map(|c| c.dl1.writebacks).sum();
-    if first.shared_l2.reads != fills {
-        failures.push(format!(
-            "{label}: shared L2 saw {} reads but the private DL1s filled {} lines",
-            first.shared_l2.reads, fills
-        ));
-    }
-    if first.shared_l2.writes != writebacks {
-        failures.push(format!(
-            "{label}: shared L2 saw {} writes but the private DL1s wrote back {} lines",
-            first.shared_l2.writes, writebacks
-        ));
-    }
+    failures.extend(audited.findings);
     failures
 }
 
-/// [`shrink_failure`]'s counterpart for `--kind multicore` failures:
-/// first greedily drops whole cores, then ddmin-shrinks each surviving
-/// core's event list, keeping every reduction under which
-/// [`check_multicore`] still fails. Returns the minimal failing mix.
-pub fn shrink_multicore_failure(failure: &CheckFailure) -> MulticoreCase {
-    let mut case = multicore_case(failure.kind, failure.seed, failure.events);
-    let fails = |c: &MulticoreCase| !check_multicore("shrink-probe", c).is_empty();
+/// [`shrink_failure`] against any predicate `fails`, which must hold for
+/// `case` itself.
+fn shrink_case(case: &MulticoreCase, fails: impl Fn(&MulticoreCase) -> bool) -> MulticoreCase {
+    let mut case = case.clone();
     let mut i = 0;
     while case.traces.len() > 1 && i < case.traces.len() {
         let mut candidate = case.clone();
@@ -866,24 +750,19 @@ pub fn shrink_multicore_failure(failure: &CheckFailure) -> MulticoreCase {
     case
 }
 
+/// Minimizes `failure`'s case against [`check_multicore`], whose audit
+/// is the one every check runs: first drops whole cores (while more than
+/// one is left) under which the case still fails, then ddmin-shrinks
+/// each surviving core's events with [`shrink_events`]. A core keeps its
+/// organization and offset. Each probe runs the case three times and
+/// each core alone; meant for `sttcache-check --shrink` on a repro.
+pub fn shrink_failure(failure: &CheckFailure) -> MulticoreCase {
+    shrink_case(&failure.case, |c| !multicore_findings(c).is_empty())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sttcache_mem::Addr;
-
-    #[test]
-    fn mirror_counts_and_hashes_are_order_sensitive() {
-        let mut a = OracleMirror::new();
-        a.store(Addr(0x100), 8);
-        a.load(Addr(0x100), 8);
-        let mut b = OracleMirror::new();
-        b.load(Addr(0x100), 8);
-        b.store(Addr(0x100), 8);
-        assert_eq!(a.oracle().loads(), 1);
-        assert_eq!(a.oracle().stores(), 1);
-        // Load-before-store reads unwritten memory: different value hash.
-        assert_ne!(a.load_hash(), b.load_hash());
-    }
 
     #[test]
     fn adversarial_traces_are_deterministic() {
@@ -905,12 +784,50 @@ mod tests {
     }
 
     #[test]
+    fn footprint_counts_every_event() {
+        let mut rec = TraceRecorder::new();
+        rec.store(Addr(0), 4);
+        rec.load(Addr(0), 4);
+        rec.load(Addr(8), 4);
+        rec.prefetch(Addr(0x40));
+        rec.compute(5);
+        rec.branch(true);
+        let c = Footprint::of(&rec.into_trace()).counts;
+        let counts = (c.loads, c.stores, c.prefetches, c.branches);
+        assert_eq!(counts, (2, 1, 1, 1));
+        assert_eq!(c.instructions(), 10);
+    }
+
+    #[test]
+    fn footprint_marks_both_chunks_of_a_straddling_access() {
+        let mut rec = TraceRecorder::new();
+        rec.store(Addr(CHUNK_BYTES - 2), 4); // bytes 30..34: chunks 0 and 1
+        rec.load(Addr(0x100), 8);
+        let footprint = Footprint::of(&rec.into_trace());
+        assert!(footprint.touches(0, 32));
+        assert!(footprint.touches(32, 32));
+        assert!(!footprint.touches(64, 32));
+        assert!(footprint.touches(0xE0, 64), "a line covering 0x100's chunk");
+        assert_eq!(footprint.chunks, [0, 1, 0x100 / CHUNK_BYTES]);
+    }
+
+    #[test]
+    fn footprint_marks_a_prefetched_chunk() {
+        let mut rec = TraceRecorder::new();
+        rec.prefetch(Addr(0x1000));
+        let footprint = Footprint::of(&rec.into_trace());
+        assert!(footprint.touches(0x1000, 64));
+        assert!(!footprint.touches(0x1040, 64));
+        assert_eq!(footprint.counts.prefetches, 1);
+        assert_eq!(footprint.chunks, [0x1000 / CHUNK_BYTES]);
+    }
+
+    #[test]
     fn small_random_trace_passes_differentially() {
         let trace = adversarial_trace(Adversary::RandomMix, DEFAULT_SEED, 400);
-        let report = check_trace("unit", &trace);
-        assert!(report.passed(), "failures: {:#?}", report.failures);
-        assert_eq!(report.reports.len(), sttcache::catalog::catalog().len());
-        assert_eq!(report.reports[0].organization, "SRAM baseline");
+        if let Err(f) = check_trace(&trace) {
+            panic!("failures: {:#?}", f.failures);
+        }
     }
 
     #[test]
@@ -956,14 +873,13 @@ mod tests {
 
     #[test]
     fn irregular_traces_are_deterministic_and_capped() {
-        let (label, t1) = irregular_trace(Adversary::RandomMix, 7, 500);
-        let (label2, t2) = irregular_trace(Adversary::RandomMix, 7, 500);
-        assert_eq!(label, label2);
+        let t1 = irregular_trace(Adversary::RandomMix, 7, 500);
+        let t2 = irregular_trace(Adversary::RandomMix, 7, 500);
         assert_eq!(t1, t2, "irregular derivation not deterministic");
         assert!(!t1.is_empty());
         assert!(t1.len() <= 500);
         // A different adversary salt lands on a different corner.
-        let (_, t3) = irregular_trace(Adversary::BankPingPong, 7, 500);
+        let t3 = irregular_trace(Adversary::BankPingPong, 7, 500);
         assert_ne!(t1, t3);
     }
 
@@ -980,5 +896,42 @@ mod tests {
         let minimal = shrink_events(&trace, |evs| evs.iter().any(is_store));
         assert_eq!(minimal.len(), 1);
         assert!(is_store(&minimal[0]));
+    }
+
+    /// The shrinker against a synthetic failure, "some core holds a
+    /// store": a three-core case drops to the one core it keeps last,
+    /// with that core's organization and offset, holding one store; a
+    /// one-core case keeps its organization.
+    #[test]
+    fn shrink_case_drops_cores_then_events() {
+        let is_store = |e: &TraceEvent| matches!(e, TraceEvent::Store { .. });
+        let fails = |c: &MulticoreCase| c.traces.iter().any(|t| t.iter().any(|e| is_store(&e)));
+        let orgs = all_organizations();
+        let case = MulticoreCase {
+            orgs: orgs[..3].to_vec(),
+            offsets: vec![0, 5, 9],
+            traces: [
+                Adversary::RandomMix,
+                Adversary::AliasWriteBurst,
+                Adversary::LineStraddle,
+            ]
+            .map(|kind| adversarial_trace(kind, 3, 120))
+            .to_vec(),
+        };
+        assert!(fails(&case));
+        let minimal = shrink_case(&case, fails);
+        assert_eq!(minimal.traces.len(), 1, "{minimal:?}");
+        assert_eq!((minimal.orgs[0], minimal.offsets[0]), (orgs[2], 9));
+        let events: Vec<TraceEvent> = minimal.traces[0].iter().collect();
+        assert!(events.len() == 1 && is_store(&events[0]), "{events:?}");
+
+        let alone = MulticoreCase {
+            orgs: vec![orgs[4]],
+            offsets: vec![0],
+            traces: vec![case.traces[1].clone()],
+        };
+        let minimal = shrink_case(&alone, fails);
+        assert_eq!(minimal.orgs, [orgs[4]]);
+        assert_eq!(minimal.traces[0].len(), 1);
     }
 }

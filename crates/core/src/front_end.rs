@@ -197,8 +197,8 @@ impl<N: MemoryLevel> FrontEnd<N> {
     }
 
     /// Base address and line size of every line resident in the buffers
-    /// and the DL1, for phantom-line verification against a functional
-    /// oracle.
+    /// and the DL1, for phantom-line verification against the trace's
+    /// footprint.
     pub fn resident_lines(&self) -> Vec<(Addr, usize)> {
         let dl1_bytes = self.dl1.config().line_bytes();
         let buffered = self.buffers.iter().flat_map(LineBuffer::resident_lines);

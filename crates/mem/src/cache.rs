@@ -167,7 +167,7 @@ impl<N: MemoryLevel> Cache<N> {
     }
 
     /// Base addresses of every resident line, for post-run verification
-    /// against a functional oracle: a drained hierarchy may only hold
+    /// against the trace's footprint: a drained hierarchy may only hold
     /// lines the program actually touched.
     pub fn resident_lines(&self) -> Vec<Addr> {
         let sets_count = self.set_count;

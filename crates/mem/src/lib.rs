@@ -48,7 +48,6 @@ mod gates;
 pub mod invariants;
 mod memory;
 mod mshr;
-mod oracle;
 mod prefetcher;
 mod replacement;
 mod set;
@@ -66,7 +65,6 @@ pub use gates::env_gate;
 pub use invariants::InvariantViolation;
 pub use memory::MainMemory;
 pub use mshr::{MshrFile, MshrOutcome};
-pub use oracle::ShadowOracle;
 pub use prefetcher::{NextLinePrefetcher, PrefetcherStats};
 pub use replacement::ReplacementPolicy;
 pub use shared::Shared;

@@ -17,19 +17,27 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 smoke="$(mktemp)"
 trap 'rm -f "$smoke"' EXIT
 
-# Differential fuzzer: adversarial traces on every catalog organization,
-# cross-checked against the shadow-memory oracle and the SRAM baseline.
+# Differential fuzzer: adversarial traces alone on every catalog
+# organization, each drained run audited against the trace's footprint
+# (event counts, touched memory, surviving dirt, traffic conservation).
 ./target/release/sttcache-check --quick > "$smoke"
-# Same battery as randomized 2-4 core mixes over the shared L2:
-# co-scheduled runs cross-checked against per-core isolated runs, the
-# per-core shadow oracles and the residency/conservation audit.
+# Same battery as randomized 2-4 core mixes over the shared L2: the same
+# audit per core, plus determinism and per-core isolated runs.
 ./target/release/sttcache-check --quick --kind multicore >> "$smoke"
-# The irregular pointer-chasing family through the oracle differential —
+# The irregular pointer-chasing family through the same audit —
 # data-dependent streams, no affine safety net.
 ./target/release/sttcache-check --quick --kind irregular --events 2000 >> "$smoke"
 # The transcripts name every case the three batteries ran, so a battery
 # that loses or reorders a case fails here.
 diff -u tests/golden/check_quick.txt "$smoke"
+# The same three legs over 40 seeded cases per family: 720 verdicts, in
+# order.
+{
+    ./target/release/sttcache-check --seed 7 --cases 40
+    ./target/release/sttcache-check --seed 7 --cases 40 --kind multicore
+    ./target/release/sttcache-check --seed 7 --cases 40 --kind irregular --events 2000
+} > "$smoke"
+diff -u tests/golden/check_seed.txt "$smoke"
 
 # The ablation cycle tables must not move. At Mini their associativity,
 # write-buffer and replacement sweeps are flat; replacement victims are
@@ -159,4 +167,4 @@ benchout="$(mktemp -d)"
 trap 'rm -rf "$smoke" "$ttrace" "$mc" "$exttrace" "$prof" "$benchout"' EXIT
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --quick --out "$benchout"
 
-echo "ci: fmt, build, tests (plain + invariants armed), clippy, differential + multicore + irregular fuzzers (transcripts pinned to their golden), ablation tables, figures CSV golden, figures smoke (serial, four workers, replay cross-checked against direct execution, invariants armed, telemetry export, profile with trace-cache counts), early-closed stdout pipelines, multi-core + irregular determinism, catalog + irregular + multicore + sim_multicore goldens, external-trace replay (pinned to the kernel's own replay), trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"
+echo "ci: fmt, build, tests (plain + invariants armed), clippy, differential + multicore + irregular fuzzers (quick and seeded transcripts pinned to their goldens), ablation tables, figures CSV golden, figures smoke (serial, four workers, replay cross-checked against direct execution, invariants armed, telemetry export, profile with trace-cache counts), early-closed stdout pipelines, multi-core + irregular determinism, catalog + irregular + multicore + sim_multicore goldens, external-trace replay (pinned to the kernel's own replay), trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"

@@ -102,6 +102,13 @@ fn rejected_flag_values_name_the_flag_and_the_value() {
         (SIM, atax(&["--icache", "dram"]), "--icache", "'dram'"),
         (SIM, vec!["--cores", "0"], "--cores", "'0'"),
         (SIM, vec!["--cores", "x"], "--cores", "'x'"),
+        // Refused before the default mix allocates a core per count.
+        (
+            SIM,
+            vec!["--cores", "18446744073709551615"],
+            "--cores",
+            "'18446744073709551615'",
+        ),
         (SIM, atax(&["--jobs", "0"]), "--jobs", "'0'"),
         (
             SIM,
@@ -134,6 +141,13 @@ fn rejected_flag_values_name_the_flag_and_the_value() {
         (CHECK, vec!["--seed"], "--seed", "missing value"),
         (CHECK, vec!["--seed", "5", "--cases", "0"], "--cases", "'0'"),
         (CHECK, vec!["--events", "0"], "--events", "'0'"),
+        // Refused before a generator reserves a slot per event.
+        (
+            CHECK,
+            vec!["--events", "18446744073709551615"],
+            "--events",
+            "'18446744073709551615'",
+        ),
         (CHECK, vec!["--kind", "foo"], "--kind", "'foo'"),
     ] {
         let out = run(exe, &args, &[]);

@@ -3,19 +3,17 @@
 //! One parameterized battery over `sttcache::catalog`: every entry's
 //! front-end — whatever list of line buffers it carries — must honor the
 //! drain/verification contract, alone on one core and as a core-private
-//! front-end above the shared L2. Every audit drains through
-//! `MultiPlatform::run_traces_audited`. Adding a catalog entry
-//! automatically puts it under this suite; no per-organization test code.
+//! front-end above the shared L2. The contract is the checker's one
+//! audit, `check::audited_run`, plus what this suite adds: the drain
+//! writes something back, and an audited run neither reschedules the
+//! cores nor perturbs the next run. Adding a catalog entry automatically
+//! puts it under this suite; no per-organization test code.
 
 use sttcache::catalog::catalog;
-use sttcache::{
-    CoreSpec, DCacheOrganization, MultiPlatform, MultiPlatformConfig, CORE_ADDRESS_STRIDE,
-};
-use sttcache_bench::check::{self, OracleMirror};
-use sttcache_bench::trace_cache;
+use sttcache::{CoreSpec, DCacheOrganization, MultiPlatform, MultiPlatformConfig};
+use sttcache_bench::check::{self, Footprint};
 use sttcache_cpu::{Engine, Trace, TraceRecorder};
-use sttcache_mem::{invariants, telemetry, Addr};
-use sttcache_workloads::{PolyBench, ProblemSize, Transformations};
+use sttcache_mem::{telemetry, Addr};
 
 /// A deterministic mixed access pattern: strided reads, writes and
 /// prefetch hints with re-use.
@@ -55,72 +53,34 @@ fn platforms(org: DCacheOrganization) -> [MultiPlatform; 2] {
 }
 
 /// The whole contract for one platform running `trace` on every core:
-/// the audited drain writes back everything and leaves zero dirty state,
-/// the armed invariant gate stays silent, every surviving line sits in
-/// the stripe of a core whose program touched it (no phantom lines, none
-/// leaked across cores), and nothing is left behind that perturbs a
-/// following run.
+/// the audit finds nothing (the armed gate stays silent, the drain
+/// leaves zero dirty state, every core ran its trace's events, every
+/// surviving line sits in the stripe of a core whose program touched it,
+/// and the shared L2's traffic is conserved), the drain writes back, and
+/// nothing is left behind that perturbs a following run.
 fn assert_stage_contract(name: &str, platform: &MultiPlatform, trace: &Trace) {
-    let mut mirror = OracleMirror::new();
-    trace.replay_into(&mut mirror);
-    let oracle = mirror.oracle();
     let cores = platform.config().cores.len();
     let name = format!("{name} on {cores} core(s)");
     let traces = vec![trace; cores];
+    let footprint = Footprint::of(trace);
 
-    let gate_was_on = invariants::enabled();
-    invariants::set_enabled(true);
-    let _ = invariants::take_violations();
     let before = platform.run_traces(&traces);
-    let (audited, audit) = platform.run_traces_audited(&traces);
-    let (violations, total) = invariants::take_violations();
-    invariants::set_enabled(gate_was_on);
-
-    // 1. The audited drain writes back everything, cleanly.
+    let audited = check::audited_run(platform, &traces, &vec![&footprint; cores]);
     assert!(
-        audit.flushed_lines > 0,
+        audited.findings.is_empty(),
+        "{name}: {:#?}",
+        audited.findings
+    );
+    assert!(
+        audited.flushed_lines > 0,
         "{name}: the pattern stores, a drain must write back"
     );
-    assert_eq!(
-        audit.dirty_after_drain, 0,
-        "{name}: dirty state survived the audited drain"
-    );
-    assert_eq!(total, 0, "{name}: {violations:#?}");
 
-    // 2. Private residency: each core's surviving lines sit in its own
-    //    address stripe and cover bytes its program touched.
-    for (idx, resident) in audit.core_resident.iter().enumerate() {
-        let stripe = idx as u64 * CORE_ADDRESS_STRIDE;
-        for &(base, len) in resident {
-            assert!(
-                base.0 >= stripe && base.0 - stripe < CORE_ADDRESS_STRIDE,
-                "{name}: core {idx} holds line {base} from another core's stripe"
-            );
-            assert!(
-                oracle.intersects_accessed(base.0 - stripe, len),
-                "{name}: phantom line {base} ({len} B) in core {idx}'s front-end"
-            );
-        }
-    }
-
-    // 3. Shared residency: every line left in the L2 belongs to the
-    //    stripe of a core that touched it.
-    for &(base, len) in &audit.shared_resident {
-        let idx = base.0 / CORE_ADDRESS_STRIDE;
-        assert!(
-            idx < cores as u64,
-            "{name}: L2 line {base} outside every stripe"
-        );
-        assert!(
-            oracle.intersects_accessed(base.0 - idx * CORE_ADDRESS_STRIDE, len),
-            "{name}: phantom line {base} ({len} B) in the L2"
-        );
-    }
-
-    // 4. The audited run schedules identically and leaves nothing behind:
-    //    a following run reproduces the first bit-for-bit.
+    // The audited run schedules identically and leaves nothing behind: a
+    // following run reproduces the first bit-for-bit.
     assert!(
         audited
+            .result
             .cores
             .iter()
             .zip(&before.cores)
@@ -170,23 +130,5 @@ fn telemetry_armed_runs_leave_every_organization_unchanged() {
             let _ = telemetry::take();
             assert_eq!(plain, armed, "{}: telemetry changed the run", entry.name);
         }
-    }
-}
-
-/// The same catalog under a real kernel: the full differential check
-/// (oracle mirror, drain audit, invariant gate) passes per organization.
-#[test]
-fn every_catalog_organization_passes_the_kernel_check() {
-    let trace =
-        trace_cache::cached_trace(PolyBench::Gemm, ProblemSize::Mini, Transformations::all());
-    for entry in catalog() {
-        let report = check::check_trace_on(entry.organization, &trace);
-        assert!(
-            report.passed(),
-            "{}: mismatches {:#?}, violations {:#?}",
-            entry.name,
-            report.mismatches,
-            report.violations
-        );
     }
 }
