@@ -18,8 +18,9 @@
 //! each derived when its turn comes. `--events` is at most 2^24.
 //! Flags the run would ignore (`--seed` beside `--quick`, `--cases`
 //! without `--seed`) and malformed values exit 2, naming the flag; a
-//! malformed `STTCACHE_*` knob exits 2 naming the variable before any
-//! work, as in `figures` and `sim`.
+//! malformed `STTCACHE_*` knob, or the retired
+//! `STTCACHE_TRACE_CACHE_BYTES` set to anything, exits 2 naming the
+//! variable before any work, as in `figures` and `sim`.
 //! On failure the offending `(kind, seed, events)` triple is printed for
 //! replay; `--shrink` additionally minimizes the first failing case —
 //! the failing organization's one-core case, or the mix — by dropping

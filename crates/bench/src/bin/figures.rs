@@ -17,19 +17,23 @@
 //! order. A malformed or missing flag value exits 2 naming the flag and
 //! the value.
 //!
-//! Grid points replay through the record-once/replay-many trace cache
-//! (`STTCACHE_TRACE_CACHE_BYTES` caps its memory). A malformed
-//! `STTCACHE_THREADS` or `STTCACHE_TRACE_CACHE_BYTES` exits 2 naming the
-//! variable before any work. Both host-time exports come from the one
-//! recording in `sttcache_bench::profile`, and stdout stays
-//! byte-identical in every mode: `--profile` prints per-phase wall-clock
-//! (record/replay), the trace cache's hit, miss, eviction and release
-//! counts with its resident and peak bytes, and per-artifact timings to
-//! stderr, and `--telemetry-json PATH` arms the span recording and the
-//! component telemetry gate and writes one Chrome `trace_event` span per
-//! trace-cache phase and per printed artifact to PATH, loadable in
-//! `chrome://tracing`/Perfetto.
+//! Grid points replay through the record-once/replay-many trace cache.
+//! A malformed `STTCACHE_THREADS`, `STTCACHE_TRACE_CHECK` or
+//! `STTCACHE_INVARIANTS`, or any value of the retired
+//! `STTCACHE_TRACE_CACHE_BYTES`, exits 2 naming the variable before any
+//! work. Both host-time exports come from the one recording in
+//! `sttcache_bench::profile`, and stdout stays byte-identical in every
+//! mode: `--profile` prints per-phase wall-clock (record/replay), the
+//! trace cache's hit, miss and release counts with its resident and peak
+//! bytes, and per-artifact timings to stderr, and `--telemetry-json PATH`
+//! arms the span recording and the component telemetry gate and writes
+//! one Chrome `trace_event` span per trace-cache phase and per printed
+//! artifact to PATH, loadable in `chrome://tracing`/Perfetto. PATH is
+//! created before any sweep runs: one that cannot be written exits 1
+//! naming it, having printed nothing.
 
+use std::fs::File;
+use std::io::Write;
 use sttcache_bench::figures::{self, Artifact};
 use sttcache_bench::{parallel, profile, ProfileReport};
 use sttcache_workloads::ProblemSize;
@@ -50,6 +54,13 @@ fn refuse(flag: &str, value: Option<&str>, expected: &str) -> ! {
         None => eprintln!("{flag}: missing value"),
     }
     usage()
+}
+
+/// Names `path` and the error that kept the telemetry JSON out of it,
+/// then exits 1.
+fn telemetry_write_failed(path: &str, e: &std::io::Error) -> ! {
+    eprintln!("cannot write telemetry JSON to {path}: {e}");
+    std::process::exit(1);
 }
 
 fn main() {
@@ -111,14 +122,6 @@ fn main() {
         eprintln!("--telemetry-json traces the text artifacts; --csv would ignore it");
         usage();
     }
-    // Arm span recording (and the component telemetry gate, for overhead
-    // realism) before any sweep runs. Stdout stays byte-identical — all
-    // telemetry goes to PATH.
-    if telemetry_json.is_some() {
-        profile::arm();
-        sttcache_mem::telemetry::set_enabled(true);
-    }
-
     if csv {
         if figures::print_csv(what, size) {
             return;
@@ -142,6 +145,18 @@ fn main() {
         };
         vec![artifact]
     };
+    // Open PATH before any sweep runs, so a bad path costs no simulation,
+    // then arm span recording (and the component telemetry gate, for
+    // overhead realism). Stdout stays byte-identical — all telemetry goes
+    // to PATH.
+    let telemetry = telemetry_json.map(|path| match File::create(&path) {
+        Ok(file) => {
+            profile::arm();
+            sttcache_mem::telemetry::set_enabled(true);
+            (path, file)
+        }
+        Err(e) => telemetry_write_failed(&path, &e),
+    });
     let start = std::time::Instant::now();
     let timed: Vec<(&'static str, f64)> = selected
         .into_iter()
@@ -152,12 +167,11 @@ fn main() {
         eprint!("{}", ProfileReport::finish(start, timed).render_text());
     }
 
-    if let Some(path) = telemetry_json {
+    if let Some((path, mut file)) = telemetry {
         let (events, dropped) = profile::drain_spans();
         let json = profile::export_chrome_json(&events, dropped);
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("cannot write telemetry JSON to {path}: {e}");
-            std::process::exit(1);
+        if let Err(e) = file.write_all(json.as_bytes()) {
+            telemetry_write_failed(&path, &e);
         }
         eprintln!(
             "telemetry: wrote {} spans to {path} (chrome://tracing format)",

@@ -47,8 +47,10 @@
 //!   memo — exactly like a kernel-backed workload. A trace that runs for
 //!   0 cycles has no penalty: `--baseline` and `--explain` exit 2 naming
 //!   the file before printing anything.
-//! * A malformed `STTCACHE_THREADS` or `STTCACHE_TRACE_CACHE_BYTES`
-//!   exits 2 naming the variable before any work.
+//! * A malformed `STTCACHE_THREADS`, `STTCACHE_TRACE_CHECK` or
+//!   `STTCACHE_INVARIANTS`, or any value of the retired
+//!   `STTCACHE_TRACE_CACHE_BYTES`, exits 2 naming the variable before any
+//!   work.
 
 use sttcache::{
     DCacheOrganization, DlOneTechnology, IcacheConfig, Platform, PlatformConfig, RunResult,

@@ -6,7 +6,7 @@
 //! grid index, so the output is identical no matter how many workers run
 //! the sweep (see `crates/bench/src/parallel.rs`).
 
-use crate::parallel::{GridPoint, SweepRunner};
+use crate::parallel::{self, SweepRunner};
 use crate::trace_cache;
 use sttcache::{
     average_penalty, penalty_pct, DCacheOrganization, PenaltyRow, PlatformConfig, RunResult,
@@ -28,7 +28,7 @@ fn affine() -> Vec<WorkloadSpec> {
 /// transformations.
 ///
 /// Executes through the shared trace cache (see
-/// [`trace_cache`](crate::trace_cache)): the kernel's event stream is
+/// [`trace_cache`]): the kernel's event stream is
 /// recorded once per (kernel, size, transformation) key and replayed for
 /// every organization, with results identical to direct execution.
 ///
@@ -45,35 +45,17 @@ pub fn run_benchmark(
     trace_cache::run_config(&PlatformConfig::new(org), workload, size, t)
 }
 
-/// Builds the grid for a list of (organization, transformation) combos:
-/// combo-major, affine-catalog-minor — each combo occupies one
-/// contiguous, benchmark-ordered chunk of the result vector.
-fn combo_grid(
-    combos: &[(DCacheOrganization, Transformations)],
-    size: ProblemSize,
-) -> Vec<GridPoint> {
-    let rows = affine();
-    let mut points = Vec::with_capacity(combos.len() * rows.len());
-    for &(org, transforms) in combos {
-        for spec in &rows {
-            points.push(GridPoint {
-                org,
-                workload: spec.workload,
-                size,
-                transforms,
-            });
-        }
-    }
-    points
-}
-
-/// Runs a combo grid through the current sweep runner and returns the
-/// per-combo cycle-count chunks (one chunk per combo, benchmark order).
+/// Runs a list of (organization, transformation) combos through the
+/// current sweep runner and returns the per-combo cycle-count chunks
+/// (one chunk per combo, benchmark order).
 fn sweep_combos(
     combos: &[(DCacheOrganization, Transformations)],
     size: ProblemSize,
 ) -> Vec<Vec<u64>> {
-    let points = combo_grid(combos, size);
+    let points: Vec<_> = combos
+        .iter()
+        .flat_map(|&(org, t)| parallel::grid(&[org], size, t))
+        .collect();
     let cycles = SweepRunner::current().grid_cycles(&points);
     cycles.chunks(affine().len()).map(|c| c.to_vec()).collect()
 }

@@ -35,33 +35,26 @@ pub use profile::{ProfileReport, ProfileSnapshot};
 pub use trace_cache::{TraceCache, TraceCacheStats, TraceKey};
 pub use workload::WorkloadError;
 
-/// Reads the integer environment knob `name`: `None` when it is unset,
-/// its value when that parses to an integer of at least `min`, and an
-/// error naming the variable and its value otherwise. A malformed knob
-/// never falls back to a default.
-pub(crate) fn env_knob(name: &str, min: usize) -> Result<Option<usize>, String> {
-    let Some(raw) = std::env::var_os(name) else {
-        return Ok(None);
-    };
-    let raw = raw.to_string_lossy();
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n >= min => Ok(Some(n)),
-        _ => Err(format!("{name}={raw:?}: expected an integer >= {min}")),
-    }
-}
-
-/// Checks the sweep knobs `STTCACHE_THREADS` and
-/// `STTCACHE_TRACE_CACHE_BYTES` and the boolean gates
-/// ([`sttcache_mem::env_gate`]). The binaries call this before any work
-/// and exit 2 on error; a library caller that skips it gets the same
-/// message as a panic from the first read of the knob.
+/// Checks the sweep knob `STTCACHE_THREADS` and the boolean gates
+/// `STTCACHE_TRACE_CHECK` and `STTCACHE_INVARIANTS`
+/// ([`sttcache_mem::env_gate`]), and refuses the retired
+/// `STTCACHE_TRACE_CACHE_BYTES` whenever it is set: the trace cache has
+/// no cap to honour. The binaries call this before any work and exit 2
+/// on error; a library caller that skips it gets the same message for
+/// a malformed knob as a panic from the first read of that knob, and
+/// never reads the retired one.
 ///
 /// # Errors
 ///
-/// Names the first malformed variable and its value.
+/// Names the first malformed or retired variable and its value.
 pub fn check_env_knobs() -> Result<(), String> {
+    if let Some(raw) = std::env::var_os("STTCACHE_TRACE_CACHE_BYTES") {
+        return Err(format!(
+            "STTCACHE_TRACE_CACHE_BYTES={:?}: retired (the trace cache has no cap); unset it",
+            raw.to_string_lossy()
+        ));
+    }
     SweepRunner::from_env()?;
-    TraceCache::from_env()?;
     sttcache_mem::env_gate("STTCACHE_TRACE_CHECK")?;
     sttcache_mem::env_gate("STTCACHE_INVARIANTS")?;
     Ok(())

@@ -133,12 +133,14 @@ impl SweepRunner {
     /// Names the variable and its value if it is set to anything but a
     /// positive integer.
     pub fn from_env() -> Result<Self, String> {
-        let workers = crate::env_knob("STTCACHE_THREADS", 1)?.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-        Ok(SweepRunner::with_workers(workers))
+        let Some(raw) = std::env::var_os("STTCACHE_THREADS") else {
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            return Ok(SweepRunner::with_workers(cores));
+        };
+        let raw = raw.to_string_lossy();
+        let n = raw.trim().parse::<usize>().ok().filter(|&n| n >= 1);
+        n.map(SweepRunner::with_workers)
+            .ok_or_else(|| format!("STTCACHE_THREADS={raw:?}: expected an integer >= 1"))
     }
 
     /// The runner every figure/experiment sweep uses: the [`set_jobs`]

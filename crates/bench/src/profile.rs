@@ -367,11 +367,10 @@ impl ProfileReport {
             ns_per_event(p.replay_seconds, p.replay_events),
         ));
         out.push_str(&format!(
-            "  trace cache: {} hits, {} misses, {} evictions, {} releases \
-             ({:.1}% hit rate), {} traces / {} KiB resident, peak {} KiB\n",
+            "  trace cache: {} hits, {} misses, {} releases ({:.1}% hit rate), \
+             {} traces / {} KiB resident, peak {} KiB\n",
             p.cache.hits,
             p.cache.misses,
-            p.cache.evictions,
             p.cache.releases,
             p.cache.hit_rate() * 100.0,
             p.cache_entries,
@@ -408,7 +407,6 @@ mod tests {
                 cache: trace_cache::TraceCacheStats {
                     hits: 97,
                     misses: 3,
-                    evictions: 0,
                     releases: 2,
                     peak_resident_bytes: 5 * 1024 * 1024,
                 },
@@ -451,7 +449,7 @@ mod tests {
         for needle in [
             "record 0.200s",
             "replay 0.900s",
-            "trace cache: 97 hits, 3 misses, 0 evictions, 2 releases (97.0% hit rate), \
+            "trace cache: 97 hits, 3 misses, 2 releases (97.0% hit rate), \
              3 traces / 3072 KiB resident, peak 5120 KiB\n",
             "table1",
             "fig1",

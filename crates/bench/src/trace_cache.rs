@@ -16,9 +16,9 @@
 //! arrival records, then share the resulting `Arc<Trace>` — a stream is
 //! recorded once for as long as it stays cached. Memory: a stream with
 //! one consumer is dropped by it after its last replay
-//! ([`release_trace`]); shared streams stay until exit, bounded by
-//! `STTCACHE_TRACE_CACHE_BYTES` (least-recently-used traces are evicted
-//! past the cap).
+//! ([`release_trace`]); shared streams stay until exit. The cache has no
+//! cap: its resident bytes are the sum of the finished recordings still
+//! in its map.
 //!
 //! Replay is cycle-for-cycle and statistic-for-statistic identical to
 //! direct execution (the kernels are deterministic and the recorder's
@@ -30,7 +30,7 @@
 use crate::profile::{self, Phase};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 use sttcache::{Platform, PlatformConfig, RunResult};
 use sttcache_cpu::{Engine, Trace, TraceRecorder};
@@ -78,16 +78,14 @@ impl TraceKey {
     }
 }
 
-/// Hit/miss/eviction/release counters of a [`TraceCache`], and the
-/// high-water mark of its resident bytes.
+/// Hit/miss/release counters of a [`TraceCache`], and the high-water
+/// mark of its resident bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceCacheStats {
     /// Lookups that found a resident or in-flight trace.
     pub hits: u64,
     /// Lookups that had to record.
     pub misses: u64,
-    /// Traces evicted to stay under the memory cap.
-    pub evictions: u64,
     /// Entries dropped by [`TraceCache::release`].
     pub releases: u64,
     /// The most trace bytes that were ever resident at once.
@@ -106,167 +104,117 @@ impl TraceCacheStats {
     }
 }
 
-/// One cache slot: the shared once-cell workers block on, plus LRU
-/// bookkeeping. `bytes == 0` marks an in-flight recording that is not
-/// yet accounted against the cap (and is never evicted).
-struct Entry {
-    cell: Arc<OnceLock<Arc<Trace>>>,
-    bytes: usize,
-    last_used: u64,
-}
-
+#[derive(Default)]
 struct Inner {
-    entries: HashMap<TraceKey, Entry>,
-    resident_bytes: usize,
-    tick: u64,
+    /// Each key's once-cell: its workers block on it while the first
+    /// arrival records, and it holds the recording once finished.
+    entries: HashMap<TraceKey, Arc<OnceLock<Arc<Trace>>>>,
     stats: TraceCacheStats,
 }
 
-/// A bounded, thread-shared store of recorded traces.
+impl Inner {
+    /// Heap bytes of the finished recordings in the map (in-flight ones
+    /// have none yet).
+    fn resident_bytes(&self) -> usize {
+        self.entries
+            .values()
+            .filter_map(|cell| cell.get())
+            .map(|trace| trace.heap_bytes())
+            .sum()
+    }
+}
+
+/// A thread-shared store of recorded traces: one map from each key to
+/// its recording, plus the counters.
 ///
 /// The process-wide instance behind [`cached_trace`] is what the sweeps
-/// use; independent instances exist so tests can exercise capacity and
+/// use; independent instances exist so tests can exercise lifetime and
 /// concurrency behaviour without touching global state.
+#[derive(Default)]
 pub struct TraceCache {
-    cap_bytes: usize,
     inner: Mutex<Inner>,
 }
 
 impl TraceCache {
-    /// A cache capped at `STTCACHE_TRACE_CACHE_BYTES` (default 512 MiB).
-    ///
-    /// # Errors
-    ///
-    /// Names the variable and its value if it is not a byte count.
-    pub fn from_env() -> Result<Self, String> {
-        let cap = crate::env_knob("STTCACHE_TRACE_CACHE_BYTES", 0)?;
-        Ok(TraceCache::with_cap_bytes(cap.unwrap_or(512 * 1024 * 1024)))
+    /// An empty cache.
+    pub fn new() -> Self {
+        TraceCache::default()
     }
 
-    /// A cache capped at `cap_bytes` of resident trace data. A cap of 0
-    /// keeps nothing resident but still de-duplicates concurrent
-    /// recordings of the same key.
-    pub fn with_cap_bytes(cap_bytes: usize) -> Self {
-        TraceCache {
-            cap_bytes,
-            inner: Mutex::new(Inner {
-                entries: HashMap::new(),
-                resident_bytes: 0,
-                tick: 0,
-                stats: TraceCacheStats::default(),
-            }),
-        }
-    }
-
-    /// The configured memory cap in bytes.
-    pub fn cap_bytes(&self) -> usize {
-        self.cap_bytes
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("trace cache lock")
     }
 
     /// Returns the trace for `key`, recording it with `record` if absent.
     ///
     /// Exactly one caller records per key at a time: concurrent callers
     /// block on the recorder's once-cell and share its result. The
-    /// returned `Arc` stays valid even if the entry is evicted.
+    /// returned `Arc` stays valid even if the entry is released.
     pub fn get_or_record(&self, key: TraceKey, record: impl FnOnce() -> Trace) -> Arc<Trace> {
         let cell = {
-            let mut inner = self.inner.lock().expect("trace cache lock");
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(entry) = inner.entries.get_mut(&key) {
-                entry.last_used = tick;
-                let cell = entry.cell.clone();
-                inner.stats.hits += 1;
-                cell
+            let mut inner = self.lock();
+            let Inner { entries, stats } = &mut *inner;
+            if let Some(cell) = entries.get(&key) {
+                stats.hits += 1;
+                cell.clone()
             } else {
-                inner.stats.misses += 1;
-                let cell = Arc::new(OnceLock::new());
-                inner.entries.insert(
-                    key,
-                    Entry {
-                        cell: cell.clone(),
-                        bytes: 0,
-                        last_used: tick,
-                    },
-                );
-                cell
+                stats.misses += 1;
+                entries.entry(key).or_default().clone()
             }
         };
         // Record outside the lock: losers of the race block here (inside
         // `get_or_init`) instead of serializing the whole cache.
-        let trace = cell.get_or_init(|| Arc::new(record())).clone();
-        self.account(key, &cell, &trace);
+        let mut recorded = false;
+        let trace = cell
+            .get_or_init(|| {
+                recorded = true;
+                Arc::new(record())
+            })
+            .clone();
+        if recorded {
+            // The recording counts only while its cell is still in the
+            // map: a key released mid-recording adds nothing.
+            let mut inner = self.lock();
+            let resident = inner.resident_bytes();
+            inner.stats.peak_resident_bytes = inner.stats.peak_resident_bytes.max(resident);
+        }
         trace
     }
 
-    /// Charges a freshly recorded trace against the cap (first caller to
-    /// get here wins), then evicts least-recently-used accounted entries
-    /// until the cap holds. The just-used `key` goes last so a single
-    /// over-cap entry still gets returned (and then dropped) rather than
-    /// churning other entries first. Only the entry that owns `cell` is
-    /// charged: if `key` was released while recording, the entry a later
-    /// request put in its place is still in flight with its own cell.
-    fn account(&self, key: TraceKey, cell: &Arc<OnceLock<Arc<Trace>>>, trace: &Arc<Trace>) {
-        let mut inner = self.inner.lock().expect("trace cache lock");
-        if let Some(entry) = inner.entries.get_mut(&key) {
-            if entry.bytes == 0 && Arc::ptr_eq(&entry.cell, cell) {
-                // Capacity, not length (`Trace::heap_bytes`): slack is
-                // charged; `record_trace` shrinks its recordings.
-                let bytes = trace.heap_bytes().max(1);
-                entry.bytes = bytes;
-                inner.resident_bytes += bytes;
-            }
-        }
-        while inner.resident_bytes > self.cap_bytes {
-            let victim = inner
-                .entries
-                .iter()
-                .filter(|(_, e)| e.bytes > 0)
-                .min_by_key(|(k, e)| (**k == key, e.last_used))
-                .map(|(k, _)| *k);
-            let Some(k) = victim else {
-                break; // only in-flight entries left
-            };
-            let e = inner.entries.remove(&k).expect("victim exists");
-            inner.resident_bytes -= e.bytes;
-            inner.stats.evictions += 1;
-        }
-        inner.stats.peak_resident_bytes = inner.stats.peak_resident_bytes.max(inner.resident_bytes);
-    }
-
-    /// Drops `key`'s entry, whether resident or still recording, and
-    /// un-charges its bytes; releasing an absent key does nothing. Every
-    /// `Arc` already handed out stays valid, and the next request for
-    /// `key` records it again (a miss).
+    /// Drops `key`'s entry, whether resident or still recording;
+    /// releasing an absent key does nothing. Every `Arc` already handed
+    /// out stays valid, and the next request for `key` records it again
+    /// (a miss).
     pub fn release(&self, key: TraceKey) {
-        let mut inner = self.inner.lock().expect("trace cache lock");
-        if let Some(e) = inner.entries.remove(&key) {
-            inner.resident_bytes -= e.bytes;
+        let mut inner = self.lock();
+        if inner.entries.remove(&key).is_some() {
             inner.stats.releases += 1;
         }
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> TraceCacheStats {
-        self.inner.lock().expect("trace cache lock").stats
+        self.lock().stats
     }
 
-    /// Bytes of trace data currently resident (excludes in-flight
-    /// recordings).
+    /// Heap bytes of the finished recordings still in the cache
+    /// (capacity, not length: see [`Trace::heap_bytes`]).
     pub fn resident_bytes(&self) -> usize {
-        self.inner.lock().expect("trace cache lock").resident_bytes
+        self.lock().resident_bytes()
     }
 
-    /// Whether `key`'s finished recording is resident: recorded, and
-    /// neither evicted nor released since.
+    /// Whether `key`'s finished recording is resident: recorded, and not
+    /// released since.
     pub fn is_resident(&self, key: TraceKey) -> bool {
-        let inner = self.inner.lock().expect("trace cache lock");
-        inner.entries.get(&key).is_some_and(|e| e.bytes > 0)
+        self.lock()
+            .entries
+            .get(&key)
+            .is_some_and(|cell| cell.get().is_some())
     }
 
     /// Number of entries (resident + in-flight).
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("trace cache lock").entries.len()
+        self.lock().entries.len()
     }
 
     /// Whether the cache holds no entries.
@@ -276,14 +224,9 @@ impl TraceCache {
 }
 
 /// The process-wide cache every sweep shares.
-///
-/// # Panics
-///
-/// Panics, naming the variable, if `STTCACHE_TRACE_CACHE_BYTES` is
-/// malformed (the binaries reject it with exit 2 before any work).
 fn global() -> &'static TraceCache {
     static GLOBAL: OnceLock<TraceCache> = OnceLock::new();
-    GLOBAL.get_or_init(|| TraceCache::from_env().unwrap_or_else(|e| panic!("{e}")))
+    GLOBAL.get_or_init(TraceCache::new)
 }
 
 /// Counter snapshot of the process-wide cache (for `--profile`).
@@ -337,8 +280,8 @@ pub fn record_trace(
     let kernel = workload.kernel(size).expect("kernel-backed workload");
     kernel.run(&mut rec, transforms);
     let mut trace = rec.into_trace();
-    // Drop the hint/growth slack before the cache charges the trace
-    // against its byte cap — resident memory then equals accounted bytes.
+    // Drop the hint/growth slack: the cache holds the trace at its
+    // capacity, which then equals its length.
     trace.shrink_to_fit();
     capacity_hint()
         .lock()
@@ -350,8 +293,7 @@ pub fn record_trace(
 
 /// The shared trace for one grid key, recording it on first use. External
 /// workloads return their registered stream directly — the registry
-/// already keeps it resident, so charging the LRU cap a second time would
-/// only evict kernel recordings.
+/// already keeps it resident, so the cache would only count it twice.
 pub fn cached_trace(
     workload: impl Into<Workload>,
     size: ProblemSize,
@@ -513,7 +455,7 @@ mod tests {
 
     #[test]
     fn records_once_and_hits_after() {
-        let cache = TraceCache::with_cap_bytes(1 << 20);
+        let cache = TraceCache::new();
         let recordings = AtomicUsize::new(0);
         for _ in 0..3 {
             let t = cache.get_or_record(key(1), || {
@@ -524,14 +466,14 @@ mod tests {
         }
         assert_eq!(recordings.load(Ordering::SeqCst), 1);
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.evictions), (2, 1, 0));
+        assert_eq!((s.hits, s.misses), (2, 1));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.resident_bytes(), trace_of(8).heap_bytes());
     }
 
     #[test]
     fn racing_workers_share_one_recording() {
-        let cache = Arc::new(TraceCache::with_cap_bytes(1 << 20));
+        let cache = Arc::new(TraceCache::new());
         let recordings = Arc::new(AtomicUsize::new(0));
         let handles: Vec<_> = (0..8)
             .map(|_| {
@@ -558,35 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_respects_the_cap() {
-        let per_trace = trace_of(10).heap_bytes();
-        let cache = TraceCache::with_cap_bytes(2 * per_trace);
-        cache.get_or_record(key(1), || trace_of(10));
-        cache.get_or_record(key(2), || trace_of(10));
-        // Touch Gemm so Atax becomes the LRU victim.
-        cache.get_or_record(key(1), || unreachable!("resident"));
-        cache.get_or_record(key(3), || trace_of(10));
-        assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(cache.len(), 2);
-        assert!(cache.resident_bytes() <= cache.cap_bytes());
-        // Gemm survived; Atax re-records.
-        cache.get_or_record(key(1), || unreachable!("mru survives"));
-        let misses_before = cache.stats().misses;
-        cache.get_or_record(key(2), || trace_of(10));
-        assert_eq!(cache.stats().misses, misses_before + 1);
-    }
-
-    #[test]
-    fn zero_cap_keeps_nothing_resident_but_still_returns_traces() {
-        let cache = TraceCache::with_cap_bytes(0);
-        let t = cache.get_or_record(key(1), || trace_of(5));
-        assert_eq!(t.len(), 5); // caller's Arc outlives the eviction
-        assert_eq!(cache.resident_bytes(), 0);
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
     fn growth_slack_is_charged_and_shrinking_removes_it() {
         let mut rec = TraceRecorder::with_capacity(64);
         rec.compute(1);
@@ -598,25 +511,24 @@ mod tests {
     }
 
     #[test]
-    fn over_allocated_traces_evict_at_their_true_footprint() {
-        // One compute event, forty slots of capacity. Under length-based
-        // accounting this entry would sit comfortably inside a cap sized
-        // for twenty events; its real footprint is double the cap, so it
-        // must be charged — and evicted — at capacity.
-        let cache = TraceCache::with_cap_bytes(trace_of(20).heap_bytes());
+    fn over_allocated_traces_count_at_their_capacity() {
+        // One compute event, forty slots of capacity: the cache holds the
+        // whole buffer, so it reports the capacity, not the length.
+        let cache = TraceCache::new();
         let t = cache.get_or_record(key(1), || {
             let mut rec = TraceRecorder::with_capacity(40);
             rec.compute(1);
             rec.into_trace()
         });
-        assert_eq!(t.len(), 1); // the caller's Arc is unaffected
-        assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(cache.resident_bytes(), 0);
+        assert_eq!(t.len(), 1);
+        assert!(t.heap_bytes() >= 40 * trace_of(1).heap_bytes());
+        assert_eq!(cache.resident_bytes(), t.heap_bytes());
+        assert_eq!(cache.stats().peak_resident_bytes, t.heap_bytes());
     }
 
     #[test]
     fn release_uncharges_and_the_next_lookup_records_again() {
-        let cache = TraceCache::with_cap_bytes(1 << 20);
+        let cache = TraceCache::new();
         let held = cache.get_or_record(key(1), || trace_of(10));
         cache.get_or_record(key(2), || trace_of(5));
         let both = cache.resident_bytes();
@@ -637,7 +549,7 @@ mod tests {
 
     #[test]
     fn releasing_an_absent_key_is_a_no_op() {
-        let cache = TraceCache::with_cap_bytes(1 << 20);
+        let cache = TraceCache::new();
         cache.get_or_record(key(1), || trace_of(3));
         let before = (cache.stats(), cache.resident_bytes(), cache.len());
         cache.release(key(2));
@@ -646,7 +558,7 @@ mod tests {
 
     #[test]
     fn a_release_while_recording_leaves_nothing_resident() {
-        let cache = TraceCache::with_cap_bytes(1 << 20);
+        let cache = TraceCache::new();
         let t = cache.get_or_record(key(1), || {
             cache.release(key(1));
             trace_of(4)
@@ -697,7 +609,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_do_not_collide() {
-        let cache = TraceCache::with_cap_bytes(1 << 20);
+        let cache = TraceCache::new();
         let a = cache.get_or_record(key(1), || trace_of(1));
         let b = cache.get_or_record(
             TraceKey::new(

@@ -61,7 +61,7 @@ pub const INDEXED_CAP: usize = 65_536;
 pub struct Histogram {
     /// `counts[v]` = number of observations of value `v` (below the cap).
     pub counts: Vec<u64>,
-    /// Observations at or above [`HISTOGRAM_CAP`].
+    /// Observations at or above the cap (1024) that `counts` stops at.
     pub overflow: u64,
     /// Total number of observations.
     pub total: u64,

@@ -229,18 +229,39 @@ fn figures_rejects_flags_the_csv_route_would_ignore() {
 }
 
 #[test]
+fn an_unwritable_telemetry_path_fails_before_any_sweep() {
+    // The path is opened before the sweep runs: a bad one costs no
+    // simulation and prints no figure.
+    let dir = std::env::temp_dir().join(format!("sttcache-missing-{}", std::process::id()));
+    let path = dir.join("x.json");
+    let path = path.to_str().expect("utf-8 temp path");
+    let out = figures(&["fig1", "--telemetry-json", path]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "printed before failing:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(stderr.contains(path), "'{path}' not named in:\n{stderr}");
+}
+
+#[test]
 fn figures_rejects_a_second_artifact() {
     assert_rejected(&figures(&["fig1", "fig3"]), "fig3");
 }
 
 #[test]
-fn malformed_knobs_exit_2_naming_the_variable() {
+fn malformed_or_retired_knobs_exit_2_naming_the_variable() {
+    // `STTCACHE_TRACE_CACHE_BYTES` is retired: any value, well-formed or
+    // not, is refused rather than silently ignored.
     for (knob, value) in [
         ("STTCACHE_THREADS", "-3"),
         ("STTCACHE_THREADS", "0"),
         ("STTCACHE_THREADS", "abc"),
         ("STTCACHE_TRACE_CACHE_BYTES", "abc"),
         ("STTCACHE_TRACE_CACHE_BYTES", "-1"),
+        ("STTCACHE_TRACE_CACHE_BYTES", "1048576"),
         ("STTCACHE_TRACE_CHECK", "true"),
         ("STTCACHE_INVARIANTS", "no"),
     ] {

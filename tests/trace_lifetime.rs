@@ -50,7 +50,6 @@ fn single_use_traces_leave_the_cache_after_their_last_replay() {
     // Every release dropped a resident recording, and nothing else is left.
     let stats = trace_cache::global_stats();
     assert_eq!(stats.releases as usize, 3 * affine.len() + ext_mix.len());
-    assert_eq!(stats.evictions, 0);
     assert_eq!(
         trace_cache::global_footprint().1,
         affine.len() + ext_mix.len()
