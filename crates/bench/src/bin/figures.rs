@@ -26,9 +26,10 @@
 //! mode: `--profile` prints per-phase wall-clock (record/replay), the
 //! trace cache's hit, miss and release counts with its resident and peak
 //! bytes, and per-artifact timings to stderr, and `--telemetry-json PATH`
-//! arms the span recording and the component telemetry gate and writes
-//! one Chrome `trace_event` span per trace-cache phase and per printed
-//! artifact to PATH, loadable in `chrome://tracing`/Perfetto. PATH is
+//! arms span recording only (no model instrument: those belong to the
+//! one run `sim --explain` probes) and writes one Chrome `trace_event`
+//! span per trace-cache phase and per printed artifact to PATH, loadable
+//! in `chrome://tracing`/Perfetto. PATH is
 //! created before any sweep runs: one that cannot be written exits 1
 //! naming it, having printed nothing.
 
@@ -146,13 +147,11 @@ fn main() {
         vec![artifact]
     };
     // Open PATH before any sweep runs, so a bad path costs no simulation,
-    // then arm span recording (and the component telemetry gate, for
-    // overhead realism). Stdout stays byte-identical — all telemetry goes
-    // to PATH.
+    // then arm span recording only: the spans time the same code a plain
+    // run executes. Stdout stays byte-identical — the spans go to PATH.
     let telemetry = telemetry_json.map(|path| match File::create(&path) {
         Ok(file) => {
             profile::arm();
-            sttcache_mem::telemetry::set_enabled(true);
             (path, file)
         }
         Err(e) => telemetry_write_failed(&path, &e),

@@ -14,16 +14,18 @@
 //!   and print the penalty. The measured and baseline simulations are
 //!   independent, so they run through the sweep engine (two workers
 //!   unless `--serial` / `--jobs 1` pins it down).
-//! * `--explain <org>`: run `<org>` with the telemetry registry armed
-//!   and append a penalty-attribution report — stall decomposition,
-//!   buffer occupancy percentiles, per-bank write shares and the per-set
-//!   wear map with its projected STT-MRAM lifetime — after the stats
-//!   dump. Implies the SRAM baseline run.
+//! * `--explain <org>`: run `<org>` probed (its DL1, buffers and store
+//!   buffer record the report's instruments; every other run leaves
+//!   them unarmed) and append a penalty-attribution report — stall
+//!   decomposition, buffer occupancy percentiles, per-bank write shares
+//!   and the per-set wear map with its projected STT-MRAM lifetime —
+//!   after the stats dump. Implies the SRAM baseline run.
 //! * `--cores N`: run an N-core multi-programmed mix over one shared
 //!   banked L2 (the default staggered kernel mix unless `--mix` names
 //!   one); N runs from 1 to `MAX_CORES` (8), else exit 2. `--explain`
-//!   then attributes per-core contention penalties and shared-bank
-//!   conflict shares instead of the single-core report.
+//!   then attributes per-core contention penalties and, from the probed
+//!   shared L2, shared-bank conflict shares instead of the single-core
+//!   report.
 //! * `--mix <spec>`: the mix grammar is `workload[@offset][:org]` entries
 //!   joined by `+`, e.g. `gemm:vwb+mvt@500:sram` or
 //!   `gemm+file:recorded.trace@64:sram`; entries without `:org` use
@@ -390,9 +392,8 @@ fn run_single(o: &Options) {
     // The measured run and the optional baseline are independent grid
     // points; the sweep engine shards them and hands the results back in
     // submission order. `--explain` instead runs the measured
-    // organization on this thread with the telemetry registry armed (the
-    // registry is thread-local, so a sweep worker's records would be
-    // lost) and the SRAM baseline after it.
+    // organization probed, returning its instruments beside its result,
+    // and the SRAM baseline after it.
     let (results, explanation): (Vec<RunResult>, _) = if o.explain {
         let e = explain::explain(&cfg, bench, o.size, o.opts);
         (vec![e.result.clone(), e.baseline.clone()], Some(e))

@@ -92,11 +92,6 @@ fn os_error_kind(error: &str) -> Option<std::io::ErrorKind> {
     Some(std::io::Error::from_raw_os_error(code.parse().ok()?).kind())
 }
 
-/// Held by every unit test that arms the process-wide telemetry gate, so
-/// no test sees another one's arming.
-#[cfg(test)]
-pub(crate) static TELEMETRY_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 #[cfg(test)]
 mod tests {
     #[test]

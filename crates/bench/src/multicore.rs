@@ -1,6 +1,7 @@
 //! Multi-core mix harness: mix-spec parsing, mix runs replayed from the
 //! shared trace cache, the contention sweep behind `figures multicore`
-//! and the per-core `--explain` attribution for `sim --cores N`.
+//! and the per-core `--explain` attribution for `sim --cores N`, read
+//! from a run whose shared L2 is probed.
 //!
 //! # Mix spec grammar
 //!
@@ -29,8 +30,7 @@ use sttcache::{
     CORE_ADDRESS_STRIDE,
 };
 use sttcache_cpu::TraceEvent;
-use sttcache_mem::telemetry::{self, TelemetrySnapshot};
-use sttcache_mem::{CacheConfig, Cycle};
+use sttcache_mem::{CacheConfig, CacheProbe, Cycle};
 use sttcache_workloads::{ProblemSize, Transformations, Workload};
 
 /// One core of a mix: which workload it runs, when it starts, and which
@@ -222,6 +222,20 @@ pub fn run_mix(
     transforms: Transformations,
     l2_banks: Option<usize>,
 ) -> MultiRunResult {
+    let run = MultiPlatform::run_traces;
+    replay_mix(mix, default_org, size, transforms, l2_banks, run)
+}
+
+/// Builds the mix's platform and hands it, with each core's cached
+/// trace, to `run`.
+fn replay_mix<R>(
+    mix: &MixSpec,
+    default_org: DCacheOrganization,
+    size: ProblemSize,
+    transforms: Transformations,
+    l2_banks: Option<usize>,
+    run: impl FnOnce(&MultiPlatform, &[&sttcache_cpu::Trace]) -> R,
+) -> R {
     let platform =
         mix_platform(mix, default_org, l2_banks).expect("caller validated the mix platform");
     let traces: Vec<_> = mix
@@ -230,7 +244,7 @@ pub fn run_mix(
         .map(|e| trace_cache::cached_trace(e.workload, size, transforms))
         .collect();
     let refs: Vec<&sttcache_cpu::Trace> = traces.iter().map(|t| &**t).collect();
-    platform.run_traces(&refs)
+    run(&platform, &refs)
 }
 
 /// The isolated (1-core, private L2 of the same geometry) reference run
@@ -331,25 +345,26 @@ pub fn multicore_table(size: ProblemSize) -> crate::SeriesTable {
     table.append_average()
 }
 
-/// A mix run with telemetry, its isolated references, and everything
-/// needed to attribute per-core penalties and shared-bank conflicts.
+/// A mix run with its shared L2 probed, its isolated references, and
+/// everything needed to attribute per-core penalties and shared-bank
+/// conflicts.
 #[derive(Debug, Clone)]
 pub struct MixExplanation {
     /// The co-scheduled run.
     pub result: MultiRunResult,
     /// Per-core isolated references (same organization, private L2).
     pub isolated: Vec<RunResult>,
-    /// Telemetry drained from the co-scheduled run.
-    pub snapshot: TelemetrySnapshot,
+    /// The shared L2's instruments from the co-scheduled run.
+    pub l2_probe: CacheProbe,
     /// The mix that ran.
     pub mix: MixSpec,
     /// The workload label.
     pub workload: String,
 }
 
-/// Runs a mix on the *calling* thread with the telemetry registry armed
-/// (the registry is thread-local, so it captures exactly this run) and
-/// gathers the per-core isolated references.
+/// Runs a mix with its shared L2 probed
+/// ([`MultiPlatform::run_traces_probed`]) and gathers the per-core
+/// isolated references.
 pub fn explain_mix(
     mix: &MixSpec,
     default_org: DCacheOrganization,
@@ -357,19 +372,15 @@ pub fn explain_mix(
     transforms: Transformations,
     l2_banks: Option<usize>,
 ) -> MixExplanation {
-    let was_enabled = telemetry::enabled();
-    telemetry::set_enabled(true);
-    let _ = telemetry::take();
-    let result = run_mix(mix, default_org, size, transforms, l2_banks);
-    telemetry::set_enabled(was_enabled);
-    let snapshot = telemetry::take();
+    let run = MultiPlatform::run_traces_probed;
+    let (result, l2_probe) = replay_mix(mix, default_org, size, transforms, l2_banks, run);
     let isolated = (0..mix.cores())
         .map(|i| isolated_run(mix, default_org, size, transforms, l2_banks, i))
         .collect();
     MixExplanation {
         result,
         isolated,
-        snapshot,
+        l2_probe,
         mix: mix.clone(),
         workload: format!("{:?}, opts {}", size, transforms.label()),
     }
@@ -433,26 +444,17 @@ impl MixExplanation {
             "  bank conflict cycles:    {} total\n",
             l2.bank_conflict_cycles
         ));
-        if let Some(c) = self.snapshot.indexed_for("l2", "bank_conflict_cycles") {
-            if c.total() > 0 {
-                out.push_str("  shared-bank conflict shares:\n");
-                for (bank, &cycles) in c.counts.iter().enumerate() {
-                    if cycles > 0 {
-                        out.push_str(&format!(
-                            "    bank {bank:<2} {cycles:>10} cycles ({:.1}%)\n",
-                            pct(cycles, c.total()),
-                        ));
-                    }
+        let c = &self.l2_probe.bank_conflict_cycles;
+        if c.total() > 0 {
+            out.push_str("  shared-bank conflict shares:\n");
+            for (bank, &cycles) in c.counts.iter().enumerate() {
+                if cycles > 0 {
+                    out.push_str(&format!(
+                        "    bank {bank:<2} {cycles:>10} cycles ({:.1}%)\n",
+                        pct(cycles, c.total()),
+                    ));
                 }
-            } else {
-                out.push_str("  shared-bank conflict shares: none recorded\n");
             }
-        }
-        if self.snapshot.is_empty() {
-            out.push_str(
-                "\nnote: the telemetry registry was empty — was another simulation \
-                 running on this thread?\n",
-            );
         }
         out
     }
@@ -558,9 +560,6 @@ mod tests {
 
     #[test]
     fn explain_mix_attributes_shared_conflicts() {
-        let _gate = crate::TELEMETRY_GATE
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
         // A bank-starved shared L2 guarantees conflicts to attribute.
         let mix = MixSpec::parse("gemm+gemm@1").unwrap();
         let e = explain_mix(
@@ -570,7 +569,11 @@ mod tests {
             Transformations::none(),
             Some(1),
         );
-        assert!(!e.snapshot.is_empty());
+        // The probe saw every shared-bank conflict the statistics count.
+        assert_eq!(
+            e.l2_probe.bank_conflict_cycles.total(),
+            e.result.shared_l2.bank_conflict_cycles
+        );
         let text = e.render();
         for needle in [
             "== explain: 2-core mix gemm+gemm@1",
@@ -578,6 +581,7 @@ mod tests {
             "vs isolated",
             "shared L2:",
             "bank conflict cycles:",
+            "shared-bank conflict shares:",
         ] {
             assert!(text.contains(needle), "missing '{needle}' in:\n{text}");
         }

@@ -17,9 +17,8 @@
 //!   that ran it, loadable in `chrome://tracing` / Perfetto.
 //!
 //! The phase counters are always on (three relaxed atomic adds per
-//! simulation). Spans follow the telemetry discipline
-//! ([`sttcache_mem::telemetry`]): until [`arm`] runs, a credit appends
-//! nothing. The span sink is bounded at [`SPAN_CAP`] — a full sink drops
+//! simulation). Spans are off until [`arm`] runs: before it, a credit
+//! appends nothing and costs one relaxed atomic load. The span sink is bounded at [`SPAN_CAP`] — a full sink drops
 //! further spans and counts them, so a pathological sweep cannot grow
 //! memory without bound. Stdout stays byte-identical in every mode.
 //!

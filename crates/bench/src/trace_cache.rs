@@ -385,25 +385,38 @@ pub fn run_config(
     let start = Instant::now();
     let result = platform.run_trace(&trace);
     profile::credit(Phase::Replay, start, trace.len() as u64);
-    if trace_check_requested() {
-        // External workloads have no kernel to cross-execute: their
-        // recorded stream is the direct path.
-        if let Some(kernel) = workload.kernel(size) {
-            let direct = platform.run(|e: &mut dyn Engine| kernel.run(e, transforms));
-            assert_eq!(
-                direct,
-                result,
-                "trace replay diverged from direct execution on {} ({})",
-                TraceKey::new(workload, size, transforms).label(),
-                cfg.organization.name()
-            );
-        }
-    }
+    check_replay(&platform, workload, size, transforms, &result);
     result_memo()
         .lock()
         .expect("result memo lock")
         .insert(memo_key, result.clone());
     result
+}
+
+/// Under `STTCACHE_TRACE_CHECK=1`, executes `workload`'s kernel directly
+/// on `platform` and asserts that `replayed`, its trace's replay there,
+/// matched it. External workloads have no kernel to cross-execute: their
+/// recorded stream is the direct path, so they skip the check.
+pub(crate) fn check_replay(
+    platform: &Platform,
+    workload: Workload,
+    size: ProblemSize,
+    transforms: Transformations,
+    replayed: &RunResult,
+) {
+    if !trace_check_requested() {
+        return;
+    }
+    if let Some(kernel) = workload.kernel(size) {
+        let direct = platform.run(|e: &mut dyn Engine| kernel.run(e, transforms));
+        assert_eq!(
+            &direct,
+            replayed,
+            "trace replay diverged from direct execution on {} ({})",
+            TraceKey::new(workload, size, transforms).label(),
+            platform.config().organization.name()
+        );
+    }
 }
 
 /// Feeds one grid key's shared trace into an arbitrary engine — the

@@ -14,7 +14,7 @@
 
 use crate::stage::{probe_then_fetch, BufferStats, StageSpec};
 use crate::SttError;
-use sttcache_mem::telemetry::{self, Slot};
+use sttcache_mem::telemetry::Histogram;
 use sttcache_mem::{invariants, AccessOutcome, Addr, Cycle, LineAddr, MemoryLevel, ServedBy};
 
 /// Most lines a buffer may hold: every entry is allocated up front, and
@@ -51,6 +51,19 @@ pub(crate) fn check(
     Err(SttError::InvalidBuffer { structure, reason })
 }
 
+/// The instruments of a probed line buffer, one per stage of
+/// [`RunProbes::buffers`](crate::RunProbes::buffers).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BufferProbe {
+    /// Occupancy after each fill.
+    pub depth: Histogram,
+    /// Stores a VWB absorbed in a row, one sample per run that a write
+    /// miss ended.
+    pub coalesce_run: Histogram,
+    /// Length of the run of absorbed stores still open.
+    open_run: u64,
+}
+
 /// One entry of the buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
@@ -75,13 +88,8 @@ pub(crate) struct LineBuffer {
     hit_cycles: u64,
     /// The DL1 line size, fixed at construction.
     line_bytes: usize,
-    /// The `(kind, "depth")` occupancy histogram.
-    depth: Slot,
-    /// Length of the current run of consecutive stores the buffer
-    /// absorbed. Only maintained while the telemetry gate is armed: a VWB
-    /// write miss closes the run into the coalescing-run histogram, its
-    /// only reader.
-    coalesce_run: u64,
+    /// The instruments, `None` unless [`LineBuffer::arm_probe`] armed them.
+    probe: Option<Box<BufferProbe>>,
 }
 
 impl LineBuffer {
@@ -107,9 +115,18 @@ impl LineBuffer {
             stats: BufferStats::default(),
             hit_cycles,
             line_bytes: line_bits / 8,
-            depth: Slot::histogram(spec.kind(), "depth"),
-            coalesce_run: 0,
+            probe: None,
         })
+    }
+
+    /// Arms a fresh [`BufferProbe`].
+    pub(crate) fn arm_probe(&mut self) {
+        self.probe = Some(Box::default());
+    }
+
+    /// Disarms the probe and returns what it recorded.
+    pub(crate) fn take_probe(&mut self) -> BufferProbe {
+        self.probe.take().map_or_else(BufferProbe::default, |p| *p)
     }
 
     /// The buffer's kind label.
@@ -164,8 +181,8 @@ impl LineBuffer {
         self.stats.writes += 1;
         if let Some(idx) = self.find(addr.line(self.line_bytes)) {
             self.stats.write_hits += 1;
-            if telemetry::enabled() {
-                self.coalesce_run += 1;
+            if let Some(p) = self.probe.as_deref_mut() {
+                p.open_run += 1;
             }
             return self.hit(idx, now, true);
         }
@@ -174,13 +191,11 @@ impl LineBuffer {
                 // "Otherwise, it's directly updated via the processor":
                 // write-allocate in the DL1, no VWB allocation. The miss
                 // ends the current run of buffer-absorbed stores.
-                if telemetry::enabled() && self.coalesce_run > 0 {
-                    use std::sync::OnceLock;
-                    static RUN_HIST: OnceLock<Slot> = OnceLock::new();
-                    RUN_HIST
-                        .get_or_init(|| Slot::histogram("vwb", "coalesce_run"))
-                        .observe(self.coalesce_run);
-                    self.coalesce_run = 0;
+                if let Some(p) = self.probe.as_deref_mut() {
+                    if p.open_run > 0 {
+                        p.coalesce_run.observe(p.open_run);
+                        p.open_run = 0;
+                    }
                 }
                 below.write(addr, now)
             }
@@ -298,8 +313,8 @@ impl LineBuffer {
         if invariants::enabled() {
             self.check_invariants(ready_at);
         }
-        if telemetry::enabled() {
-            self.depth.observe(self.entries.len() as u64);
+        if let Some(p) = self.probe.as_deref_mut() {
+            p.depth.observe(self.entries.len() as u64);
         }
     }
 

@@ -69,6 +69,7 @@ mod report;
 mod stage;
 mod vwb;
 
+pub use buffer::BufferProbe;
 pub use catalog::{by_cli, readme_table, OrgEntry, HYBRID_STACK};
 pub use dl1::{
     l2_config, nvm_dl1_config, nvm_il1_config, sram_dl1_config, sram_il1_config, DlOneTechnology,
@@ -81,7 +82,7 @@ pub use multi::{
 };
 pub use penalty::{average_penalty, penalty_pct, PenaltyRow};
 pub use platform::{
-    DCacheOrganization, EnergyReport, IcacheConfig, Platform, PlatformConfig, RunResult,
+    DCacheOrganization, EnergyReport, IcacheConfig, Platform, PlatformConfig, RunProbes, RunResult,
 };
 pub use stage::{BufferStats, StackSpec, StageSpec, StageStats};
 pub use vwb::VwbConfig;

@@ -40,7 +40,9 @@ use crate::front_end::FrontEnd;
 use crate::platform::{DCacheOrganization, Platform, PlatformConfig, RunResult};
 use crate::SttError;
 use sttcache_cpu::{Core, CoreConfig, CoreReport, Trace};
-use sttcache_mem::{Addr, Cache, CacheConfig, CacheStats, Cycle, MainMemory, MemoryLevel, Shared};
+use sttcache_mem::{
+    Addr, Cache, CacheConfig, CacheProbe, CacheStats, Cycle, MainMemory, MemoryLevel, Shared,
+};
 
 /// The shared tail of a multi-core hierarchy: one banked unified L2
 /// over main memory. Every core's private DL1 holds a handle.
@@ -235,8 +237,22 @@ impl MultiPlatform {
     ///
     /// Panics unless exactly one trace per core is supplied.
     pub fn run_traces(&self, traces: &[&Trace]) -> MultiRunResult {
-        let (reports, ports, l2) = self.execute(traces);
+        let (reports, ports, l2) = self.execute(traces, false);
         self.assemble(reports, &ports, &l2)
+    }
+
+    /// [`MultiPlatform::run_traces`] with the shared L2 probed: the same
+    /// [`MultiRunResult`], and beside it the shared L2's instruments, the
+    /// ones the mix's `sim --explain` report renders. The private levels
+    /// stay unprobed.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless exactly one trace per core is supplied.
+    pub fn run_traces_probed(&self, traces: &[&Trace]) -> (MultiRunResult, CacheProbe) {
+        let (reports, ports, l2) = self.execute(traces, true);
+        let probe = l2.borrow_mut().take_probe();
+        (self.assemble(reports, &ports, &l2), probe)
     }
 
     /// [`MultiPlatform::run_traces`] followed by a full end-of-run
@@ -247,7 +263,7 @@ impl MultiPlatform {
     /// are returned for phantom-line verification. The statistics in the
     /// returned [`MultiRunResult`] *include* the drain write-backs.
     pub fn run_traces_audited(&self, traces: &[&Trace]) -> (MultiRunResult, MultiAudit) {
-        let (reports, mut ports, l2) = self.execute(traces);
+        let (reports, mut ports, l2) = self.execute(traces, false);
         let mut t = reports.iter().map(|r| r.cycles).max().unwrap_or(0)
             + self
                 .config
@@ -295,13 +311,21 @@ impl MultiPlatform {
         )
     }
 
-    /// Builds the cold assembly and interleaves the traces to
-    /// completion; reports are taken in index order (draining each
-    /// core's store buffer deterministically).
-    fn execute(&self, traces: &[&Trace]) -> (Vec<CoreReport>, Vec<FrontEnd<SharedL2>>, SharedL2) {
+    /// Builds the cold assembly, the shared L2 probed if `probe_l2`, and
+    /// interleaves the traces to completion; reports are taken in index
+    /// order (draining each core's store buffer deterministically).
+    fn execute(
+        &self,
+        traces: &[&Trace],
+        probe_l2: bool,
+    ) -> (Vec<CoreReport>, Vec<FrontEnd<SharedL2>>, SharedL2) {
         let n = self.config.cores.len();
         assert_eq!(traces.len(), n, "one trace per core");
-        let l2 = Shared::new(self.isolated[0].build_l2());
+        let mut l2 = self.isolated[0].build_l2();
+        if probe_l2 {
+            l2.arm_probe();
+        }
+        let l2 = Shared::new(l2);
         let mut cores: Vec<Core<FrontEnd<SharedL2>>> = (0..n)
             .map(|idx| {
                 let fe = self.isolated[idx].build_dl1_front_end(l2.clone());

@@ -8,13 +8,15 @@
 //! ratio.
 
 use crate::baselines::{EmshrConfig, L0Config};
+use crate::buffer::{BufferProbe, LineBuffer};
 use crate::dl1::{l2_config, DlOneTechnology};
 use crate::front_end::FrontEnd;
 use crate::stage::{BufferStats, StackSpec, StageSpec, StageStats};
 use crate::vwb::VwbConfig;
 use crate::SttError;
 use sttcache_cpu::{Core, CoreConfig, CoreReport, Engine, FetchUnit, Trace};
-use sttcache_mem::{Cache, CacheConfig, CacheStats, MainMemory, MemoryLevel};
+use sttcache_mem::telemetry::Histogram;
+use sttcache_mem::{Cache, CacheConfig, CacheProbe, CacheStats, MainMemory, MemoryLevel};
 use sttcache_tech::{ArrayModel, CellKind, LeakageIntegrator};
 
 /// Which L1 D-cache organization the platform runs.
@@ -213,18 +215,16 @@ impl Platform {
 
     /// Builds the cold L2 over main memory.
     pub(crate) fn build_l2(&self) -> Cache<MainMemory> {
-        let mut l2 = Cache::new(self.l2, MainMemory::new(self.config.memory_latency));
-        l2.set_telemetry_component("l2");
-        l2
+        Cache::new(self.l2, MainMemory::new(self.config.memory_latency))
     }
 
-    /// Builds the cold DL1 over `next`, labelled `"dl1"` in telemetry,
-    /// behind the organization's buffers.
+    /// Builds the cold DL1 over `next`, behind the organization's buffers.
     pub(crate) fn build_dl1_front_end<N: MemoryLevel>(&self, next: N) -> FrontEnd<N> {
-        let mut dl1 = Cache::new(self.dl1, next);
-        dl1.set_telemetry_component("dl1");
-        FrontEnd::new(&self.config.organization.stages(), dl1)
-            .expect("the stages were checked at construction")
+        FrontEnd::new(
+            &self.config.organization.stages(),
+            Cache::new(self.dl1, next),
+        )
+        .expect("the stages were checked at construction")
     }
 
     /// Runs a workload on a cold platform and collects every statistic.
@@ -248,9 +248,32 @@ impl Platform {
         self.run_core(|core| trace.replay_into(core))
     }
 
-    /// Shared body of [`Platform::run`] and [`Platform::run_trace`]:
-    /// builds the cold front-end, lets `drive` push events into the
-    /// concrete core, then assembles the full [`RunResult`].
+    /// [`Platform::run_trace`] with the DL1, its buffers and the core's
+    /// store buffer probed: the same [`RunResult`], and beside it the
+    /// instruments `sim --explain` renders. The L2 and the IL1 stay
+    /// unprobed.
+    pub fn run_trace_probed(&self, trace: &Trace) -> (RunResult, RunProbes) {
+        let mut probes = RunProbes::default();
+        let result = self.run_core(|core| {
+            let fe = core.port_mut();
+            fe.dl1.arm_probe();
+            fe.buffers.iter_mut().for_each(LineBuffer::arm_probe);
+            core.store_buffer_mut().arm_probe();
+            trace.replay_into(core);
+            let fe = core.port_mut();
+            probes = RunProbes {
+                dl1: fe.dl1.take_probe(),
+                buffers: fe.buffers.iter_mut().map(LineBuffer::take_probe).collect(),
+                store_buffer_depth: core.store_buffer_mut().take_probe(),
+            };
+        });
+        (result, probes)
+    }
+
+    /// Shared body of [`Platform::run`], [`Platform::run_trace`] and
+    /// [`Platform::run_trace_probed`]: builds the cold front-end, lets
+    /// `drive` push events into the concrete core, then assembles the
+    /// full [`RunResult`].
     fn run_core(&self, drive: impl FnOnce(&mut Core<FrontEnd>)) -> RunResult {
         let fe = self.build_dl1_front_end(self.build_l2());
         let mut core = Core::new(self.config.core, fe);
@@ -358,6 +381,18 @@ impl EnergyReport {
     pub fn total_uj(&self) -> f64 {
         (self.dl1_dynamic_pj + self.l2_dynamic_pj + self.buffer_dynamic_pj) * 1e-6 + self.leakage_uj
     }
+}
+
+/// The instruments of one run of [`Platform::run_trace_probed`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunProbes {
+    /// The DL1's.
+    pub dl1: CacheProbe,
+    /// Each front-end buffer's, outermost first, as in
+    /// [`RunResult::buffers`].
+    pub buffers: Vec<BufferProbe>,
+    /// The depth each store found the core's store buffer at.
+    pub store_buffer_depth: Histogram,
 }
 
 /// Everything measured in one run.

@@ -10,8 +10,9 @@
 //! list in front of its DL1.
 //!
 //! Buffers report cumulative counters as [`BufferStats`], labelled with
-//! their kind in [`StageStats`]. Their occupancy goes to the telemetry
-//! registry as the `depth` histograms `sim --explain` renders.
+//! their kind in [`StageStats`]. A probed run also returns each buffer's
+//! occupancy histogram ([`BufferProbe`](crate::BufferProbe)), which
+//! `sim --explain` renders.
 
 use crate::SttError;
 use sttcache_mem::{Addr, Cycle, MemoryLevel};
@@ -88,7 +89,7 @@ pub enum StageSpec {
 
 impl StageSpec {
     /// Short stable identifier (`"vwb"`, `"l0"`, `"emshr"`) labelling the
-    /// buffer's statistics, telemetry and configuration errors.
+    /// buffer's statistics and configuration errors.
     pub fn kind(self) -> &'static str {
         match self {
             StageSpec::Vwb(_) => "vwb",

@@ -122,6 +122,11 @@ impl<P: DataPort> Core<P> {
         &mut self.port
     }
 
+    /// Mutable access to the store buffer (to arm or take its probe).
+    pub fn store_buffer_mut(&mut self) -> &mut StoreBuffer {
+        &mut self.store_buffer
+    }
+
     /// Finishes the run (drains the store buffer) and returns the report.
     ///
     /// The core may continue executing afterwards; the drain only advances

@@ -7,6 +7,7 @@
 //! still exposing it under store bursts.
 
 use std::collections::VecDeque;
+use sttcache_mem::telemetry::Histogram;
 use sttcache_mem::Cycle;
 
 /// A FIFO of in-flight stores, tracked by their port-completion cycles.
@@ -29,6 +30,9 @@ pub struct StoreBuffer {
     completions: VecDeque<Cycle>,
     capacity: usize,
     full_stall_cycles: u64,
+    /// Depth seen by each admitted store, `None` unless
+    /// [`StoreBuffer::arm_probe`] armed it.
+    depth_probe: Option<Box<Histogram>>,
 }
 
 impl StoreBuffer {
@@ -43,7 +47,22 @@ impl StoreBuffer {
             completions: VecDeque::with_capacity(capacity),
             capacity,
             full_stall_cycles: 0,
+            depth_probe: None,
         }
+    }
+
+    /// Arms a fresh depth histogram: from here on every admitted store
+    /// observes the buffer's depth.
+    pub fn arm_probe(&mut self) {
+        self.depth_probe = Some(Box::default());
+    }
+
+    /// Disarms the depth histogram and returns what it recorded (empty if
+    /// it was never armed).
+    pub fn take_probe(&mut self) -> Histogram {
+        self.depth_probe
+            .take()
+            .map_or_else(Histogram::default, |h| *h)
     }
 
     /// Admits a store at cycle `now`; returns the cycle at which the core
@@ -52,15 +71,10 @@ impl StoreBuffer {
     /// afterwards.
     pub fn admit(&mut self, now: Cycle) -> Cycle {
         self.drain(now);
-        if sttcache_mem::telemetry::enabled() {
-            use std::sync::OnceLock;
-            use sttcache_mem::telemetry::Slot;
-            static DEPTH_HIST: OnceLock<Slot> = OnceLock::new();
+        if let Some(h) = self.depth_probe.as_deref_mut() {
             // Depth after the drain, before this store's completion is
             // recorded (read-only observation).
-            DEPTH_HIST
-                .get_or_init(|| Slot::histogram("store-buffer", "depth"))
-                .observe(self.completions.len() as u64);
+            h.observe(self.completions.len() as u64);
         }
         if self.completions.len() >= self.capacity {
             let oldest = *self.completions.front().expect("full buffer is non-empty");
@@ -162,6 +176,19 @@ mod tests {
     fn drain_all_on_empty_returns_now() {
         let mut sb = StoreBuffer::new(2);
         assert_eq!(sb.drain_all(33), 33);
+    }
+
+    #[test]
+    fn an_armed_probe_sees_the_depth_each_store_found() {
+        let mut sb = StoreBuffer::new(2);
+        sb.arm_probe();
+        for now in 0..3 {
+            sb.admit(now);
+            sb.record_completion(50);
+        }
+        let depth = sb.take_probe();
+        assert_eq!((depth.total, depth.sum, depth.max), (3, 3, 2));
+        assert_eq!(sb.take_probe(), Histogram::default());
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! so the platform can attribute the stall.
 
 use crate::addr::Cycle;
-use crate::telemetry::Slot;
 
 /// Per-bank busy-until scheduler.
 ///
@@ -28,10 +27,6 @@ use crate::telemetry::Slot;
 pub struct BankSchedule {
     free_at: Vec<Cycle>,
     conflict_cycles: u64,
-    /// Pre-resolved per-bank conflict-cycle telemetry slot, re-resolved
-    /// whenever the component label changes (see
-    /// [`BankSchedule::set_telemetry_component`]).
-    slot_conflicts: Slot,
 }
 
 impl BankSchedule {
@@ -45,14 +40,7 @@ impl BankSchedule {
         BankSchedule {
             free_at: vec![0; banks],
             conflict_cycles: 0,
-            slot_conflicts: Slot::indexed("cache", "bank_conflict_cycles"),
         }
-    }
-
-    /// Names the component telemetry is recorded under (the owning
-    /// cache's label, e.g. `"dl1"`).
-    pub fn set_telemetry_component(&mut self, component: &'static str) {
-        self.slot_conflicts = Slot::indexed(component, "bank_conflict_cycles");
     }
 
     /// Number of banks.
@@ -71,9 +59,6 @@ impl BankSchedule {
         let start = self.free_at[bank].max(now);
         self.conflict_cycles += start - now;
         self.free_at[bank] = start + occupancy;
-        if start > now && crate::telemetry::enabled() {
-            self.slot_conflicts.add_at(bank, start - now);
-        }
         if crate::invariants::enabled() && self.free_at[bank] < now + occupancy {
             // The schedule lost time: the reservation we just made ends
             // before `now + occupancy`, so the conflict accounting above
@@ -91,10 +76,10 @@ impl BankSchedule {
         start
     }
 
-    /// [`BankSchedule::reserve`] minus the gated telemetry/invariant
-    /// observers: identical `free_at`/`conflict_cycles` mutation, no gate
-    /// probes. Only sound to call when both gates are known to be off —
-    /// the cache's hit fast path establishes exactly that before using it.
+    /// [`BankSchedule::reserve`] minus the gated invariant check:
+    /// identical `free_at`/`conflict_cycles` mutation, no gate probe. Only
+    /// sound to call when the invariant gate is known to be off — the
+    /// cache's hit fast path establishes exactly that before using it.
     #[inline]
     pub(crate) fn reserve_quiet(&mut self, bank: usize, now: Cycle, occupancy: u64) -> Cycle {
         let start = self.free_at[bank].max(now);

@@ -85,7 +85,6 @@ fn init_from_env() -> bool {
 /// Forces the gate on or off, overriding `STTCACHE_INVARIANTS`.
 pub fn set_enabled(on: bool) {
     GATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    crate::gates::refresh();
 }
 
 /// Records a violation in the calling thread's buffer.

@@ -58,7 +58,7 @@ mod write_buffer;
 
 pub use addr::{Addr, Cycle, LineAddr};
 pub use banks::BankSchedule;
-pub use cache::{AccessOutcome, Cache, ServedBy};
+pub use cache::{AccessOutcome, Cache, CacheProbe, ServedBy};
 pub use config::{AsymmetricWrite, CacheConfig, CacheConfigBuilder, WritePolicy};
 pub use error::MemError;
 pub use gates::env_gate;
@@ -69,7 +69,6 @@ pub use prefetcher::{NextLinePrefetcher, PrefetcherStats};
 pub use replacement::ReplacementPolicy;
 pub use shared::Shared;
 pub use stats::CacheStats;
-pub use telemetry::TelemetrySnapshot;
 pub use write_buffer::WriteBuffer;
 
 /// A timed level of the memory hierarchy.

@@ -20,6 +20,14 @@ struct MshrEntry {
     targets: u32,
 }
 
+impl MshrEntry {
+    /// Whether the entry survives lazy reclamation at `now`: its fill is
+    /// in flight, or its fill time is not yet known (`ready_at == 0`).
+    fn live_at(&self, now: Cycle) -> bool {
+        self.ready_at > now || self.ready_at == 0
+    }
+}
+
 /// Result of consulting the MSHR file for a missing line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MshrOutcome {
@@ -65,8 +73,6 @@ pub struct MshrFile {
     /// `entries.is_empty()` is useless as an idleness test; this watermark
     /// gives an O(1) sound one (see [`MshrFile::fills_pending`]).
     max_ready_at: Cycle,
-    /// Pre-resolved occupancy telemetry histogram.
-    slot_occ_hist: crate::telemetry::Slot,
 }
 
 impl MshrFile {
@@ -82,14 +88,14 @@ impl MshrFile {
             capacity,
             merges: 0,
             max_ready_at: 0,
-            slot_occ_hist: crate::telemetry::Slot::histogram("cache", "mshr_occupancy"),
         }
     }
 
-    /// Names the component telemetry is recorded under (the owning
-    /// cache's label, e.g. `"dl1"`).
-    pub fn set_telemetry_component(&mut self, component: &'static str) {
-        self.slot_occ_hist = crate::telemetry::Slot::histogram(component, "mshr_occupancy");
+    /// Outstanding misses at `now`: the entries
+    /// [`probe_or_allocate`](Self::probe_or_allocate) keeps after its lazy
+    /// reclamation, read without reclaiming.
+    pub(crate) fn outstanding(&self, now: Cycle) -> usize {
+        self.entries.iter().filter(|e| e.live_at(now)).count()
     }
 
     /// Consults the file for a miss on `line` at cycle `now`.
@@ -97,14 +103,9 @@ impl MshrFile {
     /// Retired entries (fills that completed at or before `now`) are
     /// reclaimed lazily here.
     pub fn probe_or_allocate(&mut self, line: LineAddr, now: Cycle) -> MshrOutcome {
-        self.entries.retain(|e| e.ready_at > now || e.ready_at == 0);
+        self.entries.retain(|e| e.live_at(now));
         if invariants::enabled() {
             self.check_reclaimed(now);
-        }
-        if crate::telemetry::enabled() {
-            // Outstanding-miss depth right after lazy reclamation: every
-            // remaining entry is live (in flight or awaiting completion).
-            self.slot_occ_hist.observe(self.entries.len() as u64);
         }
         if let Some(e) = self.entries.iter_mut().find(|e| e.line == line) {
             e.targets += 1;

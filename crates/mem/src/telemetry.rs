@@ -1,50 +1,24 @@
-//! Telemetry registry behind a zero-cost gate.
+//! The instruments `sim --explain` reads.
 //!
 //! The aggregate statistics ([`crate::CacheStats`], the stage stats in
-//! `sttcache-core`) say *which* organization wins; this module records
-//! *why*, for the `sim --explain` attribution reports: per-bank write
-//! shares and conflict cycles, outstanding-miss, write-buffer and
-//! front-end buffer depth histograms, coalescing runs, and per-set write
-//! traffic (the wear map `sttcache_tech::endurance` consumes). All of it
-//! is gathered the same way the invariant checkers are
-//! ([`crate::invariants`]): hot paths consult [`enabled`] — one relaxed
-//! atomic load, off until [`set_enabled`] arms it — and only then touch
-//! the registry, so disarmed sweeps pay nothing measurable (the repo
-//! benchmark, `benchmark/`, runs every workload disarmed, so a cost that
-//! grows shows in its end-to-end metrics).
+//! `sttcache-core`) say *which* organization wins; these instruments say
+//! *why*: per-bank write shares and conflict cycles, outstanding-miss,
+//! write-buffer and front-end buffer depth histograms, coalescing runs,
+//! and per-set write traffic (the wear map `sttcache_tech::endurance`
+//! consumes).
+//!
+//! An instrument belongs to the component that records it, and only a
+//! probed run arms one: a [`Cache`](crate::Cache) holds an optional
+//! [`CacheProbe`](crate::CacheProbe), and the line buffers and the core's
+//! store buffer hold theirs the same way. Every other run leaves them
+//! `None`, so recording costs it one branch on a field it already holds.
+//! `sim --explain` builds the one run it explains probed and renders the
+//! instruments that run returns.
 //!
 //! There are two instrument shapes, both bounded by construction:
 //! [`Histogram`]s index small occupancy values directly and spill the
 //! tail into an overflow bucket, and [`IndexedCounter`]s (wear maps,
-//! per-bank shares) stop growing at [`INDEXED_CAP`] slots. The registry
-//! is thread-local so parallel sweep workers never contaminate each
-//! other; harnesses drain it with [`take`].
-//!
-//! Recording is direct-indexed: a [`Slot`] interns its
-//! `(component, metric)` key once (at component construction) and every
-//! subsequent record is a vector index into thread-local storage — no
-//! per-event map walk.
-
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
-
-/// Whether the registry records; off until [`set_enabled`] arms it.
-static GATE: AtomicBool = AtomicBool::new(false);
-
-/// Whether telemetry collection is enabled in this process: a single
-/// relaxed atomic load.
-#[inline]
-pub fn enabled() -> bool {
-    GATE.load(Ordering::Relaxed)
-}
-
-/// Arms or disarms the gate for the whole process.
-pub fn set_enabled(on: bool) {
-    GATE.store(on, Ordering::Relaxed);
-    crate::gates::refresh();
-}
+//! per-bank shares) stop growing at [`INDEXED_CAP`] slots.
 
 /// Histogram values at or above this index share one overflow bucket.
 /// Occupancies (MSHR depth, buffer depth, coalescing runs) are tiny, so
@@ -72,7 +46,8 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    fn observe(&mut self, value: u64) {
+    /// Records one observation of `value`.
+    pub fn observe(&mut self, value: u64) {
         self.total += 1;
         self.sum += value;
         self.max = self.max.max(value);
@@ -127,7 +102,9 @@ pub struct IndexedCounter {
 }
 
 impl IndexedCounter {
-    fn add(&mut self, index: usize, n: u64) {
+    /// Adds `n` at `index`; an index at or above [`INDEXED_CAP`] counts
+    /// in [`IndexedCounter::clipped`] instead.
+    pub(crate) fn add(&mut self, index: usize, n: u64) {
         if index >= INDEXED_CAP {
             self.clipped += n;
             return;
@@ -154,194 +131,16 @@ impl IndexedCounter {
     }
 }
 
-/// Metric key: `(component, metric)`, both static names so recording
-/// never allocates for the key.
-pub type MetricKey = (&'static str, &'static str);
-
-/// Everything one thread recorded since the last [`take`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TelemetrySnapshot {
-    /// Value-indexed histograms.
-    pub histograms: BTreeMap<MetricKey, Histogram>,
-    /// Densely indexed counters (wear maps, per-bank tallies).
-    pub indexed: BTreeMap<MetricKey, IndexedCounter>,
-}
-
-impl TelemetrySnapshot {
-    /// Whether nothing at all was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.histograms.is_empty() && self.indexed.is_empty()
-    }
-
-    /// Histogram for the metric, if recorded.
-    pub fn histogram(&self, component: &str, metric: &str) -> Option<&Histogram> {
-        self.histograms
-            .iter()
-            .find(|((c, m), _)| *c == component && *m == metric)
-            .map(|(_, h)| h)
-    }
-
-    /// Indexed counter for the metric, if recorded.
-    pub fn indexed_for(&self, component: &str, metric: &str) -> Option<&IndexedCounter> {
-        self.indexed
-            .iter()
-            .find(|((c, m), _)| *c == component && *m == metric)
-            .map(|(_, x)| x)
-    }
-}
-
-/// What a slot records into — one storage variant per instrument shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotKind {
-    Histogram,
-    Indexed,
-}
-
-/// Process-wide metric intern table: slot id → `(key, kind)`. Appended
-/// under a mutex when a [`Slot`] is first resolved (at component
-/// construction); the id is stable for the life of the process, so
-/// recording never consults the table.
-static INTERN: Mutex<Vec<(MetricKey, SlotKind)>> = Mutex::new(Vec::new());
-
-/// A pre-resolved metric handle.
-///
-/// Looking a metric up by name on every event would cost armed runs
-/// more than the simulation being measured. A `Slot` does the lookup
-/// once — components resolve their slots at
-/// construction (and again in `set_telemetry_component`) and armed
-/// recording becomes a direct index into a thread-local vector.
-///
-/// Resolving the same `(component, metric)` pair always yields the same
-/// slot, so equality of slot-holding structs matches equality of their
-/// component labels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Slot(u32);
-
-fn intern(key: MetricKey, kind: SlotKind) -> Slot {
-    let mut table = INTERN.lock().expect("telemetry intern table poisoned");
-    if let Some(id) = table.iter().position(|&(k, kd)| k == key && kd == kind) {
-        return Slot(id as u32);
-    }
-    table.push((key, kind));
-    Slot((table.len() - 1) as u32)
-}
-
-impl Slot {
-    /// Resolves the histogram slot for `(component, metric)`.
-    pub fn histogram(component: &'static str, metric: &'static str) -> Slot {
-        intern((component, metric), SlotKind::Histogram)
-    }
-
-    /// Resolves the indexed-counter slot for `(component, metric)`.
-    pub fn indexed(component: &'static str, metric: &'static str) -> Slot {
-        intern((component, metric), SlotKind::Indexed)
-    }
-
-    /// Observes `value` in this histogram slot.
-    #[inline]
-    pub fn observe(self, value: u64) {
-        self.with(|d| match d {
-            SlotData::Histogram(h) => h.observe(value),
-            _ => debug_assert!(false, "observe on a non-histogram slot"),
-        });
-    }
-
-    /// Adds `n` at `index` in this indexed-counter slot.
-    #[inline]
-    pub fn add_at(self, index: usize, n: u64) {
-        self.with(|d| match d {
-            SlotData::Indexed(x) => x.add(index, n),
-            _ => debug_assert!(false, "add_at on a non-indexed slot"),
-        });
-    }
-
-    /// Runs `f` on this slot's thread-local storage, materializing it on
-    /// first touch (the only point that consults the intern table).
-    #[inline]
-    fn with(self, f: impl FnOnce(&mut SlotData)) {
-        SLOTS.with(|s| {
-            let mut slots = s.borrow_mut();
-            let i = self.0 as usize;
-            if slots.len() <= i {
-                slots.resize_with(i + 1, || None);
-            }
-            if slots[i].is_none() {
-                slots[i] = Some(SlotData::fresh(self));
-            }
-            f(slots[i].as_mut().expect("slot just materialized"));
-        });
-    }
-}
-
-/// One slot's thread-local storage.
-#[derive(Debug, Clone)]
-enum SlotData {
-    Histogram(Histogram),
-    Indexed(IndexedCounter),
-}
-
-impl SlotData {
-    #[cold]
-    fn fresh(slot: Slot) -> SlotData {
-        let kind = INTERN.lock().expect("telemetry intern table poisoned")[slot.0 as usize].1;
-        match kind {
-            SlotKind::Histogram => SlotData::Histogram(Histogram::default()),
-            SlotKind::Indexed => SlotData::Indexed(IndexedCounter::default()),
-        }
-    }
-}
-
-thread_local! {
-    /// Direct-indexed per-thread storage: `SLOTS[id]` is the data of the
-    /// intern table's slot `id`, `None` until first touched on this
-    /// thread. Parallel sweep workers share the global ids but never each
-    /// other's data.
-    static SLOTS: RefCell<Vec<Option<SlotData>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Drains and returns everything recorded on this thread.
-pub fn take() -> TelemetrySnapshot {
-    SLOTS.with(|s| {
-        let mut slots = s.borrow_mut();
-        let table = INTERN.lock().expect("telemetry intern table poisoned");
-        let mut snap = TelemetrySnapshot::default();
-        for (id, data) in slots.iter_mut().enumerate() {
-            let Some(data) = data.take() else { continue };
-            let (key, _) = table[id];
-            match data {
-                SlotData::Histogram(h) => {
-                    snap.histograms.insert(key, h);
-                }
-                SlotData::Indexed(x) => {
-                    snap.indexed.insert(key, x);
-                }
-            }
-        }
-        snap
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn gate_toggles() {
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(false);
-        assert!(!enabled());
-    }
-
-    #[test]
     fn histogram_percentiles_are_exact_for_small_values() {
-        take();
-        let slot = Slot::histogram("mshr", "occupancy");
+        let mut h = Histogram::default();
         for v in [0u64, 1, 1, 2, 2, 2, 3, 3, 3, 3] {
-            slot.observe(v);
+            h.observe(v);
         }
-        let snap = take();
-        let h = snap.histogram("mshr", "occupancy").unwrap();
         assert_eq!(h.total, 10);
         assert_eq!(h.max, 3);
         assert_eq!(h.percentile(50), 2);
@@ -352,12 +151,9 @@ mod tests {
 
     #[test]
     fn histogram_overflow_reports_as_max() {
-        take();
-        let slot = Slot::histogram("wb", "depth");
-        slot.observe(5);
-        slot.observe(2_000_000);
-        let snap = take();
-        let h = snap.histogram("wb", "depth").unwrap();
+        let mut h = Histogram::default();
+        h.observe(5);
+        h.observe(2_000_000);
         assert_eq!(h.overflow, 1);
         assert_eq!(h.max, 2_000_000);
         assert_eq!(h.percentile(100), 2_000_000);
@@ -373,14 +169,11 @@ mod tests {
 
     #[test]
     fn indexed_counters_grow_clip_and_rank() {
-        take();
-        let slot = Slot::indexed("dl1", "wear");
-        slot.add_at(3, 10);
-        slot.add_at(0, 4);
-        slot.add_at(3, 1);
-        slot.add_at(INDEXED_CAP + 7, 2);
-        let snap = take();
-        let x = snap.indexed_for("dl1", "wear").unwrap();
+        let mut x = IndexedCounter::default();
+        x.add(3, 10);
+        x.add(0, 4);
+        x.add(3, 1);
+        x.add(INDEXED_CAP + 7, 2);
         assert_eq!(x.counts[3], 11);
         assert_eq!(x.counts[0], 4);
         assert_eq!(x.total(), 15);
@@ -395,42 +188,5 @@ mod tests {
         x.add(2, 7);
         assert_eq!(x.hottest(), Some((2, 7)));
         assert_eq!(IndexedCounter::default().hottest(), None);
-    }
-
-    #[test]
-    fn slots_are_stable_and_merge_with_by_name_recording() {
-        take();
-        let slot = Slot::indexed("slot-test", "events");
-        slot.add_at(0, 5);
-        // Resolving the same name again yields the same slot, so both
-        // recordings land in one counter.
-        assert_eq!(slot, Slot::indexed("slot-test", "events"));
-        Slot::indexed("slot-test", "events").add_at(0, 2);
-        let snap = take();
-        assert_eq!(snap.indexed_for("slot-test", "events").unwrap().total(), 7);
-        assert!(take().is_empty());
-    }
-
-    #[test]
-    fn same_key_different_kind_gets_its_own_slot() {
-        take();
-        let h = Slot::histogram("slot-test", "depth");
-        let x = Slot::indexed("slot-test", "depth");
-        assert_ne!(h, x);
-        h.observe(3);
-        x.add_at(1, 3);
-        let snap = take();
-        assert_eq!(snap.histogram("slot-test", "depth").unwrap().total, 1);
-        assert_eq!(snap.indexed_for("slot-test", "depth").unwrap().total(), 3);
-    }
-
-    #[test]
-    fn registry_is_thread_local() {
-        take();
-        Slot::indexed("dl1", "set_writes").add_at(0, 9);
-        let other = std::thread::spawn(|| take().is_empty()).join().unwrap();
-        assert!(other);
-        let snap = take();
-        assert_eq!(snap.indexed_for("dl1", "set_writes").unwrap().total(), 9);
     }
 }

@@ -28,8 +28,6 @@ pub struct WriteBuffer {
     /// Pending entries and their drain-completion cycles.
     entries: VecDeque<(LineAddr, Cycle)>,
     capacity: usize,
-    /// Pre-resolved depth telemetry histogram.
-    slot_depth_hist: crate::telemetry::Slot,
 }
 
 impl WriteBuffer {
@@ -43,14 +41,13 @@ impl WriteBuffer {
         WriteBuffer {
             entries: VecDeque::with_capacity(capacity),
             capacity,
-            slot_depth_hist: crate::telemetry::Slot::histogram("cache", "write_buffer_depth"),
         }
     }
 
-    /// Names the component telemetry is recorded under (the owning
-    /// cache's label, e.g. `"dl1"`).
-    pub fn set_telemetry_component(&mut self, component: &'static str) {
-        self.slot_depth_hist = crate::telemetry::Slot::histogram(component, "write_buffer_depth");
+    /// Entries resident now, drained ones included until the next push
+    /// reclaims them.
+    pub(crate) fn depth(&self) -> usize {
+        self.entries.len()
     }
 
     /// Enqueues a dirty line at cycle `now`; the entry drains
@@ -72,11 +69,6 @@ impl WriteBuffer {
         self.entries.push_back((line, proceed_at + drain_cycles));
         if crate::invariants::enabled() {
             self.check_invariants(now);
-        }
-        if crate::telemetry::enabled() {
-            // Depth after the push, read without draining, so telemetry
-            // cannot change which entries are resident.
-            self.slot_depth_hist.observe(self.entries.len() as u64);
         }
         proceed_at
     }

@@ -168,7 +168,7 @@ impl Kernel for HashProbe {
 
     fn execute(&self, e: &mut dyn Engine, t: Transformations) -> f64 {
         let mut space = DataSpace::new(t.others);
-        // Slot 0.0 = empty; keys start at 1 and stay well inside f32's
+        // A slot of 0.0 is empty; keys start at 1 and stay well inside f32's
         // exact-integer range.
         let mut slots = space.array1(self.capacity);
         let mut vals = space.array1(self.capacity);

@@ -65,16 +65,18 @@ diff -u figures_output.txt "$smoke"
 diff -u figures_output.txt "$smoke"
 
 # The trace cache must be invisible in the output: byte-identical with
-# every replayed grid point cross-checked against direct execution, and
-# with the runtime invariant checkers armed.
+# every replayed grid point cross-checked against direct execution.
 STTCACHE_TRACE_CHECK=1 ./target/release/figures all > "$smoke"
 diff -u figures_output.txt "$smoke"
 
+# The armed full sweep: with the invariant checkers armed, every cache
+# access of every grid point bails from the hit fast path to the general
+# path, which must reproduce the reference byte for byte.
 STTCACHE_INVARIANTS=1 ./target/release/figures all > "$smoke"
 diff -u figures_output.txt "$smoke"
 
-# Telemetry must be observation-only: byte-identical output with the
-# component registry armed while exporting the span trace.
+# The span export must be observation-only: byte-identical output while
+# `--telemetry-json` records spans, the only thing it arms.
 ttrace="$(mktemp)"
 trap 'rm -f "$smoke" "$ttrace"' EXIT
 ./target/release/figures all --telemetry-json "$ttrace" > "$smoke" 2> /dev/null
@@ -169,4 +171,4 @@ benchout="$(mktemp -d)"
 trap 'rm -rf "$smoke" "$ttrace" "$mc" "$exttrace" "$prof" "$benchout"' EXIT
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --quick --out "$benchout"
 
-echo "ci: fmt, build, tests (plain + invariants armed), clippy, rustdoc -D warnings, differential + multicore + irregular fuzzers (quick and seeded transcripts pinned to their goldens), ablation tables, figures CSV golden, figures smoke (serial, four workers, replay cross-checked against direct execution, invariants armed, telemetry export, profile with trace-cache miss, release and resident counts), early-closed stdout pipelines, multi-core + irregular determinism, catalog + irregular + multicore + sim_multicore goldens, external-trace replay (pinned to the kernel's own replay), trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"
+echo "ci: fmt, build, tests (plain + invariants armed), clippy, rustdoc -D warnings, differential + multicore + irregular fuzzers (quick and seeded transcripts pinned to their goldens), ablation tables, figures CSV golden, figures smoke (serial, four workers, replay cross-checked against direct execution, invariants armed with the general cache path on every access, span-only telemetry export, profile with trace-cache miss, release and resident counts), early-closed stdout pipelines, multi-core + irregular determinism, catalog + irregular + multicore + sim_multicore goldens, external-trace replay (pinned to the kernel's own replay), trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"

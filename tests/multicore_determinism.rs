@@ -4,15 +4,15 @@
 //! L2 is `!Send`), so a whole N-core run is one sweep work item; these
 //! tests pin the resulting guarantee — the same mix produces the same
 //! `MultiRunResult`, field for field, regardless of worker count,
-//! whether its traces are cached or freshly recorded, or armed
-//! invariant/telemetry observers — mirroring the byte-identity guarantee
+//! whether its traces are cached or freshly recorded, armed invariant
+//! checkers or a probed shared L2 — mirroring the byte-identity guarantee
 //! the single-core figures pipeline has.
 
 use std::sync::Arc;
 use sttcache::{CoreSpec, DCacheOrganization, MultiPlatform, MultiPlatformConfig, MultiRunResult};
 use sttcache_bench::{trace_cache, SweepRunner};
-use sttcache_cpu::Trace;
-use sttcache_mem::{invariants, telemetry};
+use sttcache_cpu::{Engine, Trace, TraceRecorder};
+use sttcache_mem::{invariants, Addr};
 use sttcache_workloads::{PolyBench, ProblemSize, Transformations};
 
 /// The reference mix: two different kernels on two different private
@@ -88,24 +88,34 @@ fn identical_with_invariants_armed_and_clean() {
     assert_eq!(audited_audit.dirty_after_drain, 0);
 }
 
-/// Armed telemetry is observation-only: byte-identical results, with the
-/// cores' DL1 telemetry recorded.
+/// A probed shared L2 is observation-only: byte-identical results, with
+/// every L2 instrument recording across the reference mix and a mix
+/// whose first core streams stores through one L2 set (128 KiB apart),
+/// so the L2 evicts dirty lines into its write buffer.
 #[test]
 fn identical_with_telemetry_armed() {
     let p = mix_platform();
     let (a, b) = mix_traces();
-    let reference = run_mix(&p, &a, &b);
-    let _ = telemetry::take();
-    telemetry::set_enabled(true);
-    let armed = run_mix(&p, &a, &b);
-    telemetry::set_enabled(false);
-    let snapshot = telemetry::take();
-    assert_eq!(armed, reference, "armed telemetry changed the result");
-    let components: Vec<&str> = snapshot.indexed.keys().map(|&(c, _)| c).collect();
-    assert!(
-        components.contains(&"dl1"),
-        "no DL1 telemetry recorded: {components:?}"
-    );
+    let mut rec = TraceRecorder::with_capacity(40);
+    for k in 0..40u64 {
+        rec.store(Addr(k << 17), 8);
+    }
+    let evicting = rec.into_trace();
+    let mut recorded = [false; 5];
+    for first in [&*a, &evicting] {
+        let (probed, l2) = p.run_traces_probed(&[first, &b]);
+        assert_eq!(probed, run_mix(&p, first, &b), "probing changed the result");
+        for (seen, now) in recorded.iter_mut().zip([
+            l2.set_writes.total() > 0,
+            l2.bank_writes.total() > 0,
+            l2.bank_conflict_cycles.total() > 0,
+            l2.mshr_occupancy.total > 0,
+            l2.write_buffer_depth.total > 0,
+        ]) {
+            *seen |= now;
+        }
+    }
+    assert_eq!(recorded, [true; 5], "an L2 instrument never recorded");
 }
 
 /// Repeated runs of the same mix are identical — including through an

@@ -9,11 +9,12 @@
 //! cores nor perturbs the next run. Adding a catalog entry automatically
 //! puts it under this suite; no per-organization test code.
 
+use std::collections::BTreeMap;
 use sttcache::catalog::catalog;
-use sttcache::{CoreSpec, DCacheOrganization, MultiPlatform, MultiPlatformConfig};
+use sttcache::{CoreSpec, DCacheOrganization, MultiPlatform, MultiPlatformConfig, Platform};
 use sttcache_bench::check::{self, Footprint};
 use sttcache_cpu::{Engine, Trace, TraceRecorder};
-use sttcache_mem::{telemetry, Addr};
+use sttcache_mem::{Addr, CacheProbe};
 
 /// A deterministic mixed access pattern: strided reads, writes and
 /// prefetch hints with re-use.
@@ -29,6 +30,24 @@ fn pattern() -> Trace {
             rec.load(addr, 8);
         }
     }
+    rec.into_trace()
+}
+
+/// Stores to 40 lines that share one DL1 set and one L2 set (128 KiB
+/// apart), then a load of each, then a store to the last line and one to
+/// the first. Every level evicts dirty lines, so both write buffers take
+/// entries; a VWB, which the loads filled, absorbs the first of the two
+/// stores and misses the second, which closes a coalescing run.
+fn dirty_evictions() -> Trace {
+    let mut rec = TraceRecorder::with_capacity(82);
+    for k in 0..40u64 {
+        rec.store(Addr(k << 17), 8);
+    }
+    for k in 0..40u64 {
+        rec.load(Addr(k << 17), 8);
+    }
+    rec.store(Addr(39 << 17), 8);
+    rec.store(Addr(0), 8);
     rec.into_trace()
 }
 
@@ -112,23 +131,66 @@ fn every_organization_honors_the_contract_above_the_shared_level() {
     }
 }
 
-/// Arming the telemetry gate is observation-only: every catalog
-/// organization produces a bit-identical audited run — timing,
-/// statistics, drain and resident state — armed and disarmed.
+/// Marks each of `probe`'s instruments, named under `level`, as having
+/// recorded if it holds a sample.
+fn note_cache_probe(seen: &mut BTreeMap<String, bool>, level: &str, probe: &CacheProbe) {
+    for (name, recorded) in [
+        ("set_writes", probe.set_writes.total() > 0),
+        ("bank_writes", probe.bank_writes.total() > 0),
+        (
+            "bank_conflict_cycles",
+            probe.bank_conflict_cycles.total() > 0,
+        ),
+        ("mshr_occupancy", probe.mshr_occupancy.total > 0),
+        ("write_buffer_depth", probe.write_buffer_depth.total > 0),
+    ] {
+        *seen.entry(format!("{level}.{name}")).or_default() |= recorded;
+    }
+}
+
+/// Probing is observation-only: every catalog organization runs
+/// bit-identically probed and plain, alone on one core (DL1, buffers and
+/// store buffer probed) and in both multi-core mountings (shared L2
+/// probed). Across the traces, every instrument records.
 #[test]
 fn telemetry_armed_runs_leave_every_organization_unchanged() {
-    let trace = pattern();
-    for entry in catalog() {
-        for platform in platforms(entry.organization) {
-            let traces = vec![&trace; platform.config().cores.len()];
-            let gate_was_on = telemetry::enabled();
-            telemetry::set_enabled(false);
-            let plain = platform.run_traces_audited(&traces);
-            telemetry::set_enabled(true);
-            let armed = platform.run_traces_audited(&traces);
-            telemetry::set_enabled(gate_was_on);
-            let _ = telemetry::take();
-            assert_eq!(plain, armed, "{}: telemetry changed the run", entry.name);
+    let mut seen = BTreeMap::new();
+    for trace in [pattern(), dirty_evictions()] {
+        for entry in catalog() {
+            let name = entry.name;
+            let platform =
+                Platform::new(entry.organization).expect("catalog organizations validate");
+            let (probed, probes) = platform.run_trace_probed(&trace);
+            assert_eq!(
+                probed,
+                platform.run_trace(&trace),
+                "{name}: probing changed the run"
+            );
+            note_cache_probe(&mut seen, "dl1", &probes.dl1);
+            assert_eq!(probes.buffers.len(), probed.buffers.len(), "{name}");
+            for (stage, probe) in probed.buffers.iter().zip(&probes.buffers) {
+                *seen.entry(format!("{}.depth", stage.kind)).or_default() |= probe.depth.total > 0;
+                *seen.entry("buffer.coalesce_run".into()).or_default() |=
+                    probe.coalesce_run.total > 0;
+            }
+            *seen.entry("store_buffer.depth".into()).or_default() |=
+                probes.store_buffer_depth.total > 0;
+
+            for platform in platforms(entry.organization) {
+                let traces = vec![&trace; platform.config().cores.len()];
+                let (probed, l2) = platform.run_traces_probed(&traces);
+                assert_eq!(
+                    probed,
+                    platform.run_traces(&traces),
+                    "{name}: probing changed the run"
+                );
+                note_cache_probe(&mut seen, "l2", &l2);
+            }
         }
     }
+    let silent: Vec<&String> = seen.iter().filter(|(_, &r)| !r).map(|(k, _)| k).collect();
+    assert!(
+        silent.is_empty(),
+        "instruments that never recorded: {silent:?}"
+    );
 }
