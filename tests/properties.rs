@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use sttcache::{nvm_dl1_config, FrontEnd, StageSpec, VwbConfig};
 use sttcache_bench::testkit::{run_cases, Rng};
 use sttcache_cpu::{DataPort, Engine as _};
-use sttcache_mem::{Addr, Cache, CacheConfig, MainMemory, MemoryLevel};
+use sttcache_mem::{Addr, Cache, CacheConfig, Cycle, MainMemory, MemoryLevel};
 
 /// An untimed reference model of a set-associative LRU write-back cache:
 /// per-set vectors ordered most-recent-first.
@@ -413,6 +413,125 @@ fn replacement_outcomes_are_pinned() {
         .iter()
         .flat_map(|&p| WAYS.map(|w| [WriteBack, WriteThrough].map(|wp| digest(p, w, wp))))
         .collect();
+    assert!(got == PINNED, "digests, in PINNED order:\n{got:#018x?}");
+}
+
+/// A data port that folds every completion it forwards into a digest.
+struct DigestingPort<P> {
+    port: P,
+    hash: u64,
+}
+
+impl<P: DataPort> DataPort for DigestingPort<P> {
+    fn read(&mut self, addr: Addr, now: Cycle) -> Cycle {
+        let done = self.port.read(addr, now);
+        self.hash = fnv1a(self.hash, [addr.0, now, done]);
+        done
+    }
+
+    fn write(&mut self, addr: Addr, now: Cycle) -> Cycle {
+        let done = self.port.write(addr, now);
+        self.hash = fnv1a(self.hash, [addr.0, now, done, 1]);
+        done
+    }
+}
+
+/// The in-flight structures are pinned end to end. A core with a 1-entry
+/// store buffer drives a DL1 with one write-buffer entry over an L2 with
+/// one MSHR. Beside the core, a second requester shares the DL1: it
+/// issues accesses at the core's cycle without waiting for them, and
+/// invalidates lines. Each seeded stream mixes loads and stores to the
+/// same line, the same DL1 set and the same bank, so that MSHR merges,
+/// full-MSHR retries, full write- and store-buffer stalls and the
+/// re-fetch after a stale merge all occur. With one DL1 MSHR only an
+/// invalidated line can miss while its own fill is in flight; with two,
+/// a later fill into the same set can evict it too. The digest of every
+/// completion, both levels' statistics and the core report must match
+/// the one recorded for that row.
+#[test]
+fn in_flight_outcomes_are_pinned() {
+    use sttcache_cpu::{Core, CoreConfig, MemPort};
+    use sttcache_mem::Shared;
+    const PINNED: [u64; 4] = [
+        0x88fa2e0ffcc9f15f,
+        0xc305e7e621c2bce9,
+        0xef1736ecdc6e61fe,
+        0xa75a86d17f1aa056,
+    ];
+    let cache = |capacity, mshrs, cycles| {
+        CacheConfig::builder()
+            .capacity_bytes(capacity)
+            .associativity(2)
+            .banks(2)
+            .read_cycles(cycles)
+            .write_cycles(cycles)
+            .mshr_entries(mshrs)
+            .write_buffer_entries(1)
+            .build()
+            .expect("pinned configuration is valid")
+    };
+    let digest = |dl1_mshrs, seed| {
+        let l2 = Cache::new(cache(8 * 1024, 1, 12), MainMemory::new(100));
+        let mut dl1 = Shared::new(Cache::new(cache(1024, dl1_mshrs, 4), l2));
+        let port = DigestingPort {
+            port: MemPort::new(dl1.clone()),
+            hash: 0xcbf2_9ce4_8422_2325,
+        };
+        let config = CoreConfig {
+            store_buffer_entries: 1,
+            ..CoreConfig::default()
+        };
+        let mut core = Core::new(config, port);
+        let mut rng = Rng::new(seed);
+        let mut addr = 0;
+        for _ in 0..4_000 {
+            // 512 B apart is the same DL1 set; 128 B apart the same bank.
+            addr = match rng.u64_in(0, 4) {
+                0 => addr & !63 | rng.u64_in(0, 64),
+                1 => addr + 512 * rng.u64_in(1, 4),
+                2 => addr + 128 * rng.u64_in(1, 4),
+                _ => rng.u64_in(0, 16 * 1024),
+            } % (16 * 1024);
+            let now = core.now();
+            let side = match rng.u64_in(0, 16) {
+                0..=5 => {
+                    core.load(Addr(addr), 8);
+                    None
+                }
+                6..=10 => {
+                    core.store(Addr(addr), 8);
+                    None
+                }
+                11 => Some(dl1.read(Addr(addr), now).complete_at),
+                12..=14 => Some(dl1.write(Addr(addr), now).complete_at),
+                _ => Some(u64::from(dl1.borrow_mut().invalidate(Addr(addr), now))),
+            };
+            if let Some(word) = side {
+                core.port_mut().hash = fnv1a(core.port().hash, [addr, now, word, 2]);
+            }
+            // One issue in two follows the last one back to back.
+            if rng.bool() {
+                core.compute(rng.u64_in(1, 40));
+            }
+        }
+        let r = core.report();
+        let mut hash = fnv1a(core.port().hash, [r.cycles, r.instructions]);
+        hash = fnv1a(hash, [r.read_stall_cycles, r.write_stall_cycles]);
+        let l2 = *dl1.borrow().next_level().stats();
+        for s in [dl1.stats_snapshot(), l2] {
+            hash = fnv1a(
+                hash,
+                [s.reads, s.writes, s.read_hits, s.write_hits, s.fills],
+            );
+            hash = fnv1a(hash, [s.writebacks, s.bank_conflict_cycles, s.mshr_merges]);
+            hash = fnv1a(
+                hash,
+                [s.mshr_full_stall_cycles, s.write_buffer_stall_cycles],
+            );
+        }
+        hash
+    };
+    let got = [(1, 1), (1, 2), (2, 3), (2, 4)].map(|(m, i)| digest(m, 0x2015_0029 + i));
     assert!(got == PINNED, "digests, in PINNED order:\n{got:#018x?}");
 }
 
