@@ -209,9 +209,9 @@ impl<N: MemoryLevel> FrontEnd<N> {
     }
 
     /// End-of-run verification of the buffers and the DL1, reported
-    /// through [`sttcache_mem::invariants`]: no leaked MSHR allocation
-    /// and no dirty line may remain once the front-end has been drained
-    /// with [`flush_dirty`](Self::flush_dirty).
+    /// through [`sttcache_mem::invariants`]: no dirty line may remain
+    /// once the front-end has been drained with
+    /// [`flush_dirty`](Self::flush_dirty).
     pub fn check_drained(&self, now: Cycle) {
         for b in &self.buffers {
             b.check_invariants(now);

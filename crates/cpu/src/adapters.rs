@@ -53,16 +53,6 @@ impl CountingEngine {
     pub fn instructions(&self) -> u64 {
         self.loads + self.stores + self.prefetches + self.compute_ops + self.branches
     }
-
-    /// Fraction of instructions that are memory accesses.
-    pub fn memory_fraction(&self) -> f64 {
-        let i = self.instructions();
-        if i == 0 {
-            0.0
-        } else {
-            (self.loads + self.stores) as f64 / i as f64
-        }
-    }
 }
 
 impl Engine for CountingEngine {
@@ -112,11 +102,5 @@ mod tests {
         assert_eq!(c.branches, 2);
         assert_eq!(c.taken_branches, 1);
         assert_eq!(c.instructions(), 16);
-        assert!((c.memory_fraction() - 3.0 / 16.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_counter_has_zero_memory_fraction() {
-        assert_eq!(CountingEngine::new().memory_fraction(), 0.0);
     }
 }

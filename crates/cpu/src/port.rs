@@ -56,11 +56,6 @@ impl<M: MemoryLevel> MemPort<M> {
         &self.level
     }
 
-    /// Mutable access to the wrapped level.
-    pub fn level_mut(&mut self) -> &mut M {
-        &mut self.level
-    }
-
     /// Unwraps the port.
     pub fn into_inner(self) -> M {
         self.level

@@ -41,20 +41,6 @@ impl CoreReport {
             self.instructions as f64 / self.cycles as f64
         }
     }
-
-    /// All memory-induced stall cycles.
-    pub fn memory_stall_cycles(&self) -> u64 {
-        self.read_stall_cycles + self.write_stall_cycles
-    }
-
-    /// Fraction of cycles lost to load stalls.
-    pub fn read_stall_fraction(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.read_stall_cycles as f64 / self.cycles as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -66,19 +52,14 @@ mod tests {
         let r = CoreReport {
             cycles: 200,
             instructions: 100,
-            read_stall_cycles: 60,
-            write_stall_cycles: 40,
             ..Default::default()
         };
         assert!((r.ipc() - 0.5).abs() < 1e-12);
-        assert_eq!(r.memory_stall_cycles(), 100);
-        assert!((r.read_stall_fraction() - 0.3).abs() < 1e-12);
     }
 
     #[test]
     fn idle_core_is_zero() {
         let r = CoreReport::default();
         assert_eq!(r.ipc(), 0.0);
-        assert_eq!(r.read_stall_fraction(), 0.0);
     }
 }

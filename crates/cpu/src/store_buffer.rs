@@ -6,11 +6,11 @@
 //! Fig. 4 shows writes contributing far less penalty than reads) while
 //! still exposing it under store bursts.
 
-use std::collections::VecDeque;
 use sttcache_mem::telemetry::Histogram;
-use sttcache_mem::Cycle;
+use sttcache_mem::{Cycle, WriteBuffer};
 
-/// A FIFO of in-flight stores, tracked by their port-completion cycles.
+/// The in-flight stores, tracked by their port-completion cycles, with the
+/// cycles the core stalled on a full buffer.
 ///
 /// # Example
 ///
@@ -27,8 +27,7 @@ use sttcache_mem::Cycle;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreBuffer {
-    completions: VecDeque<Cycle>,
-    capacity: usize,
+    stores: WriteBuffer,
     full_stall_cycles: u64,
     /// Depth seen by each admitted store, `None` unless
     /// [`StoreBuffer::arm_probe`] armed it.
@@ -42,10 +41,8 @@ impl StoreBuffer {
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "store buffer needs at least one entry");
         StoreBuffer {
-            completions: VecDeque::with_capacity(capacity),
-            capacity,
+            stores: WriteBuffer::new("store-buffer", capacity),
             full_stall_cycles: 0,
             depth_probe: None,
         }
@@ -69,71 +66,33 @@ impl StoreBuffer {
     /// may issue it to the port (`now` unless the buffer is full). Call
     /// [`StoreBuffer::record_completion`] with the port completion time
     /// afterwards.
+    #[inline]
     pub fn admit(&mut self, now: Cycle) -> Cycle {
-        self.drain(now);
         if let Some(h) = self.depth_probe.as_deref_mut() {
-            // Depth after the drain, before this store's completion is
-            // recorded (read-only observation).
-            h.observe(self.completions.len() as u64);
+            // The depth this store finds once completed stores have left,
+            // before any wait for a full buffer.
+            h.observe(self.stores.drain(now) as u64);
         }
-        if self.completions.len() >= self.capacity {
-            let oldest = *self.completions.front().expect("full buffer is non-empty");
-            let stall = oldest.saturating_sub(now);
-            self.full_stall_cycles += stall;
-            self.drain(oldest);
-            oldest.max(now)
-        } else {
-            now
-        }
+        let issue_at = self.stores.admit(now);
+        self.full_stall_cycles += issue_at - now;
+        issue_at
     }
 
     /// Records the port-completion cycle of the store admitted last.
+    #[inline]
     pub fn record_completion(&mut self, complete_at: Cycle) {
-        self.completions.push_back(complete_at);
-        if sttcache_mem::invariants::enabled() && self.completions.len() > self.capacity {
-            // Entries drain in admission (FIFO) order, so more live
-            // completions than entries means an admit/record pairing was
-            // broken somewhere upstream.
-            sttcache_mem::invariants::report(
-                "store-buffer",
-                complete_at,
-                None,
-                format!(
-                    "{} in-flight stores exceed capacity {}",
-                    self.completions.len(),
-                    self.capacity
-                ),
-            );
-        }
+        self.stores.push(complete_at);
     }
 
     /// The cycle by which every buffered store has completed (`now` if the
     /// buffer is already empty). Used to close out a simulation.
     pub fn drain_all(&mut self, now: Cycle) -> Cycle {
-        let end = self
-            .completions
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(now)
-            .max(now);
-        self.completions.clear();
-        end
+        self.stores.drain_all(now)
     }
 
     /// Cycles the core stalled on a full buffer.
     pub fn full_stall_cycles(&self) -> u64 {
         self.full_stall_cycles
-    }
-
-    fn drain(&mut self, now: Cycle) {
-        while let Some(&done) = self.completions.front() {
-            if done <= now {
-                self.completions.pop_front();
-            } else {
-                break;
-            }
-        }
     }
 }
 

@@ -180,9 +180,9 @@ impl Trace {
     }
 
     /// Heap footprint of the event buffer in bytes, 8 per *capacity*
-    /// slot: the unit the trace cache's LRU byte cap accounts recorded
-    /// entries in. A recorder's growth slack (or an oversized capacity
-    /// hint) counts until [`Trace::shrink_to_fit`] drops it.
+    /// slot: the unit the trace cache reports its resident recordings
+    /// in. A recorder's growth slack (or an oversized capacity hint)
+    /// counts until [`Trace::shrink_to_fit`] drops it.
     pub fn heap_bytes(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u64>()
     }

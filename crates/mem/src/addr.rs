@@ -35,11 +35,6 @@ impl Addr {
         debug_assert!(line_bytes.is_power_of_two());
         (self.0 & (line_bytes as u64 - 1)) as usize
     }
-
-    /// Whether the `size`-byte access starting here stays within one line.
-    pub fn fits_in_line(self, size: usize, line_bytes: usize) -> bool {
-        size > 0 && self.offset_in_line(line_bytes) + size <= line_bytes
-    }
 }
 
 impl fmt::Display for Addr {
@@ -124,15 +119,6 @@ mod tests {
         let sets = 512;
         let rebuilt = LineAddr::from_parts(line.tag(sets), line.set_index(sets), sets);
         assert_eq!(rebuilt, line);
-    }
-
-    #[test]
-    fn fits_in_line_boundaries() {
-        let a = Addr(60);
-        assert!(a.fits_in_line(4, 64));
-        assert!(!a.fits_in_line(5, 64));
-        assert!(!a.fits_in_line(0, 64));
-        assert!(Addr(0).fits_in_line(64, 64));
     }
 
     #[test]

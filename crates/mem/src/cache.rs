@@ -103,7 +103,7 @@ impl<N: MemoryLevel> Cache<N> {
             tags: TagStore::new(config.sets(), config.associativity(), config.replacement()),
             banks: BankSchedule::new(config.banks()),
             mshrs: MshrFile::new(config.mshr_entries()),
-            write_buffer: WriteBuffer::new(config.write_buffer_entries()),
+            write_buffer: WriteBuffer::new("write-buffer", config.write_buffer_entries()),
             set_count: config.sets(),
             config,
             next,
@@ -207,12 +207,10 @@ impl<N: MemoryLevel> Cache<N> {
         lines
     }
 
-    /// End-of-run verification of this level: reports leaked MSHR
-    /// allocations and any dirty line that survived draining. Levels
-    /// below are checked by the caller (the front-end's drain verifier
-    /// walks the hierarchy).
+    /// End-of-run verification of this level: reports any dirty line
+    /// that survived draining. Levels below are checked by the caller
+    /// (the front-end's drain verifier walks the hierarchy).
     pub fn check_drained(&self, now: Cycle) {
-        self.mshrs.check_drained(now);
         let dirty = self.dirty_lines();
         if dirty > 0 {
             crate::invariants::report(
@@ -288,13 +286,12 @@ impl<N: MemoryLevel> Cache<N> {
     fn push_writeback(&mut self, line: LineAddr, now: Cycle) -> Cycle {
         self.stats.writebacks += 1;
         let base = line.base(self.config.line_bytes());
-        let proceed_at = {
-            // Drain time: one next-level write from the moment the buffer
-            // entry reaches the head. Use the next level's write timing.
-            let drain_done = self.next.write(base, now).complete_at;
-            let drain_cycles = drain_done.saturating_sub(now).max(1);
-            self.write_buffer.push(line, now, drain_cycles)
-        };
+        // Drain time: one next-level write from the moment the buffer
+        // entry reaches the head. Use the next level's write timing.
+        let drain_done = self.next.write(base, now).complete_at;
+        let drain_cycles = drain_done.saturating_sub(now).max(1);
+        let proceed_at = self.write_buffer.admit(now);
+        self.write_buffer.push(proceed_at + drain_cycles);
         if let Some(p) = self.probe.as_deref_mut() {
             p.write_buffer_depth
                 .observe(self.write_buffer.depth() as u64);
@@ -307,20 +304,21 @@ impl<N: MemoryLevel> Cache<N> {
     /// at which the line has been delivered to this level, and who served
     /// it.
     fn fill_miss(&mut self, line: LineAddr, now: Cycle) -> (Cycle, ServedBy) {
-        // MSHR: merge with an in-flight fill, or allocate (waiting out a
-        // full file first — one wait always frees an entry because every
-        // allocation is completed within this call).
+        // MSHR: merge with an in-flight fill, or find a free entry
+        // (waiting out a full file first — one wait always frees an entry
+        // because every entry records a known fill time). The entry is
+        // inserted below, once the fill time is known.
         let mut at = now;
         loop {
             if let Some(p) = self.probe.as_deref_mut() {
                 p.mshr_occupancy.observe(self.mshrs.outstanding(at) as u64);
             }
-            match self.mshrs.probe_or_allocate(line, at) {
+            match self.mshrs.lookup(line, at) {
                 MshrOutcome::Merged { ready_at } => {
                     self.stats.mshr_merges += 1;
-                    return (ready_at.max(at), ServedBy::Lower);
+                    return (ready_at, ServedBy::Lower);
                 }
-                MshrOutcome::Allocated => break,
+                MshrOutcome::Free => break,
                 MshrOutcome::Full { retry_at } => {
                     self.stats.mshr_full_stall_cycles += retry_at.saturating_sub(at);
                     at = retry_at.max(at + 1);
@@ -348,7 +346,7 @@ impl<N: MemoryLevel> Cache<N> {
             // A merged fill for this line may have installed it already.
             LookupResult::Hit(way) => {
                 self.tags.touch(set_index, way, below.complete_at, false);
-                self.mshrs.complete(line, below.complete_at);
+                self.mshrs.insert(line, below.complete_at);
                 return (below.complete_at, served_by);
             }
         };
@@ -365,7 +363,7 @@ impl<N: MemoryLevel> Cache<N> {
         self.tags.fill(set_index, victim, tag, false, fill_ready);
         self.stats.fills += 1;
         self.probe_array_write(set_index, bank);
-        self.mshrs.complete(line, fill_ready);
+        self.mshrs.insert(line, fill_ready);
         (fill_ready, served_by)
     }
 
@@ -540,7 +538,7 @@ impl<N: MemoryLevel> Cache<N> {
                 // the merged requester arrives after that eviction and
                 // has to re-fetch the line like any fresh miss. The
                 // retry makes progress: a merge always returns a ready
-                // time strictly past the probe time, and once the probe
+                // time strictly past the lookup time, and once a lookup
                 // reaches it the stale entry is reclaimed and the fill
                 // installs the line.
                 let way = loop {
@@ -579,13 +577,11 @@ impl<N: MemoryLevel> Cache<N> {
 
     fn sync_component_stats(&mut self) {
         self.stats.bank_conflict_cycles = self.banks.conflict_cycles();
-        self.stats.mshr_merges = self.mshrs.merges();
     }
 
     /// Post-access checks run when the invariant gate is on: the touched
-    /// set must be structurally valid, every MSHR allocation made during
-    /// the access must have been completed before it returned, and time
-    /// must not run backwards.
+    /// set must be structurally valid, the write buffer within its
+    /// capacity, and time must not run backwards.
     fn check_access(&self, addr: Addr, now: Cycle, complete_at: Cycle) {
         if complete_at < now {
             crate::invariants::report(
@@ -598,17 +594,6 @@ impl<N: MemoryLevel> Cache<N> {
         let line = self.line_of(addr);
         let set_index = line.set_index(self.set_count);
         self.tags.check_invariants(set_index, complete_at);
-        if self.mshrs.unfinished_allocations() > 0 {
-            crate::invariants::report(
-                "mshr",
-                now,
-                Some(addr.0),
-                format!(
-                    "{} allocation(s) left incomplete after an access returned",
-                    self.mshrs.unfinished_allocations()
-                ),
-            );
-        }
         self.write_buffer.check_invariants(now);
     }
 }

@@ -3,7 +3,7 @@
 use crate::replacement::ReplacementPolicy;
 use crate::set::MAX_WAYS;
 use crate::MemError;
-use sttcache_tech::{ArrayConfig, ArrayModel, CellKind};
+use sttcache_tech::{ArrayConfig, CellKind};
 
 /// Asymmetric write timing (the AWARE model of Kwon et al., paper
 /// reference \[1\]).
@@ -21,18 +21,6 @@ pub struct AsymmetricWrite {
     /// One write in `slow_period` is slow (deterministic, so simulations
     /// stay reproducible).
     pub slow_period: u64,
-}
-
-impl AsymmetricWrite {
-    /// A representative AWARE setting for the paper's NVM DL1: the
-    /// redundant blocks absorb 7 of 8 slow transitions; the residual slow
-    /// write takes twice the nominal latency.
-    pub fn aware_default(write_cycles: u64) -> Self {
-        AsymmetricWrite {
-            slow_cycles: write_cycles * 2,
-            slow_period: 8,
-        }
-    }
 }
 
 /// Write-hit policy of a cache level.
@@ -185,14 +173,6 @@ impl CacheConfigBuilder {
     /// Replacement policy (true LRU by default, as in the paper).
     pub fn replacement(&mut self, v: ReplacementPolicy) -> &mut Self {
         self.replacement = v;
-        self
-    }
-
-    /// Pulls read/write latencies from a technology [`ArrayModel`] at the
-    /// given clock (convenience for driving timing from `sttcache-tech`).
-    pub fn timing_from(&mut self, model: &ArrayModel, clock_ghz: f64) -> &mut Self {
-        self.read_cycles = model.read_cycles(clock_ghz);
-        self.write_cycles = model.write_cycles(clock_ghz);
         self
     }
 
@@ -433,17 +413,6 @@ mod tests {
             .associativity(3)
             .build()
             .is_err());
-    }
-
-    #[test]
-    fn timing_from_array_model() {
-        let model = ArrayModel::new(ArrayConfig::builder().build().unwrap());
-        let c = CacheConfig::builder()
-            .timing_from(&model, 1.0)
-            .build()
-            .unwrap();
-        assert_eq!(c.read_cycles(), 4);
-        assert_eq!(c.write_cycles(), 2);
     }
 
     #[test]

@@ -119,12 +119,6 @@ pub fn take_violations() -> (Vec<InvariantViolation>, usize) {
     })
 }
 
-/// Number of violations observed on this thread since the last
-/// [`take_violations`] (including any dropped beyond the retention cap).
-pub fn violation_count() -> usize {
-    VIOLATIONS.with(|v| v.borrow().1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,18 +128,17 @@ mod tests {
         set_enabled(true);
         assert!(enabled());
         report("mshr", 42, Some(0x1000), "test violation".into());
-        assert_eq!(violation_count(), 1);
         let (list, total) = take_violations();
         assert_eq!(total, 1);
         assert_eq!(list.len(), 1);
         assert_eq!(list[0].component, "mshr");
         assert_eq!(list[0].cycle, 42);
         assert_eq!(list[0].addr, Some(0x1000));
-        assert_eq!(violation_count(), 0);
+        assert_eq!(take_violations().1, 0);
 
         // Another thread sees an empty buffer even while this one reports.
         report("set", 1, None, "local".into());
-        let other = std::thread::spawn(violation_count).join().unwrap();
+        let other = std::thread::spawn(|| take_violations().1).join().unwrap();
         assert_eq!(other, 0);
         take_violations();
         set_enabled(false);

@@ -8,8 +8,9 @@ use crate::MemoryLevel;
 /// A fixed-latency main memory terminating the hierarchy.
 ///
 /// Bandwidth is modelled with a single channel: back-to-back requests
-/// serialize at `channel_cycles` apart (default: a quarter of the access
-/// latency), which is sufficient for the paper's single-core platform.
+/// serialize a quarter of the access latency apart, which is sufficient
+/// for the paper's single-core platform. Each request moves one 64-byte
+/// line.
 ///
 /// # Example
 ///
@@ -25,7 +26,6 @@ pub struct MainMemory {
     latency: u64,
     channel_cycles: u64,
     channel_free_at: Cycle,
-    line_bytes: usize,
     stats: CacheStats,
 }
 
@@ -41,31 +41,8 @@ impl MainMemory {
             latency,
             channel_cycles: (latency / 4).max(1),
             channel_free_at: 0,
-            line_bytes: 64,
             stats: CacheStats::new(),
         }
-    }
-
-    /// Sets the channel occupancy per request (bandwidth model).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycles` is zero.
-    pub fn with_channel_cycles(mut self, cycles: u64) -> Self {
-        assert!(cycles > 0, "channel occupancy must be at least one cycle");
-        self.channel_cycles = cycles;
-        self
-    }
-
-    /// Sets the transfer granularity reported by [`MemoryLevel::line_bytes`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is not a power of two.
-    pub fn with_line_bytes(mut self, bytes: usize) -> Self {
-        assert!(bytes.is_power_of_two(), "line size must be a power of two");
-        self.line_bytes = bytes;
-        self
     }
 
     /// Access latency in cycles.
@@ -98,7 +75,7 @@ impl MemoryLevel for MainMemory {
     }
 
     fn line_bytes(&self) -> usize {
-        self.line_bytes
+        64
     }
 
     fn stats(&self) -> &CacheStats {
@@ -126,7 +103,8 @@ mod tests {
 
     #[test]
     fn channel_serializes_back_to_back_requests() {
-        let mut mem = MainMemory::new(100).with_channel_cycles(25);
+        // The channel is held a quarter of the latency per request.
+        let mut mem = MainMemory::new(100);
         assert_eq!(mem.read(Addr(0), 0).complete_at, 100);
         // Second request issued at the same cycle waits for the channel.
         assert_eq!(mem.read(Addr(64), 0).complete_at, 125);

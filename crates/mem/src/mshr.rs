@@ -4,28 +4,18 @@
 //! line that is already being fetched merges with the in-flight miss instead
 //! of issuing a duplicate request. With the paper's in-order blocking core,
 //! concurrency comes from software prefetches into the VWB and from the
-//! decoupled store path; the EMSHR baseline (`sttcache::baselines`) builds
-//! on this file by also *retaining* filled entries so they can serve reads.
+//! decoupled store path. A miss is recorded once, when the cache knows its
+//! fill time: [`MshrFile::lookup`] answers merged, free or full, and
+//! [`MshrFile::insert`] records the fill the cache then performed.
 
 use crate::addr::{Cycle, LineAddr};
 use crate::invariants;
 
-/// One in-flight (or retained) miss entry.
+/// One in-flight miss: its line and the cycle its fill data arrives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct MshrEntry {
     line: LineAddr,
-    /// Cycle at which the fill data arrives.
     ready_at: Cycle,
-    /// Number of accesses merged into this entry (including the allocator).
-    targets: u32,
-}
-
-impl MshrEntry {
-    /// Whether the entry survives lazy reclamation at `now`: its fill is
-    /// in flight, or its fill time is not yet known (`ready_at == 0`).
-    fn live_at(&self, now: Cycle) -> bool {
-        self.ready_at > now || self.ready_at == 0
-    }
 }
 
 /// Result of consulting the MSHR file for a missing line.
@@ -36,9 +26,9 @@ pub enum MshrOutcome {
         /// When the in-flight fill delivers the line.
         ready_at: Cycle,
     },
-    /// A new entry was allocated; the caller must perform the fill and
-    /// call [`MshrFile::complete`] with the fill time.
-    Allocated,
+    /// An entry is free: the caller performs the fill and records it with
+    /// [`MshrFile::insert`].
+    Free,
     /// No entry is free; the access must wait until `retry_at` and try
     /// again (the file's earliest completion).
     Full {
@@ -55,11 +45,11 @@ pub enum MshrOutcome {
 /// use sttcache_mem::{MshrFile, MshrOutcome, LineAddr};
 ///
 /// let mut mshrs = MshrFile::new(2);
-/// assert_eq!(mshrs.probe_or_allocate(LineAddr(1), 0), MshrOutcome::Allocated);
-/// mshrs.complete(LineAddr(1), 50);
+/// assert_eq!(mshrs.lookup(LineAddr(1), 0), MshrOutcome::Free);
+/// mshrs.insert(LineAddr(1), 50);
 /// // A second access to the same line merges with the in-flight fill.
 /// assert_eq!(
-///     mshrs.probe_or_allocate(LineAddr(1), 10),
+///     mshrs.lookup(LineAddr(1), 10),
 ///     MshrOutcome::Merged { ready_at: 50 }
 /// );
 /// ```
@@ -67,9 +57,8 @@ pub enum MshrOutcome {
 pub struct MshrFile {
     entries: Vec<MshrEntry>,
     capacity: usize,
-    merges: u64,
     /// High-water mark over every `ready_at` ever recorded by
-    /// [`MshrFile::complete`]. Entries are reclaimed lazily, so
+    /// [`MshrFile::insert`]. Entries are reclaimed lazily, so
     /// `entries.is_empty()` is useless as an idleness test; this watermark
     /// gives an O(1) sound one (see [`MshrFile::fills_pending`]).
     max_ready_at: Cycle,
@@ -86,30 +75,26 @@ impl MshrFile {
         MshrFile {
             entries: Vec::with_capacity(capacity),
             capacity,
-            merges: 0,
             max_ready_at: 0,
         }
     }
 
-    /// Outstanding misses at `now`: the entries
-    /// [`probe_or_allocate`](Self::probe_or_allocate) keeps after its lazy
-    /// reclamation, read without reclaiming.
+    /// Outstanding misses at `now`: the entries [`lookup`](Self::lookup)
+    /// keeps after its lazy reclamation, read without reclaiming.
     pub(crate) fn outstanding(&self, now: Cycle) -> usize {
-        self.entries.iter().filter(|e| e.live_at(now)).count()
+        self.entries.iter().filter(|e| e.ready_at > now).count()
     }
 
     /// Consults the file for a miss on `line` at cycle `now`.
     ///
     /// Retired entries (fills that completed at or before `now`) are
     /// reclaimed lazily here.
-    pub fn probe_or_allocate(&mut self, line: LineAddr, now: Cycle) -> MshrOutcome {
-        self.entries.retain(|e| e.live_at(now));
+    pub fn lookup(&mut self, line: LineAddr, now: Cycle) -> MshrOutcome {
+        self.entries.retain(|e| e.ready_at > now);
         if invariants::enabled() {
             self.check_reclaimed(now);
         }
-        if let Some(e) = self.entries.iter_mut().find(|e| e.line == line) {
-            e.targets += 1;
-            self.merges += 1;
+        if let Some(e) = self.entries.iter().find(|e| e.line == line) {
             return MshrOutcome::Merged {
                 ready_at: e.ready_at,
             };
@@ -123,27 +108,13 @@ impl MshrFile {
                 .expect("full file is non-empty");
             return MshrOutcome::Full { retry_at };
         }
-        // ready_at == 0 marks "allocated, fill time not yet known".
-        self.entries.push(MshrEntry {
-            line,
-            ready_at: 0,
-            targets: 1,
-        });
-        MshrOutcome::Allocated
+        MshrOutcome::Free
     }
 
-    /// Records the fill-completion time for a previously allocated entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no allocated entry for `line` exists.
-    pub fn complete(&mut self, line: LineAddr, ready_at: Cycle) {
-        let e = self
-            .entries
-            .iter_mut()
-            .find(|e| e.line == line && e.ready_at == 0)
-            .expect("complete() without a matching allocation");
-        e.ready_at = ready_at;
+    /// Records a miss on `line` whose fill arrives at `ready_at`, once
+    /// [`lookup`](Self::lookup) has found an entry free for it.
+    pub fn insert(&mut self, line: LineAddr, ready_at: Cycle) {
+        self.entries.push(MshrEntry { line, ready_at });
         self.max_ready_at = self.max_ready_at.max(ready_at);
     }
 
@@ -170,23 +141,6 @@ impl MshrFile {
             .map(|e| e.ready_at)
     }
 
-    /// Total merged (secondary) accesses.
-    pub fn merges(&self) -> u64 {
-        self.merges
-    }
-
-    /// Allocations whose fill time was never recorded (`ready_at == 0`).
-    ///
-    /// Between [`probe_or_allocate`](Self::probe_or_allocate) and
-    /// [`complete`](Self::complete) this is legitimately non-zero, but at
-    /// any quiescent point — after a cache access returns, or at end of
-    /// run — a non-zero value is a leaked entry: it survives lazy
-    /// reclamation forever while [`ready_time`](Self::ready_time) never
-    /// reports it.
-    pub fn unfinished_allocations(&self) -> usize {
-        self.entries.iter().filter(|e| e.ready_at == 0).count()
-    }
-
     /// Structural check, reported through
     /// [`invariants`](crate::invariants): the file never holds more than
     /// `capacity` entries. Safe to call at any time (retired entries may
@@ -208,12 +162,12 @@ impl MshrFile {
     }
 
     /// Reclamation-path check: immediately after retiring entries at
-    /// `now`, none with `0 < ready_at <= now` may remain (an entry that
+    /// `now`, none with `ready_at <= now` may remain (an entry that
     /// outlived its `ready_at` would serve stale in-flight state).
     fn check_reclaimed(&self, now: Cycle) {
         self.check_invariants(now);
         for e in &self.entries {
-            if e.ready_at != 0 && e.ready_at <= now {
+            if e.ready_at <= now {
                 invariants::report(
                     "mshr",
                     now,
@@ -221,24 +175,6 @@ impl MshrFile {
                     format!("entry outlived its ready_at {}", e.ready_at),
                 );
             }
-        }
-    }
-
-    /// End-of-run leak check: reports a violation for every allocation
-    /// that was never [`complete`](Self::complete)d. Called by the drain
-    /// verifier after a run has fully retired; at that point a dangling
-    /// `ready_at == 0` entry can only be a fill-path bug.
-    pub fn check_drained(&self, now: Cycle) {
-        for e in self.entries.iter().filter(|e| e.ready_at == 0) {
-            invariants::report(
-                "mshr",
-                now,
-                Some(e.line.0),
-                format!(
-                    "leaked allocation: {} (targets {}) never completed",
-                    e.line, e.targets
-                ),
-            );
         }
     }
 }
@@ -250,40 +186,28 @@ mod tests {
     #[test]
     fn allocate_then_merge() {
         let mut m = MshrFile::new(4);
-        assert_eq!(m.probe_or_allocate(LineAddr(9), 0), MshrOutcome::Allocated);
-        m.complete(LineAddr(9), 100);
+        assert_eq!(m.lookup(LineAddr(9), 0), MshrOutcome::Free);
+        m.insert(LineAddr(9), 100);
         assert_eq!(
-            m.probe_or_allocate(LineAddr(9), 5),
+            m.lookup(LineAddr(9), 5),
             MshrOutcome::Merged { ready_at: 100 }
         );
-        assert_eq!(m.merges(), 1);
     }
 
     #[test]
     fn retired_entries_are_reclaimed() {
         let mut m = MshrFile::new(1);
-        assert_eq!(m.probe_or_allocate(LineAddr(1), 0), MshrOutcome::Allocated);
-        m.complete(LineAddr(1), 10);
-        // At cycle 20 the fill has retired; a new line can allocate.
-        assert_eq!(m.probe_or_allocate(LineAddr(2), 20), MshrOutcome::Allocated);
+        m.insert(LineAddr(1), 10);
+        // At cycle 20 the fill has retired; a new line finds a free entry.
+        assert_eq!(m.lookup(LineAddr(2), 20), MshrOutcome::Free);
+        assert_eq!(m.outstanding(20), 0);
     }
 
     #[test]
     fn full_file_reports_retry_time() {
         let mut m = MshrFile::new(1);
-        assert_eq!(m.probe_or_allocate(LineAddr(1), 0), MshrOutcome::Allocated);
-        m.complete(LineAddr(1), 10);
-        assert_eq!(
-            m.probe_or_allocate(LineAddr(2), 5),
-            MshrOutcome::Full { retry_at: 10 }
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "matching allocation")]
-    fn complete_without_allocation_panics() {
-        let mut m = MshrFile::new(1);
-        m.complete(LineAddr(1), 10);
+        m.insert(LineAddr(1), 10);
+        assert_eq!(m.lookup(LineAddr(2), 5), MshrOutcome::Full { retry_at: 10 });
     }
 
     #[test]
@@ -300,80 +224,36 @@ mod tests {
         let mut m = MshrFile::new(4);
         for i in 0..4u64 {
             assert_eq!(
-                m.probe_or_allocate(LineAddr(i), 0),
-                MshrOutcome::Allocated,
-                "entry {i} of a 4-entry file must allocate"
+                m.lookup(LineAddr(i), 0),
+                MshrOutcome::Free,
+                "entry {i} of a 4-entry file must be free"
             );
-            m.complete(LineAddr(i), 100 + i);
+            m.insert(LineAddr(i), 100 + i);
         }
         assert_eq!(
-            m.probe_or_allocate(LineAddr(99), 0),
+            m.lookup(LineAddr(99), 0),
             MshrOutcome::Full { retry_at: 100 }
         );
-        // A merge into a full file still succeeds (no allocation needed).
+        // A merge into a full file still succeeds (no entry needed).
         assert_eq!(
-            m.probe_or_allocate(LineAddr(2), 0),
+            m.lookup(LineAddr(2), 0),
             MshrOutcome::Merged { ready_at: 102 }
         );
     }
 
     #[test]
     fn same_line_race_counts_every_merge() {
-        // N back-to-back accesses to one in-flight line: 1 allocation,
-        // N-1 merges, regardless of whether complete() has run yet.
+        // N back-to-back accesses to one in-flight line: one entry, and
+        // every later lookup merges into it until its fill retires.
         let mut m = MshrFile::new(2);
-        assert_eq!(m.probe_or_allocate(LineAddr(7), 0), MshrOutcome::Allocated);
-        // Race before the fill time is known (ready_at still 0).
-        assert_eq!(
-            m.probe_or_allocate(LineAddr(7), 1),
-            MshrOutcome::Merged { ready_at: 0 }
-        );
-        m.complete(LineAddr(7), 50);
-        for now in 2..6 {
+        m.insert(LineAddr(7), 50);
+        for now in 1..6 {
             assert_eq!(
-                m.probe_or_allocate(LineAddr(7), now),
+                m.lookup(LineAddr(7), now),
                 MshrOutcome::Merged { ready_at: 50 }
             );
         }
-        assert_eq!(m.merges(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "matching allocation")]
-    fn complete_on_retired_line_panics() {
-        // The contract: complete() pairs with the probe_or_allocate that
-        // returned Allocated. Completing a line whose entry already has a
-        // fill time (i.e. "absent" as an allocation) is a caller bug.
-        let mut m = MshrFile::new(2);
-        m.probe_or_allocate(LineAddr(5), 0);
-        m.complete(LineAddr(5), 10);
-        m.complete(LineAddr(5), 20);
-    }
-
-    #[test]
-    fn leak_is_visible_to_unfinished_allocations_not_occupancy() {
-        let mut m = MshrFile::new(2);
-        m.probe_or_allocate(LineAddr(1), 0);
-        // Never completed: immortal under lazy reclamation, and counted
-        // as unfinished.
-        m.probe_or_allocate(LineAddr(2), 1_000_000);
-        assert_eq!(m.unfinished_allocations(), 2);
-        m.complete(LineAddr(1), 1_000_010);
-        m.complete(LineAddr(2), 1_000_010);
-        assert_eq!(m.unfinished_allocations(), 0);
-    }
-
-    #[test]
-    fn check_drained_reports_leaked_allocation() {
-        crate::invariants::take_violations();
-        let mut m = MshrFile::new(2);
-        m.probe_or_allocate(LineAddr(0x40), 0);
-        m.check_drained(123);
-        let (list, total) = crate::invariants::take_violations();
-        assert_eq!(total, 1);
-        assert_eq!(list[0].component, "mshr");
-        assert_eq!(list[0].cycle, 123);
-        assert_eq!(list[0].addr, Some(0x40));
-        assert!(list[0].detail.contains("leaked"), "{}", list[0].detail);
+        assert_eq!(m.outstanding(5), 1);
+        assert_eq!(m.lookup(LineAddr(7), 50), MshrOutcome::Free);
     }
 }
