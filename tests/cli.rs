@@ -231,6 +231,21 @@ fn sim_multicore_runs_match_the_golden() {
 }
 
 #[test]
+fn sim_icache_runs_match_the_golden() {
+    // An explicit IL1 in each technology, with a baseline and with an
+    // explained run, in that order, byte for byte: no other golden pins
+    // a run that fetches through an IL1.
+    let got = [
+        "--bench atax --icache nvm --baseline",
+        "--bench atax --org vwb --icache nvm --explain",
+        "--bench gemm --org l0 --opts all --icache sram --baseline",
+    ]
+    .map(|args| sim_stdout(&args.split(' ').collect::<Vec<_>>()))
+    .concat();
+    assert_eq!(got, include_str!("golden/sim_icache.txt"));
+}
+
+#[test]
 fn figures_rejects_flags_the_csv_route_would_ignore() {
     // `--profile` and `--telemetry-json` time the text artifacts; the
     // CSV route would run without them.
