@@ -13,9 +13,11 @@
 //! `tests/properties.rs::replacement_outcomes_are_pinned` pins each
 //! policy's victims instead.
 
-use sttcache::{penalty_pct, DCacheOrganization, Platform, PlatformConfig, VwbConfig};
+use sttcache::{
+    nvm_dl1_config, penalty_pct, DCacheOrganization, Platform, PlatformConfig, VwbConfig,
+};
 use sttcache_cpu::Engine;
-use sttcache_mem::{CacheConfig, ReplacementPolicy};
+use sttcache_mem::{CacheConfigBuilder, ReplacementPolicy};
 use sttcache_workloads::{Kernel, PolyBench, ProblemSize, StrideWalk, Transformations};
 
 fn cycles_with(cfg: PlatformConfig) -> u64 {
@@ -26,17 +28,9 @@ fn cycles_with(cfg: PlatformConfig) -> u64 {
         .cycles()
 }
 
-fn nvm_dl1(banks: usize, assoc: usize, wb: usize) -> CacheConfig {
-    CacheConfig::builder()
-        .capacity_bytes(64 * 1024)
-        .associativity(assoc)
-        .line_bytes(64)
-        .banks(banks)
-        .read_cycles(4)
-        .write_cycles(2)
-        .write_buffer_entries(wb)
-        .build()
-        .expect("ablation dl1 config is valid")
+/// A builder preset to the canonical NVM DL1, for one ablated field.
+fn nvm_dl1() -> CacheConfigBuilder {
+    CacheConfigBuilder::from(nvm_dl1_config().expect("canonical dl1"))
 }
 
 fn print_sweep(title: &str, rows: &[(String, u64)]) {
@@ -53,7 +47,7 @@ fn main() {
         .iter()
         .map(|&b| {
             let mut cfg = PlatformConfig::new(DCacheOrganization::nvm_vwb_default());
-            cfg.dl1_override = Some(nvm_dl1(b, 2, 4));
+            cfg.dl1_override = Some(nvm_dl1().banks(b).build().expect("valid dl1"));
             (format!("{b} banks"), cycles_with(cfg))
         })
         .collect();
@@ -77,7 +71,7 @@ fn main() {
         .iter()
         .map(|&a| {
             let mut cfg = PlatformConfig::new(DCacheOrganization::nvm_vwb_default());
-            cfg.dl1_override = Some(nvm_dl1(4, a, 4));
+            cfg.dl1_override = Some(nvm_dl1().associativity(a).build().expect("valid dl1"));
             (format!("{a}-way"), cycles_with(cfg))
         })
         .collect();
@@ -88,7 +82,12 @@ fn main() {
         .iter()
         .map(|&d| {
             let mut cfg = PlatformConfig::new(DCacheOrganization::nvm_vwb_default());
-            cfg.dl1_override = Some(nvm_dl1(4, 2, d));
+            cfg.dl1_override = Some(
+                nvm_dl1()
+                    .write_buffer_entries(d)
+                    .build()
+                    .expect("valid dl1"),
+            );
             (format!("{d} wb entries"), cycles_with(cfg))
         })
         .collect();
@@ -100,17 +99,7 @@ fn main() {
         .iter()
         .map(|&p| {
             let mut cfg = PlatformConfig::new(DCacheOrganization::nvm_vwb_default());
-            let dl1 = CacheConfig::builder()
-                .capacity_bytes(64 * 1024)
-                .associativity(2)
-                .line_bytes(64)
-                .banks(4)
-                .read_cycles(4)
-                .write_cycles(2)
-                .replacement(p)
-                .build()
-                .expect("replacement ablation config is valid");
-            cfg.dl1_override = Some(dl1);
+            cfg.dl1_override = Some(nvm_dl1().replacement(p).build().expect("valid dl1"));
             (p.name().to_string(), cycles_with(cfg))
         })
         .collect();

@@ -55,8 +55,7 @@
 //!   work.
 
 use sttcache::{
-    DCacheOrganization, DlOneTechnology, IcacheConfig, Platform, PlatformConfig, RunResult,
-    VwbConfig, MAX_CORES,
+    DCacheOrganization, DlOneTechnology, Platform, PlatformConfig, RunResult, VwbConfig, MAX_CORES,
 };
 use sttcache_bench::{
     explain, multicore, parallel, trace_cache, workload, ProfileReport, SweepRunner,
@@ -68,7 +67,7 @@ struct Options {
     org: DCacheOrganization,
     size: ProblemSize,
     opts: Transformations,
-    icache: Option<IcacheConfig>,
+    icache: Option<DlOneTechnology>,
     baseline: bool,
     profile: bool,
     explain: bool,
@@ -205,14 +204,10 @@ fn parse_args() -> Options {
             }
             "--icache" => {
                 let value = next(&mut i);
-                let tech = match value.as_str() {
+                icache = Some(match value.as_str() {
                     "sram" => DlOneTechnology::Sram,
                     "nvm" => DlOneTechnology::SttMram,
                     _ => refuse(flag, Some(&value), "sram|nvm"),
-                };
-                icache = Some(IcacheConfig {
-                    technology: tech,
-                    ..IcacheConfig::default()
                 });
             }
             "--baseline" => baseline = true,

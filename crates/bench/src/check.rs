@@ -172,12 +172,11 @@ pub fn audited_run(
     footprints: &[&Footprint],
 ) -> AuditedRun {
     assert_eq!(traces.len(), footprints.len(), "one footprint per trace");
-    let gate_was_on = invariants::enabled();
-    invariants::set_enabled(true);
+    let armed = invariants::arm();
     let _ = invariants::take_violations(); // start from a clean slate
     let (result, audit) = platform.run_traces_audited(traces);
     let (violations, total) = invariants::take_violations();
-    invariants::set_enabled(gate_was_on);
+    drop(armed);
 
     let mut findings: Vec<String> = violations
         .iter()

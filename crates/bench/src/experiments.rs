@@ -9,10 +9,10 @@
 use crate::parallel::{self, SweepRunner};
 use crate::trace_cache;
 use sttcache::{
-    average_penalty, penalty_pct, DCacheOrganization, PenaltyRow, PlatformConfig, RunResult,
-    VwbConfig,
+    average_penalty, nvm_dl1_config, penalty_pct, DCacheOrganization, PenaltyRow, PlatformConfig,
+    RunResult, VwbConfig,
 };
-use sttcache_mem::CacheConfig;
+use sttcache_mem::CacheConfigBuilder;
 use sttcache_tech::{table_one, TableOneRow};
 use sttcache_workloads::{
     catalog, ProblemSize, Transformations, Workload, WorkloadFamily, WorkloadSpec,
@@ -193,11 +193,7 @@ pub struct Fig4Row {
 pub fn fig4(size: ProblemSize) -> Vec<Fig4Row> {
     // NVM DL1 geometry with one latency class reverted to SRAM speed.
     let with_latencies = |read: u64, write: u64| -> PlatformConfig {
-        let dl1 = CacheConfig::builder()
-            .capacity_bytes(64 * 1024)
-            .associativity(2)
-            .line_bytes(64)
-            .banks(4)
+        let dl1 = CacheConfigBuilder::from(nvm_dl1_config().expect("canonical dl1"))
             .read_cycles(read)
             .write_cycles(write)
             .build()

@@ -12,14 +12,10 @@
 use crate::profile::{self, Phase};
 use crate::trace_cache;
 use std::time::Instant;
-use sttcache::{DCacheOrganization, Platform, PlatformConfig, RunProbes, RunResult};
+use sttcache::{DCacheOrganization, Platform, PlatformConfig, RunProbes, RunResult, CLOCK_GHZ};
 use sttcache_mem::telemetry::Histogram;
 use sttcache_tech::{wear_uniformity, CellKind, CellModel, EnduranceModel};
 use sttcache_workloads::{ProblemSize, Transformations, Workload};
-
-/// The modelled core clock, for converting cycles to wall-clock when
-/// projecting lifetime from the wear map.
-const CLOCK_HZ: f64 = 1e9;
 
 /// A measured run, its SRAM reference and the measured run's
 /// instruments.
@@ -222,7 +218,7 @@ impl Explanation {
         out.push_str(&format!("  wear uniformity (Jain):  {uniformity:.3}\n"));
         // Project lifetime as if this workload looped forever at the
         // modelled 1 GHz clock, on an STT-MRAM cell per Table I.
-        let seconds = self.result.core.cycles as f64 / CLOCK_HZ;
+        let seconds = self.result.core.cycles as f64 / (CLOCK_GHZ * 1e9);
         if seconds > 0.0 {
             let model = EnduranceModel::new(CellModel::new(CellKind::SttMram), sets);
             let lifetime = model.lifetime_from_wear_map(&wear.counts, seconds);

@@ -12,10 +12,13 @@ use crate::parallel::SweepRunner;
 use crate::trace_cache;
 use sttcache::{
     l2_config, nvm_dl1_config, penalty_pct, sram_dl1_config, DCacheOrganization, DlOneTechnology,
-    FrontEnd, PlatformConfig, StageSpec, VwbConfig,
+    FrontEnd, PlatformConfig, StageSpec, VwbConfig, CLOCK_GHZ, CODE_FOOTPRINT_BYTES,
+    MEMORY_LATENCY_CYCLES,
 };
 use sttcache_cpu::{Core, CoreConfig, FetchUnit, MemPort};
-use sttcache_mem::{AsymmetricWrite, Cache, CacheConfig, MainMemory, NextLinePrefetcher, Shared};
+use sttcache_mem::{
+    AsymmetricWrite, Cache, CacheConfig, CacheConfigBuilder, MainMemory, NextLinePrefetcher, Shared,
+};
 use sttcache_workloads::{catalog, ProblemSize, Transformations, Workload, WorkloadFamily};
 
 /// The benchmark subset the extension studies sweep (one matrix product,
@@ -28,6 +31,15 @@ pub fn ext_mix() -> [Workload; 4] {
             .workload
     };
     [w("gemm"), w("mvt"), w("jacobi-2d"), w("trisolv")]
+}
+
+/// The canonical L2 over main memory, the tail of every hand-built
+/// hierarchy.
+fn canonical_l2() -> Cache<MainMemory> {
+    Cache::new(
+        l2_config().expect("canonical l2"),
+        MainMemory::new(MEMORY_LATENCY_CYCLES),
+    )
 }
 
 fn run_with_config(cfg: &PlatformConfig, workload: Workload, size: ProblemSize) -> u64 {
@@ -44,17 +56,14 @@ fn run_unified(
     il1_tech: DlOneTechnology,
     vwb: Option<VwbConfig>,
 ) -> u64 {
-    let l2 = Shared::new(Cache::new(
-        l2_config().expect("canonical l2"),
-        MainMemory::new(100),
-    ));
+    let l2 = Shared::new(canonical_l2());
     let il1 = Cache::new(il1_tech.il1_config().expect("canonical il1"), l2.clone());
     let dl1 = Cache::new(dl1_tech.dl1_config().expect("canonical dl1"), l2.clone());
     let stages = vwb.map(StageSpec::Vwb);
     let fe = FrontEnd::new(stages.as_slice(), dl1).expect("canonical vwb over shared l2");
 
     let mut core = Core::new(CoreConfig::default(), fe);
-    core.attach_fetch_unit(FetchUnit::new(Box::new(il1), 16 * 1024));
+    core.attach_fetch_unit(FetchUnit::new(Box::new(il1), CODE_FOOTPRINT_BYTES));
     trace_cache::drive(&mut core, workload, size, Transformations::none());
     core.report().cycles
 }
@@ -112,7 +121,7 @@ pub fn ext_hw_prefetch(size: ProblemSize) -> SeriesTable {
         .cycles();
         // Hand-built platform: core over MemPort<NextLinePrefetcher<DL1>>.
         let hw = {
-            let tail = Cache::new(l2_config().expect("canonical l2"), MainMemory::new(100));
+            let tail = canonical_l2();
             let dl1 = Cache::new(nvm_dl1_config().expect("canonical dl1"), tail);
             let pf = NextLinePrefetcher::new(dl1);
             let mut core = Core::new(CoreConfig::default(), MemPort::new(pf));
@@ -157,13 +166,8 @@ pub fn ext_hw_prefetch(size: ProblemSize) -> SeriesTable {
 /// writes entirely leaves the read penalty.
 pub fn ext_aware(size: ProblemSize) -> SeriesTable {
     let dl1_with = |write: u64, aware: Option<AsymmetricWrite>| -> CacheConfig {
-        let mut b = CacheConfig::builder();
-        b.capacity_bytes(64 * 1024)
-            .associativity(2)
-            .line_bytes(64)
-            .banks(4)
-            .read_cycles(4)
-            .write_cycles(write);
+        let mut b = CacheConfigBuilder::from(nvm_dl1_config().expect("canonical dl1"));
+        b.write_cycles(write);
         if let Some(a) = aware {
             b.asymmetric_write(a);
         }
@@ -217,15 +221,9 @@ pub fn ext_aware(size: ProblemSize) -> SeriesTable {
 /// this experiment shows why that is the easy case: the DL1 filters almost
 /// all accesses, so even a 2x-slower NVM L2 costs little.
 pub fn ext_nvm_l2(size: ProblemSize) -> SeriesTable {
-    let nvm_l2 = CacheConfig::builder()
-        .capacity_bytes(2 * 1024 * 1024)
-        .associativity(16)
-        .line_bytes(64)
-        .banks(4)
+    let nvm_l2 = CacheConfigBuilder::from(l2_config().expect("canonical l2"))
         .read_cycles(24)
         .write_cycles(14)
-        .mshr_entries(8)
-        .write_buffer_entries(8)
         .build()
         .expect("nvm l2 config is valid");
     let rows = SweepRunner::current().map_ok(&ext_mix(), |_, &b| {
@@ -285,7 +283,7 @@ pub fn ext_normally_off(size: ProblemSize) -> Vec<SleepRow> {
     SweepRunner::current().map_ok(&ext_mix(), |_, &b| {
         // SRAM platform: hand-built so we keep the hierarchy after the run.
         let (sram_dirty, sram_cycles) = {
-            let tail = Cache::new(l2_config().expect("canonical l2"), MainMemory::new(100));
+            let tail = canonical_l2();
             let dl1 = Cache::new(sram_dl1_config().expect("canonical sram dl1"), tail);
             let mut core = Core::new(CoreConfig::default(), MemPort::new(dl1));
             trace_cache::drive(&mut core, b, size, Transformations::none());
@@ -298,7 +296,7 @@ pub fn ext_normally_off(size: ProblemSize) -> Vec<SleepRow> {
         };
         // NVM + VWB platform: only the volatile buffer drains.
         let (nvm_dirty, nvm_cycles) = {
-            let tail = Cache::new(l2_config().expect("canonical l2"), MainMemory::new(100));
+            let tail = canonical_l2();
             let dl1 = Cache::new(nvm_dl1_config().expect("canonical nvm dl1"), tail);
             let stages = [StageSpec::Vwb(VwbConfig::default())];
             let vwb = FrontEnd::new(&stages, dl1).expect("canonical vwb configuration");
@@ -333,8 +331,8 @@ pub struct EnergyRow {
     pub nvm_dl1_uj: f64,
 }
 
-fn dl1_energy_uj(r: &sttcache::RunResult, clock_ghz: f64) -> f64 {
-    let seconds = r.core.cycles as f64 / (clock_ghz * 1e9);
+fn dl1_energy_uj(r: &sttcache::RunResult) -> f64 {
+    let seconds = r.core.cycles as f64 / (CLOCK_GHZ * 1e9);
     let leakage_uj = r.energy.dl1_leakage_mw * seconds * 1e3;
     (r.energy.dl1_dynamic_pj + r.energy.buffer_dynamic_pj) * 1e-6 + leakage_uj
 }
@@ -366,8 +364,8 @@ pub fn ext_energy(size: ProblemSize) -> Vec<EnergyRow> {
             name: b.label(),
             sram_uj: sram.energy.total_uj(),
             nvm_uj: nvm.energy.total_uj(),
-            sram_dl1_uj: dl1_energy_uj(&sram, 1.0),
-            nvm_dl1_uj: dl1_energy_uj(&nvm, 1.0),
+            sram_dl1_uj: dl1_energy_uj(&sram),
+            nvm_dl1_uj: dl1_energy_uj(&nvm),
         }
     });
     let mut sums = (0.0, 0.0, 0.0, 0.0);
@@ -414,7 +412,7 @@ pub fn ext_catalog(size: ProblemSize) -> SeriesTable {
         )
     });
     SeriesTable {
-        series: rest.iter().map(|e| e.name.to_string()).collect(),
+        series: rest.iter().map(|e| e.organization.name().into()).collect(),
         rows,
     }
     .append_average()
@@ -456,7 +454,7 @@ pub fn ext_irregular(size: ProblemSize) -> SeriesTable {
         )
     });
     SeriesTable {
-        series: rest.iter().map(|e| e.name.to_string()).collect(),
+        series: rest.iter().map(|e| e.organization.name().into()).collect(),
         rows,
     }
     .append_average()

@@ -26,11 +26,11 @@
 
 use crate::trace_cache;
 use sttcache::{
-    CoreSpec, DCacheOrganization, MultiPlatform, MultiPlatformConfig, MultiRunResult, RunResult,
-    CORE_ADDRESS_STRIDE,
+    l2_config, CoreSpec, DCacheOrganization, MultiPlatform, MultiPlatformConfig, MultiRunResult,
+    RunResult, CORE_ADDRESS_STRIDE,
 };
 use sttcache_cpu::TraceEvent;
-use sttcache_mem::{CacheConfig, CacheProbe, Cycle};
+use sttcache_mem::{CacheConfig, CacheConfigBuilder, CacheProbe, Cycle};
 use sttcache_workloads::{ProblemSize, Transformations, Workload};
 
 /// One core of a mix: which workload it runs, when it starts, and which
@@ -183,15 +183,8 @@ fn check_stripe(part: &str, workload: Workload) -> Result<(), String> {
 /// the paper's 2 MB 16-way 12-cycle L2, banked `banks` ways (the sweep
 /// knob of the multicore figures grid).
 pub fn shared_l2_config(banks: usize) -> CacheConfig {
-    CacheConfig::builder()
-        .capacity_bytes(2 * 1024 * 1024)
-        .associativity(16)
-        .line_bytes(64)
+    CacheConfigBuilder::from(l2_config().expect("canonical l2"))
         .banks(banks)
-        .read_cycles(12)
-        .write_cycles(12)
-        .mshr_entries(8)
-        .write_buffer_entries(8)
         .build()
         .expect("canonical l2 geometry is valid at any power-of-two bank count")
 }

@@ -1,15 +1,14 @@
 //! The organization catalog.
 //!
 //! One authoritative enumeration of every evaluated L1 D-cache
-//! organization — name, CLI key, constructor, front-buffer capacity and
-//! paper-figure provenance — so the platform tests, figure binaries,
-//! extension sweeps and the differential fuzzer all walk the same list
-//! instead of keeping private hard-coded copies. Adding an organization
-//! here (a list of line buffers: one [`StageSpec`], or two as a
-//! [`StackSpec`]) makes it show up everywhere at once, with no front-end
-//! or figure-path changes.
+//! organization — CLI key, organization value and paper-figure
+//! provenance — so the platform tests, figure binaries, extension sweeps
+//! and the differential fuzzer all walk the same list instead of keeping
+//! private hard-coded copies. Adding an organization here (a list of line
+//! buffers: one [`StageSpec`], or two as a [`StackSpec`]) makes it show up
+//! everywhere at once, with no front-end or figure-path changes.
 
-use crate::baselines::{EmshrConfig, L0Config};
+use crate::baselines::EmshrConfig;
 use crate::platform::DCacheOrganization;
 use crate::stage::{StackSpec, StageSpec};
 use crate::vwb::VwbConfig;
@@ -32,69 +31,51 @@ pub const HYBRID_STACK: StackSpec = StackSpec {
     }),
 };
 
-/// One catalog row: an organization plus everything the harnesses need
-/// to present it.
+/// One catalog row: an organization plus what the harnesses need to
+/// present it that the organization does not say itself (its name and
+/// front-buffer capacity come from [`DCacheOrganization::name`] and
+/// [`DCacheOrganization::stages`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OrgEntry {
-    /// Human-readable name (identical to
-    /// [`DCacheOrganization::name`]).
-    pub name: &'static str,
     /// Stable lowercase key for CLI flags (`--org <cli>`).
     pub cli: &'static str,
     /// The organization value to build a platform from.
     pub organization: DCacheOrganization,
-    /// Total front-buffer data capacity in bits (0 = none).
-    pub capacity_bits: usize,
     /// Where the organization comes from in the paper.
     pub provenance: &'static str,
 }
 
 /// Every evaluated organization, SRAM reference first.
 pub fn catalog() -> Vec<OrgEntry> {
-    let vwb = VwbConfig::default();
-    let l0 = L0Config::default();
-    let emshr = EmshrConfig::default();
     vec![
         OrgEntry {
-            name: "SRAM baseline",
             cli: "sram",
             organization: DCacheOrganization::SramBaseline,
-            capacity_bits: 0,
             provenance: "Fig. 1 (100 % reference)",
         },
         OrgEntry {
-            name: "NVM drop-in",
             cli: "nvm",
             organization: DCacheOrganization::NvmDropIn,
-            capacity_bits: 0,
             provenance: "Fig. 1",
         },
         OrgEntry {
-            name: "NVM + VWB",
             cli: "vwb",
-            organization: DCacheOrganization::NvmVwb(vwb),
-            capacity_bits: vwb.capacity_bits,
+            organization: DCacheOrganization::nvm_vwb_default(),
             provenance: "Figs. 3-7, 9 (the proposal)",
         },
         OrgEntry {
-            name: "NVM + L0",
             cli: "l0",
-            organization: DCacheOrganization::NvmL0(l0),
-            capacity_bits: l0.capacity_bits,
+            organization: DCacheOrganization::nvm_l0_default(),
             provenance: "Fig. 8",
         },
         OrgEntry {
-            name: "NVM + EMSHR",
             cli: "emshr",
-            organization: DCacheOrganization::NvmEmshr(emshr),
-            capacity_bits: emshr.capacity_bits,
+            organization: DCacheOrganization::nvm_emshr_default(),
             provenance: "Fig. 8",
         },
         OrgEntry {
-            name: HYBRID_STACK.name,
             cli: "hybrid",
-            organization: DCacheOrganization::NvmStack(HYBRID_STACK),
-            capacity_bits: HYBRID_STACK.capacity_bits(),
+            organization: DCacheOrganization::nvm_hybrid_default(),
             provenance: "beyond-paper stage composition",
         },
     ]
@@ -105,6 +86,16 @@ pub fn by_cli(key: &str) -> Option<OrgEntry> {
     catalog().into_iter().find(|e| e.cli == key)
 }
 
+/// Total data capacity of `organization`'s front buffers in bits (0 for
+/// none).
+fn front_buffer_bits(organization: DCacheOrganization) -> usize {
+    organization
+        .stages()
+        .into_iter()
+        .map(StageSpec::capacity_bits)
+        .sum()
+}
+
 /// The catalog as a Markdown table (the README's organization table is
 /// generated from this; a test keeps them in sync).
 pub fn readme_table() -> String {
@@ -113,14 +104,18 @@ pub fn readme_table() -> String {
          |---|---|---|---|\n",
     );
     for e in catalog() {
-        let capacity = if e.capacity_bits == 0 {
+        let bits = front_buffer_bits(e.organization);
+        let capacity = if bits == 0 {
             "—".to_string()
         } else {
-            format!("{} Kbit", e.capacity_bits / 1024)
+            format!("{} Kbit", bits / 1024)
         };
         s.push_str(&format!(
             "| {} | `{}` | {} | {} |\n",
-            e.name, e.cli, capacity, e.provenance
+            e.organization.name(),
+            e.cli,
+            capacity,
+            e.provenance
         ));
     }
     s
@@ -137,7 +132,6 @@ mod tests {
         assert_eq!(entries.len(), 6);
         assert_eq!(entries[0].organization, DCacheOrganization::SramBaseline);
         for e in &entries {
-            assert_eq!(e.name, e.organization.name(), "{}", e.cli);
             // Every entry must construct a valid platform.
             Platform::new(e.organization)
                 .unwrap_or_else(|err| panic!("catalog entry {} does not build: {err}", e.cli));
@@ -158,11 +152,9 @@ mod tests {
 
     #[test]
     fn hybrid_capacity_sums_both_stages() {
-        assert_eq!(HYBRID_STACK.capacity_bits(), 4096);
-        assert_eq!(
-            DCacheOrganization::nvm_hybrid_default().name(),
-            "NVM + VWB/EMSHR hybrid"
-        );
+        let hybrid = DCacheOrganization::nvm_hybrid_default();
+        assert_eq!(front_buffer_bits(hybrid), 4096);
+        assert_eq!(hybrid.name(), "NVM + VWB/EMSHR hybrid");
     }
 
     #[test]

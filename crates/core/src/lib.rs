@@ -82,7 +82,8 @@ pub use multi::{
 };
 pub use penalty::{average_penalty, penalty_pct, PenaltyRow};
 pub use platform::{
-    DCacheOrganization, EnergyReport, IcacheConfig, Platform, PlatformConfig, RunProbes, RunResult,
+    DCacheOrganization, EnergyReport, Platform, PlatformConfig, RunProbes, RunResult, CLOCK_GHZ,
+    CODE_FOOTPRINT_BYTES, MEMORY_LATENCY_CYCLES,
 };
 pub use stage::{BufferStats, StackSpec, StageSpec, StageStats};
 pub use vwb::VwbConfig;

@@ -104,23 +104,15 @@ impl CoreSpec {
     }
 }
 
-/// Full multi-core platform configuration. The shared parameters
-/// (core microarchitecture, memory latency, clock, geometry overrides)
-/// mirror [`PlatformConfig`]; only the organization and phase offset
-/// are per-core. Instruction fetch is ideal (the paper never changes
-/// the IL1, and the single-core default is the same).
+/// Full multi-core platform configuration. Each core is the paper's
+/// platform around its own organization ([`PlatformConfig::new`]), with
+/// ideal instruction fetch (the paper never changes the IL1, and the
+/// single-core default is the same); only the shared L2 can be
+/// overridden.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiPlatformConfig {
     /// One entry per core, index order = scheduling tie-break order.
     pub cores: Vec<CoreSpec>,
-    /// Core parameters (identical for every core).
-    pub core: CoreConfig,
-    /// Main-memory latency in cycles.
-    pub memory_latency: u64,
-    /// Core clock in GHz.
-    pub clock_ghz: f64,
-    /// Replaces the canonical per-core DL1 geometry/timing when set.
-    pub dl1_override: Option<CacheConfig>,
     /// Replaces the canonical shared-L2 geometry/timing when set — the
     /// knob for bank-count sweeps.
     pub l2_override: Option<CacheConfig>,
@@ -131,10 +123,6 @@ impl MultiPlatformConfig {
     pub fn new(cores: Vec<CoreSpec>) -> Self {
         MultiPlatformConfig {
             cores,
-            core: CoreConfig::default(),
-            memory_latency: 100,
-            clock_ghz: 1.0,
-            dl1_override: None,
             l2_override: None,
         }
     }
@@ -195,15 +183,9 @@ impl MultiPlatform {
             .cores
             .iter()
             .map(|spec| {
-                Platform::with_config(PlatformConfig {
-                    organization: spec.organization,
-                    core: config.core,
-                    memory_latency: config.memory_latency,
-                    clock_ghz: config.clock_ghz,
-                    dl1_override: config.dl1_override,
-                    l2_override: config.l2_override,
-                    icache: None,
-                })
+                let mut cfg = PlatformConfig::new(spec.organization);
+                cfg.l2_override = config.l2_override;
+                Platform::with_config(cfg)
             })
             .collect::<Result<_, _>>()?;
         Ok(MultiPlatform { config, isolated })
@@ -215,8 +197,8 @@ impl MultiPlatform {
     }
 
     /// The equivalent *single-core* platform configuration for core
-    /// `idx` — same organization, overrides and timing parameters over a
-    /// private (unshared) L2. Running core `idx`'s trace on this platform
+    /// `idx` — same organization and L2 override over a private
+    /// (unshared) L2. Running core `idx`'s trace on this platform
     /// is the "isolated run" every contention measurement compares
     /// against.
     pub fn isolated_config(&self, idx: usize) -> PlatformConfig {
@@ -329,7 +311,8 @@ impl MultiPlatform {
         let mut cores: Vec<Core<FrontEnd<SharedL2>>> = (0..n)
             .map(|idx| {
                 let fe = self.isolated[idx].build_dl1_front_end(l2.clone());
-                Core::starting_at(self.config.core, fe, self.config.cores[idx].phase_offset)
+                let offset = self.config.cores[idx].phase_offset;
+                Core::starting_at(CoreConfig::default(), fe, offset)
             })
             .collect();
 
@@ -576,7 +559,7 @@ mod tests {
             .zip(&p.config.cores)
             .map(|(iso, spec)| {
                 let fe = iso.build_dl1_front_end(l2.clone());
-                Core::starting_at(p.config.core, fe, spec.phase_offset)
+                Core::starting_at(CoreConfig::default(), fe, spec.phase_offset)
             })
             .collect();
         let mut streams: Vec<_> = traces.iter().map(|t| t.iter()).collect();

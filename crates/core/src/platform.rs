@@ -95,45 +95,37 @@ impl DCacheOrganization {
     }
 }
 
-/// Explicit instruction-cache modelling (off by default: the paper never
-/// changes the 32 KB SRAM IL1, so ideal fetch cancels out of every
-/// penalty; turn this on to reproduce the NVM-I-cache exploration of the
-/// paper's reference \[7\]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IcacheConfig {
-    /// IL1 technology (selects [`DlOneTechnology::il1_config`]).
-    pub technology: DlOneTechnology,
-    /// Active code footprint in bytes the fetch PC cycles through.
-    pub code_footprint_bytes: u64,
-}
+/// Main-memory latency in cycles, behind every L2 and explicit IL1
+/// (paper §VI).
+pub const MEMORY_LATENCY_CYCLES: u64 = 100;
 
-impl Default for IcacheConfig {
-    fn default() -> Self {
-        IcacheConfig {
-            technology: DlOneTechnology::Sram,
-            code_footprint_bytes: 16 * 1024,
-        }
-    }
-}
+/// Core clock in GHz (paper §VI): one cycle is one nanosecond. Also the
+/// cycle-to-time scale of leakage integration.
+pub const CLOCK_GHZ: f64 = 1.0;
 
-/// Full platform configuration.
+/// Active code footprint in bytes the fetch PC cycles through when the
+/// IL1 is modelled explicitly.
+pub const CODE_FOOTPRINT_BYTES: u64 = 16 * 1024;
+
+/// Full platform configuration: the organization under test and what a
+/// caller may vary around it. The rest of the paper's platform is fixed:
+/// the default [`CoreConfig`], [`MEMORY_LATENCY_CYCLES`] and
+/// [`CLOCK_GHZ`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlatformConfig {
     /// The L1 D-cache organization under test.
     pub organization: DCacheOrganization,
-    /// Core parameters.
-    pub core: CoreConfig,
-    /// Main-memory latency in cycles.
-    pub memory_latency: u64,
-    /// Core clock in GHz (1 GHz in the paper; also the cycle↔ns scale for
-    /// leakage integration).
-    pub clock_ghz: f64,
     /// Replaces the canonical DL1 geometry/timing when set.
     pub dl1_override: Option<CacheConfig>,
     /// Replaces the canonical L2 geometry/timing when set.
     pub l2_override: Option<CacheConfig>,
-    /// Explicit instruction-fetch modelling (None = ideal fetch).
-    pub icache: Option<IcacheConfig>,
+    /// The IL1's technology when instruction fetch is modelled
+    /// explicitly, over [`CODE_FOOTPRINT_BYTES`] of code (`None` = ideal
+    /// fetch). Off by default: the paper never changes the 32 KB SRAM
+    /// IL1, so ideal fetch cancels out of every penalty; set it to
+    /// reproduce the NVM-I-cache exploration of the paper's reference
+    /// \[7\].
+    pub icache: Option<DlOneTechnology>,
 }
 
 impl PlatformConfig {
@@ -141,9 +133,6 @@ impl PlatformConfig {
     pub fn new(organization: DCacheOrganization) -> Self {
         PlatformConfig {
             organization,
-            core: CoreConfig::default(),
-            memory_latency: 100,
-            clock_ghz: 1.0,
             dl1_override: None,
             l2_override: None,
             icache: None,
@@ -202,8 +191,8 @@ impl Platform {
         for stage in config.organization.stages() {
             stage.validate(dl1.line_bytes() * 8)?;
         }
-        if let Some(ic) = config.icache {
-            ic.technology.il1_config()?;
+        if let Some(tech) = config.icache {
+            tech.il1_config()?;
         }
         Ok(Platform { config, dl1, l2 })
     }
@@ -215,7 +204,7 @@ impl Platform {
 
     /// Builds the cold L2 over main memory.
     pub(crate) fn build_l2(&self) -> Cache<MainMemory> {
-        Cache::new(self.l2, MainMemory::new(self.config.memory_latency))
+        Cache::new(self.l2, MainMemory::new(MEMORY_LATENCY_CYCLES))
     }
 
     /// Builds the cold DL1 over `next`, behind the organization's buffers.
@@ -276,18 +265,16 @@ impl Platform {
     /// full [`RunResult`].
     fn run_core(&self, drive: impl FnOnce(&mut Core<FrontEnd>)) -> RunResult {
         let fe = self.build_dl1_front_end(self.build_l2());
-        let mut core = Core::new(self.config.core, fe);
-        if let Some(ic) = self.config.icache {
-            let il1_cfg = ic
-                .technology
+        let mut core = Core::new(CoreConfig::default(), fe);
+        if let Some(tech) = self.config.icache {
+            let il1_cfg = tech
                 .il1_config()
                 .expect("the il1 was checked at construction");
             // The IL1 misses straight to memory: instruction misses are
             // rare after warm-up at these footprints, so the L2 detour is
             // ignored (first-order, documented in DESIGN.md).
-            let il1 =
-                sttcache_mem::Cache::new(il1_cfg, MainMemory::new(self.config.memory_latency));
-            core.attach_fetch_unit(FetchUnit::new(Box::new(il1), ic.code_footprint_bytes));
+            let il1 = Cache::new(il1_cfg, MainMemory::new(MEMORY_LATENCY_CYCLES));
+            core.attach_fetch_unit(FetchUnit::new(Box::new(il1), CODE_FOOTPRINT_BYTES));
         }
         drive(&mut core);
         let report = core.report();
@@ -343,7 +330,7 @@ impl Platform {
         let buffer_accesses: u64 = buffers.iter().map(|s| s.stats.reads + s.stats.writes).sum();
         let buffer_dynamic_pj = buffer_accesses as f64 * 0.5;
 
-        let mut leak = LeakageIntegrator::new(self.config.clock_ghz);
+        let mut leak = LeakageIntegrator::new(CLOCK_GHZ);
         leak.add_component("dl1", dl1_model.leakage_mw());
         leak.add_component("l2", l2_model.leakage_mw());
         let leakage_uj = leak.energy_uj(report.cycles);

@@ -137,10 +137,3 @@ pub struct StackSpec {
     /// The memory-side stage.
     pub inner: StageSpec,
 }
-
-impl StackSpec {
-    /// Total data capacity of both stages in bits.
-    pub fn capacity_bits(self) -> usize {
-        self.outer.capacity_bits() + self.inner.capacity_bits()
-    }
-}

@@ -3,7 +3,7 @@
 
 use crate::addr::{Addr, Cycle, LineAddr};
 use crate::banks::BankSchedule;
-use crate::config::{CacheConfig, WritePolicy};
+use crate::config::CacheConfig;
 use crate::mshr::{MshrFile, MshrOutcome};
 use crate::set::{LookupResult, TagStore};
 use crate::stats::CacheStats;
@@ -409,11 +409,9 @@ impl<N: MemoryLevel> Cache<N> {
         })
     }
 
-    /// [`Cache::try_read_hit_fast`] for write-back write hits. Also bails
-    /// on write-through configurations (those touch the next level even on
-    /// a hit). The AWARE slow-write cadence is preserved: the fast path
-    /// advances the same `array_writes` counter through
-    /// [`Cache::next_write_cycles`].
+    /// [`Cache::try_read_hit_fast`] for write hits. The AWARE slow-write
+    /// cadence is preserved: the fast path advances the same
+    /// `array_writes` counter through [`Cache::next_write_cycles`].
     #[inline]
     fn try_write_hit_fast(
         &mut self,
@@ -422,11 +420,7 @@ impl<N: MemoryLevel> Cache<N> {
         bank: usize,
         now: Cycle,
     ) -> Option<AccessOutcome> {
-        if !matches!(self.config.write_policy(), WritePolicy::WriteBack)
-            || self.mshrs.fills_pending(now)
-            || self.probe.is_some()
-            || crate::invariants::enabled()
-        {
+        if self.mshrs.fills_pending(now) || self.probe.is_some() || crate::invariants::enabled() {
             return None;
         }
         let way = self.tags.probe(set_index, line.tag(self.set_count))?;
@@ -497,12 +491,11 @@ impl<N: MemoryLevel> Cache<N> {
         now: Cycle,
     ) -> AccessOutcome {
         self.stats.writes += 1;
-        let sets = self.set_count;
-        let tag = line.tag(sets);
+        let tag = line.tag(self.set_count);
 
         let lookup = self.tags.lookup(set_index, tag);
-        let outcome = match (lookup, self.config.write_policy()) {
-            (LookupResult::Hit(way), WritePolicy::WriteBack) => {
+        let outcome = match lookup {
+            LookupResult::Hit(way) => {
                 self.stats.write_hits += 1;
                 let avail = self.mshrs.ready_time(line, now).map_or(now, |r| r.max(now));
                 let wc = self.next_write_cycles();
@@ -514,18 +507,7 @@ impl<N: MemoryLevel> Cache<N> {
                     served_by: ServedBy::ThisLevel,
                 }
             }
-            (LookupResult::Hit(way), WritePolicy::WriteThrough) => {
-                self.stats.write_hits += 1;
-                let start = self.reserve_bank(bank, now, self.config.write_cycles());
-                self.probe_array_write(set_index, bank);
-                self.tags.touch(set_index, way, start, false);
-                let below = self.next.write(line.base(self.config.line_bytes()), start);
-                AccessOutcome {
-                    complete_at: below.complete_at,
-                    served_by: ServedBy::ThisLevel,
-                }
-            }
-            (LookupResult::Miss { .. }, WritePolicy::WriteBack) => {
+            LookupResult::Miss { .. } => {
                 // Write-allocate: fetch the line, then perform the write hit
                 // ("the data in the cache location is loaded in the block
                 // from the L2/main memory and this is followed by the write
@@ -557,14 +539,6 @@ impl<N: MemoryLevel> Cache<N> {
                 AccessOutcome {
                     complete_at: start + wc,
                     served_by,
-                }
-            }
-            (LookupResult::Miss { .. }, WritePolicy::WriteThrough) => {
-                // No-allocate: the write goes straight below.
-                let below = self.next.write(line.base(self.config.line_bytes()), now);
-                AccessOutcome {
-                    complete_at: below.complete_at,
-                    served_by: ServedBy::Lower,
                 }
             }
         };
@@ -745,25 +719,6 @@ mod tests {
         assert_eq!(out.complete_at, 108);
         // The line is now present and dirty.
         assert!(c.contains(Addr(0)));
-    }
-
-    #[test]
-    fn write_through_no_allocate() {
-        let mut c = Cache::new(
-            CacheConfig::builder()
-                .write_policy(WritePolicy::WriteThrough)
-                .build()
-                .unwrap(),
-            MainMemory::new(100),
-        );
-        let out = c.write(Addr(0), 0);
-        assert!(!c.contains(Addr(0)));
-        assert_eq!(out.complete_at, 100);
-        // A write-through hit updates below as well.
-        c.read(Addr(64), 0);
-        let before = c.next_level().stats().writes;
-        c.write(Addr(64), 500);
-        assert_eq!(c.next_level().stats().writes, before + 1);
     }
 
     #[test]

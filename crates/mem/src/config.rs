@@ -23,21 +23,6 @@ pub struct AsymmetricWrite {
     pub slow_period: u64,
 }
 
-/// Write-hit policy of a cache level.
-///
-/// The paper's DL1 and L2 are write-back ("No write through is present to
-/// the L2 and main memory, and a write-back policy is implemented");
-/// write-through is provided for comparison studies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[non_exhaustive]
-pub enum WritePolicy {
-    /// Write-back with write-allocate (paper configuration).
-    #[default]
-    WriteBack,
-    /// Write-through with no-allocate.
-    WriteThrough,
-}
-
 /// Validated configuration for one [`crate::Cache`] level.
 ///
 /// Construct with [`CacheConfig::builder`]; defaults describe the paper's
@@ -53,7 +38,6 @@ pub struct CacheConfig {
     write_cycles: u64,
     mshr_entries: usize,
     write_buffer_entries: usize,
-    write_policy: WritePolicy,
     asymmetric_write: Option<AsymmetricWrite>,
     replacement: ReplacementPolicy,
 }
@@ -76,24 +60,26 @@ pub struct CacheConfig {
 /// # Ok(())
 /// # }
 /// ```
+///
+/// A variant of an existing configuration starts from it and sets only
+/// what differs:
+///
+/// ```
+/// use sttcache_mem::{CacheConfig, CacheConfigBuilder};
+///
+/// # fn main() -> Result<(), sttcache_mem::MemError> {
+/// let dl1 = CacheConfig::default();
+/// let slow = CacheConfigBuilder::from(dl1).write_cycles(4).build()?;
+/// assert_eq!((slow.read_cycles(), slow.write_cycles()), (4, 4));
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone, Copy)]
-pub struct CacheConfigBuilder {
-    capacity_bytes: usize,
-    associativity: usize,
-    line_bytes: usize,
-    banks: usize,
-    read_cycles: u64,
-    write_cycles: u64,
-    mshr_entries: usize,
-    write_buffer_entries: usize,
-    write_policy: WritePolicy,
-    asymmetric_write: Option<AsymmetricWrite>,
-    replacement: ReplacementPolicy,
-}
+pub struct CacheConfigBuilder(CacheConfig);
 
 impl Default for CacheConfigBuilder {
     fn default() -> Self {
-        CacheConfigBuilder {
+        CacheConfigBuilder(CacheConfig {
             capacity_bytes: 64 * 1024,
             associativity: 2,
             line_bytes: 64,
@@ -102,77 +88,76 @@ impl Default for CacheConfigBuilder {
             write_cycles: 2,
             mshr_entries: 4,
             write_buffer_entries: 4,
-            write_policy: WritePolicy::WriteBack,
             asymmetric_write: None,
             replacement: ReplacementPolicy::Lru,
-        }
+        })
+    }
+}
+
+impl From<CacheConfig> for CacheConfigBuilder {
+    fn from(config: CacheConfig) -> Self {
+        CacheConfigBuilder(config)
     }
 }
 
 impl CacheConfigBuilder {
     /// Total capacity in bytes (power of two).
     pub fn capacity_bytes(&mut self, v: usize) -> &mut Self {
-        self.capacity_bytes = v;
+        self.0.capacity_bytes = v;
         self
     }
 
     /// Set associativity (1 to 64 ways).
     pub fn associativity(&mut self, v: usize) -> &mut Self {
-        self.associativity = v;
+        self.0.associativity = v;
         self
     }
 
     /// Line size in bytes (power of two).
     pub fn line_bytes(&mut self, v: usize) -> &mut Self {
-        self.line_bytes = v;
+        self.0.line_bytes = v;
         self
     }
 
     /// Independently schedulable banks (power of two).
     pub fn banks(&mut self, v: usize) -> &mut Self {
-        self.banks = v;
+        self.0.banks = v;
         self
     }
 
     /// Read access latency in cycles (≥ 1).
     pub fn read_cycles(&mut self, v: u64) -> &mut Self {
-        self.read_cycles = v;
+        self.0.read_cycles = v;
         self
     }
 
     /// Write access latency in cycles (≥ 1).
     pub fn write_cycles(&mut self, v: u64) -> &mut Self {
-        self.write_cycles = v;
+        self.0.write_cycles = v;
         self
     }
 
     /// Number of MSHR entries (≥ 1).
     pub fn mshr_entries(&mut self, v: usize) -> &mut Self {
-        self.mshr_entries = v;
+        self.0.mshr_entries = v;
         self
     }
 
     /// Number of eviction write-buffer entries (≥ 1).
     pub fn write_buffer_entries(&mut self, v: usize) -> &mut Self {
-        self.write_buffer_entries = v;
-        self
-    }
-
-    /// Write-hit policy.
-    pub fn write_policy(&mut self, v: WritePolicy) -> &mut Self {
-        self.write_policy = v;
+        self.0.write_buffer_entries = v;
         self
     }
 
     /// Enables asymmetric (AWARE-style) write timing.
     pub fn asymmetric_write(&mut self, v: AsymmetricWrite) -> &mut Self {
-        self.asymmetric_write = Some(v);
+        self.0.asymmetric_write = Some(v);
         self
     }
 
     /// Replacement policy (true LRU by default, as in the paper).
     pub fn replacement(&mut self, v: ReplacementPolicy) -> &mut Self {
-        self.replacement = v;
+        self.0.replacement = v;
         self
     }
 
@@ -182,7 +167,7 @@ impl CacheConfigBuilder {
     ///
     /// Returns a [`MemError`] describing the first invalid field.
     pub fn build(&self) -> Result<CacheConfig, MemError> {
-        let b = *self;
+        let b = self.0;
         if b.capacity_bytes == 0 || !b.capacity_bytes.is_power_of_two() {
             return Err(MemError::InvalidCapacity(b.capacity_bytes));
         }
@@ -229,19 +214,7 @@ impl CacheConfigBuilder {
                 return Err(MemError::InvalidLatency("asymmetric write period"));
             }
         }
-        Ok(CacheConfig {
-            capacity_bytes: b.capacity_bytes,
-            associativity: b.associativity,
-            line_bytes: b.line_bytes,
-            banks: b.banks,
-            read_cycles: b.read_cycles,
-            write_cycles: b.write_cycles,
-            mshr_entries: b.mshr_entries,
-            write_buffer_entries: b.write_buffer_entries,
-            write_policy: b.write_policy,
-            asymmetric_write: b.asymmetric_write,
-            replacement: b.replacement,
-        })
+        Ok(b)
     }
 }
 
@@ -289,11 +262,6 @@ impl CacheConfig {
     /// Write-buffer entry count.
     pub fn write_buffer_entries(&self) -> usize {
         self.write_buffer_entries
-    }
-
-    /// Write-hit policy.
-    pub fn write_policy(&self) -> WritePolicy {
-        self.write_policy
     }
 
     /// Asymmetric write timing, if enabled.
@@ -356,7 +324,6 @@ mod tests {
         assert_eq!(c.read_cycles(), 4);
         assert_eq!(c.write_cycles(), 2);
         assert_eq!(c.sets(), 512);
-        assert_eq!(c.write_policy(), WritePolicy::WriteBack);
     }
 
     #[test]

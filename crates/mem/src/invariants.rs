@@ -3,11 +3,12 @@
 //! Every structural invariant the timing models rely on — MSHR occupancy
 //! bounds, replacement-state validity, bank-schedule consistency, FIFO
 //! ordering of the buffers, monotone completion times — can be checked on
-//! the hot paths when `STTCACHE_INVARIANTS=1` is set (or when a test calls
-//! [`set_enabled`]). When the gate is off the only cost is a single
-//! relaxed atomic load per check site, so production sweeps pay nothing
-//! measurable (the repo benchmark, `benchmark/`, runs every workload
-//! disarmed, so a cost that grows shows in its end-to-end metrics).
+//! the hot paths when `STTCACHE_INVARIANTS=1` is set, or while an [`Armed`]
+//! guard from [`arm`] lives anywhere in the process. When the gate is off
+//! the only cost is a single relaxed atomic load per check site, so
+//! production sweeps pay nothing measurable (the repo benchmark,
+//! `benchmark/`, runs every workload disarmed, so a cost that grows shows
+//! in its end-to-end metrics).
 //!
 //! Violations are *reported*, not panicked: each one becomes a structured
 //! [`InvariantViolation`] naming the component, the cycle it was detected
@@ -18,6 +19,7 @@
 use crate::addr::Cycle;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A single detected invariant violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,8 +46,24 @@ impl std::fmt::Display for InvariantViolation {
     }
 }
 
-/// Gate state: 0 = uninitialised, 1 = off, 2 = on.
-static GATE: AtomicU8 = AtomicU8::new(0);
+/// Gate state: [`UNSET`] until the environment is read, then [`OFF`] or
+/// [`ON`].
+static GATE: AtomicU8 = AtomicU8::new(UNSET);
+const UNSET: u8 = 0;
+const OFF: u8 = 1;
+const ON: u8 = 2;
+
+/// The gate's holders: every live [`Armed`] guard, plus one for the
+/// process's whole life when `STTCACHE_INVARIANTS=1`. The gate is on
+/// exactly while a holder remains. Every store to it happens under this
+/// lock, so an arming and a disarming cannot interleave.
+static HOLDERS: Mutex<usize> = Mutex::new(0);
+
+/// The holder count. Every update is a single step, so a panic elsewhere
+/// while it was held cannot have left it inconsistent.
+fn holders() -> MutexGuard<'static, usize> {
+    HOLDERS.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// At most this many violations are retained per thread; the rest are
 /// counted but dropped (a broken invariant on a hot path would otherwise
@@ -57,34 +75,59 @@ thread_local! {
         const { RefCell::new((Vec::new(), 0)) };
 }
 
-/// Whether invariant checking is enabled on this process.
+/// Whether invariant checking is enabled on this process: armed by
+/// `STTCACHE_INVARIANTS=1` or by a live [`Armed`] guard.
 ///
-/// Reads `STTCACHE_INVARIANTS` once through [`crate::env_gate`], panicking
-/// with its error on a malformed value (the binaries exit 2 on it before
-/// any work); afterwards it is a single relaxed atomic load.
-/// [`set_enabled`] overrides the environment at any time.
+/// The first call reads `STTCACHE_INVARIANTS` through
+/// [`crate::env_gate`], panicking with its error on a malformed value
+/// (the binaries exit 2 on it before any work); afterwards it is a single
+/// relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
     match GATE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
+        OFF => false,
+        ON => true,
         _ => init_from_env(),
     }
 }
 
 #[cold]
 fn init_from_env() -> bool {
-    let on = crate::env_gate("STTCACHE_INVARIANTS").unwrap_or_else(|e| panic!("{e}"));
-    // Racing first calls agree on the same env-derived value, so a plain
-    // store is fine; a concurrent set_enabled wins either way on its own
-    // subsequent store.
-    GATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
+    let mut holders = holders();
+    if GATE.load(Ordering::Relaxed) == UNSET {
+        if crate::env_gate("STTCACHE_INVARIANTS").unwrap_or_else(|e| panic!("{e}")) {
+            *holders += 1;
+        }
+        GATE.store(if *holders > 0 { ON } else { OFF }, Ordering::Relaxed);
+    }
+    GATE.load(Ordering::Relaxed) == ON
 }
 
-/// Forces the gate on or off, overriding `STTCACHE_INVARIANTS`.
-pub fn set_enabled(on: bool) {
-    GATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+/// Keeps the gate armed while it lives; see [`arm`].
+#[derive(Debug)]
+#[must_use = "the gate is armed only while the guard lives"]
+pub struct Armed(());
+
+/// Arms the gate until the returned guard drops. Guards nest and may
+/// live on any thread: the last one to drop disarms the gate, unless
+/// `STTCACHE_INVARIANTS=1` armed the process, which stays armed.
+pub fn arm() -> Armed {
+    // Read the environment first, so its hold is counted.
+    enabled();
+    let mut holders = holders();
+    *holders += 1;
+    GATE.store(ON, Ordering::Relaxed);
+    Armed(())
+}
+
+impl Drop for Armed {
+    fn drop(&mut self) {
+        let mut holders = holders();
+        *holders -= 1;
+        if *holders == 0 {
+            GATE.store(OFF, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Records a violation in the calling thread's buffer.
@@ -123,9 +166,18 @@ pub fn take_violations() -> (Vec<InvariantViolation>, usize) {
 mod tests {
     use super::*;
 
+    /// Asserts that the gate is off when nothing holds it. Holds the
+    /// holders' lock, so no other test can arm or disarm in between.
+    fn assert_off_without_holders() {
+        let holders = holders();
+        if *holders == 0 {
+            assert_eq!(GATE.load(Ordering::Relaxed), OFF);
+        }
+    }
+
     #[test]
     fn gate_toggles_and_reports_are_thread_local() {
-        set_enabled(true);
+        let armed = arm();
         assert!(enabled());
         report("mshr", 42, Some(0x1000), "test violation".into());
         let (list, total) = take_violations();
@@ -141,9 +193,26 @@ mod tests {
         let other = std::thread::spawn(|| take_violations().1).join().unwrap();
         assert_eq!(other, 0);
         take_violations();
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(true);
+        drop(armed);
+        assert_off_without_holders();
+    }
+
+    #[test]
+    fn a_guard_stays_armed_while_another_thread_arms_and_disarms() {
+        let held = arm();
+        std::thread::spawn(|| {
+            let other = arm();
+            assert!(enabled());
+            drop(other);
+        })
+        .join()
+        .unwrap();
+        assert!(enabled(), "another thread's guard disarmed a live one");
+        let nested = arm();
+        drop(nested);
+        assert!(enabled(), "a nested guard disarmed its outer one");
+        drop(held);
+        assert_off_without_holders();
     }
 
     #[test]

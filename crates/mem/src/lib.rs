@@ -59,7 +59,7 @@ mod write_buffer;
 pub use addr::{Addr, Cycle, LineAddr};
 pub use banks::BankSchedule;
 pub use cache::{AccessOutcome, Cache, CacheProbe, ServedBy};
-pub use config::{AsymmetricWrite, CacheConfig, CacheConfigBuilder, WritePolicy};
+pub use config::{AsymmetricWrite, CacheConfig, CacheConfigBuilder};
 pub use error::MemError;
 pub use gates::env_gate;
 pub use invariants::InvariantViolation;

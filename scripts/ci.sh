@@ -119,9 +119,11 @@ diff -u "$smoke" "$mc"
 # The opt-in sweeps are where the L0, the EMSHR and the hybrid run on
 # pointer-chasing kernels and over the shared L2, and `catalog` is the
 # only figure with the hybrid column: each must match its golden. A new
-# catalog entry adds a column, so it regenerates these goldens.
+# catalog entry adds a column, so it regenerates these goldens. Every
+# replayed grid point is also checked against direct execution: no other
+# check replays the irregular kernels that way.
 for sweep in catalog irregular multicore; do
-    ./target/release/figures "$sweep" > "$smoke"
+    STTCACHE_TRACE_CHECK=1 ./target/release/figures "$sweep" > "$smoke"
     diff -u "tests/golden/$sweep.txt" "$smoke"
 done
 
@@ -175,4 +177,4 @@ benchout="$(mktemp -d)"
 trap 'rm -rf "$smoke" "$ttrace" "$mc" "$exttrace" "$prof" "$benchout"' EXIT
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --quick --out "$benchout"
 
-echo "ci: fmt, build, example runs, tests (plain + invariants armed), clippy, rustdoc -D warnings, differential + multicore + irregular fuzzers (quick and seeded transcripts pinned to their goldens), ablation tables, figures CSV golden, figures smoke (serial, four workers, replay cross-checked against direct execution, invariants armed with the general cache path on every access, span-only telemetry export, profile with trace-cache miss, release and resident counts), early-closed stdout pipelines, multi-core + irregular determinism, catalog + irregular + multicore + sim_multicore goldens, external-trace replay (pinned to the kernel's own replay), trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"
+echo "ci: fmt, build, example runs, tests (plain + invariants armed), clippy, rustdoc -D warnings, differential + multicore + irregular fuzzers (quick and seeded transcripts pinned to their goldens), ablation tables, figures CSV golden, figures smoke (serial, four workers, replay cross-checked against direct execution, invariants armed with the general cache path on every access, span-only telemetry export, profile with trace-cache miss, release and resident counts), early-closed stdout pipelines, multi-core + irregular determinism, catalog + irregular + multicore goldens (replay cross-checked against direct execution), sim_multicore golden, external-trace replay (pinned to the kernel's own replay), trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"

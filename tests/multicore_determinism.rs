@@ -78,10 +78,10 @@ fn identical_with_invariants_armed_and_clean() {
     let (a, b) = mix_traces();
     let reference = run_mix(&p, &a, &b);
     let _ = invariants::take_violations();
-    invariants::set_enabled(true);
+    let gate = invariants::arm();
     let armed = run_mix(&p, &a, &b);
     let (_, audited_audit) = p.run_traces_audited(&[&a, &b]);
-    invariants::set_enabled(false);
+    drop(gate);
     let (violations, total) = invariants::take_violations();
     assert_eq!(armed, reference, "armed invariants changed the result");
     assert_eq!(total, 0, "clean mix reported violations: {violations:#?}");

@@ -49,9 +49,9 @@ fn one_core_multiplatform_matches_platform_everywhere() {
     }
 }
 
-/// Overrides must flow through identically: a 1-core `MultiPlatform`
-/// with DL1/L2 geometry overrides matches a `Platform` configured the
-/// same way (this is also the knob the contention property tests use).
+/// The override must flow through identically: a 1-core `MultiPlatform`
+/// with an L2 geometry override matches a `Platform` configured the same
+/// way (this is also the knob the contention property tests use).
 #[test]
 fn one_core_equivalence_holds_under_overrides() {
     let l2 = sttcache_mem::CacheConfig::builder()

@@ -321,56 +321,54 @@ fn fnv1a(hash: u64, words: impl IntoIterator<Item = u64>) -> u64 {
 }
 
 /// Victim choice is pinned end to end. Every replacement policy at every
-/// associativity up to 64 ways, under both write policies, runs one
-/// seeded read/write stream over six times the capacity of an 8 KiB
-/// cache, with back-to-back issues, an invalidation every 100 accesses
-/// and a final flush. The digest of every outcome, the final statistics,
+/// associativity up to 64 ways runs one seeded read/write stream over six
+/// times the capacity of an 8 KiB cache, with back-to-back issues, an
+/// invalidation every 100 accesses and a final flush. The digest of every outcome, the final statistics,
 /// the flush and the resident line count must match the one recorded for
 /// that row. The ablation tables cannot pin victims (gemm at Mini never
 /// evicts from the DL1); this test also catches a change in how often
 /// the random policy's per-set stream advances.
 #[test]
 fn replacement_outcomes_are_pinned() {
-    use sttcache_mem::{ReplacementPolicy, WritePolicy::*};
+    use sttcache_mem::ReplacementPolicy;
     const WAYS: [usize; 6] = [1, 2, 4, 8, 16, 64];
     const CAPACITY: u64 = 8 * 1024;
-    const PINNED: [[u64; 2]; 24] = [
+    const PINNED: [u64; 24] = [
         // lru
-        [0xc8f5fd78e04ed8a5, 0x555eeb7f5a525924],
-        [0x44493478c142f645, 0xa00c702a85db69f7],
-        [0x39c30f6da6c0544a, 0x54db63dc3fad17e6],
-        [0xc47d84ec21711598, 0xe66c3388b28f5e8f],
-        [0xa77aaf5ce3d8c6e3, 0xeccd0a2f86284695],
-        [0x3ea3182711a12105, 0xa166a264579ab6e1],
+        0xc8f5fd78e04ed8a5,
+        0x44493478c142f645,
+        0x39c30f6da6c0544a,
+        0xc47d84ec21711598,
+        0xa77aaf5ce3d8c6e3,
+        0x3ea3182711a12105,
         // fifo
-        [0xc8f5fd78e04ed8a5, 0x555eeb7f5a525924],
-        [0xd8f1354b41ad0a83, 0x6e8b6e7f5065ba69],
-        [0x6dfdebdf76670da7, 0x7b102e35ac2a9242],
-        [0xa1166bf8430db8f8, 0x99ee0303e75aadba],
-        [0xa22e073b8574da5f, 0x0e5185b00aaa7fc4],
-        [0xf3a76d3bf4e463e6, 0x491a0ce7fd262b97],
+        0xc8f5fd78e04ed8a5,
+        0xd8f1354b41ad0a83,
+        0x6dfdebdf76670da7,
+        0xa1166bf8430db8f8,
+        0xa22e073b8574da5f,
+        0xf3a76d3bf4e463e6,
         // tree-plru
-        [0xc8f5fd78e04ed8a5, 0x555eeb7f5a525924],
-        [0x44493478c142f645, 0xa00c702a85db69f7],
-        [0x9791e5894c225a03, 0xe69a9305217c4c59],
-        [0x802c608723d8dd7e, 0x006dd5bb38cb07d5],
-        [0x889875262d393dbc, 0x933b2fe3ef846678],
-        [0x6ee73e12a53660a4, 0x33f3124fd4af3d1f],
+        0xc8f5fd78e04ed8a5,
+        0x44493478c142f645,
+        0x9791e5894c225a03,
+        0x802c608723d8dd7e,
+        0x889875262d393dbc,
+        0x6ee73e12a53660a4,
         // random
-        [0xc8f5fd78e04ed8a5, 0x555eeb7f5a525924],
-        [0x3cb7612be28c526e, 0x625f3ed9998ae16e],
-        [0xcda4c1d8637eb219, 0xa4852d840e56786d],
-        [0x0fa2d858be96146e, 0x0026503742942344],
-        [0xd36f2f183eb5f345, 0xcb48bee234513560],
-        [0x36d19019dcb6114f, 0x88bebffd14054964],
+        0xc8f5fd78e04ed8a5,
+        0x3cb7612be28c526e,
+        0xcda4c1d8637eb219,
+        0x0fa2d858be96146e,
+        0xd36f2f183eb5f345,
+        0x36d19019dcb6114f,
     ];
-    let digest = |policy, ways, write_policy| {
+    let digest = |policy, ways| {
         let cfg = CacheConfig::builder()
             .capacity_bytes(CAPACITY as usize)
             .associativity(ways)
             .banks(2)
             .replacement(policy)
-            .write_policy(write_policy)
             .build()
             .expect("pinned configuration is valid");
         let mut cache = Cache::new(cfg, MainMemory::new(50));
@@ -409,9 +407,9 @@ fn replacement_outcomes_are_pinned() {
             [flushed as u64, done, cache.resident_lines().len() as u64],
         )
     };
-    let got: Vec<[u64; 2]> = ReplacementPolicy::ALL
+    let got: Vec<u64> = ReplacementPolicy::ALL
         .iter()
-        .flat_map(|&p| WAYS.map(|w| [WriteBack, WriteThrough].map(|wp| digest(p, w, wp))))
+        .flat_map(|&p| WAYS.map(|w| digest(p, w)))
         .collect();
     assert!(got == PINNED, "digests, in PINNED order:\n{got:#018x?}");
 }
@@ -572,7 +570,7 @@ fn hit_under_fill_waits_for_data() {
 /// flush's own post-conditions are exercised too.
 #[test]
 fn vwb_flush_dirty_property() {
-    sttcache_mem::invariants::set_enabled(true);
+    let _armed = sttcache_mem::invariants::arm();
     let _ = sttcache_mem::invariants::take_violations();
     run_cases("vwb_flush_dirty_property", 64, |rng| {
         let seq = access_seq(rng);
@@ -602,7 +600,6 @@ fn vwb_flush_dirty_property() {
         assert_eq!(t2, done);
     });
     let (violations, _) = sttcache_mem::invariants::take_violations();
-    sttcache_mem::invariants::set_enabled(false);
     assert!(violations.is_empty(), "{violations:#?}");
 }
 

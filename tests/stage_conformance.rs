@@ -114,8 +114,8 @@ fn assert_stage_contract(name: &str, platform: &MultiPlatform, trace: &Trace) {
 #[test]
 fn every_catalog_organization_honors_the_stage_contract() {
     let trace = pattern();
-    for entry in catalog() {
-        assert_stage_contract(entry.name, &single_core(entry.organization), &trace);
+    for org in catalog().into_iter().map(|e| e.organization) {
+        assert_stage_contract(org.name(), &single_core(org), &trace);
     }
 }
 
@@ -126,8 +126,8 @@ fn every_catalog_organization_honors_the_stage_contract() {
 #[test]
 fn every_organization_honors_the_contract_above_the_shared_level() {
     let trace = pattern();
-    for entry in catalog() {
-        assert_stage_contract(entry.name, &above_shared_level(entry.organization), &trace);
+    for org in catalog().into_iter().map(|e| e.organization) {
+        assert_stage_contract(org.name(), &above_shared_level(org), &trace);
     }
 }
 
@@ -157,7 +157,7 @@ fn telemetry_armed_runs_leave_every_organization_unchanged() {
     let mut seen = BTreeMap::new();
     for trace in [pattern(), dirty_evictions()] {
         for entry in catalog() {
-            let name = entry.name;
+            let name = entry.organization.name();
             let platform =
                 Platform::new(entry.organization).expect("catalog organizations validate");
             let (probed, probes) = platform.run_trace_probed(&trace);
