@@ -12,7 +12,8 @@
 //! (exit 2 naming the flag), which time only the text artifacts. Sweeps
 //! shard across worker threads
 //! (`STTCACHE_THREADS` or the machine's parallelism); `--jobs N` pins the
-//! worker count and `--serial` forces one worker. Output is byte-identical
+//! worker count and `--serial` forces one worker, and the two together
+//! exit 2 naming both. Output is byte-identical
 //! at every worker count — results merge by grid index, not completion
 //! order. A malformed or missing flag value exits 2 naming the flag and
 //! the value.
@@ -76,6 +77,8 @@ fn main() {
     let mut csv = false;
     let mut profile_text = false;
     let mut telemetry_json: Option<String> = None;
+    let mut serial = false;
+    let mut jobs = None;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -88,14 +91,11 @@ fn main() {
         match flag {
             "--small" => size = ProblemSize::Small,
             "--csv" => csv = true,
-            // Worker-count flags apply to every sweep this process runs.
-            "--serial" => parallel::set_jobs(1),
+            "--serial" => serial = true,
             "--jobs" => {
                 let n = value();
-                let jobs = n.parse().ok().filter(|&n| n > 0);
-                parallel::set_jobs(
-                    jobs.unwrap_or_else(|| refuse(flag, Some(n), "a positive integer")),
-                );
+                let parsed = n.parse().ok().filter(|&n| n > 0);
+                jobs = Some(parsed.unwrap_or_else(|| refuse(flag, Some(n), "a positive integer")));
             }
             "--profile" => profile_text = true,
             "--telemetry-json" => telemetry_json = Some(value().to_string()),
@@ -115,6 +115,16 @@ fn main() {
         i += 1;
     }
     let what = what.unwrap_or("all");
+    // Worker-count flags apply to every sweep this process runs.
+    match (serial, jobs) {
+        (true, Some(_)) => {
+            eprintln!("--serial and --jobs both set the worker count: give one");
+            usage();
+        }
+        (true, None) => parallel::set_jobs(1),
+        (false, Some(n)) => parallel::set_jobs(n),
+        (false, None) => {}
+    }
     if csv && profile_text {
         eprintln!("--profile times the text artifacts; --csv would ignore it");
         usage();

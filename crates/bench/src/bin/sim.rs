@@ -36,7 +36,8 @@
 //! * A flag the selected run would ignore exits 2 and names the flag:
 //!   `--vwb-bits` without `--org vwb`, `--l2-banks` on a single core, and
 //!   `--bench`, `--trace-file`, `--baseline` or `--icache` on a
-//!   multi-core run (name the mix's workloads with `--mix`). A flag value
+//!   multi-core run (name the mix's workloads with `--mix`). `--serial`
+//!   and `--jobs` together exit 2 naming both, in either order. A flag value
 //!   that does not parse, or a missing one, exits 2 naming the flag and
 //!   the value (`--size: 'huge' is not mini|small`, `--mix: missing
 //!   value`).
@@ -163,6 +164,8 @@ fn parse_args() -> Options {
     let mut cores = 1usize;
     let mut mix = None;
     let mut l2_banks = None;
+    let mut serial = false;
+    let mut jobs = None;
 
     let mut i = 0;
     // The value after the flag at `i`, moving `i` onto it.
@@ -246,8 +249,8 @@ fn parse_args() -> Options {
                 l2_banks = Some(banks);
             }
             "--profile" => profile = true,
-            "--serial" => parallel::set_jobs(1),
-            "--jobs" => parallel::set_jobs(positive(flag, &next(&mut i))),
+            "--serial" => serial = true,
+            "--jobs" => jobs = Some(positive(flag, &next(&mut i))),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument '{other}'");
@@ -279,6 +282,12 @@ fn parse_args() -> Options {
     }
     if multi && icache.is_some() {
         reject("--icache applies to single-core runs only");
+    }
+    match (serial, jobs) {
+        (true, Some(_)) => reject("--serial and --jobs both set the worker count: give one"),
+        (true, None) => parallel::set_jobs(1),
+        (false, Some(n)) => parallel::set_jobs(n),
+        (false, None) => {}
     }
 
     // `--vwb-bits` overrides the catalog's default VWB size; every other

@@ -18,7 +18,9 @@
 //! Two checkers drive it. [`check_trace`] runs one trace alone on a
 //! one-core platform of every catalog organization, against one
 //! footprint: an organization may change *when* things happen, never
-//! *what* happens. [`check_multicore`] co-schedules a 2–4 core
+//! *what* happens. It also runs each platform unarmed, whose core report
+//! must equal the audited run's, since the armed gate keeps every cache
+//! access off the hit fast path. [`check_multicore`] co-schedules a 2–4 core
 //! [`MulticoreCase`] and adds determinism and per-core isolated-run
 //! differentials. A [`CheckFailure`] carries the case that failed (the
 //! failing organization's one-core case, or the mix), so one shrinker,
@@ -262,9 +264,24 @@ pub fn all_organizations() -> Vec<DCacheOrganization> {
         .collect()
 }
 
+/// A finding when an unarmed run gave some core another [`CoreReport`]
+/// than the audited run of the same platform and traces did. The armed
+/// gate sends every cache access down the general path, and the unarmed
+/// run takes the hit fast path wherever it can, so this holds the fast
+/// path to the general one.
+fn unarmed_divergence(audited: &MultiRunResult, unarmed: &MultiRunResult) -> Option<String> {
+    let cores = audited.cores.iter().zip(&unarmed.cores);
+    let (idx, (armed, plain)) = cores.enumerate().find(|(_, (a, u))| a.core != u.core)?;
+    Some(format!(
+        "core {idx}'s unarmed run diverged from its audited run ({} vs {} cycles)",
+        plain.core.cycles, armed.core.cycles
+    ))
+}
+
 /// Runs `trace` alone on a one-core platform of every catalog
 /// organization and audits each run with [`audited_run`] against the
-/// trace's footprint, replayed once.
+/// trace's footprint, replayed once. Each organization also runs the
+/// trace unarmed, which must give the audited run's [`CoreReport`].
 ///
 /// # Errors
 ///
@@ -276,7 +293,12 @@ pub fn check_trace(trace: &Trace) -> Result<(), CheckFailure> {
     for org in all_organizations() {
         let platform = MultiPlatform::new(MultiPlatformConfig::homogeneous(org, 1))
             .expect("catalog organizations validate");
-        let findings = audited_run(&platform, &[trace], &[&footprint]).findings;
+        let audited = audited_run(&platform, &[trace], &[&footprint]);
+        let mut findings = audited.findings;
+        findings.extend(unarmed_divergence(
+            &audited.result,
+            &platform.run_traces(&[trace]),
+        ));
         if findings.is_empty() {
             continue;
         }
@@ -660,7 +682,7 @@ pub fn multicore_case(kind: Adversary, seed: u64, events: usize) -> MulticoreCas
 /// footprint, plus two checks of its own:
 ///
 /// 1. **Determinism** — two plain runs of the case are bit-identical,
-///    and the audited run schedules the cores identically.
+///    and every core's report equals the audited run's.
 /// 2. **Per-core isolated differential** — each core's loads, stores
 ///    and instructions match the same trace run alone on
 ///    [`MultiPlatform::isolated_config`]: co-scheduling may change
@@ -702,11 +724,8 @@ fn multicore_findings(case: &MulticoreCase) -> Vec<String> {
     if first != second {
         failures.push("co-scheduled run is not deterministic".to_string());
     }
-    let cores = audited.result.cores.iter().zip(&first.cores);
-    if cores.clone().any(|(a, b)| a.core != b.core) {
-        failures.push("the audited run scheduled the cores differently".to_string());
-    }
-    for (idx, (trace, (_, run))) in case.traces.iter().zip(cores).enumerate() {
+    failures.extend(unarmed_divergence(&audited.result, &first));
+    for (idx, (trace, run)) in case.traces.iter().zip(&first.cores).enumerate() {
         let iso = Platform::with_config(platform.isolated_config(idx))
             .expect("validated configuration builds")
             .run_trace(trace);

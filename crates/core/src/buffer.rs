@@ -11,6 +11,11 @@
 //! | VWB | promote: fetch, bank held `promotion_cycles` | write through, no allocation | promote unless present |
 //! | L0 | fill: fetch, usable `fill_cycles` later | fill dirty, then write | probe then fetch below |
 //! | EMSHR | read below, capture a DL1 miss | write below, capture a DL1 miss | probe then fetch below |
+//!
+//! A hit, and an access that passes through to the level below, make no
+//! call of the buffer's own: allocating an entry (`fill`, `install`) runs
+//! out of line, since a buffer allocates on a small share of its
+//! accesses.
 
 use crate::stage::{probe_then_fetch, BufferStats, StageSpec};
 use crate::SttError;
@@ -139,6 +144,7 @@ impl LineBuffer {
         self.stats
     }
 
+    #[inline]
     fn find(&self, line: LineAddr) -> Option<usize> {
         self.entries.iter().position(|e| e.line == line)
     }
@@ -241,6 +247,7 @@ impl LineBuffer {
 
     /// A hit on entry `idx` at `now`: register speed once the data has
     /// landed. A store dirties the entry.
+    #[inline]
     fn hit(&mut self, idx: usize, now: Cycle, write: bool) -> AccessOutcome {
         let e = &mut self.entries[idx];
         let ready = e.ready_at.max(now);
@@ -256,6 +263,7 @@ impl LineBuffer {
     /// `out`: the requester has the critical word, the bank stays busy
     /// `occupy` cycles past it, and the entry becomes usable `settle`
     /// cycles after it.
+    #[inline(never)]
     fn fill<M: MemoryLevel + ?Sized>(
         &mut self,
         below: &mut M,
@@ -273,6 +281,8 @@ impl LineBuffer {
 
     /// The EMSHR's capture rule: a line `below` did not serve itself was a
     /// DL1 miss whose fill the MSHR held, so the buffer retains it clean.
+    /// The rule is tested in line; the capture itself is out of line.
+    #[inline]
     fn capture<M: MemoryLevel + ?Sized>(&mut self, below: &mut M, addr: Addr, out: AccessOutcome) {
         if out.served_by != ServedBy::ThisLevel {
             let line = addr.line(self.line_bytes);
@@ -284,6 +294,7 @@ impl LineBuffer {
     /// evicts its LRU entry; a dirty victim is written back to `below` at
     /// `writeback_at`, in the background: it contends for banks but does
     /// not block the requester.
+    #[inline(never)]
     fn install<M: MemoryLevel + ?Sized>(
         &mut self,
         below: &mut M,
@@ -295,10 +306,7 @@ impl LineBuffer {
         debug_assert!(self.find(line).is_none(), "inserting a duplicate line");
         self.stats.fills += 1;
         if self.entries.len() >= self.capacity {
-            let lru = (0..self.entries.len())
-                .min_by_key(|&i| (self.entries[i].last_use, i))
-                .expect("a full buffer is non-empty");
-            let victim = self.entries.swap_remove(lru);
+            let victim = self.entries.swap_remove(self.lru());
             if victim.dirty {
                 self.stats.dirty_evictions += 1;
                 let _ = below.write(victim.line.base(self.line_bytes), writeback_at);
@@ -316,6 +324,19 @@ impl LineBuffer {
         if let Some(p) = self.probe.as_deref_mut() {
             p.depth.observe(self.entries.len() as u64);
         }
+    }
+
+    /// The index of the least recently used entry of a non-empty buffer:
+    /// the first entry with the oldest `last_use`. The scan selects
+    /// without branching, so its cost does not depend on the stamps.
+    fn lru(&self) -> usize {
+        let (mut lru, mut oldest) = (0, self.entries[0].last_use);
+        for (i, e) in self.entries.iter().enumerate().skip(1) {
+            let older = e.last_use < oldest;
+            lru = if older { i } else { lru };
+            oldest = if older { e.last_use } else { oldest };
+        }
+        lru
     }
 
     /// Writes every dirty entry back into `below`. Entries stay resident
@@ -435,6 +456,27 @@ mod tests {
         assert!(b.find(LineAddr(1)).is_some() && b.find(LineAddr(3)).is_some());
         assert_eq!(b.entries.len(), 2);
         assert_eq!(b.stats.dirty_evictions, 0);
+    }
+
+    #[test]
+    fn an_lru_tie_evicts_the_first_entry_in_buffer_order() {
+        // Lines 1, 2 and 3 fill a three-entry buffer at cycles 1, 2, 3;
+        // line 4 evicts line 1, and `swap_remove` moves line 3 into its
+        // slot, ahead of line 2. A hit then ties line 2 with line 3 at
+        // cycle 3: the next victim is the first of the two in buffer
+        // order, line 3, though line 2 was filled first and is last in
+        // line.
+        let mut b = LineBuffer::new(vwb(3 * 512), 512).unwrap();
+        let mut below = dl1();
+        for t in 1..=4 {
+            b.install(&mut below, LineAddr(t), t, false, t);
+        }
+        let lines = |b: &LineBuffer| b.entries.iter().map(|e| e.line.0).collect::<Vec<_>>();
+        assert_eq!(lines(&b), [3, 2, 4]);
+        let two = b.find(LineAddr(2)).unwrap();
+        b.hit(two, 3, false);
+        b.install(&mut below, LineAddr(5), 5, false, 5);
+        assert_eq!(lines(&b), [4, 2, 5]);
     }
 
     #[test]

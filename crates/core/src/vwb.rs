@@ -101,7 +101,7 @@ mod tests {
     use super::*;
     use crate::{nvm_dl1_config, BufferStats, FrontEnd, StageSpec, SttError};
     use sttcache_cpu::DataPort;
-    use sttcache_mem::{Addr, Cache, MainMemory};
+    use sttcache_mem::{Addr, Cache, MainMemory, MemoryLevel};
 
     /// A VWB of `config` in front of `dl1`.
     fn over(config: VwbConfig, dl1: Cache<MainMemory>) -> Result<FrontEnd<MainMemory>, SttError> {
@@ -166,9 +166,11 @@ mod tests {
             t = fe.read(Addr(i * 64), t) + 10;
         }
         // Promote line 0 (bank 0): with a narrow fill port the bank stays
-        // busy 4 cycles past the critical word.
+        // busy 4 cycles past the critical word, so a DL1 read of the line
+        // issued then starts 4 cycles late.
         let done = fe.read(Addr(0), t);
-        assert!(fe.dl1.bank_free_at(Addr(0)) >= done + 4);
+        let read = fe.dl1.config().read_cycles();
+        assert!(fe.dl1.read(Addr(0), done).complete_at >= done + 4 + read);
     }
 
     #[test]
@@ -179,8 +181,10 @@ mod tests {
             t = fe.read(Addr(i * 64), t) + 10;
         }
         let done = fe.read(Addr(0), t);
-        // The wide transfer rides the read: no extra bank time.
-        assert!(fe.dl1.bank_free_at(Addr(0)) <= done);
+        // The wide transfer rides the read: no extra bank time, so a DL1
+        // read of the line issued then starts at once.
+        let read = fe.dl1.config().read_cycles();
+        assert_eq!(fe.dl1.read(Addr(0), done).complete_at, done + read);
     }
 
     #[test]

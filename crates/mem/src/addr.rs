@@ -14,7 +14,7 @@ pub type Cycle = u64;
 ///
 /// let a = Addr(0x1234);
 /// assert_eq!(a.line(64).0, 0x1234 / 64);
-/// assert_eq!(a.offset_in_line(64), 0x34 % 64 + 0x1200 % 64);
+/// assert_eq!(a.line(64).base(64), Addr(0x1200));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr(pub u64);
@@ -28,12 +28,6 @@ impl Addr {
     pub fn line(self, line_bytes: usize) -> LineAddr {
         debug_assert!(line_bytes.is_power_of_two());
         LineAddr(self.0 >> line_bytes.trailing_zeros())
-    }
-
-    /// The byte offset of this address within its line.
-    pub fn offset_in_line(self, line_bytes: usize) -> usize {
-        debug_assert!(line_bytes.is_power_of_two());
-        (self.0 & (line_bytes as u64 - 1)) as usize
     }
 }
 
@@ -69,36 +63,75 @@ impl LineAddr {
         debug_assert!(line_bytes.is_power_of_two());
         Addr(self.0 << line_bytes.trailing_zeros())
     }
-
-    /// The set index for `sets` sets (power of two).
-    pub fn set_index(self, sets: usize) -> usize {
-        debug_assert!(sets.is_power_of_two());
-        (self.0 & (sets as u64 - 1)) as usize
-    }
-
-    /// The tag for `sets` sets.
-    pub fn tag(self, sets: usize) -> u64 {
-        debug_assert!(sets.is_power_of_two());
-        self.0 >> sets.trailing_zeros()
-    }
-
-    /// Reconstructs a line address from tag and set index.
-    pub fn from_parts(tag: u64, set_index: usize, sets: usize) -> Self {
-        debug_assert!(sets.is_power_of_two());
-        LineAddr((tag << sets.trailing_zeros()) | set_index as u64)
-    }
-
-    /// The bank this line maps to under line-interleaving across `banks`
-    /// banks (power of two).
-    pub fn bank(self, banks: usize) -> usize {
-        debug_assert!(banks.is_power_of_two());
-        (self.0 & (banks as u64 - 1)) as usize
-    }
 }
 
 impl fmt::Display for LineAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "line {:#x}", self.0)
+    }
+}
+
+/// How one cache splits an address: the shifts and masks of its
+/// power-of-two line size, set count and bank count, derived once when
+/// the cache is built so that an access only shifts and masks.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Geometry {
+    line_shift: u32,
+    set_bits: u32,
+    set_mask: u64,
+    bank_mask: u64,
+}
+
+/// An address split under one [`Geometry`]: its line, the set and tag of
+/// that line, and the bank that serves it (lines interleave across
+/// banks).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Split {
+    pub line: LineAddr,
+    pub set: usize,
+    pub tag: u64,
+    pub bank: usize,
+}
+
+impl Geometry {
+    /// The geometry of `sets` sets of `line_bytes`-byte lines over
+    /// `banks` banks, each a power of two.
+    pub fn new(line_bytes: usize, sets: usize, banks: usize) -> Self {
+        debug_assert!(line_bytes.is_power_of_two() && sets.is_power_of_two());
+        debug_assert!(banks.is_power_of_two());
+        Geometry {
+            line_shift: line_bytes.trailing_zeros(),
+            set_bits: sets.trailing_zeros(),
+            set_mask: sets as u64 - 1,
+            bank_mask: banks as u64 - 1,
+        }
+    }
+
+    /// The number of sets.
+    pub fn sets(self) -> usize {
+        self.set_mask as usize + 1
+    }
+
+    /// Splits the line holding `addr`.
+    #[inline(always)]
+    pub fn split(self, addr: Addr) -> Split {
+        self.split_line(LineAddr(addr.0 >> self.line_shift))
+    }
+
+    /// Splits `line`.
+    #[inline(always)]
+    pub fn split_line(self, line: LineAddr) -> Split {
+        Split {
+            line,
+            set: (line.0 & self.set_mask) as usize,
+            tag: line.0 >> self.set_bits,
+            bank: (line.0 & self.bank_mask) as usize,
+        }
+    }
+
+    /// The line whose tag is `tag` in set `set`.
+    pub fn line(self, tag: u64, set: usize) -> LineAddr {
+        LineAddr((tag << self.set_bits) | set as u64)
     }
 }
 
@@ -110,21 +143,24 @@ mod tests {
     fn line_and_offset_roundtrip() {
         let a = Addr(0xdead_beef);
         let line = a.line(64);
-        assert_eq!(line.base(64).0 + a.offset_in_line(64) as u64, a.0);
+        assert_eq!(line.base(64).0 + a.0 % 64, a.0);
+        assert_eq!(Geometry::new(64, 512, 4).split(a).line, line);
     }
 
     #[test]
     fn set_tag_roundtrip() {
         let line = LineAddr(0xabcd_ef01);
-        let sets = 512;
-        let rebuilt = LineAddr::from_parts(line.tag(sets), line.set_index(sets), sets);
-        assert_eq!(rebuilt, line);
+        let geometry = Geometry::new(64, 512, 4);
+        let at = geometry.split_line(line);
+        assert_eq!((at.set, at.tag), (0x101, 0xabcd_ef01 >> 9));
+        assert_eq!(geometry.line(at.tag, at.set), line);
+        assert_eq!(geometry.sets(), 512);
     }
 
     #[test]
     fn bank_interleaving_cycles_through_banks() {
-        let banks = 4;
-        let seen: Vec<usize> = (0..8).map(|i| LineAddr(i).bank(banks)).collect();
+        let geometry = Geometry::new(32, 8, 4);
+        let seen: Vec<usize> = (0..8).map(|i| geometry.split(Addr(i * 32)).bank).collect();
         assert_eq!(seen, vec![0, 1, 2, 3, 0, 1, 2, 3]);
     }
 

@@ -43,11 +43,6 @@ impl BankSchedule {
         }
     }
 
-    /// Number of banks.
-    pub fn banks(&self) -> usize {
-        self.free_at.len()
-    }
-
     /// Reserves `bank` for `occupancy` cycles starting no earlier than
     /// `now`; returns the actual start cycle (`>= now`, delayed past any
     /// in-flight operation on the same bank).
@@ -55,14 +50,33 @@ impl BankSchedule {
     /// # Panics
     ///
     /// Panics if `bank` is out of range.
+    #[inline]
     pub fn reserve(&mut self, bank: usize, now: Cycle, occupancy: u64) -> Cycle {
+        let start = self.reserve_quiet(bank, now, occupancy);
+        if crate::invariants::enabled() {
+            self.check_reservation(bank, now, occupancy);
+        }
+        start
+    }
+
+    /// [`BankSchedule::reserve`] minus the gated invariant check:
+    /// identical `free_at`/`conflict_cycles` mutation, no gate probe. Only
+    /// sound to call when the invariant gate is known to be off — the
+    /// cache's hit fast path establishes exactly that before using it.
+    #[inline(always)]
+    pub(crate) fn reserve_quiet(&mut self, bank: usize, now: Cycle, occupancy: u64) -> Cycle {
         let start = self.free_at[bank].max(now);
         self.conflict_cycles += start - now;
         self.free_at[bank] = start + occupancy;
-        if crate::invariants::enabled() && self.free_at[bank] < now + occupancy {
-            // The schedule lost time: the reservation we just made ends
-            // before `now + occupancy`, so the conflict accounting above
-            // cannot be consistent with the bank's busy window.
+        start
+    }
+
+    /// Reports a reservation of `bank` at `now` that left the bank free
+    /// before `now + occupancy`: the schedule lost time, so its conflict
+    /// accounting cannot match the bank's busy window.
+    #[cold]
+    fn check_reservation(&self, bank: usize, now: Cycle, occupancy: u64) {
+        if self.free_at[bank] < now + occupancy {
             crate::invariants::report(
                 "banks",
                 now,
@@ -73,24 +87,6 @@ impl BankSchedule {
                 ),
             );
         }
-        start
-    }
-
-    /// [`BankSchedule::reserve`] minus the gated invariant check:
-    /// identical `free_at`/`conflict_cycles` mutation, no gate probe. Only
-    /// sound to call when the invariant gate is known to be off — the
-    /// cache's hit fast path establishes exactly that before using it.
-    #[inline]
-    pub(crate) fn reserve_quiet(&mut self, bank: usize, now: Cycle, occupancy: u64) -> Cycle {
-        let start = self.free_at[bank].max(now);
-        self.conflict_cycles += start - now;
-        self.free_at[bank] = start + occupancy;
-        start
-    }
-
-    /// The cycle at which `bank` becomes free.
-    pub fn free_at(&self, bank: usize) -> Cycle {
-        self.free_at[bank]
     }
 
     /// Total cycles requests have waited on busy banks since construction.
@@ -105,10 +101,11 @@ mod tests {
 
     #[test]
     fn fresh_banks_are_free() {
-        let banks = BankSchedule::new(4);
+        let mut banks = BankSchedule::new(4);
         for b in 0..4 {
-            assert_eq!(banks.free_at(b), 0);
+            assert_eq!(banks.reserve(b, 0, 4), 0);
         }
+        assert_eq!(banks.conflict_cycles(), 0);
     }
 
     #[test]

@@ -1,7 +1,14 @@
 //! The timed set-associative cache, over one flat tag store (`set.rs`)
 //! that the resident-hit fast path probes directly.
+//!
+//! A hit served by the fast path calls nothing: the address split, the
+//! tag probe, the bank reservation and the replacement update are all
+//! inlined into [`MemoryLevel::read`] and [`MemoryLevel::write`]. Every
+//! other access, and every miss, runs out of line
+//! (`read_at_general`, `write_at_general`, `fill_miss`), so the hit does
+//! not carry the general path's frame.
 
-use crate::addr::{Addr, Cycle, LineAddr};
+use crate::addr::{Addr, Cycle, Geometry, LineAddr, Split};
 use crate::banks::BankSchedule;
 use crate::config::CacheConfig;
 use crate::mshr::{MshrFile, MshrOutcome};
@@ -78,9 +85,9 @@ pub struct CacheProbe {
 #[derive(Debug, Clone)]
 pub struct Cache<N> {
     config: CacheConfig,
-    /// Cached [`CacheConfig::sets`]: the set count is derived by integer
-    /// division, and the decode math needs it on every access.
-    set_count: usize,
+    /// The address split, derived from the configuration once: every
+    /// access splits its address with shifts and masks.
+    geometry: Geometry,
     /// The one authoritative tag state, probed directly by the hit fast
     /// path.
     tags: TagStore,
@@ -104,7 +111,7 @@ impl<N: MemoryLevel> Cache<N> {
             banks: BankSchedule::new(config.banks()),
             mshrs: MshrFile::new(config.mshr_entries()),
             write_buffer: WriteBuffer::new("write-buffer", config.write_buffer_entries()),
-            set_count: config.sets(),
+            geometry: Geometry::new(config.line_bytes(), config.sets(), config.banks()),
             config,
             next,
             stats: CacheStats::new(),
@@ -136,6 +143,7 @@ impl<N: MemoryLevel> Cache<N> {
     }
 
     /// [`BankSchedule::reserve`], recording the wait in the probe.
+    #[inline]
     fn reserve_bank(&mut self, bank: usize, now: Cycle, occupancy: u64) -> Cycle {
         let start = self.banks.reserve(bank, now, occupancy);
         if let Some(p) = self.probe.as_deref_mut() {
@@ -148,6 +156,7 @@ impl<N: MemoryLevel> Cache<N> {
 
     /// The latency of the next array write, honouring the asymmetric
     /// (AWARE) write model when configured.
+    #[inline]
     fn next_write_cycles(&mut self) -> u64 {
         self.array_writes += 1;
         match self.config.asymmetric_write() {
@@ -169,10 +178,8 @@ impl<N: MemoryLevel> Cache<N> {
     /// Whether the line containing `addr` is present (tag probe only; no
     /// state change, no timing).
     pub fn contains(&self, addr: Addr) -> bool {
-        let line = self.line_of(addr);
-        self.tags
-            .probe(line.set_index(self.set_count), line.tag(self.set_count))
-            .is_some()
+        let at = self.geometry.split(addr);
+        self.tags.probe(at.set, at.tag).is_some()
     }
 
     /// Occupies the bank serving `addr` for `cycles` starting no earlier
@@ -181,27 +188,21 @@ impl<N: MemoryLevel> Cache<N> {
     /// Used by wide-buffer front-ends to model line promotions that keep
     /// the array busy after the critical word has been returned (paper
     /// §IV: "the promotion may take as long as 4 cache cycles").
+    #[inline]
     pub fn occupy_bank(&mut self, addr: Addr, from: Cycle, cycles: u64) -> Cycle {
-        let bank = self.line_of(addr).bank(self.config.banks());
+        let bank = self.geometry.split(addr).bank;
         self.reserve_bank(bank, from, cycles)
-    }
-
-    /// The cycle at which the bank serving `addr` becomes free.
-    pub fn bank_free_at(&self, addr: Addr) -> Cycle {
-        self.banks
-            .free_at(self.line_of(addr).bank(self.config.banks()))
     }
 
     /// Base addresses of every resident line, for post-run verification
     /// against the trace's footprint: a drained hierarchy may only hold
     /// lines the program actually touched.
     pub fn resident_lines(&self) -> Vec<Addr> {
-        let sets_count = self.set_count;
         let line_bytes = self.config.line_bytes();
         let mut lines = Vec::new();
-        for set_index in 0..sets_count {
-            for (tag, _) in self.tags.iter_valid(set_index) {
-                lines.push(LineAddr::from_parts(tag, set_index, sets_count).base(line_bytes));
+        for set in 0..self.geometry.sets() {
+            for (tag, _) in self.tags.iter_valid(set) {
+                lines.push(self.geometry.line(tag, set).base(line_bytes));
             }
         }
         lines
@@ -235,27 +236,25 @@ impl<N: MemoryLevel> Cache<N> {
     /// flushed and the cycle at which the last write-back has been
     /// accepted below.
     pub fn flush_dirty(&mut self, now: Cycle) -> (usize, Cycle) {
-        let sets_count = self.set_count;
         let line_bytes = self.config.line_bytes();
         let mut flushed = 0;
         let mut done = now;
-        for set_index in 0..sets_count {
+        for set in 0..self.geometry.sets() {
             let dirty: Vec<u64> = self
                 .tags
-                .iter_valid(set_index)
+                .iter_valid(set)
                 .filter(|&(_, d)| d)
                 .map(|(tag, _)| tag)
                 .collect();
             for tag in dirty {
-                let line = LineAddr::from_parts(tag, set_index, sets_count);
+                let at = self.geometry.split_line(self.geometry.line(tag, set));
                 // Read the line out of the array, then write it below.
-                let bank = line.bank(self.config.banks());
-                let start = self.reserve_bank(bank, done, self.config.read_cycles());
+                let start = self.reserve_bank(at.bank, done, self.config.read_cycles());
                 let out = self
                     .next
-                    .write(line.base(line_bytes), start + self.config.read_cycles());
+                    .write(at.line.base(line_bytes), start + self.config.read_cycles());
                 done = out.complete_at;
-                self.tags.clean(set_index, tag);
+                self.tags.clean(set, tag);
                 self.stats.writebacks += 1;
                 flushed += 1;
             }
@@ -266,21 +265,16 @@ impl<N: MemoryLevel> Cache<N> {
     /// Invalidates the line containing `addr` if present, pushing it to the
     /// write buffer when dirty. Returns whether a line was invalidated.
     pub fn invalidate(&mut self, addr: Addr, now: Cycle) -> bool {
-        let line = self.line_of(addr);
-        let sets = self.set_count;
-        match self.tags.invalidate(line.set_index(sets), line.tag(sets)) {
+        let at = self.geometry.split(addr);
+        match self.tags.invalidate(at.set, at.tag) {
             Some(dirty) => {
                 if dirty {
-                    self.push_writeback(line, now);
+                    self.push_writeback(at.line, now);
                 }
                 true
             }
             None => false,
         }
-    }
-
-    fn line_of(&self, addr: Addr) -> LineAddr {
-        addr.line(self.config.line_bytes())
     }
 
     fn push_writeback(&mut self, line: LineAddr, now: Cycle) -> Cycle {
@@ -303,6 +297,7 @@ impl<N: MemoryLevel> Cache<N> {
     /// Handles the miss path shared by reads and writes. Returns the cycle
     /// at which the line has been delivered to this level, and who served
     /// it.
+    #[inline(never)]
     fn fill_miss(&mut self, line: LineAddr, now: Cycle) -> (Cycle, ServedBy) {
         // MSHR: merge with an in-flight fill, or find a free entry
         // (waiting out a full file first — one wait always frees an entry
@@ -329,7 +324,7 @@ impl<N: MemoryLevel> Cache<N> {
         // Tag check discovered the miss after one array read; the request
         // then goes below. The bank is busy for the tag read and again for
         // the fill write.
-        let bank = line.bank(self.config.banks());
+        let Split { set, tag, bank, .. } = self.geometry.split_line(line);
         let lookup_start = self.reserve_bank(bank, at, self.config.read_cycles());
         let lookup_done = lookup_start + self.config.read_cycles();
 
@@ -339,20 +334,18 @@ impl<N: MemoryLevel> Cache<N> {
 
         // Victim handling: a dirty victim goes to the write buffer. A full
         // buffer back-pressures the fill.
-        let sets = self.set_count;
-        let (set_index, tag) = (line.set_index(sets), line.tag(sets));
-        let (victim, dirty_tag) = match self.tags.lookup(set_index, tag) {
+        let (victim, dirty_tag) = match self.tags.lookup(set, tag) {
             LookupResult::Miss { victim, dirty_tag } => (victim, dirty_tag),
             // A merged fill for this line may have installed it already.
             LookupResult::Hit(way) => {
-                self.tags.touch(set_index, way, below.complete_at, false);
+                self.tags.touch(set, way, below.complete_at, false);
                 self.mshrs.insert(line, below.complete_at);
                 return (below.complete_at, served_by);
             }
         };
         let mut fill_ready = below.complete_at;
         if let Some(dtag) = dirty_tag {
-            let victim_line = LineAddr::from_parts(dtag, set_index, sets);
+            let victim_line = self.geometry.line(dtag, set);
             let wb_ready = self.push_writeback(victim_line, fill_ready);
             fill_ready = fill_ready.max(wb_ready);
         }
@@ -360,9 +353,9 @@ impl<N: MemoryLevel> Cache<N> {
         // Install the line; writing the fill occupies the bank.
         let fill_write = self.next_write_cycles();
         self.reserve_bank(bank, fill_ready, fill_write);
-        self.tags.fill(set_index, victim, tag, false, fill_ready);
+        self.tags.fill(set, victim, tag, false, fill_ready);
         self.stats.fills += 1;
-        self.probe_array_write(set_index, bank);
+        self.probe_array_write(set, bank);
         self.mshrs.insert(line, fill_ready);
         (fill_ready, served_by)
     }
@@ -377,27 +370,25 @@ impl<N: MemoryLevel> Cache<N> {
     /// * a fill is still in flight anywhere in this cache (the general
     ///   hit path consults [`MshrFile::ready_time`]);
     /// * this cache's probe is armed, or the invariant gate is (the
-    ///   general path records observations / runs checks);
+    ///   general path records observations / runs checks); a gate not
+    ///   yet read from the environment counts as armed, so the test
+    ///   never calls out to read it;
     /// * the probe misses (the general path runs the miss, whose first
     ///   `lookup` may advance the random policy's stream).
-    #[inline]
-    fn try_read_hit_fast(
-        &mut self,
-        line: LineAddr,
-        set_index: usize,
-        bank: usize,
-        now: Cycle,
-    ) -> Option<AccessOutcome> {
-        if self.mshrs.fills_pending(now) || self.probe.is_some() || crate::invariants::enabled() {
+    ///
+    /// Everything it calls is inlined, so a served hit makes no call.
+    #[inline(always)]
+    fn try_read_hit_fast(&mut self, at: Split, now: Cycle) -> Option<AccessOutcome> {
+        if self.mshrs.fills_pending(now) || self.probe.is_some() || !crate::invariants::disarmed() {
             return None;
         }
-        let way = self.tags.probe(set_index, line.tag(self.set_count))?;
+        let way = self.tags.probe(at.set, at.tag)?;
         self.stats.reads += 1;
         self.stats.read_hits += 1;
         let start = self
             .banks
-            .reserve_quiet(bank, now, self.config.read_cycles());
-        self.tags.touch(set_index, way, start, false);
+            .reserve_quiet(at.bank, now, self.config.read_cycles());
+        self.tags.touch(at.set, way, start, false);
         // The full sync (not an incremental `start - now` bump) is
         // load-bearing: stage wrappers advance the bank tally between
         // accesses through `occupy_bank`, and the sync is what folds
@@ -412,23 +403,17 @@ impl<N: MemoryLevel> Cache<N> {
     /// [`Cache::try_read_hit_fast`] for write hits. The AWARE slow-write
     /// cadence is preserved: the fast path advances the same
     /// `array_writes` counter through [`Cache::next_write_cycles`].
-    #[inline]
-    fn try_write_hit_fast(
-        &mut self,
-        line: LineAddr,
-        set_index: usize,
-        bank: usize,
-        now: Cycle,
-    ) -> Option<AccessOutcome> {
-        if self.mshrs.fills_pending(now) || self.probe.is_some() || crate::invariants::enabled() {
+    #[inline(always)]
+    fn try_write_hit_fast(&mut self, at: Split, now: Cycle) -> Option<AccessOutcome> {
+        if self.mshrs.fills_pending(now) || self.probe.is_some() || !crate::invariants::disarmed() {
             return None;
         }
-        let way = self.tags.probe(set_index, line.tag(self.set_count))?;
+        let way = self.tags.probe(at.set, at.tag)?;
         self.stats.writes += 1;
         self.stats.write_hits += 1;
         let wc = self.next_write_cycles();
-        let start = self.banks.reserve_quiet(bank, now, wc);
-        self.tags.touch(set_index, way, start, true);
+        let start = self.banks.reserve_quiet(at.bank, now, wc);
+        self.tags.touch(at.set, way, start, true);
         self.sync_component_stats();
         Some(AccessOutcome {
             complete_at: start + wc,
@@ -436,29 +421,27 @@ impl<N: MemoryLevel> Cache<N> {
         })
     }
 
-    /// The full read path (misses, in-flight fills, armed observers). The fast
-    /// path falls through to this; the fast-path tests drive it directly
-    /// as the referee. `line`, `set_index` and `bank` must be `addr`'s
-    /// decomposition under this cache's geometry.
-    fn read_at_general(
-        &mut self,
-        addr: Addr,
-        line: LineAddr,
-        set_index: usize,
-        bank: usize,
-        now: Cycle,
-    ) -> AccessOutcome {
+    /// The full read path (misses, in-flight fills, armed observers),
+    /// out of line. The fast path falls through to this; the fast-path
+    /// tests drive it directly as the referee.
+    #[inline(never)]
+    fn read_at_general(&mut self, addr: Addr, now: Cycle) -> AccessOutcome {
         self.stats.reads += 1;
-        let tag = line.tag(self.set_count);
+        let Split {
+            line,
+            set,
+            tag,
+            bank,
+        } = self.geometry.split(addr);
 
-        let lookup = self.tags.lookup(set_index, tag);
+        let lookup = self.tags.lookup(set, tag);
         let outcome = match lookup {
             LookupResult::Hit(way) => {
                 self.stats.read_hits += 1;
                 // Data of an in-flight fill may not have arrived yet.
                 let avail = self.mshrs.ready_time(line, now).map_or(now, |r| r.max(now));
                 let start = self.reserve_bank(bank, avail, self.config.read_cycles());
-                self.tags.touch(set_index, way, start, false);
+                self.tags.touch(set, way, start, false);
                 AccessOutcome {
                     complete_at: start + self.config.read_cycles(),
                     served_by: ServedBy::ThisLevel,
@@ -482,26 +465,25 @@ impl<N: MemoryLevel> Cache<N> {
     }
 
     /// The full write path; see [`Cache::read_at_general`].
-    fn write_at_general(
-        &mut self,
-        addr: Addr,
-        line: LineAddr,
-        set_index: usize,
-        bank: usize,
-        now: Cycle,
-    ) -> AccessOutcome {
+    #[inline(never)]
+    fn write_at_general(&mut self, addr: Addr, now: Cycle) -> AccessOutcome {
         self.stats.writes += 1;
-        let tag = line.tag(self.set_count);
+        let Split {
+            line,
+            set,
+            tag,
+            bank,
+        } = self.geometry.split(addr);
 
-        let lookup = self.tags.lookup(set_index, tag);
+        let lookup = self.tags.lookup(set, tag);
         let outcome = match lookup {
             LookupResult::Hit(way) => {
                 self.stats.write_hits += 1;
                 let avail = self.mshrs.ready_time(line, now).map_or(now, |r| r.max(now));
                 let wc = self.next_write_cycles();
                 let start = self.reserve_bank(bank, avail, wc);
-                self.probe_array_write(set_index, bank);
-                self.tags.touch(set_index, way, start, true);
+                self.probe_array_write(set, bank);
+                self.tags.touch(set, way, start, true);
                 AccessOutcome {
                     complete_at: start + wc,
                     served_by: ServedBy::ThisLevel,
@@ -524,7 +506,7 @@ impl<N: MemoryLevel> Cache<N> {
                 // reaches it the stale entry is reclaimed and the fill
                 // installs the line.
                 let way = loop {
-                    match self.tags.lookup(set_index, tag) {
+                    match self.tags.lookup(set, tag) {
                         LookupResult::Hit(way) => break way,
                         LookupResult::Miss { .. } => {
                             let (r, _) = self.fill_miss(line, ready);
@@ -534,8 +516,8 @@ impl<N: MemoryLevel> Cache<N> {
                 };
                 let wc = self.next_write_cycles();
                 let start = self.reserve_bank(bank, ready, wc);
-                self.probe_array_write(set_index, bank);
-                self.tags.touch(set_index, way, start, true);
+                self.probe_array_write(set, bank);
+                self.tags.touch(set, way, start, true);
                 AccessOutcome {
                     complete_at: start + wc,
                     served_by,
@@ -549,6 +531,7 @@ impl<N: MemoryLevel> Cache<N> {
         outcome
     }
 
+    #[inline(always)]
     fn sync_component_stats(&mut self) {
         self.stats.bank_conflict_cycles = self.banks.conflict_cycles();
     }
@@ -565,32 +548,25 @@ impl<N: MemoryLevel> Cache<N> {
                 format!("access completed in the past (at {complete_at})"),
             );
         }
-        let line = self.line_of(addr);
-        let set_index = line.set_index(self.set_count);
-        self.tags.check_invariants(set_index, complete_at);
+        let set = self.geometry.split(addr).set;
+        self.tags.check_invariants(set, complete_at);
         self.write_buffer.check_invariants(now);
     }
 }
 
 impl<N: MemoryLevel> MemoryLevel for Cache<N> {
     fn read(&mut self, addr: Addr, now: Cycle) -> AccessOutcome {
-        let line = self.line_of(addr);
-        let set_index = line.set_index(self.set_count);
-        let bank = line.bank(self.config.banks());
-        if let Some(out) = self.try_read_hit_fast(line, set_index, bank, now) {
-            return out;
+        match self.try_read_hit_fast(self.geometry.split(addr), now) {
+            Some(out) => out,
+            None => self.read_at_general(addr, now),
         }
-        self.read_at_general(addr, line, set_index, bank, now)
     }
 
     fn write(&mut self, addr: Addr, now: Cycle) -> AccessOutcome {
-        let line = self.line_of(addr);
-        let set_index = line.set_index(self.set_count);
-        let bank = line.bank(self.config.banks());
-        if let Some(out) = self.try_write_hit_fast(line, set_index, bank, now) {
-            return out;
+        match self.try_write_hit_fast(self.geometry.split(addr), now) {
+            Some(out) => out,
+            None => self.write_at_general(addr, now),
         }
-        self.write_at_general(addr, line, set_index, bank, now)
     }
 
     fn line_bytes(&self) -> usize {
@@ -875,83 +851,106 @@ mod tests {
             .is_err());
     }
 
+    /// The 16-way, 12-cycle L2 over `banks` banks.
+    fn l2(banks: usize) -> Cache<MainMemory> {
+        let cfg = CacheConfig::builder()
+            .capacity_bytes(2 * 1024 * 1024)
+            .associativity(16)
+            .read_cycles(12)
+            .write_cycles(12)
+            .banks(banks)
+            .mshr_entries(8)
+            .write_buffer_entries(8)
+            .build();
+        Cache::new(cfg.unwrap(), MainMemory::new(100))
+    }
+
+    /// The NVM DL1 whose every second array write is a 6-cycle slow one.
+    fn aware_dl1() -> Cache<MainMemory> {
+        use crate::config::AsymmetricWrite;
+        let cfg = CacheConfig::builder()
+            .asymmetric_write(AsymmetricWrite {
+                slow_cycles: 6,
+                slow_period: 2,
+            })
+            .build();
+        Cache::new(cfg.unwrap(), MainMemory::new(100))
+    }
+
     #[test]
     fn hit_fast_path_matches_general_path() {
         // Drive one cache through the public entry points (fast path
-        // eligible) and a twin through the general bodies only; every
-        // outcome, the stats block and the dirty set must agree.
-        let mut fast = dl1();
-        let mut slow = dl1();
-        let sets = fast.config().sets();
-        let banks = fast.config().banks();
-        let lb = fast.config().line_bytes();
-        let stride = (sets * lb) as u64;
-        // Misses, hits, same-set conflict evictions, same-bank conflicts,
-        // an adversarial tag, and re-reads during fill shadows.
-        let addrs = [
-            0u64,
-            0,
-            8,
-            64,
-            64,
-            stride,
-            2 * stride,
-            0,
-            4 * lb as u64,
-            4 * lb as u64,
-            u64::MAX,
-            u64::MAX,
-            0,
+        // eligible) and a twin through the general bodies only, under
+        // every geometry the platforms build. A seeded stream of reads
+        // and writes walks three sets, two of them in one bank, with one
+        // tag more than a set has ways, plus now and then an address at
+        // the top of the space: cold misses, hits, dirty evictions,
+        // same-bank conflicts. Each access is issued back to back (fill
+        // shadows, in-flight fills, bank waits) or once every earlier one
+        // has drained (fast-path hits). Every outcome, the stats block
+        // and the dirty count must agree.
+        type Build = fn() -> Cache<MainMemory>;
+        let caches: [(&str, Build); 6] = [
+            ("SRAM DL1", sram_dl1),
+            ("NVM DL1", dl1),
+            ("L2 over 1 bank", || l2(1)),
+            ("L2 over 4 banks", || l2(4)),
+            ("L2 over 8 banks", || l2(8)),
+            ("AWARE DL1", aware_dl1),
         ];
-        let mut t = 0;
-        for (i, &raw) in addrs.iter().enumerate() {
-            let a = Addr(raw);
-            let line = a.line(lb);
-            let (si, bk) = (line.set_index(sets), line.bank(banks));
-            let (f, s) = if i % 3 == 2 {
-                (fast.write(a, t), slow.write_at_general(a, line, si, bk, t))
-            } else {
-                (fast.read(a, t), slow.read_at_general(a, line, si, bk, t))
-            };
-            assert_eq!(f, s, "fast path diverged at access {i} ({a})");
-            // Alternate between back-to-back issue (fill shadows, bank
-            // conflicts) and drained issue (fast-path hits).
-            t = if i % 2 == 0 {
-                f.complete_at + 20
-            } else {
-                t + 1
-            };
+        for (name, build) in caches {
+            let (mut fast, mut slow) = (build(), build());
+            let sets = fast.config().sets() as u64;
+            let ways = fast.config().associativity();
+            let lb = fast.config().line_bytes() as u64;
+            let mut rng = crate::set::tests::XorShift(0x5EED_FA57 ^ sets);
+            let (mut t, mut drained) = (0, 0);
+            for i in 0..4000 {
+                let raw = if rng.below(50) == 0 {
+                    u64::MAX - rng.next() % 256
+                } else {
+                    let set = [0, 1, 8][rng.below(3)];
+                    let tag = rng.below(ways + 1) as u64;
+                    (tag * sets + set) * lb + rng.next() % lb
+                };
+                let a = Addr(raw);
+                let (f, s) = if rng.below(3) == 0 {
+                    (fast.write(a, t), slow.write_at_general(a, t))
+                } else {
+                    (fast.read(a, t), slow.read_at_general(a, t))
+                };
+                assert_eq!(f, s, "{name}: fast path diverged at access {i} ({a})");
+                drained = drained.max(f.complete_at);
+                t = if rng.below(2) == 0 {
+                    t + rng.below(3) as u64
+                } else {
+                    drained + 20
+                };
+            }
+            let stats = fast.stats();
+            assert_eq!(stats, slow.stats(), "{name}");
+            assert_eq!(fast.dirty_lines(), slow.dirty_lines(), "{name}");
+            let reached = [
+                stats.read_hits,
+                stats.write_hits,
+                stats.writebacks,
+                stats.bank_conflict_cycles,
+            ];
+            assert!(!reached.contains(&0), "{name} missed a path: {stats:?}");
         }
-        assert_eq!(fast.stats(), slow.stats());
-        assert_eq!(fast.dirty_lines(), slow.dirty_lines());
     }
 
     #[test]
     fn fast_path_preserves_aware_cadence() {
-        use crate::config::AsymmetricWrite;
-        let cfg = || {
-            CacheConfig::builder()
-                .asymmetric_write(AsymmetricWrite {
-                    slow_cycles: 6,
-                    slow_period: 2,
-                })
-                .build()
-                .unwrap()
-        };
-        let mut fast = Cache::new(cfg(), MainMemory::new(100));
-        let mut slow = Cache::new(cfg(), MainMemory::new(100));
-        let sets = fast.config().sets();
-        let banks = fast.config().banks();
-        let lb = fast.config().line_bytes();
+        let (mut fast, mut slow) = (aware_dl1(), aware_dl1());
         let mut t = 0;
         for i in 0..6u64 {
             // Write-hit the same line repeatedly: the slow-write cadence is
             // global array-write count, so fast and general paths must
             // advance it identically.
             let a = Addr((i % 2) * 64);
-            let line = a.line(lb);
             let f = fast.write(a, t);
-            let s = slow.write_at_general(a, line, line.set_index(sets), line.bank(banks), t);
+            let s = slow.write_at_general(a, t);
             assert_eq!(f, s, "cadence diverged at write {i}");
             t = f.complete_at + 20;
         }

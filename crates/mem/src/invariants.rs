@@ -91,6 +91,15 @@ pub fn enabled() -> bool {
     }
 }
 
+/// Whether the gate is known to be off: read from the environment and
+/// held by nobody. Unlike [`enabled`], it never reads the environment,
+/// so a hot path that takes its shortcut only when this holds makes no
+/// call; until the first [`enabled`] it answers `false`.
+#[inline(always)]
+pub(crate) fn disarmed() -> bool {
+    GATE.load(Ordering::Relaxed) == OFF
+}
+
 #[cold]
 fn init_from_env() -> bool {
     let mut holders = holders();

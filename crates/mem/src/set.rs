@@ -196,7 +196,7 @@ impl TagStore {
 
     /// The way of `set` holding `tag`, without touching replacement
     /// state.
-    #[inline]
+    #[inline(always)]
     pub fn probe(&self, set: usize, tag: u64) -> Option<usize> {
         let s = &self.storage;
         let base = set * s.ways;
@@ -274,12 +274,18 @@ impl TagStore {
     }
 
     /// Records a use of `way` (hit or fill) in the tree-PLRU bits,
-    /// pointing every node on its path away from it.
-    #[inline]
+    /// pointing every node on its path away from it. Only the policy test
+    /// is inlined: the walk is tree-PLRU's own work, out of line.
+    #[inline(always)]
     fn plru_touch(&mut self, set: usize, way: usize) {
-        if self.policy != ReplacementPolicy::TreePlru {
-            return;
+        if self.policy == ReplacementPolicy::TreePlru {
+            self.plru_walk(set, way);
         }
+    }
+
+    /// [`TagStore::plru_touch`]'s walk from the root to `way`.
+    #[inline(never)]
+    fn plru_walk(&mut self, set: usize, way: usize) {
         let levels = self.storage.ways.trailing_zeros();
         let bits = &mut self.storage.repl[set];
         let mut node = 1;
@@ -300,12 +306,14 @@ impl TagStore {
     /// # Panics
     ///
     /// Panics if the way is invalid.
-    #[inline]
+    #[inline(always)]
     pub fn touch(&mut self, set: usize, way: usize, now: Cycle, make_dirty: bool) {
         let s = &mut self.storage;
         assert!((s.valid[set] >> way) & 1 == 1, "touching an invalid way");
         s.last_use[set * s.ways + way] = now;
-        s.dirty[set] |= u64::from(make_dirty) << way;
+        if make_dirty {
+            s.dirty[set] |= 1 << way;
+        }
         self.plru_touch(set, way);
     }
 
@@ -607,17 +615,17 @@ pub(crate) mod tests {
 
     /// xorshift64, so the tests draw reproducible streams without the
     /// bench crate's test kit.
-    struct XorShift(u64);
+    pub(crate) struct XorShift(pub(crate) u64);
 
     impl XorShift {
-        fn next(&mut self) -> u64 {
+        pub(crate) fn next(&mut self) -> u64 {
             self.0 ^= self.0 << 13;
             self.0 ^= self.0 >> 7;
             self.0 ^= self.0 << 17;
             self.0
         }
 
-        fn below(&mut self, n: usize) -> usize {
+        pub(crate) fn below(&mut self, n: usize) -> usize {
             (self.next() % n as u64) as usize
         }
     }

@@ -282,6 +282,19 @@ fn an_unwritable_telemetry_path_fails_before_any_sweep() {
 }
 
 #[test]
+fn serial_and_jobs_are_refused_together_in_either_order() {
+    // Both flags set the worker count; neither may silently win.
+    for pair in [["--serial", "--jobs", "2"], ["--jobs", "2", "--serial"]] {
+        let figures_args = [&["fig9", "--profile"][..], &pair].concat();
+        let sim_args = [&["--bench", "atax", "--baseline", "--profile"][..], &pair].concat();
+        for out in [figures(&figures_args), sim(&sim_args)] {
+            assert_rejected(&out, "--serial");
+            assert_rejected(&out, "--jobs");
+        }
+    }
+}
+
+#[test]
 fn figures_rejects_a_second_artifact() {
     assert_rejected(&figures(&["fig1", "fig3"]), "fig3");
 }
