@@ -533,6 +533,123 @@ fn in_flight_outcomes_are_pinned() {
     assert!(got == PINNED, "digests, in PINNED order:\n{got:#018x?}");
 }
 
+/// Every line-buffer fill route is pinned end to end: VWB promotions
+/// from loads and from prefetch hints (bank held 0 and 3 cycles past the
+/// critical word), L0 fills and write-allocates, EMSHR read and write
+/// captures, and the hybrid's promotions through its EMSHR. Each front
+/// end sits on a 2 KiB two-bank DL1 and runs one seeded stream of loads,
+/// stores and hints to the same line, the same set, the same bank or
+/// the next line or anywhere in 6 KiB, issued back to back or after the last completion,
+/// so fills meet DL1 hits, hits on lines still being filled, and misses.
+/// The digest of every completion, every stage's statistics and the DL1's
+/// and L2's (bank-conflict cycles included) must match the one recorded
+/// for that row.
+#[test]
+fn fill_route_outcomes_are_pinned() {
+    use sttcache::baselines::{EmshrConfig, L0Config};
+    use sttcache::HYBRID_STACK;
+    const PINNED: [u64; 5] = [
+        0xc6568f95e49d706e,
+        0xc3cd47ede1323085,
+        0xddc7f696a84704e9,
+        0x0ad6aa204bb38f7b,
+        0xf026d5b0b47ecb19,
+    ];
+    let vwb = |promotion_cycles| {
+        StageSpec::Vwb(VwbConfig {
+            promotion_cycles,
+            ..VwbConfig::default()
+        })
+    };
+    let routes: [&[StageSpec]; 5] = [
+        &[vwb(0)],
+        &[vwb(3)],
+        &[StageSpec::L0(L0Config::default())],
+        &[StageSpec::Emshr(EmshrConfig::default())],
+        &[HYBRID_STACK.outer, HYBRID_STACK.inner],
+    ];
+    let digest = |stages: &[StageSpec], seed| {
+        let dl1 = CacheConfig::builder()
+            .capacity_bytes(2 * 1024)
+            .associativity(2)
+            .banks(2)
+            .read_cycles(4)
+            .write_cycles(2)
+            .mshr_entries(2)
+            .build()
+            .expect("pinned configuration is valid");
+        let l2 = Cache::new(
+            CacheConfig::builder()
+                .capacity_bytes(16 * 1024)
+                .associativity(4)
+                .read_cycles(12)
+                .write_cycles(12)
+                .build()
+                .expect("pinned configuration is valid"),
+            MainMemory::new(100),
+        );
+        let mut fe = FrontEnd::new(stages, Cache::new(dl1, l2)).expect("pinned stages are valid");
+        let mut rng = Rng::new(seed);
+        let (mut hash, mut now, mut addr) = (0xcbf2_9ce4_8422_2325, 0, 0);
+        for _ in 0..4_000 {
+            // 1 KiB apart is the same DL1 set; 128 B apart the same bank.
+            addr = match rng.u64_in(0, 6) {
+                0 => addr & !63 | rng.u64_in(0, 64),
+                1 => addr + 1024 * rng.u64_in(1, 4),
+                2 => addr + 128 * rng.u64_in(1, 4),
+                3 => addr + 64,
+                _ => rng.u64_in(0, 6 * 1024),
+            } % (6 * 1024);
+            let kind = rng.u64_in(0, 8);
+            let done = match kind {
+                0..=3 => fe.read(Addr(addr), now),
+                4..=5 => fe.write(Addr(addr), now),
+                _ => {
+                    fe.prefetch(Addr(addr), now);
+                    now
+                }
+            };
+            hash = fnv1a(hash, [addr, now, done, kind]);
+            // One issue in two follows the last one back to back.
+            now = if rng.bool() {
+                now + rng.u64_in(0, 3)
+            } else {
+                done + rng.u64_in(0, 8)
+            };
+        }
+        for stage in fe.stage_stats() {
+            let s = stage.stats;
+            hash = fnv1a(hash, [s.reads, s.read_hits, s.writes, s.write_hits]);
+            hash = fnv1a(
+                hash,
+                [
+                    s.fills,
+                    s.dirty_evictions,
+                    s.prefetch_fills,
+                    s.prefetch_drops,
+                ],
+            );
+        }
+        for s in [*fe.dl1_stats(), *fe.l2_stats()] {
+            hash = fnv1a(
+                hash,
+                [s.reads, s.writes, s.read_hits, s.write_hits, s.fills],
+            );
+            hash = fnv1a(hash, [s.writebacks, s.bank_conflict_cycles, s.mshr_merges]);
+            hash = fnv1a(
+                hash,
+                [s.mshr_full_stall_cycles, s.write_buffer_stall_cycles],
+            );
+        }
+        hash
+    };
+    let got: Vec<u64> = (0..)
+        .zip(routes)
+        .map(|(i, stages)| digest(stages, 0x2015_0032 + i))
+        .collect();
+    assert!(got == PINNED, "digests, in PINNED order:\n{got:#018x?}");
+}
+
 /// Deterministic cross-check of the reference model itself.
 #[test]
 fn reference_model_basics() {
