@@ -20,7 +20,10 @@
 //! organization (`sim --org`). Because `file:` paths may themselves
 //! contain `:` and `@`, the suffixes bind from the *right*: the final
 //! `:part` is an organization only if it names a catalog entry, and the
-//! final `@part` is an offset only if it is a decimal number.
+//! final `@part` is an offset only if it is a decimal number. A suffix
+//! that is neither, after a catalog kernel's token, is refused by name
+//! (an unknown organization or a malformed offset); after anything else
+//! it stays part of the workload token.
 //! In a mix of two or more entries a `file:` trace must stay below 4 GiB
 //! ([`CORE_ADDRESS_STRIDE`]), or it would alias the next core's stripe.
 
@@ -72,10 +75,21 @@ impl MixSpec {
             // ':' or '@' survive: the last ':key' is an organization only
             // if the catalog knows `key`, the last '@n' an offset only if
             // `n` is decimal. Anything else stays part of the token and
-            // fails in the workload resolver with a full token list.
+            // fails in the workload resolver with a full token list,
+            // unless what precedes it names a catalog kernel: then the
+            // suffix is what is wrong, and the error names it.
             let (head, org) = match part.rsplit_once(':') {
                 Some((h, key)) if !h.is_empty() => match sttcache::by_cli(key) {
                     Some(e) => (h, Some(e.organization)),
+                    None if names_kernel(h) => {
+                        let keys: Vec<&str> =
+                            sttcache::catalog::catalog().iter().map(|e| e.cli).collect();
+                        return Err(format!(
+                            "in mix entry '{part}': unknown organization '{key}' \
+                             (try one of: {})",
+                            keys.join(", ")
+                        ));
+                    }
                     None => (part, None),
                 },
                 _ => (part, None),
@@ -83,6 +97,12 @@ impl MixSpec {
             let (token, offset) = match head.rsplit_once('@') {
                 Some((t, off)) if !t.is_empty() => match off.parse::<Cycle>() {
                     Ok(offset) => (t, offset),
+                    Err(_) if names_kernel(t) => {
+                        return Err(format!(
+                            "in mix entry '{part}': malformed offset '{off}' \
+                             (not a decimal 64-bit cycle count)"
+                        ));
+                    }
                     Err(_) => (head, 0),
                 },
                 _ => (head, 0),
@@ -154,6 +174,12 @@ impl MixSpec {
             .map(|e| CoreSpec::staggered(e.org.unwrap_or(default_org), e.offset))
             .collect()
     }
+}
+
+/// Whether `head`, less any `@` suffix, is a catalog kernel's CLI token.
+fn names_kernel(head: &str) -> bool {
+    let token = head.rsplit_once('@').map_or(head, |(t, _)| t);
+    sttcache_workloads::catalog::by_cli(token).is_some()
 }
 
 /// Refuses a `file:` entry of a multi-core mix whose trace touches a
@@ -518,6 +544,13 @@ mod tests {
         assert!(MixSpec::parse("nosuchkernel").is_err());
         assert!(MixSpec::parse("gemm@abc").is_err());
         assert!(MixSpec::parse("gemm:nosuchorg").is_err());
+        // A `file:` path keeps a suffix that is neither an organization
+        // nor an offset, and the reader names the whole path.
+        let err = MixSpec::parse("file:/no/such@x:y").unwrap_err();
+        assert!(
+            err.contains("cannot ingest trace file '/no/such@x:y'"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -9,14 +9,18 @@
 //! | kind | read miss | write miss | prefetch |
 //! |---|---|---|---|
 //! | VWB | promote: fetch, bank held `promotion_cycles` | write through, no allocation | promote unless present |
-//! | L0 | fill: fetch, usable `fill_cycles` later | fill dirty, then write | probe then fetch below |
+//! | L0 | fill: fetch, bank held and usable `fill_cycles` later | fill dirty, then write | probe then fetch below |
 //! | EMSHR | read below, capture a DL1 miss | write below, capture a DL1 miss | probe then fetch below |
 //!
 //! A hit, and an access that passes through to the level below, make no
-//! call of the buffer's own: allocating an entry (`fill`, `install`) runs
-//! out of line, since a buffer allocates on a small share of its
-//! accesses.
+//! call of the buffer's own. Each allocating miss is one out-of-line step
+//! (`fill` for a promotion or an L0 fill, `retain` for an EMSHR capture)
+//! with the entry's install and the LRU scan inlined into it, since a
+//! buffer allocates on a small share of its accesses. A fill is one
+//! request below ([`Below::read_and_hold`]): the read and the bank it
+//! holds past delivery.
 
+use crate::front_end::Below;
 use crate::stage::{probe_then_fetch, BufferStats, StageSpec};
 use crate::SttError;
 use sttcache_mem::telemetry::Histogram;
@@ -155,9 +159,9 @@ impl LineBuffer {
     }
 
     /// Serves a load at `now`, reading through `below` on a miss.
-    pub(crate) fn read<M: MemoryLevel + ?Sized>(
+    pub(crate) fn read<N: MemoryLevel>(
         &mut self,
-        below: &mut M,
+        below: &mut Below<'_, N>,
         addr: Addr,
         now: Cycle,
     ) -> AccessOutcome {
@@ -166,21 +170,23 @@ impl LineBuffer {
             self.stats.read_hits += 1;
             return self.hit(idx, now, false);
         }
-        let out = below.read(addr, now);
         match self.spec {
-            StageSpec::Vwb(cfg) => self.fill(below, addr, out, cfg.promotion_cycles, 0, false),
+            StageSpec::Vwb(cfg) => self.fill(below, addr, now, cfg.promotion_cycles, 0, false),
             StageSpec::L0(cfg) => {
-                self.fill(below, addr, out, cfg.fill_cycles, cfg.fill_cycles, false)
+                self.fill(below, addr, now, cfg.fill_cycles, cfg.fill_cycles, false)
             }
-            StageSpec::Emshr(_) => self.capture(below, addr, out),
+            StageSpec::Emshr(_) => {
+                let out = below.read(addr, now);
+                self.capture(below, addr, out);
+                out
+            }
         }
-        out
     }
 
     /// Serves a store at `now`, writing through `below` on a miss.
-    pub(crate) fn write<M: MemoryLevel + ?Sized>(
+    pub(crate) fn write<N: MemoryLevel>(
         &mut self,
-        below: &mut M,
+        below: &mut Below<'_, N>,
         addr: Addr,
         now: Cycle,
     ) -> AccessOutcome {
@@ -207,8 +213,7 @@ impl LineBuffer {
             }
             StageSpec::L0(cfg) => {
                 // Write-allocate into the L0: fetch the line, then write it.
-                let out = below.read(addr, now);
-                self.fill(below, addr, out, cfg.fill_cycles, cfg.fill_cycles, true);
+                let out = self.fill(below, addr, now, cfg.fill_cycles, cfg.fill_cycles, true);
                 AccessOutcome {
                     complete_at: out.complete_at + self.hit_cycles,
                     served_by: out.served_by,
@@ -225,9 +230,9 @@ impl LineBuffer {
     }
 
     /// Handles a software prefetch hint (non-blocking).
-    pub(crate) fn prefetch<M: MemoryLevel + ?Sized>(
+    pub(crate) fn prefetch<N: MemoryLevel>(
         &mut self,
-        below: &mut M,
+        below: &mut Below<'_, N>,
         addr: Addr,
         now: Cycle,
     ) {
@@ -237,8 +242,7 @@ impl LineBuffer {
                     self.stats.prefetch_drops += 1;
                 } else {
                     self.stats.prefetch_fills += 1;
-                    let out = below.read(addr, now);
-                    self.fill(below, addr, out, cfg.promotion_cycles, 0, false);
+                    self.fill(below, addr, now, cfg.promotion_cycles, 0, false);
                 }
             }
             StageSpec::L0(_) | StageSpec::Emshr(_) => probe_then_fetch(below, addr, now),
@@ -259,42 +263,56 @@ impl LineBuffer {
         }
     }
 
-    /// Installs the line containing `addr`, which `below` delivered as
-    /// `out`: the requester has the critical word, the bank stays busy
-    /// `occupy` cycles past it, and the entry becomes usable `settle`
-    /// cycles after it.
+    /// Fills the line containing `addr` from `below` with one request,
+    /// issued at `now`: the requester has the critical word when the
+    /// returned outcome completes, the DL1 bank stays busy `hold` cycles
+    /// past it, and the entry becomes usable `settle` cycles after it.
+    /// The whole miss — the request, the install and the LRU scan — is
+    /// this one out-of-line step.
     #[inline(never)]
-    fn fill<M: MemoryLevel + ?Sized>(
+    fn fill<N: MemoryLevel>(
         &mut self,
-        below: &mut M,
+        below: &mut Below<'_, N>,
         addr: Addr,
-        out: AccessOutcome,
-        occupy: u64,
+        now: Cycle,
+        hold: u64,
         settle: u64,
         dirty: bool,
-    ) {
-        below.occupy_bank(addr, out.complete_at, occupy);
+    ) -> AccessOutcome {
+        let out = below.read_and_hold(addr, now, hold);
         let line = addr.line(self.line_bytes);
         let ready_at = out.complete_at + settle;
         self.install(below, line, ready_at, dirty, out.complete_at);
+        out
     }
 
     /// The EMSHR's capture rule: a line `below` did not serve itself was a
     /// DL1 miss whose fill the MSHR held, so the buffer retains it clean.
     /// The rule is tested in line; the capture itself is out of line.
     #[inline]
-    fn capture<M: MemoryLevel + ?Sized>(&mut self, below: &mut M, addr: Addr, out: AccessOutcome) {
+    fn capture<N: MemoryLevel>(
+        &mut self,
+        below: &mut Below<'_, N>,
+        addr: Addr,
+        out: AccessOutcome,
+    ) {
         if out.served_by != ServedBy::ThisLevel {
-            let line = addr.line(self.line_bytes);
-            self.install(below, line, out.complete_at, false, out.complete_at);
+            self.retain(below, addr.line(self.line_bytes), out.complete_at);
         }
+    }
+
+    /// Captures `line`, delivered at `at`, as a clean entry: the EMSHR's
+    /// one out-of-line step per allocating miss.
+    #[inline(never)]
+    fn retain<N: MemoryLevel>(&mut self, below: &mut Below<'_, N>, line: LineAddr, at: Cycle) {
+        self.install(below, line, at, false, at);
     }
 
     /// Inserts `line` (not present), usable at `ready_at`. A full buffer
     /// evicts its LRU entry; a dirty victim is written back to `below` at
     /// `writeback_at`, in the background: it contends for banks but does
-    /// not block the requester.
-    #[inline(never)]
+    /// not block the requester. Inlined into each allocating miss's step.
+    #[inline(always)]
     fn install<M: MemoryLevel + ?Sized>(
         &mut self,
         below: &mut M,
@@ -329,6 +347,7 @@ impl LineBuffer {
     /// The index of the least recently used entry of a non-empty buffer:
     /// the first entry with the oldest `last_use`. The scan selects
     /// without branching, so its cost does not depend on the stamps.
+    #[inline(always)]
     fn lru(&self) -> usize {
         let (mut lru, mut oldest) = (0, self.entries[0].last_use);
         for (i, e) in self.entries.iter().enumerate().skip(1) {

@@ -54,7 +54,7 @@ pub struct FrontEnd<N = Cache<MainMemory>> {
 }
 
 /// The level below one buffer: the buffers after it, then the DL1.
-struct Below<'a, N> {
+pub(crate) struct Below<'a, N> {
     rest: &'a mut [LineBuffer],
     dl1: &'a mut Cache<N>,
 }
@@ -74,6 +74,21 @@ impl<N: MemoryLevel> Below<'_, N> {
         match self.split() {
             Some((next, mut below)) => next.prefetch(&mut below, addr, now),
             None => probe_then_fetch(self.dl1, addr, now),
+        }
+    }
+
+    /// A buffer's fill: reads `addr` and keeps the DL1 bank busy `hold`
+    /// cycles past delivery. The next buffer serves the read if there is
+    /// one, and the DL1 bank is held once it has answered.
+    #[inline]
+    pub(crate) fn read_and_hold(&mut self, addr: Addr, now: Cycle, hold: u64) -> AccessOutcome {
+        match self.split() {
+            Some((next, mut below)) => {
+                let out = next.read(&mut below, addr, now);
+                self.dl1.occupy_bank(addr, out.complete_at, hold);
+                out
+            }
+            None => self.dl1.read_and_hold(addr, now, hold),
         }
     }
 }
@@ -103,10 +118,6 @@ impl<N: MemoryLevel> MemoryLevel for Below<'_, N> {
 
     fn contains(&self, addr: Addr) -> bool {
         self.rest.iter().any(|b| b.contains(addr)) || self.dl1.contains(addr)
-    }
-
-    fn occupy_bank(&mut self, addr: Addr, from: Cycle, cycles: u64) -> Cycle {
-        self.dl1.occupy_bank(addr, from, cycles)
     }
 }
 

@@ -3,8 +3,9 @@
 //!
 //! A hit served by the fast path calls nothing: the address split, the
 //! tag probe, the bank reservation and the replacement update are all
-//! inlined into [`MemoryLevel::read`] and [`MemoryLevel::write`]. Every
-//! other access, and every miss, runs out of line
+//! inlined into [`MemoryLevel::read`], [`MemoryLevel::write`] and a line
+//! buffer's fill request ([`Cache::read_and_hold`]). Every other access,
+//! and every miss, runs out of line
 //! (`read_at_general`, `write_at_general`, `fill_miss`), so the hit does
 //! not carry the general path's frame.
 
@@ -185,13 +186,41 @@ impl<N: MemoryLevel> Cache<N> {
     /// Occupies the bank serving `addr` for `cycles` starting no earlier
     /// than `from`, returning the actual start cycle.
     ///
-    /// Used by wide-buffer front-ends to model line promotions that keep
-    /// the array busy after the critical word has been returned (paper
-    /// §IV: "the promotion may take as long as 4 cache cycles").
+    /// A fill that a buffer serves from the buffer stacked below it (the
+    /// hybrid's VWB over its EMSHR) holds the DL1 bank this way once the
+    /// inner buffer has answered; a fill served by the DL1 itself is one
+    /// [`Cache::read_and_hold`].
     #[inline]
     pub fn occupy_bank(&mut self, addr: Addr, from: Cycle, cycles: u64) -> Cycle {
         let bank = self.geometry.split(addr).bank;
         self.reserve_bank(bank, from, cycles)
+    }
+
+    /// Reads the line containing `addr` at `now`, then keeps its bank
+    /// busy `hold` cycles past the data's delivery: one request for a
+    /// line buffer's fill, which models the promotion that keeps the
+    /// array busy after the critical word has been returned (paper §IV:
+    /// "the promotion may take as long as 4 cache cycles").
+    ///
+    /// A hit the fast path serves leaves the bank free exactly at
+    /// delivery, so the hold only moves that free time on: no wait, no
+    /// conflict. Every other access takes the general read and then
+    /// reserves the bank as [`Cache::occupy_bank`] does. After a miss
+    /// the bank is still writing the fill, so even a hold of 0 waits
+    /// that write out and counts the wait as conflict cycles; like any
+    /// wait the hold adds, it reaches [`CacheStats::bank_conflict_cycles`]
+    /// at this cache's next access.
+    #[inline]
+    pub fn read_and_hold(&mut self, addr: Addr, now: Cycle, hold: u64) -> AccessOutcome {
+        let at = self.geometry.split(addr);
+        if let Some(out) = self.try_read_hit_fast(at, now) {
+            // The hit left the bank free at `complete_at`: nothing waits.
+            self.banks.reserve_quiet(at.bank, out.complete_at, hold);
+            return out;
+        }
+        let out = self.read_at_general(addr, now);
+        self.reserve_bank(at.bank, out.complete_at, hold);
+        out
     }
 
     /// Base addresses of every resident line, for post-run verification
@@ -329,21 +358,18 @@ impl<N: MemoryLevel> Cache<N> {
         let lookup_done = lookup_start + self.config.read_cycles();
 
         let base = line.base(self.config.line_bytes());
-        let below = self.next.read(base, lookup_done);
-        let served_by = ServedBy::Lower;
+        let mut fill_ready = self.next.read(base, lookup_done).complete_at;
 
         // Victim handling: a dirty victim goes to the write buffer. A full
-        // buffer back-pressures the fill.
-        let (victim, dirty_tag) = match self.tags.lookup(set, tag) {
-            LookupResult::Miss { victim, dirty_tag } => (victim, dirty_tag),
-            // A merged fill for this line may have installed it already.
-            LookupResult::Hit(way) => {
-                self.tags.touch(set, way, below.complete_at, false);
-                self.mshrs.insert(line, below.complete_at);
-                return (below.complete_at, served_by);
-            }
+        // buffer back-pressures the fill. The lookup also draws the
+        // random policy's victim, so it runs even though its answer is
+        // known.
+        let LookupResult::Miss { victim, dirty_tag } = self.tags.lookup(set, tag) else {
+            unreachable!(
+                "fill_miss runs after a lookup missed, and only the MSHR file, the bank \
+                 schedule and the next level ran since"
+            )
         };
-        let mut fill_ready = below.complete_at;
         if let Some(dtag) = dirty_tag {
             let victim_line = self.geometry.line(dtag, set);
             let wb_ready = self.push_writeback(victim_line, fill_ready);
@@ -357,7 +383,7 @@ impl<N: MemoryLevel> Cache<N> {
         self.stats.fills += 1;
         self.probe_array_write(set, bank);
         self.mshrs.insert(line, fill_ready);
-        (fill_ready, served_by)
+        (fill_ready, ServedBy::Lower)
     }
 
     /// The resident-hit fast path for reads: probes the tag store without
@@ -390,9 +416,11 @@ impl<N: MemoryLevel> Cache<N> {
             .reserve_quiet(at.bank, now, self.config.read_cycles());
         self.tags.touch(at.set, way, start, false);
         // The full sync (not an incremental `start - now` bump) is
-        // load-bearing: stage wrappers advance the bank tally between
-        // accesses through `occupy_bank`, and the sync is what folds
-        // those contributions into the report.
+        // load-bearing: a buffer's fill that takes the general path
+        // (`read_and_hold`), or holds the bank after a stacked buffer
+        // answered (`occupy_bank`), advances the bank tally after the
+        // access's own sync, and this sync is what folds those waits
+        // into the report.
         self.sync_component_stats();
         Some(AccessOutcome {
             complete_at: start + self.config.read_cycles(),
@@ -579,10 +607,6 @@ impl<N: MemoryLevel> MemoryLevel for Cache<N> {
 
     fn contains(&self, addr: Addr) -> bool {
         Cache::contains(self, addr)
-    }
-
-    fn occupy_bank(&mut self, addr: Addr, from: Cycle, cycles: u64) -> Cycle {
-        Cache::occupy_bank(self, addr, from, cycles)
     }
 }
 

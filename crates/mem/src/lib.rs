@@ -79,7 +79,10 @@ pub use write_buffer::WriteBuffer;
 /// own internal resource timing (banks, buffers) and may therefore return
 /// completion times later than `now + latency` under contention.
 /// Statistics count from construction and are never reset: every run
-/// builds its own cold hierarchy.
+/// builds its own cold hierarchy. A line buffer's fill, which holds a
+/// bank past the read it makes, is not a trait operation: only a DL1
+/// ever sits below a buffer, and the buffer asks it directly
+/// ([`Cache::read_and_hold`]).
 ///
 /// See the [crate-level example](crate) for composing levels into a
 /// hierarchy.
@@ -104,16 +107,6 @@ pub trait MemoryLevel {
     fn contains(&self, _addr: Addr) -> bool {
         false
     }
-
-    /// Reserves this level's access port for `addr` for `cycles` starting
-    /// at `from`, returning the reservation's end cycle.
-    ///
-    /// Models side traffic (promotions, background fills) occupying the
-    /// level's banks. Levels without bank contention (the default) accept
-    /// the traffic for free and return `from` unchanged.
-    fn occupy_bank(&mut self, _addr: Addr, from: Cycle, _cycles: u64) -> Cycle {
-        from
-    }
 }
 
 impl<M: MemoryLevel + ?Sized> MemoryLevel for Box<M> {
@@ -135,9 +128,5 @@ impl<M: MemoryLevel + ?Sized> MemoryLevel for Box<M> {
 
     fn contains(&self, addr: Addr) -> bool {
         (**self).contains(addr)
-    }
-
-    fn occupy_bank(&mut self, addr: Addr, from: Cycle, cycles: u64) -> Cycle {
-        (**self).occupy_bank(addr, from, cycles)
     }
 }

@@ -116,10 +116,6 @@ impl<N: MemoryLevel> MemoryLevel for NextLinePrefetcher<N> {
     fn contains(&self, addr: Addr) -> bool {
         self.inner.contains(addr)
     }
-
-    fn occupy_bank(&mut self, addr: Addr, from: Cycle, cycles: u64) -> Cycle {
-        self.inner.occupy_bank(addr, from, cycles)
-    }
 }
 
 #[cfg(test)]

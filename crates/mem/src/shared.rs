@@ -139,10 +139,6 @@ impl<M: MemoryLevel> MemoryLevel for Shared<M> {
     fn contains(&self, addr: Addr) -> bool {
         self.inner.borrow().contains(addr)
     }
-
-    fn occupy_bank(&mut self, addr: Addr, from: Cycle, cycles: u64) -> Cycle {
-        self.inner.borrow_mut().occupy_bank(addr, from, cycles)
-    }
 }
 
 #[cfg(test)]

@@ -50,6 +50,11 @@ diff -u tests/golden/check_seed.txt "$smoke"
 # pinned by tests/properties.rs::replacement_outcomes_are_pinned.
 cargo bench --offline -q -p sttcache-bench --bench ablations > "$smoke"
 diff -u tests/golden/ablations.txt "$smoke"
+# The tables are the only sweep of the VWB's nonzero promotion holds and
+# of the FIFO, tree-PLRU and random DL1 policies. Armed, every cache
+# access takes the general path, so the hit fast path, and a fill's
+# request served from it, are checked against the general one.
+STTCACHE_INVARIANTS=1 cargo bench --offline -q -p sttcache-bench --bench ablations | diff -u tests/golden/ablations.txt -
 
 ./target/release/figures all > "$smoke"
 diff -u figures_output.txt "$smoke"
@@ -177,4 +182,4 @@ benchout="$(mktemp -d)"
 trap 'rm -rf "$smoke" "$ttrace" "$mc" "$exttrace" "$prof" "$benchout"' EXIT
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --quick --out "$benchout"
 
-echo "ci: fmt, build, example runs, tests (plain + invariants armed), clippy, rustdoc -D warnings, differential + multicore + irregular fuzzers (quick and seeded transcripts pinned to their goldens), ablation tables, figures CSV golden, figures smoke (serial, four workers, replay cross-checked against direct execution, invariants armed with the general cache path on every access, span-only telemetry export, profile with trace-cache miss, release and resident counts), early-closed stdout pipelines, multi-core + irregular determinism, catalog + irregular + multicore goldens (replay cross-checked against direct execution), sim_multicore golden, external-trace replay (pinned to the kernel's own replay), trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"
+echo "ci: fmt, build, example runs, tests (plain + invariants armed), clippy, rustdoc -D warnings, differential + multicore + irregular fuzzers (quick and seeded transcripts pinned to their goldens), ablation tables (plain and invariants armed), figures CSV golden, figures smoke (serial, four workers, replay cross-checked against direct execution, invariants armed with the general cache path on every access, span-only telemetry export, profile with trace-cache miss, release and resident counts), early-closed stdout pipelines, multi-core + irregular determinism, catalog + irregular + multicore goldens (replay cross-checked against direct execution), sim_multicore golden, external-trace replay (pinned to the kernel's own replay), trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"

@@ -61,6 +61,20 @@ fn sim_rejects_flags_the_run_would_ignore() {
 }
 
 #[test]
+fn a_bad_mix_suffix_is_named_rather_than_the_workload() {
+    assert_rejected(
+        &sim(&["--cores", "2", "--mix", "gemm@64:foo"]),
+        "bad --mix: in mix entry 'gemm@64:foo': unknown organization 'foo' \
+         (try one of: sram, nvm, vwb, l0, emshr, hybrid)\n",
+    );
+    assert_rejected(
+        &sim(&["--mix", "gemm@abc:vwb"]),
+        "bad --mix: in mix entry 'gemm@abc:vwb': malformed offset 'abc' \
+         (not a decimal 64-bit cycle count)\n",
+    );
+}
+
+#[test]
 fn sim_refuses_configurations_without_panicking() {
     // A non-power-of-two bank count is a usage error (exit 2). A power of
     // two above the L2's line count, or a VWB of more than 1024 lines,
