@@ -16,6 +16,9 @@ cargo test -q --offline
 # Second test leg with the runtime invariant checkers armed: every
 # component self-checks on every access and any violation fails the run.
 STTCACHE_INVARIANTS=1 cargo test -q --offline
+# The ignored tests run in release: the event-stream pin at Small
+# (tests/golden/streams.txt) and the --small reproduction shapes.
+cargo test --release --offline -q -p sttcache-bench --test integration --test workload_catalog -- --ignored
 cargo clippy --offline --workspace --all-targets -- -D warnings
 # Rustdoc warnings (broken or redundant intra-doc links) fail the run.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
@@ -182,4 +185,4 @@ benchout="$(mktemp -d)"
 trap 'rm -rf "$smoke" "$ttrace" "$mc" "$exttrace" "$prof" "$benchout"' EXIT
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --quick --out "$benchout"
 
-echo "ci: fmt, build, example runs, tests (plain + invariants armed), clippy, rustdoc -D warnings, differential + multicore + irregular fuzzers (quick and seeded transcripts pinned to their goldens), ablation tables (plain and invariants armed), figures CSV golden, figures smoke (serial, four workers, replay cross-checked against direct execution, invariants armed with the general cache path on every access, span-only telemetry export, profile with trace-cache miss, release and resident counts), early-closed stdout pipelines, multi-core + irregular determinism, catalog + irregular + multicore goldens (replay cross-checked against direct execution), sim_multicore golden, external-trace replay (pinned to the kernel's own replay), trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"
+echo "ci: fmt, build, example runs, tests (plain + invariants armed, ignored tests in release), clippy, rustdoc -D warnings, differential + multicore + irregular fuzzers (quick and seeded transcripts pinned to their goldens), ablation tables (plain and invariants armed), figures CSV golden, figures smoke (serial, four workers, replay cross-checked against direct execution, invariants armed with the general cache path on every access, span-only telemetry export, profile with trace-cache miss, release and resident counts), early-closed stdout pipelines, multi-core + irregular determinism, catalog + irregular + multicore goldens (replay cross-checked against direct execution), sim_multicore golden, external-trace replay (pinned to the kernel's own replay), trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"
