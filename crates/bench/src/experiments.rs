@@ -71,8 +71,9 @@ pub struct SeriesTable {
 }
 
 impl SeriesTable {
-    /// Appends the AVERAGE row the paper's figures end with.
-    fn with_average(mut self) -> Self {
+    /// Appends the AVERAGE row the paper's figures end with (the figure
+    /// and extension constructors call this exactly once).
+    pub(crate) fn with_average(mut self) -> Self {
         let cols = self.series.len();
         let n = self.rows.len().max(1) as f64;
         let avg: Vec<f64> = (0..cols)
@@ -86,12 +87,6 @@ impl SeriesTable {
     /// with the AVERAGE row, which every figure constructor guarantees).
     pub fn average(&self, series_idx: usize) -> f64 {
         self.rows.last().expect("table has an AVERAGE row").1[series_idx]
-    }
-
-    /// Appends the AVERAGE row (crate-internal; the figure and extension
-    /// constructors call this exactly once).
-    pub(crate) fn append_average(self) -> Self {
-        self.with_average()
     }
 
     /// Renders the table as CSV (`benchmark` column plus one column per

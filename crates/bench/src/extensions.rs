@@ -94,7 +94,7 @@ pub fn ext_icache(size: ProblemSize) -> SeriesTable {
         series: vec!["NVM DL1".into(), "NVM IL1".into(), "NVM both + VWB".into()],
         rows,
     }
-    .append_average()
+    .with_average()
 }
 
 /// Extension 2 — hardware next-line prefetcher vs the VWB.
@@ -154,7 +154,7 @@ pub fn ext_hw_prefetch(size: ProblemSize) -> SeriesTable {
         ],
         rows,
     }
-    .append_average()
+    .with_average()
 }
 
 /// Extension 3 — AWARE asymmetric writes (paper reference \[1\]).
@@ -212,7 +212,7 @@ pub fn ext_aware(size: ProblemSize) -> SeriesTable {
         ],
         rows,
     }
-    .append_average()
+    .with_average()
 }
 
 /// Extension 4 — STT-MRAM in the L2 instead of the L1.
@@ -253,7 +253,7 @@ pub fn ext_nvm_l2(size: ProblemSize) -> SeriesTable {
         series: vec!["NVM L2 (SRAM L1)".into(), "NVM L1 (SRAM L2)".into()],
         rows,
     }
-    .append_average()
+    .with_average()
 }
 
 /// One benchmark's power-gating (sleep-entry) cost.
@@ -415,7 +415,7 @@ pub fn ext_catalog(size: ProblemSize) -> SeriesTable {
         series: rest.iter().map(|e| e.organization.name().into()).collect(),
         rows,
     }
-    .append_average()
+    .with_average()
 }
 
 /// Irregular sweep — the pointer-chasing workload family on the full
@@ -457,7 +457,7 @@ pub fn ext_irregular(size: ProblemSize) -> SeriesTable {
         series: rest.iter().map(|e| e.organization.name().into()).collect(),
         rows,
     }
-    .append_average()
+    .with_average()
 }
 
 #[cfg(test)]

@@ -361,7 +361,7 @@ pub fn multicore_table(size: ProblemSize) -> crate::SeriesTable {
             .expect("row exists for every org");
         row.1.push(v);
     }
-    table.append_average()
+    table.with_average()
 }
 
 /// A mix run with its shared L2 probed, its isolated references, and

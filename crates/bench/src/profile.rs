@@ -300,11 +300,6 @@ pub fn snapshot() -> ProfileSnapshot {
 }
 
 impl ProfileSnapshot {
-    /// Simulation seconds across both phases.
-    pub fn simulation_seconds(&self) -> f64 {
-        self.record_seconds + self.replay_seconds
-    }
-
     /// Events the replay phase fed the timing model.
     pub fn replay_phase_events(&self) -> u64 {
         self.replay_events
@@ -522,9 +517,8 @@ mod tests {
     }
 
     #[test]
-    fn simulation_seconds_sums_every_phase() {
+    fn replay_phase_events_reads_the_replay_count() {
         let p = sample().phases;
-        assert!((p.simulation_seconds() - 1.1).abs() < 1e-12);
         assert_eq!(p.replay_phase_events(), 1_000_000);
     }
 

@@ -1,6 +1,6 @@
 //! `atax`: y = Aᵀ(A·x).
 
-use super::{axpy_row, checksum, dot_row, for_n, seed_value, Kernel};
+use super::{axpy_row, checksum, dot, for_n, seed_value, Kernel};
 use crate::space::DataSpace;
 use crate::transform::Transformations;
 use sttcache_cpu::Engine;
@@ -47,7 +47,7 @@ impl Kernel for Atax {
         });
 
         for_n(e, 1, self.m, |e, i| {
-            let tmp = dot_row(e, t, &a, i, &x); // tmp = A[i]·x
+            let tmp = dot(e, t, &a, i, &x, None); // tmp = A[i]·x
             axpy_row(e, t, &mut y, &a, i, tmp); // y += tmp·A[i]
         });
         checksum(y.raw())

@@ -1,6 +1,6 @@
 //! `bicg`: s = Aᵀ·r and q = A·p (BiCG sub-kernel).
 
-use super::{axpy_row, checksum, dot_row, for_n, seed_value, Kernel};
+use super::{axpy_row, checksum, dot, for_n, seed_value, Kernel};
 use crate::space::DataSpace;
 use crate::transform::Transformations;
 use sttcache_cpu::Engine;
@@ -49,7 +49,7 @@ impl Kernel for Bicg {
             let ri = r.at(e, i);
             axpy_row(e, t, &mut s, &a, i, ri);
             // q[i] = A[i] · p    (row dot)
-            let qi = dot_row(e, t, &a, i, &p);
+            let qi = dot(e, t, &a, i, &p, None);
             q.set(e, i, qi);
         });
         checksum(s.raw()) + checksum(q.raw())

@@ -1,7 +1,7 @@
 //! `cholesky`: Cholesky decomposition of a symmetric positive-definite
 //! matrix.
 
-use super::{checksum, dot_row_prefix_rows, for_n, seed_value, Kernel};
+use super::{checksum, dot, for_n, seed_value, Kernel};
 use crate::space::DataSpace;
 use crate::transform::Transformations;
 use sttcache_cpu::Engine;
@@ -48,14 +48,14 @@ impl Kernel for Cholesky {
         for_n(e, 1, n, |e, i| {
             // Off-diagonal row: A[i][j] = (A[i][j] - A[i][:j]·A[j][:j]) / A[j][j]
             for_n(e, 1, i, |e, j| {
-                let dot = dot_row_prefix_rows(e, t, &a, i, &a, j, j);
-                let v = (a.at(e, i, j) - dot) / a.at(e, j, j);
+                let sum = dot(e, t, &a, i, (&a, j), Some(j));
+                let v = (a.at(e, i, j) - sum) / a.at(e, j, j);
                 e.compute(3);
                 a.set(e, i, j, v);
             });
             // Diagonal: A[i][i] = sqrt(A[i][i] - A[i][:i]·A[i][:i])
-            let dot = dot_row_prefix_rows(e, t, &a, i, &a, i, i);
-            let v = (a.at(e, i, i) - dot).max(1e-6).sqrt();
+            let sum = dot(e, t, &a, i, (&a, i), Some(i));
+            let v = (a.at(e, i, i) - sum).max(1e-6).sqrt();
             e.compute(4);
             a.set(e, i, i, v);
         });

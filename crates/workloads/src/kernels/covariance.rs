@@ -1,6 +1,6 @@
 //! `covariance`: covariance matrix of a data set.
 
-use super::{checksum, dot_col, for_n, pf2, seed_value, Kernel, VEC};
+use super::{checksum, dot_col, for_n, pf2, seed_value, strip_mine, Kernel, Step, VEC};
 use crate::space::DataSpace;
 use crate::transform::Transformations;
 use sttcache_cpu::Engine;
@@ -53,11 +53,11 @@ impl Kernel for Covariance {
 
         // data[i][j] -= mean[j]  (row-wise, vectorizable).
         for_n(e, 1, n, |e, i| {
-            if t.vectorize {
-                let vec_end = m - m % VEC;
-                let mut j = 0;
-                while j < vec_end {
+            strip_mine(e, t.vectorize, t.unroll_factor(), 0, m, |e, j, step| {
+                if step != Step::Tail {
                     pf2(e, t, &data, i, j);
+                }
+                if step == Step::Vector {
                     let dv = data.at_vec(e, i, j);
                     let mv = mean.at_vec(e, j);
                     let mut out = [0.0f32; VEC];
@@ -66,24 +66,12 @@ impl Kernel for Covariance {
                     }
                     e.compute(super::VOP);
                     data.set_vec(e, i, j, out);
-                    e.compute(1);
-                    e.branch(j + VEC < vec_end);
-                    j += VEC;
+                } else {
+                    let v = data.at(e, i, j) - mean.at(e, j);
+                    e.compute(2);
+                    data.set(e, i, j, v);
                 }
-                for_n(e, 1, m - vec_end, |e, jt| {
-                    let j = vec_end + jt;
-                    let v = data.at(e, i, j) - mean.at(e, j);
-                    e.compute(2);
-                    data.set(e, i, j, v);
-                });
-            } else {
-                for_n(e, t.unroll_factor(), m, |e, j| {
-                    pf2(e, t, &data, i, j);
-                    let v = data.at(e, i, j) - mean.at(e, j);
-                    e.compute(2);
-                    data.set(e, i, j, v);
-                });
-            }
+            });
         });
 
         // cov[j1][j2] = sum_i data[i][j1]*data[i][j2] / (n-1), j2 >= j1.

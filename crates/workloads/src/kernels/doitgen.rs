@@ -1,7 +1,7 @@
 //! `doitgen`: multi-resolution analysis kernel
 //! (A[r][q][p] = Σ_s A[r][q][s]·C4[s][p]).
 
-use super::{checksum, for_n, pf2, seed_value, Kernel, VEC};
+use super::{checksum, for_n, pf2, seed_value, strip_mine, Kernel, Step, VEC};
 use crate::space::DataSpace;
 use crate::transform::Transformations;
 use sttcache_cpu::Engine;
@@ -45,10 +45,8 @@ impl Kernel for Doitgen {
 
         for_n(e, 1, nr, |e, r| {
             for_n(e, 1, nq, |e, q| {
-                if t.vectorize {
-                    let vec_end = np - np % VEC;
-                    let mut p = 0;
-                    while p < vec_end {
+                strip_mine(e, t.vectorize, 1, 0, np, |e, p, step| {
+                    if step == Step::Vector {
                         let mut acc = [0.0f32; VEC];
                         for_n(e, t.unroll_factor(), np, |e, s| {
                             pf2(e, t, &c4, s, p);
@@ -62,32 +60,21 @@ impl Kernel for Doitgen {
                         for (l, &v) in acc.iter().enumerate() {
                             sum.set(e, p + l, v);
                         }
-                        e.compute(1);
-                        e.branch(p + VEC < vec_end);
-                        p += VEC;
+                        return;
                     }
-                    for_n(e, 1, np - vec_end, |e, pt| {
-                        let p = vec_end + pt;
-                        let mut acc = 0.0f32;
-                        for_n(e, 1, np, |e, s| {
-                            acc += a.at(e, r, q, s) * c4.at(e, s, p);
-                            e.compute(3);
-                        });
-                        sum.set(e, p, acc);
+                    // The tail's inner loop is neither unrolled nor hinted.
+                    let scalar = step == Step::Scalar;
+                    let unroll = if scalar { t.unroll_factor() } else { 1 };
+                    let mut acc = 0.0f32;
+                    for_n(e, unroll, np, |e, s| {
+                        if scalar && t.prefetch && s + 2 < np {
+                            e.prefetch(c4.addr(s + 2, p));
+                        }
+                        acc += a.at(e, r, q, s) * c4.at(e, s, p);
+                        e.compute(3);
                     });
-                } else {
-                    for_n(e, 1, np, |e, p| {
-                        let mut acc = 0.0f32;
-                        for_n(e, t.unroll_factor(), np, |e, s| {
-                            if t.prefetch && s + 2 < np {
-                                e.prefetch(c4.addr(s + 2, p));
-                            }
-                            acc += a.at(e, r, q, s) * c4.at(e, s, p);
-                            e.compute(3);
-                        });
-                        sum.set(e, p, acc);
-                    });
-                }
+                    sum.set(e, p, acc);
+                });
                 // Copy the accumulator row back into A[r][q][*].
                 for_n(e, t.unroll_factor(), np, |e, p| {
                     let v = sum.at(e, p);

@@ -1,6 +1,6 @@
 //! `fdtd-2d`: 2-D finite-difference time-domain electromagnetic kernel.
 
-use super::{checksum, for_n, pf2, seed_value, Kernel, VEC};
+use super::{checksum, for_n, pf2, seed_value, strip_mine, Kernel, Step, VEC};
 use crate::space::{Array2, DataSpace};
 use crate::transform::Transformations;
 use sttcache_cpu::Engine;
@@ -40,14 +40,15 @@ impl Fdtd2d {
         offset: (usize, usize),
     ) {
         // dst[i][j] -= coeff * (a[i][j] - b[i-di][j-dj]) for j in j0..cols.
-        let cols = dst.cols();
+        let inner = dst.cols() - j0;
         let (di, dj) = offset;
-        if t.vectorize && cols - j0 >= VEC {
-            let inner = cols - j0;
-            let vec_end = j0 + (inner - inner % VEC);
-            let mut j = j0;
-            while j < vec_end {
+        // A row is vectorized only when at least one whole group fits.
+        let vectorize = t.vectorize && inner >= VEC;
+        strip_mine(e, vectorize, t.unroll_factor(), j0, inner, |e, j, step| {
+            if step != Step::Tail {
                 pf2(e, t, a, i, j);
+            }
+            if step == Step::Vector {
                 let dv = dst.at_vec(e, i, j);
                 let av = a.at_vec(e, i, j);
                 let bv = b.at_vec(e, i - di, j - dj);
@@ -57,25 +58,12 @@ impl Fdtd2d {
                 }
                 e.compute(super::VOP);
                 dst.set_vec(e, i, j, out);
-                e.compute(1);
-                e.branch(j + VEC < vec_end);
-                j += VEC;
+            } else {
+                let v = dst.at(e, i, j) - coeff * (a.at(e, i, j) - b.at(e, i - di, j - dj));
+                e.compute(4);
+                dst.set(e, i, j, v);
             }
-            for_n(e, 1, cols - vec_end, |e, jt| {
-                let j = vec_end + jt;
-                let v = dst.at(e, i, j) - coeff * (a.at(e, i, j) - b.at(e, i - di, j - dj));
-                e.compute(4);
-                dst.set(e, i, j, v);
-            });
-        } else {
-            for_n(e, t.unroll_factor(), cols - j0, |e, jt| {
-                let j = j0 + jt;
-                pf2(e, t, a, i, j);
-                let v = dst.at(e, i, j) - coeff * (a.at(e, i, j) - b.at(e, i - di, j - dj));
-                e.compute(4);
-                dst.set(e, i, j, v);
-            });
-        }
+        });
     }
 }
 

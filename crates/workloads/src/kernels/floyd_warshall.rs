@@ -1,6 +1,6 @@
 //! `floyd-warshall`: all-pairs shortest paths.
 
-use super::{checksum, for_n, pf2, seed_value, Kernel, VEC};
+use super::{checksum, for_n, pf2, seed_value, strip_mine, Kernel, Step, VEC};
 use crate::space::DataSpace;
 use crate::transform::Transformations;
 use sttcache_cpu::Engine;
@@ -48,11 +48,11 @@ impl Kernel for FloydWarshall {
         for_n(e, 1, n, |e, k| {
             for_n(e, 1, n, |e, i| {
                 let d_ik = paths.at(e, i, k);
-                if t.vectorize {
-                    let vec_end = n - n % VEC;
-                    let mut j = 0;
-                    while j < vec_end {
+                strip_mine(e, t.vectorize, t.unroll_factor(), 0, n, |e, j, step| {
+                    if step != Step::Tail {
                         pf2(e, t, &paths, i, j);
+                    }
+                    if step == Step::Vector {
                         let ij = paths.at_vec(e, i, j);
                         let kj = paths.at_vec(e, k, j);
                         let mut out = [0.0f32; VEC];
@@ -62,37 +62,28 @@ impl Kernel for FloydWarshall {
                         }
                         e.compute(super::VOP);
                         paths.set_vec(e, i, j, out);
-                        e.compute(1);
-                        e.branch(j + VEC < vec_end);
-                        j += VEC;
+                        return;
                     }
-                    for_n(e, 1, n - vec_end, |e, jt| {
-                        let j = vec_end + jt;
-                        let via = d_ik + paths.at(e, k, j);
-                        let cur = paths.at(e, i, j);
-                        e.compute(2);
+                    let via = d_ik + paths.at(e, k, j);
+                    let cur = paths.at(e, i, j);
+                    e.compute(2);
+                    if step == Step::Tail {
+                        // The vector loop's tail is branch-free too, at no
+                        // conversion cost.
                         paths.set(e, i, j, cur.min(via));
-                    });
-                } else {
-                    for_n(e, t.unroll_factor(), n, |e, j| {
-                        pf2(e, t, &paths, i, j);
-                        let via = d_ik + paths.at(e, k, j);
-                        let cur = paths.at(e, i, j);
-                        e.compute(2);
-                        if t.others {
-                            // Branch-less min (conditional move).
-                            e.compute(1);
-                            paths.set(e, i, j, cur.min(via));
-                        } else {
-                            // The reference code branches on the compare;
-                            // the outcome is data dependent.
-                            e.branch(via < cur);
-                            if via < cur {
-                                paths.set(e, i, j, via);
-                            }
+                    } else if t.others {
+                        // Branch-less min (conditional move).
+                        e.compute(1);
+                        paths.set(e, i, j, cur.min(via));
+                    } else {
+                        // The reference code branches on the compare; the
+                        // outcome is data dependent.
+                        e.branch(via < cur);
+                        if via < cur {
+                            paths.set(e, i, j, via);
                         }
-                    });
-                }
+                    }
+                });
             });
         });
         checksum(paths.raw())

@@ -1,7 +1,7 @@
 //! `gemver`: vector multiplication and matrix addition
 //! (Â = A + u1·v1ᵀ + u2·v2ᵀ; x = β·Âᵀ·y + z; w = α·Â·x).
 
-use super::{checksum, dot_col, dot_row, for_n, pf2, seed_value, Kernel, VEC};
+use super::{checksum, dot, dot_col, for_n, pf2, seed_value, strip_mine, Kernel, Step, VEC};
 use crate::space::DataSpace;
 use crate::transform::Transformations;
 use sttcache_cpu::Engine;
@@ -56,11 +56,11 @@ impl Kernel for Gemver {
         for_n(e, 1, n, |e, i| {
             let a1 = u1.at(e, i);
             let a2 = u2.at(e, i);
-            if t.vectorize {
-                let vec_end = n - n % VEC;
-                let mut j = 0;
-                while j < vec_end {
+            strip_mine(e, t.vectorize, t.unroll_factor(), 0, n, |e, j, step| {
+                if step != Step::Tail {
                     pf2(e, t, &a, i, j);
+                }
+                if step == Step::Vector {
                     let av = a.at_vec(e, i, j);
                     let w1 = v1.at_vec(e, j);
                     let w2 = v2.at_vec(e, j);
@@ -70,24 +70,12 @@ impl Kernel for Gemver {
                     }
                     e.compute(super::VOP);
                     a.set_vec(e, i, j, out);
-                    e.compute(1);
-                    e.branch(j + VEC < vec_end);
-                    j += VEC;
+                } else {
+                    let v = a.at(e, i, j) + a1 * v1.at(e, j) + a2 * v2.at(e, j);
+                    e.compute(4);
+                    a.set(e, i, j, v);
                 }
-                for_n(e, 1, n - vec_end, |e, jt| {
-                    let j = vec_end + jt;
-                    let v = a.at(e, i, j) + a1 * v1.at(e, j) + a2 * v2.at(e, j);
-                    e.compute(4);
-                    a.set(e, i, j, v);
-                });
-            } else {
-                for_n(e, t.unroll_factor(), n, |e, j| {
-                    pf2(e, t, &a, i, j);
-                    let v = a.at(e, i, j) + a1 * v1.at(e, j) + a2 * v2.at(e, j);
-                    e.compute(4);
-                    a.set(e, i, j, v);
-                });
-            }
+            });
         });
 
         // Phase 2: x = β·Âᵀ·y + z (column walk).
@@ -100,7 +88,7 @@ impl Kernel for Gemver {
 
         // Phase 3: w = α·Â·x (row-wise).
         for_n(e, 1, n, |e, i| {
-            let d = dot_row(e, t, &a, i, &x);
+            let d = dot(e, t, &a, i, &x, None);
             e.compute(1);
             w.set(e, i, ALPHA * d);
         });

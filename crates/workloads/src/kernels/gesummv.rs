@@ -1,6 +1,6 @@
 //! `gesummv`: y = α·A·x + β·B·x.
 
-use super::{checksum, dot_row, for_n, seed_value, Kernel};
+use super::{checksum, dot, for_n, seed_value, Kernel};
 use crate::space::DataSpace;
 use crate::transform::Transformations;
 use sttcache_cpu::Engine;
@@ -43,8 +43,8 @@ impl Kernel for Gesummv {
         x.fill(|i| seed_value(i, 6));
 
         for_n(e, 1, self.n, |e, i| {
-            let tmp = dot_row(e, t, &a, i, &x);
-            let yv = dot_row(e, t, &b, i, &x);
+            let tmp = dot(e, t, &a, i, &x, None);
+            let yv = dot(e, t, &b, i, &x, None);
             let out = ALPHA * tmp + BETA * yv;
             e.compute(3);
             y.set(e, i, out);

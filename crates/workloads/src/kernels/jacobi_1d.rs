@@ -1,6 +1,6 @@
 //! `jacobi-1d`: three-point stencil over `TSTEPS` sweeps.
 
-use super::{checksum, for_n, pf1, seed_value, Kernel, VEC};
+use super::{checksum, for_n, pf1, seed_value, strip_mine, Kernel, Step, VEC};
 use crate::space::{Array1, DataSpace};
 use crate::transform::Transformations;
 use sttcache_cpu::Engine;
@@ -29,42 +29,38 @@ impl Jacobi1d {
     }
 
     fn sweep(e: &mut dyn Engine, t: Transformations, src: &Array1, dst: &mut Array1) {
-        let n = src.len();
-        if t.vectorize {
-            let inner = n - 2;
-            let vec_end = inner - inner % VEC;
-            let mut i = 0;
-            while i < vec_end {
-                pf1(e, t, src, i);
-                // Three shifted vector loads feed one vector store.
-                let a = src.at_vec(e, i);
-                let b = src.at_vec(e, i + 1);
-                let c = src.at_vec(e, i + 2);
-                let mut out = [0.0f32; VEC];
-                for l in 0..VEC {
-                    out[l] = 0.33333f32 * (a[l] + b[l] + c[l]);
+        // The loop runs over the centres; a vector group hints its
+        // leftmost element, the scalar loop its centre.
+        strip_mine(
+            e,
+            t.vectorize,
+            t.unroll_factor(),
+            1,
+            src.len() - 2,
+            |e, i, step| {
+                match step {
+                    Step::Vector => pf1(e, t, src, i - 1),
+                    Step::Scalar => pf1(e, t, src, i),
+                    Step::Tail => {}
                 }
-                e.compute(super::VOP);
-                dst.set_vec(e, i + 1, out);
-                e.compute(1);
-                e.branch(i + VEC < vec_end);
-                i += VEC;
-            }
-            for_n(e, 1, inner - vec_end, |e, it| {
-                let i = vec_end + it + 1;
-                let v = 0.33333f32 * (src.at(e, i - 1) + src.at(e, i) + src.at(e, i + 1));
-                e.compute(4);
-                dst.set(e, i, v);
-            });
-        } else {
-            for_n(e, t.unroll_factor(), n - 2, |e, it| {
-                let i = it + 1;
-                pf1(e, t, src, i);
-                let v = 0.33333f32 * (src.at(e, i - 1) + src.at(e, i) + src.at(e, i + 1));
-                e.compute(4);
-                dst.set(e, i, v);
-            });
-        }
+                if step == Step::Vector {
+                    // Three shifted vector loads feed one vector store.
+                    let a = src.at_vec(e, i - 1);
+                    let b = src.at_vec(e, i);
+                    let c = src.at_vec(e, i + 1);
+                    let mut out = [0.0f32; VEC];
+                    for l in 0..VEC {
+                        out[l] = 0.33333f32 * (a[l] + b[l] + c[l]);
+                    }
+                    e.compute(super::VOP);
+                    dst.set_vec(e, i, out);
+                } else {
+                    let v = 0.33333f32 * (src.at(e, i - 1) + src.at(e, i) + src.at(e, i + 1));
+                    e.compute(4);
+                    dst.set(e, i, v);
+                }
+            },
+        );
     }
 }
 

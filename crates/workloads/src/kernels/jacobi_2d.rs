@@ -1,6 +1,6 @@
 //! `jacobi-2d`: five-point stencil over `TSTEPS` sweeps.
 
-use super::{checksum, for_n, pf2, seed_value, Kernel, VEC};
+use super::{checksum, for_n, pf2, seed_value, strip_mine, Kernel, Step, VEC};
 use crate::space::{Array2, DataSpace};
 use crate::transform::Transformations;
 use sttcache_cpu::Engine;
@@ -28,13 +28,11 @@ impl Jacobi2d {
         let n = src.rows();
         for_n(e, 1, n - 2, |e, it| {
             let i = it + 1;
-            if t.vectorize {
-                let inner = n - 2;
-                let vec_end = inner - inner % VEC;
-                let mut jt = 0;
-                while jt < vec_end {
-                    let j = jt + 1;
+            strip_mine(e, t.vectorize, t.unroll_factor(), 1, n - 2, |e, j, step| {
+                if step != Step::Tail {
                     pf2(e, t, src, i, j);
+                }
+                if step == Step::Vector {
                     let c = src.at_vec(e, i, j);
                     let w = src.at_vec(e, i, j - 1);
                     let x = src.at_vec(e, i, j + 1);
@@ -46,35 +44,17 @@ impl Jacobi2d {
                     }
                     e.compute(super::VOP + 2);
                     dst.set_vec(e, i, j, out);
-                    e.compute(1);
-                    e.branch(jt + VEC < vec_end);
-                    jt += VEC;
+                } else {
+                    let v = 0.2f32
+                        * (src.at(e, i, j)
+                            + src.at(e, i, j - 1)
+                            + src.at(e, i, j + 1)
+                            + src.at(e, i + 1, j)
+                            + src.at(e, i - 1, j));
+                    e.compute(6);
+                    dst.set(e, i, j, v);
                 }
-                for_n(e, 1, inner - vec_end, |e, rem| {
-                    let j = vec_end + rem + 1;
-                    let v = 0.2f32
-                        * (src.at(e, i, j)
-                            + src.at(e, i, j - 1)
-                            + src.at(e, i, j + 1)
-                            + src.at(e, i + 1, j)
-                            + src.at(e, i - 1, j));
-                    e.compute(6);
-                    dst.set(e, i, j, v);
-                });
-            } else {
-                for_n(e, t.unroll_factor(), n - 2, |e, jt| {
-                    let j = jt + 1;
-                    pf2(e, t, src, i, j);
-                    let v = 0.2f32
-                        * (src.at(e, i, j)
-                            + src.at(e, i, j - 1)
-                            + src.at(e, i, j + 1)
-                            + src.at(e, i + 1, j)
-                            + src.at(e, i - 1, j));
-                    e.compute(6);
-                    dst.set(e, i, j, v);
-                });
-            }
+            });
         });
     }
 }

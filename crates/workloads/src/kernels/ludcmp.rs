@@ -1,6 +1,6 @@
 //! `ludcmp`: LU decomposition followed by forward/backward substitution.
 
-use super::{checksum, dot_row_prefix, dot_row_prefix_rows_col, for_n, seed_value, Kernel};
+use super::{checksum, dot, dot_row_prefix_rows_col, for_n, seed_value, Kernel};
 use crate::space::DataSpace;
 use crate::transform::Transformations;
 use sttcache_cpu::Engine;
@@ -65,8 +65,8 @@ impl Kernel for Ludcmp {
 
         // Forward substitution: y[i] = b[i] - A[i][:i]·y[:i].
         for_n(e, 1, n, |e, i| {
-            let dot = dot_row_prefix(e, t, &a, i, &y, i);
-            let v = b.at(e, i) - dot;
+            let sum = dot(e, t, &a, i, &y, Some(i));
+            let v = b.at(e, i) - sum;
             e.compute(2);
             y.set(e, i, v);
         });

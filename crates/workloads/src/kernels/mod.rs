@@ -3,7 +3,8 @@
 //! Each kernel follows its PolyBench/C reference loop nest. The scalar
 //! variant keeps the reference loop order; the vectorized variant applies
 //! the loop-interchange + 4-wide SIMD rewrite the paper's manual
-//! vectorization performs; prefetch hints and unrolling/alignment follow
+//! vectorization performs, strip-mining every vectorized loop through one
+//! function, `strip_mine`; prefetch hints and unrolling/alignment follow
 //! the [`Transformations`] toggles.
 
 mod adi;
@@ -126,137 +127,130 @@ pub(crate) fn pf2(e: &mut dyn Engine, t: Transformations, a: &Array2, i: usize, 
     }
 }
 
-/// Scalar matrix-multiply-accumulate: `out = alpha·a·b + beta·out`, in
-/// PolyBench's `i, j, k` reference order (the `b[k][j]` column walk is the
-/// access pattern small line buffers struggle with).
-pub(crate) fn matmul_scalar(
+/// Which form of a strip-mined loop's body runs at an index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// A 4-wide group starting at the index.
+    Vector,
+    /// One element left after the last whole group.
+    Tail,
+    /// One element of a loop left scalar.
+    Scalar,
+}
+
+/// The vectorization transform of one counted loop over
+/// `start..start + n`: the one place its strip-mining is modelled.
+///
+/// Vectorized, the body runs once per whole 4-wide group
+/// ([`Step::Vector`]), and one loop-control pair closes each group; the
+/// `n % VEC` elements left then run one at a time ([`Step::Tail`]) with a
+/// control pair each. Left scalar, every index runs as [`Step::Scalar`]
+/// under [`for_n`], unrolled by `unroll`.
+pub(crate) fn strip_mine(
     e: &mut dyn Engine,
-    t: Transformations,
-    out: &mut Array2,
-    a: &Array2,
-    b: &Array2,
-    alpha: f32,
-    beta: f32,
+    vectorize: bool,
+    unroll: u64,
+    start: usize,
+    n: usize,
+    mut body: impl FnMut(&mut dyn Engine, usize, Step),
 ) {
-    let (ni, nj, nk) = (out.rows(), out.cols(), a.cols());
-    debug_assert_eq!(a.rows(), ni);
-    debug_assert_eq!(b.rows(), nk);
-    debug_assert_eq!(b.cols(), nj);
-    for_n(e, 1, ni, |e, i| {
-        for_n(e, 1, nj, |e, j| {
-            let mut acc = out.at(e, i, j) * beta;
-            e.compute(1);
-            for_n(e, t.unroll_factor(), nk, |e, k| {
-                pf2(e, t, a, i, k);
-                if t.prefetch && k + 2 < nk {
-                    // Hint the B column walk two rows down: far enough to
-                    // hide the promotion, close enough to survive in the
-                    // four-entry VWB.
-                    e.prefetch(b.addr(k + 2, j));
-                }
-                let av = a.at(e, i, k);
-                let bv = b.at(e, k, j);
-                acc += alpha * av * bv;
-                e.compute(3);
-            });
-            out.set(e, i, j, acc);
-        });
+    if !vectorize {
+        for_n(e, unroll, n, |e, j| body(e, start + j, Step::Scalar));
+        return;
+    }
+    let groups = n - n % VEC;
+    for j in (0..groups).step_by(VEC) {
+        body(e, start + j, Step::Vector);
+        e.compute(1);
+        e.branch(j + VEC < groups);
+    }
+    for_n(e, 1, n - groups, |e, j| {
+        body(e, start + groups + j, Step::Tail)
     });
 }
 
-/// Vectorized matrix-multiply-accumulate: `j` blocked by four with register
-/// accumulators, turning the `B` traffic into sequential wide loads.
-pub(crate) fn matmul_vectorized(
-    e: &mut dyn Engine,
-    t: Transformations,
-    out: &mut Array2,
-    a: &Array2,
-    b: &Array2,
-    alpha: f32,
-    beta: f32,
-) {
-    let (ni, nj, nk) = (out.rows(), out.cols(), a.cols());
-    let vec_end = nj - nj % VEC;
-    for_n(e, 1, ni, |e, i| {
-        let mut j = 0;
-        while j < vec_end {
-            let mut acc = [0.0f32; VEC];
-            for_n(e, t.unroll_factor(), nk, |e, k| {
-                pf2(e, t, a, i, k);
-                pf2(e, t, b, k, j);
-                let av = a.at(e, i, k);
-                let bv = b.at_vec(e, k, j);
-                for (l, &x) in bv.iter().enumerate() {
-                    acc[l] += alpha * av * x;
-                }
-                e.compute(VOP);
-            });
-            let cv = out.at_vec(e, i, j);
-            let mut res = [0.0f32; VEC];
-            for l in 0..VEC {
-                res[l] = acc[l] + beta * cv[l];
-            }
-            e.compute(VOP);
-            out.set_vec(e, i, j, res);
-            e.compute(1);
-            e.branch(j + VEC < vec_end);
-            j += VEC;
-        }
-        for_n(e, 1, nj - vec_end, |e, jt| {
-            let j = vec_end + jt;
-            let mut acc = out.at(e, i, j) * beta;
-            e.compute(1);
-            for_n(e, t.unroll_factor(), nk, |e, k| {
-                let av = a.at(e, i, k);
-                let bv = b.at(e, k, j);
-                acc += alpha * av * bv;
-                e.compute(3);
-            });
-            out.set(e, i, j, acc);
-        });
-    });
+/// The second operand of [`dot`]: a vector, or a row of a matrix.
+pub(crate) trait Operand {
+    /// Element count.
+    fn len(&self) -> usize;
+    /// Instrumented load of element `j`.
+    fn at(&self, e: &mut dyn Engine, j: usize) -> f32;
+    /// Instrumented 4-wide vector load starting at `j`.
+    fn at_vec(&self, e: &mut dyn Engine, j: usize) -> [f32; VEC];
+    /// The sequential-walk prefetch hint at `j`.
+    fn hint(&self, e: &mut dyn Engine, t: Transformations, j: usize);
 }
 
-/// Instrumented dot product of matrix row `i` with vector `x`:
-/// `Σ_j a[i][j]·x[j]`, vectorized when the transformations ask for it.
-pub(crate) fn dot_row(
+impl Operand for &Array1 {
+    fn len(&self) -> usize {
+        Array1::len(self)
+    }
+
+    fn at(&self, e: &mut dyn Engine, j: usize) -> f32 {
+        Array1::at(self, e, j)
+    }
+
+    fn at_vec(&self, e: &mut dyn Engine, j: usize) -> [f32; VEC] {
+        Array1::at_vec(self, e, j)
+    }
+
+    fn hint(&self, e: &mut dyn Engine, t: Transformations, j: usize) {
+        pf1(e, t, self, j);
+    }
+}
+
+impl Operand for (&Array2, usize) {
+    fn len(&self) -> usize {
+        self.0.cols()
+    }
+
+    fn at(&self, e: &mut dyn Engine, j: usize) -> f32 {
+        self.0.at(e, self.1, j)
+    }
+
+    fn at_vec(&self, e: &mut dyn Engine, j: usize) -> [f32; VEC] {
+        self.0.at_vec(e, self.1, j)
+    }
+
+    fn hint(&self, e: &mut dyn Engine, t: Transformations, j: usize) {
+        pf2(e, t, self.0, self.1, j);
+    }
+}
+
+/// Instrumented dot product of matrix row `i` with `x`, a vector or
+/// another matrix row: `Σ_j a[i][j]·x[j]` over the shorter of the two,
+/// or over the first `prefix` elements (the substitution and
+/// factorization updates). A full-length product hints both walks; a
+/// prefix product hints only the row.
+pub(crate) fn dot(
     e: &mut dyn Engine,
     t: Transformations,
     a: &Array2,
     i: usize,
-    x: &Array1,
+    x: impl Operand,
+    prefix: Option<usize>,
 ) -> f32 {
-    let n = a.cols().min(x.len());
+    let n = a.cols().min(x.len()).min(prefix.unwrap_or(usize::MAX));
     let mut acc = 0.0f32;
-    if t.vectorize {
-        let vec_end = n - n % VEC;
-        let mut j = 0;
-        while j < vec_end {
+    strip_mine(e, t.vectorize, t.unroll_factor(), 0, n, |e, j, step| {
+        if step != Step::Tail {
             pf2(e, t, a, i, j);
-            pf1(e, t, x, j);
+            if prefix.is_none() {
+                x.hint(e, t, j);
+            }
+        }
+        if step == Step::Vector {
             let av = a.at_vec(e, i, j);
             let xv = x.at_vec(e, j);
             for l in 0..VEC {
                 acc += av[l] * xv[l];
             }
             e.compute(VOP);
-            e.compute(1);
-            e.branch(j + VEC < vec_end);
-            j += VEC;
+        } else {
+            acc += a.at(e, i, j) * x.at(e, j);
+            e.compute(3);
         }
-        for_n(e, 1, n - vec_end, |e, jt| {
-            let j = vec_end + jt;
-            acc += a.at(e, i, j) * x.at(e, j);
-            e.compute(3);
-        });
-    } else {
-        for_n(e, t.unroll_factor(), n, |e, j| {
-            pf2(e, t, a, i, j);
-            pf1(e, t, x, j);
-            acc += a.at(e, i, j) * x.at(e, j);
-            e.compute(3);
-        });
-    }
+    });
     acc
 }
 
@@ -271,11 +265,11 @@ pub(crate) fn axpy_row(
     scale: f32,
 ) {
     let n = a.cols().min(y.len());
-    if t.vectorize {
-        let vec_end = n - n % VEC;
-        let mut j = 0;
-        while j < vec_end {
+    strip_mine(e, t.vectorize, t.unroll_factor(), 0, n, |e, j, step| {
+        if step != Step::Tail {
             pf2(e, t, a, i, j);
+        }
+        if step == Step::Vector {
             let av = a.at_vec(e, i, j);
             let yv = y.at_vec(e, j);
             let mut out = [0.0f32; VEC];
@@ -284,155 +278,12 @@ pub(crate) fn axpy_row(
             }
             e.compute(VOP);
             y.set_vec(e, j, out);
-            e.compute(1);
-            e.branch(j + VEC < vec_end);
-            j += VEC;
-        }
-        for_n(e, 1, n - vec_end, |e, jt| {
-            let j = vec_end + jt;
+        } else {
             let v = y.at(e, j) + scale * a.at(e, i, j);
             e.compute(3);
             y.set(e, j, v);
-        });
-    } else {
-        for_n(e, t.unroll_factor(), n, |e, j| {
-            pf2(e, t, a, i, j);
-            let v = y.at(e, j) + scale * a.at(e, i, j);
-            e.compute(3);
-            y.set(e, j, v);
-        });
-    }
-}
-
-/// Instrumented prefix dot product `Σ_{j<prefix} a[i][j]·x[j]` (the
-/// forward-substitution pattern), vectorized when asked.
-pub(crate) fn dot_row_prefix(
-    e: &mut dyn Engine,
-    t: Transformations,
-    a: &Array2,
-    i: usize,
-    x: &Array1,
-    prefix: usize,
-) -> f32 {
-    let n = prefix.min(a.cols()).min(x.len());
-    let mut acc = 0.0f32;
-    if t.vectorize {
-        let vec_end = n - n % VEC;
-        let mut j = 0;
-        while j < vec_end {
-            pf2(e, t, a, i, j);
-            let av = a.at_vec(e, i, j);
-            let xv = x.at_vec(e, j);
-            for l in 0..VEC {
-                acc += av[l] * xv[l];
-            }
-            e.compute(VOP);
-            e.compute(1);
-            e.branch(j + VEC < vec_end);
-            j += VEC;
         }
-        for_n(e, 1, n - vec_end, |e, jt| {
-            let j = vec_end + jt;
-            acc += a.at(e, i, j) * x.at(e, j);
-            e.compute(3);
-        });
-    } else {
-        for_n(e, t.unroll_factor(), n, |e, j| {
-            pf2(e, t, a, i, j);
-            acc += a.at(e, i, j) * x.at(e, j);
-            e.compute(3);
-        });
-    }
-    acc
-}
-
-/// Instrumented dot product of row `i` of `a` with row `j` of `b`:
-/// `Σ_k a[i][k]·b[j][k]`, vectorized when asked. Both walks are unit
-/// stride (the `syrk`/`syr2k` pattern).
-pub(crate) fn dot_rows(
-    e: &mut dyn Engine,
-    t: Transformations,
-    a: &Array2,
-    i: usize,
-    b: &Array2,
-    j: usize,
-) -> f32 {
-    let n = a.cols().min(b.cols());
-    let mut acc = 0.0f32;
-    if t.vectorize {
-        let vec_end = n - n % VEC;
-        let mut k = 0;
-        while k < vec_end {
-            pf2(e, t, a, i, k);
-            pf2(e, t, b, j, k);
-            let av = a.at_vec(e, i, k);
-            let bv = b.at_vec(e, j, k);
-            for l in 0..VEC {
-                acc += av[l] * bv[l];
-            }
-            e.compute(VOP);
-            e.compute(1);
-            e.branch(k + VEC < vec_end);
-            k += VEC;
-        }
-        for_n(e, 1, n - vec_end, |e, kt| {
-            let k = vec_end + kt;
-            acc += a.at(e, i, k) * b.at(e, j, k);
-            e.compute(3);
-        });
-    } else {
-        for_n(e, t.unroll_factor(), n, |e, k| {
-            pf2(e, t, a, i, k);
-            pf2(e, t, b, j, k);
-            acc += a.at(e, i, k) * b.at(e, j, k);
-            e.compute(3);
-        });
-    }
-    acc
-}
-
-/// Instrumented prefix dot product of two matrix rows:
-/// `Σ_{k<prefix} a[i][k]·b[j][k]` (the factorization-update pattern),
-/// vectorized when asked.
-pub(crate) fn dot_row_prefix_rows(
-    e: &mut dyn Engine,
-    t: Transformations,
-    a: &Array2,
-    i: usize,
-    b: &Array2,
-    j: usize,
-    prefix: usize,
-) -> f32 {
-    let n = prefix.min(a.cols()).min(b.cols());
-    let mut acc = 0.0f32;
-    if t.vectorize {
-        let vec_end = n - n % VEC;
-        let mut k = 0;
-        while k < vec_end {
-            pf2(e, t, a, i, k);
-            let av = a.at_vec(e, i, k);
-            let bv = b.at_vec(e, j, k);
-            for l in 0..VEC {
-                acc += av[l] * bv[l];
-            }
-            e.compute(VOP);
-            e.compute(1);
-            e.branch(k + VEC < vec_end);
-            k += VEC;
-        }
-        for_n(e, 1, n - vec_end, |e, kt| {
-            let k = vec_end + kt;
-            acc += a.at(e, i, k) * b.at(e, j, k);
-            e.compute(3);
-        });
-    } else {
-        for_n(e, t.unroll_factor(), n, |e, k| {
-            pf2(e, t, a, i, k);
-            acc += a.at(e, i, k) * b.at(e, j, k);
-            e.compute(3);
-        });
-    }
-    acc
+    });
 }
 
 /// Instrumented hybrid prefix dot product `Σ_{k<prefix} a[i][k]·a[k][j]`
@@ -485,7 +336,11 @@ pub(crate) fn dot_col(
     acc
 }
 
-/// Dispatches to the scalar or vectorized matmul per the transformations.
+/// Instrumented matrix-multiply-accumulate `out = alpha·a·b + beta·out`.
+/// Left scalar it keeps PolyBench's `i, j, k` reference order (the
+/// `b[k][j]` column walk is the access pattern small line buffers
+/// struggle with); vectorized, `j` is blocked by four with register
+/// accumulators, turning the `b` traffic into sequential wide loads.
 pub(crate) fn matmul(
     e: &mut dyn Engine,
     t: Transformations,
@@ -495,11 +350,53 @@ pub(crate) fn matmul(
     alpha: f32,
     beta: f32,
 ) {
-    if t.vectorize {
-        matmul_vectorized(e, t, out, a, b, alpha, beta);
-    } else {
-        matmul_scalar(e, t, out, a, b, alpha, beta);
-    }
+    let (ni, nj, nk) = (out.rows(), out.cols(), a.cols());
+    debug_assert_eq!(a.rows(), ni);
+    debug_assert_eq!(b.rows(), nk);
+    debug_assert_eq!(b.cols(), nj);
+    for_n(e, 1, ni, |e, i| {
+        strip_mine(e, t.vectorize, 1, 0, nj, |e, j, step| {
+            if step == Step::Vector {
+                let mut acc = [0.0f32; VEC];
+                for_n(e, t.unroll_factor(), nk, |e, k| {
+                    pf2(e, t, a, i, k);
+                    pf2(e, t, b, k, j);
+                    let av = a.at(e, i, k);
+                    let bv = b.at_vec(e, k, j);
+                    for (l, &x) in bv.iter().enumerate() {
+                        acc[l] += alpha * av * x;
+                    }
+                    e.compute(VOP);
+                });
+                let cv = out.at_vec(e, i, j);
+                let mut res = [0.0f32; VEC];
+                for l in 0..VEC {
+                    res[l] = acc[l] + beta * cv[l];
+                }
+                e.compute(VOP);
+                out.set_vec(e, i, j, res);
+                return;
+            }
+            let mut acc = out.at(e, i, j) * beta;
+            e.compute(1);
+            for_n(e, t.unroll_factor(), nk, |e, k| {
+                if step == Step::Scalar {
+                    pf2(e, t, a, i, k);
+                    if t.prefetch && k + 2 < nk {
+                        // Hint the B column walk two rows down: far enough
+                        // to hide the promotion, close enough to survive in
+                        // the four-entry VWB.
+                        e.prefetch(b.addr(k + 2, j));
+                    }
+                }
+                let av = a.at(e, i, k);
+                let bv = b.at(e, k, j);
+                acc += alpha * av * bv;
+                e.compute(3);
+            });
+            out.set(e, i, j, acc);
+        });
+    });
 }
 
 /// A runnable PolyBench kernel.
@@ -640,6 +537,31 @@ mod tests {
         let mut e = Recorder::default();
         for_n(&mut e, 4, 0, |_, _| panic!("body must not run"));
         assert!(e.branches.is_empty());
+    }
+
+    #[test]
+    fn strip_mine_closes_each_group_then_runs_the_tail() {
+        use Step::{Tail, Vector};
+        let mut seen = Vec::new();
+        let mut e = Recorder::default();
+        strip_mine(&mut e, true, 4, 1, 10, |_, j, step| seen.push((j, step)));
+        assert_eq!(seen, vec![(1, Vector), (5, Vector), (9, Tail), (10, Tail)]);
+        // One control pair per group, then one per tail element: a
+        // vectorized loop is not unrolled.
+        assert_eq!(e.branches, vec![true, false, true, false]);
+        assert_eq!(e.compute_ops, 4);
+    }
+
+    #[test]
+    fn strip_mine_left_scalar_is_an_unrolled_for_n() {
+        let mut seen = Vec::new();
+        let mut e = Recorder::default();
+        strip_mine(&mut e, false, 4, 2, 6, |_, j, step| {
+            assert_eq!(step, Step::Scalar);
+            seen.push(j);
+        });
+        assert_eq!(seen, (2..8).collect::<Vec<_>>());
+        assert_eq!(e.branches, vec![true, false]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `mvt`: x1 += A·y1 and x2 += Aᵀ·y2.
 
-use super::{checksum, dot_col, dot_row, for_n, seed_value, Kernel};
+use super::{checksum, dot, dot_col, for_n, seed_value, Kernel};
 use crate::space::DataSpace;
 use crate::transform::Transformations;
 use sttcache_cpu::Engine;
@@ -46,7 +46,7 @@ impl Kernel for Mvt {
 
         // x1[i] += A[i] · y1  (row-wise)
         for_n(e, 1, self.n, |e, i| {
-            let d = dot_row(e, t, &a, i, &y1);
+            let d = dot(e, t, &a, i, &y1, None);
             let v = x1.at(e, i) + d;
             e.compute(1);
             x1.set(e, i, v);

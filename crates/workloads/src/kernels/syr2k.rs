@@ -1,6 +1,6 @@
 //! `syr2k`: C = α·(A·Bᵀ + B·Aᵀ) + β·C (symmetric rank-2k update).
 
-use super::{checksum, dot_rows, for_n, seed_value, Kernel};
+use super::{checksum, dot, for_n, seed_value, Kernel};
 use crate::space::DataSpace;
 use crate::transform::Transformations;
 use sttcache_cpu::Engine;
@@ -43,8 +43,8 @@ impl Kernel for Syr2k {
 
         for_n(e, 1, self.n, |e, i| {
             for_n(e, 1, i + 1, |e, j| {
-                let d1 = dot_rows(e, t, &a, i, &b, j);
-                let d2 = dot_rows(e, t, &b, i, &a, j);
+                let d1 = dot(e, t, &a, i, (&b, j), None);
+                let d2 = dot(e, t, &b, i, (&a, j), None);
                 let v = BETA * c.at(e, i, j) + ALPHA * (d1 + d2);
                 e.compute(4);
                 c.set(e, i, j, v);

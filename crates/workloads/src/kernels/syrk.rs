@@ -1,6 +1,6 @@
 //! `syrk`: C = α·A·Aᵀ + β·C (symmetric rank-k update, lower triangle).
 
-use super::{checksum, dot_rows, for_n, seed_value, Kernel};
+use super::{checksum, dot, for_n, seed_value, Kernel};
 use crate::space::DataSpace;
 use crate::transform::Transformations;
 use sttcache_cpu::Engine;
@@ -44,7 +44,7 @@ impl Kernel for Syrk {
 
         for_n(e, 1, self.n, |e, i| {
             for_n(e, 1, i + 1, |e, j| {
-                let d = dot_rows(e, t, &a, i, &a, j);
+                let d = dot(e, t, &a, i, (&a, j), None);
                 let v = BETA * c.at(e, i, j) + ALPHA * d;
                 e.compute(3);
                 c.set(e, i, j, v);

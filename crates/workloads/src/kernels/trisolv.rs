@@ -1,6 +1,6 @@
 //! `trisolv`: forward substitution L·x = b.
 
-use super::{checksum, dot_row_prefix, for_n, seed_value, Kernel};
+use super::{checksum, dot, for_n, seed_value, Kernel};
 use crate::space::DataSpace;
 use crate::transform::Transformations;
 use sttcache_cpu::Engine;
@@ -46,7 +46,7 @@ impl Kernel for Trisolv {
 
         for_n(e, 1, self.n, |e, i| {
             // x[i] = (b[i] - Σ_{j<i} L[i][j]·x[j]) / L[i][i]
-            let sum = dot_row_prefix(e, t, &l, i, &x, i);
+            let sum = dot(e, t, &l, i, &x, Some(i));
             let num = b.at(e, i) - sum;
             let den = l.at(e, i, i);
             e.compute(3); // subtract + divide

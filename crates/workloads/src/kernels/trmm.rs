@@ -1,6 +1,6 @@
 //! `trmm`: B = α·Aᵀ·B with A unit lower triangular.
 
-use super::{checksum, for_n, seed_value, Kernel};
+use super::{checksum, for_n, seed_value, strip_mine, Kernel, Step, VEC, VOP};
 use crate::space::DataSpace;
 use crate::transform::Transformations;
 use sttcache_cpu::Engine;
@@ -44,11 +44,9 @@ impl Kernel for Trmm {
         b.fill(|i, j| seed_value(i + 79, j));
         let m = self.m;
 
-        if t.vectorize {
-            let nv = self.n - self.n % super::VEC;
-            for_n(e, 1, m, |e, i| {
-                let mut j = 0;
-                while j < nv {
+        for_n(e, 1, m, |e, i| {
+            strip_mine(e, t.vectorize, 1, 0, self.n, |e, j, step| {
+                if step == Step::Vector {
                     let mut acc = b.at_vec(e, i, j);
                     for_n(e, t.unroll_factor(), m - (i + 1), |e, kt| {
                         let k = i + 1 + kt;
@@ -57,60 +55,36 @@ impl Kernel for Trmm {
                         }
                         let aki = a.at(e, k, i);
                         let bv = b.at_vec(e, k, j);
-                        for l in 0..super::VEC {
+                        for l in 0..VEC {
                             acc[l] += aki * bv[l];
                         }
-                        e.compute(super::VOP);
+                        e.compute(VOP);
                     });
-                    let mut out = [0.0f32; super::VEC];
-                    for l in 0..super::VEC {
+                    let mut out = [0.0f32; VEC];
+                    for l in 0..VEC {
                         out[l] = ALPHA * acc[l];
                     }
                     e.compute(1);
                     b.set_vec(e, i, j, out);
-                    e.compute(1);
-                    e.branch(j + super::VEC < nv);
-                    j += super::VEC;
+                    return;
                 }
-                for_n(e, 1, self.n - nv, |e, jt| {
-                    let j = nv + jt;
-                    self.scalar_cell(e, t, &mut b, &a, i, j);
+                // One scalar cell, the tail's included: it hints both
+                // column walks.
+                let mut acc = b.at(e, i, j);
+                for_n(e, t.unroll_factor(), m - (i + 1), |e, kt| {
+                    let k = i + 1 + kt;
+                    if t.prefetch && k + 2 < m {
+                        e.prefetch(a.addr(k + 2, i));
+                        e.prefetch(b.addr(k + 2, j));
+                    }
+                    acc += a.at(e, k, i) * b.at(e, k, j);
+                    e.compute(3);
                 });
+                e.compute(1);
+                b.set(e, i, j, ALPHA * acc);
             });
-        } else {
-            for_n(e, 1, m, |e, i| {
-                for_n(e, 1, self.n, |e, j| {
-                    self.scalar_cell(e, t, &mut b, &a, i, j);
-                });
-            });
-        }
-        checksum(b.raw())
-    }
-}
-
-impl Trmm {
-    fn scalar_cell(
-        &self,
-        e: &mut dyn Engine,
-        t: Transformations,
-        b: &mut crate::space::Array2,
-        a: &crate::space::Array2,
-        i: usize,
-        j: usize,
-    ) {
-        let m = self.m;
-        let mut acc = b.at(e, i, j);
-        for_n(e, t.unroll_factor(), m - (i + 1), |e, kt| {
-            let k = i + 1 + kt;
-            if t.prefetch && k + 2 < m {
-                e.prefetch(a.addr(k + 2, i));
-                e.prefetch(b.addr(k + 2, j));
-            }
-            acc += a.at(e, k, i) * b.at(e, k, j);
-            e.compute(3);
         });
-        e.compute(1);
-        b.set(e, i, j, ALPHA * acc);
+        checksum(b.raw())
     }
 }
 

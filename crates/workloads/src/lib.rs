@@ -1,12 +1,13 @@
 //! Instrumented PolyBench workloads for the `sttcache` simulator.
 //!
 //! The paper evaluates on "a subset of the PolyBench benchmark suite"
-//! (Pouchet's polyhedral kernels). This crate re-implements sixteen of
-//! those kernels in Rust as *instrumented computations*: every array
-//! element access performs the real floating-point arithmetic **and** emits
-//! a load/store event (with its exact byte address) into a
-//! [`sttcache_cpu::Engine`], so the timing simulator observes precisely the
-//! access stream the kernel's loop nest generates.
+//! (Pouchet's polyhedral kernels). This crate re-implements 28 of those
+//! kernels in Rust, plus four irregular pointer-chasing kernels, as
+//! *instrumented computations*: every array element access performs the
+//! real floating-point arithmetic **and** emits a load/store event (with
+//! its exact byte address) into a [`sttcache_cpu::Engine`], so the timing
+//! simulator observes precisely the access stream the kernel's loop nest
+//! generates.
 //!
 //! ## Code transformations (paper §V)
 //!

@@ -40,7 +40,7 @@ impl Transformations {
         }
     }
 
-    /// Only vectorization (Fig. 6 decomposition).
+    /// Only vectorization (the kernels' own tests).
     pub fn only_vectorize() -> Self {
         Transformations {
             vectorize: true,
@@ -48,7 +48,7 @@ impl Transformations {
         }
     }
 
-    /// Only prefetching (Fig. 6 decomposition).
+    /// Only prefetching (Ext. 2, and the kernels' own tests).
     pub fn only_prefetch() -> Self {
         Transformations {
             prefetch: true,
@@ -56,7 +56,7 @@ impl Transformations {
         }
     }
 
-    /// Only the "others" intrinsics (Fig. 6 decomposition).
+    /// Only the "others" intrinsics (the kernels' own tests).
     pub fn only_others() -> Self {
         Transformations {
             others: true,
