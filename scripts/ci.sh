@@ -61,6 +61,10 @@ STTCACHE_INVARIANTS=1 cargo bench --offline -q -p sttcache-bench --bench ablatio
 
 ./target/release/figures all > "$smoke"
 diff -u figures_output.txt "$smoke"
+# The Small sweep renders every table at the size EXPERIMENTS.md
+# quotes, so it is pinned too.
+./target/release/figures --small all > "$smoke"
+diff -u tests/golden/figures_small.txt "$smoke"
 
 # The CSV route of every per-benchmark figure must not move either.
 for fig in fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9; do
@@ -185,4 +189,4 @@ benchout="$(mktemp -d)"
 trap 'rm -rf "$smoke" "$ttrace" "$mc" "$exttrace" "$prof" "$benchout"' EXIT
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --quick --out "$benchout"
 
-echo "ci: fmt, build, example runs, tests (plain + invariants armed, ignored tests in release), clippy, rustdoc -D warnings, differential + multicore + irregular fuzzers (quick and seeded transcripts pinned to their goldens), ablation tables (plain and invariants armed), figures CSV golden, figures smoke (serial, four workers, replay cross-checked against direct execution, invariants armed with the general cache path on every access, span-only telemetry export, profile with trace-cache miss, release and resident counts), early-closed stdout pipelines, multi-core + irregular determinism, catalog + irregular + multicore goldens (replay cross-checked against direct execution), sim_multicore golden, external-trace replay (pinned to the kernel's own replay), trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"
+echo "ci: fmt, build, example runs, tests (plain + invariants armed, ignored tests in release), clippy, rustdoc -D warnings, differential + multicore + irregular fuzzers (quick and seeded transcripts pinned to their goldens), ablation tables (plain and invariants armed), figures CSV golden, Small sweep golden, figures smoke (serial, four workers, replay cross-checked against direct execution, invariants armed with the general cache path on every access, span-only telemetry export, profile with trace-cache miss, release and resident counts), early-closed stdout pipelines, multi-core + irregular determinism, catalog + irregular + multicore goldens (replay cross-checked against direct execution), sim_multicore golden, external-trace replay (pinned to the kernel's own replay), trace-cache checks and the benchmark package (fmt, clippy, tests, quick golden pass) all green"
