@@ -17,10 +17,13 @@
 //! `--cases` randomized cases per adversary family derived from `N`,
 //! each derived when its turn comes. `--events` is at most 2^24.
 //! Flags the run would ignore (`--seed` beside `--quick`, `--cases`
-//! without `--seed`) and malformed values exit 2, naming the flag; a
-//! malformed `STTCACHE_*` knob, or the retired
-//! `STTCACHE_TRACE_CACHE_BYTES` set to anything, exits 2 naming the
-//! variable before any work, as in `figures` and `sim`.
+//! without `--seed`) and malformed values exit 2, naming the flag. A
+//! flag that takes a value may be given once, a second exits 2 naming
+//! it; `--kind` may be given twice only to pair one mode (`multicore`
+//! or `irregular`) with one adversary family. A malformed `STTCACHE_*`
+//! knob, or the retired `STTCACHE_TRACE_CACHE_BYTES` set to anything,
+//! exits 2 naming the variable before any work, as in `figures` and
+//! `sim`.
 //! On failure the offending `(kind, seed, events)` triple is printed for
 //! replay; `--shrink` additionally minimizes the first failing case —
 //! the failing organization's one-core case, or the mix — by dropping
@@ -36,6 +39,7 @@
 //! kernel/transform pick from the seed, records the kernel's
 //! deterministic trace and checks it like an adversarial one.
 
+use sttcache_bench::args::Args;
 use sttcache_bench::check::{self, Adversary, Mode};
 
 fn usage() -> ! {
@@ -46,76 +50,62 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Refuses `flag`'s value (`None` when the value is missing), naming
-/// both before the usage line.
-fn refuse(flag: &str, value: Option<&str>, expected: &str) -> ! {
-    match value {
-        Some(value) => eprintln!("{flag}: '{value}' is not {expected}"),
-        None => eprintln!("{flag}: missing value"),
-    }
-    usage()
-}
-
-/// `value` of `flag` as a count of at least one.
-fn positive(flag: &str, value: Option<&str>) -> usize {
-    value
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| refuse(flag, value, "a positive integer"))
-}
-
 fn main() {
     sttcache_bench::exit_on_stdout_error("sttcache-check");
     if let Err(e) = sttcache_bench::check_env_knobs() {
         eprintln!("{e}");
         std::process::exit(2);
     }
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Args::from_env(usage);
     let mut quick = false;
     let mut seed: Option<u64> = None;
     let mut cases = None;
     let mut events = 4000usize;
-    let mut kinds: Vec<Adversary> = Adversary::ALL.to_vec();
+    let mut family = None;
     let mut shrink = false;
-    let mut mode = Mode::Oracle;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        // The value after `flag`, moving `i` onto it.
-        let mut value = || {
-            i += 1;
-            args.get(i).map(String::as_str)
-        };
+    let mut mode = None;
+    while let Some(arg) = args.next_arg() {
+        let flag = arg.as_str();
         match flag {
             "--quick" => quick = true,
             "--seed" => {
-                let v = value();
+                let v = args.value(flag);
+                let parsed = v.parse().ok();
                 seed = Some(
-                    v.and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| refuse(flag, v, "an unsigned integer")),
+                    parsed.unwrap_or_else(|| args.refuse(flag, Some(&v), "an unsigned integer")),
                 );
             }
-            "--cases" => cases = Some(positive(flag, value())),
+            "--cases" => {
+                let v = args.value(flag);
+                cases = Some(args.positive(flag, &v));
+            }
             "--events" => {
-                let v = value();
+                let v = args.value(flag);
                 events = v
-                    .and_then(|v| v.parse().ok())
+                    .parse()
+                    .ok()
                     .filter(|n| (1..=check::MAX_EVENTS).contains(n))
                     .unwrap_or_else(|| {
                         let expected = format!("an event count from 1 to {}", check::MAX_EVENTS);
-                        refuse(flag, v, &expected)
+                        args.refuse(flag, Some(&v), &expected)
                     });
             }
             "--kind" => {
-                let name = value();
                 // A mode name switches the cross-check every family's
                 // traces run through; any other name picks one family.
-                if let Some(m) = name.and_then(Mode::from_name) {
-                    mode = m;
-                } else if let Some(kind) = name.and_then(Adversary::from_name) {
-                    kinds = vec![kind];
+                // One of each may be given.
+                let name = args.repeated_value(flag);
+                let second = if let Some(m) = Mode::from_name(&name) {
+                    mode.replace(m).map(|_| "mode")
+                } else if let Some(kind) = Adversary::from_name(&name) {
+                    family.replace(kind).map(|_| "family")
                 } else {
-                    refuse(flag, name, "one of the names from --list-kinds")
+                    args.refuse(flag, Some(&name), "one of the names from --list-kinds")
+                };
+                if let Some(what) = second {
+                    args.reject(&format!(
+                        "--kind: '{name}' is a second {what}; give at most one mode and one family"
+                    ));
                 }
             }
             "--shrink" => shrink = true,
@@ -129,23 +119,19 @@ fn main() {
                 return;
             }
             "-h" | "--help" => usage(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                usage()
-            }
+            other => args.reject(&format!("unknown argument: {other}")),
         }
-        i += 1;
     }
     // Reject the flags this run would ignore, whatever their order.
     if quick && seed.is_some() {
-        eprintln!("--quick runs the fixed-seed battery and would ignore --seed");
-        usage()
+        args.reject("--quick runs the fixed-seed battery and would ignore --seed");
     }
     if cases.is_some() && seed.is_none() {
-        eprintln!("--cases sizes a --seed run; the quick battery would ignore it");
-        usage()
+        args.reject("--cases sizes a --seed run; the quick battery would ignore it");
     }
     let cases = cases.unwrap_or(4);
+    let mode = mode.unwrap_or(Mode::Oracle);
+    let kinds = family.map_or_else(|| Adversary::ALL.to_vec(), |kind| vec![kind]);
 
     // Each case is a (kind, seed) pair, derived when the loop reaches it:
     // the quick battery uses the fixed seeds, a randomized run derives

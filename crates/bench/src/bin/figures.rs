@@ -16,7 +16,8 @@
 //! exit 2 naming both. Output is byte-identical
 //! at every worker count — results merge by grid index, not completion
 //! order. A malformed or missing flag value exits 2 naming the flag and
-//! the value.
+//! the value; a flag that takes a value may be given once, and a second
+//! exits 2 naming it.
 //!
 //! Grid points replay through the record-once/replay-many trace cache.
 //! A malformed `STTCACHE_THREADS`, `STTCACHE_TRACE_CHECK` or
@@ -36,8 +37,9 @@
 
 use std::fs::File;
 use std::io::Write;
+use sttcache_bench::args::Args;
 use sttcache_bench::figures::{self, Artifact};
-use sttcache_bench::{parallel, profile, ProfileReport};
+use sttcache_bench::{profile, ProfileReport};
 use sttcache_workloads::ProblemSize;
 
 fn usage() -> ! {
@@ -46,16 +48,6 @@ fn usage() -> ! {
          [--small] [--csv] [--jobs N | --serial] [--profile] [--telemetry-json PATH]"
     );
     std::process::exit(2);
-}
-
-/// Refuses `flag`'s value (`None` when the value is missing), naming
-/// both before the usage line.
-fn refuse(flag: &str, value: Option<&str>, expected: &str) -> ! {
-    match value {
-        Some(value) => eprintln!("{flag}: '{value}' is not {expected}"),
-        None => eprintln!("{flag}: missing value"),
-    }
-    usage()
 }
 
 /// Names `path` and the error that kept the telemetry JSON out of it,
@@ -71,67 +63,45 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(2);
     }
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Args::from_env(usage);
     let mut size = ProblemSize::Mini;
-    let mut what: Option<&str> = None;
+    let mut what: Option<String> = None;
     let mut csv = false;
     let mut profile_text = false;
     let mut telemetry_json: Option<String> = None;
     let mut serial = false;
     let mut jobs = None;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        // The value after `flag`, moving `i` onto it.
-        let mut value = || {
-            i += 1;
-            args.get(i)
-                .map_or_else(|| refuse(flag, None, ""), String::as_str)
-        };
+    while let Some(arg) = args.next_arg() {
+        let flag = arg.as_str();
         match flag {
             "--small" => size = ProblemSize::Small,
             "--csv" => csv = true,
             "--serial" => serial = true,
             "--jobs" => {
-                let n = value();
-                let parsed = n.parse().ok().filter(|&n| n > 0);
-                jobs = Some(parsed.unwrap_or_else(|| refuse(flag, Some(n), "a positive integer")));
+                let n = args.value(flag);
+                jobs = Some(args.positive(flag, &n));
             }
             "--profile" => profile_text = true,
-            "--telemetry-json" => telemetry_json = Some(value().to_string()),
+            "--telemetry-json" => telemetry_json = Some(args.value(flag)),
             "--help" | "-h" => usage(),
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag '{other}'");
-                usage();
-            }
+            other if other.starts_with("--") => args.reject(&format!("unknown flag '{other}'")),
             other => {
-                if let Some(first) = what {
-                    eprintln!("extra argument '{other}' after '{first}': one artifact per run");
-                    usage();
+                if let Some(first) = &what {
+                    args.reject(&format!(
+                        "extra argument '{other}' after '{first}': one artifact per run"
+                    ));
                 }
-                what = Some(other);
+                what = Some(arg);
             }
         }
-        i += 1;
     }
-    let what = what.unwrap_or("all");
-    // Worker-count flags apply to every sweep this process runs.
-    match (serial, jobs) {
-        (true, Some(_)) => {
-            eprintln!("--serial and --jobs both set the worker count: give one");
-            usage();
-        }
-        (true, None) => parallel::set_jobs(1),
-        (false, Some(n)) => parallel::set_jobs(n),
-        (false, None) => {}
-    }
+    let what = what.as_deref().unwrap_or("all");
+    args.set_workers(serial, jobs);
     if csv && profile_text {
-        eprintln!("--profile times the text artifacts; --csv would ignore it");
-        usage();
+        args.reject("--profile times the text artifacts; --csv would ignore it");
     }
     if csv && telemetry_json.is_some() {
-        eprintln!("--telemetry-json traces the text artifacts; --csv would ignore it");
-        usage();
+        args.reject("--telemetry-json traces the text artifacts; --csv would ignore it");
     }
     if csv {
         if figures::print_csv(what, size) {
@@ -151,8 +121,7 @@ fn main() {
             .chain(figures::opt_in_artifacts())
             .find(|(name, _)| *name == what);
         let Some(artifact) = found else {
-            eprintln!("unknown figure '{what}'");
-            usage();
+            args.reject(&format!("unknown figure '{what}'"));
         };
         vec![artifact]
     };

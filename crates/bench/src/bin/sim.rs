@@ -36,10 +36,14 @@
 //! * A flag the selected run would ignore exits 2 and names the flag:
 //!   `--vwb-bits` without `--org vwb`, `--l2-banks` on a single core, and
 //!   `--bench`, `--trace-file`, `--baseline` or `--icache` on a
-//!   multi-core run (name the mix's workloads with `--mix`). `--serial`
-//!   and `--jobs` together exit 2 naming both, in either order. A flag value
-//!   that does not parse, or a missing one, exits 2 naming the flag and
-//!   the value (`--size: 'huge' is not mini|small`, `--mix: missing
+//!   multi-core run (name the mix's workloads with `--mix`).
+//! * Two flags that pick the same thing exit 2 naming both, in either
+//!   order: `--serial` and `--jobs` (the worker count), `--bench` and
+//!   `--trace-file` (the workload), and `--org` and `--explain <org>`
+//!   (the organization). A flag that takes a value may be given once; a
+//!   second exits 2 naming it (`--bench given twice`). A flag value that
+//!   does not parse, or a missing one, exits 2 naming the flag and the
+//!   value (`--size: 'huge' is not mini|small`, `--mix: missing
 //!   value`).
 //! * A configuration the model refuses exits 1 naming it, e.g. a VWB of
 //!   more than 1024 lines.
@@ -58,9 +62,8 @@
 use sttcache::{
     DCacheOrganization, DlOneTechnology, Platform, PlatformConfig, RunResult, VwbConfig, MAX_CORES,
 };
-use sttcache_bench::{
-    explain, multicore, parallel, trace_cache, workload, ProfileReport, SweepRunner,
-};
+use sttcache_bench::args::Args;
+use sttcache_bench::{explain, multicore, trace_cache, workload, ProfileReport, SweepRunner};
 use sttcache_workloads::{catalog, ProblemSize, Transformations, Workload};
 
 struct Options {
@@ -103,25 +106,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Refuses `flag`'s value (`None` when the value is missing), naming
-/// both before the usage line.
-fn refuse(flag: &str, value: Option<&str>, expected: &str) -> ! {
-    match value {
-        Some(value) => eprintln!("{flag}: '{value}' is not {expected}"),
-        None => eprintln!("{flag}: missing value"),
-    }
-    usage()
-}
-
-/// `value` of `flag` as a count of at least one.
-fn positive(flag: &str, value: &str) -> usize {
-    value
-        .parse()
-        .ok()
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| refuse(flag, Some(value), "a positive integer"))
-}
-
 fn resolve_workload(token: &str) -> Workload {
     workload::resolve(token).unwrap_or_else(|e| {
         eprintln!("{e}");
@@ -149,11 +133,9 @@ fn parse_opts(spec: &str) -> Option<Transformations> {
 }
 
 fn parse_args() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Args::from_env(usage);
     let mut bench = None;
     let mut org = "nvm".to_string();
-    // The flag that chose `org`, named if the key is unknown.
-    let mut org_flag = "--org";
     let mut size = ProblemSize::Mini;
     let mut opts = Transformations::none();
     let mut vwb_bits = None;
@@ -167,50 +149,38 @@ fn parse_args() -> Options {
     let mut serial = false;
     let mut jobs = None;
 
-    let mut i = 0;
-    // The value after the flag at `i`, moving `i` onto it.
-    let next = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .unwrap_or_else(|| refuse(&args[*i - 1], None, ""))
-    };
-    while i < args.len() {
-        let flag = args[i].as_str();
+    while let Some(arg) = args.next_arg() {
+        let flag = arg.as_str();
         match flag {
-            "--bench" => bench = Some(resolve_workload(&next(&mut i))),
-            "--trace-file" => {
-                bench = Some(resolve_workload(&format!("file:{}", next(&mut i))));
-            }
-            "--org" => {
-                org = next(&mut i);
-                org_flag = flag;
-            }
+            "--bench" => bench = Some(args.value(flag)),
+            "--trace-file" => bench = Some(format!("file:{}", args.value(flag))),
+            "--org" => org = args.value(flag),
             "--size" => {
-                let value = next(&mut i);
+                let value = args.value(flag);
                 size = match value.as_str() {
                     "mini" => ProblemSize::Mini,
                     "small" => ProblemSize::Small,
-                    _ => refuse(flag, Some(&value), "mini|small"),
+                    _ => args.refuse(flag, Some(&value), "mini|small"),
                 }
             }
             "--opts" => {
-                let value = next(&mut i);
+                let value = args.value(flag);
                 opts = parse_opts(&value).unwrap_or_else(|| {
-                    refuse(flag, Some(&value), "none|all|a +-joined subset of v, p, o")
+                    args.refuse(flag, Some(&value), "none|all|a +-joined subset of v, p, o")
                 });
             }
             "--vwb-bits" => {
-                let value = next(&mut i);
+                let value = args.value(flag);
                 let bits = value.parse();
-                vwb_bits = Some(bits.unwrap_or_else(|_| refuse(flag, Some(&value), "a bit count")));
+                vwb_bits =
+                    Some(bits.unwrap_or_else(|_| args.refuse(flag, Some(&value), "a bit count")));
             }
             "--icache" => {
-                let value = next(&mut i);
+                let value = args.value(flag);
                 icache = Some(match value.as_str() {
                     "sram" => DlOneTechnology::Sram,
                     "nvm" => DlOneTechnology::SttMram,
-                    _ => refuse(flag, Some(&value), "sram|nvm"),
+                    _ => args.refuse(flag, Some(&value), "sram|nvm"),
                 });
             }
             "--baseline" => baseline = true,
@@ -219,76 +189,78 @@ fn parse_args() -> Options {
                 // The org operand is optional: bare `--explain` explains
                 // the `--org` selection (or the whole mix when
                 // `--cores`/`--mix` is in play).
-                if let Some(arg) = args.get(i + 1) {
-                    if !arg.starts_with("--") {
-                        i += 1;
-                        org = arg.clone();
-                        org_flag = flag;
-                    }
+                if args.peek().is_some_and(|next| !next.starts_with("--")) {
+                    org = args.value(flag);
                 }
             }
             "--cores" => {
                 // Checked here, before the default mix is sized by it.
-                let value = next(&mut i);
+                let value = args.value(flag);
                 cores = value
                     .parse()
                     .ok()
                     .filter(|n| (1..=MAX_CORES).contains(n))
                     .unwrap_or_else(|| {
                         let expected = format!("a core count from 1 to {MAX_CORES}");
-                        refuse(flag, Some(&value), &expected)
+                        args.refuse(flag, Some(&value), &expected)
                     });
             }
-            "--mix" => mix = Some(next(&mut i)),
+            "--mix" => mix = Some(args.value(flag)),
             "--l2-banks" => {
-                let value = next(&mut i);
-                let banks = positive(flag, &value);
+                let value = args.value(flag);
+                let banks = args.positive(flag, &value);
                 if !banks.is_power_of_two() {
-                    refuse(flag, Some(&value), "a power of two");
+                    args.refuse(flag, Some(&value), "a power of two");
                 }
                 l2_banks = Some(banks);
             }
             "--profile" => profile = true,
             "--serial" => serial = true,
-            "--jobs" => jobs = Some(positive(flag, &next(&mut i))),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument '{other}'");
-                usage();
+            "--jobs" => {
+                let value = args.value(flag);
+                jobs = Some(args.positive(flag, &value));
             }
+            "--help" | "-h" => usage(),
+            other => args.reject(&format!("unknown argument '{other}'")),
         }
-        i += 1;
     }
+
+    // Two flags that pick the same thing are refused together, like
+    // `--serial` with `--jobs`, before either is acted on.
+    if args.given("--bench") && args.given("--trace-file") {
+        args.reject("--bench and --trace-file both name the workload: give one");
+    }
+    if args.given("--org") && args.given("--explain") {
+        args.reject("--org and --explain <org> both pick the organization: give one");
+    }
+    let bench = bench.map(|token| resolve_workload(&token));
+    // The flag that chose `org`, named if the key is unknown.
+    let org_flag = if args.given("--explain") {
+        "--explain"
+    } else {
+        "--org"
+    };
 
     // Reject the flags this run would ignore. Checked after parsing, so
     // flag order does not matter: `--explain vwb` may select the VWB
     // after `--vwb-bits` was given.
     let multi = cores > 1 || mix.is_some();
-    fn reject(why: &str) -> ! {
-        eprintln!("{why}");
-        usage()
-    }
     if vwb_bits.is_some() && org != "vwb" {
-        reject("--vwb-bits needs --org vwb");
+        args.reject("--vwb-bits needs --org vwb");
     }
     if l2_banks.is_some() && !multi {
-        reject("--l2-banks needs --cores N or --mix");
+        args.reject("--l2-banks needs --cores N or --mix");
     }
     if multi && mix.is_none() && bench.is_some() {
-        reject("--bench/--trace-file: the default multi-core mix ignores it (use --mix)");
+        args.reject("--bench/--trace-file: the default multi-core mix ignores it (use --mix)");
     }
     if multi && baseline {
-        reject("--baseline applies to single-core runs only");
+        args.reject("--baseline applies to single-core runs only");
     }
     if multi && icache.is_some() {
-        reject("--icache applies to single-core runs only");
+        args.reject("--icache applies to single-core runs only");
     }
-    match (serial, jobs) {
-        (true, Some(_)) => reject("--serial and --jobs both set the worker count: give one"),
-        (true, None) => parallel::set_jobs(1),
-        (false, Some(n)) => parallel::set_jobs(n),
-        (false, None) => {}
-    }
+    args.set_workers(serial, jobs);
 
     // `--vwb-bits` overrides the catalog's default VWB size; every other
     // key resolves straight from the catalog.
@@ -299,7 +271,7 @@ fn parse_args() -> Options {
         }),
         key => {
             sttcache::by_cli(key)
-                .unwrap_or_else(|| refuse(org_flag, Some(key), &org_keys()))
+                .unwrap_or_else(|| args.refuse(org_flag, Some(key), &org_keys()))
                 .organization
         }
     };

@@ -9,19 +9,24 @@
 use crate::parallel::{self, SweepRunner};
 use crate::trace_cache;
 use sttcache::{
-    average_penalty, nvm_dl1_config, penalty_pct, DCacheOrganization, PenaltyRow, PlatformConfig,
-    RunResult, VwbConfig,
+    nvm_dl1_config, penalty_pct, DCacheOrganization, PlatformConfig, RunResult, VwbConfig,
 };
 use sttcache_mem::CacheConfigBuilder;
 use sttcache_tech::{table_one, TableOneRow};
-use sttcache_workloads::{
-    catalog, ProblemSize, Transformations, Workload, WorkloadFamily, WorkloadSpec,
-};
+use sttcache_workloads::{catalog, ProblemSize, Transformations, Workload, WorkloadFamily};
 
-/// The affine (PolyBench) rows every paper figure sweeps, in the
-/// catalog's canonical order (which fixes figure row order).
-fn affine() -> Vec<WorkloadSpec> {
-    catalog::family(WorkloadFamily::Affine)
+/// The workloads of family `f`, in the catalog's canonical order (which
+/// fixes a table's row order).
+pub(crate) fn family(f: WorkloadFamily) -> Vec<Workload> {
+    catalog::family(f)
+        .iter()
+        .map(|spec| spec.workload)
+        .collect()
+}
+
+/// The affine (PolyBench) workloads every paper figure sweeps.
+fn affine() -> Vec<Workload> {
+    family(WorkloadFamily::Affine)
 }
 
 /// Runs one benchmark on one platform organization with the given
@@ -60,37 +65,59 @@ fn sweep_combos(
     cycles.chunks(affine().len()).map(|c| c.to_vec()).collect()
 }
 
-/// A labelled multi-series penalty table (one series per configuration,
-/// one row per benchmark plus AVERAGE).
+/// A labelled multi-series table: one column per series, one row per
+/// benchmark, workload or organization, closed by an AVERAGE or TOTAL
+/// row where the artifact has one. Every figure and extension returns
+/// one, and [`crate::figures`] renders them all.
 #[derive(Debug, Clone)]
 pub struct SeriesTable {
-    /// Series (configuration) labels, in column order.
+    /// Series (column) labels, in column order.
     pub series: Vec<String>,
-    /// `(benchmark, penalties-per-series)` rows.
+    /// `(label, value-per-series)` rows.
     pub rows: Vec<(String, Vec<f64>)>,
 }
 
 impl SeriesTable {
-    /// Appends the AVERAGE row the paper's figures end with (the figure
-    /// and extension constructors call this exactly once).
-    pub(crate) fn with_average(mut self) -> Self {
-        let cols = self.series.len();
+    /// The table of `rows` under `series`, with no summary row.
+    pub(crate) fn new<S: Into<String>>(
+        series: impl IntoIterator<Item = S>,
+        rows: Vec<(String, Vec<f64>)>,
+    ) -> Self {
+        SeriesTable {
+            series: series.into_iter().map(Into::into).collect(),
+            rows,
+        }
+    }
+
+    /// Appends the AVERAGE row the paper's figures end with: each series
+    /// summed in row order and divided by the row count.
+    pub(crate) fn with_average(self) -> Self {
         let n = self.rows.len().max(1) as f64;
-        let avg: Vec<f64> = (0..cols)
-            .map(|c| self.rows.iter().map(|(_, v)| v[c]).sum::<f64>() / n)
+        self.with_summary("AVERAGE", n)
+    }
+
+    /// Appends a TOTAL row: each series summed in row order.
+    pub(crate) fn with_total(self) -> Self {
+        self.with_summary("TOTAL", 1.0)
+    }
+
+    fn with_summary(mut self, label: &str, divisor: f64) -> Self {
+        let summary = (0..self.series.len())
+            .map(|c| self.rows.iter().map(|(_, v)| v[c]).sum::<f64>() / divisor)
             .collect();
-        self.rows.push(("AVERAGE".to_string(), avg));
+        self.rows.push((label.to_string(), summary));
         self
     }
 
     /// The AVERAGE value of a series (requires [`SeriesTable::rows`] to end
-    /// with the AVERAGE row, which every figure constructor guarantees).
+    /// with the AVERAGE row, which every figure and every extension but
+    /// Exts. 5 and 6 guarantees).
     pub fn average(&self, series_idx: usize) -> f64 {
         self.rows.last().expect("table has an AVERAGE row").1[series_idx]
     }
 
     /// Renders the table as CSV (`benchmark` column plus one column per
-    /// series; values in percent).
+    /// series, three decimals).
     pub fn to_csv(&self) -> String {
         let mut out = String::from("benchmark");
         for s in &self.series {
@@ -109,6 +136,32 @@ impl SeriesTable {
     }
 }
 
+/// One row per affine benchmark, its cells `cells(i)` for the benchmark
+/// at catalog index `i`, closed by the AVERAGE row.
+fn per_benchmark<S: Into<String>>(
+    series: impl IntoIterator<Item = S>,
+    cells: impl Fn(usize) -> Vec<f64>,
+) -> SeriesTable {
+    let rows = affine()
+        .iter()
+        .enumerate()
+        .map(|(i, w)| (w.label(), cells(i)))
+        .collect();
+    SeriesTable::new(series, rows).with_average()
+}
+
+/// One row per workload, labelled with its name, its cells `cells(w)`.
+/// Each workload is one item of the current sweep runner, so the table
+/// shards at workload granularity. No summary row.
+pub(crate) fn per_workload<S: Into<String>>(
+    workloads: &[Workload],
+    series: impl IntoIterator<Item = S>,
+    cells: impl Fn(Workload) -> Vec<f64> + Sync,
+) -> SeriesTable {
+    let rows = SweepRunner::current().map_ok(workloads, |_, &w| (w.label(), cells(w)));
+    SeriesTable::new(series, rows)
+}
+
 /// Table I: the 64 KB SRAM vs STT-MRAM technology comparison.
 pub fn table1() -> [TableOneRow; 2] {
     table_one()
@@ -116,7 +169,7 @@ pub fn table1() -> [TableOneRow; 2] {
 
 /// Fig. 1: performance penalty of the drop-in STT-MRAM D-cache, per
 /// benchmark, relative to the SRAM baseline.
-pub fn fig1(size: ProblemSize) -> Vec<PenaltyRow> {
+pub fn fig1(size: ProblemSize) -> SeriesTable {
     let chunks = sweep_combos(
         &[
             (DCacheOrganization::SramBaseline, Transformations::none()),
@@ -124,14 +177,9 @@ pub fn fig1(size: ProblemSize) -> Vec<PenaltyRow> {
         ],
         size,
     );
-    let mut rows: Vec<PenaltyRow> = affine()
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| PenaltyRow::new(spec.name, penalty_pct(chunks[0][i], chunks[1][i])))
-        .collect();
-    let avg = average_penalty(&rows);
-    rows.push(PenaltyRow::new("AVERAGE", avg));
-    rows
+    per_benchmark(["Drop-in NVM D-Cache"], |i| {
+        vec![penalty_pct(chunks[0][i], chunks[1][i])]
+    })
 }
 
 /// Fig. 3: drop-in NVM vs NVM + VWB (both untransformed).
@@ -147,45 +195,22 @@ pub fn fig3(size: ProblemSize) -> SeriesTable {
         ],
         size,
     );
-    let rows = affine()
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            (
-                spec.name.to_string(),
-                vec![
-                    penalty_pct(chunks[0][i], chunks[1][i]),
-                    penalty_pct(chunks[0][i], chunks[2][i]),
-                ],
-            )
-        })
-        .collect();
-    SeriesTable {
-        series: vec!["Drop-in NVM D-Cache".into(), "NVM D-Cache with VWB".into()],
-        rows,
-    }
-    .with_average()
-}
-
-/// One benchmark's read/write penalty decomposition (Fig. 4).
-#[derive(Debug, Clone)]
-pub struct Fig4Row {
-    /// Benchmark name.
-    pub name: String,
-    /// Relative read-latency contribution to the penalty, in percent.
-    pub read_pct: f64,
-    /// Relative write-latency contribution to the penalty, in percent.
-    pub write_pct: f64,
+    per_benchmark(["Drop-in NVM D-Cache", "NVM D-Cache with VWB"], |i| {
+        vec![
+            penalty_pct(chunks[0][i], chunks[1][i]),
+            penalty_pct(chunks[0][i], chunks[2][i]),
+        ]
+    })
 }
 
 /// Fig. 4: relative contribution of read vs write access latency to the
-/// VWB organization's penalty.
+/// VWB organization's penalty, in percent.
 ///
 /// Measured counterfactually, gem5-style: one platform with only the NVM
 /// *read* latency (writes at SRAM speed) and one with only the NVM *write*
 /// latency. Each counterfactual's penalty over the SRAM baseline is its
 /// latency class's contribution; shares are normalized to 100 %.
-pub fn fig4(size: ProblemSize) -> Vec<Fig4Row> {
+pub fn fig4(size: ProblemSize) -> SeriesTable {
     // NVM DL1 geometry with one latency class reverted to SRAM speed.
     let with_latencies = |read: u64, write: u64| -> PlatformConfig {
         let dl1 = CacheConfigBuilder::from(nvm_dl1_config().expect("canonical dl1"))
@@ -200,9 +225,8 @@ pub fn fig4(size: ProblemSize) -> Vec<Fig4Row> {
 
     // One sweep item per benchmark: the three runs a decomposition needs
     // (SRAM reference, read-only-slow, write-only-slow).
-    let rows_in = affine();
-    let shares = SweepRunner::current().map_ok(&rows_in, |_, spec| {
-        let b = spec.workload;
+    let series = ["Read penalty contrib", "Write penalty contrib"];
+    per_workload(&affine(), series, |b| {
         let read_only = with_latencies(4, 1);
         let write_only = with_latencies(1, 2);
         let sram = run_benchmark(
@@ -228,35 +252,16 @@ pub fn fig4(size: ProblemSize) -> Vec<Fig4Row> {
                 .saturating_sub(sram.core.write_stall_cycles);
             let tot = (re + we).max(1) as f64;
             if re + we == 0 {
-                (100.0, 0.0)
+                vec![100.0, 0.0]
             } else {
-                (re as f64 / tot * 100.0, we as f64 / tot * 100.0)
+                vec![re as f64 / tot * 100.0, we as f64 / tot * 100.0]
             }
         } else {
             let total = p_read + p_write;
-            (p_read / total * 100.0, p_write / total * 100.0)
+            vec![p_read / total * 100.0, p_write / total * 100.0]
         }
-    });
-
-    let mut rows = Vec::new();
-    let mut sum_read = 0.0;
-    let mut sum_write = 0.0;
-    for (spec, (read_pct, write_pct)) in rows_in.iter().zip(shares) {
-        sum_read += read_pct;
-        sum_write += write_pct;
-        rows.push(Fig4Row {
-            name: spec.name.to_string(),
-            read_pct,
-            write_pct,
-        });
-    }
-    let n = rows_in.len() as f64;
-    rows.push(Fig4Row {
-        name: "AVERAGE".into(),
-        read_pct: sum_read / n,
-        write_pct: sum_write / n,
-    });
-    rows
+    })
+    .with_average()
 }
 
 /// Fig. 5: drop-in NVM, VWB without transformations, VWB with all
@@ -278,57 +283,29 @@ pub fn fig5(size: ProblemSize) -> SeriesTable {
         ],
         size,
     );
-    let rows = affine()
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            (
-                spec.name.to_string(),
-                vec![
-                    penalty_pct(chunks[0][i], chunks[2][i]),
-                    penalty_pct(chunks[0][i], chunks[3][i]),
-                    penalty_pct(chunks[1][i], chunks[4][i]),
-                ],
-            )
-        })
-        .collect();
-    SeriesTable {
-        series: vec![
-            "Drop-in NVM".into(),
-            "No Optimization".into(),
-            "With Optimization".into(),
-        ],
-        rows,
-    }
-    .with_average()
+    let series = ["Drop-in NVM", "No Optimization", "With Optimization"];
+    per_benchmark(series, |i| {
+        vec![
+            penalty_pct(chunks[0][i], chunks[2][i]),
+            penalty_pct(chunks[0][i], chunks[3][i]),
+            penalty_pct(chunks[1][i], chunks[4][i]),
+        ]
+    })
 }
 
-/// One benchmark's per-transformation contribution split (Fig. 6).
-#[derive(Debug, Clone)]
-pub struct Fig6Row {
-    /// Benchmark name.
-    pub name: String,
-    /// Share of the penalty reduction due to vectorization, in percent.
-    pub vectorization_pct: f64,
-    /// Share due to prefetching, in percent.
-    pub prefetching_pct: f64,
-    /// Share due to the "others" intrinsics, in percent.
-    pub others_pct: f64,
-}
-
-/// Fig. 6: contribution of each transformation family to the penalty
-/// reduction on the VWB organization.
+/// Fig. 6: contribution of each transformation family (vectorization,
+/// prefetching, the "others" intrinsics) to the penalty reduction on the
+/// VWB organization, in percent.
 ///
 /// Each family's contribution is the penalty reduction it achieves alone;
 /// shares are normalized to 100 % as in the paper's stacked bars.
-pub fn fig6(size: ProblemSize) -> Vec<Fig6Row> {
+pub fn fig6(size: ProblemSize) -> SeriesTable {
     let org = DCacheOrganization::nvm_vwb_default();
     // One sweep item per benchmark; each item runs its leave-one-out
     // decomposition (up to a dozen simulations) so the grid shards at
     // benchmark granularity.
-    let rows_in = affine();
-    let shares = SweepRunner::current().map_ok(&rows_in, |_, spec| {
-        let b = spec.workload;
+    let series = ["Vectorization", "Pre-fetching", "Others"];
+    per_workload(&affine(), series, |b| {
         // Leave-one-out: a family's contribution is how much the penalty
         // worsens when it alone is removed from the full set (this credits
         // interactions, e.g. alignment x vectorization, to "others").
@@ -367,30 +344,9 @@ pub fn fig6(size: ProblemSize) -> Vec<Fig6Row> {
             trace_cache::release_trace(b, size, t);
         }
         let total = (v + p + o).max(1e-9);
-        (v / total * 100.0, p / total * 100.0, o / total * 100.0)
-    });
-
-    let mut rows = Vec::new();
-    let mut sums = [0.0f64; 3];
-    for (spec, (v, p, o)) in rows_in.iter().zip(shares) {
-        sums[0] += v;
-        sums[1] += p;
-        sums[2] += o;
-        rows.push(Fig6Row {
-            name: spec.name.to_string(),
-            vectorization_pct: v,
-            prefetching_pct: p,
-            others_pct: o,
-        });
-    }
-    let n = rows_in.len() as f64;
-    rows.push(Fig6Row {
-        name: "AVERAGE".into(),
-        vectorization_pct: sums[0] / n,
-        prefetching_pct: sums[1] / n,
-        others_pct: sums[2] / n,
-    });
-    rows
+        vec![v / total * 100.0, p / total * 100.0, o / total * 100.0]
+    })
+    .with_average()
 }
 
 /// Fig. 7: penalty of the optimized VWB organization for 1, 2 and 4 Kbit
@@ -408,24 +364,12 @@ pub fn fig7(size: ProblemSize) -> SeriesTable {
         )
     }));
     let chunks = sweep_combos(&combos, size);
-    let rows = affine()
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let cols = (1..combos.len())
-                .map(|c| penalty_pct(chunks[0][i], chunks[c][i]))
-                .collect();
-            (spec.name.to_string(), cols)
-        })
-        .collect();
-    SeriesTable {
-        series: sizes
-            .iter()
-            .map(|s| format!("VWB = {} KBit", s / 1024))
-            .collect(),
-        rows,
-    }
-    .with_average()
+    let series = sizes.iter().map(|s| format!("VWB = {} KBit", s / 1024));
+    per_benchmark(series, |i| {
+        (1..combos.len())
+            .map(|c| penalty_pct(chunks[0][i], chunks[c][i]))
+            .collect()
+    })
 }
 
 /// Fig. 8: the optimized proposal vs the EMSHR and L0 baselines (all
@@ -444,38 +388,17 @@ pub fn fig8(size: ProblemSize) -> SeriesTable {
         (DCacheOrganization::nvm_l0_default(), Transformations::all()),
     ];
     let chunks = sweep_combos(&combos, size);
-    let rows = affine()
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let cols = (1..combos.len())
-                .map(|c| penalty_pct(chunks[0][i], chunks[c][i]))
-                .collect();
-            (spec.name.to_string(), cols)
-        })
-        .collect();
-    SeriesTable {
-        series: vec!["Our Proposal".into(), "EMSHR".into(), "L0-Cache".into()],
-        rows,
-    }
-    .with_average()
-}
-
-/// One benchmark's optimization gains on both platforms (Fig. 9).
-#[derive(Debug, Clone)]
-pub struct Fig9Row {
-    /// Benchmark name.
-    pub name: String,
-    /// Speed-up of the SRAM baseline from the code transformations, in
-    /// percent of its untransformed runtime.
-    pub baseline_gain_pct: f64,
-    /// Speed-up of the NVM + VWB proposal from the transformations.
-    pub proposal_gain_pct: f64,
+    per_benchmark(["Our Proposal", "EMSHR", "L0-Cache"], |i| {
+        (1..combos.len())
+            .map(|c| penalty_pct(chunks[0][i], chunks[c][i]))
+            .collect()
+    })
 }
 
 /// Fig. 9: effect of the code transformations on the SRAM baseline vs on
-/// the proposal (performance *gain*, not penalty).
-pub fn fig9(size: ProblemSize) -> Vec<Fig9Row> {
+/// the proposal (performance *gain*, in percent of the untransformed
+/// runtime, not penalty).
+pub fn fig9(size: ProblemSize) -> SeriesTable {
     let chunks = sweep_combos(
         &[
             (DCacheOrganization::SramBaseline, Transformations::none()),
@@ -492,25 +415,13 @@ pub fn fig9(size: ProblemSize) -> Vec<Fig9Row> {
         size,
     );
     let gain = |plain: u64, opt: u64| (plain as f64 - opt as f64) / plain as f64 * 100.0;
-    let mut rows = Vec::new();
-    let mut sums = [0.0f64; 2];
-    for (i, spec) in affine().iter().enumerate() {
-        let row = Fig9Row {
-            name: spec.name.to_string(),
-            baseline_gain_pct: gain(chunks[0][i], chunks[1][i]),
-            proposal_gain_pct: gain(chunks[2][i], chunks[3][i]),
-        };
-        sums[0] += row.baseline_gain_pct;
-        sums[1] += row.proposal_gain_pct;
-        rows.push(row);
-    }
-    let n = affine().len() as f64;
-    rows.push(Fig9Row {
-        name: "AVERAGE".into(),
-        baseline_gain_pct: sums[0] / n,
-        proposal_gain_pct: sums[1] / n,
-    });
-    rows
+    let series = ["Baseline perf gain", "NVM proposal perf gain"];
+    per_benchmark(series, |i| {
+        vec![
+            gain(chunks[0][i], chunks[1][i]),
+            gain(chunks[2][i], chunks[3][i]),
+        ]
+    })
 }
 
 #[cfg(test)]
@@ -519,31 +430,28 @@ mod tests {
 
     #[test]
     fn fig1_has_all_benchmarks_plus_average() {
-        let rows = fig1(ProblemSize::Mini);
-        assert_eq!(rows.len(), affine().len() + 1);
-        assert_eq!(rows.last().unwrap().name, "AVERAGE");
+        let t = fig1(ProblemSize::Mini);
+        assert_eq!(t.rows.len(), affine().len() + 1);
+        assert_eq!(t.rows.last().unwrap().0, "AVERAGE");
         // Every drop-in penalty is positive.
-        for r in &rows {
-            assert!(r.penalty_pct > 0.0, "{}: {}", r.name, r.penalty_pct);
+        for (name, cells) in &t.rows {
+            assert!(cells[0] > 0.0, "{name}: {}", cells[0]);
         }
     }
 
     #[test]
     fn fig4_shares_sum_to_100() {
-        for row in fig4(ProblemSize::Mini) {
-            assert!(
-                (row.read_pct + row.write_pct - 100.0).abs() < 1e-6,
-                "{}",
-                row.name
-            );
+        for (name, cells) in fig4(ProblemSize::Mini).rows {
+            let sum = cells[0] + cells[1];
+            assert!((sum - 100.0).abs() < 1e-6, "{name}: {sum}");
         }
     }
 
     #[test]
     fn fig6_shares_sum_to_100() {
-        for row in fig6(ProblemSize::Mini) {
-            let sum = row.vectorization_pct + row.prefetching_pct + row.others_pct;
-            assert!((sum - 100.0).abs() < 1e-6, "{}: {sum}", row.name);
+        for (name, cells) in fig6(ProblemSize::Mini).rows {
+            let sum = cells[0] + cells[1] + cells[2];
+            assert!((sum - 100.0).abs() < 1e-6, "{name}: {sum}");
         }
     }
 }

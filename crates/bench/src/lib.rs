@@ -1,9 +1,9 @@
 //! Experiment harness for the DATE 2015 STT-MRAM L1 D-cache paper.
 //!
 //! One function per table/figure of the paper's evaluation. Each returns
-//! the figure's rows/series as data (so the `figures` binary, the
+//! the figure as data, a [`SeriesTable`] (so the `figures` binary, the
 //! benchmark in `benchmark/` and the integration tests all share one
-//! source of truth) and has a pretty-printer that emits the same layout
+//! source of truth), and [`figures`] renders every table in the layout
 //! the paper plots.
 //!
 //! Penalty convention (identical to the paper): every bar is
@@ -14,6 +14,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod args;
 pub mod check;
 pub mod experiments;
 pub mod explain;
@@ -27,8 +28,7 @@ pub mod trace_cache;
 pub mod workload;
 
 pub use experiments::{
-    fig1, fig3, fig4, fig5, fig6, fig7, fig8, fig9, run_benchmark, table1, Fig4Row, Fig6Row,
-    Fig9Row, SeriesTable,
+    fig1, fig3, fig4, fig5, fig6, fig7, fig8, fig9, run_benchmark, table1, SeriesTable,
 };
 pub use parallel::{GridPoint, SweepError, SweepRunner};
 pub use profile::{ProfileReport, ProfileSnapshot};

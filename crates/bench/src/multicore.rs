@@ -322,46 +322,35 @@ pub const SWEEP_BANKS: [usize; 3] = [1, 4, 8];
 /// aggregate slowdown of the co-run vs the same kernels isolated, in
 /// percent. Rows are private organizations; columns are mix × bank
 /// count. Grid points are independent, so they run through the sweep
-/// engine ([`crate::SweepRunner`]); each N-core run is one
+/// engine ([`crate::SweepRunner`]) row by row; each N-core run is one
 /// single-threaded work item, so output is byte-identical at any worker
 /// count.
 pub fn multicore_table(size: ProblemSize) -> crate::SeriesTable {
     let mixes = sweep_mixes();
+    let columns: Vec<(&MixSpec, usize)> = mixes
+        .iter()
+        .flat_map(|mix| SWEEP_BANKS.map(|banks| (mix, banks)))
+        .collect();
     let orgs: Vec<DCacheOrganization> = sttcache::catalog::catalog()
         .iter()
         .map(|e| e.organization)
         .collect();
-    let mut series = Vec::new();
-    let mut points = Vec::new();
-    for mix in &mixes {
-        for &banks in &SWEEP_BANKS {
-            series.push(format!("{} /{}b", mix.label(), banks));
-            for &org in &orgs {
-                points.push((org, mix.clone(), banks));
-            }
-        }
-    }
-    let runner = crate::SweepRunner::current();
-    let values = runner.map_ok(&points, |_, (org, mix, banks)| {
-        contention_slowdown_pct(mix, *org, size, Transformations::none(), Some(*banks))
+    let points: Vec<_> = orgs
+        .iter()
+        .flat_map(|&org| columns.iter().map(move |&(mix, banks)| (org, mix, banks)))
+        .collect();
+    let values = crate::SweepRunner::current().map_ok(&points, |_, &(org, mix, banks)| {
+        contention_slowdown_pct(mix, org, size, Transformations::none(), Some(banks))
     });
-    // Reassemble column-major points into per-org rows.
-    let mut table = crate::SeriesTable {
-        series,
-        rows: orgs
-            .iter()
-            .map(|o| (o.name().to_string(), Vec::new()))
-            .collect(),
-    };
-    for (p, v) in points.iter().zip(values) {
-        let row = table
-            .rows
-            .iter_mut()
-            .find(|(name, _)| *name == p.0.name())
-            .expect("row exists for every org");
-        row.1.push(v);
-    }
-    table.with_average()
+    let rows = orgs
+        .iter()
+        .zip(values.chunks(columns.len()))
+        .map(|(org, cells)| (org.name().to_string(), cells.to_vec()))
+        .collect();
+    let series = columns
+        .iter()
+        .map(|(mix, banks)| format!("{} /{banks}b", mix.label()));
+    crate::SeriesTable::new(series, rows).with_average()
 }
 
 /// A mix run with its shared L2 probed, its isolated references, and

@@ -80,7 +80,7 @@ pub use multi::{
     core_addr, CoreSpec, MultiAudit, MultiPlatform, MultiPlatformConfig, MultiRunResult, SharedL2,
     CORE_ADDRESS_STRIDE, MAX_CORES, MAX_PHASE_OFFSET,
 };
-pub use penalty::{average_penalty, penalty_pct, PenaltyRow};
+pub use penalty::penalty_pct;
 pub use platform::{
     DCacheOrganization, EnergyReport, Platform, PlatformConfig, RunProbes, RunResult, CLOCK_GHZ,
     CODE_FOOTPRINT_BYTES, MEMORY_LATENCY_CYCLES,

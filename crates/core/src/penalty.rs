@@ -28,51 +28,6 @@ pub fn penalty_pct(baseline_cycles: u64, cycles: u64) -> f64 {
     (cycles as f64 - baseline_cycles as f64) / baseline_cycles as f64 * 100.0
 }
 
-/// One labelled penalty value (a bar of a paper figure).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PenaltyRow {
-    /// Benchmark (or configuration) name.
-    pub name: String,
-    /// Penalty in percent.
-    pub penalty_pct: f64,
-}
-
-impl PenaltyRow {
-    /// Creates a row.
-    pub fn new(name: impl Into<String>, penalty_pct: f64) -> Self {
-        PenaltyRow {
-            name: name.into(),
-            penalty_pct,
-        }
-    }
-}
-
-impl std::fmt::Display for PenaltyRow {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:<16} {:>8.2} %", self.name, self.penalty_pct)
-    }
-}
-
-/// Arithmetic mean of the rows' penalties (the paper's AVERAGE bar).
-///
-/// Returns 0 for an empty slice.
-///
-/// # Example
-///
-/// ```
-/// use sttcache::{average_penalty, PenaltyRow};
-///
-/// let rows = vec![PenaltyRow::new("atax", 40.0), PenaltyRow::new("mvt", 60.0)];
-/// assert_eq!(average_penalty(&rows), 50.0);
-/// ```
-pub fn average_penalty(rows: &[PenaltyRow]) -> f64 {
-    if rows.is_empty() {
-        0.0
-    } else {
-        rows.iter().map(|r| r.penalty_pct).sum::<f64>() / rows.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,16 +43,5 @@ mod tests {
     #[should_panic(expected = "baseline")]
     fn zero_baseline_panics() {
         let _ = penalty_pct(0, 10);
-    }
-
-    #[test]
-    fn average_of_empty_is_zero() {
-        assert_eq!(average_penalty(&[]), 0.0);
-    }
-
-    #[test]
-    fn row_display_is_aligned() {
-        let row = PenaltyRow::new("gemm", 54.321);
-        assert!(row.to_string().contains("54.32"));
     }
 }

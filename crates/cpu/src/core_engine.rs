@@ -106,9 +106,9 @@ impl<P: DataPort> Core<P> {
     }
 
     /// Charges instruction fetch for one instruction.
-    fn fetch_instr(&mut self, control: Option<Option<bool>>) {
+    fn fetch_instr(&mut self, branch: Option<bool>) {
         if let Some(f) = self.fetch.as_mut() {
-            self.now += f.step(self.now, control);
+            self.now += f.step(self.now, branch);
         }
     }
 
@@ -220,7 +220,7 @@ impl<P: DataPort> Engine for Core<P> {
     }
 
     fn branch(&mut self, taken: bool) {
-        self.fetch_instr(Some(Some(taken)));
+        self.fetch_instr(Some(taken));
         self.instructions += 1;
         let mispredict = self.predictor.predict_and_update(taken);
         self.now += 1;

@@ -97,10 +97,10 @@ impl FetchUnit {
         }
     }
 
-    /// Fetches the next instruction at cycle `now`. `control` carries a
-    /// branch outcome when the instruction is a branch (`Some(taken)`).
+    /// Fetches the next instruction at cycle `now`. `branch` carries the
+    /// outcome when the instruction is a branch (`Some(taken)`).
     /// Returns the stall cycles beyond the pipelined fetch.
-    pub fn step(&mut self, now: Cycle, control: Option<Option<bool>>) -> u64 {
+    pub fn step(&mut self, now: Cycle, branch: Option<bool>) -> u64 {
         // Only a PC that enters a new line touches the IL1 (the fetch
         // buffer holds the current line).
         let stall = if self.pc & self.line_mask == 0 || self.fetches == 0 {
@@ -115,18 +115,18 @@ impl FetchUnit {
         };
 
         // Advance the PC.
-        match control {
-            Some(Some(true)) => {
+        match branch {
+            Some(true) => {
                 // Taken branch: back to the loop head.
                 self.pc = self.loop_head;
             }
-            Some(Some(false)) => {
+            Some(false) => {
                 // Fall through and open a new loop head (a new region of
                 // code begins after a loop exits).
                 self.pc = self.wrap(self.pc + INSTR_BYTES);
                 self.loop_head = self.pc;
             }
-            _ => {
+            None => {
                 self.pc = self.wrap(self.pc + INSTR_BYTES);
             }
         }
@@ -226,7 +226,7 @@ mod tests {
             for _ in 0..10 {
                 now += 1 + f.step(now, None);
             }
-            now += 1 + f.step(now, Some(Some(true)));
+            now += 1 + f.step(now, Some(true));
         }
         // The loop body fits in two lines: two cold misses, then nothing.
         let cold = 2 * 103;
@@ -238,7 +238,7 @@ mod tests {
             for _ in 0..10 {
                 now += 1 + f.step(now, None);
             }
-            now += 1 + f.step(now, Some(Some(true)));
+            now += 1 + f.step(now, Some(true));
         }
         assert_eq!(f.fetch_stall_cycles(), warm_start);
     }
@@ -246,11 +246,11 @@ mod tests {
     #[test]
     fn not_taken_branch_falls_through() {
         let mut f = FetchUnit::new(il1(1), 4096);
-        f.step(0, Some(Some(false)));
+        f.step(0, Some(false));
         assert_eq!(f.fetches(), 1);
         // The PC advanced; a new loop head was set (no way to observe
         // directly, but stepping keeps working).
-        f.step(10, Some(Some(true)));
+        f.step(10, Some(true));
         assert_eq!(f.fetches(), 2);
     }
 

@@ -297,8 +297,10 @@ impl FromIterator<TraceEvent> for Trace {
 
 /// An [`Engine`] that records into a [`Trace`].
 ///
-/// Adjacent `compute` calls are coalesced into one event (saturating at
-/// `u32::MAX` operations) and access widths clamp at 255 bytes.
+/// Adjacent `compute` calls are coalesced into one event of at most
+/// `u32::MAX` operations; a longer run fills whole events and carries
+/// the remainder into the next, so replay executes every operation.
+/// Access widths clamp at 255 bytes.
 /// Recording an address at or above 2^48 panics, naming the address.
 #[derive(Debug, Clone, Default)]
 pub struct TraceRecorder {
@@ -346,15 +348,17 @@ impl Engine for TraceRecorder {
     }
 
     fn compute(&mut self, ops: u64) {
-        let ops = match self.words.last().map(|&word| decode(word)) {
-            Some(TraceEvent::Compute { ops: prev }) => {
-                self.words.pop();
-                ops.saturating_add(prev as u64)
-            }
-            _ => ops,
-        };
-        let ops = ops.min(u32::MAX as u64) as u32;
-        self.push(TraceEvent::Compute { ops });
+        let mut ops = u128::from(ops);
+        if let Some(TraceEvent::Compute { ops: prev }) = self.words.last().map(|&w| decode(w)) {
+            self.words.pop();
+            ops += u128::from(prev);
+        }
+        let full = u128::from(u32::MAX);
+        while ops > full {
+            self.push(TraceEvent::Compute { ops: u32::MAX });
+            ops -= full;
+        }
+        self.push(TraceEvent::Compute { ops: ops as u32 });
     }
 
     fn branch(&mut self, taken: bool) {
@@ -397,6 +401,21 @@ mod tests {
         let t = sample();
         assert_eq!(t.len(), 6);
         assert_eq!(t.iter().nth(1), Some(TraceEvent::Compute { ops: 5 }));
+    }
+
+    #[test]
+    fn compute_past_u32_max_carries_into_the_next_event() {
+        let mut rec = TraceRecorder::new();
+        for ops in [u64::from(u32::MAX), 5, 1 << 33] {
+            rec.compute(ops);
+        }
+        let t = rec.into_trace();
+        let full = TraceEvent::Compute { ops: u32::MAX };
+        let events: Vec<_> = t.iter().collect();
+        assert_eq!(events, [full, full, full, TraceEvent::Compute { ops: 7 }]);
+        let mut count = crate::CountingEngine::new();
+        t.replay_into(&mut count);
+        assert_eq!(count.compute_ops, 12_884_901_892);
     }
 
     #[test]

@@ -44,11 +44,6 @@ impl CellKind {
         CellKind::Pram,
     ];
 
-    /// Whether the technology retains data without power.
-    pub fn is_non_volatile(self) -> bool {
-        !matches!(self, CellKind::Sram6T)
-    }
-
     /// Human-readable technology name.
     pub fn name(self) -> &'static str {
         match self {
@@ -310,19 +305,6 @@ mod tests {
         assert!(CellModel::with_parameters(CellKind::Sram6T, p).is_err());
         p.read_ns = f64::INFINITY;
         assert!(CellModel::with_parameters(CellKind::Sram6T, p).is_err());
-    }
-
-    #[test]
-    fn non_volatility_flags() {
-        assert!(!CellKind::Sram6T.is_non_volatile());
-        for kind in [
-            CellKind::SttMram,
-            CellKind::SttMram1T1Mtj,
-            CellKind::ReRam,
-            CellKind::Pram,
-        ] {
-            assert!(kind.is_non_volatile());
-        }
     }
 
     #[test]

@@ -2,49 +2,10 @@
 //!
 //! The paper defers full power models ("power models have yet to be fully
 //! developed though") but claims the NVM's energy advantage; this module is
-//! the extension that makes those claims measurable: a per-component dynamic
-//! energy breakdown plus a leakage integrator over simulated time.
+//! the extension that makes those claims measurable: a leakage integrator
+//! over simulated time.
 
-use crate::{Milliwatts, Picojoules};
-
-/// Accumulated dynamic-energy breakdown for one memory component.
-///
-/// All quantities are picojoules.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct EnergyBreakdown {
-    /// Energy spent on read accesses.
-    pub read_pj: Picojoules,
-    /// Energy spent on write accesses.
-    pub write_pj: Picojoules,
-}
-
-impl EnergyBreakdown {
-    /// A zeroed breakdown.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one read access of the given energy.
-    pub fn add_read(&mut self, pj: Picojoules) {
-        self.read_pj += pj;
-    }
-
-    /// Adds one write access of the given energy.
-    pub fn add_write(&mut self, pj: Picojoules) {
-        self.write_pj += pj;
-    }
-
-    /// Total dynamic energy in pJ.
-    pub fn total_pj(&self) -> Picojoules {
-        self.read_pj + self.write_pj
-    }
-
-    /// Merges another breakdown into this one.
-    pub fn merge(&mut self, other: &EnergyBreakdown) {
-        self.read_pj += other.read_pj;
-        self.write_pj += other.write_pj;
-    }
-}
+use crate::Milliwatts;
 
 /// Integrates leakage power over simulated time for a set of components.
 ///
@@ -96,46 +57,11 @@ impl LeakageIntegrator {
         // mW · s = mJ; convert to µJ.
         self.total_mw() * seconds * 1e3
     }
-
-    /// Per-component leakage energies in µJ over `cycles` cycles.
-    pub fn breakdown_uj(&self, cycles: u64) -> Vec<(String, f64)> {
-        let seconds = cycles as f64 / (self.clock_ghz * 1e9);
-        self.components
-            .iter()
-            .map(|(name, mw)| (name.clone(), mw * seconds * 1e3))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn breakdown_accumulates() {
-        let mut b = EnergyBreakdown::new();
-        b.add_read(2.0);
-        b.add_read(3.0);
-        b.add_write(10.0);
-        assert_eq!(b.read_pj, 5.0);
-        assert_eq!(b.write_pj, 10.0);
-        assert_eq!(b.total_pj(), 15.0);
-    }
-
-    #[test]
-    fn breakdown_merges() {
-        let mut a = EnergyBreakdown {
-            read_pj: 1.0,
-            write_pj: 2.0,
-        };
-        let b = EnergyBreakdown {
-            read_pj: 10.0,
-            write_pj: 20.0,
-        };
-        a.merge(&b);
-        assert_eq!(a.read_pj, 11.0);
-        assert_eq!(a.write_pj, 22.0);
-    }
 
     #[test]
     fn leakage_integrates_linearly_in_time() {
@@ -144,15 +70,6 @@ mod tests {
         let e1 = leak.energy_uj(1_000_000);
         let e2 = leak.energy_uj(2_000_000);
         assert!((e2 - 2.0 * e1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn per_component_breakdown_sums_to_total() {
-        let mut leak = LeakageIntegrator::new(1.0);
-        leak.add_component("a", 10.0);
-        leak.add_component("b", 20.0);
-        let parts: f64 = leak.breakdown_uj(500).iter().map(|(_, e)| e).sum();
-        assert!((parts - leak.energy_uj(500)).abs() < 1e-12);
     }
 
     #[test]

@@ -48,7 +48,7 @@ mod table;
 pub use array::{ArrayConfig, ArrayConfigBuilder, ArrayModel, ArrayOrganization};
 pub use cell::{CellKind, CellModel, CellParameters};
 pub use endurance::{wear_uniformity, EnduranceModel, Lifetime};
-pub use energy::{EnergyBreakdown, LeakageIntegrator};
+pub use energy::LeakageIntegrator;
 pub use error::TechError;
 pub use explore::{explore, pareto_front, DesignPoint, SweepSpec};
 pub use mtj::{MtjDevice, MtjStack, SwitchingMode};

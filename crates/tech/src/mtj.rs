@@ -147,11 +147,6 @@ impl MtjDevice {
         self.r_parallel
     }
 
-    /// Anti-parallel-state resistance in ohms.
-    pub fn r_antiparallel(&self) -> f64 {
-        self.r_parallel * (1.0 + self.tmr)
-    }
-
     /// TMR ratio as a fraction (1.0 = 100 %).
     pub fn tmr(&self) -> f64 {
         self.tmr
@@ -211,12 +206,6 @@ impl MtjDevice {
             SwitchingMode::ThermalActivation
         }
     }
-
-    /// Retention time in seconds at operating temperature, from the thermal
-    /// stability factor: `t = t0 · exp(Δ)` with `t0 = 1 ns` attempt time.
-    pub fn retention_seconds(&self) -> f64 {
-        1e-9 * self.thermal_stability.exp()
-    }
 }
 
 #[cfg(test)]
@@ -227,7 +216,6 @@ mod tests {
     fn paper_device_is_valid() {
         let mtj = MtjDevice::paper_device().unwrap();
         assert_eq!(mtj.stack(), MtjStack::PerpendicularDual);
-        assert!(mtj.r_antiparallel() > mtj.r_parallel());
     }
 
     #[test]
@@ -254,13 +242,6 @@ mod tests {
     fn subcritical_write_panics() {
         let mtj = MtjDevice::paper_device().unwrap();
         let _ = mtj.write_pulse_ns(0.9);
-    }
-
-    #[test]
-    fn retention_is_years_for_delta_60() {
-        let mtj = MtjDevice::paper_device().unwrap();
-        // exp(60) ns ≈ 3.6e9 years; just check it exceeds ten years.
-        assert!(mtj.retention_seconds() > 10.0 * 365.25 * 86400.0);
     }
 
     #[test]

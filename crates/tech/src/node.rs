@@ -76,15 +76,6 @@ impl TechNode {
         }
     }
 
-    /// A 45 nm HP node (used for cross-node scaling checks).
-    pub fn hp_45nm() -> Self {
-        TechNode {
-            feature_nm: 45.0,
-            vdd: 1.0,
-            flavor: TransistorFlavor::HighPerformance,
-        }
-    }
-
     /// A 22 nm HP node (forward scaling).
     pub fn hp_22nm() -> Self {
         TechNode {
@@ -193,7 +184,7 @@ mod tests {
 
     #[test]
     fn larger_node_is_slower() {
-        let n45 = TechNode::hp_45nm();
+        let n45 = TechNode::new(45.0, 1.0, TransistorFlavor::HighPerformance).unwrap();
         assert!(n45.delay_scale() > 1.0);
         assert!(n45.energy_scale() > 1.0);
     }

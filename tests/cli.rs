@@ -309,6 +309,72 @@ fn serial_and_jobs_are_refused_together_in_either_order() {
 }
 
 #[test]
+fn a_flag_given_twice_is_refused_rather_than_replaced() {
+    // Neither value may silently win: the run exits 2 naming the flag.
+    for (exe, args, needle) in [
+        (
+            SIM,
+            &["--bench", "gemm", "--bench", "mvt"][..],
+            "--bench given twice",
+        ),
+        (
+            SIM,
+            &["--bench", "atax", "--explain", "vwb", "--explain", "nvm"],
+            "--explain given twice",
+        ),
+        (
+            FIGURES,
+            &["--jobs", "2", "--jobs", "3"],
+            "--jobs given twice",
+        ),
+        (CHECK, &["--seed", "1", "--seed", "2"], "--seed given twice"),
+        (
+            CHECK,
+            &["--kind", "multicore", "--kind", "irregular"],
+            "--kind: 'irregular' is a second mode",
+        ),
+        (
+            CHECK,
+            &["--kind", "random-mix", "--kind", "line-straddle"],
+            "--kind: 'line-straddle' is a second family",
+        ),
+    ] {
+        assert_rejected(&run(exe, args, &[]), needle);
+    }
+    // `--kind` still pairs one mode with one family.
+    let args = ["--kind", "random-mix", "--kind", "multicore", "--seed", "1"];
+    let out = run(
+        CHECK,
+        &[&args[..], &["--cases", "1", "--events", "100"]].concat(),
+        &[],
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{args:?}:\n{stdout}");
+    assert!(
+        stdout.contains("random-mix") && stdout.contains("multicore ok"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn sim_refuses_two_flags_that_pick_the_same_thing() {
+    // As with `--serial` and `--jobs`, neither flag may silently win.
+    for args in [
+        &["--bench", "gemm", "--trace-file", "x.trace"][..],
+        &["--trace-file", "x.trace", "--bench", "gemm"],
+    ] {
+        let out = sim(args);
+        assert_rejected(&out, "--bench and --trace-file");
+    }
+    for args in [
+        &["--explain", "vwb", "--org", "nvm", "--bench", "gemm"][..],
+        &["--bench", "gemm", "--org", "nvm", "--explain", "vwb"],
+    ] {
+        assert_rejected(&sim(args), "--org and --explain");
+    }
+}
+
+#[test]
 fn figures_rejects_a_second_artifact() {
     assert_rejected(&figures(&["fig1", "fig3"]), "fig3");
 }

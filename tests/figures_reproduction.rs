@@ -25,13 +25,13 @@ fn table1_matches_the_paper_exactly() {
 
 #[test]
 fn fig1_shape_large_dropin_penalty() {
-    let rows = fig1(SIZE);
-    let avg = rows.last().expect("average row").penalty_pct;
+    let t = fig1(SIZE);
+    let avg = t.average(0);
     // Paper: up to ~55 %, average ~54 %. Accept the same neighbourhood.
     assert!((30.0..=75.0).contains(&avg), "average {avg:.1}");
-    assert!(rows.iter().all(|r| r.penalty_pct > 0.0));
+    assert!(t.rows.iter().all(|(_, v)| v[0] > 0.0));
     assert!(
-        rows.iter().any(|r| r.penalty_pct > 45.0),
+        t.rows.iter().any(|(_, v)| v[0] > 45.0),
         "no benchmark near the paper's worst case"
     );
 }
@@ -56,20 +56,12 @@ fn fig3_vwb_cuts_the_penalty() {
 
 #[test]
 fn fig4_reads_dominate_the_penalty() {
-    let rows = fig4(SIZE);
-    let avg = rows.last().expect("average row");
-    assert!(
-        avg.read_pct > 65.0,
-        "read contribution {:.1}%",
-        avg.read_pct
-    );
-    assert!(avg.read_pct > 4.0 * avg.write_pct.max(1.0));
-    for r in &rows {
-        assert!(
-            (r.read_pct + r.write_pct - 100.0).abs() < 1e-6,
-            "{}",
-            r.name
-        );
+    let t = fig4(SIZE);
+    let (read, write) = (t.average(0), t.average(1));
+    assert!(read > 65.0, "read contribution {read:.1}%");
+    assert!(read > 4.0 * write.max(1.0));
+    for (name, v) in &t.rows {
+        assert!((v[0] + v[1] - 100.0).abs() < 1e-6, "{name}");
     }
 }
 
@@ -87,13 +79,13 @@ fn fig5_transformations_reach_the_target() {
 
 #[test]
 fn fig6_prefetch_and_vectorization_dominate() {
-    let rows = fig6(SIZE);
-    let avg = rows.last().expect("average row");
-    assert!(avg.vectorization_pct + avg.prefetching_pct > 60.0);
-    assert!(avg.others_pct < avg.vectorization_pct + avg.prefetching_pct);
-    for r in &rows {
-        let sum = r.vectorization_pct + r.prefetching_pct + r.others_pct;
-        assert!((sum - 100.0).abs() < 1e-6, "{}: {sum}", r.name);
+    let t = fig6(SIZE);
+    let (vectorization, prefetching, others) = (t.average(0), t.average(1), t.average(2));
+    assert!(vectorization + prefetching > 60.0);
+    assert!(others < vectorization + prefetching);
+    for (name, v) in &t.rows {
+        let sum = v[0] + v[1] + v[2];
+        assert!((sum - 100.0).abs() < 1e-6, "{name}: {sum}");
     }
 }
 
@@ -119,11 +111,11 @@ fn fig8_proposal_wins() {
 
 #[test]
 fn fig9_gains_on_both_platforms() {
-    let rows = fig9(SIZE);
-    let avg = rows.last().expect("average row");
-    assert!(avg.baseline_gain_pct > 10.0);
-    assert!(avg.proposal_gain_pct > 10.0);
+    let t = fig9(SIZE);
+    let (baseline, proposal) = (t.average(0), t.average(1));
+    assert!(baseline > 10.0);
+    assert!(proposal > 10.0);
     // Paper: the gain is "more pronounced in case of our NVM based
     // proposal".
-    assert!(avg.proposal_gain_pct >= avg.baseline_gain_pct - 1.0);
+    assert!(proposal >= baseline - 1.0);
 }

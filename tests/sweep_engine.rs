@@ -7,21 +7,12 @@ use sttcache_bench::{experiments, figures};
 use sttcache_workloads::{PolyBench, ProblemSize, Transformations};
 
 /// Renders the figure artifacts a sweep produces into one string —
-/// formatted exactly as the CSV emitters print them, so a byte-level
+/// formatted exactly as the CSV writer prints them, so a byte-level
 /// comparison covers both the numbers and their ordering.
 fn rendered_figures(size: ProblemSize) -> String {
-    let mut out = String::new();
-    out.push_str(&experiments::fig3(size).to_csv());
-    for r in experiments::fig1(size) {
-        out.push_str(&format!("{},{:.3}\n", r.name, r.penalty_pct));
-    }
-    for r in experiments::fig9(size) {
-        out.push_str(&format!(
-            "{},{:.3},{:.3}\n",
-            r.name, r.baseline_gain_pct, r.proposal_gain_pct
-        ));
-    }
-    out
+    [experiments::fig3, experiments::fig1, experiments::fig9]
+        .map(|fig| fig(size).to_csv())
+        .concat()
 }
 
 /// The tentpole guarantee: figure outputs are bit-identical across

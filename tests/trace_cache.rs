@@ -15,7 +15,9 @@ use sttcache::{
     Platform, PlatformConfig, StageSpec, VwbConfig,
 };
 use sttcache_bench::{check, extensions, trace_cache};
-use sttcache_cpu::{Core, CoreConfig, CoreReport, DataPort, Engine, FetchUnit, MemPort};
+use sttcache_cpu::{
+    Core, CoreConfig, CoreReport, DataPort, Engine, FetchUnit, MemPort, TraceRecorder,
+};
 use sttcache_mem::{Cache, Cycle, MainMemory, MemoryLevel, NextLinePrefetcher, Shared};
 use sttcache_workloads::{PolyBench, ProblemSize, Transformations, Workload};
 
@@ -58,6 +60,24 @@ fn cached_replay_matches_direct_on_every_kernel_and_transform() {
             }
         }
     }
+}
+
+#[test]
+fn compute_runs_past_u32_max_replay_every_operation() {
+    // One compute event holds at most `u32::MAX` operations; the recorder
+    // carries the rest into the next event, so replay loses none.
+    let workload = |e: &mut dyn Engine| {
+        for ops in [u64::from(u32::MAX), 5, 1 << 33] {
+            e.compute(ops);
+        }
+    };
+    let mut recorder = TraceRecorder::new();
+    workload(&mut recorder);
+    let trace = recorder.into_trace();
+    let platform = Platform::new(DCacheOrganization::NvmDropIn).expect("canonical configuration");
+    let direct = platform.run(workload);
+    assert_eq!(direct.core.instructions, 12_884_901_892);
+    assert_eq!(platform.run_trace(&trace), direct);
 }
 
 /// Repeating a grid point answers from the result memo with the identical
