@@ -179,6 +179,9 @@ impl<P: DataPort> Engine for Core<P> {
         self.now = issue + 1 + stall;
     }
 
+    // Without the hint, whether a replay loop inlines the store path
+    // depends on which codegen unit rustc places the loop in.
+    #[inline]
     fn store(&mut self, addr: Addr, _bytes: usize) {
         self.fetch_instr(None);
         self.instructions += 1;
